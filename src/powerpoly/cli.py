@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -360,34 +359,7 @@ def _row_major(grid, dims):
 
 def _grid_values(beta: Polynomial, points) -> list[float]:
     jobs = [[float(c) for c in combo] + [float(1 - sum(combo))] for combo in points]
-    threads = int(os.environ.get("POWERPOLY_THREADS", "1"))
-    if threads > 1 and len(jobs) > 64:
-        from concurrent.futures import ProcessPoolExecutor
-
-        terms = [(mono, float(c)) for mono, c in beta.terms.items()]
-        chunk = max(1, len(jobs) // (threads * 4))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            batches = [jobs[i : i + chunk] for i in range(0, len(jobs), chunk)]
-            out: list[float] = []
-            for part in pool.map(_eval_batch, [(terms, b) for b in batches]):
-                out.extend(part)
-            return out
     return [beta.evaluate_float(job) for job in jobs]
-
-
-def _eval_batch(payload):
-    terms, jobs = payload
-    out = []
-    for point in jobs:
-        total = 0.0
-        for mono, coeff in terms:
-            value = coeff
-            for x, e in zip(point, mono):
-                if e:
-                    value *= x**e
-            total += value
-        out.append(total)
-    return out
 
 
 def cmd_recover_test(args) -> int:

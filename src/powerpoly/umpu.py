@@ -8,6 +8,14 @@ dominates all others componentwise yields the UMPU test; otherwise a
 layer-by-layer recursion over the convex peeling of the h-exponent
 lattice checks the necessary conditions and either refutes existence or
 produces the unique remaining candidate.
+
+The recursion needs no LP.  Fixing a coordinate at its maximum over a
+face cuts out a supporting hyperplane, so every set the recursion visits
+is a face of the polytope, and a face's vertices are the polytope's
+vertices lying on it (Ziegler, Lectures on Polytopes, 1995).  Each
+maximum is therefore a max over the surviving vertices, and a layer's
+maxima are jointly feasible exactly when some surviving vertex attains
+all of them.
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from powerpoly.groebner import StepCounter
-from powerpoly.linprog import EQ, GE, LE, solve_lp
 from powerpoly.polynomial import MonomialOrder, Polynomial, monomials_of_degree
 from powerpoly.polytope import (
     _in_convex_hull,
@@ -81,13 +88,6 @@ class CoefficientPolytope:
         """Number of irredundant halfspaces (0 is strictly interior)."""
         a, b = self.one_sided()
         return len(irredundant_rows(a, b))
-
-    def lp_constraints(self):
-        cons = []
-        for row in self.nonzero_rows():
-            cons.append((list(row.coeffs), LE, row.upper))
-            cons.append((list(row.coeffs), GE, row.lower))
-        return cons
 
     def h_polynomial(self, coeffs: Sequence[Fraction]) -> Polynomial:
         return Polynomial(self.k, dict(zip(self.h_index, map(Fraction, coeffs))))
@@ -157,18 +157,10 @@ def componentwise_max(vertices: Sequence[Sequence[Fraction]]) -> ComponentwiseMa
         if v == peak:
             return ComponentwiseMax(vertex=v)
     # No maximum: exhibit two maximal incomparable vertices.
-    def dominates(x, y):
-        return all(a >= b for a, b in zip(x, y))
-
-    maximal = []
-    for v in vs:
-        if not any(dominates(w, v) and w != v for w in vs):
-            maximal.append(v)
-    for i in range(len(maximal)):
-        for j in range(i + 1, len(maximal)):
-            if not dominates(maximal[i], maximal[j]) and not dominates(maximal[j], maximal[i]):
-                return ComponentwiseMax(vertex=None, certificate=(maximal[i], maximal[j]))
-    raise AssertionError("internal: no maximum vertex yet no incomparable pair")
+    pair = _incomparable_pair(vs)
+    if pair is None:
+        raise AssertionError("internal: no maximum vertex yet no incomparable pair")
+    return ComponentwiseMax(vertex=None, certificate=pair)
 
 
 @dataclass(frozen=True)
@@ -229,10 +221,13 @@ def umpu_search(
     """Decide UMPU existence for the principal hypothesis I(P0) = <f>.
 
     A componentwise-maximum vertex is sufficient (Exists).  Failing that,
-    the necessary layer conditions are checked by exact LPs along the
-    convex peeling; any failing layer refutes existence, while passing
-    all layers leaves the unique candidate h* (sufficiency beyond the
-    vertex criterion is not decided).
+    the necessary layer conditions are checked along the convex peeling
+    on the face of vertices that attain every earlier layer's maxima: a
+    layer fails when no vertex of the face attains all of its coordinate
+    maxima, and the certificate pairs the layer projections of the
+    lex-smallest maximizers.  Any failing layer refutes existence, while
+    passing all layers leaves the unique candidate h* (sufficiency beyond
+    the vertex criterion is not decided).
     """
     poly = enumerate_vertices(coefficient_polytope(f, n, alpha), counter)
     assert poly.vertices is not None
@@ -249,41 +244,18 @@ def umpu_search(
         )
 
     peeling = convex_peeling(poly.k, poly.nprime)
-    base = poly.lp_constraints()
-    dim = poly.dim
     position = {J: i for i, J in enumerate(poly.h_index)}
-    fixed: dict[int, Fraction] = {}
+    face = list(poly.vertices)
     for layer_no, layer in enumerate(peeling.layers):
         if counter is not None:
             counter.tick()
-        cons = list(base)
-        for pos, val in fixed.items():
-            row = [Fraction(0)] * dim
-            row[pos] = Fraction(1)
-            cons.append((row, EQ, val))
-        maxima: dict[int, Fraction] = {}
-        argmax: dict[int, tuple[Fraction, ...]] = {}
-        for J in layer:
-            pos = position[J]
-            obj = [Fraction(0)] * dim
-            obj[pos] = Fraction(1)
-            res = solve_lp(dim, obj, cons)
-            if not res.is_optimal:
-                raise AssertionError("internal: coefficient polytope LP failed")
-            maxima[pos] = res.value
-            argmax[pos] = tuple(res.point)
-        combined = list(cons)
-        for pos, val in maxima.items():
-            row = [Fraction(0)] * dim
-            row[pos] = Fraction(1)
-            combined.append((row, EQ, val))
-        feas = solve_lp(dim, [Fraction(0)] * dim, combined)
-        if not feas.is_optimal:
+        maxima = {position[J]: max(v[position[J]] for v in face) for J in layer}
+        attained = [v for v in face if all(v[pos] == m for pos, m in maxima.items())]
+        if not attained:
+            # Project each coordinate's lex-smallest maximizer onto the layer.
             layer_pos = sorted(maxima)
-            proj = {
-                pos: tuple(argmax[pos][q] for q in layer_pos) for pos in layer_pos
-            }
-            cert = _incomparable_pair(list(proj.values()))
+            argmax = [next(v for v in face if v[pos] == maxima[pos]) for pos in layer_pos]
+            cert = _incomparable_pair([tuple(v[q] for q in layer_pos) for v in argmax])
             return UMPUVerdict(
                 status=NOT_EXISTS,
                 c_vertices=poly.vertices,
@@ -294,9 +266,10 @@ def umpu_search(
                     "per-coordinate maxima are jointly infeasible"
                 ),
             )
-        fixed.update(maxima)
+        face = attained
 
-    h = poly.h_polynomial([fixed[i] for i in range(dim)])
+    # The layers cover every coordinate, so the face is the single vertex h*.
+    h = poly.h_polynomial(face[0])
     beta = _beta_from_h(poly, h)
     return UMPUVerdict(
         status=CANDIDATE,

@@ -15,6 +15,7 @@ from powerpoly import (
     principal_umpu,
     umpu_search,
 )
+from powerpoly.linprog import EQ, LE, solve_lp
 from powerpoly.polytope import enumerate_vertices_brute_force
 from powerpoly.umpu import CANDIDATE, EXISTS, NOT_EXISTS
 
@@ -34,6 +35,56 @@ def P(text, names=VARS3):
 
 def sphere3():
     return build_hypothesis({"kind": "sphere", "params": {"k": 3, "delta_sq": "1/6"}}).generators[0]
+
+
+def _lp_rows(poly):
+    a, b = poly.one_sided()
+    return [(row, LE, bound) for row, bound in zip(a, b)]
+
+
+def _fix(dim, values):
+    return [([F(int(i == pos)) for i in range(dim)], EQ, v) for pos, v in values.items()]
+
+
+def _lp_replay(poly):
+    """The UMPU decision by exact LPs instead of the vertex list.
+
+    Returns (status, failing_layer, h coefficients or None).  Exists when
+    the coordinate maxima over the whole polytope are jointly feasible;
+    otherwise each peeling layer maximizes its coordinates with the
+    earlier layers' maxima fixed, and fails when its maxima are jointly
+    infeasible.
+    """
+    dim = poly.dim
+    base = _lp_rows(poly)
+
+    def maximize(cons, pos):
+        res = solve_lp(dim, [F(int(i == pos)) for i in range(dim)], cons)
+        assert res.is_optimal
+        return res.value
+
+    def feasible(values):
+        if len(values) == dim:  # a single point: no LP needed
+            return all(sum(r * values[i] for i, r in enumerate(row)) <= bound
+                       for row, _, bound in base)
+        return solve_lp(dim, [F(0)] * dim, base + _fix(dim, values)).is_optimal
+
+    peak = {pos: maximize(base, pos) for pos in range(dim)}
+    if feasible(peak):
+        return EXISTS, None, [peak[i] for i in range(dim)]
+    position = {J: i for i, J in enumerate(poly.h_index)}
+    fixed = {}
+    for layer_no, layer in enumerate(convex_peeling(poly.k, poly.nprime).layers):
+        cons = base + _fix(dim, fixed)
+        # Layer 0 maximizes over the whole polytope: its maxima are the peak's.
+        maxima = {
+            position[J]: maximize(cons, position[J]) if fixed else peak[position[J]]
+            for J in layer
+        }
+        if not feasible({**fixed, **maxima}):
+            return NOT_EXISTS, layer_no, None
+        fixed.update(maxima)
+    return CANDIDATE, None, [fixed[i] for i in range(dim)]
 
 
 class TestCoefficientPolytope:
@@ -227,9 +278,7 @@ class TestUmpuSearch:
         dims = poly.dim
         peak = cw.vertex
         # Layer recursion maxima must reproduce the peak coordinates.
-        from powerpoly.linprog import solve_lp
-
-        cons = poly.lp_constraints()
+        cons = _lp_rows(poly)
         for pos in range(dims):
             obj = [F(0)] * dims
             obj[pos] = F(1)
@@ -267,3 +316,28 @@ class TestUmpuSearch:
     def test_step_limit(self):
         with pytest.raises(StepLimitExceeded):
             umpu_search(sphere3(), 6, F(1, 20), StepCounter(5))
+
+
+@pytest.mark.parametrize(
+    "text,k,n,alpha,status",
+    [
+        ("p1 + p2 - p3", 3, 3, F(1, 20), EXISTS),
+        ("2*p1 + p2 - p3", 3, 3, F(1, 10), NOT_EXISTS),
+        ("p1 + p2 - 2*p3", 3, 4, F(1, 20), CANDIDATE),
+        ("p1 + 2*p2 - 3*p3", 3, 4, F(1, 10), NOT_EXISTS),
+        ("p1 + p2 - p3 - p4", 4, 3, F(1, 10), EXISTS),
+        ("sphere", 3, 4, F(1, 10), EXISTS),
+        ("sphere", 3, 5, F(1, 20), EXISTS),
+    ],
+)
+def test_vertex_search_matches_lp_replay(text, k, n, alpha, status):
+    f = sphere3() if text == "sphere" else P(text, [f"p{i + 1}" for i in range(k)])
+    verdict = umpu_search(f, n, alpha)
+    poly = coefficient_polytope(f, n, alpha)
+    lp_status, failing_layer, h = _lp_replay(poly)
+    assert verdict.status == lp_status == status
+    assert verdict.failing_layer == failing_layer
+    assert verdict.h_star == (None if h is None else poly.h_polynomial(h))
+    if status == NOT_EXISTS:
+        a, b = verdict.certificate
+        assert any(x > y for x, y in zip(a, b)) and any(y > x for x, y in zip(a, b))
