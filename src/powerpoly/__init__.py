@@ -8,7 +8,6 @@ over arbitrary-precision rationals; floats appear only in Monte-Carlo
 validation and CSV grid export.
 """
 
-from powerpoly._kernels import BACKEND as kernel_backend
 from powerpoly.polynomial import (
     DEFAULT_ORDER,
     MonomialOrder,
@@ -77,6 +76,9 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+#: The one kernel implementation, pure Python; benchmark results record it.
+kernel_backend = "pure"
 
 from powerpoly.hypotheses import (  # noqa: E402
     NullHypothesis,

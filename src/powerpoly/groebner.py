@@ -16,8 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from powerpoly import _kernels as K
-from powerpoly.polynomial import DEFAULT_ORDER, MonomialOrder, Polynomial
+from powerpoly.polynomial import (
+    DEFAULT_ORDER,
+    MonomialOrder,
+    Polynomial,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    poly_addmul,
+)
 
 
 class StepLimitExceeded(RuntimeError):
@@ -59,7 +67,12 @@ def reduce(
         if g.is_zero():
             raise ValueError("cannot divide by the zero polynomial")
     key = order.key
-    lead = [(g.leading_monomial(order), g.leading_coefficient(order)) for g in basis]
+    # (leading monomial, leading coefficient, tail) of each divisor.
+    lead = []
+    for g in basis:
+        lm = g.leading_monomial(order)
+        tail = dict(g.terms)
+        lead.append((lm, tail.pop(lm), tail))
     quotients: list[dict] = [{} for _ in basis]
     remainder: dict = {}
     work = dict(f.terms)
@@ -68,30 +81,28 @@ def reduce(
             counter.tick()
         mono = max(work, key=key)
         coeff = work.pop(mono)
-        for i, (lm, lc) in enumerate(lead):
-            quot = K.mono_div(mono, lm)
+        for i, (lm, lc, tail) in enumerate(lead):
+            quot = mono_div(mono, lm)
             if quot is not None:
-                scale = coeff / lc
-                q = quotients[i].get(quot)
-                quotients[i][quot] = (q + scale) if q is not None else scale
-                # work -= scale * x^quot * g_i, minus the cancelled lead
-                rest = dict(basis[i].terms)
-                del rest[lm]
-                K.poly_addmul(work, -scale, quot, rest)
+                # Popped monomials strictly decrease, so no quotient term
+                # is ever set twice.
+                quotients[i][quot] = scale = coeff / lc
+                # work -= scale * x^quot * g_i; the lead term cancels `mono`.
+                poly_addmul(work, -scale, quot, tail)
                 break
         else:
             remainder[mono] = coeff
     return (
-        [Polynomial(f.nvars, q) for q in quotients],
-        Polynomial(f.nvars, remainder),
+        [Polynomial._of(f.nvars, q) for q in quotients],
+        Polynomial._of(f.nvars, remainder),
     )
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     lf, lg = f.leading_monomial(order), g.leading_monomial(order)
-    lcm = K.mono_lcm(lf, lg)
-    mf = Polynomial.monomial(f.nvars, K.mono_div(lcm, lf), 1 / f.leading_coefficient(order))
-    mg = Polynomial.monomial(g.nvars, K.mono_div(lcm, lg), 1 / g.leading_coefficient(order))
+    lcm = mono_lcm(lf, lg)
+    mf = Polynomial.monomial(f.nvars, mono_div(lcm, lf), 1 / f.leading_coefficient(order))
+    mg = Polynomial.monomial(g.nvars, mono_div(lcm, lg), 1 / g.leading_coefficient(order))
     return mf * f - mg * g
 
 
@@ -143,7 +154,7 @@ def buchberger_reduced(
     pairs: set[tuple[int, int]] = set()
 
     def lcm_deg(i: int, j: int) -> int:
-        return K.mono_deg(K.mono_lcm(lead[i], lead[j]))
+        return sum(mono_lcm(lead[i], lead[j]))
 
     def add_pairs(j: int):
         for i in range(j):
@@ -157,9 +168,9 @@ def buchberger_reduced(
             counter.tick()
         i, j = min(pairs, key=lambda p: (lcm_deg(*p), p))
         pairs.discard((i, j))
-        lcm = K.mono_lcm(lead[i], lead[j])
+        lcm = mono_lcm(lead[i], lead[j])
         # Coprime criterion: lcm equal to the product means S reduces to 0.
-        if lcm == K.mono_mul(lead[i], lead[j]):
+        if lcm == mono_mul(lead[i], lead[j]):
             continue
         # Chain criterion: a third element dividing the lcm whose pairs with
         # i and j are both settled makes this pair redundant.
@@ -167,7 +178,7 @@ def buchberger_reduced(
         for m in range(len(basis)):
             if m in (i, j):
                 continue
-            if K.mono_divides(lead[m], lcm):
+            if mono_divides(lead[m], lcm):
                 pim = (min(i, m), max(i, m))
                 pjm = (min(j, m), max(j, m))
                 if pim not in pairs and pjm not in pairs:
@@ -191,7 +202,7 @@ def buchberger_reduced(
         lm = lead[i]
         redundant = False
         for j in range(len(basis)):
-            if j == i or not K.mono_divides(lead[j], lm):
+            if j == i or not mono_divides(lead[j], lm):
                 continue
             if lead[j] != lm or j < i:
                 redundant = True

@@ -11,11 +11,61 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-from powerpoly import _kernels as K
+from operator import neg
+from typing import Mapping, Sequence
 
 Exponents = tuple[int, ...]
+
+
+# -- monomial and term-map arithmetic ----------------------------------------
+# Monomials are tuples of non-negative ints; term maps are dicts from
+# monomial to a nonzero Fraction.
+
+
+def mono_mul(a: Exponents, b: Exponents) -> Exponents:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_div(a: Exponents, b: Exponents) -> Exponents | None:
+    """a / b, or None when b does not divide a."""
+    out = []
+    for x, y in zip(a, b):
+        d = x - y
+        if d < 0:
+            return None
+        out.append(d)
+    return tuple(out)
+
+
+def mono_divides(b: Exponents, a: Exponents) -> bool:
+    return all(y <= x for x, y in zip(a, b))
+
+
+def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
+    return tuple(x if x >= y else y for x, y in zip(a, b))
+
+
+def poly_addmul(acc: dict, coeff: Fraction, mono: Exponents, tb: Mapping) -> None:
+    """In place: acc += coeff * x^mono * tb, dropping cancelled terms."""
+    for mb, cb in tb.items():
+        m = tuple(x + y for x, y in zip(mono, mb))
+        c = acc.get(m)
+        if c is None:
+            acc[m] = coeff * cb
+        else:
+            c = c + coeff * cb
+            if c:
+                acc[m] = c
+            else:
+                del acc[m]
+
+
+def _grlex_key(a: Exponents):
+    return (sum(a), a)
+
+
+def _grevlex_key(a: Exponents):
+    return (sum(a), tuple(map(neg, reversed(a))))
 
 
 class MonomialOrder(enum.Enum):
@@ -24,11 +74,10 @@ class MonomialOrder(enum.Enum):
     GRLEX = "grlex"
     GREVLEX = "grevlex"
 
-    def key(self, exponents: Exponents):
-        """Sort key: key(a) > key(b) iff monomial a > monomial b."""
-        if self is MonomialOrder.GRLEX:
-            return K.grlex_key(exponents)
-        return K.grevlex_key(exponents)
+    @property
+    def key(self):
+        """Sort key function: key(a) > key(b) iff monomial a > monomial b."""
+        return _grlex_key if self is MonomialOrder.GRLEX else _grevlex_key
 
 
 #: Order used everywhere a caller does not say otherwise (matches the
@@ -37,9 +86,13 @@ DEFAULT_ORDER = MonomialOrder.GREVLEX
 
 
 class Polynomial:
-    """Immutable sparse polynomial: dict from exponent tuple to Fraction."""
+    """Immutable sparse polynomial: dict from exponent tuple to Fraction.
 
-    __slots__ = ("nvars", "terms")
+    `_lead` caches (order, leading monomial) for the last order asked;
+    immutability makes the cache safe, and equality and hashing ignore it.
+    """
+
+    __slots__ = ("nvars", "terms", "_lead")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction] | None = None):
         if nvars < 0:
@@ -59,6 +112,21 @@ class Polynomial:
                     clean[mono] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_lead", None)
+
+    @staticmethod
+    def _of(nvars: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        """Trusted constructor: adopts `terms` without copying or checking.
+
+        The caller guarantees int-tuple monomials of length `nvars` and
+        nonzero Fraction coefficients, as when the terms are built from
+        polynomials that are already valid.
+        """
+        p = object.__new__(Polynomial)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_lead", None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -113,12 +181,12 @@ class Polynomial:
                     out[mono] = c
                 else:
                     del out[mono]
-        return Polynomial(self.nvars, out)
+        return Polynomial._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._of(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -132,10 +200,13 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             if not c:
-                return Polynomial.zero(self.nvars)
-            return Polynomial(self.nvars, {m: c * v for m, v in self.terms.items()})
+                return Polynomial._of(self.nvars, {})
+            return Polynomial._of(self.nvars, {m: c * v for m, v in self.terms.items()})
         self._check_same_ring(other)
-        return Polynomial(self.nvars, K.poly_mul(self.terms, other.terms))
+        out: dict[Exponents, Fraction] = {}
+        for mono, coeff in self.terms.items():
+            poly_addmul(out, coeff, mono, other.terms)
+        return Polynomial._of(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -192,9 +263,14 @@ class Polynomial:
         return self.terms.get(tuple(exponents), Fraction(0))
 
     def leading_monomial(self, order: MonomialOrder = DEFAULT_ORDER) -> Exponents:
+        cached = self._lead
+        if cached is not None and cached[0] is order:
+            return cached[1]
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=order.key)
+        lm = max(self.terms, key=order.key)
+        object.__setattr__(self, "_lead", (order, lm))
+        return lm
 
     def leading_coefficient(self, order: MonomialOrder = DEFAULT_ORDER) -> Fraction:
         return self.terms[self.leading_monomial(order)]
@@ -263,7 +339,7 @@ class Polynomial:
             if k not in spow:
                 spow[k] = s**k
             for mono, coeff in part.terms.items():
-                K.poly_addmul(out, coeff, mono, spow[k].terms)
+                poly_addmul(out, coeff, mono, spow[k].terms)
         return Polynomial(self.nvars, out)
 
     def substitute_last(self) -> "Polynomial":
@@ -278,7 +354,7 @@ class Polynomial:
             e = mono[-1]
             if e not in powers:
                 powers[e] = one_minus**e
-            K.poly_addmul(out, coeff, mono[:-1], powers[e].terms)
+            poly_addmul(out, coeff, mono[:-1], powers[e].terms)
         return Polynomial(m, out)
 
     def derivative(self, index: int) -> "Polynomial":

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
 
-from powerpoly import _kernels as K
 from powerpoly.groebner import StepCounter
 from powerpoly.linprog import EQ, LE, LPResult, solve_lp
 
@@ -102,7 +102,7 @@ def enumerate_vertices_dd(
             continue
         if counter is not None:
             counter.tick()
-        vals = [K.vec_dot(row, r.vec) for r in rays]
+        vals = [sum(map(mul, row, r.vec)) for r in rays]
         if not any(v > 0 for v in vals):
             for r, v in zip(rays, vals):
                 if v == 0:
@@ -128,7 +128,8 @@ def enumerate_vertices_dd(
                 if not _adjacent(rp, rn, common, all_rays):
                     continue
                 # Positive combination lying on the new hyperplane.
-                vec = _to_primitive_ints(K.vec_combine(vp, rn.vec, -vn, rp.vec))
+                combo = tuple(vp * x - vn * y for x, y in zip(rn.vec, rp.vec))
+                vec = _to_primitive_ints(combo)
                 newcomers.append(_Ray(vec, common | (1 << idx)))
         rays = keep + on + newcomers
         processed.add(idx)

@@ -173,8 +173,13 @@ class PeelingLayers:
     residuals: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def convex_peeling(k: int, nprime: int) -> PeelingLayers:
-    """Iteratively strip the convex-hull vertices of the remaining lattice points."""
+def convex_peeling(
+    k: int, nprime: int, counter: StepCounter | None = None
+) -> PeelingLayers:
+    """Iteratively strip the convex-hull vertices of the remaining lattice points.
+
+    Each hull test (one exact LP) ticks `counter` once.
+    """
     if k < 2 or nprime < 0:
         raise ValueError("need k >= 2 and nprime >= 0")
     remaining = _grevlex_desc(monomials_of_degree(k, nprime))
@@ -186,6 +191,8 @@ def convex_peeling(k: int, nprime: int) -> PeelingLayers:
         layer = []
         for i, m in enumerate(remaining):
             others = pts[:i] + pts[i + 1 :]
+            if counter is not None:
+                counter.tick()
             if not _in_convex_hull(pts[i], others):
                 layer.append(m)
         if not layer:
@@ -243,7 +250,7 @@ def umpu_search(
             reason="componentwise maximum vertex",
         )
 
-    peeling = convex_peeling(poly.k, poly.nprime)
+    peeling = convex_peeling(poly.k, poly.nprime, counter)
     position = {J: i for i, J in enumerate(poly.h_index)}
     face = list(poly.vertices)
     for layer_no, layer in enumerate(peeling.layers):

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import powerpoly
 from powerpoly.cli import main
 
 F = Fraction
@@ -217,10 +219,15 @@ class TestRoundTripCommands:
 
 class TestInstalledEntryPoint:
     def test_version_runs(self):
+        # The child imports the package under test, installed or not.
+        package_root = os.path.dirname(os.path.dirname(powerpoly.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, path])))
         proc = subprocess.run(
             [sys.executable, "-m", "powerpoly.cli", "--version"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "powerpoly" in proc.stdout

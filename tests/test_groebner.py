@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from powerpoly import (
@@ -23,6 +23,11 @@ VARS = ["p1", "p2", "p3"]
 
 def P(text, names=VARS):
     return parse_polynomial(text, names)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
 
 
 class TestDivision:
@@ -178,3 +183,43 @@ class TestRadicalMembership:
         gb = buchberger_reduced(gens)
         if ideal_membership(member, gb):
             assert radical_membership(member, gens)
+
+
+# Random small ideals: 1-3 generators in 3 variables, each of 1-3 terms
+# with exponents 0..2 and nonzero integer coefficients in -3..3.
+small_ideals = st.lists(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 3),
+        st.integers(-3, 3).filter(bool),
+        min_size=1,
+        max_size=3,
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestSympyOracle:
+    """The reduced basis is unique, so it must equal sympy's exactly."""
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    @seed(20250610)
+    @settings(max_examples=150, deadline=None)
+    @given(small_ideals)
+    def test_reduced_basis_matches_sympy(self, sympy, order, gens):
+        xs = sympy.symbols("p1:4")
+        exprs = [
+            sum(c * sympy.prod(x**e for x, e in zip(xs, m)) for m, c in g.items())
+            for g in gens
+        ]
+        expected = set()
+        # sympy scales elements to integer content; make each monic instead.
+        for g in sympy.groebner(exprs, *xs, order=order.value).exprs:
+            terms = sympy.Poly(g, *xs).terms(order=order.value)
+            lc = Fraction(int(terms[0][1].p), int(terms[0][1].q))
+            expected.add(
+                Polynomial(3, {m: Fraction(int(c.p), int(c.q)) / lc for m, c in terms})
+            )
+        gb = buchberger_reduced([Polynomial(3, g) for g in gens], order)
+        assert len(gb.elements) == len(expected)
+        assert set(gb.elements) == expected

@@ -11,6 +11,7 @@ from powerpoly import (
     PolynomialSyntaxError,
     format_polynomial,
     parse_polynomial,
+    reduce,
 )
 from powerpoly.polynomial import monomials_of_degree, table_names
 
@@ -238,6 +239,56 @@ class TestRingAxioms:
         q = p.substitute_last()
         for point in [[Fraction(1, 3), Fraction(1, 5)], [Fraction(-2, 3), Fraction(7, 4)]]:
             assert q.evaluate(point) == p.evaluate(point + [1 - sum(point)])
+
+
+class TestConstructorChecks:
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            Polynomial(2, {(1, -1): 1})
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            Polynomial(2, {(1,): 1})
+
+
+def _assert_normalised(p):
+    """p stores what the checking constructor would store from its terms."""
+    for mono, coeff in p.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert type(mono) is tuple and len(mono) == p.nvars
+        assert all(type(e) is int and e >= 0 for e in mono)
+    rebuilt = Polynomial(p.nvars, dict(p.terms))
+    assert p == rebuilt
+    assert hash(p) == hash(rebuilt)
+
+
+class TestNormalisedResults:
+    """Results built without re-checking still hold clean term maps."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        polynomials(),
+        polynomials(),
+        polynomials().filter(bool),
+        coeffs,
+        st.integers(0, 3),
+    )
+    def test_operations_store_no_zero_terms(self, a, b, g, c, e):
+        q, r = reduce(a * b, [g])
+        for result in [
+            a + b,
+            a - b,
+            -a,
+            a * b,
+            a * c,
+            c - a,
+            a**e,
+            a.homogenize(3),
+            a.substitute_last(),
+            *q,
+            r,
+        ]:
+            _assert_normalised(result)
 
 
 class TestDerivative:

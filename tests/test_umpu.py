@@ -236,6 +236,14 @@ class TestConvexPeeling:
         assert sizes == sorted(sizes, reverse=True)
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
+    def test_hull_tests_draw_on_the_budget(self):
+        with pytest.raises(StepLimitExceeded):
+            convex_peeling(3, 5, StepCounter(limit=1))
+        # n' = 2: six hull tests strip the corners, three the midpoints.
+        counter = StepCounter()
+        convex_peeling(3, 2, counter)
+        assert counter.steps == 9
+
 
 class TestUmpuSearch:
     def test_sum_hypothesis_exists(self):
