@@ -13,6 +13,7 @@ deterministic; exit codes separate mathematical verdicts from failures:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -33,17 +34,17 @@ from powerpoly.hypotheses import (
     sample_null_points,
 )
 from powerpoly.parser import format_polynomial, parse_polynomial, parse_rational
-from powerpoly.polynomial import MonomialOrder, Polynomial, default_names
+from powerpoly.polynomial import MonomialOrder, Polynomial
 from powerpoly.power import (
+    PowerPolynomial,
     TestFunction,
-    box_check,
     exact_power,
     monte_carlo_power,
     recover_test,
     test_to_power,
 )
 from powerpoly.threshold import rank_threshold, sos_bounds
-from powerpoly.umpu import EXISTS, NOT_EXISTS, coefficient_polytope, enumerate_vertices, umpu_search
+from powerpoly.umpu import NOT_EXISTS, coefficient_polytope, enumerate_vertices, umpu_search
 
 SCHEMA_VERSION = 1
 
@@ -58,7 +59,10 @@ class CliError(Exception):
 
 
 def _emit(payload: dict, out_path: str | None):
-    text = json.dumps(payload, indent=2) + "\n"
+    _write(json.dumps(payload, indent=2) + "\n", out_path)
+
+
+def _write(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -153,15 +157,14 @@ def _threshold_payload(hyp: NullHypothesis, args) -> dict:
         weights = None
         if args.weights:
             weights = [parse_rational(w) for w in args.weights.split(",")]
-        gb = buchberger_reduced(
-            hyp.substituted_generators(), MonomialOrder.GREVLEX, _counter(args)
-        )
+        counter = _counter(args)
+        gb = buchberger_reduced(hyp.substituted_generators(), MonomialOrder.GREVLEX, counter)
         report = sos_bounds(
             gb,
             hypothesis=hyp,
             weights=weights,
             assert_nonvanishing_gradient=args.assert_gradient,
-            counter=_counter(args),
+            counter=counter,
         )
         witness_names = names
     payload = {
@@ -184,7 +187,7 @@ def _gradient_evidence(hyp: NullHypothesis, points: int = 10) -> dict:
     """Spot-check that generator gradients do not vanish on sampled nulls."""
     try:
         samples = sample_null_points(hyp, points, seed=7)
-    except (ValueError, NotImplementedError):
+    except ValueError:
         return {"checked_points": 0, "nonvanishing_at_all_points": None}
     gens = list(hyp.generators)
     if not gens:
@@ -207,29 +210,7 @@ def cmd_threshold(args) -> int:
 def cmd_separating(args) -> int:
     hyp = _load_hypothesis(args.hypothesis)
     if hyp.kind == POLYTOPE:
-        verdict = polytope_existence(hyp.polytope_a, hyp.polytope_b, hyp.k)
-        names = list(hyp.names[: hyp.k - 1])
-        if not verdict.exists:
-            _emit(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "exists": False,
-                    "failing_pair": list(verdict.failing_pair),
-                    "witness_point": _point(verdict.witness_point),
-                },
-                args.out,
-            )
-            return EXIT_NOT_EXISTS
-        _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "exists": True,
-                "separating": format_polynomial(verdict.witness, names),
-                "kind": "SUB",
-            },
-            args.out,
-        )
-        return EXIT_OK
+        return _polytope_verdict(hyp, args.out, kind="SUB")
     payload = _threshold_payload(hyp, args)
     _emit(
         {
@@ -249,15 +230,21 @@ def cmd_polytope_exists(args) -> int:
     hyp = _load_hypothesis(args.hypothesis)
     if hyp.kind != POLYTOPE:
         raise CliError("polytope-exists requires a polytope hypothesis")
+    return _polytope_verdict(hyp, args.out)
+
+
+def _polytope_verdict(hyp: NullHypothesis, out_path: str | None, kind: str | None = None) -> int:
+    """Emit a polytope hypothesis's existence verdict; `kind` labels a separating polynomial."""
     verdict = polytope_existence(hyp.polytope_a, hyp.polytope_b, hyp.k)
-    names = list(hyp.names[: hyp.k - 1])
     payload = {"schema_version": SCHEMA_VERSION, "exists": verdict.exists}
     if verdict.exists:
-        payload["separating"] = format_polynomial(verdict.witness, names)
+        payload["separating"] = format_polynomial(verdict.witness, list(hyp.names[: hyp.k - 1]))
+        if kind:
+            payload["kind"] = kind
     else:
         payload["failing_pair"] = list(verdict.failing_pair)
         payload["witness_point"] = _point(verdict.witness_point)
-    _emit(payload, args.out)
+    _emit(payload, out_path)
     return EXIT_OK if verdict.exists else EXIT_NOT_EXISTS
 
 
@@ -327,34 +314,16 @@ def cmd_power_grid(args) -> int:
     if not 0 < top <= 1:
         raise CliError("--max must lie in (0, 1]")
     k = phi.k
-    names = default_names(k)
     header = ",".join(f"pi_{i + 1}" for i in range(k - 1)) + ",power"
     lines = [header]
     grid = [Fraction(i, res - 1) * top for i in range(res)]
-    points = []
-    for combo in _row_major(grid, k - 1):
-        if sum(combo) <= 1:
-            points.append(combo)
+    points = [combo for combo in itertools.product(grid, repeat=k - 1) if sum(combo) <= 1]
     values = _grid_values(beta, points)
     for combo, value in zip(points, values):
         coords = ",".join(repr(float(c)) for c in combo)
         lines.append(f"{coords},{value!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
-
-
-def _row_major(grid, dims):
-    if dims == 0:
-        yield ()
-        return
-    for head in grid:
-        for rest in _row_major(grid, dims - 1):
-            yield (head,) + rest
 
 
 def _grid_values(beta: Polynomial, points) -> list[float]:
@@ -365,11 +334,6 @@ def _grid_values(beta: Polynomial, points) -> list[float]:
 def cmd_recover_test(args) -> int:
     names = args.vars.split(",")
     beta = parse_polynomial(args.beta, names)
-    check = box_check(beta, args.n, len(names))
-    if not check:
-        raise CliError(f"not a power polynomial: {check.reason}")
-    from powerpoly.power import PowerPolynomial
-
     phi = recover_test(PowerPolynomial(args.n, len(names), beta))
     _emit(test_to_json(phi), args.out)
     return EXIT_OK

@@ -13,7 +13,6 @@ variable y (appended last, graded reverse lex).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from powerpoly.polynomial import (
@@ -116,15 +115,6 @@ class GroebnerBasis:
     @property
     def nvars(self) -> int:
         return self.elements[0].nvars
-
-    def leading_monomials(self):
-        return [g.leading_monomial(self.order) for g in self.elements]
-
-    def min_degree(self) -> int:
-        return min(g.total_degree() for g in self.elements)
-
-    def max_degree(self) -> int:
-        return max(g.total_degree() for g in self.elements)
 
     def contains_constant(self) -> bool:
         return any(g.total_degree() == 0 for g in self.elements)

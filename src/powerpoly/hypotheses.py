@@ -17,7 +17,7 @@ from math import gcd
 from typing import Sequence
 
 from powerpoly.linalg import nullspace
-from powerpoly.linprog import EQ, GE, LE, solve_lp
+from powerpoly.linprog import EQ, GE, solve_lp
 from powerpoly.parser import parse_polynomial, parse_rational
 from powerpoly.polynomial import (
     Polynomial,
@@ -27,7 +27,6 @@ from powerpoly.polynomial import (
 )
 
 ALGEBRAIC = "algebraic"
-SEMIALGEBRAIC = "semialgebraic"
 POLYTOPE = "polytope"
 LOGODDS = "logodds"
 
@@ -64,7 +63,6 @@ class NullHypothesis:
     family: str
     names: tuple[str, ...]
     generators: tuple[Polynomial, ...] = ()
-    inequality: Polynomial | None = None
     polytope_a: tuple[tuple[Fraction, ...], ...] = ()
     polytope_b: tuple[Fraction, ...] = ()
     params: dict = field(default_factory=dict)
@@ -258,20 +256,6 @@ def polytope_hypothesis(a_rows: Sequence[Sequence], b: Sequence, k: int) -> Null
         names=tuple(default_names(k)),
         polytope_a=rows,
         polytope_b=rhs,
-        params={"k": k},
-    )
-
-
-def semialgebraic(f: Polynomial, k: int) -> NullHypothesis:
-    """P0 = {pi in simplex : f(pi) <= 0} for a single polynomial."""
-    if f.nvars != k:
-        raise ValueError("inequality polynomial must use ambient coordinates")
-    return NullHypothesis(
-        k=k,
-        kind=SEMIALGEBRAIC,
-        family="semialgebraic",
-        names=tuple(default_names(k)),
-        inequality=f,
         params={"k": k},
     )
 
@@ -488,19 +472,18 @@ def polytope_existence(a_rows, b, k: int) -> ExistenceVerdict:
             cons.append((r, GE, bound))
         return cons
 
-    # Non-empty check.
-    feas = solve_lp(d, [0] * d, simplex_constraints(False) + hypothesis_constraints(False))
-    if not feas.is_optimal:
-        raise ValueError("empty polytope hypothesis: P0 has no point")
-
-    # Full dimension: all constraints simultaneously strictly satisfiable.
+    # Largest slack t by which every row holds.  The LP is feasible (t can
+    # drop), bounded (t <= 1/(d+1) on the simplex), and its optimum is < 0
+    # exactly when P0 is empty and 0 exactly when P0 is not full-dimensional.
     obj = [Fraction(0)] * d + [Fraction(1)]
     strict = []
     for row, bound in zip(rows, rhs):
         strict.append((list(row) + [Fraction(-1)], GE, bound))
     strict += simplex_constraints(True)
     res = solve_lp(d + 1, obj, strict)
-    if not res.is_optimal or res.value <= 0:
+    if res.value < 0:
+        raise ValueError("empty polytope hypothesis: P0 has no point")
+    if res.value == 0:
         raise ValueError("polytope hypothesis is not full-dimensional in the simplex")
 
     # Per-row validation: irredundant, and H_i meets the open simplex.

@@ -16,7 +16,8 @@ from operator import mul
 from typing import Sequence
 
 from powerpoly.groebner import StepCounter
-from powerpoly.linprog import EQ, LE, LPResult, solve_lp
+from powerpoly.linalg import rref
+from powerpoly.linprog import EQ, solve_lp
 
 
 def _to_primitive_ints(vec) -> tuple[int, ...]:
@@ -85,8 +86,9 @@ def enumerate_vertices_dd(
         raise ValueError("constraint matrix is rank deficient (cone not pointed)")
 
     # Rays of {y : M_B y <= 0} with M_B invertible: solve M_B r_j = -e_j.
-    mb = [[Fraction(v) for v in cone[i]] for i in chosen]
-    inv = _invert(mb)
+    # Row-reducing [M_B | I] leaves [I | M_B^-1].
+    red, _ = rref([cone[i] + tuple(int(p == j) for j in range(d1)) for p, i in enumerate(chosen)])
+    inv = [row[d1:] for row in red]
     rays: list[_Ray] = []
     for j in range(d1):
         vec = _to_primitive_ints(tuple(-inv[i][j] for i in range(d1)))
@@ -118,10 +120,10 @@ def enumerate_vertices_dd(
         newcomers: list[_Ray] = []
         all_rays = rays
         min_common = d1 - 2  # rank needed for a common 2-face
+        if counter is not None:
+            counter.tick(len(pos) * len(neg))  # one step per pair tested
         for rp, vp in pos:
             for rn, vn in neg:
-                if counter is not None:
-                    counter.tick()
                 common = rp.tight & rn.tight
                 if common.bit_count() < min_common:
                     continue
@@ -151,23 +153,6 @@ def _adjacent(rp: _Ray, rn: _Ray, common: int, rays: list[_Ray]) -> bool:
         if common & ~other.tight == 0:
             return False
     return True
-
-
-def _invert(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if aug[r][c]), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [v * inv for v in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def enumerate_vertices_brute_force(
@@ -207,30 +192,28 @@ def irredundant_rows(a: Sequence[Sequence], b: Sequence) -> list[int]:
     rhs = [Fraction(v) for v in b]
     if any(r <= 0 for r in rhs):
         raise ValueError("irredundant_rows requires the origin strictly inside")
-    polar = [tuple(v / r for v in row) for row, r in zip(rows, rhs)]
-    dim = len(polar[0])
     # Exact duplicates define one facet; keep the first copy only.
     first_of: dict[tuple, int] = {}
-    for i, p in enumerate(polar):
-        first_of.setdefault(p, i)
+    for i, (row, r) in enumerate(zip(rows, rhs)):
+        first_of.setdefault(tuple(v / r for v in row), i)
+    unique = list(first_of.values())
+    return [unique[j] for j in hull_vertices(list(first_of))]
+
+
+def hull_vertices(points: Sequence[Sequence], counter: StepCounter | None = None) -> list[int]:
+    """Indices of the points outside the convex hull of the others.
+
+    One exact LP per point, each ticking `counter` once.
+    """
+    pts = [tuple(Fraction(v) for v in p) for p in points]
     keep = []
-    for i, p in enumerate(polar):
-        if first_of[p] != i:
-            continue
-        others = [q for j, q in enumerate(polar) if j != i and first_of[q] == j]
-        if not _in_convex_hull(p, others):
+    for i, point in enumerate(pts):
+        if counter is not None:
+            counter.tick()
+        others = pts[:i] + pts[i + 1 :]
+        m = len(others)
+        constraints = [([q[c] for q in others], EQ, v) for c, v in enumerate(point)]
+        constraints.append(([1] * m, EQ, 1))
+        if not others or not solve_lp(m, [0] * m, constraints, nonneg=[True] * m).is_optimal:
             keep.append(i)
     return keep
-
-
-def _in_convex_hull(point, points) -> bool:
-    if not points:
-        return False
-    n = len(points)
-    dim = len(point)
-    constraints = []
-    for c in range(dim):
-        constraints.append(([p[c] for p in points], EQ, point[c]))
-    constraints.append(([1] * n, EQ, 1))
-    res: LPResult = solve_lp(n, [0] * n, constraints, nonneg=[True] * n)
-    return res.is_optimal

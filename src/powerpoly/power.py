@@ -99,8 +99,10 @@ def box_check(p: Polynomial, n: int, k: int) -> BoxCheckResult:
         return BoxCheckResult(True)
     if not p.is_homogeneous(n):
         return BoxCheckResult(False, f"not homogeneous of degree {n}")
-    for x in count_vectors(n, k):
-        c = p.coefficient(x)
+    # Absent coefficients are 0, inside the box; descending lex is
+    # count_vectors' order, so the first violation is the same either way.
+    for x in sorted(p.terms, reverse=True):
+        c = p.terms[x]
         bound = multinomial(n, x)
         if not 0 <= c <= bound:
             return BoxCheckResult(
@@ -137,11 +139,7 @@ def test_to_power(phi: TestFunction) -> PowerPolynomial:
 
 def recover_test(beta: PowerPolynomial) -> TestFunction:
     """Invert test_to_power by coefficientwise division."""
-    values = {}
-    for x in count_vectors(beta.n, beta.k):
-        c = beta.poly.coefficient(x)
-        if c:
-            values[x] = c / multinomial(beta.n, x)
+    values = {x: c / multinomial(beta.n, x) for x, c in beta.poly.terms.items()}
     return TestFunction(beta.n, beta.k, values)
 
 

@@ -11,14 +11,14 @@ variety, so it is conservative and flagged as such in the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from powerpoly.groebner import GroebnerBasis, StepCounter, radical_membership
 from powerpoly.hypotheses import NullHypothesis
 from powerpoly.polynomial import Polynomial
-from powerpoly.power import PowerPolynomial, box_check, count_vectors, multinomial
+from powerpoly.power import PowerPolynomial, multinomial
 
 EXACT = "exact_under_theorem"
 SOS_ONLY = "sos_upper_bound_only"
@@ -115,19 +115,17 @@ class UMPUPower:
     form: str  # "principal_square" | "semialgebraic_linear"
 
 
-def _max_scale(shape: Polynomial, n: int, k: int, alpha: Fraction) -> Fraction:
-    """Largest c with c*shape + alpha*(sum pi)^n inside the coefficient box."""
-    c_alpha: Fraction | None = None
-    for x in count_vectors(n, k):
-        coeff = shape.coefficient(x)
-        if not coeff:
-            continue
-        bound = multinomial(n, x)
-        cap = (1 - alpha) * bound / coeff if coeff > 0 else alpha * bound / (-coeff)
-        c_alpha = cap if c_alpha is None else min(c_alpha, cap)
-    if c_alpha is None:
+def _level(shape: Polynomial, n: int, alpha: Fraction, form: str) -> UMPUPower:
+    """c_alpha * shape + alpha * (sum pi)^n with the largest c_alpha inside the box."""
+    caps = [
+        (1 - alpha) * multinomial(n, x) / c if c > 0 else alpha * multinomial(n, x) / -c
+        for x, c in shape.terms.items()
+    ]
+    if not caps:
         raise ValueError("zero separating polynomial")
-    return c_alpha
+    c_alpha = min(caps)
+    beta = c_alpha * shape + alpha * Polynomial.simplex_sum(shape.nvars) ** n
+    return UMPUPower(alpha, c_alpha, PowerPolynomial(n, shape.nvars, beta), form)
 
 
 def principal_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
@@ -145,14 +143,7 @@ def principal_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
         raise ValueError("generator must be nonconstant")
     if n < 2 * deg:
         raise ValueError(f"sample size {n} below threshold {2 * deg}")
-    k = f.nvars
-    shape = (f * f).homogenize(n)
-    c_alpha = _max_scale(shape, n, k, alpha)
-    beta = c_alpha * shape + alpha * Polynomial.simplex_sum(k) ** n
-    check = box_check(beta, n, k)
-    if not check:
-        raise AssertionError(f"internal: beta violates the box: {check.reason}")
-    return UMPUPower(alpha, c_alpha, PowerPolynomial(n, k, beta), "principal_square")
+    return _level((f * f).homogenize(n), n, alpha, "principal_square")
 
 
 def semialgebraic_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
@@ -165,14 +156,7 @@ def semialgebraic_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
         raise ValueError("boundary polynomial must be nonconstant")
     if n < deg:
         raise ValueError(f"sample size {n} below threshold {deg}")
-    k = f.nvars
-    shape = f.homogenize(n)
-    c_alpha = _max_scale(shape, n, k, alpha)
-    beta = c_alpha * shape + alpha * Polynomial.simplex_sum(k) ** n
-    check = box_check(beta, n, k)
-    if not check:
-        raise AssertionError(f"internal: beta violates the box: {check.reason}")
-    return UMPUPower(alpha, c_alpha, PowerPolynomial(n, k, beta), "semialgebraic_linear")
+    return _level(f.homogenize(n), n, alpha, "semialgebraic_linear")
 
 
 def union_separating(witnesses: Sequence[Polynomial], kind: str = "SUB") -> Polynomial:

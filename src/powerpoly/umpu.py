@@ -26,12 +26,8 @@ from typing import Sequence
 
 from powerpoly.groebner import StepCounter
 from powerpoly.polynomial import MonomialOrder, Polynomial, monomials_of_degree
-from powerpoly.polytope import (
-    _in_convex_hull,
-    enumerate_vertices_dd,
-    irredundant_rows,
-)
-from powerpoly.power import PowerPolynomial, box_check, multinomial
+from powerpoly.polytope import enumerate_vertices_dd, hull_vertices, irredundant_rows
+from powerpoly.power import PowerPolynomial, multinomial
 
 GREVLEX = MonomialOrder.GREVLEX
 
@@ -187,19 +183,11 @@ def convex_peeling(
     residuals = []
     while remaining:
         residuals.append(tuple(remaining))
-        pts = [tuple(Fraction(e) for e in m) for m in remaining]
-        layer = []
-        for i, m in enumerate(remaining):
-            others = pts[:i] + pts[i + 1 :]
-            if counter is not None:
-                counter.tick()
-            if not _in_convex_hull(pts[i], others):
-                layer.append(m)
-        if not layer:
+        hull = set(hull_vertices(remaining, counter))
+        if not hull:
             raise AssertionError("internal: finite point set with no hull vertices")
-        layers.append(tuple(layer))
-        layer_set = set(layer)
-        remaining = [m for m in remaining if m not in layer_set]
+        layers.append(tuple(m for i, m in enumerate(remaining) if i in hull))
+        remaining = [m for i, m in enumerate(remaining) if i not in hull]
     return PeelingLayers(k=k, nprime=nprime, layers=tuple(layers), residuals=tuple(residuals))
 
 
@@ -305,7 +293,4 @@ def _beta_from_h(poly: CoefficientPolytope, h: Polynomial) -> PowerPolynomial:
     f = poly.f
     ftilde = f.homogenize(f.total_degree())
     beta = ftilde * ftilde * h + poly.alpha * Polynomial.simplex_sum(poly.k) ** poly.n
-    check = box_check(beta, poly.n, poly.k)
-    if not check:
-        raise AssertionError(f"internal: candidate beta violates the box: {check.reason}")
     return PowerPolynomial(poly.n, poly.k, beta)

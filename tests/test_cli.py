@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -100,12 +101,33 @@ class TestThreshold:
         # Binomial p1*p2 - p3^2 has degree 2: both bounds are 4.
         assert payload["ntub_bound"] == 4 and payload["sub_bound"] == 4
 
+    def test_step_limit_covers_basis_and_bounds_together(self, tmp_path):
+        # The 2x3 minors plus p11 - p22: 105 Buchberger steps, then 10 in sos_bounds.
+        path = tmp_path / "minors23.json"
+        names = ["p11", "p12", "p13", "p21", "p22", "p23"]
+        gens = ["p11*p22 - p12*p21", "p11*p23 - p13*p21", "p12*p23 - p13*p22", "p11 - p22"]
+        path.write_text(
+            json.dumps({"kind": "custom", "params": {"k": 6, "vars": names, "generators": gens}})
+        )
+        for command in ("threshold", "separating"):
+            args = [command, "--hypothesis", str(path), "--step-limit"]
+            assert run_cli(args + ["110"])[0] == 3
+            assert run_cli(args + ["115"])[0] == 0
+
     def test_separating_for_polytope(self, square):
         code, out = run_cli(["separating", "--hypothesis", square("3/4")])
         assert code == 0
         assert json.loads(out)["separating"].startswith("-p1*p2")
         code, _ = run_cli(["separating", "--hypothesis", square("1/4")])
         assert code == 2
+
+    @pytest.mark.parametrize("t, code", [("3/4", 0), ("1/4", 2)])
+    def test_separating_for_polytope_matches_polytope_exists(self, square, t, code):
+        sep = run_cli(["separating", "--hypothesis", square(t)])
+        exists = run_cli(["polytope-exists", "--hypothesis", square(t)])
+        assert sep[0] == exists[0] == code
+        extra = {"kind": "SUB"} if code == 0 else {}
+        assert json.loads(sep[1]) == {**json.loads(exists[1]), **extra}
 
     def test_coeff_polytope_emission(self):
         code, out = run_cli(
@@ -210,11 +232,37 @@ class TestRoundTripCommands:
         assert lines[0] == "pi_1,pi_2,power"
         assert len(lines) == 1 + 11 * 11  # full grid inside the simplex
 
-    def test_box_violation_rejected(self):
+    def test_grid_csv_bytes_pinned(self, tmp_path):
+        test_json = str(tmp_path / "phi3.json")
+        code, _ = run_cli(
+            ["recover-test", "--beta", "p1^3 + 3*p1*p2*p3 + p3^3", "--vars", "p1,p2,p3",
+             "--n", "3", "--out", test_json]
+        )
+        assert code == 0
+        grid_csv = tmp_path / "grid.csv"
+        code, out = run_cli(
+            ["power-grid", "--test", test_json, "--res", "11", "--max", "1/2"]
+        )
+        assert code == 0
+        assert run_cli(
+            ["power-grid", "--test", test_json, "--res", "11", "--max", "1/2",
+             "--out", str(grid_csv)]
+        )[0] == 0
+        assert grid_csv.read_text() == out
+        assert len(out.splitlines()) == 122
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "cd46245345425dfa4cbdc8cab4c596985164afcf22dcbd47cbf76746aeeed88e"
+        )
+
+    def test_box_violation_rejected(self, capsys):
         code, _ = run_cli(
             ["recover-test", "--beta", "2*p1^2", "--vars", "p1,p2", "--n", "2"]
         )
         assert code == 1
+        assert capsys.readouterr().err == (
+            "error: not a power polynomial: coefficient of index (2, 0) is 2, "
+            "outside [0, 1]\n"
+        )
 
 
 class TestInstalledEntryPoint:

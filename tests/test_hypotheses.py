@@ -172,8 +172,15 @@ class TestPolytopeExistence:
             assert polytope_existence(scaled_a, scaled_b, 3).exists is expect
 
     def test_empty_hypothesis_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty polytope hypothesis: P0 has no point$"):
             polytope_existence([[1, 0]], [2], 3)  # p1 >= 2 impossible
+
+    def test_flat_hypothesis_rejected(self):
+        # p1 >= 1/2 and p1 <= 1/2: a segment, not full-dimensional.
+        with pytest.raises(
+            ValueError, match="^polytope hypothesis is not full-dimensional in the simplex$"
+        ):
+            polytope_existence([[1, 0], [-1, 0]], [F(1, 2), F(-1, 2)], 3)
 
     def test_redundant_row_rejected(self):
         a = [[-1, 0], [0, -1], [-1, -1]]

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerpoly import StepCounter, StepLimitExceeded
+from powerpoly import StepCounter, StepLimitExceeded, coefficient_polytope, parse_polynomial
 from powerpoly.linalg import rank
 from powerpoly.polytope import (
     enumerate_vertices_brute_force,
     enumerate_vertices_dd,
+    hull_vertices,
     irredundant_rows,
 )
 
@@ -80,6 +81,19 @@ class TestDoubleDescription:
         with pytest.raises(StepLimitExceeded):
             enumerate_vertices_dd(a, b, StepCounter(2))
 
+    def test_step_count_pinned(self):
+        # One step per inserted row plus one per (positive, negative) ray pair.
+        poly = coefficient_polytope(
+            parse_polynomial("p1 + p2 - p3", ["p1", "p2", "p3"]), 4, Fraction(1, 20)
+        )
+        a, b = poly.one_sided()
+        counter = StepCounter()
+        assert len(enumerate_vertices_dd(a, b, counter)) == 44
+        assert counter.steps == 16_875
+        assert len(enumerate_vertices_dd(a, b, StepCounter(16_875))) == 44
+        with pytest.raises(StepLimitExceeded):
+            enumerate_vertices_dd(a, b, StepCounter(16_874))
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -98,6 +112,25 @@ class TestDoubleDescription:
                 a.append([x, y])
                 b.append(Fraction(rhs))
         assert enumerate_vertices_dd(a, b) == enumerate_vertices_brute_force(a, b)
+
+
+class TestHullVertices:
+    def test_square_corners_not_centre(self):
+        points = [(0, 0), (1, 0), (Fraction(1, 2), Fraction(1, 2)), (0, 1), (1, 1)]
+        assert hull_vertices(points) == [0, 1, 3, 4]
+
+    def test_points_on_an_edge_are_inside(self):
+        assert hull_vertices([(0,), (1,), (2,), (3,)]) == [0, 3]
+
+    def test_single_point_is_its_own_hull(self):
+        assert hull_vertices([(1, 2)]) == [0]
+
+    def test_one_tick_per_point(self):
+        counter = StepCounter()
+        hull_vertices([(0, 0), (2, 0), (0, 2), (1, 1), (Fraction(1, 2), Fraction(1, 2))], counter)
+        assert counter.steps == 5
+        with pytest.raises(StepLimitExceeded):
+            hull_vertices([(0,), (1,), (2,)], StepCounter(2))
 
 
 class TestIrredundantRows:

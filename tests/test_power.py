@@ -85,6 +85,11 @@ class TestCorrespondence:
         assert not res
         assert res.index == (2, 0)
         assert res.bound == 1
+        # Terms stored out of order: the first violation in descending lex wins.
+        p = parse_polynomial("2*p2^2 - p1*p2", VARS2)
+        assert list(p.terms) == [(0, 2), (1, 1)]
+        res = box_check(p, 2, 2)
+        assert (res.index, res.coefficient, res.bound) == ((1, 1), -1, 2)
 
     def test_box_check_requires_homogeneous(self):
         res = box_check(parse_polynomial("p1 + 1", VARS2), 2, 2)
