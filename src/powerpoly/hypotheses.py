@@ -494,9 +494,9 @@ def polytope_existence(a_rows, b, k: int) -> ExistenceVerdict:
             raise ValueError(
                 f"halfspace row {i} is redundant: it does not cut P0"
             )
-        cons = [(list(row) + [Fraction(0)], EQ, bound)] + simplex_constraints(True)
-        res = solve_lp(d + 1, obj, cons)
-        if not res.is_optimal or res.value <= 0:
+        # x -> row.x maps the open simplex onto the open interval between
+        # min(0, *row) and max(0, *row).
+        if not min(0, *row) < bound < max(0, *row):
             raise ValueError(
                 f"facet hyperplane {i} does not intersect the open projected simplex"
             )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
@@ -75,3 +76,22 @@ def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
             v[c] = -red[r][f]
         basis.append(v)
     return basis
+
+
+def primitive_ints(vec) -> tuple[int, ...]:
+    """Scale by a positive rational to a primitive integer vector.
+
+    Only positive scaling is allowed, so a ray, a direction or a row
+    a.x <= b (scaled with its right-hand side) keeps its sense.
+    """
+    den = 1
+    for v in vec:
+        if isinstance(v, Fraction):
+            den = den * v.denominator // gcd(den, v.denominator)
+    ints = [int(v * den) for v in vec]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return tuple(ints)

@@ -1,16 +1,23 @@
-"""Exact rational linear programming via two-phase primal simplex.
+"""Exact rational linear programming: a primal simplex on {x : A x <= b}.
 
-Bland's rule everywhere, so the method terminates without cycling; all
-pivoting is done on Fractions, so optima and optimizers are exact.  The
-problems this package generates are small (tens of variables, at most a
-few hundred rows), which keeps the dense tableau affordable.
+`solve_lp` maximizes over free variables.  GE rows are negated into LE
+rows, and EQ rows are solved away once (x = x0 + z N).  Only the pivot
+columns of rref(A) are kept, so A has full column rank d and every vertex
+has d linearly independent tight rows.  The walk keeps d tight rows and
+the inverse of their matrix, rank-1 updated per pivot, and follows Bland's
+rule (Bland, Math. Oper. Res. 1977), so it terminates without cycling.
+Phase 1 is the same walk on {A z - s <= b, -s <= 0}.  All arithmetic is on
+Fractions, so optima and optimizers are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
+
+from powerpoly.linalg import nullspace, primitive_ints, rref, solve_linear
 
 LE, GE, EQ = "<=", ">=", "=="
 
@@ -26,174 +33,139 @@ class LPResult:
         return self.status == "optimal"
 
 
-class _Tableau:
-    """max c.x  s.t.  A x = b, x >= 0, b >= 0, starting from a given basis."""
+def _dot(u, v):
+    return sum(map(mul, u, v))
 
-    def __init__(self, a, b, basis):
-        self.a = a  # m x n
-        self.b = b  # m
-        self.basis = basis  # m basic column indices
-        self.m = len(a)
-        self.n = len(a[0]) if a else 0
 
-    def _price(self, c):
-        """Reduced costs c_j - c_B . B^-1 A_j for the current (canonical) tableau."""
-        dual = [c[bi] for bi in self.basis]
-        red = []
-        for j in range(self.n):
-            s = c[j]
-            for i in range(self.m):
-                if self.a[i][j]:
-                    s -= dual[i] * self.a[i][j]
-            red.append(s)
-        return red
+def _move(a, slack, x, u):
+    """Step x along u until a row blocks it; return that row, or None.
 
-    def _pivot(self, row, col):
-        a, b = self.a, self.b
-        inv = Fraction(1) / a[row][col]
-        a[row] = [v * inv for v in a[row]]
-        b[row] *= inv
-        for i in range(self.m):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-                b[i] -= f * b[row]
-        self.basis[row] = col
+    Among rows that block at the same step length the lowest index wins.
+    """
+    u = primitive_ints(u)
+    rates = [_dot(row, u) for row in a]
+    blocking = [(s / r, i) for i, (s, r) in enumerate(zip(slack, rates)) if r > 0]
+    if not blocking:
+        return None
+    t, i = min(blocking)
+    x[:] = [v + t * w for v, w in zip(x, u)]
+    slack[:] = [s - t * r for s, r in zip(slack, rates)]
+    return i
 
-    def maximize(self, c, frozen=()):
-        """Run primal simplex; `frozen` columns may never enter the basis.
 
-        Returns "optimal" or "unbounded".
-        """
-        blocked = set(frozen)
-        while True:
-            red = self._price(c)
-            col = next(
-                (j for j in range(self.n) if j not in blocked and red[j] > 0), None
-            )
-            if col is None:
-                return "optimal"
-            row = None
-            best = None
-            for i in range(self.m):
-                if self.a[i][col] > 0:
-                    ratio = self.b[i] / self.a[i][col]
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[row]
-                    ):
-                        best = ratio
-                        row = i
-            if row is None:
-                return "unbounded"
-            self._pivot(row, col)
+def _walk(a, b, c, x):
+    """Maximize c.x over {x : a x <= b} from the feasible point x.
 
-    def objective_value(self, c):
-        return sum(c[self.basis[i]] * self.b[i] for i in range(self.m))
-
-    def solution(self, n):
-        x = [Fraction(0)] * n
-        for i, bi in enumerate(self.basis):
-            if bi < n:
-                x[bi] = self.b[i]
-        return x
+    `a` has full column rank.  Returns the optimal vertex, or None when
+    the objective is unbounded.
+    """
+    d = len(c)
+    x = list(x)
+    # Scaling a row with its bound, or a direction, by a positive number
+    # moves no point and changes no ratio order or multiplier sign, so the
+    # walk runs on primitive integer rows and directions.
+    rows = [primitive_ints(row + [r]) for row, r in zip(a, b)]
+    a = [list(row[:-1]) for row in rows]
+    slack = [Fraction(row[-1]) - _dot(a_i, x) for row, a_i in zip(rows, a)]
+    # To a vertex: each move keeps the chosen rows tight and makes one more
+    # row tight, which is independent of them because it blocked the move.
+    basis: list[int] = []
+    while len(basis) < d:
+        u = nullspace([a[i] for i in basis] or [[0] * d])[0]
+        if _dot(c, u) < 0:
+            u = [-v for v in u]
+        i = _move(a, slack, x, u)
+        if i is None:
+            if _dot(c, u) > 0:
+                return None
+            i = _move(a, slack, x, [-v for v in u])
+        basis.append(i)
+    # Columns of the basis inverse: moving along -inv[j] leaves row basis[j]
+    # and keeps the other basic rows tight.
+    red, _ = rref([a[i] + [int(p == q) for q in range(d)] for p, i in enumerate(basis)])
+    inv = [[row[d + j] for row in red] for j in range(d)]
+    while True:
+        # c = y . A_B; a negative multiplier y_j means leaving row basis[j]
+        # raises the objective.  Bland: the lowest such row leaves.
+        y = [_dot(c, col) for col in inv]
+        leaving = [(i, j) for j, i in enumerate(basis) if y[j] < 0]
+        if not leaving:
+            return x
+        j = min(leaving)[1]
+        i = _move(a, slack, x, [-v for v in inv[j]])
+        if i is None:
+            return None
+        w = [_dot(a[i], col) for col in inv]
+        pivot = [v / w[j] for v in inv[j]]
+        inv = [
+            pivot if k == j else [v - wk * p for v, p in zip(col, pivot)] if wk else col
+            for k, (col, wk) in enumerate(zip(inv, w))
+        ]
+        basis[j] = i
 
 
 def solve_lp(
     nvars: int,
     objective: Sequence,
     constraints: Sequence[tuple[Sequence, str, object]],
-    sense: str = "max",
-    nonneg: Sequence[bool] | None = None,
 ) -> LPResult:
-    """Optimize objective.x subject to rows (coeffs, rel, rhs).
-
-    Variables are unrestricted unless flagged in `nonneg`.
-    """
-    if sense not in ("max", "min"):
-        raise ValueError(f"bad sense {sense!r}")
-    obj = [Fraction(v) for v in objective]
-    if len(obj) != nvars:
+    """Maximize objective.x over free x subject to rows (coeffs, rel, rhs)."""
+    c = [Fraction(v) for v in objective]
+    if len(c) != nvars:
         raise ValueError("objective length mismatch")
-    if sense == "min":
-        obj = [-v for v in obj]
-    if nonneg is None:
-        nonneg = [False] * nvars
-    # Map original variables to standard-form columns (split free vars).
-    col_of: list[tuple[int, int | None]] = []  # (plus column, minus column)
-    ncols = 0
-    for i in range(nvars):
-        if nonneg[i]:
-            col_of.append((ncols, None))
-            ncols += 1
-        else:
-            col_of.append((ncols, ncols + 1))
-            ncols += 2
-
-    rows = []
+    ineq, eq = [], []
     for coeffs, rel, rhs in constraints:
         if len(coeffs) != nvars:
             raise ValueError("constraint length mismatch")
         if rel not in (LE, GE, EQ):
             raise ValueError(f"bad relation {rel!r}")
-        rows.append(([Fraction(v) for v in coeffs], rel, Fraction(rhs)))
+        row, r = [Fraction(v) for v in coeffs], Fraction(rhs)
+        if rel == GE:
+            row, r = [-v for v in row], -r
+        (eq if rel == EQ else ineq).append((row, r))
+    a, b = [row for row, _ in ineq], [r for _, r in ineq]
 
-    m = len(rows)
-    nslack = sum(1 for _, rel, _ in rows if rel != EQ)
-    total = ncols + nslack
-    a = [[Fraction(0)] * total for _ in range(m)]
-    b = [Fraction(0)] * m
-    si = ncols
-    for r, (coeffs, rel, rhs) in enumerate(rows):
-        for i in range(nvars):
-            if coeffs[i]:
-                plus, minus = col_of[i]
-                a[r][plus] = coeffs[i]
-                if minus is not None:
-                    a[r][minus] = -coeffs[i]
-        if rel == LE:
-            a[r][si] = Fraction(1)
-            si += 1
-        elif rel == GE:
-            a[r][si] = Fraction(-1)
-            si += 1
-        b[r] = rhs
-        if b[r] < 0:
-            a[r] = [-v for v in a[r]]
-            b[r] = -b[r]
+    # Solve the equalities away: x = x0 + z N, N's rows spanning their kernel.
+    x0 = [Fraction(0)] * nvars
+    dirs = [[int(i == j) for i in range(nvars)] for j in range(nvars)]
+    cz = c
+    if eq:
+        x0 = solve_linear([row for row, _ in eq], [r for _, r in eq])
+        if x0 is None:
+            return LPResult("infeasible")
+        dirs = nullspace([row for row, _ in eq])
+        b = [r - _dot(row, x0) for row, r in zip(a, b)]
+        a = [[_dot(row, v) for v in dirs] for row in a]
+        cz = [_dot(c, v) for v in dirs]
 
-    # Phase 1: artificial basis.
-    art = list(range(total, total + m))
-    for r in range(m):
-        a[r] = a[r] + [Fraction(1) if i == r else Fraction(0) for i in range(m)]
-    tab = _Tableau(a, b, list(art))
-    phase1 = [Fraction(0)] * total + [Fraction(-1)] * m
-    tab.maximize(phase1)
-    if tab.objective_value(phase1) != 0:
-        return LPResult("infeasible")
-    # Drive leftover artificials out of the basis where possible.
-    for i in range(tab.m):
-        if tab.basis[i] >= total:
-            col = next((j for j in range(total) if tab.a[i][j]), None)
-            if col is not None:
-                tab._pivot(i, col)
-
-    # Phase 2 on the original columns only.
-    c2 = [Fraction(0)] * (total + m)
-    for i in range(nvars):
-        plus, minus = col_of[i]
-        c2[plus] = obj[i]
-        if minus is not None:
-            c2[minus] = -obj[i]
-    status = tab.maximize(c2, frozen=range(total, total + m))
-    if status == "unbounded":
+    # Keep the pivot columns of rref(a).  A free column is a combination of
+    # them; when the objective disagrees with that combination, it moves
+    # along a direction no row sees.
+    red, piv = rref(a)
+    unseen = any(
+        cz[f] != sum(cz[p] * row[f] for p, row in zip(piv, red))
+        for f in range(len(cz))
+        if f not in piv
+    )
+    a = [[row[p] for p in piv] for row in a]
+    d = len(piv)
+    z = [Fraction(0)] * d
+    if b and min(b) < 0:
+        phase1 = _walk(
+            [row + [-1] for row in a] + [[0] * d + [-1]],
+            b + [0],
+            [0] * d + [-1],
+            z + [-min(b)],
+        )
+        if phase1[-1] > 0:
+            return LPResult("infeasible")
+        z = phase1[:d]
+    if unseen:
         return LPResult("unbounded")
-    xs = tab.solution(total)
-    point = []
-    for i in range(nvars):
-        plus, minus = col_of[i]
-        v = xs[plus] - (xs[minus] if minus is not None else 0)
-        point.append(v)
-    value = sum(o * p for o, p in zip(obj, point))
-    if sense == "min":
-        value = -value
-    return LPResult("optimal", value, point)
+    z = _walk(a, b, [cz[p] for p in piv], z)
+    if z is None:
+        return LPResult("unbounded")
+    point = list(x0)
+    for zk, p in zip(z, piv):
+        point = [v + zk * w for v, w in zip(point, dirs[p])]
+    return LPResult("optimal", _dot(c, point), point)

@@ -11,32 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import mul
 from typing import Sequence
 
 from powerpoly.groebner import StepCounter
-from powerpoly.linalg import rref
-from powerpoly.linprog import EQ, solve_lp
-
-
-def _to_primitive_ints(vec) -> tuple[int, ...]:
-    """Scale by a positive rational to a primitive integer vector.
-
-    Only positive scaling is allowed: a cone ray and its negative are
-    different objects.
-    """
-    den = 1
-    for v in vec:
-        if isinstance(v, Fraction):
-            den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
+from powerpoly.linalg import primitive_ints, rref
+from powerpoly.linprog import LE, solve_lp
 
 
 @dataclass
@@ -63,7 +43,7 @@ def enumerate_vertices_dd(
         raise ValueError("no constraints")
     dim = len(rows[0])
     # Cone rows over (x, t): a.x - b t <= 0, then -t <= 0, rescaled integral.
-    cone = [_to_primitive_ints(tuple(row) + (-r,)) for row, r in zip(rows, rhs)]
+    cone = [primitive_ints(tuple(row) + (-r,)) for row, r in zip(rows, rhs)]
     cone.append(tuple([0] * dim + [-1]))
     d1 = dim + 1
 
@@ -91,7 +71,7 @@ def enumerate_vertices_dd(
     inv = [row[d1:] for row in red]
     rays: list[_Ray] = []
     for j in range(d1):
-        vec = _to_primitive_ints(tuple(-inv[i][j] for i in range(d1)))
+        vec = primitive_ints(tuple(-inv[i][j] for i in range(d1)))
         tight = 0
         for pos, ci in enumerate(chosen):
             if pos != j:
@@ -131,7 +111,7 @@ def enumerate_vertices_dd(
                     continue
                 # Positive combination lying on the new hyperplane.
                 combo = tuple(vp * x - vn * y for x, y in zip(rn.vec, rp.vec))
-                vec = _to_primitive_ints(combo)
+                vec = primitive_ints(combo)
                 newcomers.append(_Ray(vec, common | (1 << idx)))
         rays = keep + on + newcomers
         processed.add(idx)
@@ -203,17 +183,18 @@ def irredundant_rows(a: Sequence[Sequence], b: Sequence) -> list[int]:
 def hull_vertices(points: Sequence[Sequence], counter: StepCounter | None = None) -> list[int]:
     """Indices of the points outside the convex hull of the others.
 
-    One exact LP per point, each ticking `counter` once.
+    Point p is outside exactly when a hyperplane separates it strictly:
+    max t subject to w.(q - p) + t <= 0 for every other point q, and
+    t <= 1, is positive.  One exact LP in d + 1 variables per point, each
+    ticking `counter` once.
     """
     pts = [tuple(Fraction(v) for v in p) for p in points]
     keep = []
-    for i, point in enumerate(pts):
+    for i, p in enumerate(pts):
         if counter is not None:
             counter.tick()
-        others = pts[:i] + pts[i + 1 :]
-        m = len(others)
-        constraints = [([q[c] for q in others], EQ, v) for c, v in enumerate(point)]
-        constraints.append(([1] * m, EQ, 1))
-        if not others or not solve_lp(m, [0] * m, constraints, nonneg=[True] * m).is_optimal:
+        rows = [([a - b for a, b in zip(q, p)] + [1], LE, 0) for j, q in enumerate(pts) if j != i]
+        rows.append(([0] * len(p) + [1], LE, 1))
+        if solve_lp(len(p) + 1, [0] * len(p) + [1], rows).value > 0:
             keep.append(i)
     return keep

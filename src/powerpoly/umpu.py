@@ -174,7 +174,9 @@ def convex_peeling(
 ) -> PeelingLayers:
     """Iteratively strip the convex-hull vertices of the remaining lattice points.
 
-    Each hull test (one exact LP) ticks `counter` once.
+    The first layer is the corners n' e_i, since the hull of the lattice
+    points of n'Δ is n'Δ itself; each later hull test (one exact LP) ticks
+    `counter` once.
     """
     if k < 2 or nprime < 0:
         raise ValueError("need k >= 2 and nprime >= 0")
@@ -183,7 +185,10 @@ def convex_peeling(
     residuals = []
     while remaining:
         residuals.append(tuple(remaining))
-        hull = set(hull_vertices(remaining, counter))
+        if layers:
+            hull = set(hull_vertices(remaining, counter))
+        else:
+            hull = {i for i, m in enumerate(remaining) if max(m) == nprime}
         if not hull:
             raise AssertionError("internal: finite point set with no hull vertices")
         layers.append(tuple(m for i, m in enumerate(remaining) if i in hull))

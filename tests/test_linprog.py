@@ -1,8 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from powerpoly.linprog import EQ, GE, LE, solve_lp
+
+
+def nonneg(n):
+    """Rows x_i >= 0 for every variable."""
+    return [([int(i == j) for j in range(n)], GE, 0) for i in range(n)]
 
 
 class TestSolveLP:
@@ -11,19 +17,13 @@ class TestSolveLP:
         res = solve_lp(
             2,
             [1, 1],
-            [([1, 0], LE, 2), ([0, 1], LE, 3), ([1, 1], LE, 4)],
-            nonneg=[True, True],
+            [([1, 0], LE, 2), ([0, 1], LE, 3), ([1, 1], LE, 4)] + nonneg(2),
         )
         assert res.is_optimal
         assert res.value == 4
 
     def test_exact_fractions(self):
-        res = solve_lp(
-            1,
-            [1],
-            [([Fraction(3)], LE, Fraction(1, 7))],
-            nonneg=[True],
-        )
+        res = solve_lp(1, [1], [([Fraction(3)], LE, Fraction(1, 7))] + nonneg(1))
         assert res.value == Fraction(1, 21)
 
     def test_free_variables(self):
@@ -37,15 +37,14 @@ class TestSolveLP:
         res = solve_lp(
             3,
             [0, 0, 1],
-            [([1, 1, 1], EQ, 1), ([1, -1, 0], EQ, 0)],
-            nonneg=[True, True, True],
+            [([1, 1, 1], EQ, 1), ([1, -1, 0], EQ, 0)] + nonneg(3),
         )
         assert res.is_optimal
         assert res.value == 1
         assert res.point == [Fraction(0), Fraction(0), Fraction(1)]
 
     def test_infeasible(self):
-        res = solve_lp(1, [1], [([1], LE, 0), ([1], GE, 1)], nonneg=[True])
+        res = solve_lp(1, [1], [([1], LE, 0), ([1], GE, 1)] + nonneg(1))
         assert res.status == "infeasible"
 
     def test_unbounded(self):
@@ -53,9 +52,10 @@ class TestSolveLP:
         assert res.status == "unbounded"
 
     def test_min_sense(self):
-        res = solve_lp(2, [1, 2], [([1, 1], GE, 1)], sense="min", nonneg=[True, True])
+        # min x + 2y st x + y >= 1, x,y >= 0
+        res = solve_lp(2, [-1, -2], [([1, 1], GE, 1)] + nonneg(2))
         assert res.is_optimal
-        assert res.value == 1
+        assert -res.value == 1
         assert res.point == [Fraction(1), Fraction(0)]
 
     def test_degenerate_cycling_guard(self):
@@ -67,8 +67,8 @@ class TestSolveLP:
                 ([Fraction(1, 4), -60, Fraction(-1, 25), 9], LE, 0),
                 ([Fraction(1, 2), -90, Fraction(-1, 50), 3], LE, 0),
                 ([0, 0, 1, 0], LE, 1),
-            ],
-            nonneg=[True] * 4,
+            ]
+            + nonneg(4),
         )
         assert res.is_optimal
         assert res.value == Fraction(1, 20)
@@ -77,8 +77,76 @@ class TestSolveLP:
         res = solve_lp(
             2,
             [1, 0],
-            [([1, 1], EQ, 1), ([2, 2], EQ, 2), ([1, 0], LE, Fraction(1, 3))],
-            nonneg=[True, True],
+            [([1, 1], EQ, 1), ([2, 2], EQ, 2), ([1, 0], LE, Fraction(1, 3))] + nonneg(2),
         )
         assert res.is_optimal
         assert res.value == Fraction(1, 3)
+
+    def test_no_rows_and_a_moving_objective_is_unbounded(self):
+        assert solve_lp(1, [1], []).status == "unbounded"
+
+    def test_no_rows_and_a_zero_objective_is_optimal(self):
+        res = solve_lp(2, [0, 0], [])
+        assert res.is_optimal
+        assert res.value == 0
+
+    def test_direction_no_row_sees(self):
+        # Rows constrain x + y only; the objective moves along x - y.
+        assert solve_lp(2, [1, 0], [([1, 1], LE, 1), ([1, 1], GE, 0)]).status == "unbounded"
+        res = solve_lp(2, [2, 2], [([1, 1], LE, 1), ([1, 1], GE, 0)])
+        assert res.value == 2 and sum(res.point) == 1
+
+    def test_infeasible_beats_unseen_direction(self):
+        assert solve_lp(2, [1, 0], [([0, 1], LE, 0), ([0, 1], GE, 1)]).status == "infeasible"
+
+
+def random_lp(rng):
+    """A small random LP with integer data, rank-deficient in part."""
+    n = rng.randint(1, 4)
+    rows = []
+    for _ in range(rng.randint(0, 7)):
+        coeffs = [rng.randint(-3, 3) for _ in range(n)]
+        rel = rng.choice([LE, LE, LE, GE, GE, EQ])
+        rows.append((coeffs, rel, rng.randint(-4, 6)))
+    if rows and rng.random() < 0.3:
+        coeffs, rel, rhs = rng.choice(rows)
+        scale = rng.choice([2, -1])
+        flip = {LE: GE, GE: LE, EQ: EQ}[rel] if scale < 0 else rel
+        rows.append(([scale * v for v in coeffs], flip, scale * rhs))
+    if rng.random() < 0.5:
+        rows += [([int(i == j) for j in range(n)], LE, rng.randint(0, 5)) for i in range(n)]
+    objective = [rng.randint(-3, 3) for _ in range(n)]
+    return n, objective, rows
+
+
+class TestHighsOracle:
+    STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+    def test_status_and_value_match_highs(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(20261018)
+        seen = set()
+        for _ in range(400):
+            n, objective, rows = random_lp(rng)
+            ub = [[-v for v in c] if rel == GE else c for c, rel, _ in rows if rel != EQ]
+            b_ub = [-r if rel == GE else r for _, rel, r in rows if rel != EQ]
+            eq = [(c, r) for c, rel, r in rows if rel == EQ]
+            ref = optimize.linprog(
+                [-v for v in objective],
+                A_ub=ub or None,
+                b_ub=b_ub or None,
+                A_eq=[c for c, _ in eq] or None,
+                b_eq=[r for _, r in eq] or None,
+                bounds=[(None, None)] * n,
+                method="highs",
+            )
+            res = solve_lp(n, objective, rows)
+            assert res.status == self.STATUS[ref.status], (n, objective, rows)
+            seen.add(res.status)
+            if res.is_optimal:
+                assert abs(float(res.value) + ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+                for c, rel, r in rows:
+                    lhs = sum(Fraction(v) * x for v, x in zip(c, res.point))
+                    assert {LE: lhs <= r, GE: lhs >= r, EQ: lhs == r}[rel]
+                assert res.value == sum(Fraction(v) * x for v, x in zip(objective, res.point))
+        assert seen == {"optimal", "infeasible", "unbounded"}

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,34 @@ class TestHullVertices:
 
     def test_single_point_is_its_own_hull(self):
         assert hull_vertices([(1, 2)]) == [0]
+
+    def test_matches_highs_convex_combination(self):
+        # Point i is inside the hull of the others when some lambda >= 0 with
+        # sum 1 combines them into it; HiGHS decides that feasibility LP.
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(7)
+        for _ in range(60):
+            dim = rng.randint(2, 4)
+            pts = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 7))]
+            p, q = rng.choice(pts), rng.choice(pts)
+            pts.append(rng.choice(pts))  # a duplicate
+            pts.append(tuple(Fraction(a + b, 2) for a, b in zip(p, q)))  # collinear, between
+            pts.append(tuple(2 * b - a for a, b in zip(p, q)))  # collinear, beyond q
+            rng.shuffle(pts)
+            expected = []
+            for i, point in enumerate(pts):
+                others = pts[:i] + pts[i + 1 :]
+                ref = optimize.linprog(
+                    [0] * len(others),
+                    A_eq=[[float(o[c]) for o in others] for c in range(dim)] + [[1] * len(others)],
+                    b_eq=[float(v) for v in point] + [1],
+                    bounds=[(0, None)] * len(others),
+                    method="highs",
+                )
+                assert ref.status in (0, 2)
+                if ref.status == 2:
+                    expected.append(i)
+            assert hull_vertices(pts) == expected, pts
 
     def test_one_tick_per_point(self):
         counter = StepCounter()

@@ -239,10 +239,10 @@ class TestConvexPeeling:
     def test_hull_tests_draw_on_the_budget(self):
         with pytest.raises(StepLimitExceeded):
             convex_peeling(3, 5, StepCounter(limit=1))
-        # n' = 2: six hull tests strip the corners, three the midpoints.
+        # n' = 2: the corners need no LP; three hull tests strip the midpoints.
         counter = StepCounter()
         convex_peeling(3, 2, counter)
-        assert counter.steps == 9
+        assert counter.steps == 3
 
 
 class TestUmpuSearch:
