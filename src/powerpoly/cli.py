@@ -327,8 +327,34 @@ def cmd_power_grid(args) -> int:
 
 
 def _grid_values(beta: Polynomial, points) -> list[float]:
+    """`beta.evaluate_float` at every grid point, bit for bit, in one pass.
+
+    The floating-point operations are those of `evaluate_float`, in the
+    same order: per term, float(coeff) times each nonzero power left to
+    right, summed in term order.  Only the powers are shared: x**e is
+    computed once per distinct coordinate value with Python's float `**`
+    (numpy's `power` rounds differently) and gathered per cell.
+    """
+    import numpy as np
+
     jobs = [[float(c) for c in combo] + [float(1 - sum(combo))] for combo in points]
-    return [beta.evaluate_float(job) for job in jobs]
+    columns = [np.unique(col, return_inverse=True) for col in zip(*jobs)]
+    powers: dict[tuple[int, int], object] = {}
+
+    def power(i: int, e: int):
+        if (i, e) not in powers:
+            values, where = columns[i]
+            powers[i, e] = np.array([x**e for x in values.tolist()])[where]
+        return powers[i, e]
+
+    total = np.zeros(len(jobs))
+    for mono, coeff in beta.terms.items():
+        value = float(coeff)
+        for i, e in enumerate(mono):
+            if e:
+                value *= power(i, e)
+        total += value
+    return total.tolist()
 
 
 def cmd_recover_test(args) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -47,18 +48,20 @@ def enumerate_vertices_dd(
     cone.append(tuple([0] * dim + [-1]))
     d1 = dim + 1
 
-    # Initial simplicial cone from the first d1 independent rows.
+    # Initial simplicial cone from the first d1 independent rows, found by
+    # fraction-free elimination (independence does not depend on the field).
     chosen: list[int] = []
-    echelon: list[list[Fraction]] = []
+    echelon: list[tuple[int, list[int]]] = []  # (lead index, primitive row)
     for idx, row in enumerate(cone):
-        vec = [Fraction(v) for v in row]
-        for piv in echelon:
-            lead = next(i for i, v in enumerate(piv) if v)
+        vec = list(row)
+        for lead, piv in echelon:
             if vec[lead]:
-                f = vec[lead] / piv[lead]
-                vec = [x - f * y for x, y in zip(vec, piv)]
-        if any(vec):
-            echelon.append(vec)
+                p, v = piv[lead], vec[lead]
+                vec = [p * x - v * y for x, y in zip(vec, piv)]
+        g = gcd(*vec)
+        if g:
+            vec = [x // g for x in vec]
+            echelon.append((next(i for i, x in enumerate(vec) if x), vec))
             chosen.append(idx)
         if len(chosen) == d1:
             break

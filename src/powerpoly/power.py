@@ -211,7 +211,10 @@ def monte_carlo_power(
     Uses numpy's seeded PCG64 generator (stable across platforms); counts
     are drawn per replication and the randomized rejection is aggregated
     binomially per distinct count vector, which has the same law as
-    flipping the phi(x) coin per draw.
+    flipping the phi(x) coin per draw.  The distinct vectors are taken in
+    ascending lex order, and one binomial is drawn for each with
+    0 < phi(x) < 1, in that order.  A point with a negative or non-finite
+    coordinate, or whose sum is more than 1e-9 from 1, is a ValueError.
     """
     import numpy as np
 
@@ -220,18 +223,17 @@ def monte_carlo_power(
     p = np.asarray([float(v) for v in point], dtype=float)
     if len(p) != phi.k:
         raise ValueError(f"point has {len(p)} coordinates, expected {phi.k}")
+    # NaN fails both comparisons, and an infinite coordinate the sum.
+    if not ((p >= 0).all() and abs(p.sum() - 1) <= 1e-9):
+        raise ValueError(f"point {point!r} is not on the probability simplex")
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.multinomial(phi.n, p / p.sum(), size=reps)
-    uniq, counts = np.unique(draws, axis=0, return_counts=True)
-    rejected = 0
-    for row, m in zip(uniq, counts):
-        pr = float(phi.values[tuple(int(v) for v in row)])
-        if pr <= 0.0:
-            continue
-        if pr >= 1.0:
-            rejected += int(m)
-        else:
-            rejected += int(rng.binomial(int(m), pr))
+    draws = draws[np.lexsort(draws.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (draws[1:] != draws[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, reps])
+    pr = np.array([float(phi.values[tuple(row)]) for row in draws[starts].tolist()])
+    coin = (pr > 0.0) & (pr < 1.0)
+    rejected = int(counts[pr >= 1.0].sum()) + int(rng.binomial(counts[coin], pr[coin]).sum())
     est = rejected / reps
     se = (est * (1.0 - est) / reps) ** 0.5
     return MonteCarloEstimate(est, se, reps, seed)

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +10,9 @@ from fractions import Fraction
 import pytest
 
 import powerpoly
-from powerpoly.cli import main
+from powerpoly.cli import _grid_values, main
+from powerpoly.power import TestFunction, count_vectors
+from powerpoly.power import test_to_power as to_power
 
 F = Fraction
 
@@ -254,6 +258,35 @@ class TestRoundTripCommands:
             "cd46245345425dfa4cbdc8cab4c596985164afcf22dcbd47cbf76746aeeed88e"
         )
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("top", [F(1, 2), F(1)])
+    @pytest.mark.parametrize("res", [8, 9])
+    def test_grid_values_match_evaluate_float(self, k, top, res):
+        rng = random.Random(100 * k + 10 * res + top.denominator)
+        for _ in range(3):
+            n = rng.randint(2, 12 if k < 4 else 7)
+            values = {x: F(rng.randint(0, 16), 16) for x in count_vectors(n, k)}
+            beta = to_power(TestFunction(n, k, values)).poly
+            grid = [F(i, res - 1) * top for i in range(res)]
+            points = [c for c in itertools.product(grid, repeat=k - 1) if sum(c) <= 1]
+            jobs = [[float(c) for c in combo] + [float(1 - sum(combo))] for combo in points]
+            got = _grid_values(beta, points)
+            want = [beta.evaluate_float(job) for job in jobs]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_mc_validate_rejects_point_off_simplex(self, tmp_path, capsys):
+        test_json = str(tmp_path / "phi3.json")
+        code, _ = run_cli(
+            ["recover-test", "--beta", "p1^2", "--vars", "p1,p2,p3", "--n", "2",
+             "--out", test_json]
+        )
+        assert code == 0
+        code, out = run_cli(["mc-validate", "--test", test_json, "--pi", "2,1,1"])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: point [2.0, 1.0, 1.0] is not on the probability simplex\n"
+        )
+
     def test_box_violation_rejected(self, capsys):
         code, _ = run_cli(
             ["recover-test", "--beta", "2*p1^2", "--vars", "p1,p2", "--n", "2"]
@@ -279,3 +312,18 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert "powerpoly" in proc.stdout
+
+    def test_import_leaves_numpy_out(self):
+        # numpy serves Monte-Carlo and power-grid only; importing the CLI
+        # must not pay for it.
+        package_root = os.path.dirname(os.path.dirname(powerpoly.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, path])))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, powerpoly, powerpoly.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")

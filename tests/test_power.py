@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from powerpoly import (
 )
 from powerpoly import test_to_power as to_power
 from powerpoly.power import (
+    MonteCarloEstimate,
     PowerPolynomial,
     count_vectors,
     max_statistic_test,
@@ -166,6 +169,25 @@ class TestExactPower:
         assert phi((6, 6, 4)) == 0
 
 
+def _monte_carlo_oracle(phi, point, reps, seed):
+    """The per-distinct-row loop over np.unique that monte_carlo_power replaced."""
+    p = np.asarray([float(v) for v in point], dtype=float)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = rng.multinomial(phi.n, p / p.sum(), size=reps)
+    uniq, counts = np.unique(draws, axis=0, return_counts=True)
+    rejected = 0
+    for row, m in zip(uniq, counts):
+        pr = float(phi.values[tuple(int(v) for v in row)])
+        if pr <= 0.0:
+            continue
+        if pr >= 1.0:
+            rejected += int(m)
+        else:
+            rejected += int(rng.binomial(int(m), pr))
+    est = rejected / reps
+    return MonteCarloEstimate(est, (est * (1.0 - est) / reps) ** 0.5, reps, seed)
+
+
 class TestMonteCarlo:
     def test_constant_zero_and_one(self):
         z = monte_carlo_power(TestFunction.constant(2, 2, 0), [0.5, 0.5], 1000, 1)
@@ -190,6 +212,36 @@ class TestMonteCarlo:
             if abs(est.estimate - float(exact)) <= 4 * est.std_error:
                 hits += 1
         assert hits >= runs - 1  # 4 sigma: essentially all
+
+    def test_same_stream_as_row_loop(self):
+        rng = random.Random(7)
+        tests = [max_statistic_test(12, F(17, 20))]
+        for k in range(2, 7):
+            n = rng.randint(2, 9 if k < 5 else 5)
+            values = {x: F(rng.randint(0, 8), 8) for x in count_vectors(n, k)}
+            tests += [TestFunction(n, k, values), TestFunction.constant(n, k, 0),
+                      TestFunction.constant(n, k, 1)]
+        for phi in tests:
+            weights = [rng.randint(1, 9) for _ in range(phi.k)]
+            point = [w / sum(weights) for w in weights]
+            for reps, seed in ((1, 0), (20000, rng.randint(0, 10**6))):
+                got = monte_carlo_power(phi, point, reps, seed)
+                assert got == _monte_carlo_oracle(phi, point, reps, seed)
+
+    @pytest.mark.parametrize(
+        "point",
+        [[2, 1, 1], [0, 0, 0], [1.5, -0.5, 0], [float("nan"), 0.5, 0.5],
+         [float("inf"), 0, 0], [0.5, 0.25, 0.25 + 1e-8]],
+    )
+    def test_rejects_point_off_simplex(self, point):
+        phi = TestFunction(2, 3, {(2, 0, 0): F(1)})
+        with pytest.raises(ValueError, match="not on the probability simplex"):
+            monte_carlo_power(phi, point, 100, 0)
+
+    def test_accepts_rounded_simplex_point(self):
+        phi = TestFunction(2, 3, {(2, 0, 0): F(1)})
+        point = [0.1, 0.2, 0.7 + 1e-12]
+        assert monte_carlo_power(phi, point, 100, 0) == _monte_carlo_oracle(phi, point, 100, 0)
 
 
 class TestSymmetrize:
