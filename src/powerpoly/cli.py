@@ -167,7 +167,7 @@ def _threshold_payload(hyp: NullHypothesis, args) -> dict:
             counter=counter,
         )
         witness_names = names
-    payload = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "family": hyp.family,
         "ntub_bound": report.ntub_bound,
@@ -179,8 +179,6 @@ def _threshold_payload(hyp: NullHypothesis, args) -> dict:
         "theorem": report.theorem,
         "notes": list(report.notes),
     }
-    payload["gradient_evidence"] = _gradient_evidence(hyp)
-    return payload
 
 
 def _gradient_evidence(hyp: NullHypothesis, points: int = 10) -> dict:
@@ -203,7 +201,9 @@ def _gradient_evidence(hyp: NullHypothesis, points: int = 10) -> dict:
 
 def cmd_threshold(args) -> int:
     hyp = _load_hypothesis(args.hypothesis)
-    _emit(_threshold_payload(hyp, args), args.out)
+    payload = _threshold_payload(hyp, args)
+    payload["gradient_evidence"] = _gradient_evidence(hyp)
+    _emit(payload, args.out)
     return EXIT_OK
 
 

@@ -133,22 +133,16 @@ def buchberger_reduced(
     for g in basis:
         if g.nvars != nvars:
             raise ValueError("variable count mismatch among generators")
-    # Dedupe identical generators up to scaling.
-    unique: list[Polynomial] = []
-    for g in basis:
-        if g not in unique:
-            unique.append(g)
-    basis = unique
+    # Generators are monic, so this drops duplicates up to scaling.
+    basis = list(dict.fromkeys(basis))
 
     lead = [g.leading_monomial(order) for g in basis]
-    pairs: set[tuple[int, int]] = set()
-
-    def lcm_deg(i: int, j: int) -> int:
-        return sum(mono_lcm(lead[i], lead[j]))
+    # Pending pair (i, j), i < j, mapped to the lcm of its leading monomials.
+    pairs: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def add_pairs(j: int):
         for i in range(j):
-            pairs.add((i, j))
+            pairs[i, j] = mono_lcm(lead[i], lead[j])
 
     for j in range(len(basis)):
         add_pairs(j)
@@ -156,9 +150,8 @@ def buchberger_reduced(
     while pairs:
         if counter is not None:
             counter.tick()
-        i, j = min(pairs, key=lambda p: (lcm_deg(*p), p))
-        pairs.discard((i, j))
-        lcm = mono_lcm(lead[i], lead[j])
+        i, j = min(pairs, key=lambda p: (sum(pairs[p]), p))
+        lcm = pairs.pop((i, j))
         # Coprime criterion: lcm equal to the product means S reduces to 0.
         if lcm == mono_mul(lead[i], lead[j]):
             continue
@@ -199,23 +192,14 @@ def buchberger_reduced(
                 break
         if not redundant:
             keep.append(g)
-    # Interreduce until stable: every element fully reduced by the others.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1 :]
-            if not others:
-                continue
-            _, r = reduce(keep[i], others, order, counter)
-            r = r.monic(order)
-            if r != keep[i]:
-                if r.is_zero():
-                    del keep[i]
-                else:
-                    keep[i] = r
-                changed = True
-                break
+    # Interreduce in one pass. No leading monomial of a minimal basis divides
+    # another, so each remainder keeps its element's monic leading term, and
+    # reducing by the unreduced others already gives the reduced basis.
+    if len(keep) > 1:
+        keep = [
+            reduce(g, keep[:i] + keep[i + 1 :], order, counter)[1]
+            for i, g in enumerate(keep)
+        ]
     keep.sort(key=lambda g: order.key(g.leading_monomial(order)))
     return GroebnerBasis(order=order, elements=tuple(keep))
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Sequence
 
 from powerpoly.linalg import nullspace
@@ -404,17 +404,22 @@ def log_odds_to_binomial(a: Sequence[Fraction], c: Fraction, k: int) -> Polynomi
 
 
 def _nth_root(value: Fraction, n: int) -> Fraction | None:
-    """Exact rational n-th root, or None."""
+    """Exact rational n-th root of a non-negative rational, or None."""
 
     def iroot(x: int) -> int | None:
-        if x == 0:
-            return 0
-        r = round(x ** (1 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand**n == x:
-                return cand
-        return None
+        if x < 2:
+            return x
+        if n == 2:
+            r = isqrt(x)
+        else:
+            # Integer Newton from above: the iterates fall to floor(x^(1/n)).
+            r = 1 << -(-x.bit_length() // n)
+            while (y := ((n - 1) * r + x // r ** (n - 1)) // n) < r:
+                r = y
+        return r if r**n == x else None
 
+    if value < 0:
+        return None
     num = iroot(value.numerator)
     den = iroot(value.denominator)
     if num is None or den is None:

@@ -33,10 +33,12 @@ def enumerate_vertices_dd(
 ) -> list[tuple[Fraction, ...]]:
     """All vertices of the bounded polytope {x : a x <= b}, sorted lex.
 
-    Raises ValueError when the polyhedron is unbounded or empty.  All ray
-    arithmetic runs on primitive integer vectors (positive rescaling
-    leaves the cone unchanged), which keeps the inner loops on machine
-    integers until the final division by the homogenizing coordinate.
+    Raises ValueError when the rows are rank deficient or some x != 0 has
+    a x <= 0, as for an unbounded polyhedron; an empty set without such an
+    x gives [].  All ray arithmetic runs on primitive integer vectors
+    (positive rescaling leaves the cone unchanged), which keeps the inner
+    loops on machine integers until the final division by the
+    homogenizing coordinate.
     """
     rows = [[Fraction(v) for v in row] for row in a]
     rhs = [Fraction(v) for v in b]

@@ -147,11 +147,9 @@ def componentwise_max(vertices: Sequence[Sequence[Fraction]]) -> ComponentwiseMa
     vs = [tuple(v) for v in vertices]
     if not vs:
         raise ValueError("empty vertex list")
-    dim = len(vs[0])
-    peak = tuple(max(v[i] for v in vs) for i in range(dim))
-    for v in vs:
-        if v == peak:
-            return ComponentwiseMax(vertex=v)
+    peak = tuple(map(max, zip(*vs)))
+    if peak in vs:
+        return ComponentwiseMax(vertex=peak)
     # No maximum: exhibit two maximal incomparable vertices.
     pair = _incomparable_pair(vs)
     if pair is None:
@@ -231,9 +229,11 @@ def umpu_search(
     """
     poly = enumerate_vertices(coefficient_polytope(f, n, alpha), counter)
     assert poly.vertices is not None
-    cw = componentwise_max(poly.vertices)
-    if cw.vertex is not None:
-        h = poly.h_polynomial(cw.vertex)
+    # The per-coordinate maxima form a vertex exactly when one vertex
+    # dominates all others.
+    peak = tuple(map(max, zip(*poly.vertices)))
+    if peak in poly.vertices:
+        h = poly.h_polynomial(peak)
         beta = _beta_from_h(poly, h)
         return UMPUVerdict(
             status=EXISTS,

@@ -105,8 +105,40 @@ class TestThreshold:
         # Binomial p1*p2 - p3^2 has degree 2: both bounds are 4.
         assert payload["ntub_bound"] == 4 and payload["sub_bound"] == 4
 
+    @pytest.mark.parametrize(
+        "c",
+        [(10**5 + 1) ** 2, (10**40 + 1) ** 2, 3**1400],
+        ids=["(10^5+1)^2", "(10^40+1)^2", "3^1400"],
+    )
+    def test_logodds_square_target_takes_exact_root(self, tmp_path, c):
+        # a = (2, 2): (p1 p2 / p3^2)^2 = c. A square c gives the degree-2
+        # binomial p1*p2 - sqrt(c) p3^2, however large c is.
+        path = tmp_path / "logodds.json"
+        path.write_text(
+            json.dumps({"kind": "logodds", "params": {"a": ["2", "2"], "c": str(c), "k": 3}})
+        )
+        code, out = run_cli(["threshold", "--hypothesis", str(path)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["ntub_bound"] == 4 and payload["sub_bound"] == 4
+
+    def test_separating_samples_no_null_points(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("separating sampled null points")
+
+        monkeypatch.setattr(powerpoly.cli, "sample_null_points", refuse)
+        path = tmp_path / "sphere.json"
+        path.write_text(
+            json.dumps({"kind": "sphere", "params": {"k": 3, "delta_sq": "1/6"}})
+        )
+        code, out = run_cli(["separating", "--hypothesis", str(path)])
+        assert code == 0
+        assert json.loads(out)["sub_degree"] == 4
+        with pytest.raises(AssertionError, match="sampled"):
+            run_cli(["threshold", "--hypothesis", str(path)])
+
     def test_step_limit_covers_basis_and_bounds_together(self, tmp_path):
-        # The 2x3 minors plus p11 - p22: 105 Buchberger steps, then 10 in sos_bounds.
+        # The 2x3 minors plus p11 - p22: 93 Buchberger steps, then 10 in sos_bounds.
         path = tmp_path / "minors23.json"
         names = ["p11", "p12", "p13", "p21", "p22", "p23"]
         gens = ["p11*p22 - p12*p21", "p11*p23 - p13*p21", "p12*p23 - p13*p22", "p11 - p22"]
@@ -115,8 +147,8 @@ class TestThreshold:
         )
         for command in ("threshold", "separating"):
             args = [command, "--hypothesis", str(path), "--step-limit"]
-            assert run_cli(args + ["110"])[0] == 3
-            assert run_cli(args + ["115"])[0] == 0
+            assert run_cli(args + ["98"])[0] == 3
+            assert run_cli(args + ["103"])[0] == 0
 
     def test_separating_for_polytope(self, square):
         code, out = run_cli(["separating", "--hypothesis", square("3/4")])

@@ -185,18 +185,37 @@ class TestRadicalMembership:
             assert radical_membership(member, gens)
 
 
-# Random small ideals: 1-3 generators in 3 variables, each of 1-3 terms
-# with exponents 0..2 and nonzero integer coefficients in -3..3.
-small_ideals = st.lists(
-    st.dictionaries(
-        st.tuples(*[st.integers(0, 2)] * 3),
-        st.integers(-3, 3).filter(bool),
-        min_size=1,
-        max_size=3,
-    ),
-    min_size=1,
-    max_size=3,
-)
+def ideals(nvars, min_gens, max_gens):
+    """Random ideals in `nvars` variables: each generator has 1-3 terms with
+    exponents 0..2 and nonzero integer coefficients in -3..3."""
+    return st.lists(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * nvars),
+            st.integers(-3, 3).filter(bool),
+            min_size=1,
+            max_size=3,
+        ),
+        min_size=min_gens,
+        max_size=max_gens,
+    )
+
+
+def sympy_reduced_basis(sympy, gens, nvars, order):
+    """sympy's reduced basis of the integer generators, each element made monic."""
+    xs = sympy.symbols(f"p1:{nvars + 1}")
+    exprs = [
+        sum(c * sympy.prod(x**e for x, e in zip(xs, m)) for m, c in g.items())
+        for g in gens
+    ]
+    expected = set()
+    # sympy scales elements to integer content; make each monic instead.
+    for g in sympy.groebner(exprs, *xs, order=order.value).exprs:
+        terms = sympy.Poly(g, *xs).terms(order=order.value)
+        lc = Fraction(int(terms[0][1].p), int(terms[0][1].q))
+        expected.add(
+            Polynomial(nvars, {m: Fraction(int(c.p), int(c.q)) / lc for m, c in terms})
+        )
+    return expected
 
 
 class TestSympyOracle:
@@ -205,21 +224,21 @@ class TestSympyOracle:
     @pytest.mark.parametrize("order", list(MonomialOrder))
     @seed(20250610)
     @settings(max_examples=150, deadline=None)
-    @given(small_ideals)
+    @given(ideals(3, 1, 3))
     def test_reduced_basis_matches_sympy(self, sympy, order, gens):
-        xs = sympy.symbols("p1:4")
-        exprs = [
-            sum(c * sympy.prod(x**e for x, e in zip(xs, m)) for m, c in g.items())
-            for g in gens
-        ]
-        expected = set()
-        # sympy scales elements to integer content; make each monic instead.
-        for g in sympy.groebner(exprs, *xs, order=order.value).exprs:
-            terms = sympy.Poly(g, *xs).terms(order=order.value)
-            lc = Fraction(int(terms[0][1].p), int(terms[0][1].q))
-            expected.add(
-                Polynomial(3, {m: Fraction(int(c.p), int(c.q)) / lc for m, c in terms})
-            )
         gb = buchberger_reduced([Polynomial(3, g) for g in gens], order)
+        expected = sympy_reduced_basis(sympy, gens, 3, order)
+        assert len(gb.elements) == len(expected)
+        assert set(gb.elements) == expected
+
+    # Four variables and 2-4 generators: minimal bases of several elements,
+    # so the interreduction pass reduces each one by many others.
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    @seed(20250611)
+    @settings(max_examples=60, deadline=None)
+    @given(ideals(4, 2, 4))
+    def test_four_variable_basis_matches_sympy(self, sympy, order, gens):
+        gb = buchberger_reduced([Polynomial(4, g) for g in gens], order)
+        expected = sympy_reduced_basis(sympy, gens, 4, order)
         assert len(gb.elements) == len(expected)
         assert set(gb.elements) == expected

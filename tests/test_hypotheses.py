@@ -9,7 +9,13 @@ from powerpoly import (
     polytope_existence,
     sample_null_points,
 )
-from powerpoly.hypotheses import UnsupportedSampling, independence, rank_lt, sphere
+from powerpoly.hypotheses import (
+    UnsupportedSampling,
+    _nth_root,
+    independence,
+    rank_lt,
+    sphere,
+)
 from powerpoly.polynomial import table_names
 
 F = Fraction
@@ -131,6 +137,40 @@ class TestLogOdds:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             log_odds_to_binomial([F(0), F(0)], F(1), 3)
+
+    @pytest.mark.parametrize(
+        "root, n",
+        [
+            (F(10**40 + 1), 2),  # float sqrt is off by more than one here
+            (F(3**700, 7**90), 2),  # past float range
+            (F(10**30 + 7, 3), 3),
+            (F(2**61 - 1), 5),
+            (F(0), 4),
+            (F(1, 10**50), 7),
+        ],
+    )
+    def test_nth_root_of_perfect_powers_is_exact(self, root, n):
+        assert _nth_root(root**n, n) == root
+
+    @pytest.mark.parametrize(
+        "value, n",
+        [
+            (F((10**40 + 1) ** 2 + 1), 2),
+            (F((10**40 + 1) ** 2 - 1), 2),
+            (F(3**1400, 2), 2),
+            (F(3**1401), 2),
+            (F((2**61 - 1) ** 5 - 1), 5),
+            (F(1, 10**50 + 1), 7),
+        ],
+    )
+    def test_nth_root_of_non_powers_is_none(self, value, n):
+        assert _nth_root(value, n) is None
+
+    def test_large_square_target_is_halved(self):
+        # (p1 p2 / p3^2)^2 = (10^40 + 1)^2 takes the root: p1*p2 - (10^40 + 1) p3^2.
+        got = log_odds_to_binomial([F(2), F(2)], F((10**40 + 1) ** 2), 3)
+        assert got.total_degree() == 2
+        assert got.coefficient((0, 0, 2)) == -(10**40 + 1)
 
     def test_float_coefficient_rejected(self):
         with pytest.raises(ValueError) as err:

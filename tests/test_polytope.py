@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from powerpoly import StepCounter, StepLimitExceeded, coefficient_polytope, parse_polynomial
@@ -112,6 +112,34 @@ class TestDoubleDescription:
             if x or y:
                 a.append([x, y])
                 b.append(Fraction(rhs))
+        assert enumerate_vertices_dd(a, b) == enumerate_vertices_brute_force(a, b)
+
+    @seed(20250612)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_in_three_and_four_dimensions(self, data):
+        # Integer cuts through the box [-2, 2]^d, some through a corner of the
+        # box, plus positive multiples of rows already present: degenerate
+        # vertices (more than d tight rows) and duplicated rows.
+        dim = data.draw(st.sampled_from([3, 4]))
+        a, b = cube(dim, -2, 2)
+        for _ in range(data.draw(st.integers(1, 4))):
+            row = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+            if not any(row):
+                continue
+            if data.draw(st.booleans()):
+                corner = data.draw(st.lists(st.sampled_from([-2, 2]), min_size=dim, max_size=dim))
+                rhs = sum(r * c for r, c in zip(row, corner))
+            else:
+                rhs = data.draw(st.integers(-2, 6))
+            a.append(row)
+            b.append(rhs)
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, len(a) - 1))
+            scale = data.draw(st.integers(1, 2))
+            a.append([scale * v for v in a[i]])
+            b.append(scale * b[i])
+        # A cut may empty the box; both then give no vertices.
         assert enumerate_vertices_dd(a, b) == enumerate_vertices_brute_force(a, b)
 
 
