@@ -16,8 +16,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Sequence
 
-from powerpoly.linalg import nullspace
-from powerpoly.linprog import EQ, GE, solve_lp
+from powerpoly.linalg import nullspace, solve_linear
+from powerpoly.linprog import EQ, LE, solve_lp
 from powerpoly.parser import parse_polynomial, parse_rational
 from powerpoly.polynomial import (
     Polynomial,
@@ -25,6 +25,7 @@ from powerpoly.polynomial import (
     table_index,
     table_names,
 )
+from powerpoly.polytope import enumerate_vertices_dd
 
 ALGEBRAIC = "algebraic"
 POLYTOPE = "polytope"
@@ -438,83 +439,74 @@ class ExistenceVerdict:
     witness_point: tuple[Fraction, ...] | None = None
 
 
+def _polytope_rows(a_rows, b, d: int) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """P0 as `<=` rows over the k-1 projected coordinates.
+
+    The rows are -a_i.x <= -b_i for the hypothesis, then -x_i <= 0, then
+    sum(x) <= 1 for the simplex.
+    """
+    rows = [[-Fraction(v) for v in row] for row in a_rows]
+    rhs = [-Fraction(v) for v in b]
+    for i in range(d):
+        rows.append([Fraction(-int(i == j)) for j in range(d)])
+        rhs.append(Fraction(0))
+    rows.append([Fraction(1)] * d)
+    rhs.append(Fraction(1))
+    return rows, rhs
+
+
 def polytope_existence(a_rows, b, k: int) -> ExistenceVerdict:
     """Decide NTUB/SUB existence for a full-dimensional polytope hypothesis.
 
-    P0 = {pi in projected simplex : A pi >= b}.  Existence holds iff every
-    pairwise facet intersection H_i and H_j meets P0 only on the simplex
-    boundary; the verdict carries either the product separating polynomial
-    or an interior witness point for a violating pair.
+    P0 = {pi in projected simplex : A pi >= b}.  Existence holds iff no two
+    facet hyperplanes H_i and H_j meet P0 inside the open simplex; the
+    verdict carries either the product separating polynomial or an
+    interior witness point for the first violating pair.  Every LP runs
+    on P0's `<=` rows (hypothesis rows, then simplex rows), extended by a
+    slack variable t where one is needed.
     """
-    rows = [[Fraction(v) for v in row] for row in a_rows]
-    rhs = [Fraction(v) for v in b]
     d = k - 1
-    if any(len(r) != d for r in rows):
+    if any(len(r) != d for r in a_rows):
         raise ValueError(f"rows must have k-1 = {d} columns")
-    if not rows:
+    if not a_rows:
         raise ValueError("need at least one halfspace row")
+    if len(b) != len(a_rows):
+        raise ValueError("need one bound per halfspace row")
+    rows, rhs = _polytope_rows(a_rows, b, d)
+    m = len(a_rows)
 
-    # Simplex rows pi_i >= 0 and 1 - sum(pi) >= 0 as LP constraints.
-    def simplex_constraints(slack_var: bool):
-        cons = []
-        n = d + (1 if slack_var else 0)
-        for i in range(d):
-            row = [Fraction(0)] * n
-            row[i] = Fraction(1)
-            if slack_var:
-                row[-1] = Fraction(-1)
-            cons.append((row, GE, 0))
-        row = [Fraction(-1)] * d + ([Fraction(-1)] if slack_var else [])
-        cons.append((row, GE, -1))
-        return cons
-
-    def hypothesis_constraints(slack_var: bool, skip: int | None = None):
-        cons = []
-        for i, (row, bound) in enumerate(zip(rows, rhs)):
-            if i == skip:
-                continue
-            r = list(row) + ([Fraction(0)] if slack_var else [])
-            cons.append((r, GE, bound))
-        return cons
-
-    # Largest slack t by which every row holds.  The LP is feasible (t can
-    # drop), bounded (t <= 1/(d+1) on the simplex), and its optimum is < 0
-    # exactly when P0 is empty and 0 exactly when P0 is not full-dimensional.
+    # Largest slack t by which every row holds: row.x + t <= bound.  The LP
+    # is feasible (t can drop), bounded (t <= 1/(d+1) on the simplex), and
+    # its optimum is < 0 exactly when P0 is empty and 0 exactly when P0 is
+    # not full-dimensional.
     obj = [Fraction(0)] * d + [Fraction(1)]
-    strict = []
-    for row, bound in zip(rows, rhs):
-        strict.append((list(row) + [Fraction(-1)], GE, bound))
-    strict += simplex_constraints(True)
-    res = solve_lp(d + 1, obj, strict)
+    res = solve_lp(d + 1, obj, [(row + [1], LE, r) for row, r in zip(rows, rhs)])
     if res.value < 0:
         raise ValueError("empty polytope hypothesis: P0 has no point")
     if res.value == 0:
         raise ValueError("polytope hypothesis is not full-dimensional in the simplex")
 
     # Per-row validation: irredundant, and H_i meets the open simplex.
-    for i, (row, bound) in enumerate(zip(rows, rhs)):
-        others = hypothesis_constraints(False, skip=i) + simplex_constraints(False)
-        res = solve_lp(d, [-v for v in row], others)
-        if res.is_optimal and -res.value >= bound:
+    for i in range(m):
+        others = [(row, LE, r) for j, (row, r) in enumerate(zip(rows, rhs)) if j != i]
+        res = solve_lp(d, rows[i], others)
+        if res.is_optimal and res.value <= rhs[i]:
             raise ValueError(
                 f"halfspace row {i} is redundant: it does not cut P0"
             )
         # x -> row.x maps the open simplex onto the open interval between
         # min(0, *row) and max(0, *row).
-        if not min(0, *row) < bound < max(0, *row):
+        if not min(0, *rows[i]) < rhs[i] < max(0, *rows[i]):
             raise ValueError(
                 f"facet hyperplane {i} does not intersect the open projected simplex"
             )
 
-    # Pairwise condition: H_i and H_j and P0 inside the simplex boundary.
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            cons = [
-                (list(rows[i]) + [Fraction(0)], EQ, rhs[i]),
-                (list(rows[j]) + [Fraction(0)], EQ, rhs[j]),
-            ]
-            cons += hypothesis_constraints(True)
-            cons += simplex_constraints(True)
+    # Pairwise condition: on H_i and H_j, P0 stays on the simplex boundary,
+    # so the slack t of the simplex rows cannot be positive.
+    for i in range(m):
+        for j in range(i + 1, m):
+            cons = [(rows[i] + [0], EQ, rhs[i]), (rows[j] + [0], EQ, rhs[j])]
+            cons += [(row + [int(n >= m)], LE, r) for n, (row, r) in enumerate(zip(rows, rhs))]
             res = solve_lp(d + 1, obj, cons)
             if res.is_optimal and res.value > 0:
                 point = tuple(res.point[:d])
@@ -523,11 +515,11 @@ def polytope_existence(a_rows, b, k: int) -> ExistenceVerdict:
                 )
 
     witness = Polynomial.constant(d, -1)
-    for row, bound in zip(rows, rhs):
-        g = Polynomial.constant(d, -bound)
+    for row, bound in zip(rows[:m], rhs):
+        g = Polynomial.constant(d, bound)
         for idx, coeff in enumerate(row):
             if coeff:
-                g = g + coeff * Polynomial.variable(d, idx)
+                g = g - coeff * Polynomial.variable(d, idx)
         witness = witness * g
     return ExistenceVerdict(exists=True, witness=witness)
 
@@ -555,6 +547,19 @@ def _halton(index: int, dim: int) -> list[Fraction]:
 def _simplex_point(raw: Sequence[Fraction]) -> list[Fraction]:
     total = sum(raw, Fraction(0))
     return [v / total for v in raw]
+
+
+def _convex_combinations(vertices: Sequence[Sequence[Fraction]], count: int, base: int):
+    """`count` points sum_v w_v v, the weights w > 0 a normalized Halton point."""
+    out = []
+    for t in range(count):
+        weights = _simplex_point(_halton(base + t, len(vertices)))
+        point = [Fraction(0)] * len(vertices[0])
+        for w, v in zip(weights, vertices):
+            for i, c in enumerate(v):
+                point[i] += w * c
+        out.append(tuple(point))
+    return out
 
 
 def sample_null_points(h: NullHypothesis, count: int, seed: int) -> list[tuple[Fraction, ...]]:
@@ -598,9 +603,7 @@ def sample_null_points(h: NullHypothesis, count: int, seed: int) -> list[tuple[F
                 for j in range(i, p):
                     table[i][j] = table[j][i] = u[pos]
                     pos += 1
-            flat = [table[i][j] for i in range(p) for j in range(p)]
-            total = sum(flat, Fraction(0))
-            out.append(tuple(v / total for v in flat))
+            out.append(tuple(_simplex_point([table[i][j] for i in range(p) for j in range(p)])))
         return out
     if h.family == "affine":
         return _sample_affine(h, count, base)
@@ -617,91 +620,58 @@ def sample_null_points(h: NullHypothesis, count: int, seed: int) -> list[tuple[F
 
 def _sample_affine(h: NullHypothesis, count: int, base: int):
     k = h.k
-    rows = [list(r) for r in h.params["C"]]
-    rhs = list(h.params["d"])
-    # Relative-interior point via max-slack LP over the simplex.
-    cons = [(row + [0], EQ, b) for row, b in zip(rows, rhs)]
-    cons.append(([1] * k + [0], EQ, 1))
-    for i in range(k):
-        r = [Fraction(0)] * (k + 1)
-        r[i] = Fraction(1)
-        r[-1] = Fraction(-1)
-        cons.append((r, GE, 0))
-    res = solve_lp(k + 1, [0] * k + [1], cons)
-    if not res.is_optimal or res.value <= 0:
+    eqs = [list(row) for row in h.params["C"]] + [[1] * k]
+    x0 = solve_linear(eqs, list(h.params["d"]) + [1])
+    # The slice is {x0 + z N : x0 + z N >= 0}, N's rows spanning the kernel
+    # of [C; 1]; it is a polytope in z, whose vertices map to P0's.
+    points = []
+    if x0 is not None:
+        dirs = nullspace(eqs)
+        for z in enumerate_vertices_dd([[-v[i] for v in dirs] for i in range(k)], x0):
+            points.append([c + sum(zj * v[i] for zj, v in zip(z, dirs)) for i, c in enumerate(x0)])
+    # A convex combination with positive weights is positive in coordinate i
+    # exactly when some vertex is.
+    if not points or not all(any(p[i] > 0 for p in points) for i in range(k)):
         raise ValueError("affine hypothesis has no relative-interior simplex point")
-    center = res.point[:k]
-    dirs = nullspace([row for row in rows] + [[1] * k])
-    out = []
-    for t in range(count):
-        if not dirs:
-            out.append(tuple(center))
-            continue
-        u = _halton(base + t, len(dirs))
-        step = [Fraction(0)] * k
-        for w, v in zip(u, dirs):
-            for i in range(k):
-                step[i] += (w - Fraction(1, 2)) * v[i]
-        # Largest feasible move keeping all coordinates nonnegative.
-        limit = None
-        for ci, si in zip(center, step):
-            if si < 0:
-                bound = -ci / si
-                limit = bound if limit is None else min(limit, bound)
-            if si > 0:
-                bound = (1 - ci) / si
-                limit = bound if limit is None else min(limit, bound)
-        scale = Fraction(1) if limit is None else limit * _vdc(base + t, 2)
-        out.append(tuple(ci + scale * si for ci, si in zip(center, step)))
-    return out
+    return _convex_combinations(points, count, base)
 
 
 def _zero_sum_patterns(k: int):
     """Deterministic zero-sum integer direction vectors."""
-    pats = []
     for i in range(k):
         for j in range(k):
             if i != j:
                 v = [0] * k
                 v[i], v[j] = 1, -1
-                pats.append(tuple(v))
+                yield v
     for i in range(k):
         for j, l in itertools.combinations([x for x in range(k) if x != i], 2):
             v = [0] * k
             v[j] = v[l] = 1
             v[i] = -2
-            pats.append(tuple(v))
-    return pats
+            yield v
 
 
 def _sphere_base_point(k: int, dsq: Fraction) -> list[Fraction] | None:
     """A rational point u with sum(u) = 0 and |u|^2 = dsq, if one is found.
 
     Searches scaled integer zero-sum vectors v with dsq/|v|^2 a rational
-    square.  Some radii admit no rational points at all (local
-    obstructions), in which case sampling is refused.
+    square, lazily and in a fixed order, so the first hit is returned.
+    Some radii admit no rational points at all (local obstructions), in
+    which case sampling is refused.
     """
-    seen = set()
-    candidates = []
-    for v in _zero_sum_patterns(k):
-        key = tuple(sorted(v))
-        if key not in seen:
-            seen.add(key)
-            candidates.append(v)
+    candidates = _zero_sum_patterns(k)
     if k <= 6:
-        rng = range(-3, 4)
-        for v in itertools.product(rng, repeat=k - 1):
-            vec = list(v) + [-sum(v)]
-            if all(x == 0 for x in vec):
-                continue
-            key = tuple(sorted(vec))
-            if key not in seen:
-                seen.add(key)
-                candidates.append(tuple(vec))
+        box = (list(v) + [-sum(v)] for v in itertools.product(range(-3, 4), repeat=k - 1))
+        candidates = itertools.chain(candidates, (v for v in box if any(v)))
+    # Only the norm decides a candidate, so each norm is tested once.
+    tried = set()
     for v in candidates:
         norm = sum(x * x for x in v)
-        ratio = dsq / norm
-        root = _nth_root(ratio, 2)
+        if norm in tried:
+            continue
+        tried.add(norm)
+        root = _nth_root(dsq / norm, 2)
         if root is not None:
             return [root * x for x in v]
     return None
@@ -748,32 +718,10 @@ def _sample_sphere(h: NullHypothesis, count: int, base: int):
 
 
 def _sample_polytope(h: NullHypothesis, count: int, base: int):
-    from powerpoly.polytope import enumerate_vertices_dd
-
-    k = h.k
-    d = k - 1
-    rows = [[-v for v in row] for row in h.polytope_a]  # A pi >= b as -A pi <= -b
-    rhs = [-v for v in h.polytope_b]
-    for i in range(d):
-        row = [Fraction(0)] * d
-        row[i] = Fraction(-1)
-        rows.append(row)
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * d)
-    rhs.append(Fraction(1))
-    vertices = enumerate_vertices_dd(rows, rhs)
+    vertices = enumerate_vertices_dd(*_polytope_rows(h.polytope_a, h.polytope_b, h.k - 1))
     if not vertices:
         raise ValueError("empty polytope hypothesis")
-    out = []
-    for t in range(count):
-        u = _halton(base + t, len(vertices))
-        weights = _simplex_point(u)
-        point = [Fraction(0)] * d
-        for w, v in zip(weights, vertices):
-            for i in range(d):
-                point[i] += w * v[i]
-        out.append(tuple(point) + (1 - sum(point, Fraction(0)),))
-    return out
+    return _convex_combinations([list(v) + [1 - sum(v)] for v in vertices], count, base)
 
 
 def _sample_logodds(h: NullHypothesis, count: int, base: int):
@@ -820,8 +768,7 @@ def _sample_logodds(h: NullHypothesis, count: int, base: int):
             for i in range(k):
                 if vec[i]:
                     point[i] *= s ** vec[i]
-        total = sum(point, Fraction(0))
-        out.append(tuple(v / total for v in point))
+        out.append(tuple(_simplex_point(point)))
     return out
 
 

@@ -33,12 +33,12 @@ def enumerate_vertices_dd(
 ) -> list[tuple[Fraction, ...]]:
     """All vertices of the bounded polytope {x : a x <= b}, sorted lex.
 
-    Raises ValueError when the rows are rank deficient or some x != 0 has
-    a x <= 0, as for an unbounded polyhedron; an empty set without such an
-    x gives [].  All ray arithmetic runs on primitive integer vectors
-    (positive rescaling leaves the cone unchanged), which keeps the inner
-    loops on machine integers until the final division by the
-    homogenizing coordinate.
+    An empty polyhedron gives [].  Raises ValueError when the rows are rank
+    deficient, or when the polyhedron is nonempty and some x != 0 has
+    a x <= 0, so that it is unbounded.  All ray arithmetic runs on
+    primitive integer vectors (positive rescaling leaves the cone
+    unchanged), which keeps the inner loops on machine integers until the
+    final division by the homogenizing coordinate.
     """
     rows = [[Fraction(v) for v in row] for row in a]
     rhs = [Fraction(v) for v in b]
@@ -83,27 +83,18 @@ def enumerate_vertices_dd(
                 tight |= 1 << ci
         rays.append(_Ray(vec, tight))
 
-    processed = set(chosen)
     for idx, row in enumerate(cone):
-        if idx in processed:
+        if idx in chosen:
             continue
         if counter is not None:
             counter.tick()
         vals = [sum(map(mul, row, r.vec)) for r in rays]
-        if not any(v > 0 for v in vals):
-            for r, v in zip(rays, vals):
-                if v == 0:
-                    r.tight |= 1 << idx
-            processed.add(idx)
-            continue
-        keep = [r for r, v in zip(rays, vals) if v < 0]
-        on = [r for r, v in zip(rays, vals) if v == 0]
-        for r in on:
-            r.tight |= 1 << idx
+        for r, v in zip(rays, vals):
+            if v == 0:
+                r.tight |= 1 << idx
         pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
         neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
         newcomers: list[_Ray] = []
-        all_rays = rays
         min_common = d1 - 2  # rank needed for a common 2-face
         if counter is not None:
             counter.tick(len(pos) * len(neg))  # one step per pair tested
@@ -112,22 +103,20 @@ def enumerate_vertices_dd(
                 common = rp.tight & rn.tight
                 if common.bit_count() < min_common:
                     continue
-                if not _adjacent(rp, rn, common, all_rays):
+                if not _adjacent(rp, rn, common, rays):
                     continue
                 # Positive combination lying on the new hyperplane.
                 combo = tuple(vp * x - vn * y for x, y in zip(rn.vec, rp.vec))
                 vec = primitive_ints(combo)
                 newcomers.append(_Ray(vec, common | (1 << idx)))
-        rays = keep + on + newcomers
-        processed.add(idx)
+        rays = [r for r, v in zip(rays, vals) if v <= 0] + newcomers
 
-    vertices = []
-    for r in rays:
-        t = r.vec[-1]
-        if t <= 0:
-            raise ValueError("polyhedron is unbounded (recession ray found)")
-        vertices.append(tuple(Fraction(v, t) for v in r.vec[:-1]))
-    return sorted(set(vertices))
+    # Every ray has t >= 0.  Rays with t > 0 are the vertices; a ray with
+    # t = 0 is a recession direction, which matters only when a vertex exists.
+    points = [r.vec for r in rays if r.vec[-1] > 0]
+    if points and len(points) < len(rays):
+        raise ValueError("polyhedron is unbounded (recession ray found)")
+    return sorted({tuple(Fraction(v, p[-1]) for v in p[:-1]) for p in points})
 
 
 def _adjacent(rp: _Ray, rn: _Ray, common: int, rays: list[_Ray]) -> bool:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -232,6 +233,50 @@ class TestPolytopeExistence:
         with pytest.raises(ValueError):
             polytope_existence([[-1, 0], [0, -1]], [-2, -2], 3)
 
+    def test_verdicts_match_highs(self):
+        # The pair criterion in floats: max t with a_i.x = b_i, a_j.x = b_j,
+        # A x >= b, x_l >= t and sum(x) <= 1 - t; the pair fails when t > 0.
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(20261018)
+        checked = 0
+        for case in range(160):
+            d = rng.randint(1, 4)
+            a = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(1, 5))]
+            a = [row if any(row) else [1] + row[1:] for row in a]
+            if case % 2:
+                raw = [rng.randint(1, 6) for _ in range(d + 1)]
+                x = [F(v, sum(raw)) for v in raw[:d]]
+                b = [sum(r * xi for r, xi in zip(row, x)) - F(rng.randint(0, 3), 8) for row in a]
+            else:
+                b = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in a]
+            try:
+                verdict = polytope_existence(a, b, d + 1)
+            except ValueError:
+                continue
+            upper = [[-float(v) for v in row] + [0] for row in a]
+            upper += [[-float(i == l) for i in range(d)] + [1] for l in range(d)]
+            upper.append([1] * (d + 1))
+            bounds = [-float(v) for v in b] + [0] * d + [1]
+            expected = None
+            for i in range(len(a)):
+                for j in range(i + 1, len(a)):
+                    ref = optimize.linprog(
+                        [0] * d + [-1],
+                        A_ub=upper,
+                        b_ub=bounds,
+                        A_eq=[[float(v) for v in a[i]] + [0], [float(v) for v in a[j]] + [0]],
+                        b_eq=[float(b[i]), float(b[j])],
+                        bounds=[(None, None)] * (d + 1),
+                        method="highs",
+                    )
+                    assert ref.status in (0, 2)
+                    if expected is None and ref.status == 0 and -ref.fun > 1e-9:
+                        expected = (i, j)
+            assert verdict.exists is (expected is None), (a, b)
+            assert verdict.failing_pair == expected, (a, b)
+            checked += 1
+        assert checked >= 40
+
 
 class TestSampling:
     @pytest.mark.parametrize(
@@ -270,6 +315,40 @@ class TestSampling:
             assert sum(pt) == 1 and all(c >= 0 for c in pt)
             for row, bound in zip(h.polytope_a, h.polytope_b):
                 assert sum(r * c for r, c in zip(row, pt[:-1])) >= bound
+
+    @pytest.mark.parametrize(
+        "c_rows, d",
+        [
+            ([["1", "0", "0"]], ["0"]),  # the slice p1 = 0 lies on the boundary
+            ([["1", "1", "1"]], ["2"]),  # contradicts sum(p) = 1
+            ([["1", "0", "0"], ["1", "0", "0"]], ["1/4", "1/2"]),
+        ],
+    )
+    def test_affine_without_interior_point_is_refused(self, c_rows, d):
+        h = build_hypothesis({"kind": "affine", "params": {"C": c_rows, "d": d, "k": 3}})
+        with pytest.raises(
+            ValueError, match="^affine hypothesis has no relative-interior simplex point$"
+        ):
+            sample_null_points(h, 3, seed=0)
+
+    @pytest.mark.parametrize(
+        "c_rows, d, k",
+        [
+            ([["1", "-1", "0", "0"], ["0", "0", "1", "-2"]], ["0", "0"], 4),
+            ([["2", "1", "0", "-1", "0"]], ["1/3"], 5),
+            ([["1", "-1"]], ["0"], 2),  # the slice is the single point (1/2, 1/2)
+        ],
+    )
+    def test_affine_points_lie_in_the_open_simplex(self, c_rows, d, k):
+        h = build_hypothesis({"kind": "affine", "params": {"C": c_rows, "d": d, "k": k}})
+        points = sample_null_points(h, 15, seed=3)
+        assert len(points) == 15
+        for pt in points:
+            assert sum(pt) == 1 and all(c > 0 for c in pt)
+            for row, rhs in zip(h.params["C"], h.params["d"]):
+                assert sum(r * c for r, c in zip(row, pt)) == rhs
+        if k == 2:
+            assert set(points) == {(F(1, 2), F(1, 2))}
 
     def test_deterministic_given_seed(self):
         h = build_hypothesis({"kind": "independence", "params": {"p": 2, "q": 2}})

@@ -63,6 +63,11 @@ class TestDoubleDescription:
         with pytest.raises(ValueError):
             enumerate_vertices_dd([[1, 0], [0, 1]], [1, 1])
 
+    def test_empty_with_recession_direction_gives_no_vertices(self):
+        # {x >= 0, x <= -1, y >= 0}: empty, though y may grow without bound.
+        a, b = [[-1, 0], [1, 0], [0, -1]], [0, -1, 0]
+        assert enumerate_vertices_dd(a, b) == enumerate_vertices_brute_force(a, b) == []
+
     def test_vertices_satisfy_constraints_with_tight_rank(self):
         a = [[2, 1], [-1, 2], [-1, -1], [0, -1], [1, -2]]
         b = [4, 3, 1, 1, 2]
