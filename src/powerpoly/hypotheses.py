@@ -486,19 +486,15 @@ def polytope_existence(a_rows, b, k: int) -> ExistenceVerdict:
     if res.value == 0:
         raise ValueError("polytope hypothesis is not full-dimensional in the simplex")
 
-    # Per-row validation: irredundant, and H_i meets the open simplex.
+    # Every row must cut P0.  An irredundant row's hyperplane H_i then meets
+    # the open simplex: if it missed it, either the whole simplex would
+    # satisfy row i (redundant) or P0 would lie in H_i (not full-dimensional).
     for i in range(m):
         others = [(row, LE, r) for j, (row, r) in enumerate(zip(rows, rhs)) if j != i]
         res = solve_lp(d, rows[i], others)
         if res.is_optimal and res.value <= rhs[i]:
             raise ValueError(
                 f"halfspace row {i} is redundant: it does not cut P0"
-            )
-        # x -> row.x maps the open simplex onto the open interval between
-        # min(0, *row) and max(0, *row).
-        if not min(0, *rows[i]) < rhs[i] < max(0, *rows[i]):
-            raise ValueError(
-                f"facet hyperplane {i} does not intersect the open projected simplex"
             )
 
     # Pairwise condition: on H_i and H_j, P0 stays on the simplex boundary,
@@ -686,6 +682,16 @@ def _sample_sphere(h: NullHypothesis, count: int, base: int):
             f"found no rational point on the radius^2 = {dsq} sphere; "
             "this radius may admit none"
         )
+    if k == 2:
+        # The sphere meets the line sum(u) = 0 in +-u0 only, so the line
+        # search below finds -u0 alone.  Both points lie in the simplex,
+        # since |u0_i|^2 = dsq / 2 < 1/4.
+        if count > 2:
+            raise UnsupportedSampling(
+                f"the radius^2 = {dsq} sphere at k = 2 has only 2 simplex "
+                f"points, fewer than the {count} asked for"
+            )
+        return [tuple(Fraction(1, 2) + s * x for x in u0) for s in (-1, 1)][:count]
     out = []
     seen = set()
     t = 0

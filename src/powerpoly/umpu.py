@@ -68,14 +68,23 @@ class CoefficientPolytope:
         return [r for r in self.rows if not r.is_trivial()]
 
     def one_sided(self):
-        """(A, b) with the polytope as {h : A h <= b}, uppers then lowers per row."""
-        a, b = [], []
-        for row in self.nonzero_rows():
-            a.append(list(row.coeffs))
-            b.append(row.upper)
-            a.append([-c for c in row.coeffs])
-            b.append(-row.lower)
-        return a, b
+        """(A, b) with the polytope as {h : A h <= b}, near side first.
+
+        Row L bounds phi_L(h) = c_L.h + alpha B_L, the L-term of the power
+        polynomial, to [0, B_L]: the lower row c_L.h >= -alpha B_L sits
+        at alpha B_L from h = 0 and the upper row c_L.h <= (1 - alpha) B_L
+        at (1 - alpha) B_L.  Every row of the near side (the lower rows
+        when alpha <= 1/2, the upper rows otherwise; h -> -h swaps alpha
+        and 1 - alpha) comes first, then every row of the far side, each
+        side in row order.  The near rows bind and the far ones are mostly
+        redundant, so double description meets the cutting rows first and
+        builds far fewer intermediate rays (Fukuda & Prodon, 1996).
+        """
+        rows = self.nonzero_rows()
+        lower = ([[-c for c in r.coeffs] for r in rows], [-r.lower for r in rows])
+        upper = ([list(r.coeffs) for r in rows], [r.upper for r in rows])
+        near, far = (lower, upper) if self.alpha <= Fraction(1, 2) else (upper, lower)
+        return near[0] + far[0], near[1] + far[1]
 
     def halfspace_count(self) -> int:
         return 2 * len(self.nonzero_rows())
@@ -281,10 +290,20 @@ def umpu_search(
 
 
 def _incomparable_pair(points):
+    """The first incomparable pair among the maximal points, in input order."""
+
     def dominates(x, y):
         return all(a >= b for a, b in zip(x, y))
 
-    maximal = [p for p in points if not any(dominates(q, p) and q != p for q in points)]
+    # A strict dominator of p is lex-greater than p and dominance is
+    # transitive, so in descending lex order p is maximal exactly when no
+    # maximum found before it dominates it.
+    maxima: list = []
+    for p in sorted(set(points), reverse=True):
+        if not any(dominates(q, p) for q in maxima):
+            maxima.append(p)
+    kept = set(maxima)
+    maximal = [p for p in points if p in kept]
     for i in range(len(maximal)):
         for j in range(i + 1, len(maximal)):
             if not dominates(maximal[i], maximal[j]) and not dominates(

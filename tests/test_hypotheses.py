@@ -360,6 +360,13 @@ class TestSampling:
         with pytest.raises(UnsupportedSampling):
             sample_null_points(h, 3, seed=0)
 
+    def test_k2_sphere_gives_both_points(self):
+        h = build_hypothesis({"kind": "sphere", "params": {"k": 2, "delta_sq": "1/8"}})
+        assert sample_null_points(h, 1, seed=0) == [(F(1, 4), F(3, 4))]
+        assert sample_null_points(h, 2, seed=5) == [(F(1, 4), F(3, 4)), (F(3, 4), F(1, 4))]
+        with pytest.raises(UnsupportedSampling, match="has only 2 simplex points"):
+            sample_null_points(h, 3, seed=0)
+
     def test_sphere_without_rational_points_is_refused(self):
         # k=3, radius 1/6 : u1^2 + u1 u2 + u2^2 = 1/72 has no rational
         # solutions (the prime 2 appears to an odd power), so the correct

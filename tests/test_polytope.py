@@ -28,6 +28,34 @@ def cube(d, lo=-1, hi=1):
     return a, b
 
 
+def draw_box_with_cuts(data):
+    """The box [-2, 2]^d, d = 3 or 4, with random integer cuts.
+
+    Some cuts pass through a corner of the box, and positive multiples of
+    rows already present are appended: degenerate vertices (more than d
+    tight rows) and duplicated rows.
+    """
+    dim = data.draw(st.sampled_from([3, 4]))
+    a, b = cube(dim, -2, 2)
+    for _ in range(data.draw(st.integers(1, 4))):
+        row = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+        if not any(row):
+            continue
+        if data.draw(st.booleans()):
+            corner = data.draw(st.lists(st.sampled_from([-2, 2]), min_size=dim, max_size=dim))
+            rhs = sum(r * c for r, c in zip(row, corner))
+        else:
+            rhs = data.draw(st.integers(-2, 6))
+        a.append(row)
+        b.append(rhs)
+    for _ in range(data.draw(st.integers(0, 2))):
+        i = data.draw(st.integers(0, len(a) - 1))
+        scale = data.draw(st.integers(1, 2))
+        a.append([scale * v for v in a[i]])
+        b.append(scale * b[i])
+    return a, b
+
+
 class TestDoubleDescription:
     def test_unit_square(self):
         a, b = cube(2, 0, 1)
@@ -95,10 +123,10 @@ class TestDoubleDescription:
         a, b = poly.one_sided()
         counter = StepCounter()
         assert len(enumerate_vertices_dd(a, b, counter)) == 44
-        assert counter.steps == 16_875
-        assert len(enumerate_vertices_dd(a, b, StepCounter(16_875))) == 44
+        assert counter.steps == 266
+        assert len(enumerate_vertices_dd(a, b, StepCounter(266))) == 44
         with pytest.raises(StepLimitExceeded):
-            enumerate_vertices_dd(a, b, StepCounter(16_874))
+            enumerate_vertices_dd(a, b, StepCounter(265))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -123,29 +151,20 @@ class TestDoubleDescription:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_brute_force_in_three_and_four_dimensions(self, data):
-        # Integer cuts through the box [-2, 2]^d, some through a corner of the
-        # box, plus positive multiples of rows already present: degenerate
-        # vertices (more than d tight rows) and duplicated rows.
-        dim = data.draw(st.sampled_from([3, 4]))
-        a, b = cube(dim, -2, 2)
-        for _ in range(data.draw(st.integers(1, 4))):
-            row = data.draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
-            if not any(row):
-                continue
-            if data.draw(st.booleans()):
-                corner = data.draw(st.lists(st.sampled_from([-2, 2]), min_size=dim, max_size=dim))
-                rhs = sum(r * c for r, c in zip(row, corner))
-            else:
-                rhs = data.draw(st.integers(-2, 6))
-            a.append(row)
-            b.append(rhs)
-        for _ in range(data.draw(st.integers(0, 2))):
-            i = data.draw(st.integers(0, len(a) - 1))
-            scale = data.draw(st.integers(1, 2))
-            a.append([scale * v for v in a[i]])
-            b.append(scale * b[i])
+        a, b = draw_box_with_cuts(data)
         # A cut may empty the box; both then give no vertices.
         assert enumerate_vertices_dd(a, b) == enumerate_vertices_brute_force(a, b)
+
+    @seed(20250614)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_row_order_does_not_change_the_vertices(self, data):
+        # Insertion order moves the work, never the sorted vertex list.
+        a, b = draw_box_with_cuts(data)
+        perm = data.draw(st.permutations(range(len(a))))
+        assert enumerate_vertices_dd([a[i] for i in perm], [b[i] for i in perm]) == (
+            enumerate_vertices_dd(a, b)
+        )
 
 
 class TestHullVertices:

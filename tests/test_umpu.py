@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from powerpoly import (
     Polynomial,
@@ -17,7 +19,7 @@ from powerpoly import (
 )
 from powerpoly.linprog import EQ, LE, solve_lp
 from powerpoly.polytope import enumerate_vertices_brute_force
-from powerpoly.umpu import CANDIDATE, EXISTS, NOT_EXISTS
+from powerpoly.umpu import CANDIDATE, EXISTS, NOT_EXISTS, _incomparable_pair
 
 from conftest import (
     PRINTED_VERTICES_SUM,
@@ -120,6 +122,21 @@ class TestCoefficientPolytope:
         with pytest.raises(ValueError):
             coefficient_polytope(sphere3(), 4, F(5, 4))
 
+    @pytest.mark.parametrize("alpha, near", [(F(1, 20), "lower"), (F(19, 20), "upper")])
+    def test_one_sided_puts_the_near_side_first(self, alpha, near):
+        poly = coefficient_polytope(P("p1 + p2 - p3"), 4, alpha)
+        rows = poly.nonzero_rows()
+        lower = [[-c for c in r.coeffs] for r in rows], [-r.lower for r in rows]
+        upper = [list(r.coeffs) for r in rows], [r.upper for r in rows]
+        first, second = (lower, upper) if near == "lower" else (upper, lower)
+        a, b = poly.one_sided()
+        assert a == first[0] + second[0]
+        assert b == first[1] + second[1]
+        # The near side lies at min(alpha, 1 - alpha) B_L from h = 0.
+        near_gap = min(alpha, 1 - alpha)
+        assert all(bound == near_gap * (r.upper - r.lower) for bound, r in zip(b, rows))
+        assert poly.facet_count() == 15
+
 
 class TestVertexGoldens:
     def check_tight_rows(self, poly):
@@ -187,6 +204,20 @@ class TestVertexGoldens:
         poly = enumerate_vertices(coefficient_polytope(sphere3(), 6, F(1, 20)))
         assert len(poly.vertices) == 188
 
+    # Both counts were first found with the rows interleaved (upper and
+    # lower row per multiindex), which took 19 s and 242 s on a 2-vCPU VM.
+    @pytest.mark.parametrize(
+        "text, names, n, count",
+        [
+            ("p1 + p2 - p3", VARS3, 5, 1_122),
+            ("p1 + p2 + p3 - p4", ["p1", "p2", "p3", "p4"], 4, 1_774),
+        ],
+    )
+    def test_larger_linear_vertex_counts(self, text, names, n, count):
+        poly = enumerate_vertices(coefficient_polytope(P(text, names), n, F(1, 20)))
+        assert len(poly.vertices) == count
+        self.check_tight_rows(poly)
+
 
 class TestComponentwiseMax:
     def test_single_vertex(self):
@@ -203,6 +234,50 @@ class TestComponentwiseMax:
         a, b = got.certificate
         assert any(x > y for x, y in zip(a, b))
         assert any(y > x for x, y in zip(a, b))
+
+
+def _incomparable_pair_quadratic(points):
+    """The O(V^2) maximal-set scan that `_incomparable_pair` replaced."""
+
+    def dominates(x, y):
+        return all(a >= b for a, b in zip(x, y))
+
+    maximal = [p for p in points if not any(dominates(q, p) and q != p for q in points)]
+    for i in range(len(maximal)):
+        for j in range(i + 1, len(maximal)):
+            if not dominates(maximal[i], maximal[j]) and not dominates(
+                maximal[j], maximal[i]
+            ):
+                return (maximal[i], maximal[j])
+    return None
+
+
+class TestIncomparablePair:
+    def test_repeated_maximum_is_no_pair(self):
+        assert _incomparable_pair([(1, 1), (0, 1), (1, 1)]) is None
+
+    def test_pair_in_input_order(self):
+        pts = [(0, 0), (0, 2), (1, 1), (2, 0)]
+        assert _incomparable_pair(pts) == ((0, 2), (1, 1))
+
+    @seed(20250613)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * d), min_size=1, max_size=12
+            )
+        ),
+        st.data(),
+    )
+    def test_matches_quadratic_scan(self, points, data):
+        # Unsorted, with repeats of points already drawn.
+        for _ in range(data.draw(st.integers(0, 3))):
+            points.insert(
+                data.draw(st.integers(0, len(points))),
+                data.draw(st.sampled_from(points)),
+            )
+        assert _incomparable_pair(points) == _incomparable_pair_quadratic(points)
 
 
 class TestConvexPeeling:
