@@ -3,9 +3,10 @@
 Builders produce the canonical generator sets (2x2 minors for
 independence, r x r minors for bounded rank, the centered sphere
 quadric, transposition differences for symmetry, ...), existence checks
-for polytope hypotheses run exact LPs, log-odds hypotheses reduce to
-binomials, and every built-in family carries a rational parameterization
-used to sample points lying exactly in the null set.
+for polytope hypotheses read P0's faces off its vertex list, log-odds
+hypotheses reduce to binomials, and every built-in family carries a
+rational parameterization used to sample points lying exactly in the
+null set.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Sequence
 
-from powerpoly.linalg import nullspace, solve_linear
+from powerpoly.linalg import nullspace, rank, solve_linear
 from powerpoly.linprog import EQ, LE, solve_lp
 from powerpoly.parser import parse_polynomial, parse_rational
 from powerpoly.polynomial import (
@@ -461,9 +462,10 @@ def polytope_existence(a_rows, b, k: int) -> ExistenceVerdict:
     P0 = {pi in projected simplex : A pi >= b}.  Existence holds iff no two
     facet hyperplanes H_i and H_j meet P0 inside the open simplex; the
     verdict carries either the product separating polynomial or an
-    interior witness point for the first violating pair.  Every LP runs
-    on P0's `<=` rows (hypothesis rows, then simplex rows), extended by a
-    slack variable t where one is needed.
+    interior witness point for the first violating pair.  Every check
+    reads off P0's faces: one double description of its `<=` rows
+    (hypothesis rows, then simplex rows) gives the vertices, and a row's
+    face is the bitmask of the vertices tight on it.
     """
     d = k - 1
     if any(len(r) != d for r in a_rows):
@@ -474,41 +476,36 @@ def polytope_existence(a_rows, b, k: int) -> ExistenceVerdict:
         raise ValueError("need one bound per halfspace row")
     rows, rhs = _polytope_rows(a_rows, b, d)
     m = len(a_rows)
-
-    # Largest slack t by which every row holds: row.x + t <= bound.  The LP
-    # is feasible (t can drop), bounded (t <= 1/(d+1) on the simplex), and
-    # its optimum is < 0 exactly when P0 is empty and 0 exactly when P0 is
-    # not full-dimensional.
-    obj = [Fraction(0)] * d + [Fraction(1)]
-    res = solve_lp(d + 1, obj, [(row + [1], LE, r) for row, r in zip(rows, rhs)])
-    if res.value < 0:
+    vertices = enumerate_vertices_dd(rows, rhs)
+    if not vertices:
         raise ValueError("empty polytope hypothesis: P0 has no point")
-    if res.value == 0:
+
+    def affine_rank(pts):  # -1 for no point
+        return rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) if pts else -1
+
+    if affine_rank(vertices) < d:
         raise ValueError("polytope hypothesis is not full-dimensional in the simplex")
+    faces = [sum(1 << n for n, v in enumerate(vertices) if sum(x * y for x, y in zip(row, v)) == r)
+             for row, r in zip(rows, rhs)]
 
-    # Every row must cut P0.  An irredundant row's hyperplane H_i then meets
-    # the open simplex: if it missed it, either the whole simplex would
-    # satisfy row i (redundant) or P0 would lie in H_i (not full-dimensional).
+    # Row i is irredundant exactly when its face is a facet that no other
+    # row defines.  The test is `!=`: a zero row's face is all of P0.
     for i in range(m):
-        others = [(row, LE, r) for j, (row, r) in enumerate(zip(rows, rhs)) if j != i]
-        res = solve_lp(d, rows[i], others)
-        if res.is_optimal and res.value <= rhs[i]:
-            raise ValueError(
-                f"halfspace row {i} is redundant: it does not cut P0"
-            )
+        face = [v for n, v in enumerate(vertices) if faces[i] >> n & 1]
+        if affine_rank(face) != d - 1 or faces.count(faces[i]) > 1:
+            raise ValueError(f"halfspace row {i} is redundant: it does not cut P0")
 
-    # Pairwise condition: on H_i and H_j, P0 stays on the simplex boundary,
-    # so the slack t of the simplex rows cannot be positive.
-    for i in range(m):
-        for j in range(i + 1, m):
+    # Pairwise condition: the face on H_i and H_j fails when it is nonempty
+    # and lies on no simplex row, for then its relative interior lies in the
+    # open simplex.  The one LP names its point deepest inside the simplex.
+    for i, j in itertools.combinations(range(m), 2):
+        common = faces[i] & faces[j]
+        if common and all(common & ~face for face in faces[m:]):
             cons = [(rows[i] + [0], EQ, rhs[i]), (rows[j] + [0], EQ, rhs[j])]
             cons += [(row + [int(n >= m)], LE, r) for n, (row, r) in enumerate(zip(rows, rhs))]
-            res = solve_lp(d + 1, obj, cons)
-            if res.is_optimal and res.value > 0:
-                point = tuple(res.point[:d])
-                return ExistenceVerdict(
-                    exists=False, failing_pair=(i, j), witness_point=point
-                )
+            res = solve_lp(d + 1, [0] * d + [1], cons)
+            point = tuple(res.point[:d])
+            return ExistenceVerdict(exists=False, failing_pair=(i, j), witness_point=point)
 
     witness = Polynomial.constant(d, -1)
     for row, bound in zip(rows[:m], rhs):

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from powerpoly import (
     polytope_existence,
     sample_null_points,
 )
+from powerpoly import hypotheses
+from powerpoly.cli import main
 from powerpoly.hypotheses import (
     UnsupportedSampling,
     _nth_root,
@@ -17,6 +20,7 @@ from powerpoly.hypotheses import (
     rank_lt,
     sphere,
 )
+from powerpoly.linprog import solve_lp
 from powerpoly.polynomial import table_names
 
 F = Fraction
@@ -233,6 +237,37 @@ class TestPolytopeExistence:
         with pytest.raises(ValueError):
             polytope_existence([[-1, 0], [0, -1]], [-2, -2], 3)
 
+    @pytest.mark.parametrize(
+        "a, b, k",
+        [
+            ([[0, 0]], [0], 3),  # 0 >= 0 holds on the whole simplex
+            ([[0], [1]], [0, F(1, 4)], 2),  # a zero row beside a facet
+        ],
+    )
+    def test_trivially_true_zero_row_is_redundant(self, a, b, k, tmp_path):
+        # P0 is full-dimensional; the zero row's face is all of P0.
+        with pytest.raises(ValueError, match="^halfspace row 0 is redundant"):
+            polytope_existence(a, b, k)
+        path = tmp_path / "zero_row.json"
+        spec = {"A": [[str(v) for v in row] for row in a], "b": [str(v) for v in b], "k": k}
+        path.write_text(json.dumps({"kind": "polytope", "params": spec}))
+        assert main(["polytope-exists", "--hypothesis", str(path)]) == 1
+
+    @pytest.mark.parametrize("t, lps", [(F(3, 4), 0), (F(1, 4), 1)])
+    def test_one_lp_names_the_witness_only(self, t, lps, monkeypatch):
+        # The verdict reads off P0's vertex list; only a failing pair's
+        # witness point needs an LP.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_lp(*args)
+
+        monkeypatch.setattr(hypotheses, "solve_lp", counted)
+        a, b = self.square(t)
+        assert polytope_existence(a, b, 3).exists is (lps == 0)
+        assert len(calls) == lps
+
     def test_verdicts_match_highs(self):
         # The pair criterion in floats: max t with a_i.x = b_i, a_j.x = b_j,
         # A x >= b, x_l >= t and sum(x) <= 1 - t; the pair fails when t > 0.
@@ -274,6 +309,15 @@ class TestPolytopeExistence:
                         expected = (i, j)
             assert verdict.exists is (expected is None), (a, b)
             assert verdict.failing_pair == expected, (a, b)
+            if expected is not None:
+                # The witness lies on H_i and H_j, in P0, and strictly inside
+                # the simplex.
+                x = verdict.witness_point
+                i, j = expected
+                slack = [sum(r * xi for r, xi in zip(row, x)) - bi for row, bi in zip(a, b)]
+                assert slack[i] == slack[j] == 0, (a, b)
+                assert min(slack) >= 0, (a, b)
+                assert min(x) > 0 and sum(x) < 1, (a, b)
             checked += 1
         assert checked >= 40
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -140,17 +141,22 @@ class TestCoefficientPolytope:
 
 class TestVertexGoldens:
     def check_tight_rows(self, poly):
+        # Each vertex is feasible and its tight rows have rank >= dim.  Rows
+        # and vertices are scaled to integers, as in the stretch test, so
+        # the slacks need no Fraction arithmetic.
         a, b = poly.one_sided()
         from powerpoly.linalg import rank
 
+        int_rows = []
+        for row, bound in zip(a, b):
+            den = math.lcm(*(F(c).denominator for c in row), F(bound).denominator)
+            int_rows.append(([int(c * den) for c in row], int(bound * den)))
         for v in poly.vertices:
-            tight = []
-            for row, bound in zip(a, b):
-                lhs = sum(F(r) * x for r, x in zip(row, v))
-                assert lhs <= bound
-                if lhs == bound:
-                    tight.append(row)
-            assert rank(tight) >= poly.dim
+            den = math.lcm(*(F(c).denominator for c in v))
+            iv = [int(c * den) for c in v]
+            slacks = [bound * den - sum(c * x for c, x in zip(row, iv)) for row, bound in int_rows]
+            assert min(slacks) >= 0
+            assert rank([row for (row, _), s in zip(int_rows, slacks) if s == 0]) >= poly.dim
 
     def test_sum_hypothesis_eight_vertices(self):
         poly = enumerate_vertices(coefficient_polytope(P("p1 + p2 - p3"), 3, F(1, 20)))
