@@ -13,6 +13,7 @@ variable y (appended last, graded reverse lex).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Sequence
 
 from powerpoly.polynomial import (
@@ -65,7 +66,7 @@ def reduce(
             raise ValueError("variable count mismatch in division")
         if g.is_zero():
             raise ValueError("cannot divide by the zero polynomial")
-    key = order.key
+    key = order.heap_key
     # (leading monomial, leading coefficient, tail) of each divisor.
     lead = []
     for g in basis:
@@ -75,19 +76,28 @@ def reduce(
     quotients: list[dict] = [{} for _ in basis]
     remainder: dict = {}
     work = dict(f.terms)
-    while work:
+    # Min-heap of (heap key, monomial) over the monomials of `work`, so the
+    # largest pops first.  A monomial cancelled out of `work` leaves a stale
+    # entry, skipped without a tick; if it is recreated it is pushed again,
+    # and whichever of its entries pops second is skipped as stale.
+    heap = [(key(m), m) for m in work]
+    heapify(heap)
+    while heap:
+        mono = heappop(heap)[1]
+        coeff = work.pop(mono, None)
+        if coeff is None:
+            continue
         if counter is not None:
             counter.tick()
-        mono = max(work, key=key)
-        coeff = work.pop(mono)
         for i, (lm, lc, tail) in enumerate(lead):
             quot = mono_div(mono, lm)
             if quot is not None:
                 # Popped monomials strictly decrease, so no quotient term
-                # is ever set twice.
+                # is ever set twice, and a popped monomial never returns.
                 quotients[i][quot] = scale = coeff / lc
                 # work -= scale * x^quot * g_i; the lead term cancels `mono`.
-                poly_addmul(work, -scale, quot, tail)
+                for m in poly_addmul(work, -scale, quot, tail):
+                    heappush(heap, (key(m), m))
                 break
         else:
             remainder[mono] = coeff

@@ -14,7 +14,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 from powerpoly.linalg import nullspace, rank, solve_linear
@@ -522,19 +523,24 @@ def polytope_existence(a_rows, b, k: int) -> ExistenceVerdict:
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
 
 
-def _vdc(index: int, base: int) -> Fraction:
-    """Van der Corput radical inverse: a low-discrepancy rational in (0,1)."""
+def _vdc(index: int, base: int) -> tuple[int, int]:
+    """Van der Corput radical inverse, a low-discrepancy rational in (0,1),
+    as (numerator, denominator)."""
     num, den = 0, 1
     i = index
     while i > 0:
         num = num * base + (i % base)
         den *= base
         i //= base
-    return Fraction(num, den) if num else Fraction(1, 2 * base)
+    return (num, den) if num else (1, 2 * base)
+
+
+def _halton_bases(dim: int) -> list[int]:
+    return [_PRIMES[t % len(_PRIMES)] for t in range(dim)]
 
 
 def _halton(index: int, dim: int) -> list[Fraction]:
-    return [_vdc(index, _PRIMES[t % len(_PRIMES)]) for t in range(dim)]
+    return [Fraction(*_vdc(index, b)) for b in _halton_bases(dim)]
 
 
 def _simplex_point(raw: Sequence[Fraction]) -> list[Fraction]:
@@ -689,6 +695,15 @@ def _sample_sphere(h: NullHypothesis, count: int, base: int):
                 f"points, fewer than the {count} asked for"
             )
         return [tuple(Fraction(1, 2) + s * x for x in u0) for s in (-1, 1)][:count]
+    # Exact integer form of the line search.  With u0 = w / W and the
+    # direction d = e / D (d_i = u_i - 1/2 from a Halton point u, the last
+    # entry closing the sum to zero, D = 2 lcm of u's denominators), the
+    # second intersection of the line u0 + s d with the sphere is
+    # u0 - 2 (w.e) / (W e.e) e, so its simplex point 1/k + that has
+    # coordinates ((W + k w_i) e.e - 2 k (w.e) e_i) / (k W e.e).
+    big_w = lcm(*(x.denominator for x in u0))
+    w = [int(x * big_w) for x in u0]
+    bases = _halton_bases(k - 1)
     out = []
     seen = set()
     t = 0
@@ -696,19 +711,19 @@ def _sample_sphere(h: NullHypothesis, count: int, base: int):
     max_attempts = 200 * count + 200
     while len(out) < count and attempts < max_attempts:
         attempts += 1
-        u = _halton(base + t, k - 1)
+        u = [_vdc(base + t, b) for b in bases]
         t += 1
-        d = [w - Fraction(1, 2) for w in u]
-        d.append(-sum(d, Fraction(0)))
-        dd = sum(x * x for x in d)
-        if dd == 0:
+        half_d = lcm(*(den for _, den in u))
+        e = [2 * half_d // den * num - half_d for num, den in u]
+        e.append(-sum(e))
+        ee = sum(x * x for x in e)
+        if ee == 0:
             continue
-        ud = sum(a * b for a, b in zip(u0, d))
-        # Second intersection of the line u0 + t d with the sphere.
-        point = [a - 2 * ud / dd * b for a, b in zip(u0, d)]
-        pi = [Fraction(1, k) + x for x in point]
-        if all(x >= 0 for x in pi):
-            tup = tuple(pi)
+        we2k = 2 * k * sum(map(mul, w, e))
+        nums = [(big_w + k * a) * ee - we2k * b for a, b in zip(w, e)]
+        if min(nums) >= 0:
+            den = k * big_w * ee
+            tup = tuple(Fraction(n, den) for n in nums)
             if tup not in seen:
                 seen.add(tup)
                 out.append(tup)

@@ -45,19 +45,25 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
-def poly_addmul(acc: dict, coeff: Fraction, mono: Exponents, tb: Mapping) -> None:
-    """In place: acc += coeff * x^mono * tb, dropping cancelled terms."""
+def poly_addmul(acc: dict, coeff: Fraction, mono: Exponents, tb: Mapping) -> list[Exponents]:
+    """In place: acc += coeff * x^mono * tb, dropping cancelled terms.
+
+    Returns the monomials that were not in `acc` before the call.
+    """
+    fresh = []
     for mb, cb in tb.items():
         m = tuple(x + y for x, y in zip(mono, mb))
         c = acc.get(m)
         if c is None:
             acc[m] = coeff * cb
+            fresh.append(m)
         else:
             c = c + coeff * cb
             if c:
                 acc[m] = c
             else:
                 del acc[m]
+    return fresh
 
 
 def _grlex_key(a: Exponents):
@@ -66,6 +72,15 @@ def _grlex_key(a: Exponents):
 
 def _grevlex_key(a: Exponents):
     return (sum(a), tuple(map(neg, reversed(a))))
+
+
+# Heap keys reverse the order, so a min-heap pops the largest monomial first.
+def _grlex_heap_key(a: Exponents):
+    return (-sum(a), tuple(map(neg, a)))
+
+
+def _grevlex_heap_key(a: Exponents):
+    return (-sum(a), a[::-1])
 
 
 class MonomialOrder(enum.Enum):
@@ -78,6 +93,11 @@ class MonomialOrder(enum.Enum):
     def key(self):
         """Sort key function: key(a) > key(b) iff monomial a > monomial b."""
         return _grlex_key if self is MonomialOrder.GRLEX else _grevlex_key
+
+    @property
+    def heap_key(self):
+        """Min-heap key function: heap_key(a) < heap_key(b) iff a > b."""
+        return _grlex_heap_key if self is MonomialOrder.GRLEX else _grevlex_heap_key
 
 
 #: Order used everywhere a caller does not say otherwise (matches the

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -106,9 +106,9 @@ def enumerate_vertices_dd(
                 if not _adjacent(rp, rn, common, rays):
                     continue
                 # Positive combination lying on the new hyperplane.
-                combo = tuple(vp * x - vn * y for x, y in zip(rn.vec, rp.vec))
-                vec = primitive_ints(combo)
-                newcomers.append(_Ray(vec, common | (1 << idx)))
+                combo = [vp * x - vn * y for x, y in zip(rn.vec, rp.vec)]
+                g = gcd(*combo)
+                newcomers.append(_Ray(tuple(x // g for x in combo), common | (1 << idx)))
         rays = [r for r, v in zip(rays, vals) if v <= 0] + newcomers
 
     # Every ray has t >= 0.  Rays with t > 0 are the vertices; a ray with
@@ -116,7 +116,11 @@ def enumerate_vertices_dd(
     points = [r.vec for r in rays if r.vec[-1] > 0]
     if points and len(points) < len(rays):
         raise ValueError("polyhedron is unbounded (recession ray found)")
-    return sorted({tuple(Fraction(v, p[-1]) for v in p[:-1]) for p in points})
+    # Sort and deduplicate on integers: every coordinate over the common
+    # denominator `scale`, which orders the points as their exact values do.
+    scale = lcm(*(p[-1] for p in points))
+    unique = {tuple(v * (scale // p[-1]) for v in p[:-1]): p for p in points}
+    return [tuple(Fraction(v, p[-1]) for v in p[:-1]) for _, p in sorted(unique.items())]
 
 
 def _adjacent(rp: _Ray, rn: _Ray, common: int, rays: list[_Ray]) -> bool:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from powerpoly import (
     radical_membership,
     reduce,
 )
+from powerpoly import groebner
 from powerpoly.groebner import s_polynomial
 
 VARS = ["p1", "p2", "p3"]
@@ -242,3 +244,82 @@ class TestSympyOracle:
         expected = sympy_reduced_basis(sympy, gens, 4, order)
         assert len(gb.elements) == len(expected)
         assert set(gb.elements) == expected
+
+
+def _max_scan_reduce(f, basis, order, counter):
+    """Division as it ran before the heap: each step scans the whole working
+    dict for its largest monomial."""
+    lead = [(g.leading_monomial(order), g.leading_coefficient(order), g) for g in basis]
+    quotients = [Polynomial.zero(f.nvars) for _ in basis]
+    remainder = Polynomial.zero(f.nvars)
+    work = f
+    while work:
+        counter.tick()
+        mono = max(work.terms, key=order.key)
+        for i, (lm, lc, g) in enumerate(lead):
+            if all(a >= b for a, b in zip(mono, lm)):
+                quot = Polynomial.monomial(
+                    f.nvars, [a - b for a, b in zip(mono, lm)], work.terms[mono] / lc
+                )
+                quotients[i] = quotients[i] + quot
+                work = work - quot * g
+                break
+        else:
+            term = Polynomial.monomial(f.nvars, mono, work.terms[mono])
+            remainder = remainder + term
+            work = work - term
+    return quotients, remainder
+
+
+def _random_poly(rng, nvars, nterms, max_deg):
+    terms = {}
+    for _ in range(nterms):
+        mono = [0] * nvars
+        for _ in range(rng.randint(0, max_deg)):
+            mono[rng.randrange(nvars)] += 1
+        terms[tuple(mono)] = Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
+    return Polynomial(nvars, terms)
+
+
+def _division_cases():
+    # x^4 + x^2 by x^2 + x + 1: the first step cancels x^2, the second
+    # recreates it.
+    yield P("p1^4 + p1^2", ["p1", "p2"]), [P("p1^2 + p1 + 1", ["p1", "p2"])]
+    rng = random.Random(20071)
+    for _ in range(60):
+        nvars = rng.randint(2, 5)
+        basis = [_random_poly(rng, nvars, rng.randint(1, 5), 3) for _ in range(rng.randint(1, 3))]
+        basis = [g for g in basis if g]
+        # Near-members of the ideal: their division cancels many terms.
+        f = _random_poly(rng, nvars, rng.randint(0, 4), 5)
+        for g in basis:
+            f = f + _random_poly(rng, nvars, rng.randint(1, 4), 3) * g
+        if basis and f:
+            yield f, basis
+
+
+class TestHeapDivisionOracle:
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    def test_matches_the_max_scan_division(self, order, monkeypatch):
+        # Spy on the term updates to see that some monomial is cancelled and
+        # later recreated within one division, which leaves a stale heap entry.
+        cancelled, recreated = set(), []
+        real_addmul = groebner.poly_addmul
+
+        def spy(acc, coeff, mono, tb):
+            before = set(acc)
+            fresh = real_addmul(acc, coeff, mono, tb)
+            recreated.extend(m for m in fresh if m in cancelled)
+            cancelled.update(before - set(acc))
+            return fresh
+
+        monkeypatch.setattr(groebner, "poly_addmul", spy)
+        for f, basis in _division_cases():
+            cancelled.clear()
+            heap_steps, scan_steps = StepCounter(), StepCounter()
+            got = reduce(f, basis, order, heap_steps)
+            assert got == _max_scan_reduce(f, basis, order, scan_steps)
+            assert heap_steps.steps == scan_steps.steps
+            q, r = got
+            assert sum((qi * g for qi, g in zip(q, basis)), r) == f
+        assert len(recreated) > 1

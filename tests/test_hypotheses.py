@@ -418,3 +418,76 @@ class TestSampling:
         h = build_hypothesis({"kind": "sphere", "params": {"k": 3, "delta": "1/6"}})
         with pytest.raises(UnsupportedSampling):
             sample_null_points(h, 3, seed=0)
+
+
+def _sphere_line_search_oracle(k, dsq, count, seed):
+    """The Fraction line search `_sample_sphere` ran before its integer
+    rejection test: every candidate point is built exactly, then tested."""
+    u0 = hypotheses._sphere_base_point(k, dsq)
+    if u0 is None:
+        raise UnsupportedSampling(
+            f"found no rational point on the radius^2 = {dsq} sphere; "
+            "this radius may admit none"
+        )
+    base = seed * 7919 + 1
+    out, seen, t, attempts = [], set(), 0, 0
+    max_attempts = 200 * count + 200
+    while len(out) < count and attempts < max_attempts:
+        attempts += 1
+        u = hypotheses._halton(base + t, k - 1)
+        t += 1
+        d = [w - F(1, 2) for w in u]
+        d.append(-sum(d, F(0)))
+        dd = sum(x * x for x in d)
+        if dd == 0:
+            continue
+        ud = sum(a * b for a, b in zip(u0, d))
+        pi = tuple(F(1, k) + a - 2 * ud / dd * b for a, b in zip(u0, d))
+        if all(x >= 0 for x in pi) and pi not in seen:
+            seen.add(pi)
+            out.append(pi)
+    if len(out) < count:
+        raise UnsupportedSampling(
+            f"exhausted the search budget with {len(out)} of {count} simplex "
+            f"points on the radius^2 = {dsq} sphere"
+        )
+    return out
+
+
+def _outcome(sample, *args):
+    try:
+        return sample(*args)
+    except UnsupportedSampling as exc:
+        return str(exc)
+
+
+# k = 2 never reaches the line search (test_k2_sphere_gives_both_points).
+# The oracle's cost grows fast with k, so count 50 stops at k = 6.
+_SPHERE_CASES = [
+    pytest.param(k, dsq, count, seed, id=f"k{k}-{dsq}-count{count}-seed{seed}")
+    for k in range(3, 9)
+    for dsq in (F(1, 6), F(1, 8), F(1, 4))
+    if dsq < (1 - F(1, k)) ** 2
+    for count, seeds in ((10, (0, 3, 5)), (50, (0, 7) if k <= 5 else (7,) if k == 6 else ()))
+    for seed in seeds
+]
+
+
+@pytest.mark.parametrize("k, dsq, count, seed", _SPHERE_CASES)
+def test_sphere_sampling_matches_the_fraction_line_search(k, dsq, count, seed):
+    h = sphere(k, delta_sq=dsq)
+    expected = _outcome(_sphere_line_search_oracle, k, dsq, count, seed)
+    assert _outcome(sample_null_points, h, count, seed) == expected
+
+
+def test_sphere_oracle_cases_cover_both_refusals():
+    # The cases above assert equality with the oracle, so the sampler's own
+    # outcomes show which refusals they reach.
+    outcomes = [
+        _outcome(sample_null_points, sphere(k, delta_sq=dsq), count, seed)
+        for k, dsq, count, seed in (case.values for case in _SPHERE_CASES)
+    ]
+    refusals = [o for o in outcomes if isinstance(o, str)]
+    assert any(o.startswith("found no rational point") for o in refusals)
+    assert any(o.startswith("exhausted the search budget") for o in refusals)
+    assert len(refusals) < len(outcomes)
