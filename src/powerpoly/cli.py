@@ -190,11 +190,11 @@ def _gradient_evidence(hyp: NullHypothesis, points: int = 10) -> dict:
     gens = list(hyp.generators)
     if not gens:
         return {"checked_points": 0, "nonvanishing_at_all_points": None}
+    grads = [[g.derivative(i) for i in range(g.nvars)] for g in gens]
     ok = True
     for point in samples:
-        for g in gens:
-            grad = [g.derivative(i).evaluate(point) for i in range(g.nvars)]
-            if not any(grad):
+        for grad in grads:
+            if not any(d.evaluate(point) for d in grad):
                 ok = False
     return {"checked_points": len(samples), "nonvanishing_at_all_points": ok}
 

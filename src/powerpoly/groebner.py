@@ -110,9 +110,10 @@ def reduce(
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     lf, lg = f.leading_monomial(order), g.leading_monomial(order)
     lcm = mono_lcm(lf, lg)
-    mf = Polynomial.monomial(f.nvars, mono_div(lcm, lf), 1 / f.leading_coefficient(order))
-    mg = Polynomial.monomial(g.nvars, mono_div(lcm, lg), 1 / g.leading_coefficient(order))
-    return mf * f - mg * g
+    out: dict = {}
+    poly_addmul(out, 1 / f.leading_coefficient(order), mono_div(lcm, lf), f.terms)
+    poly_addmul(out, -1 / g.leading_coefficient(order), mono_div(lcm, lg), g.terms)
+    return Polynomial._of(f.nvars, out)
 
 
 @dataclass(frozen=True)

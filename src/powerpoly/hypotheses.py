@@ -88,21 +88,20 @@ def _outer_flat(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _minor(nvars: int, shape: ContingencyShape, rows, cols) -> Polynomial:
-    """Determinant of the square submatrix on the given row/col indices."""
+    """Determinant of the square submatrix on the given row/col indices.
+
+    Leibniz formula: one squarefree monomial per permutation, with
+    coefficient +1 or -1 by the permutation's parity.
+    """
     r = len(rows)
-    det = Polynomial.zero(nvars)
+    terms = {}
     for perm in itertools.permutations(range(r)):
-        sign = 1
-        seen = list(perm)
+        inversions = sum(perm[i] > perm[j] for i in range(r) for j in range(i + 1, r))
+        mono = [0] * nvars
         for i in range(r):
-            for j in range(i + 1, r):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = Polynomial.constant(nvars, sign)
-        for i in range(r):
-            term = term * Polynomial.variable(nvars, shape.flat(rows[i], cols[perm[i]]))
-        det = det + term
-    return det
+            mono[shape.flat(rows[i], cols[perm[i]])] = 1
+        terms[tuple(mono)] = Fraction(-1 if inversions & 1 else 1)
+    return Polynomial._of(nvars, terms)
 
 
 def independence(p: int, q: int) -> NullHypothesis:
@@ -758,15 +757,12 @@ def _sample_logodds(h: NullHypothesis, count: int, base: int):
     g = 0
     for v in e:
         g = gcd(g, v)
-    # Integer solution of e . x = g, scaled when c admits a g-th root.
+    # log_odds_to_binomial divides the gcd out whenever c has a rational
+    # g-th root, so a common factor left here means the root is irrational.
     if g > 1:
-        root = _nth_root(c, g)
-        if root is None:
-            raise UnsupportedSampling(
-                "log-odds binomial exponents share a factor whose root of c is irrational"
-            )
-        c = root
-        e = [v // g for v in e]
+        raise UnsupportedSampling(
+            "log-odds binomial exponents share a factor whose root of c is irrational"
+        )
     x = _solve_unimodular(e)
     kernel = []
     nz = [i for i, v in enumerate(e) if v]

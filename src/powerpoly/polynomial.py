@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import factorial
 from operator import neg
 from typing import Mapping, Sequence
 
@@ -64,6 +65,15 @@ def poly_addmul(acc: dict, coeff: Fraction, mono: Exponents, tb: Mapping) -> lis
             else:
                 del acc[m]
     return fresh
+
+
+def multinomial(n: int, counts: Sequence[int]) -> int:
+    if sum(counts) != n or any(c < 0 for c in counts):
+        raise ValueError(f"{counts} is not a composition of {n}")
+    out = factorial(n)
+    for c in counts:
+        out //= factorial(c)
+    return out
 
 
 def _grlex_key(a: Exponents):
@@ -173,12 +183,13 @@ class Polynomial:
         return Polynomial(nvars, {tuple(exponents): Fraction(coeff)})
 
     @staticmethod
-    def simplex_sum(nvars: int) -> "Polynomial":
-        """The linear form x_1 + ... + x_nvars."""
-        terms = {}
-        for i in range(nvars):
-            terms[tuple(1 if j == i else 0 for j in range(nvars))] = Fraction(1)
-        return Polynomial(nvars, terms)
+    def simplex_power(nvars: int, m: int) -> "Polynomial":
+        """(x_1 + ... + x_nvars)^m: coefficient multinomial(m, a) on x^a."""
+        if m < 0:
+            raise ValueError("negative power")
+        return Polynomial._of(
+            nvars, {a: Fraction(multinomial(m, a)) for a in monomials_of_degree(nvars, m)}
+        )
 
     # -- ring operations ---------------------------------------------------
 
@@ -334,14 +345,8 @@ class Polynomial:
             total += value
         return total
 
-    def homogeneous_components(self) -> dict[int, "Polynomial"]:
-        parts: dict[int, dict] = {}
-        for mono, coeff in self.terms.items():
-            parts.setdefault(sum(mono), {})[mono] = coeff
-        return {d: Polynomial(self.nvars, t) for d, t in parts.items()}
-
     def homogenize(self, n: int) -> "Polynomial":
-        """Degree-n homogenization: each degree-i part times (sum x)^(n-i).
+        """Degree-n homogenization: each degree-i term times (sum x)^(n-i).
 
         Agrees with the original polynomial at every point whose
         coordinates sum to one.
@@ -349,33 +354,35 @@ class Polynomial:
         deg = self.total_degree()
         if deg > n:
             raise ValueError(f"cannot homogenize degree-{deg} polynomial to degree {n}")
-        if not self.terms:
-            return self
-        s = Polynomial.simplex_sum(self.nvars)
-        spow: dict[int, Polynomial] = {0: Polynomial.constant(self.nvars, 1)}
+        spow: dict[int, dict] = {}
         out: dict[Exponents, Fraction] = {}
-        for d, part in self.homogeneous_components().items():
-            k = n - d
+        for mono, coeff in self.terms.items():
+            k = n - sum(mono)
             if k not in spow:
-                spow[k] = s**k
-            for mono, coeff in part.terms.items():
-                poly_addmul(out, coeff, mono, spow[k].terms)
-        return Polynomial(self.nvars, out)
+                spow[k] = Polynomial.simplex_power(self.nvars, k).terms
+            poly_addmul(out, coeff, mono, spow[k])
+        return Polynomial._of(self.nvars, out)
 
     def substitute_last(self) -> "Polynomial":
-        """Eliminate the last variable via x_k -> 1 - (x_1 + ... + x_{k-1})."""
+        """Eliminate the last variable via x_k -> 1 - (x_1 + ... + x_{k-1}).
+
+        (1 - x_1 - ... - x_m)^e is (y + x_1 + ... + x_m)^e at y = 1 with
+        every x_i negated: a term y^j x^a keeps the sign (-1)^(e - j).
+        """
         if self.nvars < 1:
             raise ValueError("no variable to substitute")
         m = self.nvars - 1
-        one_minus = Polynomial.constant(m, 1) - Polynomial.simplex_sum(m)
-        powers: dict[int, Polynomial] = {0: Polynomial.constant(m, 1)}
+        powers: dict[int, dict] = {}
         out: dict[Exponents, Fraction] = {}
         for mono, coeff in self.terms.items():
             e = mono[-1]
             if e not in powers:
-                powers[e] = one_minus**e
-            poly_addmul(out, coeff, mono[:-1], powers[e].terms)
-        return Polynomial(m, out)
+                powers[e] = {
+                    a[1:]: -c if (e - a[0]) & 1 else c
+                    for a, c in Polynomial.simplex_power(m + 1, e).terms.items()
+                }
+            poly_addmul(out, coeff, mono[:-1], powers[e])
+        return Polynomial._of(m, out)
 
     def derivative(self, index: int) -> "Polynomial":
         """Partial derivative with respect to variable `index`."""

@@ -14,19 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Mapping, Sequence
 
-from powerpoly.polynomial import Polynomial, monomials_of_degree
-
-
-def multinomial(n: int, counts: Sequence[int]) -> int:
-    if sum(counts) != n or any(c < 0 for c in counts):
-        raise ValueError(f"{counts} is not a composition of {n}")
-    out = factorial(n)
-    for c in counts:
-        out //= factorial(c)
-    return out
+from powerpoly.polynomial import Polynomial, monomials_of_degree, multinomial
 
 
 def count_vectors(n: int, k: int) -> list[tuple[int, ...]]:
@@ -156,8 +146,9 @@ def normalize_to_power(beta_tilde: Polynomial, n: int, k: int):
     if beta_tilde.total_degree() > n:
         raise ValueError("degree exceeds the sample size")
     hom = beta_tilde.homogenize(n)
+    level = Polynomial.simplex_power(k, n)
     xs = count_vectors(n, k)
-    bounds = {x: multinomial(n, x) for x in xs}
+    bounds = level.terms
     if not hom.terms or all(
         hom.coefficient(x) * bounds[xs[0]] == hom.coefficient(xs[0]) * bounds[x]
         for x in xs
@@ -172,7 +163,7 @@ def normalize_to_power(beta_tilde: Polynomial, n: int, k: int):
             a = cap if a is None else min(a, cap)
     if a is None:
         raise ValueError("polynomial is constant on the simplex")
-    scaled = a * (hom + b * Polynomial.simplex_sum(k) ** n)
+    scaled = a * (hom + b * level)
     return PowerPolynomial(n, k, scaled), a, b
 
 

@@ -17,11 +17,20 @@ from typing import Sequence
 
 from powerpoly.groebner import GroebnerBasis, StepCounter, radical_membership
 from powerpoly.hypotheses import NullHypothesis
-from powerpoly.polynomial import Polynomial
+from powerpoly.polynomial import Polynomial, poly_addmul
 from powerpoly.power import PowerPolynomial, multinomial
 
 EXACT = "exact_under_theorem"
 SOS_ONLY = "sos_upper_bound_only"
+
+
+def _weighted_squares(nvars: int, terms: Sequence[tuple[Fraction, Polynomial]]) -> Polynomial:
+    """sum of w * g^2 over the (w, g) pairs, accumulated in one term map."""
+    out: dict = {}
+    for w, g in terms:
+        for mono, coeff in g.terms.items():
+            poly_addmul(out, w * coeff, mono, g.terms)
+    return Polynomial._of(nvars, out)
 
 
 @dataclass(frozen=True)
@@ -78,10 +87,10 @@ def sos_bounds(
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
 
-    sub_witness = Polynomial.zero(elements[0].nvars)
-    for w, g in zip(weights, elements):
-        if g.total_degree() <= cut_out:
-            sub_witness = sub_witness + w * (g * g)
+    sub_witness = _weighted_squares(
+        elements[0].nvars,
+        [(w, g) for w, g in zip(weights, elements) if g.total_degree() <= cut_out],
+    )
 
     exactness, theorem = SOS_ONLY, None
     if hypothesis is not None and hypothesis.family in ("independence", "rank_lt"):
@@ -124,7 +133,7 @@ def _level(shape: Polynomial, n: int, alpha: Fraction, form: str) -> UMPUPower:
     if not caps:
         raise ValueError("zero separating polynomial")
     c_alpha = min(caps)
-    beta = c_alpha * shape + alpha * Polynomial.simplex_sum(shape.nvars) ** n
+    beta = c_alpha * shape + alpha * Polynomial.simplex_power(shape.nvars, n)
     return UMPUPower(alpha, c_alpha, PowerPolynomial(n, shape.nvars, beta), form)
 
 
@@ -181,18 +190,13 @@ def rank_threshold(p: int, q: int, r: int) -> ThresholdReport:
     from powerpoly.hypotheses import rank_lt
 
     hyp = rank_lt(p, q, r)
-    witness = Polynomial.zero(hyp.k)
-    first = None
-    for g in hyp.generators:
-        if first is None:
-            first = g
-        witness = witness + g * g
+    first = hyp.generators[0]
     return ThresholdReport(
         ntub_bound=2 * r,
         sub_bound=2 * r,
         cut_out_degree=r,
         ntub_witness=first * first,
-        sub_witness=witness,
+        sub_witness=_weighted_squares(hyp.k, [(1, g) for g in hyp.generators]),
         exactness=EXACT,
         theorem="bounded-rank threshold",
         notes=(f"{len(hyp.generators)} squared {r}x{r} minors in the SUB witness",),

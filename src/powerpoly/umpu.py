@@ -316,5 +316,5 @@ def _incomparable_pair(points):
 def _beta_from_h(poly: CoefficientPolytope, h: Polynomial) -> PowerPolynomial:
     f = poly.f
     ftilde = f.homogenize(f.total_degree())
-    beta = ftilde * ftilde * h + poly.alpha * Polynomial.simplex_sum(poly.k) ** poly.n
+    beta = ftilde * ftilde * h + poly.alpha * Polynomial.simplex_power(poly.k, poly.n)
     return PowerPolynomial(poly.n, poly.k, beta)

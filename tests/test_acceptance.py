@@ -84,7 +84,7 @@ def test_criterion_1_umpu_golden_linear():
 
     verdict = umpu_search(f, 3, F(1, 20))
     assert verdict.status == EXISTS
-    s = Polynomial.simplex_sum(3)
+    s = Polynomial.simplex_power(3, 1)
     assert verdict.beta.poly == F(3, 20) * f * f * s + F(1, 20) * s**3
     elapsed = time.monotonic() - started
     assert elapsed < 1.0

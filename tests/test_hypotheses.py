@@ -17,6 +17,7 @@ from powerpoly.hypotheses import (
     UnsupportedSampling,
     _nth_root,
     independence,
+    log_odds,
     rank_lt,
     sphere,
 )
@@ -403,6 +404,20 @@ class TestSampling:
         h = build_hypothesis({"kind": "motzkin", "params": {}})
         with pytest.raises(UnsupportedSampling):
             sample_null_points(h, 3, seed=0)
+
+    def test_logodds_common_factor_needs_rational_root(self):
+        # c = 2 has no rational square root, so p1^2 p2^2 - 2 p3^4 keeps its
+        # exponents' common factor 2 and no rational null point is built.
+        with pytest.raises(
+            UnsupportedSampling,
+            match="log-odds binomial exponents share a factor whose root of c is irrational",
+        ):
+            sample_null_points(log_odds([2, 2], 2, 3), 3, 0)
+        # c = 4 has one: the factor is divided out, leaving p1 p2 - 2 p3^2.
+        h = log_odds([2, 2], 4, 3)
+        points = sample_null_points(h, 3, 0)
+        assert len(points) == 3
+        assert all(h.generators[0].evaluate(pt) == 0 for pt in points)
 
     def test_k2_sphere_gives_both_points(self):
         h = build_hypothesis({"kind": "sphere", "params": {"k": 2, "delta_sq": "1/8"}})

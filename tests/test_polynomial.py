@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from powerpoly import (
     parse_polynomial,
     reduce,
 )
-from powerpoly.polynomial import monomials_of_degree, table_names
+from powerpoly.polynomial import monomials_of_degree, multinomial, poly_addmul, table_names
 
 VARS = ["p1", "p2", "p3"]
 
@@ -102,7 +103,7 @@ class TestHomogenize:
         t = Fraction(3, 4)
         raw = -1 * (P("p1") - t) * (P("p2") - t)
         h = raw.homogenize(2)
-        s = Polynomial.simplex_sum(3)
+        s = Polynomial.simplex_power(3, 1)
         direct = -1 * (P("p1") - t * s) * (P("p2") - t * s)
         assert h == direct
 
@@ -149,6 +150,76 @@ def _all_monomials_upto(nvars, degree):
     for d in range(degree + 1):
         out.extend(monomials_of_degree(nvars, d))
     return out
+
+
+def _linear_sum(nvars):
+    """x_1 + ... + x_nvars, built from its variables."""
+    return sum((Polynomial.variable(nvars, i) for i in range(nvars)), Polynomial.zero(nvars))
+
+
+def _homogenize_by_squaring(p, n):
+    """Each degree-d part times (sum x)^(n-d), the power by repeated squaring."""
+    parts = {}
+    for mono, coeff in p.terms.items():
+        parts.setdefault(sum(mono), {})[mono] = coeff
+    s = _linear_sum(p.nvars)
+    out = {}
+    for d, part in parts.items():
+        spow = s ** (n - d)
+        for mono, coeff in part.items():
+            poly_addmul(out, coeff, mono, spow.terms)
+    return Polynomial(p.nvars, out)
+
+
+def _substitute_last_by_squaring(p):
+    """x_k -> 1 - (x_1 + ... + x_{k-1}), each power by repeated squaring."""
+    m = p.nvars - 1
+    one_minus = Polynomial.constant(m, 1) - _linear_sum(m)
+    out = {}
+    for mono, coeff in p.terms.items():
+        poly_addmul(out, coeff, mono[:-1], (one_minus ** mono[-1]).terms)
+    return Polynomial(m, out)
+
+
+def _random_polynomials(seed):
+    rng = random.Random(seed)
+    out = []
+    for nvars in (1, 2, 3, 4):
+        for _ in range(6):
+            monos = _all_monomials_upto(nvars, rng.randint(0, 4))
+            terms = {
+                rng.choice(monos): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                for _ in range(rng.randint(1, 6))
+            }
+            out.append(Polynomial(nvars, terms))
+    for nvars in (1, 3):
+        out += [Polynomial.zero(nvars), Polynomial.constant(nvars, Fraction(-2, 3))]
+    return out
+
+
+class TestSimplexPower:
+    def test_matches_repeated_squaring(self):
+        for k in range(1, 6):
+            s = Polynomial.simplex_power(k, 1)
+            assert s == _linear_sum(k)
+            for m in range(9):
+                assert Polynomial.simplex_power(k, m) == s**m
+
+    def test_coefficients_are_multinomials(self):
+        p = Polynomial.simplex_power(3, 4)
+        assert set(p.terms) == set(monomials_of_degree(3, 4))
+        assert p.coefficient((2, 1, 1)) == multinomial(4, (2, 1, 1)) == 12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_homogenize_matches_squaring_oracle(self, seed):
+        for p in _random_polynomials(seed):
+            for n in range(max(p.total_degree(), 0), 7):
+                assert p.homogenize(n).terms == _homogenize_by_squaring(p, n).terms
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_substitute_last_matches_squaring_oracle(self, seed):
+        for p in _random_polynomials(seed):
+            assert p.substitute_last().terms == _substitute_last_by_squaring(p).terms
 
 
 class TestMonomialOrders:

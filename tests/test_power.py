@@ -59,7 +59,7 @@ class TestCorrespondence:
     def test_constant_test(self):
         phi = TestFunction.constant(3, 2, F(1, 7))
         beta = to_power(phi)
-        s = Polynomial.simplex_sum(2)
+        s = Polynomial.simplex_power(2, 1)
         assert beta.poly == F(1, 7) * s**3
 
     def test_recover_simple(self):
@@ -71,7 +71,7 @@ class TestCorrespondence:
 
     def test_umpu_example_round_trip(self):
         f = parse_polynomial("p1+p2-p3", VARS3)
-        s = Polynomial.simplex_sum(3)
+        s = Polynomial.simplex_power(3, 1)
         beta_poly = F(3, 20) * f * f * s + F(1, 20) * s**3
         beta = PowerPolynomial(3, 3, beta_poly)
         phi = recover_test(beta)
@@ -100,7 +100,7 @@ class TestCorrespondence:
 
     def test_umpu_vertex_power_passes_box(self):
         f = parse_polynomial("p1+p2-p3", VARS3)
-        s = Polynomial.simplex_sum(3)
+        s = Polynomial.simplex_power(3, 1)
         p = F(3, 20) * f * f * s + F(1, 20) * s**3
         assert box_check(p, 3, 3)
 
@@ -122,7 +122,7 @@ class TestNormalizeToPower:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             normalize_to_power(Polynomial.constant(2, F(1, 3)), 2, 2)
-        s = Polynomial.simplex_sum(2)
+        s = Polynomial.simplex_power(2, 1)
         with pytest.raises(ValueError):
             normalize_to_power(F(1, 2) * s * s, 2, 2)
 

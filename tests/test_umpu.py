@@ -330,7 +330,7 @@ class TestUmpuSearch:
     def test_sum_hypothesis_exists(self):
         verdict = umpu_search(P("p1 + p2 - p3"), 3, F(1, 20))
         assert verdict.status == EXISTS
-        s = Polynomial.simplex_sum(3)
+        s = Polynomial.simplex_power(3, 1)
         f = P("p1 + p2 - p3")
         assert verdict.beta.poly == F(3, 20) * f * f * s + F(1, 20) * s**3
         assert verdict.h_star == F(3, 20) * s
@@ -345,7 +345,7 @@ class TestUmpuSearch:
     def test_sphere_n5_exists(self):
         verdict = umpu_search(sphere3(), 5, F(1, 20))
         assert verdict.status == EXISTS
-        assert verdict.h_star == F(1, 3) * Polynomial.simplex_sum(3)
+        assert verdict.h_star == F(1, 3) * Polynomial.simplex_power(3, 1)
 
     def test_sphere_n6_candidate(self):
         verdict = umpu_search(sphere3(), 6, F(1, 20))
