@@ -244,13 +244,19 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.nvars, 1)
+        if n == 0:
+            return Polynomial.constant(self.nvars, 1)
+        # Square up to the lowest set bit of n and start from there, so
+        # that n = 2^j costs j products and no product by the constant 1.
         base = self
-        while n:
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        while n := n >> 1:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
         return result
 
     def __eq__(self, other):

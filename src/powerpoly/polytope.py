@@ -2,9 +2,21 @@
 
 The polytope {x : A x <= b} is homogenized to the pointed cone
 {(x, t) : A x <= t b, t >= 0}; extreme rays are built by incremental
-halfspace insertion with the combinatorial adjacency test, and rays with
-t > 0 are rescaled to vertices.  Everything is Fraction-exact; insertion
-order is fixed so output is deterministic.
+halfspace insertion, and rays with t > 0 are rescaled to vertices.
+Everything is Fraction-exact; insertion order is fixed so output is
+deterministic.
+
+Adjacency is the combinatorial test on bit patterns (Fukuda & Prodon,
+"Double description method revisited", 1996; Terzer & Stelling, "Large-
+scale computation of elementary flux modes with bit pattern trees", 2008).
+Each ray keeps its tight rows as an int bitmask, and each cone row j
+keeps `on[j]`, an int bitmask over ray ids with bit r set when ray r is
+tight on row j.  Two rays whose common tight rows pass the rank filter
+are adjacent exactly when no third ray is tight on all of those rows,
+that is when the AND of `on[j]` over them is the pair itself; the AND
+chain stops as soon as only the pair is left.  A ray removed by an
+insertion clears its bits and frees its id for the next new ray, so the
+masks stay as wide as the peak live ray count.
 """
 
 from __future__ import annotations
@@ -24,6 +36,15 @@ from powerpoly.linprog import LE, solve_lp
 class _Ray:
     vec: tuple[int, ...]
     tight: int  # bitmask over processed constraint indices
+    bit: int = 0  # 1 << id, the ray's bit in the `on` masks
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def enumerate_vertices_dd(
@@ -75,13 +96,17 @@ def enumerate_vertices_dd(
     red, _ = rref([cone[i] + tuple(int(p == j) for j in range(d1)) for p, i in enumerate(chosen)])
     inv = [row[d1:] for row in red]
     rays: list[_Ray] = []
+    on = [0] * len(cone)  # on[j]: bitmask over ray ids tight on row j
     for j in range(d1):
         vec = primitive_ints(tuple(-inv[i][j] for i in range(d1)))
         tight = 0
         for pos, ci in enumerate(chosen):
             if pos != j:
                 tight |= 1 << ci
-        rays.append(_Ray(vec, tight))
+                on[ci] |= 1 << j
+        rays.append(_Ray(vec, tight, 1 << j))
+    live = (1 << d1) - 1  # bitmask of the ids in use
+    free: list[int] = []  # ids of removed rays, for reuse
 
     for idx, row in enumerate(cone):
         if idx in chosen:
@@ -89,9 +114,6 @@ def enumerate_vertices_dd(
         if counter is not None:
             counter.tick()
         vals = [sum(map(mul, row, r.vec)) for r in rays]
-        for r, v in zip(rays, vals):
-            if v == 0:
-                r.tight |= 1 << idx
         pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
         neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
         newcomers: list[_Ray] = []
@@ -103,12 +125,36 @@ def enumerate_vertices_dd(
                 common = rp.tight & rn.tight
                 if common.bit_count() < min_common:
                     continue
-                if not _adjacent(rp, rn, common, rays):
+                # Adjacent when no third ray is tight on every row of common.
+                pair = rp.bit | rn.bit
+                acc, rest = live, common
+                while acc != pair and rest:
+                    low = rest & -rest
+                    acc &= on[low.bit_length() - 1]
+                    rest ^= low
+                if acc != pair:
                     continue
                 # Positive combination lying on the new hyperplane.
                 combo = [vp * x - vn * y for x, y in zip(rn.vec, rp.vec)]
                 g = gcd(*combo)
                 newcomers.append(_Ray(tuple(x // g for x in combo), common | (1 << idx)))
+        # The cut-off rays leave `on` and free their ids; the new rays,
+        # which were no rays of the cone the pair loop read, enter it now.
+        for r, _ in pos:
+            live ^= r.bit
+            free.append(r.bit)
+            for j in _bits(r.tight):
+                on[j] ^= r.bit
+        for r, v in zip(rays, vals):
+            if v == 0:
+                r.tight |= 1 << idx
+                on[idx] |= r.bit
+        for r in newcomers:
+            # With no freed id waiting, the ids in use are 0 .. m-1.
+            r.bit = free.pop() if free else live + 1
+            live |= r.bit
+            for j in _bits(r.tight):
+                on[j] |= r.bit
         rays = [r for r, v in zip(rays, vals) if v <= 0] + newcomers
 
     # Every ray has t >= 0.  Rays with t > 0 are the vertices; a ray with
@@ -121,16 +167,6 @@ def enumerate_vertices_dd(
     scale = lcm(*(p[-1] for p in points))
     unique = {tuple(v * (scale // p[-1]) for v in p[:-1]): p for p in points}
     return [tuple(Fraction(v, p[-1]) for v in p[:-1]) for _, p in sorted(unique.items())]
-
-
-def _adjacent(rp: _Ray, rn: _Ray, common: int, rays: list[_Ray]) -> bool:
-    """Combinatorial adjacency: no third ray is tight everywhere both are."""
-    for other in rays:
-        if other is rp or other is rn:
-            continue
-        if common & ~other.tight == 0:
-            return False
-    return True
 
 
 def enumerate_vertices_brute_force(

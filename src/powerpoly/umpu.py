@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
 from powerpoly.groebner import StepCounter
@@ -112,17 +113,19 @@ def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientP
     nprime = n - 2 * deg
     fsq = (f.homogenize(deg)) ** 2
     h_index = tuple(_grevlex_desc(monomials_of_degree(k, nprime)))
+    # Entry (L, J) is the coefficient of x^(L - J) in f~^2: scatter each
+    # term m of f~^2 from column J into row L = J + m.
+    coeffs = {L: [Fraction(0)] * len(h_index) for L in monomials_of_degree(k, n)}
+    for col, J in enumerate(h_index):
+        for m, c in fsq.terms.items():
+            coeffs[tuple(map(add, J, m))][col] = c
     rows = []
-    for L in _grevlex_desc(monomials_of_degree(k, n)):
-        coeffs = []
-        for J in h_index:
-            diff = tuple(l - j for l, j in zip(L, J))
-            coeffs.append(fsq.coefficient(diff) if all(d >= 0 for d in diff) else Fraction(0))
+    for L in _grevlex_desc(coeffs):
         bound = multinomial(n, L)
         rows.append(
             HRow(
                 index=L,
-                coeffs=tuple(coeffs),
+                coeffs=tuple(coeffs[L]),
                 lower=-alpha * bound,
                 upper=(1 - alpha) * bound,
             )

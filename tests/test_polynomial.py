@@ -311,6 +311,30 @@ class TestRingAxioms:
         for point in [[Fraction(1, 3), Fraction(1, 5)], [Fraction(-2, 3), Fraction(7, 4)]]:
             assert q.evaluate(point) == p.evaluate(point + [1 - sum(point)])
 
+    @settings(max_examples=100, deadline=None)
+    @given(polynomials(max_degree=2, max_terms=3), st.integers(0, 7))
+    def test_power_is_repeated_product(self, p, e):
+        expected = Polynomial.constant(3, 1)
+        for _ in range(e):
+            expected = expected * p
+        assert p**e == expected
+
+    def test_power_by_squaring_counts_products(self, monkeypatch):
+        # No product by the constant 1: p^2 is one product, p^4 two squarings.
+        products = []
+        plain_mul = Polynomial.__mul__
+
+        def counted(a, b):
+            products.append(1)
+            return plain_mul(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        p = P("p1 + 2*p2 - p3")
+        for e, count in [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3)]:
+            products.clear()
+            p**e
+            assert len(products) == count, e
+
 
 class TestConstructorChecks:
     def test_negative_exponent_rejected(self):

@@ -56,6 +56,39 @@ def draw_box_with_cuts(data):
     return a, b
 
 
+def draw_box_with_corners_cut(data):
+    """A random box in 2 to 4 dimensions with corners cut off and rows repeated.
+
+    The box rows come first, so when the first cut is inserted the rays
+    are the box's corners.  Each cut s.x <= s.c - depth strictly removes
+    the corner c that maximizes s.x and keeps the box's centre strictly
+    inside, so the first cut drops a ray and adds new ones: the new rays
+    reuse the ids of the dropped ones.  Copies and positive multiples of
+    earlier rows follow.
+    """
+    dim = data.draw(st.integers(2, 4))
+    lo = data.draw(st.lists(st.integers(-3, 0), min_size=dim, max_size=dim))
+    width = data.draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim))
+    a, b = [], []
+    for i in range(dim):
+        unit = [int(i == j) for j in range(dim)]
+        a += [unit, [-v for v in unit]]
+        b += [lo[i] + width[i], -lo[i]]
+    for _ in range(data.draw(st.integers(1, 3))):
+        s = data.draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=dim, max_size=dim))
+        top = sum(v * (l + w if v > 0 else l) for v, l, w in zip(s, lo, width))
+        span = sum(abs(v) * w for v, w in zip(s, width))  # s.x over the box spans [top - span, top]
+        depth = Fraction(data.draw(st.integers(1, span - 1)), 2)  # below span / 2
+        a.append(s)
+        b.append(top - depth)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(a) - 1))
+        scale = data.draw(st.integers(1, 3))
+        a.append([scale * v for v in a[i]])
+        b.append(scale * b[i])
+    return a, b
+
+
 class TestDoubleDescription:
     def test_unit_square(self):
         a, b = cube(2, 0, 1)
@@ -154,6 +187,14 @@ class TestDoubleDescription:
         a, b = draw_box_with_cuts(data)
         # A cut may empty the box; both then give no vertices.
         assert enumerate_vertices_dd(a, b) == enumerate_vertices_brute_force(a, b)
+
+    @seed(20251018)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_on_boxes_with_corners_cut(self, data):
+        a, b = draw_box_with_corners_cut(data)
+        vertices = enumerate_vertices_dd(a, b)
+        assert vertices and vertices == enumerate_vertices_brute_force(a, b)
 
     @seed(20250614)
     @settings(max_examples=60, deadline=None)

@@ -19,8 +19,9 @@ from powerpoly import (
     umpu_search,
 )
 from powerpoly.linprog import EQ, LE, solve_lp
+from powerpoly.polynomial import MonomialOrder, monomials_of_degree, multinomial
 from powerpoly.polytope import enumerate_vertices_brute_force
-from powerpoly.umpu import CANDIDATE, EXISTS, NOT_EXISTS, _incomparable_pair
+from powerpoly.umpu import CANDIDATE, EXISTS, NOT_EXISTS, HRow, _incomparable_pair
 
 from conftest import (
     PRINTED_VERTICES_SUM,
@@ -116,6 +117,47 @@ class TestCoefficientPolytope:
             poly = coefficient_polytope(sphere3(), n, F(1, 20))
             assert len(poly.nonzero_rows()) == expect_rows
             assert poly.halfspace_count() == 2 * expect_rows
+
+    @pytest.mark.parametrize(
+        "weights, n",
+        [
+            ((1, 1, 1, 1, -1), 3),
+            ((2, 1, 1, 1, -1), 3),
+            ((1, 1, 1, 1, 1, -1), 3),
+            ((1, 1, -1), 4),
+            ((1, 2, -3), 4),
+            ((1, 1, 1, 1, 1, 1, -1), 3),
+            ((2, 1, 1, 1, 1, -1), 3),
+            ((1, -1, 0, 0), 4),
+            ((1, -1, 0, 0, 0, 0, 0, 0, 0), 3),
+            ((1, 1, 1, 1, -1, -1, -1, -1), 3),
+            ("sphere", 5),
+        ],
+    )
+    def test_rows_match_the_probing_formula(self, weights, n):
+        # Entry (L, J) probed as the coefficient of x^(L - J) in f~^2, or 0
+        # where L - J has a negative exponent; the rows must be identical.
+        if weights == "sphere":
+            f = sphere3()
+        else:
+            k = len(weights)
+            units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+            f = Polynomial(k, dict(zip(units, weights)))
+        alpha = F(1, 20)
+        poly = coefficient_polytope(f, n, alpha)
+        fsq = f.homogenize(f.total_degree()) ** 2
+        grevlex = MonomialOrder.GREVLEX.key
+        h_index = sorted(monomials_of_degree(f.nvars, poly.nprime), key=grevlex, reverse=True)
+        expected = []
+        for L in sorted(monomials_of_degree(f.nvars, n), key=grevlex, reverse=True):
+            coeffs = []
+            for J in h_index:
+                diff = tuple(l - j for l, j in zip(L, J))
+                coeffs.append(fsq.coefficient(diff) if min(diff) >= 0 else F(0))
+            bound = multinomial(n, L)
+            expected.append(HRow(L, tuple(coeffs), -alpha * bound, (1 - alpha) * bound))
+        assert poly.h_index == tuple(h_index)
+        assert repr(poly.rows) == repr(tuple(expected))
 
     def test_sample_size_validation(self):
         with pytest.raises(ValueError):
@@ -222,6 +264,16 @@ class TestVertexGoldens:
     def test_larger_linear_vertex_counts(self, text, names, n, count):
         poly = enumerate_vertices(coefficient_polytope(P(text, names), n, F(1, 20)))
         assert len(poly.vertices) == count
+        self.check_tight_rows(poly)
+
+    def test_alpha_one_half_vertex_and_step_counts(self):
+        # At alpha = 1/2 neither side of the rows is nearer, and double
+        # description builds many intermediate rays: 1.77 M pairs tested.
+        names = ["p1", "p2", "p3", "p4"]
+        counter = StepCounter()
+        poly = enumerate_vertices(coefficient_polytope(P("p1 - p2", names), 4, F(1, 2)), counter)
+        assert len(poly.vertices) == 1_536
+        assert counter.steps == 1_773_348
         self.check_tight_rows(poly)
 
 
