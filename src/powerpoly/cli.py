@@ -33,7 +33,7 @@ from powerpoly.hypotheses import (
     polytope_existence,
     sample_null_points,
 )
-from powerpoly.parser import format_polynomial, parse_polynomial, parse_rational
+from powerpoly.parser import format_polynomial, format_rational, parse_polynomial, parse_rational
 from powerpoly.polynomial import MonomialOrder, Polynomial
 from powerpoly.power import (
     PowerPolynomial,
@@ -70,12 +70,8 @@ def _write(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _rat(value: Fraction) -> str:
-    return str(Fraction(value))
-
-
 def _point(values) -> list[str]:
-    return [_rat(v) for v in values]
+    return [format_rational(v) for v in values]
 
 
 def _load_json(path: str) -> dict:
@@ -88,18 +84,6 @@ def _load_json(path: str) -> dict:
 
 def _load_hypothesis(path: str) -> NullHypothesis:
     return build_hypothesis(_load_json(path))
-
-
-def _order(name: str) -> MonomialOrder:
-    try:
-        return MonomialOrder(name)
-    except ValueError:
-        raise CliError(f"unknown monomial order {name!r} (use grevlex or grlex)")
-
-
-def _counter(args) -> StepCounter | None:
-    limit = getattr(args, "step_limit", None)
-    return StepCounter(limit) if limit else None
 
 
 def _parse_test_json(payload: dict) -> TestFunction:
@@ -119,7 +103,7 @@ def test_to_json(phi: TestFunction) -> dict:
         "schema_version": SCHEMA_VERSION,
         "n": phi.n,
         "k": phi.k,
-        "values": [{"x": list(x), "phi": _rat(v)} for x, v in phi.items()],
+        "values": [{"x": list(x), "phi": format_rational(v)} for x, v in phi.items()],
     }
 
 
@@ -129,7 +113,7 @@ def test_to_json(phi: TestFunction) -> dict:
 def cmd_gb(args) -> int:
     names = args.vars.split(",")
     gens = [parse_polynomial(text, names) for text in args.gens]
-    gb = buchberger_reduced(gens, _order(args.order), _counter(args))
+    gb = buchberger_reduced(gens, MonomialOrder(args.order), args.counter)
     _emit(
         {
             "schema_version": SCHEMA_VERSION,
@@ -157,14 +141,13 @@ def _threshold_payload(hyp: NullHypothesis, args) -> dict:
         weights = None
         if args.weights:
             weights = [parse_rational(w) for w in args.weights.split(",")]
-        counter = _counter(args)
-        gb = buchberger_reduced(hyp.substituted_generators(), MonomialOrder.GREVLEX, counter)
+        gb = buchberger_reduced(hyp.substituted_generators(), MonomialOrder.GREVLEX, args.counter)
         report = sos_bounds(
             gb,
             hypothesis=hyp,
             weights=weights,
             assert_nonvanishing_gradient=args.assert_gradient,
-            counter=counter,
+            counter=args.counter,
         )
         witness_names = names
     return {
@@ -210,7 +193,7 @@ def cmd_threshold(args) -> int:
 def cmd_separating(args) -> int:
     hyp = _load_hypothesis(args.hypothesis)
     if hyp.kind == POLYTOPE:
-        return _polytope_verdict(hyp, args.out, kind="SUB")
+        return _polytope_verdict(hyp, args, kind="SUB")
     payload = _threshold_payload(hyp, args)
     _emit(
         {
@@ -230,12 +213,12 @@ def cmd_polytope_exists(args) -> int:
     hyp = _load_hypothesis(args.hypothesis)
     if hyp.kind != POLYTOPE:
         raise CliError("polytope-exists requires a polytope hypothesis")
-    return _polytope_verdict(hyp, args.out)
+    return _polytope_verdict(hyp, args)
 
 
-def _polytope_verdict(hyp: NullHypothesis, out_path: str | None, kind: str | None = None) -> int:
+def _polytope_verdict(hyp: NullHypothesis, args, kind: str | None = None) -> int:
     """Emit a polytope hypothesis's existence verdict; `kind` labels a separating polynomial."""
-    verdict = polytope_existence(hyp.polytope_a, hyp.polytope_b, hyp.k)
+    verdict = polytope_existence(hyp.polytope_a, hyp.polytope_b, hyp.k, args.counter)
     payload = {"schema_version": SCHEMA_VERSION, "exists": verdict.exists}
     if verdict.exists:
         payload["separating"] = format_polynomial(verdict.witness, list(hyp.names[: hyp.k - 1]))
@@ -244,7 +227,7 @@ def _polytope_verdict(hyp: NullHypothesis, out_path: str | None, kind: str | Non
     else:
         payload["failing_pair"] = list(verdict.failing_pair)
         payload["witness_point"] = _point(verdict.witness_point)
-    _emit(payload, out_path)
+    _emit(payload, args.out)
     return EXIT_OK if verdict.exists else EXIT_NOT_EXISTS
 
 
@@ -254,11 +237,11 @@ def cmd_umpu(args) -> int:
         raise CliError("--vars is required (comma-separated variable names)")
     f = parse_polynomial(args.f, names)
     alpha = parse_rational(args.alpha)
-    verdict = umpu_search(f, args.n, alpha, _counter(args))
+    verdict = umpu_search(f, args.n, alpha, args.counter)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "status": verdict.status,
-        "alpha": _rat(alpha),
+        "alpha": format_rational(alpha),
         "n": args.n,
         "reason": verdict.reason,
     }
@@ -289,15 +272,15 @@ def cmd_polytope(args) -> int:
             {
                 "L": list(row.index),
                 "coeffs": _point(row.coeffs),
-                "lower": _rat(row.lower),
-                "upper": _rat(row.upper),
+                "lower": format_rational(row.lower),
+                "upper": format_rational(row.upper),
             }
             for row in poly.rows
         ],
         "halfspace_count": poly.halfspace_count(),
     }
     if args.enumerate:
-        poly = enumerate_vertices(poly, _counter(args))
+        poly = enumerate_vertices(poly, args.counter)
         payload["vertices"] = [_point(v) for v in poly.vertices]
         payload["vertex_count"] = len(poly.vertices)
     _emit(payload, args.out)
@@ -377,7 +360,7 @@ def cmd_mc_validate(args) -> int:
         "std_error": est.std_error,
         "reps": est.reps,
         "seed": est.seed,
-        "exact": _rat(exact),
+        "exact": format_rational(exact),
         "exact_float": float(exact),
         "abs_diff": diff,
         "within_4_se": bool(diff <= 4 * est.std_error + 1e-12),
@@ -477,6 +460,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # One budget for the whole command; commands without the flag get None.
+        limit = getattr(args, "step_limit", None)
+        args.counter = None if limit is None else StepCounter(limit)
         return args.func(args)
     except StepLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,19 +35,16 @@ class StepLimitExceeded(RuntimeError):
 class StepCounter:
     """Counts units of work; `None` limit means unlimited."""
 
-    def __init__(self, limit: int | None = None, label: str = "computation"):
+    def __init__(self, limit: int | None = None):
         if limit is not None and limit < 1:
             raise ValueError("step limit must be >= 1")
         self.limit = limit
         self.steps = 0
-        self.label = label
 
     def tick(self, amount: int = 1):
         self.steps += amount
         if self.limit is not None and self.steps > self.limit:
-            raise StepLimitExceeded(
-                f"{self.label} exceeded step limit {self.limit}"
-            )
+            raise StepLimitExceeded(f"computation exceeded step limit {self.limit}")
 
 
 def reduce(

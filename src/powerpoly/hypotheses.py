@@ -12,12 +12,13 @@ null set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
 
+from powerpoly.groebner import StepCounter
 from powerpoly.linalg import nullspace, rank, solve_linear
 from powerpoly.linprog import EQ, LE, solve_lp
 from powerpoly.parser import parse_polynomial, parse_rational
@@ -105,39 +106,30 @@ def _minor(nvars: int, shape: ContingencyShape, rows, cols) -> Polynomial:
 
 
 def independence(p: int, q: int) -> NullHypothesis:
-    """All 2x2 minors of the p x q probability table vanish."""
-    shape = ContingencyShape(p, q)
-    k = shape.k
-    gens = []
-    for rows in itertools.combinations(range(p), 2):
-        for cols in itertools.combinations(range(q), 2):
-            gens.append(_minor(k, shape, rows, cols))
-    return NullHypothesis(
-        k=k,
-        kind=ALGEBRAIC,
-        family="independence",
-        names=tuple(table_names(p, q)),
-        generators=tuple(gens),
-        params={"p": p, "q": q},
-    )
+    """All 2x2 minors of the p x q probability table vanish: rank < 2."""
+    hyp = _minors_hypothesis(p, q, 2)
+    return replace(hyp, family="independence", params={"p": p, "q": q})
 
 
 def rank_lt(p: int, q: int, r: int) -> NullHypothesis:
     """The table has rank < r: all r x r minors vanish."""
     if not 2 <= r <= min(p, q):
         raise ValueError(f"need 2 <= r <= min(p, q), got r={r}, p={p}, q={q}")
+    return _minors_hypothesis(p, q, r)
+
+
+def _minors_hypothesis(p: int, q: int, r: int) -> NullHypothesis:
     shape = ContingencyShape(p, q)
     k = shape.k
-    gens = []
-    for rows in itertools.combinations(range(p), r):
-        for cols in itertools.combinations(range(q), r):
-            gens.append(_minor(k, shape, rows, cols))
+    squares = itertools.product(
+        itertools.combinations(range(p), r), itertools.combinations(range(q), r)
+    )
     return NullHypothesis(
         k=k,
         kind=ALGEBRAIC,
         family="rank_lt",
         names=tuple(table_names(p, q)),
-        generators=tuple(gens),
+        generators=tuple(_minor(k, shape, rows, cols) for rows, cols in squares),
         params={"p": p, "q": q, "r": r},
     )
 
@@ -456,7 +448,9 @@ def _polytope_rows(a_rows, b, d: int) -> tuple[list[list[Fraction]], list[Fracti
     return rows, rhs
 
 
-def polytope_existence(a_rows, b, k: int) -> ExistenceVerdict:
+def polytope_existence(
+    a_rows, b, k: int, counter: StepCounter | None = None
+) -> ExistenceVerdict:
     """Decide NTUB/SUB existence for a full-dimensional polytope hypothesis.
 
     P0 = {pi in projected simplex : A pi >= b}.  Existence holds iff no two
@@ -476,7 +470,7 @@ def polytope_existence(a_rows, b, k: int) -> ExistenceVerdict:
         raise ValueError("need one bound per halfspace row")
     rows, rhs = _polytope_rows(a_rows, b, d)
     m = len(a_rows)
-    vertices = enumerate_vertices_dd(rows, rhs)
+    vertices = enumerate_vertices_dd(rows, rhs, counter)
     if not vertices:
         raise ValueError("empty polytope hypothesis: P0 has no point")
 

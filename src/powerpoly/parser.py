@@ -84,7 +84,7 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
         ti += 1
         return tok
 
-    def parse_term(sign: int) -> Polynomial:
+    def parse_term(sign: int) -> None:
         coeff = Fraction(sign)
         exponents = [0] * nvars
         saw_anything = False
@@ -131,25 +131,29 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
         if not saw_anything:
             kind, value, pos = peek()
             raise PolynomialSyntaxError("expected a term", pos)
-        return Polynomial.monomial(nvars, exponents, coeff)
+        mono = tuple(exponents)
+        if total := terms.get(mono, 0) + coeff:
+            terms[mono] = total
+        else:
+            terms.pop(mono, None)
 
-    result = Polynomial.zero(nvars)
+    terms: dict = {}
     sign = 1
     kind, value, pos = peek()
     if kind == "op" and value in "+-":
         advance()
         sign = -1 if value == "-" else 1
-    result = result + parse_term(sign)
+    parse_term(sign)
     while True:
         kind, value, pos = peek()
         if kind == "end":
             break
         if kind == "op" and value in "+-":
             advance()
-            result = result + parse_term(-1 if value == "-" else 1)
+            parse_term(-1 if value == "-" else 1)
         else:
             raise PolynomialSyntaxError(f"expected '+' or '-', got {value!r}", pos)
-    return result
+    return Polynomial._of(nvars, terms)
 
 
 def format_rational(value: Fraction) -> str:

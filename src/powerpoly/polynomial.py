@@ -434,13 +434,13 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
     return out
 
 
-def default_names(nvars: int, prefix: str = "p") -> list[str]:
-    return [f"{prefix}{i + 1}" for i in range(nvars)]
+def default_names(nvars: int) -> list[str]:
+    return [f"p{i + 1}" for i in range(nvars)]
 
 
-def table_names(p: int, q: int, prefix: str = "p") -> list[str]:
+def table_names(p: int, q: int) -> list[str]:
     """Row-major names p11, p12, ..., ppq for a p-by-q contingency table."""
-    return [f"{prefix}{i + 1}{j + 1}" for i in range(p) for j in range(q)]
+    return [f"p{i + 1}{j + 1}" for i in range(p) for j in range(q)]
 
 
 def table_index(i: int, j: int, q: int) -> int:

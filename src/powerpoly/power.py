@@ -155,14 +155,9 @@ def normalize_to_power(beta_tilde: Polynomial, n: int, k: int):
     ):
         raise ValueError("polynomial is constant on the simplex")
     b = max(Fraction(0), max(-hom.coefficient(x) / bounds[x] for x in xs))
-    a = None
-    for x in xs:
-        shifted = hom.coefficient(x) + b * bounds[x]
-        if shifted > 0:
-            cap = bounds[x] / shifted
-            a = cap if a is None else min(a, cap)
-    if a is None:
-        raise ValueError("polynomial is constant on the simplex")
+    # Every shifted coefficient is >= 0, and not all are 0, for then hom
+    # would be -b times the level polynomial.
+    a = min(bounds[x] / s for x in xs if (s := hom.coefficient(x) + b * bounds[x]) > 0)
     scaled = a * (hom + b * level)
     return PowerPolynomial(n, k, scaled), a, b
 
@@ -240,20 +235,19 @@ def symmetrize(beta: Polynomial, perms: Sequence[Sequence[int]]) -> Polynomial:
     return total * Fraction(1, len(perms))
 
 
-def max_statistic_test(n: int, c: Fraction, threshold_center=Fraction(1, 4)) -> TestFunction:
-    """Non-randomized test rejecting when max(x1, x2) > n*t + sqrt(n)*c.
+def max_statistic_test(n: int, c: Fraction) -> TestFunction:
+    """Non-randomized test rejecting when max(x1, x2) > n/4 + sqrt(n)*c.
 
     k = 3; the irrational sqrt(n) comparison is decided exactly on integer
-    counts: m > n t + sqrt(n) c  iff  m - n t > 0 and (m - n t)^2 > n c^2.
+    counts: m > n/4 + sqrt(n) c  iff  m - n/4 > 0 and (m - n/4)^2 > n c^2.
     """
-    t = Fraction(threshold_center)
     c = Fraction(c)
     if c < 0:
         raise ValueError("calibration constant must be nonnegative")
     values = {}
     for x in count_vectors(n, 3):
         m = max(x[0], x[1])
-        lhs = Fraction(m) - n * t
+        lhs = m - Fraction(n, 4)
         if lhs > 0 and lhs * lhs > n * c * c:
             values[x] = Fraction(1)
     return TestFunction(n, 3, values)

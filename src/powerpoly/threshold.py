@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from powerpoly.groebner import GroebnerBasis, StepCounter, radical_membership
-from powerpoly.hypotheses import NullHypothesis
+from powerpoly.hypotheses import NullHypothesis, rank_lt
 from powerpoly.polynomial import Polynomial, poly_addmul
 from powerpoly.power import PowerPolynomial, multinomial
 
@@ -118,13 +118,11 @@ def sos_bounds(
 class UMPUPower:
     """Power polynomial of the UMPU test at the threshold sample size."""
 
-    alpha: Fraction
     c_alpha: Fraction
     beta: PowerPolynomial
-    form: str  # "principal_square" | "semialgebraic_linear"
 
 
-def _level(shape: Polynomial, n: int, alpha: Fraction, form: str) -> UMPUPower:
+def _level(shape: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
     """c_alpha * shape + alpha * (sum pi)^n with the largest c_alpha inside the box."""
     caps = [
         (1 - alpha) * multinomial(n, x) / c if c > 0 else alpha * multinomial(n, x) / -c
@@ -134,7 +132,7 @@ def _level(shape: Polynomial, n: int, alpha: Fraction, form: str) -> UMPUPower:
         raise ValueError("zero separating polynomial")
     c_alpha = min(caps)
     beta = c_alpha * shape + alpha * Polynomial.simplex_power(shape.nvars, n)
-    return UMPUPower(alpha, c_alpha, PowerPolynomial(n, shape.nvars, beta), form)
+    return UMPUPower(c_alpha, PowerPolynomial(n, shape.nvars, beta))
 
 
 def principal_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
@@ -152,7 +150,7 @@ def principal_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
         raise ValueError("generator must be nonconstant")
     if n < 2 * deg:
         raise ValueError(f"sample size {n} below threshold {2 * deg}")
-    return _level((f * f).homogenize(n), n, alpha, "principal_square")
+    return _level((f * f).homogenize(n), n, alpha)
 
 
 def semialgebraic_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
@@ -165,7 +163,7 @@ def semialgebraic_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
         raise ValueError("boundary polynomial must be nonconstant")
     if n < deg:
         raise ValueError(f"sample size {n} below threshold {deg}")
-    return _level(f.homogenize(n), n, alpha, "semialgebraic_linear")
+    return _level(f.homogenize(n), n, alpha)
 
 
 def union_separating(witnesses: Sequence[Polynomial], kind: str = "SUB") -> Polynomial:
@@ -187,8 +185,6 @@ def union_separating(witnesses: Sequence[Polynomial], kind: str = "SUB") -> Poly
 
 def rank_threshold(p: int, q: int, r: int) -> ThresholdReport:
     """Thresholds for the bounded-rank table hypothesis: both equal 2r."""
-    from powerpoly.hypotheses import rank_lt
-
     hyp = rank_lt(p, q, r)
     first = hyp.generators[0]
     return ThresholdReport(

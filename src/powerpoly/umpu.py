@@ -52,7 +52,6 @@ class HRow:
 
 @dataclass(frozen=True)
 class CoefficientPolytope:
-    f: Polynomial
     n: int
     k: int
     alpha: Fraction
@@ -98,6 +97,14 @@ class CoefficientPolytope:
     def h_polynomial(self, coeffs: Sequence[Fraction]) -> Polynomial:
         return Polynomial(self.k, dict(zip(self.h_index, map(Fraction, coeffs))))
 
+    def power_polynomial(self, coeffs: Sequence[Fraction]) -> PowerPolynomial:
+        """beta = f~^2 h + alpha (sum pi)^n: its L-term is phi_L(h) = c_L.h - lower."""
+        terms = {}
+        for row in self.rows:
+            if c := sum(a * x for a, x in zip(row.coeffs, coeffs) if a) - row.lower:
+                terms[row.index] = c
+        return PowerPolynomial(self.n, self.k, Polynomial._of(self.k, terms))
+
 
 def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientPolytope:
     """H-representation of the feasible h-coefficients for f~^2 h + alpha."""
@@ -131,7 +138,7 @@ def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientP
             )
         )
     return CoefficientPolytope(
-        f=f, n=n, k=k, alpha=alpha, nprime=nprime, h_index=h_index, rows=tuple(rows)
+        n=n, k=k, alpha=alpha, nprime=nprime, h_index=h_index, rows=tuple(rows)
     )
 
 
@@ -169,20 +176,10 @@ def componentwise_max(vertices: Sequence[Sequence[Fraction]]) -> ComponentwiseMa
     return ComponentwiseMax(vertex=None, certificate=pair)
 
 
-@dataclass(frozen=True)
-class PeelingLayers:
-    """Vertex layers of the iterated convex peeling of the lattice simplex."""
-
-    k: int
-    nprime: int
-    layers: tuple[tuple[tuple[int, ...], ...], ...]
-    residuals: tuple[tuple[tuple[int, ...], ...], ...]
-
-
 def convex_peeling(
     k: int, nprime: int, counter: StepCounter | None = None
-) -> PeelingLayers:
-    """Iteratively strip the convex-hull vertices of the remaining lattice points.
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Layers of convex-hull vertices, stripped off the degree-n' lattice points.
 
     The first layer is the corners n' e_i, since the hull of the lattice
     points of n'Δ is n'Δ itself; each later hull test (one exact LP) ticks
@@ -192,9 +189,7 @@ def convex_peeling(
         raise ValueError("need k >= 2 and nprime >= 0")
     remaining = _grevlex_desc(monomials_of_degree(k, nprime))
     layers = []
-    residuals = []
     while remaining:
-        residuals.append(tuple(remaining))
         if layers:
             hull = set(hull_vertices(remaining, counter))
         else:
@@ -203,7 +198,7 @@ def convex_peeling(
             raise AssertionError("internal: finite point set with no hull vertices")
         layers.append(tuple(m for i, m in enumerate(remaining) if i in hull))
         remaining = [m for i, m in enumerate(remaining) if i not in hull]
-    return PeelingLayers(k=k, nprime=nprime, layers=tuple(layers), residuals=tuple(residuals))
+    return tuple(layers)
 
 
 EXISTS = "exists"
@@ -245,20 +240,18 @@ def umpu_search(
     # dominates all others.
     peak = tuple(map(max, zip(*poly.vertices)))
     if peak in poly.vertices:
-        h = poly.h_polynomial(peak)
-        beta = _beta_from_h(poly, h)
         return UMPUVerdict(
             status=EXISTS,
-            h_star=h,
-            beta=beta,
+            h_star=poly.h_polynomial(peak),
+            beta=poly.power_polynomial(peak),
             c_vertices=poly.vertices,
             reason="componentwise maximum vertex",
         )
 
-    peeling = convex_peeling(poly.k, poly.nprime, counter)
+    layers = convex_peeling(poly.k, poly.nprime, counter)
     position = {J: i for i, J in enumerate(poly.h_index)}
     face = list(poly.vertices)
-    for layer_no, layer in enumerate(peeling.layers):
+    for layer_no, layer in enumerate(layers):
         if counter is not None:
             counter.tick()
         maxima = {position[J]: max(v[position[J]] for v in face) for J in layer}
@@ -281,12 +274,10 @@ def umpu_search(
         face = attained
 
     # The layers cover every coordinate, so the face is the single vertex h*.
-    h = poly.h_polynomial(face[0])
-    beta = _beta_from_h(poly, h)
     return UMPUVerdict(
         status=CANDIDATE,
-        h_star=h,
-        beta=beta,
+        h_star=poly.h_polynomial(face[0]),
+        beta=poly.power_polynomial(face[0]),
         c_vertices=poly.vertices,
         reason="necessary layer conditions hold; sufficiency undecided",
     )
@@ -314,10 +305,3 @@ def _incomparable_pair(points):
             ):
                 return (maximal[i], maximal[j])
     return None
-
-
-def _beta_from_h(poly: CoefficientPolytope, h: Polynomial) -> PowerPolynomial:
-    f = poly.f
-    ftilde = f.homogenize(f.total_degree())
-    beta = ftilde * ftilde * h + poly.alpha * Polynomial.simplex_power(poly.k, poly.n)
-    return PowerPolynomial(poly.n, poly.k, beta)

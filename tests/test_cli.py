@@ -79,6 +79,27 @@ class TestGb:
         assert code == 1
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gb", "--gens", "p1-p3", "--vars", "p1,p2,p3"],
+        # Neither command below draws on the budget, yet the limit is checked.
+        ["coeff-polytope", "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3",
+         "--alpha", "1/20"],
+        ["threshold", "--hypothesis", "RANK"],
+    ],
+    ids=["gb", "coeff-polytope", "threshold-rank"],
+)
+def test_step_limit_below_one_is_an_error(argv, limit, tmp_path, capsys):
+    rank = tmp_path / "rank.json"
+    rank.write_text(json.dumps({"kind": "rank_lt", "params": {"p": 3, "q": 3, "r": 3}}))
+    argv = [str(rank) if a == "RANK" else a for a in argv]
+    code, _ = run_cli(argv + ["--step-limit", limit])
+    assert code == 1
+    assert "step limit must be >= 1" in capsys.readouterr().err
+
+
 class TestThreshold:
     def test_independence(self, indep22):
         code, out = run_cli(["threshold", "--hypothesis", indep22])
@@ -156,6 +177,20 @@ class TestThreshold:
         assert json.loads(out)["separating"].startswith("-p1*p2")
         code, _ = run_cli(["separating", "--hypothesis", square("1/4")])
         assert code == 2
+
+    def test_step_limit_covers_polytope_separating(self, square):
+        # P0's double description takes 8 steps on the 3/4 square.
+        args = ["separating", "--hypothesis", square("3/4")]
+        assert run_cli(args + ["--step-limit", "1"])[0] == 3
+        code, out = run_cli(args)
+        assert code == 0
+        assert json.loads(out) == {
+            "schema_version": 1,
+            "exists": True,
+            "separating": "-p1*p2 + 3/4*p1 + 3/4*p2 - 9/16",
+            "kind": "SUB",
+        }
+        assert run_cli(args + ["--step-limit", "8"]) == (code, out)
 
     @pytest.mark.parametrize("t, code", [("3/4", 0), ("1/4", 2)])
     def test_separating_for_polytope_matches_polytope_exists(self, square, t, code):

@@ -47,6 +47,17 @@ class TestBuilders:
         assert len(h.generators) == expected
         assert all(g.total_degree() == 2 for g in h.generators)
 
+    @pytest.mark.parametrize("p, q", [(p, q) for p in range(2, 5) for q in range(2, 5)])
+    def test_independence_is_rank_below_two(self, p, q):
+        h, minors = independence(p, q), rank_lt(p, q, 2)
+        assert (h.generators, h.names, h.k) == (minors.generators, minors.names, minors.k)
+        assert (h.family, h.params) == ("independence", {"p": p, "q": q})
+
+    @pytest.mark.parametrize("p, q", [(1, 3), (3, 1), (1, 1)])
+    def test_independence_needs_two_rows_and_columns(self, p, q):
+        with pytest.raises(ValueError, match="at least 2 rows and 2 columns"):
+            independence(p, q)
+
     def test_rank_generator_counts(self):
         assert len(rank_lt(3, 3, 3).generators) == 1
         assert len(rank_lt(2, 3, 2).generators) == 3

@@ -65,6 +65,21 @@ class TestParser:
             assert parse_polynomial(printed, VARS) == p
             assert format_polynomial(parse_polynomial(printed, VARS)) == printed
 
+    def test_repeated_monomials_accumulate_and_cancel(self):
+        p = P("p1 + 2*p2 - p1 + 0*p3 + 1/2*p2 - p1")
+        assert p.terms == {(1, 0, 0): Fraction(-1), (0, 1, 0): Fraction(5, 2)}
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert P("p1*p2 - p2*p1 + 3 - 3").terms == {}
+
+    def test_large_round_trip(self):
+        # (p1 + ... + p5)^12 has 1,820 terms.
+        names = [f"p{i + 1}" for i in range(5)]
+        p = Polynomial.simplex_power(5, 12)
+        text = format_polynomial(p, names)
+        back = parse_polynomial(text, names)
+        assert back == p and len(back.terms) == 1820
+        assert format_polynomial(back, names) == text
+
 
 class TestEvaluate:
     def test_det_at_symmetric_point(self):

@@ -78,7 +78,7 @@ def _lp_replay(poly):
         return EXISTS, None, [peak[i] for i in range(dim)]
     position = {J: i for i, J in enumerate(poly.h_index)}
     fixed = {}
-    for layer_no, layer in enumerate(convex_peeling(poly.k, poly.nprime).layers):
+    for layer_no, layer in enumerate(convex_peeling(poly.k, poly.nprime)):
         cons = base + _fix(dim, fixed)
         # Layer 0 maximizes over the whole polytope: its maxima are the peak's.
         maxima = {
@@ -179,6 +179,31 @@ class TestCoefficientPolytope:
         near_gap = min(alpha, 1 - alpha)
         assert all(bound == near_gap * (r.upper - r.lower) for bound, r in zip(b, rows))
         assert poly.facet_count() == 15
+
+
+@pytest.mark.parametrize(
+    "text, k, n",
+    [
+        ("p1 + p2 - p3", 3, 3),
+        ("p1 + p2 - p3", 3, 4),
+        ("2*p1 + p2 - p3", 3, 3),
+        ("p1 - p2", 3, 4),
+        ("p1 + p2 + p3 - p4", 4, 3),
+    ],
+)
+@pytest.mark.parametrize("alpha", [F(1, 20), F(1, 10), F(1, 2)])
+def test_power_polynomial_from_rows_matches_the_product(text, k, n, alpha):
+    # Oracle: beta = f~^2 h + alpha (p1 + ... + pk)^n by polynomial algebra.
+    names = [f"p{i + 1}" for i in range(k)]
+    f = parse_polynomial(text, names)
+    ftilde = f.homogenize(f.total_degree())
+    level = alpha * Polynomial.simplex_power(k, n)
+    poly = enumerate_vertices(coefficient_polytope(f, n, alpha))
+    assert poly.vertices
+    for v in poly.vertices:
+        beta = poly.power_polynomial(v)
+        assert beta.poly == ftilde * ftilde * poly.h_polynomial(v) + level
+        assert (beta.n, beta.k) == (n, k)
 
 
 class TestVertexGoldens:
@@ -340,7 +365,7 @@ class TestIncomparablePair:
 
 class TestConvexPeeling:
     def test_k3_layer_shapes(self):
-        layers = convex_peeling(3, 5).layers
+        layers = convex_peeling(3, 5)
         assert set(layers[0]) == {(5, 0, 0), (0, 5, 0), (0, 0, 5)}
         assert set(layers[1]) == {
             (4, 1, 0), (4, 0, 1), (1, 4, 0), (0, 4, 1), (1, 0, 4), (0, 1, 4),
@@ -350,7 +375,7 @@ class TestConvexPeeling:
         }
 
     def test_k2_peeling(self):
-        layers = convex_peeling(2, 4).layers
+        layers = convex_peeling(2, 4)
         assert [set(l) for l in layers] == [
             {(4, 0), (0, 4)},
             {(3, 1), (1, 3)},
@@ -358,14 +383,15 @@ class TestConvexPeeling:
         ]
 
     def test_nprime_zero(self):
-        layers = convex_peeling(3, 0).layers
+        layers = convex_peeling(3, 0)
         assert layers == (((0, 0, 0),),)
 
     def test_layers_partition_lattice(self):
-        peel = convex_peeling(3, 6)
-        seen = [m for layer in peel.layers for m in layer]
+        layers = convex_peeling(3, 6)
+        seen = [m for layer in layers for m in layer]
         assert len(seen) == len(set(seen)) == 28
-        sizes = [len(r) for r in peel.residuals]
+        # The points left before each layer shrink strictly.
+        sizes = [len(seen) - sum(map(len, layers[:i])) for i in range(len(layers))]
         assert sizes == sorted(sizes, reverse=True)
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
