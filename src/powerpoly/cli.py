@@ -5,7 +5,7 @@ power-grid, recover-test, mc-validate.  JSON artifacts are versioned and
 deterministic; exit codes separate mathematical verdicts from failures:
 
     0  success
-    1  error (bad input, violated precondition)
+    1  error (bad input, violated precondition, usage error)
     2  analysis verdict "does not exist"
     3  step limit exceeded
 """
@@ -428,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("polytope-exists", help="UB existence for a polytope hypothesis")
     p.add_argument("--hypothesis", required=True)
+    p.add_argument("--step-limit", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_polytope_exists)
 
@@ -458,7 +459,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and --version, and 2 after printing a
+        # usage error; 2 is the "does not exist" verdict here.
+        return EXIT_OK if not exc.code else EXIT_ERROR
     try:
         # One budget for the whole command; commands without the flag get None.
         limit = getattr(args, "step_limit", None)

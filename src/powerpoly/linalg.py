@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
@@ -79,19 +79,16 @@ def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
 
 
 def primitive_ints(vec) -> tuple[int, ...]:
-    """Scale by a positive rational to a primitive integer vector.
+    """Scale ints and Fractions by a positive rational to a primitive integer vector.
 
     Only positive scaling is allowed, so a ray, a direction or a row
-    a.x <= b (scaled with its right-hand side) keeps its sense.
+    a.x <= b (scaled with its right-hand side) keeps its sense.  Each entry
+    becomes its numerator over the lcm of the denominators (an int is its
+    own numerator over 1), so no Fraction is built.
     """
-    den = 1
-    for v in vec:
-        if isinstance(v, Fraction):
-            den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    den = lcm(*(v.denominator for v in vec))
+    ints = [v.numerator * (den // v.denominator) for v in vec]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return tuple(ints)

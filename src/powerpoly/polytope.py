@@ -3,8 +3,12 @@
 The polytope {x : A x <= b} is homogenized to the pointed cone
 {(x, t) : A x <= t b, t >= 0}; extreme rays are built by incremental
 halfspace insertion, and rays with t > 0 are rescaled to vertices.
-Everything is Fraction-exact; insertion order is fixed so output is
-deterministic.
+Everything is exact; insertion order is fixed so output is deterministic.
+
+The set-up runs on integers.  Each cone row is built straight from the
+int or Fraction entries as a primitive integer vector, and the initial
+simplicial cone's rays, the columns of -M^-1 for its d + 1 rows M, come
+from fraction-free Gauss-Jordan elimination on [M | I].
 
 Adjacency is the combinatorial test on bit patterns (Fukuda & Prodon,
 "Double description method revisited", 1996; Terzer & Stelling, "Large-
@@ -17,6 +21,24 @@ that is when the AND of `on[j]` over them is the pair itself; the AND
 chain stops as soon as only the pair is left.  A ray removed by an
 insertion clears its bits and frees its id for the next new ray, so the
 masks stay as wide as the peak live ray count.
+
+Two certificates skip work whose outcome is already known, so the steps
+counted and the vertices returned are those of the plain method:
+
+- A ray box.  After a row that cuts no ray, while every ray has t > 0,
+  the box of the points x/t (per-coordinate least and greatest value)
+  is kept until the ray set changes.  A later row c.x <= beta whose
+  maximum over the box is strictly below beta holds strictly at every
+  ray: it cuts nothing and no ray lies on it, so it is skipped with its
+  one step.  The test must be strict.  At a maximum of exactly beta the
+  row may pass through a ray, which must then record the row in its
+  tight mask; the masks are exact, every ray's mask being the set of
+  rows it lies on.
+- A blocking ray.  While the pairs of one positive ray are tested, the
+  third ray found by the last failed AND chain is remembered with its
+  tight mask.  A later pair whose common rows all lie in that mask is
+  non-adjacent at once, unless the remembered ray is the pair's own
+  negative ray.
 """
 
 from __future__ import annotations
@@ -28,7 +50,7 @@ from operator import mul
 from typing import Sequence
 
 from powerpoly.groebner import StepCounter
-from powerpoly.linalg import primitive_ints, rref
+from powerpoly.linalg import primitive_ints
 from powerpoly.linprog import LE, solve_lp
 
 
@@ -54,20 +76,41 @@ def enumerate_vertices_dd(
 ) -> list[tuple[Fraction, ...]]:
     """All vertices of the bounded polytope {x : a x <= b}, sorted lex.
 
-    An empty polyhedron gives [].  Raises ValueError when the rows are rank
-    deficient, or when the polyhedron is nonempty and some x != 0 has
-    a x <= 0, so that it is unbounded.  All ray arithmetic runs on
-    primitive integer vectors (positive rescaling leaves the cone
-    unchanged), which keeps the inner loops on machine integers until the
-    final division by the homogenizing coordinate.
+    The entries of a and b are ints or Fractions.  An empty polyhedron
+    gives [].  Raises ValueError when the rows are rank deficient, or when
+    the polyhedron is nonempty and some x != 0 has a x <= 0, so that it is
+    unbounded.
     """
-    rows = [[Fraction(v) for v in row] for row in a]
-    rhs = [Fraction(v) for v in b]
-    if not rows:
+    rays = _extreme_rays(a, b, counter)[1]
+    # Every ray has t >= 0.  Rays with t > 0 are the vertices; a ray with
+    # t = 0 is a recession direction, which matters only when a vertex exists.
+    points = [r.vec for r in rays if r.vec[-1] > 0]
+    if points and len(points) < len(rays):
+        raise ValueError("polyhedron is unbounded (recession ray found)")
+    # Sort and deduplicate on integers: every coordinate over the common
+    # denominator `scale`, which orders the points as their exact values do.
+    scale = lcm(*(p[-1] for p in points))
+    unique = {tuple(v * (scale // p[-1]) for v in p[:-1]): p for p in points}
+    return [tuple(Fraction(v, p[-1]) for v in p[:-1]) for _, p in sorted(unique.items())]
+
+
+def _extreme_rays(
+    a: Sequence[Sequence],
+    b: Sequence,
+    counter: StepCounter | None = None,
+) -> tuple[list[tuple[int, ...]], list[_Ray]]:
+    """The cone rows of {x : a x <= b} and the extreme rays of their cone.
+
+    Each ray's `tight` mask holds exactly the cone rows the ray lies on.
+    All ray arithmetic runs on primitive integer vectors (positive
+    rescaling leaves the cone unchanged), which keeps the inner loops on
+    machine integers.
+    """
+    if not a:
         raise ValueError("no constraints")
-    dim = len(rows[0])
+    dim = len(a[0])
     # Cone rows over (x, t): a.x - b t <= 0, then -t <= 0, rescaled integral.
-    cone = [primitive_ints(tuple(row) + (-r,)) for row, r in zip(rows, rhs)]
+    cone = [primitive_ints((*row, -r)) for row, r in zip(a, b)]
     cone.append(tuple([0] * dim + [-1]))
     d1 = dim + 1
 
@@ -91,28 +134,34 @@ def enumerate_vertices_dd(
     if len(chosen) < d1:
         raise ValueError("constraint matrix is rank deficient (cone not pointed)")
 
-    # Rays of {y : M_B y <= 0} with M_B invertible: solve M_B r_j = -e_j.
-    # Row-reducing [M_B | I] leaves [I | M_B^-1].
-    red, _ = rref([cone[i] + tuple(int(p == j) for j in range(d1)) for p, i in enumerate(chosen)])
-    inv = [row[d1:] for row in red]
     rays: list[_Ray] = []
     on = [0] * len(cone)  # on[j]: bitmask over ray ids tight on row j
-    for j in range(d1):
-        vec = primitive_ints(tuple(-inv[i][j] for i in range(d1)))
+    for j, vec in enumerate(_initial_rays([cone[i] for i in chosen])):
         tight = 0
         for pos, ci in enumerate(chosen):
             if pos != j:
                 tight |= 1 << ci
                 on[ci] |= 1 << j
         rays.append(_Ray(vec, tight, 1 << j))
+    by_id = list(rays)  # by_id[i]: the live ray whose bit is 1 << i
     live = (1 << d1) - 1  # bitmask of the ids in use
     free: list[int] = []  # ids of removed rays, for reuse
+    box = None  # (lo, hi, den) over the current rays, see _ray_box
 
+    initial = set(chosen)
     for idx, row in enumerate(cone):
-        if idx in chosen:
+        if idx in initial:
             continue
         if counter is not None:
             counter.tick()
+        if box is not None:
+            lo, hi, den = box
+            top = row[-1] * den
+            for c, l, h in zip(row, lo, hi):
+                if c:
+                    top += c * (h if c > 0 else l)
+            if top < 0:
+                continue  # every ray strictly inside: nothing cut, none tight
         vals = [sum(map(mul, row, r.vec)) for r in rays]
         pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
         neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
@@ -121,9 +170,14 @@ def enumerate_vertices_dd(
         if counter is not None:
             counter.tick(len(pos) * len(neg))  # one step per pair tested
         for rp, vp in pos:
+            third_bit = third_tight = 0  # a ray that blocked an earlier pair of rp
             for rn, vn in neg:
                 common = rp.tight & rn.tight
                 if common.bit_count() < min_common:
+                    continue
+                # The remembered ray, tight on every row of common and
+                # neither rp nor rn, shows the pair non-adjacent at once.
+                if third_bit and third_bit != rn.bit and not common & ~third_tight:
                     continue
                 # Adjacent when no third ray is tight on every row of common.
                 pair = rp.bit | rn.bit
@@ -133,6 +187,8 @@ def enumerate_vertices_dd(
                     acc &= on[low.bit_length() - 1]
                     rest ^= low
                 if acc != pair:
+                    third_bit = (acc ^ pair) & -(acc ^ pair)
+                    third_tight = by_id[third_bit.bit_length() - 1].tight
                     continue
                 # Positive combination lying on the new hyperplane.
                 combo = [vp * x - vn * y for x, y in zip(rn.vec, rp.vec)]
@@ -153,47 +209,73 @@ def enumerate_vertices_dd(
             # With no freed id waiting, the ids in use are 0 .. m-1.
             r.bit = free.pop() if free else live + 1
             live |= r.bit
+            i = r.bit.bit_length() - 1
+            if i == len(by_id):
+                by_id.append(r)
+            else:
+                by_id[i] = r
             for j in _bits(r.tight):
                 on[j] |= r.bit
-        rays = [r for r, v in zip(rays, vals) if v <= 0] + newcomers
-
-    # Every ray has t >= 0.  Rays with t > 0 are the vertices; a ray with
-    # t = 0 is a recession direction, which matters only when a vertex exists.
-    points = [r.vec for r in rays if r.vec[-1] > 0]
-    if points and len(points) < len(rays):
-        raise ValueError("polyhedron is unbounded (recession ray found)")
-    # Sort and deduplicate on integers: every coordinate over the common
-    # denominator `scale`, which orders the points as their exact values do.
-    scale = lcm(*(p[-1] for p in points))
-    unique = {tuple(v * (scale // p[-1]) for v in p[:-1]): p for p in points}
-    return [tuple(Fraction(v, p[-1]) for v in p[:-1]) for _, p in sorted(unique.items())]
+        if pos:
+            rays = [r for r, v in zip(rays, vals) if v <= 0] + newcomers
+            box = None
+        elif box is None and rays and all(r.vec[-1] > 0 for r in rays):
+            box = _ray_box(rays)
+    return cone, rays
 
 
-def enumerate_vertices_brute_force(
-    a: Sequence[Sequence], b: Sequence
-) -> list[tuple[Fraction, ...]]:
-    """Independent oracle: solve every d-subset of tight rows, keep feasible.
+def _initial_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Primitive rays r_j of {y : M y <= 0}, M the invertible integer rows.
 
-    Exponential; only suitable for small systems (tests).
+    M r_j = -e_j, so r_j is column j of -M^-1.  Fraction-free Gauss-Jordan
+    on [M | I] leaves [D | R] with D diagonal and positive, and
+    M^-1 = D^-1 R.  With den the lcm of the D[i][i], den * r_j is the
+    integer vector (-R[i][j] * den / D[i][i])_i.
     """
-    from itertools import combinations
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for c in range(n):
+        p = next(i for i in range(c, n) if m[i][c])
+        m[c], m[p] = m[p], m[c]
+        if m[c][c] < 0:
+            m[c] = [-x for x in m[c]]
+        piv = m[c]
+        for i in range(n):
+            f = m[i][c]
+            if i != c and f:
+                row = [piv[c] * x - f * y for x, y in zip(m[i], piv)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row]
+    den = lcm(*(m[i][i] for i in range(n)))
+    scale = [den // m[i][i] for i in range(n)]
+    return [primitive_ints([-m[i][n + j] * scale[i] for i in range(n)]) for j in range(n)]
 
-    from powerpoly.linalg import solve_linear, rank
 
-    rows = [[Fraction(v) for v in row] for row in a]
-    rhs = [Fraction(v) for v in b]
-    dim = len(rows[0])
-    found = set()
-    for subset in combinations(range(len(rows)), dim):
-        sub = [rows[i] for i in subset]
-        if rank(sub) < dim:
-            continue
-        x = solve_linear(sub, [rhs[i] for i in subset])
-        if x is None:
-            continue
-        if all(sum(r * v for r, v in zip(row, x)) <= bound for row, bound in zip(rows, rhs)):
-            found.add(tuple(x))
-    return sorted(found)
+def _ray_box(rays: list[_Ray]) -> tuple[list[int], list[int], int]:
+    """The box spanned by the points x/t of rays that all have t > 0.
+
+    Returns (lo, hi, den): lo[i] / den and hi[i] / den are the least and
+    the greatest x_i / t over the rays.  Each extreme is found by integer
+    cross-multiplication (t > 0), and only the extremes become Fractions.
+    """
+    lo, hi = [], []
+    for i in range(len(rays[0].vec) - 1):
+        x, t = rays[0].vec[i], rays[0].vec[-1]
+        y, s = x, t
+        for r in rays:
+            v, w = r.vec[i], r.vec[-1]
+            if v * t < x * w:
+                x, t = v, w
+            if v * s > y * w:
+                y, s = v, w
+        lo.append(Fraction(x, t))
+        hi.append(Fraction(y, s))
+    den = lcm(*(f.denominator for f in lo + hi))
+    return (
+        [f.numerator * (den // f.denominator) for f in lo],
+        [f.numerator * (den // f.denominator) for f in hi],
+        den,
+    )
 
 
 def irredundant_rows(a: Sequence[Sequence], b: Sequence) -> list[int]:

@@ -1,10 +1,12 @@
-"""Shared test data: worked examples frozen from the reference tables."""
+"""Shared test data (worked examples frozen from the reference tables) and oracles."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from powerpoly import parse_polynomial
+from powerpoly.linalg import rank, solve_linear
 
 VARS3 = ["p1", "p2", "p3"]
 
@@ -70,3 +72,24 @@ def simplex_points_3():
         (Fraction(7, 10), Fraction(1, 10), Fraction(1, 5)),
         (Fraction(0), Fraction(1, 2), Fraction(1, 2)),
     ]
+
+
+def enumerate_vertices_brute_force(a, b):
+    """Independent vertex oracle: solve every d-subset of rows, keep the feasible points.
+
+    Exponential; only suitable for small systems.
+    """
+    rows = [[Fraction(v) for v in row] for row in a]
+    rhs = [Fraction(v) for v in b]
+    dim = len(rows[0])
+    found = set()
+    for subset in combinations(range(len(rows)), dim):
+        sub = [rows[i] for i in subset]
+        if rank(sub) < dim:
+            continue
+        x = solve_linear(sub, [rhs[i] for i in subset])
+        if x is None:
+            continue
+        if all(sum(r * v for r, v in zip(row, x)) <= bound for row, bound in zip(rows, rhs)):
+            found.add(tuple(x))
+    return sorted(found)

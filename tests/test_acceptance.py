@@ -48,7 +48,6 @@ from powerpoly import (
 from powerpoly import test_to_power as to_power
 from powerpoly.groebner import StepCounter, s_polynomial
 from powerpoly.groebner import reduce as poly_reduce
-from powerpoly.polytope import enumerate_vertices_brute_force
 from powerpoly.power import count_vectors, max_statistic_test
 from powerpoly.umpu import CANDIDATE, EXISTS, NOT_EXISTS
 
@@ -57,6 +56,7 @@ from conftest import (
     EXAMPLE5_VARS,
     PRINTED_VERTICES_SUM,
     PRINTED_VERTICES_WEIGHTED,
+    enumerate_vertices_brute_force,
     printed_to_exact,
 )
 

@@ -100,6 +100,22 @@ def test_step_limit_below_one_is_an_error(argv, limit, tmp_path, capsys):
     assert "step limit must be >= 1" in capsys.readouterr().err
 
 
+def test_usage_error_exits_one_not_the_verdict_code(capsys):
+    # argparse would exit 2, the code of a "does not exist" verdict.
+    code, out = run_cli(["gb", "--gens", "p1-p3", "--vars", "p1,p2,p3", "--order", "lex"])
+    assert (code, out) == (1, "")
+    assert "argument --order: invalid choice: 'lex'" in capsys.readouterr().err
+    assert run_cli(["polytope-exists"])[0] == 1  # a required option missing
+    assert run_cli(["no-such-command"])[0] == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gb", "--help"], ["--version"]])
+def test_help_and_version_exit_zero(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == 0
+    assert "powerpoly" in out + capsys.readouterr().out
+
+
 class TestThreshold:
     def test_independence(self, indep22):
         code, out = run_cli(["threshold", "--hypothesis", indep22])
@@ -254,6 +270,14 @@ class TestPolytopeExists:
         assert code == 2
         payload = json.loads(out)
         assert payload["witness_point"] == ["1/4", "1/4"]
+
+    def test_step_limit(self, square, capsys):
+        # P0's double description takes 8 steps on the 3/4 square.
+        args = ["polytope-exists", "--hypothesis", square("3/4")]
+        assert run_cli(args + ["--step-limit", "1"])[0] == 3
+        assert run_cli(args + ["--step-limit", "0"])[0] == 1
+        assert "step limit must be >= 1" in capsys.readouterr().err
+        assert run_cli(args + ["--step-limit", "8"]) == run_cli(args)
 
 
 class TestRoundTripCommands:

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -7,13 +8,16 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from powerpoly import StepCounter, StepLimitExceeded, coefficient_polytope, parse_polynomial
-from powerpoly.linalg import rank
+from powerpoly import polytope
+from powerpoly.linalg import primitive_ints, rank
 from powerpoly.polytope import (
-    enumerate_vertices_brute_force,
+    _extreme_rays,
     enumerate_vertices_dd,
     hull_vertices,
     irredundant_rows,
 )
+
+from conftest import enumerate_vertices_brute_force
 
 
 def cube(d, lo=-1, hi=1):
@@ -54,6 +58,14 @@ def draw_box_with_cuts(data):
         a.append([scale * v for v in a[i]])
         b.append(scale * b[i])
     return a, b
+
+
+def assert_tight_masks_exact(a, b):
+    """Each extreme ray's tight mask is exactly the set of cone rows it lies on."""
+    cone, rays = _extreme_rays(a, b)
+    for ray in rays:
+        on = sum(1 << j for j, row in enumerate(cone) if sum(map(operator.mul, row, ray.vec)) == 0)
+        assert ray.tight == on, (ray.vec, bin(ray.tight), bin(on))
 
 
 def draw_box_with_corners_cut(data):
@@ -161,6 +173,46 @@ class TestDoubleDescription:
         with pytest.raises(StepLimitExceeded):
             enumerate_vertices_dd(a, b, StepCounter(265))
 
+    def test_weakly_redundant_row_after_the_box(self, monkeypatch):
+        # The cube [0, 2]^3, then x + y + z <= 9, which cuts nothing: the ray
+        # box is built after it (step 9).  x + y <= 4 is redundant but passes
+        # through the edge x = y = 2, so its box bound is exactly 0: it is
+        # evaluated, and the two corners on it record it in their tight
+        # masks.  x + y + z <= 8 lies strictly outside the box and is skipped.
+        # x + y + z <= 5 cuts the corner (2, 2, 2) and drops the box, which
+        # x + z <= 7 rebuilds (step 20) and -t <= 0 then skips.
+        counter = StepCounter()
+        built = []  # the step count at each box built
+        ray_box = polytope._ray_box
+        monkeypatch.setattr(
+            polytope, "_ray_box", lambda rays: built.append(counter.steps) or ray_box(rays)
+        )
+        a, b = cube(3, 0, 2)
+        a += [[1, 1, 1], [1, 1, 0], [1, 1, 1], [1, 1, 1], [1, 0, 1]]
+        b += [9, 4, 8, 5, 7]
+        vertices = enumerate_vertices_dd(a, b, counter)
+        assert vertices == enumerate_vertices_brute_force(a, b)
+        assert len(vertices) == 10
+        assert (built, counter.steps) == ([9, 20], 21)
+        assert_tight_masks_exact(a, b)
+
+    @seed(20261018)
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_far_copies_of_rows_in_any_order(self, data):
+        # Copies of a polytope's rows moved outward by 0 (weakly redundant:
+        # the box bound can be exactly 0) or by a positive amount (strictly
+        # redundant, skipped once a box exists), all rows shuffled.
+        a, b = draw_box_with_cuts(data)
+        for i in data.draw(st.lists(st.integers(0, len(a) - 1), min_size=1, max_size=4)):
+            shift = data.draw(st.sampled_from([0, 0, Fraction(1, 2), 1, 5]))
+            a.append(list(a[i]))
+            b.append(b[i] + shift * sum(map(abs, a[i])))
+        perm = data.draw(st.permutations(range(len(a))))
+        a, b = [a[i] for i in perm], [b[i] for i in perm]
+        assert enumerate_vertices_dd(a, b) == enumerate_vertices_brute_force(a, b)
+        assert_tight_masks_exact(a, b)
+
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(
@@ -206,6 +258,12 @@ class TestDoubleDescription:
         assert enumerate_vertices_dd([a[i] for i in perm], [b[i] for i in perm]) == (
             enumerate_vertices_dd(a, b)
         )
+
+
+def test_primitive_ints_from_ints_and_fractions():
+    assert primitive_ints((Fraction(1, 2), 3, Fraction(-3, 4))) == (2, 12, -3)
+    assert primitive_ints([6, -4, 0]) == (3, -2, 0)
+    assert primitive_ints([Fraction(0), 0]) == (0, 0)
 
 
 class TestHullVertices:

@@ -20,12 +20,12 @@ from powerpoly import (
 )
 from powerpoly.linprog import EQ, LE, solve_lp
 from powerpoly.polynomial import MonomialOrder, monomials_of_degree, multinomial
-from powerpoly.polytope import enumerate_vertices_brute_force
 from powerpoly.umpu import CANDIDATE, EXISTS, NOT_EXISTS, HRow, _incomparable_pair
 
 from conftest import (
     PRINTED_VERTICES_SUM,
     PRINTED_VERTICES_WEIGHTED,
+    enumerate_vertices_brute_force,
     printed_to_exact,
 )
 
