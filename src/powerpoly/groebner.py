@@ -5,6 +5,23 @@ Reduced Groebner bases are computed with the normal selection strategy
 The output is the unique reduced basis for the order, so it is independent
 of generator order and of any internal parallelism.
 
+Division is fraction-free (Cox, Little & O'Shea, ch. 2; pseudo-division
+in Geddes, Czapor & Labahn).  Each divisor is held as a primitive integer
+polynomial with a positive leading coefficient lc, and the working
+polynomial as an integer term map over one integer denominator D.  At a
+popped term a*x^m the first divisor whose leading monomial divides x^m is
+chosen, as in rational division; with g = gcd(a, lc) the working map, the
+remainder terms collected so far and D are multiplied by lc/g (nothing
+happens when lc = 1, as for binomial minors), and then (a/g) * x^(m-lm)
+times the divisor's tail is subtracted.  Scaling by a nonzero integer
+cancels exactly the terms rational division cancels, so the same
+monomials pop, the same divisors are chosen and the step counter ticks
+exactly as often; the remainder is a positive rational multiple of the
+rational one.  Buchberger's algorithm keeps its basis as primitive
+integer forms, builds S-pairs on integers and makes each returned element
+monic once, at the end; `reduce` rebuilds the exact rational quotients
+and remainder from the same core.
+
 Radical membership uses the Rabinowitsch trick: f vanishes on the complex
 variety of `gens` iff 1 lies in <gens, 1 - y*f> in a ring with one extra
 variable y (appended last, graded reverse lex).
@@ -13,9 +30,12 @@ variable y (appended last, graded reverse lex).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import Sequence
 
+from powerpoly.linalg import primitive_scaling
 from powerpoly.polynomial import (
     DEFAULT_ORDER,
     MonomialOrder,
@@ -47,6 +67,71 @@ class StepCounter:
             raise StepLimitExceeded(f"computation exceeded step limit {self.limit}")
 
 
+def _form(lm, terms) -> tuple[tuple, Fraction]:
+    """Primitive integer form of a term map with leading monomial `lm`.
+
+    Returns the divisor (lm, lc, tail), with lc > 0 and an integer tail,
+    and the rational s with terms = s * (lc * x^lm + tail).
+    """
+    ints, g, den = primitive_scaling(terms.values())
+    tail = dict(zip(terms, ints))
+    lc = tail.pop(lm)
+    if lc < 0:
+        lc, g = -lc, -g
+        tail = {m: -c for m, c in tail.items()}
+    return (lm, lc, tail), Fraction(g, den)
+
+
+def _divide(work: dict, divisors: Sequence[tuple], key, counter, quotients=None):
+    """Fraction-free division of the integer map `work`, which it consumes.
+
+    Returns (remainder, D) with D * (the map passed in) = sum(q_i G_i) +
+    remainder for the divisors' forms G_i = lc * x^lm + tail and rational
+    quotients q_i.  The remainder
+    is in descending monomial order.  When `quotients` is given, the step
+    at divisor i records the pair (a, D) under x^(m - lm) in quotients[i]:
+    the quotient term is a / (D * lc) times x^(m - lm), D being the
+    denominator before that step's rescale.
+    """
+    remainder: dict = {}
+    den = 1
+    # Min-heap of (heap key, monomial) over the monomials of `work`, so the
+    # largest pops first.  A monomial cancelled out of `work` leaves a stale
+    # entry, skipped without a tick; if it is recreated it is pushed again,
+    # and whichever of its entries pops second is skipped as stale.
+    heap = [(key(m), m) for m in work]
+    heapify(heap)
+    while heap:
+        mono = heappop(heap)[1]
+        a = work.pop(mono, None)
+        if a is None:
+            continue
+        if counter is not None:
+            counter.tick()
+        for i, (lm, lc, tail) in enumerate(divisors):
+            quot = mono_div(mono, lm)
+            if quot is not None:
+                # Popped monomials strictly decrease, so no quotient term
+                # is ever set twice, and a popped monomial never returns.
+                if quotients is not None:
+                    quotients[i][quot] = (a, den)
+                g = gcd(a, lc)
+                mult = lc // g
+                if mult != 1:
+                    for m in work:
+                        work[m] *= mult
+                    for m in remainder:
+                        remainder[m] *= mult
+                    den *= mult
+                # mult*a*x^mono cancels against (a/g)*lc*x^mono.
+                for m in poly_addmul(work, -(a // g), quot, tail):
+                    heappush(heap, (key(m), m))
+                break
+        else:
+            remainder[mono] = a
+    return remainder, den
+
+
 def reduce(
     f: Polynomial,
     basis: Sequence[Polynomial],
@@ -63,54 +148,47 @@ def reduce(
             raise ValueError("variable count mismatch in division")
         if g.is_zero():
             raise ValueError("cannot divide by the zero polynomial")
-    key = order.heap_key
-    # (leading monomial, leading coefficient, tail) of each divisor.
-    lead = []
+    ints, content, den = primitive_scaling(f.terms.values())
+    scale = Fraction(content, den)
+    divisors, ratios = [], []
     for g in basis:
-        lm = g.leading_monomial(order)
-        tail = dict(g.terms)
-        lead.append((lm, tail.pop(lm), tail))
-    quotients: list[dict] = [{} for _ in basis]
-    remainder: dict = {}
-    work = dict(f.terms)
-    # Min-heap of (heap key, monomial) over the monomials of `work`, so the
-    # largest pops first.  A monomial cancelled out of `work` leaves a stale
-    # entry, skipped without a tick; if it is recreated it is pushed again,
-    # and whichever of its entries pops second is skipped as stale.
-    heap = [(key(m), m) for m in work]
-    heapify(heap)
-    while heap:
-        mono = heappop(heap)[1]
-        coeff = work.pop(mono, None)
-        if coeff is None:
-            continue
-        if counter is not None:
-            counter.tick()
-        for i, (lm, lc, tail) in enumerate(lead):
-            quot = mono_div(mono, lm)
-            if quot is not None:
-                # Popped monomials strictly decrease, so no quotient term
-                # is ever set twice, and a popped monomial never returns.
-                quotients[i][quot] = scale = coeff / lc
-                # work -= scale * x^quot * g_i; the lead term cancels `mono`.
-                for m in poly_addmul(work, -scale, quot, tail):
-                    heappush(heap, (key(m), m))
-                break
-        else:
-            remainder[mono] = coeff
-    return (
-        [Polynomial._of(f.nvars, q) for q in quotients],
-        Polynomial._of(f.nvars, remainder),
-    )
+        divisor, s = _form(g.leading_monomial(order), g.terms)
+        divisors.append(divisor)
+        ratios.append(scale / s)
+    steps: list[dict] = [{} for _ in basis]
+    remainder, den = _divide(dict(zip(f.terms, ints)), divisors, order.heap_key, counter, steps)
+    # f = scale * work, and g_i = s_i * G_i, so a step (a, D) at divisor i
+    # contributes scale * a / (D * lc_i * s_i) to q_i.
+    quotients = []
+    for (_, lc, _), ratio, q in zip(divisors, ratios, steps):
+        n, d = ratio.numerator, ratio.denominator
+        quotients.append(
+            Polynomial._of(f.nvars, {m: Fraction(a * n, dm * lc * d) for m, (a, dm) in q.items()})
+        )
+    n, d = scale.numerator, scale.denominator * den
+    return quotients, Polynomial._of(f.nvars, {m: Fraction(c * n, d) for m, c in remainder.items()})
+
+
+def _s_pair(a: tuple, b: tuple) -> dict:
+    """Integer S-pair (lc_b/g) x^u A - (lc_a/g) x^v B of two divisor forms,
+    g = gcd(lc_a, lc_b); the leading terms cancel, so only tails enter."""
+    (la, ca, ta), (lb, cb, tb) = a, b
+    lcm = mono_lcm(la, lb)
+    g = gcd(ca, cb)
+    out: dict = {}
+    poly_addmul(out, cb // g, mono_div(lcm, la), ta)
+    poly_addmul(out, -(ca // g), mono_div(lcm, lb), tb)
+    return out
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
-    lcm = mono_lcm(lf, lg)
-    out: dict = {}
-    poly_addmul(out, 1 / f.leading_coefficient(order), mono_div(lcm, lf), f.terms)
-    poly_addmul(out, -1 / g.leading_coefficient(order), mono_div(lcm, lg), g.terms)
-    return Polynomial._of(f.nvars, out)
+    """x^u f / lc(f) - x^v g / lc(g), with x^u lm(f) = x^v lm(g) their lcm."""
+    a = _form(f.leading_monomial(order), f.terms)[0]
+    b = _form(g.leading_monomial(order), g.terms)[0]
+    # x^u f / lc(f) = x^u A / lc_a, so the integer S-pair is lcm(lc_a, lc_b)
+    # times this one.
+    den = a[1] * b[1] // gcd(a[1], b[1])
+    return Polynomial._of(f.nvars, {m: Fraction(c, den) for m, c in _s_pair(a, b).items()})
 
 
 @dataclass(frozen=True)
@@ -134,17 +212,23 @@ def buchberger_reduced(
     counter: StepCounter | None = None,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by `gens`."""
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
-    if not basis:
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
         raise ValueError("need at least one nonzero generator")
-    nvars = basis[0].nvars
-    for g in basis:
+    nvars = gens[0].nvars
+    for g in gens:
         if g.nvars != nvars:
             raise ValueError("variable count mismatch among generators")
-    # Generators are monic, so this drops duplicates up to scaling.
-    basis = list(dict.fromkeys(basis))
+    # Primitive forms with lc > 0: equal forms are generators equal up to
+    # scaling, and the first of each is kept.
+    forms: dict = {}
+    for g in gens:
+        form = _form(g.leading_monomial(order), g.terms)[0]
+        forms.setdefault((form[0], form[1], frozenset(form[2].items())), form)
+    basis = list(forms.values())
+    key = order.heap_key
 
-    lead = [g.leading_monomial(order) for g in basis]
+    lead = [b[0] for b in basis]
     # Pending pair (i, j), i < j, mapped to the lcm of its leading monomials.
     pairs: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -177,18 +261,21 @@ def buchberger_reduced(
                     break
         if skip:
             continue
-        s = s_polynomial(basis[i], basis[j], order)
-        if s.is_zero():
+        s = _s_pair(basis[i], basis[j])
+        if not s:
             continue
-        _, r = reduce(s, basis, order, counter)
-        if not r.is_zero():
-            basis.append(r.monic(order))
-            lead.append(basis[-1].leading_monomial(order))
+        r, _ = _divide(s, basis, key, counter)
+        if r:
+            # The remainder comes out in descending order: its first
+            # monomial is the leading one.
+            lm = next(iter(r))
+            basis.append(_form(lm, r)[0])
+            lead.append(lm)
             add_pairs(len(basis) - 1)
 
     # Minimalize: drop elements whose leading monomial another one divides
     # (ties broken by keeping the earliest).
-    keep: list[Polynomial] = []
+    keep: list[tuple] = []
     for i, g in enumerate(basis):
         lm = lead[i]
         redundant = False
@@ -201,15 +288,20 @@ def buchberger_reduced(
         if not redundant:
             keep.append(g)
     # Interreduce in one pass. No leading monomial of a minimal basis divides
-    # another, so each remainder keeps its element's monic leading term, and
+    # another, so each remainder keeps its element's leading monomial, and
     # reducing by the unreduced others already gives the reduced basis.
+    reduced = [{lm: lc, **tail} for lm, lc, tail in keep]
     if len(keep) > 1:
-        keep = [
-            reduce(g, keep[:i] + keep[i + 1 :], order, counter)[1]
-            for i, g in enumerate(keep)
+        reduced = [
+            _divide(r, keep[:i] + keep[i + 1 :], key, counter)[0] for i, r in enumerate(reduced)
         ]
-    keep.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return GroebnerBasis(order=order, elements=tuple(keep))
+    # Each map starts with its leading term; dividing by it makes it monic.
+    elements = []
+    for r in reduced:
+        lc = next(iter(r.values()))
+        elements.append(Polynomial._of(nvars, {m: Fraction(c, lc) for m, c in r.items()}))
+    elements.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    return GroebnerBasis(order=order, elements=tuple(elements))
 
 
 def ideal_membership(f: Polynomial, gb: GroebnerBasis) -> bool:

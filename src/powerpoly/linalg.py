@@ -78,17 +78,26 @@ def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     return basis
 
 
-def primitive_ints(vec) -> tuple[int, ...]:
-    """Scale ints and Fractions by a positive rational to a primitive integer vector.
+def primitive_scaling(vec) -> tuple[list[int], int, int]:
+    """(ints, g, den) with vec[i] = ints[i] * g / den and ints primitive.
 
-    Only positive scaling is allowed, so a ray, a direction or a row
-    a.x <= b (scaled with its right-hand side) keeps its sense.  Each entry
-    becomes its numerator over the lcm of the denominators (an int is its
-    own numerator over 1), so no Fraction is built.
+    Each entry becomes its numerator over the lcm `den` of the denominators
+    (an int is its own numerator over 1), and the gcd `g` of those
+    numerators is divided out, so no Fraction is built.  The scale g / den
+    is positive unless every entry is zero (then g = 0).
     """
     den = lcm(*(v.denominator for v in vec))
     ints = [v.numerator * (den // v.denominator) for v in vec]
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    return tuple(ints)
+    return ints, g, den
+
+
+def primitive_ints(vec) -> tuple[int, ...]:
+    """Scale ints and Fractions by a positive rational to a primitive integer vector.
+
+    Only positive scaling is allowed, so a ray, a direction or a row
+    a.x <= b (scaled with its right-hand side) keeps its sense.
+    """
+    return tuple(primitive_scaling(vec)[0])

@@ -157,7 +157,7 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 def _format_term(mono, coeff: Fraction, names: Sequence[str], lead: bool) -> str:
@@ -167,14 +167,16 @@ def _format_term(mono, coeff: Fraction, names: Sequence[str], lead: bool) -> str
             factors.append(name)
         elif e > 1:
             factors.append(f"{name}^{e}")
-    sign = "-" if coeff < 0 else "+"
-    mag = abs(coeff)
+    num, den = coeff.numerator, coeff.denominator
+    sign = "-" if num < 0 else "+"
+    # str(abs(coeff)), without building a Fraction.
+    mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
     if not factors:
-        body = format_rational(mag)
-    elif mag == 1:
+        body = mag
+    elif mag == "1":
         body = "*".join(factors)
     else:
-        body = format_rational(mag) + "*" + "*".join(factors)
+        body = mag + "*" + "*".join(factors)
     if lead:
         return body if sign == "+" else "-" + body
     return f" {sign} {body}"

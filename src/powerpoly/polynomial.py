@@ -1,10 +1,13 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 Variables are positional (index 0..nvars-1); display names are a
-presentation concern handled by the parser/formatter.  Coefficients are
-`fractions.Fraction` throughout, terms with zero coefficient are never
-stored, and all operations return new objects, so polynomials can be
-shared freely across threads.
+presentation concern handled by the parser/formatter.  `Polynomial`
+coefficients are `fractions.Fraction` throughout, terms with zero
+coefficient are never stored, and all operations return new objects, so
+polynomials can be shared freely across threads.  The term maps inside
+the Groebner core and the SOS witness (`groebner`, `threshold`) hold
+`int` coefficients of primitive integer forms instead; `poly_addmul`
+serves both.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ Exponents = tuple[int, ...]
 
 # -- monomial and term-map arithmetic ----------------------------------------
 # Monomials are tuples of non-negative ints; term maps are dicts from
-# monomial to a nonzero Fraction.
+# monomial to a nonzero Fraction (or a nonzero int in integer term maps).
 
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
@@ -46,7 +49,7 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
-def poly_addmul(acc: dict, coeff: Fraction, mono: Exponents, tb: Mapping) -> list[Exponents]:
+def poly_addmul(acc: dict, coeff: Fraction | int, mono: Exponents, tb: Mapping) -> list[Exponents]:
     """In place: acc += coeff * x^mono * tb, dropping cancelled terms.
 
     Returns the monomials that were not in `acc` before the call.

@@ -17,6 +17,7 @@ from typing import Sequence
 
 from powerpoly.groebner import GroebnerBasis, StepCounter, radical_membership
 from powerpoly.hypotheses import NullHypothesis, rank_lt
+from powerpoly.linalg import primitive_scaling
 from powerpoly.polynomial import Polynomial, poly_addmul
 from powerpoly.power import PowerPolynomial, multinomial
 
@@ -25,12 +26,24 @@ SOS_ONLY = "sos_upper_bound_only"
 
 
 def _weighted_squares(nvars: int, terms: Sequence[tuple[Fraction, Polynomial]]) -> Polynomial:
-    """sum of w * g^2 over the (w, g) pairs, accumulated in one term map."""
-    out: dict = {}
+    """sum of w * g^2 over the (w, g) pairs, accumulated on integers.
+
+    Each g is s * G with G primitive, so w * g^2 = (w * s^2) * G^2.  The
+    weights w * s^2 are scaled to primitive integers k over one rational
+    scale c, sum k * G^2 is accumulated as one integer term map, and each
+    output coefficient becomes a Fraction once.
+    """
+    weights, forms = [], []
     for w, g in terms:
-        for mono, coeff in g.terms.items():
-            poly_addmul(out, w * coeff, mono, g.terms)
-    return Polynomial._of(nvars, out)
+        ints, content, den = primitive_scaling(g.terms.values())
+        weights.append(w * Fraction(content * content, den * den))
+        forms.append(dict(zip(g.terms, ints)))
+    ks, num, den = primitive_scaling(weights)
+    out: dict = {}
+    for k, form in zip(ks, forms):
+        for mono, coeff in form.items():
+            poly_addmul(out, k * coeff, mono, form)
+    return Polynomial._of(nvars, {m: Fraction(c * num, den) for m, c in out.items()})
 
 
 @dataclass(frozen=True)
@@ -106,7 +119,7 @@ def sos_bounds(
         ntub_bound=2 * min_deg,
         sub_bound=2 * cut_out,
         cut_out_degree=cut_out,
-        ntub_witness=g_min * g_min,
+        ntub_witness=_weighted_squares(g_min.nvars, [(1, g_min)]),
         sub_witness=sub_witness,
         exactness=exactness,
         theorem=theorem,
@@ -191,7 +204,7 @@ def rank_threshold(p: int, q: int, r: int) -> ThresholdReport:
         ntub_bound=2 * r,
         sub_bound=2 * r,
         cut_out_degree=r,
-        ntub_witness=first * first,
+        ntub_witness=_weighted_squares(hyp.k, [(1, first)]),
         sub_witness=_weighted_squares(hyp.k, [(1, g) for g in hyp.generators]),
         exactness=EXACT,
         theorem="bounded-rank threshold",

@@ -11,11 +11,13 @@ from powerpoly import (
     Polynomial,
     StepCounter,
     StepLimitExceeded,
+    build_hypothesis,
     buchberger_reduced,
     ideal_membership,
     parse_polynomial,
     radical_membership,
     reduce,
+    sos_bounds,
 )
 from powerpoly import groebner
 from powerpoly.groebner import s_polynomial
@@ -63,6 +65,20 @@ class TestDivision:
     def test_zero_divisor_rejected(self):
         with pytest.raises(ValueError):
             reduce(P("p1"), [Polynomial.zero(3)])
+
+    def test_rescale_after_remainder_terms(self):
+        # Under grlex, p2^3 and p2^2 pop first and go to the remainder.
+        # Then p1 meets the divisor led by 3*p1, so the integer core scales
+        # the working map, the collected remainder and its denominator by 3.
+        # Later p3, with working coefficient 34, meets the divisor led by
+        # -4*p3 (lc 4 once the sign is moved into its scale), and the core
+        # scales by 4 / gcd(34, 4) = 2.
+        f = P("1/2*p2^3 + 2*p2^2 + p1 + 5*p3 - 1")
+        basis = [P("3*p1 - 2*p3 + 1"), P("-4*p3 + 1")]
+        q, r = reduce(f, basis, MonomialOrder.GRLEX)
+        assert sum((qi * g for qi, g in zip(q, basis)), r) == f
+        assert q == [P("1/3"), P("-17/12")]
+        assert r == P("1/2*p2^3 + 2*p2^2 + 1/12")
 
 
 class TestBuchberger:
@@ -126,6 +142,44 @@ class TestBuchberger:
             buchberger_reduced(gens, counter=StepCounter(3))
 
 
+def _constrained(p, q, constraint):
+    """The 2x2 minors of a p x q table plus one linear constraint."""
+    names = [f"p{i}{j}" for i in range(1, p + 1) for j in range(1, q + 1)]
+    minors = [
+        f"p{r1}{c1}*p{r2}{c2} - p{r1}{c2}*p{r2}{c1}"
+        for r1, r2 in itertools.combinations(range(1, p + 1), 2)
+        for c1, c2 in itertools.combinations(range(1, q + 1), 2)
+    ]
+    params = {"k": p * q, "vars": names, "generators": minors + [constraint]}
+    return {"kind": "custom", "params": params}
+
+
+class TestStepCounts:
+    """Buchberger and the division core tick once per pair and once per
+    popped term; a different divisor choice would move these counts."""
+
+    @pytest.mark.parametrize(
+        "spec, basis_steps, total_steps",
+        [
+            ({"kind": "independence", "params": {"p": 2, "q": 4}}, 95, 95),
+            ({"kind": "independence", "params": {"p": 3, "q": 3}}, 211, 211),
+            ({"kind": "symmetry", "params": {"p": 3}}, 9, 9),
+            # The first constrained specs of the benchmark's threshold pool.
+            (_constrained(3, 3, "-2*p11 - p12 + p13 + 2*p21 - 2*p33"), 676, 688),
+            (_constrained(2, 3, "-2*p11 + p12 + 2*p21 + p22 - 2*p23"), 132, 144),
+        ],
+        ids=["independence-2x4", "independence-3x3", "symmetry-3", "constrained-3x3",
+             "constrained-2x3"],
+    )
+    def test_step_counts_pinned(self, spec, basis_steps, total_steps):
+        hyp = build_hypothesis(spec)
+        counter = StepCounter()
+        gb = buchberger_reduced(hyp.substituted_generators(), MonomialOrder.GREVLEX, counter)
+        assert counter.steps == basis_steps
+        sos_bounds(gb, hypothesis=hyp, counter=counter)
+        assert counter.steps == total_steps
+
+
 class TestMembership:
     def test_det_in_own_ideal(self):
         det = P("p1*p2 - p3^2")
@@ -187,13 +241,14 @@ class TestRadicalMembership:
             assert radical_membership(member, gens)
 
 
-def ideals(nvars, min_gens, max_gens):
+def ideals(nvars, min_gens, max_gens, coefficients=st.integers(-3, 3).filter(bool)):
     """Random ideals in `nvars` variables: each generator has 1-3 terms with
-    exponents 0..2 and nonzero integer coefficients in -3..3."""
+    exponents 0..2 and nonzero integer coefficients in -3..3 (or drawn from
+    `coefficients`)."""
     return st.lists(
         st.dictionaries(
             st.tuples(*[st.integers(0, 2)] * nvars),
-            st.integers(-3, 3).filter(bool),
+            coefficients,
             min_size=1,
             max_size=3,
         ),
@@ -203,10 +258,13 @@ def ideals(nvars, min_gens, max_gens):
 
 
 def sympy_reduced_basis(sympy, gens, nvars, order):
-    """sympy's reduced basis of the integer generators, each element made monic."""
+    """sympy's reduced basis of the rational generators, each element made monic."""
     xs = sympy.symbols(f"p1:{nvars + 1}")
     exprs = [
-        sum(c * sympy.prod(x**e for x, e in zip(xs, m)) for m, c in g.items())
+        sum(
+            sympy.Rational(c.numerator, c.denominator) * sympy.prod(x**e for x, e in zip(xs, m))
+            for m, c in g.items()
+        )
         for g in gens
     ]
     expected = set()
@@ -218,6 +276,10 @@ def sympy_reduced_basis(sympy, gens, nvars, order):
             Polynomial(nvars, {m: Fraction(int(c.p), int(c.q)) / lc for m, c in terms})
         )
     return expected
+
+
+# Nonzero n/d with n in -3..3 and d in {1, 2, 3, 6}.
+RATIONALS = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from((1, 2, 3, 6)))
 
 
 class TestSympyOracle:
@@ -242,6 +304,18 @@ class TestSympyOracle:
     def test_four_variable_basis_matches_sympy(self, sympy, order, gens):
         gb = buchberger_reduced([Polynomial(4, g) for g in gens], order)
         expected = sympy_reduced_basis(sympy, gens, 4, order)
+        assert len(gb.elements) == len(expected)
+        assert set(gb.elements) == expected
+
+    # Rational generators: leading coefficients other than +-1 make the
+    # integer division core rescale mid-division.
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    @seed(20261018)
+    @settings(max_examples=100, deadline=None)
+    @given(ideals(3, 2, 3, RATIONALS))
+    def test_rational_basis_matches_sympy(self, sympy, order, gens):
+        gb = buchberger_reduced([Polynomial(3, g) for g in gens], order)
+        expected = sympy_reduced_basis(sympy, gens, 3, order)
         assert len(gb.elements) == len(expected)
         assert set(gb.elements) == expected
 

@@ -71,6 +71,32 @@ class TestParser:
         assert all(type(c) is Fraction for c in p.terms.values())
         assert P("p1*p2 - p2*p1 + 3 - 3").terms == {}
 
+    @pytest.mark.parametrize(
+        "terms, text",
+        [
+            (
+                {
+                    (2, 0, 0): 1,
+                    (1, 1, 0): -1,
+                    (0, 1, 1): Fraction(-3, 4),
+                    (0, 0, 1): 1,
+                    (0, 0, 0): Fraction(5, 2),
+                },
+                "p1^2 - p1*p2 - 3/4*p2*p3 + p3 + 5/2",
+            ),
+            ({(2, 0, 0): -1, (0, 1, 0): Fraction(7, 3), (0, 0, 0): -1}, "-p1^2 + 7/3*p2 - 1"),
+            ({(1, 0, 0): Fraction(-1, 6), (0, 0, 0): 1}, "-1/6*p1 + 1"),
+            ({(0, 0, 0): -12}, "-12"),
+            ({(0, 0, 0): 1}, "1"),
+            ({(0, 0, 0): Fraction(-7, 3)}, "-7/3"),
+            ({(0, 3, 0): 1}, "p2^3"),
+        ],
+    )
+    def test_format_golden(self, terms, text):
+        # Constants, coefficients +-1, negative fractions and a coefficient
+        # 1 on a monomial, byte for byte.
+        assert format_polynomial(Polynomial(3, terms)) == text
+
     def test_large_round_trip(self):
         # (p1 + ... + p5)^12 has 1,820 terms.
         names = [f"p{i + 1}" for i in range(5)]
