@@ -83,7 +83,15 @@ def _load_json(path: str) -> dict:
 
 
 def _load_hypothesis(path: str) -> NullHypothesis:
-    return build_hypothesis(_load_json(path))
+    spec = _load_json(path)
+    if not isinstance(spec, dict):
+        raise CliError(f"malformed hypothesis JSON: expected an object, got {type(spec).__name__}")
+    try:
+        return build_hypothesis(spec)
+    except KeyError as exc:
+        raise CliError(f"malformed hypothesis JSON: missing parameter {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise CliError(f"malformed hypothesis JSON: {exc}") from exc
 
 
 def _parse_test_json(payload: dict) -> TestFunction:

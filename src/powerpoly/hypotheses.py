@@ -3,10 +3,12 @@
 Builders produce the canonical generator sets (2x2 minors for
 independence, r x r minors for bounded rank, the centered sphere
 quadric, transposition differences for symmetry, ...), existence checks
-for polytope hypotheses read P0's faces off its vertex list, log-odds
-hypotheses reduce to binomials, and every built-in family carries a
-rational parameterization used to sample points lying exactly in the
-null set.
+for polytope hypotheses read P0's faces as bitmasks off the tight masks
+of one double description (a row defines a facet when its face is
+proper, is no other row's face and lies strictly inside no other proper
+face), log-odds hypotheses reduce to binomials, and every built-in
+family carries a rational parameterization used to sample points lying
+exactly in the null set.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from operator import mul
 from typing import Sequence
 
 from powerpoly.groebner import StepCounter
-from powerpoly.linalg import nullspace, rank, solve_linear
+from powerpoly.linalg import nullspace, solve_linear
 from powerpoly.linprog import EQ, LE, solve_lp
 from powerpoly.parser import parse_polynomial, parse_rational
 from powerpoly.polynomial import (
@@ -28,7 +30,7 @@ from powerpoly.polynomial import (
     table_index,
     table_names,
 )
-from powerpoly.polytope import enumerate_vertices_dd
+from powerpoly.polytope import enumerate_vertices_dd, vertex_faces
 
 ALGEBRAIC = "algebraic"
 POLYTOPE = "polytope"
@@ -457,9 +459,10 @@ def polytope_existence(
     facet hyperplanes H_i and H_j meet P0 inside the open simplex; the
     verdict carries either the product separating polynomial or an
     interior witness point for the first violating pair.  Every check
-    reads off P0's faces: one double description of its `<=` rows
-    (hypothesis rows, then simplex rows) gives the vertices, and a row's
-    face is the bitmask of the vertices tight on it.
+    reads off P0's faces, with no arithmetic: one double description of
+    its `<=` rows (hypothesis rows, then simplex rows) gives the vertices
+    and each row's face, the bitmask of the vertices tight on it, taken
+    from the rays' tight masks.
     """
     d = k - 1
     if any(len(r) != d for r in a_rows):
@@ -470,23 +473,23 @@ def polytope_existence(
         raise ValueError("need one bound per halfspace row")
     rows, rhs = _polytope_rows(a_rows, b, d)
     m = len(a_rows)
-    vertices = enumerate_vertices_dd(rows, rhs, counter)
+    vertices, faces = vertex_faces(rows, rhs, counter)
     if not vertices:
         raise ValueError("empty polytope hypothesis: P0 has no point")
-
-    def affine_rank(pts):  # -1 for no point
-        return rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) if pts else -1
-
-    if affine_rank(vertices) < d:
+    # P0 is a polytope, so a row tight on every vertex is tight on all of
+    # P0; with a nonzero normal it holds P0 in a hyperplane.
+    whole = (1 << len(vertices)) - 1
+    if any(face == whole and any(row) for face, row in zip(faces, rows)):
         raise ValueError("polytope hypothesis is not full-dimensional in the simplex")
-    faces = [sum(1 << n for n, v in enumerate(vertices) if sum(x * y for x, y in zip(row, v)) == r)
-             for row, r in zip(rows, rhs)]
 
-    # Row i is irredundant exactly when its face is a facet that no other
-    # row defines.  The test is `!=`: a zero row's face is all of P0.
+    # Every facet of the full-dimensional P0 is some row's face, and a facet
+    # is a maximal proper face.  So row i is irredundant exactly when its
+    # face is proper and is the only proper row face that holds it: no
+    # other row has it or a larger proper face.  A zero row tight
+    # everywhere has the face P0, which holds every face but is not proper.
+    proper = [face for face in faces if face != whole]
     for i in range(m):
-        face = [v for n, v in enumerate(vertices) if faces[i] >> n & 1]
-        if affine_rank(face) != d - 1 or faces.count(faces[i]) > 1:
+        if faces[i] == whole or sum(not faces[i] & ~other for other in proper) > 1:
             raise ValueError(f"halfspace row {i} is redundant: it does not cut P0")
 
     # Pairwise condition: the face on H_i and H_j fails when it is nonempty

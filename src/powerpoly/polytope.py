@@ -5,6 +5,12 @@ The polytope {x : A x <= b} is homogenized to the pointed cone
 halfspace insertion, and rays with t > 0 are rescaled to vertices.
 Everything is exact; insertion order is fixed so output is deterministic.
 
+`vertex_faces` also gives each input row's face: the bitmask of the
+vertices on the row, read off the rays' tight masks.  Every facet of a
+full-dimensional polytope is some row's face, and a facet is a maximal
+proper face (Ziegler, "Lectures on Polytopes", 1995), so facets can be
+read off these masks with no arithmetic.
+
 The set-up runs on integers.  Each cone row is built straight from the
 int or Fraction entries as a primitive integer vector, and the initial
 simplicial cone's rays, the columns of -M^-1 for its d + 1 rows M, come
@@ -81,17 +87,45 @@ def enumerate_vertices_dd(
     the polyhedron is nonempty and some x != 0 has a x <= 0, so that it is
     unbounded.
     """
+    return _sorted_vertices(a, b, counter)[0]
+
+
+def vertex_faces(
+    a: Sequence[Sequence],
+    b: Sequence,
+    counter: StepCounter | None = None,
+) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """The vertices of enumerate_vertices_dd and the face of each row.
+
+    faces[i] has bit n set exactly when vertex n lies on row i, a_i.x = b_i;
+    it is the rays' exact tight masks read row by row.
+    """
+    vertices, rays = _sorted_vertices(a, b, counter)
+    faces = [0] * len(a)  # the cone's last row, -t <= 0, holds no vertex
+    for n, r in enumerate(rays):
+        for j in _bits(r.tight):
+            faces[j] |= 1 << n
+    return vertices, faces
+
+
+def _sorted_vertices(
+    a: Sequence[Sequence],
+    b: Sequence,
+    counter: StepCounter | None,
+) -> tuple[list[tuple[Fraction, ...]], list[_Ray]]:
+    """The vertices sorted lex, and the extreme rays they come from."""
     rays = _extreme_rays(a, b, counter)[1]
     # Every ray has t >= 0.  Rays with t > 0 are the vertices; a ray with
     # t = 0 is a recession direction, which matters only when a vertex exists.
-    points = [r.vec for r in rays if r.vec[-1] > 0]
+    points = [r for r in rays if r.vec[-1] > 0]
     if points and len(points) < len(rays):
         raise ValueError("polyhedron is unbounded (recession ray found)")
-    # Sort and deduplicate on integers: every coordinate over the common
-    # denominator `scale`, which orders the points as their exact values do.
-    scale = lcm(*(p[-1] for p in points))
-    unique = {tuple(v * (scale // p[-1]) for v in p[:-1]): p for p in points}
-    return [tuple(Fraction(v, p[-1]) for v in p[:-1]) for _, p in sorted(unique.items())]
+    # Sort on integers: every coordinate over the common denominator
+    # `scale`, which orders the points as their exact values do.  Distinct
+    # extreme rays are distinct primitive vectors, so no vertex repeats.
+    scale = lcm(*(r.vec[-1] for r in points))
+    points.sort(key=lambda r: tuple(v * (scale // r.vec[-1]) for v in r.vec[:-1]))
+    return [tuple(Fraction(v, r.vec[-1]) for v in r.vec[:-1]) for r in points], points
 
 
 def _extreme_rays(

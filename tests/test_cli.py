@@ -109,6 +109,22 @@ def test_usage_error_exits_one_not_the_verdict_code(capsys):
     assert run_cli(["no-such-command"])[0] == 1
 
 
+@pytest.mark.parametrize("command", ["threshold", "polytope-exists"])
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"kind": "polytope", "params": {"b": [0]}}, "missing parameter 'A'"),
+        ([1, 2], "expected an object, got list"),
+    ],
+    ids=["missing-parameter", "not-an-object"],
+)
+def test_malformed_hypothesis_json_is_an_error(command, payload, message, tmp_path, capsys):
+    path = tmp_path / "hypothesis.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, "--hypothesis", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: malformed hypothesis JSON: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["gb", "--help"], ["--version"]])
 def test_help_and_version_exit_zero(argv, capsys):
     code, out = run_cli(argv)

@@ -1,6 +1,8 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -21,8 +23,10 @@ from powerpoly.hypotheses import (
     rank_lt,
     sphere,
 )
+from powerpoly.linalg import rank
 from powerpoly.linprog import solve_lp
 from powerpoly.polynomial import table_names
+from powerpoly.polytope import enumerate_vertices_dd
 
 F = Fraction
 
@@ -332,6 +336,93 @@ class TestPolytopeExistence:
                 assert min(x) > 0 and sum(x) < 1, (a, b)
             checked += 1
         assert checked >= 40
+
+
+def affine_rank_verdict(a, b, k):
+    """polytope_existence's outcome by the affine-rank rule, without the witness LP.
+
+    Faces are vertex sets found by exact dot products, and a row defines
+    a facet when its face spans a (d-1)-flat and no other row has that
+    face.  Returns the error message, the failing pair, or None when a
+    test exists.
+    """
+    d = k - 1
+    rows, rhs = hypotheses._polytope_rows(a, b, d)
+    m = len(a)
+    vertices = enumerate_vertices_dd(rows, rhs)
+    if not vertices:
+        return "empty polytope hypothesis: P0 has no point"
+
+    def affine_rank(pts):  # -1 for no point
+        return rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) if pts else -1
+
+    if affine_rank(vertices) < d:
+        return "polytope hypothesis is not full-dimensional in the simplex"
+    faces = [
+        frozenset(n for n, v in enumerate(vertices) if sum(x * y for x, y in zip(row, v)) == r)
+        for row, r in zip(rows, rhs)
+    ]
+    for i in range(m):
+        if affine_rank([vertices[n] for n in sorted(faces[i])]) != d - 1 or faces.count(faces[i]) > 1:
+            return f"halfspace row {i} is redundant: it does not cut P0"
+    for i, j in combinations(range(m), 2):
+        common = faces[i] & faces[j]
+        if common and all(common - face for face in faces[m:]):
+            return (i, j)
+    return None
+
+
+def draw_polytope_hypothesis(rng, family):
+    """Rows A and bounds b of A pi >= b over the projected simplex, k = d + 1.
+
+    "interior": rows through or just below an interior point; "bounds":
+    random bounds; "multiple": either of those plus a positive multiple
+    of row 0; "zero": either of those with a zero row, b in {-1, 0, 1},
+    put in at a random place.
+    """
+    d = rng.randint(1, 3)
+    a = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(rng.randint(1, 4))]
+    a = [row if any(row) else [1] + row[1:] for row in a]
+    if family in ("multiple", "zero"):
+        base = rng.choice(["interior", "bounds"])
+    else:
+        base = family
+    if base == "interior":
+        raw = [rng.randint(1, 6) for _ in range(d + 1)]
+        x = [F(v, sum(raw)) for v in raw[:d]]
+        b = [sum(r * xi for r, xi in zip(row, x)) - F(rng.choice([0, 0, 1, 2]), 8) for row in a]
+    else:
+        b = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in a]
+    if family == "multiple":
+        scale = F(rng.choice([1, 2, 3]), rng.choice([1, 2]))
+        a.append([scale * v for v in a[0]])
+        b.append(scale * b[0])
+    elif family == "zero":
+        at = rng.randint(0, len(a))
+        a.insert(at, [0] * d)
+        b.insert(at, F(rng.choice([-1, 0, 1])))
+    return a, b, d + 1
+
+
+def test_face_masks_agree_with_the_affine_rank_rule():
+    # The mask rule counts a face as strictly inside another proper face
+    # only; a zero row with b = 0 has the face P0, which holds every face.
+    rng = random.Random(20261019)
+    outcomes = Counter()
+    for family in ("interior", "bounds", "multiple", "zero"):
+        for _ in range(300):
+            a, b, k = draw_polytope_hypothesis(rng, family)
+            expected = affine_rank_verdict(a, b, k)
+            try:
+                verdict = polytope_existence(a, b, k)
+            except ValueError as exc:
+                got = str(exc)
+            else:
+                assert verdict.exists is (verdict.failing_pair is None)
+                got = verdict.failing_pair
+            assert got == expected, (a, b, k)
+            outcomes[expected.split()[0] if isinstance(expected, str) else type(expected)] += 1
+    assert all(outcomes[key] >= 50 for key in ("empty", "polytope", "halfspace", tuple, type(None)))
 
 
 class TestSampling:

@@ -15,6 +15,7 @@ from powerpoly.polytope import (
     enumerate_vertices_dd,
     hull_vertices,
     irredundant_rows,
+    vertex_faces,
 )
 
 from conftest import enumerate_vertices_brute_force
@@ -247,6 +248,29 @@ class TestDoubleDescription:
         a, b = draw_box_with_corners_cut(data)
         vertices = enumerate_vertices_dd(a, b)
         assert vertices and vertices == enumerate_vertices_brute_force(a, b)
+
+    def test_faces_of_a_square_with_tangent_and_duplicate_rows(self):
+        # Vertices (-1, -1), (-1, 1), (1, -1), (1, 1); x + y <= 2 touches
+        # the last only, and 2x <= 2 repeats x <= 1.
+        a, b = cube(2)
+        a += [[1, 1], [2, 0]]
+        b += [2, 2]
+        assert vertex_faces(a, b)[1] == [0b1100, 0b0011, 0b1010, 0b0101, 0b1000, 0b1100]
+        assert vertex_faces([[1], [-1]], [-1, 0]) == ([], [0, 0])
+
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_faces_match_exact_dot_products(self, data):
+        # Bit n of row i's face is set exactly when a_i . v_n = b_i.
+        a, b = draw_box_with_cuts(data)
+        vertices, faces = vertex_faces(a, b)
+        assert vertices == enumerate_vertices_brute_force(a, b)
+        assert enumerate_vertices_dd(a, b) == vertices
+        assert faces == [
+            sum(1 << n for n, v in enumerate(vertices) if sum(map(operator.mul, row, v)) == r)
+            for row, r in zip(a, b)
+        ]
 
     @seed(20250614)
     @settings(max_examples=60, deadline=None)
