@@ -25,9 +25,6 @@ from powerpoly.groebner import (
     buchberger_reduced,
 )
 from powerpoly.hypotheses import (
-    ALGEBRAIC,
-    LOGODDS,
-    POLYTOPE,
     NullHypothesis,
     build_hypothesis,
     polytope_existence,
@@ -141,7 +138,7 @@ def _threshold_payload(hyp: NullHypothesis, args) -> dict:
         report = rank_threshold(hyp.params["p"], hyp.params["q"], hyp.params["r"])
         witness_names = list(hyp.names)
     else:
-        if hyp.kind not in (ALGEBRAIC, LOGODDS):
+        if hyp.family == "polytope":
             raise CliError(
                 "threshold bounds need an algebraic hypothesis; "
                 "use polytope-exists for polytope hypotheses"
@@ -200,7 +197,7 @@ def cmd_threshold(args) -> int:
 
 def cmd_separating(args) -> int:
     hyp = _load_hypothesis(args.hypothesis)
-    if hyp.kind == POLYTOPE:
+    if hyp.family == "polytope":
         return _polytope_verdict(hyp, args, kind="SUB")
     payload = _threshold_payload(hyp, args)
     _emit(
@@ -219,7 +216,7 @@ def cmd_separating(args) -> int:
 
 def cmd_polytope_exists(args) -> int:
     hyp = _load_hypothesis(args.hypothesis)
-    if hyp.kind != POLYTOPE:
+    if hyp.family != "polytope":
         raise CliError("polytope-exists requires a polytope hypothesis")
     return _polytope_verdict(hyp, args)
 
@@ -240,9 +237,7 @@ def _polytope_verdict(hyp: NullHypothesis, args, kind: str | None = None) -> int
 
 
 def cmd_umpu(args) -> int:
-    names = args.vars.split(",") if args.vars else None
-    if names is None:
-        raise CliError("--vars is required (comma-separated variable names)")
+    names = args.vars.split(",")
     f = parse_polynomial(args.f, names)
     alpha = parse_rational(args.alpha)
     verdict = umpu_search(f, args.n, alpha, args.counter)

@@ -32,10 +32,6 @@ from powerpoly.polynomial import (
 )
 from powerpoly.polytope import enumerate_vertices_dd, vertex_faces
 
-ALGEBRAIC = "algebraic"
-POLYTOPE = "polytope"
-LOGODDS = "logodds"
-
 
 class UnsupportedSampling(ValueError):
     """The hypothesis has no built-in rational parameterization."""
@@ -65,7 +61,6 @@ class NullHypothesis:
     """A description of the null set P0 inside the (k-1)-simplex."""
 
     k: int
-    kind: str
     family: str
     names: tuple[str, ...]
     generators: tuple[Polynomial, ...] = ()
@@ -128,7 +123,6 @@ def _minors_hypothesis(p: int, q: int, r: int) -> NullHypothesis:
     )
     return NullHypothesis(
         k=k,
-        kind=ALGEBRAIC,
         family="rank_lt",
         names=tuple(table_names(p, q)),
         generators=tuple(_minor(k, shape, rows, cols) for rows, cols in squares),
@@ -166,7 +160,6 @@ def sphere(k: int, delta=None, delta_sq=None) -> NullHypothesis:
     g = g - Polynomial.constant(k, dsq)
     return NullHypothesis(
         k=k,
-        kind=ALGEBRAIC,
         family="sphere",
         names=tuple(default_names(k)),
         generators=(g,),
@@ -187,7 +180,6 @@ def symmetry(p: int) -> NullHypothesis:
             )
     return NullHypothesis(
         k=k,
-        kind=ALGEBRAIC,
         family="symmetry",
         names=tuple(table_names(p, p)),
         generators=tuple(gens),
@@ -204,7 +196,6 @@ def motzkin() -> NullHypothesis:
     )
     return NullHypothesis(
         k=k,
-        kind=ALGEBRAIC,
         family="motzkin",
         names=tuple(names),
         generators=(g,),
@@ -231,7 +222,6 @@ def affine(c_rows: Sequence[Sequence], d: Sequence, k: int) -> NullHypothesis:
         gens.append(g)
     return NullHypothesis(
         k=k,
-        kind=ALGEBRAIC,
         family="affine",
         names=tuple(default_names(k)),
         generators=tuple(gens),
@@ -247,7 +237,6 @@ def polytope_hypothesis(a_rows: Sequence[Sequence], b: Sequence, k: int) -> Null
         raise ValueError("polytope rows must have k-1 columns")
     return NullHypothesis(
         k=k,
-        kind=POLYTOPE,
         family="polytope",
         names=tuple(default_names(k)),
         polytope_a=rows,
@@ -275,7 +264,6 @@ def log_odds(a: Sequence, c, k: int) -> NullHypothesis:
     binom = log_odds_to_binomial(coeffs, target, k)
     return NullHypothesis(
         k=k,
-        kind=LOGODDS,
         family="logodds",
         names=tuple(default_names(k)),
         generators=(binom,),
@@ -297,7 +285,6 @@ def custom(generators: Sequence[Polynomial], k: int, names=None, substituted=Fal
         names = default_names(expected)
     return NullHypothesis(
         k=k,
-        kind=ALGEBRAIC,
         family="custom",
         names=tuple(names),
         generators=gens,

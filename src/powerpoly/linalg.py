@@ -9,34 +9,57 @@ from typing import Sequence
 Matrix = list[list[Fraction]]
 
 
-def _to_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def echelon(rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, list[int]]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination on integer rows, in input order.
+
+    Returns (reduced, kept).  `kept` holds the indices of the rows that are
+    independent of the rows before them.  reduced[i] is (c, row) for the
+    i-th kept row: row is a primitive integer vector whose first nonzero
+    entry row[c] is positive, and every other reduced row is zero in column
+    c.  The rows stay integral as in Bareiss's fraction-free elimination
+    (Math. Comp. 1968): a row operation p * row - f * pivot_row is
+    followed by one gcd division.  The scan stops once the rank equals the
+    number of columns.
+    """
+    reduced: list[tuple[int, list[int]]] = []
+    kept: list[int] = []
+    ncols = len(rows[0]) if rows else 0
+    for idx, vec in enumerate(rows):
+        if len(kept) == ncols:
+            break
+        for c, piv in reduced:
+            f = vec[c]
+            if f:
+                p = piv[c]
+                vec = [p * x - f * y for x, y in zip(vec, piv)]
+        g = gcd(*vec)
+        if not g:
+            continue
+        c = next(i for i, x in enumerate(vec) if x)
+        if vec[c] < 0:
+            g = -g
+        vec = [x // g for x in vec]
+        p = vec[c]
+        for i, (ci, row) in enumerate(reduced):
+            f = row[c]
+            if f:
+                row = [p * x - f * y for x, y in zip(row, vec)]
+                g = gcd(*row)
+                reduced[i] = (ci, [x // g for x in row])
+        reduced.append((c, vec))
+        kept.append(idx)
+    return reduced, kept
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    m = _to_matrix(rows)
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    """Reduced row echelon form without its zero rows, and the pivot columns.
+
+    The entries are ints or Fractions.  Each row is scaled once to a
+    primitive integer vector, `echelon` reduces them, and each pivot row
+    is divided by its pivot once at the end.
+    """
+    reduced = sorted(echelon([primitive_ints(row) for row in rows])[0])
+    return [[Fraction(x, row[c]) for x in row] for c, row in reduced], [c for c, _ in reduced]
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -50,8 +73,7 @@ def solve_linear(a: Sequence[Sequence], b: Sequence) -> list[Fraction] | None:
     """
     if not a:
         return []
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
-    red, pivots = rref(aug)
+    red, pivots = rref([[*row, rhs] for row, rhs in zip(a, b)])
     ncols = len(a[0])
     if ncols in pivots:
         return None

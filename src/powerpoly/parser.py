@@ -37,7 +37,8 @@ def _tokenize(text: str):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip() == "":
+            pos = len(text) - len(text[pos:].lstrip())  # the first non-blank
+            if pos == len(text):
                 break
             raise PolynomialSyntaxError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup == "int":

@@ -11,10 +11,11 @@ full-dimensional polytope is some row's face, and a facet is a maximal
 proper face (Ziegler, "Lectures on Polytopes", 1995), so facets can be
 read off these masks with no arithmetic.
 
-The set-up runs on integers.  Each cone row is built straight from the
-int or Fraction entries as a primitive integer vector, and the initial
-simplicial cone's rays, the columns of -M^-1 for its d + 1 rows M, come
-from fraction-free Gauss-Jordan elimination on [M | I].
+The set-up runs on integers, with the one exact elimination of
+`linalg.echelon`.  Each cone row is built straight from the int or
+Fraction entries as a primitive integer vector; `echelon` of the cone
+rows picks the first d + 1 independent ones, M, and `echelon` of [M | I]
+gives the initial simplicial cone's rays, the columns of -M^-1.
 
 Adjacency is the combinatorial test on bit patterns (Fukuda & Prodon,
 "Double description method revisited", 1996; Terzer & Stelling, "Large-
@@ -56,7 +57,7 @@ from operator import mul
 from typing import Sequence
 
 from powerpoly.groebner import StepCounter
-from powerpoly.linalg import primitive_ints
+from powerpoly.linalg import echelon, primitive_ints
 from powerpoly.linprog import LE, solve_lp
 
 
@@ -148,29 +149,23 @@ def _extreme_rays(
     cone.append(tuple([0] * dim + [-1]))
     d1 = dim + 1
 
-    # Initial simplicial cone from the first d1 independent rows, found by
-    # fraction-free elimination (independence does not depend on the field).
-    chosen: list[int] = []
-    echelon: list[tuple[int, list[int]]] = []  # (lead index, primitive row)
-    for idx, row in enumerate(cone):
-        vec = list(row)
-        for lead, piv in echelon:
-            if vec[lead]:
-                p, v = piv[lead], vec[lead]
-                vec = [p * x - v * y for x, y in zip(vec, piv)]
-        g = gcd(*vec)
-        if g:
-            vec = [x // g for x in vec]
-            echelon.append((next(i for i, x in enumerate(vec) if x), vec))
-            chosen.append(idx)
-        if len(chosen) == d1:
-            break
+    # Initial simplicial cone from the first d1 independent rows M.  Its
+    # rays r_j solve M r_j = -e_j, so they are the columns of -M^-1.
+    # Gauss-Jordan on [M | I] leaves the row [D_i e_i | R_i] with pivot
+    # column i, so M^-1 = D^-1 R, and over den = lcm(D_i) column j of
+    # -M^-1 is the integer vector (-R_i[j] * den / D_i)_i.
+    chosen = echelon(cone)[1]
     if len(chosen) < d1:
         raise ValueError("constraint matrix is rank deficient (cone not pointed)")
+    aug = [[*cone[i], *(int(i == k) for k in chosen)] for i in chosen]
+    inv = [row for _, row in sorted(echelon(aug)[0])]
+    den = lcm(*(row[i] for i, row in enumerate(inv)))
+    scale = [den // row[i] for i, row in enumerate(inv)]
 
     rays: list[_Ray] = []
     on = [0] * len(cone)  # on[j]: bitmask over ray ids tight on row j
-    for j, vec in enumerate(_initial_rays([cone[i] for i in chosen])):
+    for j in range(d1):
+        vec = primitive_ints([-row[d1 + j] * f for row, f in zip(inv, scale)])
         tight = 0
         for pos, ci in enumerate(chosen):
             if pos != j:
@@ -256,33 +251,6 @@ def _extreme_rays(
         elif box is None and rays and all(r.vec[-1] > 0 for r in rays):
             box = _ray_box(rays)
     return cone, rays
-
-
-def _initial_rays(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Primitive rays r_j of {y : M y <= 0}, M the invertible integer rows.
-
-    M r_j = -e_j, so r_j is column j of -M^-1.  Fraction-free Gauss-Jordan
-    on [M | I] leaves [D | R] with D diagonal and positive, and
-    M^-1 = D^-1 R.  With den the lcm of the D[i][i], den * r_j is the
-    integer vector (-R[i][j] * den / D[i][i])_i.
-    """
-    n = len(rows)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if m[i][c])
-        m[c], m[p] = m[p], m[c]
-        if m[c][c] < 0:
-            m[c] = [-x for x in m[c]]
-        piv = m[c]
-        for i in range(n):
-            f = m[i][c]
-            if i != c and f:
-                row = [piv[c] * x - f * y for x, y in zip(m[i], piv)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row]
-    den = lcm(*(m[i][i] for i in range(n)))
-    scale = [den // m[i][i] for i in range(n)]
-    return [primitive_ints([-m[i][n + j] * scale[i] for i in range(n)]) for j in range(n)]
 
 
 def _ray_box(rays: list[_Ray]) -> tuple[list[int], list[int], int]:

@@ -58,6 +58,16 @@ class TestParser:
             P("p1 + + ^")
         assert err.value.position >= 0
 
+    @pytest.mark.parametrize(
+        "text, char, position",
+        [("p1 $", "$", 3), ("p1+  #p2", "#", 5), ("p1\t;", ";", 3)],
+    )
+    def test_bad_character_reported_past_blanks(self, text, char, position):
+        with pytest.raises(PolynomialSyntaxError) as err:
+            P(text)
+        assert str(err.value) == f"unexpected character {char!r} (at position {position})"
+        assert err.value.position == position
+
     def test_print_parse_fixed_point(self):
         for text in ["p1*p2 - p3^2", "1/2*p1^3 - 2*p2 + 7", "0", "-p1 + p2 - 1/3"]:
             p = P(text)

@@ -137,6 +137,13 @@ class TestDoubleDescription:
         with pytest.raises(ValueError):
             enumerate_vertices_dd([[1, 0], [0, 1]], [1, 1])
 
+    def test_strip_is_rank_deficient(self):
+        # 0 <= x <= 1 in the plane: the cone rows (1, 0, -1), (-1, 0, 0) and
+        # (0, 0, -1) have rank 2 < 3, so the cone holds the line of (0, 1, 0)
+        # and has no initial simplicial cone.
+        with pytest.raises(ValueError, match="rank deficient"):
+            enumerate_vertices_dd([[1, 0], [-1, 0]], [1, 0])
+
     def test_empty_with_recession_direction_gives_no_vertices(self):
         # {x >= 0, x <= -1, y >= 0}: empty, though y may grow without bound.
         a, b = [[-1, 0], [1, 0], [0, -1]], [0, -1, 0]
