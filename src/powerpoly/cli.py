@@ -60,11 +60,14 @@ def _emit(payload: dict, out_path: str | None):
 
 
 def _write(text: str, out_path: str | None):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _point(values) -> list[str]:
@@ -169,21 +172,14 @@ def _threshold_payload(hyp: NullHypothesis, args) -> dict:
     }
 
 
-def _gradient_evidence(hyp: NullHypothesis, points: int = 10) -> dict:
-    """Spot-check that generator gradients do not vanish on sampled nulls."""
+def _gradient_evidence(hyp: NullHypothesis) -> dict:
+    """Spot-check that generator gradients do not vanish on 10 sampled nulls."""
     try:
-        samples = sample_null_points(hyp, points, seed=7)
+        samples = sample_null_points(hyp, 10, seed=7)
     except ValueError:
         return {"checked_points": 0, "nonvanishing_at_all_points": None}
-    gens = list(hyp.generators)
-    if not gens:
-        return {"checked_points": 0, "nonvanishing_at_all_points": None}
-    grads = [[g.derivative(i) for i in range(g.nvars)] for g in gens]
-    ok = True
-    for point in samples:
-        for grad in grads:
-            if not any(d.evaluate(point) for d in grad):
-                ok = False
+    grads = [[g.derivative(i) for i in range(g.nvars)] for g in hyp.generators]
+    ok = all(any(d.evaluate(point) for d in grad) for point in samples for grad in grads)
     return {"checked_points": len(samples), "nonvanishing_at_all_points": ok}
 
 
@@ -236,10 +232,14 @@ def _polytope_verdict(hyp: NullHypothesis, args, kind: str | None = None) -> int
     return EXIT_OK if verdict.exists else EXIT_NOT_EXISTS
 
 
-def cmd_umpu(args) -> int:
+def _principal(args) -> tuple[list[str], Polynomial, Fraction]:
+    """`--vars` split into names, `--f` parsed over them and `--alpha`."""
     names = args.vars.split(",")
-    f = parse_polynomial(args.f, names)
-    alpha = parse_rational(args.alpha)
+    return names, parse_polynomial(args.f, names), parse_rational(args.alpha)
+
+
+def cmd_umpu(args) -> int:
+    names, f, alpha = _principal(args)
     verdict = umpu_search(f, args.n, alpha, args.counter)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -263,9 +263,7 @@ def cmd_umpu(args) -> int:
 
 
 def cmd_polytope(args) -> int:
-    names = args.vars.split(",")
-    f = parse_polynomial(args.f, names)
-    alpha = parse_rational(args.alpha)
+    _, f, alpha = _principal(args)
     poly = coefficient_polytope(f, args.n, alpha)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -384,77 +382,68 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"powerpoly {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gb", help="reduced Groebner basis of generators")
+    # Options that several subcommands share, as parent parsers.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    step_limit = argparse.ArgumentParser(add_help=False)
+    step_limit.add_argument("--step-limit", type=int, default=None)
+    hypothesis = argparse.ArgumentParser(add_help=False)
+    hypothesis.add_argument("--hypothesis", required=True, help="hypothesis JSON path")
+    weights = argparse.ArgumentParser(add_help=False)
+    weights.add_argument("--weights", default=None, help="comma-separated positive rationals")
+    weights.add_argument("--assert-gradient", action="store_true",
+                         help="assert the generator gradient is nonvanishing on P0")
+    principal = argparse.ArgumentParser(add_help=False)
+    principal.add_argument("--f", required=True, help="ideal generator polynomial")
+    principal.add_argument("--vars", required=True)
+    principal.add_argument("--n", type=int, required=True)
+    principal.add_argument("--alpha", required=True, help="exact rational, e.g. 1/20")
+    test = argparse.ArgumentParser(add_help=False)
+    test.add_argument("--test", required=True, help="test-function JSON path")
+
+    p = sub.add_parser("gb", parents=[step_limit, out], help="reduced Groebner basis of generators")
     p.add_argument("--gens", action="append", required=True, help="polynomial (repeatable)")
     p.add_argument("--vars", required=True, help="comma-separated variable names")
     p.add_argument("--order", default="grevlex", choices=["grevlex", "grlex"])
-    p.add_argument("--step-limit", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_gb)
 
-    p = sub.add_parser("threshold", help="NTUB/SUB threshold report for a hypothesis")
-    p.add_argument("--hypothesis", required=True, help="hypothesis JSON path")
-    p.add_argument("--weights", default=None, help="comma-separated positive rationals")
-    p.add_argument("--assert-gradient", action="store_true",
-                   help="assert the generator gradient is nonvanishing on P0")
-    p.add_argument("--step-limit", type=int, default=None)
-    p.add_argument("--out")
+    p = sub.add_parser("threshold", parents=[hypothesis, weights, step_limit, out],
+                       help="NTUB/SUB threshold report for a hypothesis")
     p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("separating", help="separating polynomials for a hypothesis")
-    p.add_argument("--hypothesis", required=True)
-    p.add_argument("--weights", default=None)
-    p.add_argument("--assert-gradient", action="store_true")
-    p.add_argument("--step-limit", type=int, default=None)
-    p.add_argument("--out")
+    p = sub.add_parser("separating", parents=[hypothesis, weights, step_limit, out],
+                       help="separating polynomials for a hypothesis")
     p.set_defaults(func=cmd_separating)
 
-    p = sub.add_parser("umpu", help="UMPU existence search for a principal hypothesis")
-    p.add_argument("--f", required=True, help="ideal generator polynomial")
-    p.add_argument("--vars", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", required=True, help="exact rational, e.g. 1/20")
+    p = sub.add_parser("umpu", parents=[principal, step_limit, out],
+                       help="UMPU existence search for a principal hypothesis")
     p.add_argument("--emit-vertices", action="store_true")
-    p.add_argument("--step-limit", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_umpu)
 
-    p = sub.add_parser("coeff-polytope", help="coefficient polytope H-rep (and V-rep)")
-    p.add_argument("--f", required=True)
-    p.add_argument("--vars", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", required=True)
+    p = sub.add_parser("coeff-polytope", parents=[principal, step_limit, out],
+                       help="coefficient polytope H-rep (and V-rep)")
     p.add_argument("--enumerate", action="store_true", help="also enumerate vertices")
-    p.add_argument("--step-limit", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_polytope)
 
-    p = sub.add_parser("polytope-exists", help="UB existence for a polytope hypothesis")
-    p.add_argument("--hypothesis", required=True)
-    p.add_argument("--step-limit", type=int, default=None)
-    p.add_argument("--out")
+    p = sub.add_parser("polytope-exists", parents=[hypothesis, step_limit, out],
+                       help="UB existence for a polytope hypothesis")
     p.set_defaults(func=cmd_polytope_exists)
 
-    p = sub.add_parser("power-grid", help="CSV grid of exact power values")
-    p.add_argument("--test", required=True, help="test-function JSON path")
+    p = sub.add_parser("power-grid", parents=[test, out], help="CSV grid of exact power values")
     p.add_argument("--res", type=int, required=True, help="points per axis (>= 2)")
     p.add_argument("--max", default="1", help="grid upper bound per axis (rational)")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_power_grid)
 
-    p = sub.add_parser("recover-test", help="test function from a power polynomial")
+    p = sub.add_parser("recover-test", parents=[out], help="test function from a power polynomial")
     p.add_argument("--beta", required=True, help="power polynomial text")
     p.add_argument("--vars", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_recover_test)
 
-    p = sub.add_parser("mc-validate", help="Monte-Carlo check of exact power")
-    p.add_argument("--test", required=True)
+    p = sub.add_parser("mc-validate", parents=[test, out], help="Monte-Carlo check of exact power")
     p.add_argument("--pi", required=True, help="comma-separated rational simplex point")
     p.add_argument("--reps", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_mc_validate)
 
     return parser

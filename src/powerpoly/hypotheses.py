@@ -21,7 +21,7 @@ from operator import mul
 from typing import Sequence
 
 from powerpoly.groebner import StepCounter
-from powerpoly.linalg import nullspace, solve_linear
+from powerpoly.linalg import nullspace, primitive_scaling, solve_linear
 from powerpoly.linprog import EQ, LE, solve_lp
 from powerpoly.parser import parse_polynomial, parse_rational
 from powerpoly.polynomial import (
@@ -168,23 +168,15 @@ def sphere(k: int, delta=None, delta_sq=None) -> NullHypothesis:
 
 
 def symmetry(p: int) -> NullHypothesis:
-    """Square-table symmetry: pi_ij = pi_ji for all i < j."""
+    """Square-table symmetry: the affine null set pi_ij - pi_ji = 0 for all i < j."""
     shape = ContingencyShape(p, p)
-    k = shape.k
-    gens = []
-    for i in range(p):
-        for j in range(i + 1, p):
-            gens.append(
-                Polynomial.variable(k, shape.flat(i, j))
-                - Polynomial.variable(k, shape.flat(j, i))
-            )
-    return NullHypothesis(
-        k=k,
-        family="symmetry",
-        names=tuple(table_names(p, p)),
-        generators=tuple(gens),
-        params={"p": p},
-    )
+    rows = []
+    for i, j in itertools.combinations(range(p), 2):
+        row = [0] * shape.k
+        row[shape.flat(i, j)], row[shape.flat(j, i)] = 1, -1
+        rows.append(row)
+    hyp = affine(rows, [0] * len(rows), shape.k)
+    return replace(hyp, family="symmetry", names=tuple(table_names(p, p)), params={"p": p})
 
 
 def motzkin() -> NullHypothesis:
@@ -213,13 +205,13 @@ def affine(c_rows: Sequence[Sequence], d: Sequence, k: int) -> NullHypothesis:
         raise ValueError("need at least one affine constraint")
     gens = []
     for row, b in zip(rows, rhs):
-        g = Polynomial.constant(k, -b)
+        terms = {(0,) * k: -b} if b else {}
         for i, coeff in enumerate(row):
             if coeff:
-                g = g + coeff * Polynomial.variable(k, i)
-        if g.is_zero():
+                terms[tuple(int(i == j) for j in range(k))] = coeff
+        if not terms:
             raise ValueError("zero affine constraint")
-        gens.append(g)
+        gens.append(Polynomial._of(k, terms))
     return NullHypothesis(
         k=k,
         family="affine",
@@ -367,20 +359,16 @@ def log_odds_to_binomial(a: Sequence[Fraction], c: Fraction, k: int) -> Polynomi
     c = Fraction(c)
     if c <= 0:
         raise ValueError("odds target must be positive")
-    denom_lcm = 1
-    for v in coeffs:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in coeffs]
-    target = c**denom_lcm
+    # With a = ints * g / den, the equation is prod (pi_i/pi_k)^(g * ints_i)
+    # = c^den; its g-th root drops g when c^den has a rational one.
+    ints, g, den = primitive_scaling(coeffs)
+    target = c**den
+    root = _nth_root(target, g) if g > 1 else None
+    if root is None:
+        ints = [g * v for v in ints]
+    else:
+        target = root
     ext = ints + [-sum(ints)]
-    g = 0
-    for v in ext:
-        g = gcd(g, v)
-    if g > 1:
-        root = _nth_root(target, g)
-        if root is not None:
-            ext = [v // g for v in ext]
-            target = root
     left = tuple(max(v, 0) for v in ext)
     right = tuple(max(-v, 0) for v in ext)
     return Polynomial(k, {left: Fraction(1)}) - target * Polynomial(k, {right: Fraction(1)})
@@ -738,9 +726,7 @@ def _sample_logodds(h: NullHypothesis, count: int, base: int):
         left, right = monos[1], monos[0]
     c = -binom.terms[right]
     e = [l - r for l, r in zip(left, right)]
-    g = 0
-    for v in e:
-        g = gcd(g, v)
+    g = gcd(*e)
     # log_odds_to_binomial divides the gcd out whenever c has a rational
     # g-th root, so a common factor left here means the root is irrational.
     if g > 1:

@@ -119,13 +119,9 @@ DEFAULT_ORDER = MonomialOrder.GREVLEX
 
 
 class Polynomial:
-    """Immutable sparse polynomial: dict from exponent tuple to Fraction.
+    """Immutable sparse polynomial: dict from exponent tuple to Fraction."""
 
-    `_lead` caches (order, leading monomial) for the last order asked;
-    immutability makes the cache safe, and equality and hashing ignore it.
-    """
-
-    __slots__ = ("nvars", "terms", "_lead")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction] | None = None):
         if nvars < 0:
@@ -145,7 +141,6 @@ class Polynomial:
                     clean[mono] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_lead", None)
 
     @staticmethod
     def _of(nvars: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
@@ -158,7 +153,6 @@ class Polynomial:
         p = object.__new__(Polynomial)
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "_lead", None)
         return p
 
     def __setattr__(self, name, value):
@@ -303,14 +297,9 @@ class Polynomial:
         return self.terms.get(tuple(exponents), Fraction(0))
 
     def leading_monomial(self, order: MonomialOrder = DEFAULT_ORDER) -> Exponents:
-        cached = self._lead
-        if cached is not None and cached[0] is order:
-            return cached[1]
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        lm = max(self.terms, key=order.key)
-        object.__setattr__(self, "_lead", (order, lm))
-        return lm
+        return max(self.terms, key=order.key)
 
     def leading_coefficient(self, order: MonomialOrder = DEFAULT_ORDER) -> Fraction:
         return self.terms[self.leading_monomial(order)]
@@ -394,18 +383,18 @@ class Polynomial:
         return Polynomial._of(m, out)
 
     def derivative(self, index: int) -> "Polynomial":
-        """Partial derivative with respect to variable `index`."""
+        """Partial derivative with respect to variable `index`.
+
+        Lowering one exponent maps distinct terms to distinct terms, so no
+        two terms meet and no coefficient cancels.
+        """
         if not 0 <= index < self.nvars:
             raise ValueError(f"variable index {index} out of range")
-        out: dict[Exponents, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            e = mono[index]
-            if e:
-                lowered = tuple(
-                    x - 1 if i == index else x for i, x in enumerate(mono)
-                )
-                out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
-        return Polynomial(self.nvars, out)
+        return Polynomial._of(self.nvars, {
+            mono[:index] + (mono[index] - 1,) + mono[index + 1:]: coeff * mono[index]
+            for mono, coeff in self.terms.items()
+            if mono[index]
+        })
 
     def permute_variables(self, perm: Sequence[int]) -> "Polynomial":
         """Relabel variables: new exponent of position perm[i] is old position i."""

@@ -34,12 +34,10 @@ class TestFunction:
     def __init__(self, n: int, k: int, values: Mapping[tuple[int, ...], Fraction]):
         if n < 1 or k < 2:
             raise ValueError("need n >= 1 and k >= 2")
-        domain = count_vectors(n, k)
-        domain_set = set(domain)
-        table: dict[tuple[int, ...], Fraction] = {x: Fraction(0) for x in domain}
+        table: dict[tuple[int, ...], Fraction] = {x: Fraction(0) for x in count_vectors(n, k)}
         for x, phi in values.items():
             x = tuple(int(v) for v in x)
-            if x not in domain_set:
+            if x not in table:
                 raise ValueError(f"{x} is not a count vector for n={n}, k={k}")
             phi = Fraction(phi)
             if not 0 <= phi <= 1:
@@ -61,7 +59,7 @@ class TestFunction:
 
     def items(self):
         """(count vector, phi) pairs in the canonical descending-lex order."""
-        return [(x, self.values[x]) for x in count_vectors(self.n, self.k)]
+        return list(self.values.items())
 
     @staticmethod
     def constant(n: int, k: int, level) -> "TestFunction":

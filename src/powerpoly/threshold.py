@@ -179,14 +179,12 @@ def semialgebraic_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
     return _level(f.homogenize(n), n, alpha)
 
 
-def union_separating(witnesses: Sequence[Polynomial], kind: str = "SUB") -> Polynomial:
+def union_separating(witnesses: Sequence[Polynomial]) -> Polynomial:
     """Product of component separating polynomials; degree adds up.
 
     A product of NTUB (resp. SUB) separating polynomials separates the
     union hypothesis the same way.
     """
-    if kind not in ("NTUB", "SUB"):
-        raise ValueError("kind must be 'NTUB' or 'SUB'")
     ws = list(witnesses)
     if not ws:
         raise ValueError("need at least one witness")

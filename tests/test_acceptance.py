@@ -270,7 +270,7 @@ def test_criterion_5_threshold_goldens(example5_polys):
         assert rep.ntub_bound == rep.sub_bound == expect
 
     pairwise = [P("p1 - p2") ** 2, P("p1 - p3") ** 2, P("p2 - p3") ** 2]
-    assert union_separating(pairwise, "SUB").total_degree() == 6
+    assert union_separating(pairwise).total_degree() == 6
     print("[criterion 5] PASS: independence 4/4, constrained-table d=2 with "
           "certified degree-3 redundancy, rank thresholds 2r, union degree 6")
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import powerpoly
-from powerpoly.cli import _grid_values, main
+from powerpoly.cli import _grid_values, build_parser, main
 from powerpoly.power import TestFunction, count_vectors
 from powerpoly.power import test_to_power as to_power
 
@@ -130,6 +130,81 @@ def test_help_and_version_exit_zero(argv, capsys):
     code, out = run_cli(argv)
     assert code == 0
     assert "powerpoly" in out + capsys.readouterr().out
+
+
+def test_unwritable_out_is_an_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code, stdout = run_cli(["gb", "--gens", "p1", "--vars", "p1", "--out", str(out)])
+    assert (code, stdout) == (1, "")
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+# Every option of every subcommand, with its default, from a minimal argv.
+OPTION_TABLE = [
+    (
+        ["gb", "--gens", "p1", "--vars", "p1"],
+        "cmd_gb",
+        {"gens": ["p1"], "vars": "p1", "order": "grevlex", "step_limit": None, "out": None},
+    ),
+    (
+        ["threshold", "--hypothesis", "h.json"],
+        "cmd_threshold",
+        {"hypothesis": "h.json", "weights": None, "assert_gradient": False,
+         "step_limit": None, "out": None},
+    ),
+    (
+        ["separating", "--hypothesis", "h.json"],
+        "cmd_separating",
+        {"hypothesis": "h.json", "weights": None, "assert_gradient": False,
+         "step_limit": None, "out": None},
+    ),
+    (
+        ["umpu", "--f", "p1", "--vars", "p1,p2", "--n", "2", "--alpha", "1/2"],
+        "cmd_umpu",
+        {"f": "p1", "vars": "p1,p2", "n": 2, "alpha": "1/2", "emit_vertices": False,
+         "step_limit": None, "out": None},
+    ),
+    (
+        ["coeff-polytope", "--f", "p1", "--vars", "p1,p2", "--n", "2", "--alpha", "1/2"],
+        "cmd_polytope",
+        {"f": "p1", "vars": "p1,p2", "n": 2, "alpha": "1/2", "enumerate": False,
+         "step_limit": None, "out": None},
+    ),
+    (
+        ["polytope-exists", "--hypothesis", "h.json"],
+        "cmd_polytope_exists",
+        {"hypothesis": "h.json", "step_limit": None, "out": None},
+    ),
+    (
+        ["power-grid", "--test", "t.json", "--res", "3"],
+        "cmd_power_grid",
+        {"test": "t.json", "res": 3, "max": "1", "out": None},
+    ),
+    (
+        ["recover-test", "--beta", "p1^2", "--vars", "p1,p2", "--n", "2"],
+        "cmd_recover_test",
+        {"beta": "p1^2", "vars": "p1,p2", "n": 2, "out": None},
+    ),
+    (
+        ["mc-validate", "--test", "t.json", "--pi", "1/2,1/2"],
+        "cmd_mc_validate",
+        {"test": "t.json", "pi": "1/2,1/2", "reps": 100000, "seed": 0, "out": None},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, func, options", OPTION_TABLE, ids=[argv[0] for argv, _, _ in OPTION_TABLE]
+)
+def test_option_table(argv, func, options):
+    args = vars(build_parser().parse_args(argv))
+    assert args.pop("func").__name__ == func
+    assert args == {"command": argv[0], **options}
+
+
+def test_option_table_covers_every_subcommand():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert sorted(sub.choices) == sorted(argv[0] for argv, _, _ in OPTION_TABLE)
 
 
 class TestThreshold:

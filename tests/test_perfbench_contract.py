@@ -5,9 +5,9 @@ before it times anything.  Here each of them runs through
 perfbench/queries.py: its answer digest must equal the one recorded in
 perfbench/reference.json, and its independent check must pass.  So an
 API change that would make a benchmark run fail its queries fails here
-first.  Every spec of the `threshold` workload (about 2 s in all) is run
-the same way, so a change in the printed form of a basis or witness
-fails here too.  perfbench/ is only read.
+first.  Every spec of every workload's pool (194 in all, about 6 s) is
+run the same way, so a change in the printed form of a basis, witness,
+vertex list, verdict or power fails here too.  perfbench/ is only read.
 """
 
 import json
@@ -22,7 +22,7 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 sys.path.insert(0, PERFBENCH)
 
 from queries import Query, digest  # noqa: E402
-from workloads import THRESHOLD, WORKLOADS, pool, spec_key  # noqa: E402
+from workloads import WORKLOADS, pool, spec_key  # noqa: E402
 
 with open(os.path.join(PERFBENCH, "reference.json"), encoding="utf-8") as fh:
     REFERENCE = json.load(fh)
@@ -49,17 +49,36 @@ def test_warmup_answer_matches_reference(spec, tmp_path):
     _assert_matches_reference(spec, str(tmp_path))
 
 
-THRESHOLD_POOL = pool(THRESHOLD)
+POOLS = {name: pool(w) for name, w in WORKLOADS.items()}
 
 
-def test_threshold_pool_size():
-    assert len(THRESHOLD_POOL) == 54
+def test_pool_sizes():
+    assert {name: len(specs) for name, specs in POOLS.items()} == {
+        "threshold": 54,
+        "umpu": 34,
+        "vertices": 38,
+        "power": 68,
+    }
 
 
 @pytest.mark.parametrize(
     "spec",
-    THRESHOLD_POOL,
-    ids=[f"{i:02d}-{spec['hypothesis']['kind']}" for i, spec in enumerate(THRESHOLD_POOL)],
+    POOLS["threshold"],
+    ids=[f"{i:02d}-{spec['hypothesis']['kind']}" for i, spec in enumerate(POOLS["threshold"])],
 )
 def test_threshold_answer_matches_reference(spec, tmp_path):
+    _assert_matches_reference(spec, str(tmp_path))
+
+
+OTHER_SPECS = [
+    (f"{name}-{i:02d}-{spec['kind']}", spec)
+    for name in ("umpu", "vertices", "power")
+    for i, spec in enumerate(POOLS[name])
+]
+
+
+@pytest.mark.parametrize(
+    "spec", [spec for _, spec in OTHER_SPECS], ids=[label for label, _ in OTHER_SPECS]
+)
+def test_pool_answer_matches_reference(spec, tmp_path):
     _assert_matches_reference(spec, str(tmp_path))

@@ -223,22 +223,22 @@ class TestUnionAndRank:
     def test_two_hyperplanes(self):
         w1 = P("p1 - p2") ** 2
         w2 = P("p1 - p3") ** 2
-        u = union_separating([w1, w2], "SUB")
+        u = union_separating([w1, w2])
         assert u == (P("p1 - p2") * P("p1 - p3")) ** 2
         assert u.total_degree() == 4
 
     def test_pairwise_equal_k3(self):
         ws = [P("p1 - p2") ** 2, P("p1 - p3") ** 2, P("p2 - p3") ** 2]
-        u = union_separating(ws, "SUB")
+        u = union_separating(ws)
         assert u.total_degree() == 6  # 2 * C(3, 2)
 
     def test_single_witness_identity(self):
         w = P("p1*p2 - p3^2")
-        assert union_separating([w], "NTUB") == w
+        assert union_separating([w]) == w
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            union_separating([], "SUB")
+            union_separating([])
 
     @pytest.mark.parametrize("pqr,expect", [((2, 2, 2), 4), ((3, 3, 2), 4), ((3, 3, 3), 6)])
     def test_rank_thresholds(self, pqr, expect):
