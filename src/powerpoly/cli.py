@@ -74,6 +74,11 @@ def _point(values) -> list[str]:
     return [format_rational(v) for v in values]
 
 
+def _names(text: str) -> list[str]:
+    """`--vars` split at commas, each name stripped of blanks."""
+    return [name.strip() for name in text.split(",")]
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -119,7 +124,7 @@ def test_to_json(phi: TestFunction) -> dict:
 
 
 def cmd_gb(args) -> int:
-    names = args.vars.split(",")
+    names = _names(args.vars)
     gens = [parse_polynomial(text, names) for text in args.gens]
     gb = buchberger_reduced(gens, MonomialOrder(args.order), args.counter)
     _emit(
@@ -234,7 +239,7 @@ def _polytope_verdict(hyp: NullHypothesis, args, kind: str | None = None) -> int
 
 def _principal(args) -> tuple[list[str], Polynomial, Fraction]:
     """`--vars` split into names, `--f` parsed over them and `--alpha`."""
-    names = args.vars.split(",")
+    names = _names(args.vars)
     return names, parse_polynomial(args.f, names), parse_rational(args.alpha)
 
 
@@ -342,7 +347,7 @@ def _grid_values(beta: Polynomial, points) -> list[float]:
 
 
 def cmd_recover_test(args) -> int:
-    names = args.vars.split(",")
+    names = _names(args.vars)
     beta = parse_polynomial(args.beta, names)
     phi = recover_test(PowerPolynomial(args.n, len(names), beta))
     _emit(test_to_json(phi), args.out)

@@ -294,34 +294,41 @@ def _exact(value) -> Fraction:
     return parse_rational(str(value))
 
 
+def _integer(value) -> int:
+    """Integer from JSON payloads; floats and booleans are refused, not truncated."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def build_hypothesis(spec: dict) -> NullHypothesis:
     """Construct from the JSON form {"kind": ..., "params": {...}}."""
     kind = spec.get("kind")
     params = spec.get("params", {})
     if kind == "independence":
-        return independence(int(params["p"]), int(params["q"]))
+        return independence(_integer(params["p"]), _integer(params["q"]))
     if kind == "rank_lt":
-        return rank_lt(int(params["p"]), int(params["q"]), int(params["r"]))
+        return rank_lt(_integer(params["p"]), _integer(params["q"]), _integer(params["r"]))
     if kind == "sphere":
         delta = params.get("delta")
         delta_sq = params.get("delta_sq")
         return sphere(
-            int(params["k"]),
+            _integer(params["k"]),
             delta=None if delta is None else _exact(delta),
             delta_sq=None if delta_sq is None else _exact(delta_sq),
         )
     if kind == "symmetry":
-        return symmetry(int(params["p"]))
+        return symmetry(_integer(params["p"]))
     if kind == "motzkin":
         return motzkin()
     if kind == "affine":
         rows = [[_exact(v) for v in row] for row in params["C"]]
         rhs = [_exact(v) for v in params["d"]]
-        return affine(rows, rhs, int(params["k"]))
+        return affine(rows, rhs, _integer(params["k"]))
     if kind == "polytope":
         rows = [[_exact(v) for v in row] for row in params["A"]]
         rhs = [_exact(v) for v in params["b"]]
-        return polytope_hypothesis(rows, rhs, int(params["k"]))
+        return polytope_hypothesis(rows, rhs, _integer(params["k"]))
     if kind == "logodds":
         try:
             coeffs = [_exact(v) for v in params["a"]]
@@ -330,9 +337,9 @@ def build_hypothesis(spec: dict) -> NullHypothesis:
                 f"{exc}; irrational log-odds coefficients admit no "
                 "non-trivial unbiased test"
             ) from exc
-        return log_odds(coeffs, _exact(params["c"]), int(params["k"]))
+        return log_odds(coeffs, _exact(params["c"]), _integer(params["k"]))
     if kind == "custom":
-        k = int(params["k"])
+        k = _integer(params["k"])
         substituted = bool(params.get("substituted", False))
         names = params.get("vars")
         if names is None:

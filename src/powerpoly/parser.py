@@ -5,8 +5,13 @@
     coeff := int | int '/' uint
     var   := identifier
 
-Whitespace insensitive.  Printing uses the same grammar with terms in
-descending monomial order, so parse -> print -> parse is a fixed point.
+Whitespace insensitive.  One regex scan tokenizes the whole text before
+parsing starts: each alternative of `_TOKEN` is one token kind, and its
+last, catch-all group takes any other non-blank character, so a stray
+character is reported at its own position even when a grammar error comes
+earlier.  One flat loop then parses the tokens.  Printing uses the same
+grammar with terms in descending monomial order, so parse -> print -> parse
+is a fixed point.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from powerpoly.polynomial import DEFAULT_ORDER, MonomialOrder, Polynomial
+from powerpoly.polynomial import DEFAULT_ORDER, MonomialOrder, Polynomial, default_names
 
 
 class PolynomialSyntaxError(ValueError):
@@ -26,29 +31,19 @@ class PolynomialSyntaxError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()]))"
-)
+# Token kinds are the group numbers of `_TOKEN`; _END marks the end of text.
+_END, _INT, _IDENT, _OP, _BAD = range(5)
+_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(\S)")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            pos = len(text) - len(text[pos:].lstrip())  # the first non-blank
-            if pos == len(text):
-                break
-            raise PolynomialSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "int":
-            tokens.append(("int", m.group("int"), m.start("int")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind == _BAD:
+            raise PolynomialSyntaxError(f"unexpected character {m[0]!r}", m.start())
+        tokens.append((kind, m[0], m.start()))
+    tokens.append((_END, "", len(text)))
     return tokens
 
 
@@ -73,114 +68,63 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     if len(index) != len(names):
         raise ValueError(f"duplicate variable names in {names}")
     nvars = len(names)
-    tokens = _tokenize(text)
-    ti = 0
-
-    def peek():
-        return tokens[ti]
-
-    def advance():
-        nonlocal ti
-        tok = tokens[ti]
-        ti += 1
-        return tok
-
-    def parse_term(sign: int) -> None:
-        coeff = Fraction(sign)
-        exponents = [0] * nvars
-        saw_anything = False
-        kind, value, pos = peek()
-        if kind == "int":
-            advance()
-            saw_anything = True
-            num = int(value)
-            kind, value, _ = peek()
-            if kind == "op" and value == "/":
-                advance()
-                dk, dv, dp = advance()
-                if dk != "int":
-                    raise PolynomialSyntaxError("expected denominator", dp)
-                den = int(dv)
-                if den == 0:
-                    raise PolynomialSyntaxError("zero denominator", dp)
-                coeff *= Fraction(num, den)
-            else:
-                coeff *= num
-        while True:
-            kind, value, pos = peek()
-            if kind == "op" and value == "*":
-                advance()
-                kind, value, pos = peek()
-                if kind != "ident":
-                    raise PolynomialSyntaxError("expected variable after '*'", pos)
-            if kind != "ident":
-                break
-            advance()
-            saw_anything = True
-            if value not in index:
-                raise PolynomialSyntaxError(f"unknown variable {value!r}", pos)
-            var = index[value]
-            power = 1
-            kind2, value2, _ = peek()
-            if kind2 == "op" and value2 == "^":
-                advance()
-                ek, ev, ep = advance()
-                if ek != "int":
-                    raise PolynomialSyntaxError("expected integer exponent", ep)
-                power = int(ev)
-            exponents[var] += power
-        if not saw_anything:
-            kind, value, pos = peek()
+    tokens = iter(_tokenize(text))
+    kind, value, pos = next(tokens)
+    sign = 1
+    if kind == _OP and value in "+-":
+        sign = -1 if value == "-" else 1
+        kind, value, pos = next(tokens)
+    terms: dict = {}
+    while True:
+        # One term, starting at the current token; a term starts with a
+        # coefficient, a variable or the '*' before one.
+        if kind == _END or kind == _OP and value != "*":
             raise PolynomialSyntaxError("expected a term", pos)
+        num = den = 1
+        if kind == _INT:
+            num = int(value)
+            kind, value, pos = next(tokens)
+            if kind == _OP and value == "/":
+                kind, value, pos = next(tokens)
+                if kind != _INT:
+                    raise PolynomialSyntaxError("expected denominator", pos)
+                den = int(value)
+                if den == 0:
+                    raise PolynomialSyntaxError("zero denominator", pos)
+                kind, value, pos = next(tokens)
+        exponents = [0] * nvars
+        while kind == _IDENT or kind == _OP and value == "*":
+            if kind == _OP:
+                kind, value, pos = next(tokens)
+                if kind != _IDENT:
+                    raise PolynomialSyntaxError("expected variable after '*'", pos)
+            var = index.get(value)
+            if var is None:
+                raise PolynomialSyntaxError(f"unknown variable {value!r}", pos)
+            kind, value, pos = next(tokens)
+            if kind == _OP and value == "^":
+                kind, value, pos = next(tokens)
+                if kind != _INT:
+                    raise PolynomialSyntaxError("expected integer exponent", pos)
+                exponents[var] += int(value)
+                kind, value, pos = next(tokens)
+            else:
+                exponents[var] += 1
         mono = tuple(exponents)
-        if total := terms.get(mono, 0) + coeff:
+        if total := terms.get(mono, 0) + Fraction(sign * num, den):
             terms[mono] = total
         else:
             terms.pop(mono, None)
-
-    terms: dict = {}
-    sign = 1
-    kind, value, pos = peek()
-    if kind == "op" and value in "+-":
-        advance()
-        sign = -1 if value == "-" else 1
-    parse_term(sign)
-    while True:
-        kind, value, pos = peek()
-        if kind == "end":
-            break
-        if kind == "op" and value in "+-":
-            advance()
-            parse_term(-1 if value == "-" else 1)
-        else:
+        if kind == _END:
+            return Polynomial._of(nvars, terms)
+        if kind != _OP or value not in "+-":
             raise PolynomialSyntaxError(f"expected '+' or '-', got {value!r}", pos)
-    return Polynomial._of(nvars, terms)
+        sign = -1 if value == "-" else 1
+        kind, value, pos = next(tokens)
 
 
 def format_rational(value: Fraction) -> str:
     return str(value if isinstance(value, Fraction) else Fraction(value))
-
-
-def _format_term(mono, coeff: Fraction, names: Sequence[str], lead: bool) -> str:
-    factors = []
-    for e, name in zip(mono, names):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    num, den = coeff.numerator, coeff.denominator
-    sign = "-" if num < 0 else "+"
-    # str(abs(coeff)), without building a Fraction.
-    mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
-    if not factors:
-        body = mag
-    elif mag == "1":
-        body = "*".join(factors)
-    else:
-        body = mag + "*" + "*".join(factors)
-    if lead:
-        return body if sign == "+" else "-" + body
-    return f" {sign} {body}"
 
 
 def format_polynomial(
@@ -190,14 +134,20 @@ def format_polynomial(
 ) -> str:
     """Print in descending monomial order under `order`."""
     if names is None:
-        from powerpoly.polynomial import default_names
-
         names = default_names(poly.nvars)
     if len(names) != poly.nvars:
         raise ValueError(f"{len(names)} names for {poly.nvars} variables")
     if poly.is_zero():
         return "0"
     parts = []
-    for i, (mono, coeff) in enumerate(poly.sorted_terms(order)):
-        parts.append(_format_term(mono, coeff, names, lead=(i == 0)))
-    return "".join(parts)
+    for mono, coeff in poly.sorted_terms(order):
+        factors = [name if e == 1 else f"{name}^{e}" for e, name in zip(mono, names) if e]
+        # str(abs(coeff)), without building a Fraction.
+        num, den = coeff.numerator, coeff.denominator
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        if mag != "1" or not factors:
+            factors.insert(0, mag)
+        parts.append(("- " if num < 0 else "+ ") + "*".join(factors))
+    # "+ a - b + c" -> "a - b + c" and "- a + b" -> "-a + b".
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]

@@ -306,7 +306,7 @@ class Polynomial:
 
     def sorted_terms(self, order: MonomialOrder = DEFAULT_ORDER):
         """Terms in descending monomial order (canonical storage order)."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=order.key, reverse=True)]
+        return [(m, self.terms[m]) for m in sorted(self.terms, key=order.heap_key)]
 
     def monic(self, order: MonomialOrder = DEFAULT_ORDER) -> "Polynomial":
         if not self.terms:

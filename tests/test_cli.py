@@ -125,6 +125,43 @@ def test_malformed_hypothesis_json_is_an_error(command, payload, message, tmp_pa
     assert capsys.readouterr().err == f"error: malformed hypothesis JSON: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "payload, shown",
+    [
+        ({"kind": "independence", "params": {"p": 2.9, "q": 3}}, "2.9"),
+        ({"kind": "rank_lt", "params": {"p": 3, "q": 3, "r": 2.0}}, "2.0"),
+        ({"kind": "symmetry", "params": {"p": True}}, "True"),
+        ({"kind": "logodds", "params": {"a": ["1", "-1"], "c": "2", "k": 3.7}}, "3.7"),
+        ({"kind": "affine", "params": {"C": [[1, -1, 0]], "d": [0], "k": False}}, "False"),
+    ],
+    ids=["independence", "rank_lt", "symmetry", "logodds", "affine"],
+)
+def test_integer_parameters_refuse_floats_and_bools(payload, shown, tmp_path, capsys):
+    # int() would truncate 2.9 to 2 and read True as 1, and the command would
+    # answer for a hypothesis nobody asked about.
+    path = tmp_path / "hypothesis.json"
+    path.write_text(json.dumps(payload))
+    assert main(["threshold", "--hypothesis", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: expected an integer, got {shown}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gb", "--gens", "p1*p2 - p3", "--vars", "VARS"],
+        ["umpu", "--f", "p1+p2-p3", "--vars", "VARS", "--n", "3", "--alpha", "1/20"],
+        ["coeff-polytope", "--f", "p1+p2-p3", "--vars", "VARS", "--n", "3", "--alpha", "1/20"],
+        ["recover-test", "--beta", "p1^3 + p2^3 + p3^3", "--vars", "VARS", "--n", "3"],
+    ],
+    ids=["gb", "umpu", "coeff-polytope", "recover-test"],
+)
+def test_vars_names_are_stripped(argv, capsys):
+    spaced = run_cli([" p1, p2 ,\tp3" if a == "VARS" else a for a in argv])
+    assert capsys.readouterr().err == ""
+    assert spaced == run_cli(["p1,p2,p3" if a == "VARS" else a for a in argv])
+    assert spaced[0] == 0
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["gb", "--help"], ["--version"]])
 def test_help_and_version_exit_zero(argv, capsys):
     code, out = run_cli(argv)

@@ -68,6 +68,49 @@ class TestParser:
         assert str(err.value) == f"unexpected character {char!r} (at position {position})"
         assert err.value.position == position
 
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("3/", "expected denominator", 2),
+            ("3/0*p1", "zero denominator", 2),
+            ("2*3", "expected variable after '*'", 2),
+            ("p1 + q7", "unknown variable 'q7'", 5),
+            ("p1^p2", "expected integer exponent", 3),
+            ("p1 + + p2", "expected a term", 5),
+            ("(p1)", "expected a term", 0),
+            ("", "expected a term", 0),
+            ("2 3", "expected '+' or '-', got '3'", 2),
+            # The whole text is scanned before parsing, so the bad character
+            # wins over the grammar error at position 5.
+            ("p1 + + $", "unexpected character '$'", 7),
+        ],
+    )
+    def test_error_table(self, text, message, position):
+        with pytest.raises(PolynomialSyntaxError) as err:
+            P(text)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    def test_seeded_round_trip(self, order):
+        rng = random.Random(20)
+        for _ in range(300):
+            nvars = rng.randint(1, 5)
+            names = [f"x_{i}{rng.choice(['', 'a', '_b7'])}" for i in range(nvars)]
+            terms = {
+                tuple(rng.randint(0, 3) for _ in range(nvars)): Fraction(
+                    rng.randint(-30, 30), rng.randint(1, 12)
+                )
+                for _ in range(rng.randint(0, 6))
+            }
+            if rng.random() < 0.1:
+                terms = {(0,) * nvars: Fraction(rng.randint(-9, 9), rng.randint(1, 5))}
+            p = Polynomial(nvars, terms)
+            text = format_polynomial(p, names, order)
+            assert parse_polynomial(text, names) == p
+            assert format_polynomial(parse_polynomial(text, names), names, order) == text
+        assert format_polynomial(Polynomial(2, {}), ["a", "b"], order) == "0"
+
     def test_print_parse_fixed_point(self):
         for text in ["p1*p2 - p3^2", "1/2*p1^3 - 2*p2 + 7", "0", "-p1 + p2 - 1/3"]:
             p = P(text)
