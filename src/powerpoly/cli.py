@@ -26,6 +26,7 @@ from powerpoly.groebner import (
 )
 from powerpoly.hypotheses import (
     NullHypothesis,
+    _integer,
     build_hypothesis,
     polytope_existence,
     sample_null_points,
@@ -101,9 +102,9 @@ def _load_hypothesis(path: str) -> NullHypothesis:
 
 def _parse_test_json(payload: dict) -> TestFunction:
     try:
-        n, k = int(payload["n"]), int(payload["k"])
+        n, k = _integer(payload["n"]), _integer(payload["k"])
         values = {
-            tuple(int(v) for v in entry["x"]): parse_rational(str(entry["phi"]))
+            tuple(_integer(v) for v in entry["x"]): parse_rational(str(entry["phi"]))
             for entry in payload["values"]
         }
     except (KeyError, TypeError, ValueError) as exc:

@@ -6,9 +6,11 @@ quadric, transposition differences for symmetry, ...), existence checks
 for polytope hypotheses read P0's faces as bitmasks off the tight masks
 of one double description (a row defines a facet when its face is
 proper, is no other row's face and lies strictly inside no other proper
-face), log-odds hypotheses reduce to binomials, and every built-in
-family carries a rational parameterization used to sample points lying
-exactly in the null set.
+face), log-odds hypotheses reduce to binomials, and exact null points
+come from four constructions: positive rank r - 1 products (independence,
+rank_lt), positive mixtures of the vertices of one double description
+(affine, symmetry, polytope), a line search on the sphere, and positive
+points rescaled onto the log-odds binomial.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import mul
 from typing import Sequence
 
 from powerpoly.groebner import StepCounter
-from powerpoly.linalg import nullspace, primitive_scaling, solve_linear
+from powerpoly.linalg import primitive_scaling
 from powerpoly.linprog import EQ, LE, solve_lp
 from powerpoly.parser import parse_polynomial, parse_rational
 from powerpoly.polynomial import (
@@ -79,10 +81,6 @@ class NullHypothesis:
         if self.generators_substituted:
             return list(self.names)
         return list(self.names[:-1])
-
-
-def _outer_flat(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    return [ai * bj for ai in a for bj in b]
 
 
 def _minor(nvars: int, shape: ContingencyShape, rows, cols) -> Polynomial:
@@ -514,80 +512,42 @@ def _vdc(index: int, base: int) -> tuple[int, int]:
 
 
 def _halton_bases(dim: int) -> list[int]:
-    return [_PRIMES[t % len(_PRIMES)] for t in range(dim)]
+    """The first `dim` primes.  A base used twice would repeat a coordinate,
+    and a rank table whose entries repeat can lose rank."""
+    primes, n = _PRIMES[:dim], _PRIMES[-1]
+    while len(primes) < dim:
+        n += 2
+        if all(n % p for p in primes):
+            primes.append(n)
+    return primes
 
 
 def _halton(index: int, dim: int) -> list[Fraction]:
     return [Fraction(*_vdc(index, b)) for b in _halton_bases(dim)]
 
 
-def _simplex_point(raw: Sequence[Fraction]) -> list[Fraction]:
-    total = sum(raw, Fraction(0))
-    return [v / total for v in raw]
-
-
-def _convex_combinations(vertices: Sequence[Sequence[Fraction]], count: int, base: int):
-    """`count` points sum_v w_v v, the weights w > 0 a normalized Halton point."""
-    out = []
-    for t in range(count):
-        weights = _simplex_point(_halton(base + t, len(vertices)))
-        point = [Fraction(0)] * len(vertices[0])
-        for w, v in zip(weights, vertices):
-            for i, c in enumerate(v):
-                point[i] += w * c
-        out.append(tuple(point))
-    return out
+def _halton_ints(index: int, dim: int) -> tuple[list[int], int]:
+    """The Halton point of `_halton` over one denominator: (numerators, den)."""
+    u = [_vdc(index, b) for b in _halton_bases(dim)]
+    den = lcm(*(d for _, d in u))
+    return [n * (den // d) for n, d in u], den
 
 
 def sample_null_points(h: NullHypothesis, count: int, seed: int) -> list[tuple[Fraction, ...]]:
     """`count` rational points lying exactly in P0 and on the simplex.
 
     Deterministic: the points come from a low-discrepancy rational
-    sequence offset by `seed`.
+    sequence offset by `seed`, through one of four constructions.
     """
     if count < 1:
         raise ValueError("count must be positive")
     base = seed * 7919 + 1
     if h.family in ("independence", "rank_lt"):
-        p, q = h.params["p"], h.params["q"]
-        r = h.params.get("r", 2)
-        out = []
-        for t in range(count):
-            u = _halton(base + t, (r - 1) * (p + q) + (r - 1))
-            pos = 0
-            mats = []
-            weights = _simplex_point(u[pos : pos + (r - 1)]) if r > 2 else [Fraction(1)]
-            if r > 2:
-                pos += r - 1
-            for _ in range(r - 1):
-                a = _simplex_point(u[pos : pos + p]); pos += p
-                bb = _simplex_point(u[pos : pos + q]); pos += q
-                mats.append(_outer_flat(a, bb))
-            point = [Fraction(0)] * (p * q)
-            for w, m in zip(weights, mats):
-                for idx in range(p * q):
-                    point[idx] += w * m[idx]
-            out.append(tuple(point))
-        return out
-    if h.family == "symmetry":
-        p = h.params["p"]
-        out = []
-        for t in range(count):
-            u = _halton(base + t, p * (p + 1) // 2)
-            table = [[Fraction(0)] * p for _ in range(p)]
-            pos = 0
-            for i in range(p):
-                for j in range(i, p):
-                    table[i][j] = table[j][i] = u[pos]
-                    pos += 1
-            out.append(tuple(_simplex_point([table[i][j] for i in range(p) for j in range(p)])))
-        return out
-    if h.family == "affine":
-        return _sample_affine(h, count, base)
+        return _sample_rank(h, count, base)
+    if h.family in ("affine", "symmetry", "polytope"):
+        return _sample_linear(h, count, base)
     if h.family == "sphere":
         return _sample_sphere(h, count, base)
-    if h.family == "polytope":
-        return _sample_polytope(h, count, base)
     if h.family == "logodds":
         return _sample_logodds(h, count, base)
     raise UnsupportedSampling(
@@ -595,22 +555,66 @@ def sample_null_points(h: NullHypothesis, count: int, seed: int) -> list[tuple[F
     )
 
 
-def _sample_affine(h: NullHypothesis, count: int, base: int):
+def _sample_rank(h: NullHypothesis, count: int, base: int):
+    """Tables A B / sum(A B), A (p x (r-1)) and B ((r-1) x q) positive.
+
+    A Halton point over one denominator gives A's and B's integer entries,
+    so the table has rank at most r - 1 and every r x r minor vanishes.
+    """
+    p, q = h.params["p"], h.params["q"]
+    s = h.params.get("r", 2) - 1
+    out = []
+    for t in range(count):
+        u = _halton_ints(base + t, s * (p + q))[0]
+        b = u[p * s :]
+        table = [sum(map(mul, u[i : i + s], b[j::q])) for i in range(0, p * s, s) for j in range(q)]
+        total = sum(table)
+        out.append(tuple(Fraction(v, total) for v in table))
+    return out
+
+
+def _sample_linear(h: NullHypothesis, count: int, base: int):
+    """Mixtures of the vertices of P0, the simplex cut by linear equations
+    (the generators of affine and symmetry) or halfspaces (polytope).
+
+    One double description on ambient `<=` rows: -x <= 0, sum(x) <= 1 and
+    -sum(x) <= -1, each generator c.x + c0 = 0 as c.x <= -c0 and
+    -c.x <= c0, and each polytope row a.x' >= b as -a.x' <= -b.
+    """
     k = h.k
-    eqs = [list(row) for row in h.params["C"]] + [[1] * k]
-    x0 = solve_linear(eqs, list(h.params["d"]) + [1])
-    # The slice is {x0 + z N : x0 + z N >= 0}, N's rows spanning the kernel
-    # of [C; 1]; it is a polytope in z, whose vertices map to P0's.
-    points = []
-    if x0 is not None:
-        dirs = nullspace(eqs)
-        for z in enumerate_vertices_dd([[-v[i] for v in dirs] for i in range(k)], x0):
-            points.append([c + sum(zj * v[i] for zj, v in zip(z, dirs)) for i, c in enumerate(x0)])
-    # A convex combination with positive weights is positive in coordinate i
-    # exactly when some vertex is.
-    if not points or not all(any(p[i] > 0 for p in points) for i in range(k)):
-        raise ValueError("affine hypothesis has no relative-interior simplex point")
-    return _convex_combinations(points, count, base)
+    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    rows = [[-v for v in e] for e in unit] + [[1] * k, [-1] * k]
+    rhs = [0] * k + [1, -1]
+    for g in h.generators:
+        c = [g.terms.get(e, 0) for e in unit]
+        c0 = g.terms.get((0,) * k, 0)
+        rows += [c, [-v for v in c]]
+        rhs += [-c0, c0]
+    for a, b in zip(h.polytope_a, h.polytope_b):
+        rows.append([-v for v in a] + [0])
+        rhs.append(-b)
+    vertices = enumerate_vertices_dd(rows, rhs)
+    # A mixture with positive weights is positive in coordinate i exactly
+    # when some vertex is.
+    if not all(any(v[i] for v in vertices) for i in range(k)):
+        raise ValueError(f"{h.family} hypothesis has no relative-interior simplex point")
+    return _vertex_mixtures(vertices, count, base)
+
+
+def _vertex_mixtures(vertices: Sequence[Sequence[Fraction]], count: int, base: int):
+    """`count` points sum_v w_v v, the weights w > 0 a normalized Halton point.
+
+    The vertices are integers over their common denominator and the
+    weights over theirs, so each coordinate is one Fraction.
+    """
+    den = lcm(*(c.denominator for v in vertices for c in v))
+    columns = list(zip(*([c.numerator * (den // c.denominator) for c in v] for v in vertices)))
+    out = []
+    for t in range(count):
+        w = _halton_ints(base + t, len(vertices))[0]
+        scale = sum(w) * den
+        out.append(tuple(Fraction(sum(map(mul, w, col)), scale) for col in columns))
+    return out
 
 
 def _zero_sum_patterns(k: int):
@@ -681,7 +685,6 @@ def _sample_sphere(h: NullHypothesis, count: int, base: int):
     # coordinates ((W + k w_i) e.e - 2 k (w.e) e_i) / (k W e.e).
     big_w = lcm(*(x.denominator for x in u0))
     w = [int(x * big_w) for x in u0]
-    bases = _halton_bases(k - 1)
     out = []
     seen = set()
     t = 0
@@ -689,10 +692,9 @@ def _sample_sphere(h: NullHypothesis, count: int, base: int):
     max_attempts = 200 * count + 200
     while len(out) < count and attempts < max_attempts:
         attempts += 1
-        u = [_vdc(base + t, b) for b in bases]
+        u, half_d = _halton_ints(base + t, k - 1)
         t += 1
-        half_d = lcm(*(den for _, den in u))
-        e = [2 * half_d // den * num - half_d for num, den in u]
+        e = [2 * v - half_d for v in u]
         e.append(-sum(e))
         ee = sum(x * x for x in e)
         if ee == 0:
@@ -713,53 +715,31 @@ def _sample_sphere(h: NullHypothesis, count: int, base: int):
     return out
 
 
-def _sample_polytope(h: NullHypothesis, count: int, base: int):
-    vertices = enumerate_vertices_dd(*_polytope_rows(h.polytope_a, h.polytope_b, h.k - 1))
-    if not vertices:
-        raise ValueError("empty polytope hypothesis")
-    return _convex_combinations([list(v) + [1 - sum(v)] for v in vertices], count, base)
-
-
 def _sample_logodds(h: NullHypothesis, count: int, base: int):
-    k = h.k
+    """Points pi = q (c / q^e)^x from positive Halton points q.
+
+    With pi^I = c pi^J, e = I - J and e.x = 1, pi^e = q^e (c / q^e) = c.
+    The binomial is homogeneous, so the normalized point stays on it.
+    """
     binom = h.generators[0]
     monos = sorted(binom.terms)
-    if len(monos) != 2:
-        raise UnsupportedSampling("degenerate log-odds binomial")
-    # pi^I = c pi^J with exponent difference e = I - J.
-    if binom.terms[monos[0]] == 1:
-        left, right = monos[0], monos[1]
-    else:
-        left, right = monos[1], monos[0]
+    left, right = monos if binom.terms[monos[0]] == 1 else monos[::-1]
     c = -binom.terms[right]
     e = [l - r for l, r in zip(left, right)]
-    g = gcd(*e)
     # log_odds_to_binomial divides the gcd out whenever c has a rational
     # g-th root, so a common factor left here means the root is irrational.
-    if g > 1:
+    if gcd(*e) > 1:
         raise UnsupportedSampling(
             "log-odds binomial exponents share a factor whose root of c is irrational"
         )
     x = _solve_unimodular(e)
-    kernel = []
-    nz = [i for i, v in enumerate(e) if v]
-    for i in range(k):
-        if i == nz[0]:
-            continue
-        w = [0] * k
-        w[i] = e[nz[0]]
-        w[nz[0]] = -e[i]
-        kernel.append(w)
     out = []
     for t in range(count):
-        u = _halton(base + t, len(kernel))
-        point = [c**xi for xi in x]
-        for w, vec in zip(u, kernel):
-            s = Fraction(1) + w  # in (1, 2): positive rational multiplier
-            for i in range(k):
-                if vec[i]:
-                    point[i] *= s ** vec[i]
-        out.append(tuple(_simplex_point(point)))
+        q = _halton_ints(base + t, h.k)[0]
+        s = c * Fraction(prod(map(pow, q, right)), prod(map(pow, q, left)))
+        point = [qi * s**xi for qi, xi in zip(q, x)]
+        total = sum(point)
+        out.append(tuple(v / total for v in point))
     return out
 
 

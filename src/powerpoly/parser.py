@@ -33,7 +33,9 @@ class PolynomialSyntaxError(ValueError):
 
 # Token kinds are the group numbers of `_TOKEN`; _END marks the end of text.
 _END, _INT, _IDENT, _OP, _BAD = range(5)
-_TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(\S)")
+_IDENTIFIER = r"[A-Za-z_][A-Za-z_0-9]*"
+_TOKEN = re.compile(rf"(\d+)|({_IDENTIFIER})|([-+*/^()])|(\S)")
+_NAME = re.compile(_IDENTIFIER)
 
 
 def _tokenize(text: str):
@@ -67,6 +69,10 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise ValueError(f"duplicate variable names in {names}")
+    # A name the tokenizer cannot produce could never be matched.
+    for name in names:
+        if not (isinstance(name, str) and _NAME.fullmatch(name)):
+            raise ValueError(f"invalid variable name {name!r}")
     nvars = len(names)
     tokens = iter(_tokenize(text))
     kind, value, pos = next(tokens)

@@ -146,6 +146,39 @@ def test_integer_parameters_refuse_floats_and_bools(payload, shown, tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "n, x, shown",
+    [(2.9, [2, 0], "2.9"), (True, [1, 0], "True"), (2, [1.7, 0.3], "1.7")],
+    ids=["float-n", "bool-n", "float-count"],
+)
+def test_test_function_integers_refuse_floats_and_bools(n, x, shown, tmp_path, capsys):
+    # int() would truncate 2.9 to 2, read True as 1 and turn (1.7, 0.3)
+    # into the misleading count vector (1, 0).
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"n": n, "k": 2, "values": [{"x": x, "phi": "1/2"}]}))
+    code, out = run_cli(["mc-validate", "--test", str(path), "--pi", "1/2,1/2", "--reps", "10"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        f"error: malformed test-function JSON: expected an integer, got {shown}\n"
+    )
+
+
+@pytest.mark.parametrize("bad", ["", "p 1", "2p"])
+def test_names_the_grammar_cannot_match_are_refused(bad, tmp_path, capsys):
+    # No token is ever read as such a name, yet "p1,,p2" used to be accepted.
+    names = ["p1", bad, "p2"]
+    code, out = run_cli(["gb", "--gens", "p2", "--vars", ",".join(names)])
+    assert (code, out) == (1, "")
+    message = f"error: invalid variable name {bad!r}\n"
+    assert capsys.readouterr().err == message
+    path = tmp_path / "hypothesis.json"
+    path.write_text(
+        json.dumps({"kind": "custom", "params": {"k": 3, "vars": names, "generators": ["p2"]}})
+    )
+    assert run_cli(["threshold", "--hypothesis", str(path)]) == (1, "")
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["gb", "--gens", "p1*p2 - p3", "--vars", "VARS"],

@@ -439,6 +439,14 @@ class TestSampling:
             {"kind": "affine", "params": {"C": [["1", "-1", "0"]], "d": ["0"], "k": 3}},
             {"kind": "logodds", "params": {"a": ["1", "1"], "c": "1", "k": 3}},
             {"kind": "logodds", "params": {"a": ["1/2", "1"], "c": "4", "k": 3}},
+            # With the case above, the log-odds hypotheses of the threshold
+            # pool, and one of its polytope hypotheses.
+            {"kind": "logodds", "params": {"a": ["1", "2"], "c": "3", "k": 3}},
+            {"kind": "logodds", "params": {"a": ["1", "-1"], "c": "2", "k": 3}},
+            {"kind": "logodds", "params": {"a": ["2", "1"], "c": "1/2", "k": 3}},
+            {"kind": "logodds", "params": {"a": ["1", "-2", "1"], "c": "2", "k": 4}},
+            {"kind": "logodds", "params": {"a": ["1", "1", "1"], "c": "3", "k": 4}},
+            {"kind": "polytope", "params": {"A": [[-1, 1], [-1, -2]], "b": [0, -1], "k": 3}},
         ],
     )
     def test_points_annihilate_generators_exactly(self, spec):
@@ -608,3 +616,75 @@ def test_sphere_oracle_cases_cover_both_refusals():
     assert any(o.startswith("found no rational point") for o in refusals)
     assert any(o.startswith("exhausted the search budget") for o in refusals)
     assert len(refusals) < len(outcomes)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "independence", "params": {"p": 2, "q": 2}},
+        {"kind": "independence", "params": {"p": 2, "q": 4}},
+        {"kind": "independence", "params": {"p": 3, "q": 4}},
+        {"kind": "rank_lt", "params": {"p": 3, "q": 3, "r": 3}},
+        {"kind": "rank_lt", "params": {"p": 4, "q": 4, "r": 3}},
+        {"kind": "rank_lt", "params": {"p": 4, "q": 4, "r": 4}},
+        # More than 20 Halton coordinates, each on its own prime base.
+        {"kind": "rank_lt", "params": {"p": 5, "q": 5, "r": 5}},
+        {"kind": "rank_lt", "params": {"p": 6, "q": 6, "r": 6}},
+    ],
+    ids=lambda spec: "{kind}-{p}x{q}".format(kind=spec["kind"], **spec["params"]),
+)
+def test_rank_tables_are_positive_with_rank_exactly_r_minus_one(spec):
+    # At a rank below r - 1 every r x r minor's gradient vanishes, and the
+    # gradient evidence of `powerpoly threshold` would show nothing.
+    h = build_hypothesis(spec)
+    p, q, r = h.params["p"], h.params["q"], h.params.get("r", 2)
+    for seed in (0, 7):
+        for pt in sample_null_points(h, 10, seed):
+            assert sum(pt) == 1 and all(c > 0 for c in pt)
+            assert rank([pt[i * q : (i + 1) * q] for i in range(p)]) == r - 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_symmetry_points_are_positive_symmetric_tables(p):
+    h = build_hypothesis({"kind": "symmetry", "params": {"p": p}})
+    points = sample_null_points(h, 10, seed=7)
+    assert len(set(points)) == 10
+    for pt in points:
+        assert sum(pt) == 1 and all(c > 0 for c in pt)
+        assert all(pt[i * p + j] == pt[j * p + i] for i in range(p) for j in range(p))
+
+
+def _convex_combinations_oracle(vertices, count, base):
+    """The Fraction loop the linear samplers mixed vertices with before."""
+    out = []
+    for t in range(count):
+        raw = hypotheses._halton(base + t, len(vertices))
+        total = sum(raw, F(0))
+        point = [F(0)] * len(vertices[0])
+        for w, v in zip((x / total for x in raw), vertices):
+            for i, c in enumerate(v):
+                point[i] += w * c
+        out.append(tuple(point))
+    return out
+
+
+def test_vertex_mixtures_match_the_fraction_loop():
+    rng = random.Random(5)
+    for _ in range(40):
+        dim, nverts = rng.randint(1, 5), rng.randint(1, 25)
+        vertices = [
+            tuple(F(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(dim))
+            for _ in range(nverts)
+        ]
+        count, base = rng.randint(1, 6), rng.randint(1, 10**5)
+        expected = _convex_combinations_oracle(vertices, count, base)
+        assert hypotheses._vertex_mixtures(vertices, count, base) == expected
+
+
+def test_polytope_in_a_simplex_facet_is_refused():
+    # -p1 >= 0 holds P0 in the facet p1 = 0, where no point is interior.
+    h = build_hypothesis({"kind": "polytope", "params": {"A": [[-1, 0]], "b": [0], "k": 3}})
+    with pytest.raises(
+        ValueError, match="^polytope hypothesis has no relative-interior simplex point$"
+    ):
+        sample_null_points(h, 3, seed=0)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -486,3 +487,9 @@ class TestDerivative:
         assert p.derivative(0) == P("3*p1^2*p2")
         assert p.derivative(2) == P("-2")
         assert p.derivative(1) == P("p1^3")
+
+
+@pytest.mark.parametrize("bad", ["", "p 1", "1p", "p-1", "p1\n", "\u00e9", 7])
+def test_names_outside_the_identifier_grammar_are_refused(bad):
+    with pytest.raises(ValueError, match=f"^invalid variable name {re.escape(repr(bad))}$"):
+        parse_polynomial("p1", ["p1", bad])
