@@ -22,6 +22,25 @@ integer forms, builds S-pairs on integers and makes each returned element
 monic once, at the end; `reduce` rebuilds the exact rational quotients
 and remainder from the same core.
 
+Inside that core every monomial is one int, a packed exponent vector
+(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007).  Each exponent has a 16-bit field
+whose top bit is a guard bit, and the total degree sits above the
+fields.  The fields are placed and signed so that a product of monomials
+is the sum of their ints and a smaller int is a larger monomial: graded
+reverse lex packs P - (deg << 16n) with x_n in the most significant
+field, graded lex -(P' + (deg << 16n)) with x_1 most significant.  The
+working terms sit in a min-heap of plain ints, and lm divides x^m
+exactly when ((P_m | G) - P_lm) & G == G for the mask G of the guard
+bits, since a field with a smaller exponent borrows its own guard bit
+and no other; the quotient is then the difference of the two ints.  A
+field wraps only when an exponent reaches 2^15, and under a graded order
+no exponent met in a division exceeds the dividend's degree, so each
+input's degree and each S-pair's lcm degree is checked against 2^15 and
+a ValueError names the limit.  Term maps are packed once on entry and
+unpacked to exponent tuples once on exit; leading monomials, pair lcms
+and the pair criteria stay on tuples.
+
 Radical membership uses the Rabinowitsch trick: f vanishes on the complex
 variety of `gens` iff 1 lies in <gens, 1 - y*f> in a ring with one extra
 variable y (appended last, graded reverse lex).
@@ -33,19 +52,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Sequence
+from struct import Struct
+from typing import Mapping, Sequence
 
 from powerpoly.linalg import primitive_scaling
 from powerpoly.polynomial import (
     DEFAULT_ORDER,
+    Exponents,
     MonomialOrder,
     Polynomial,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
-    poly_addmul,
 )
+
+# One struct "H" word per exponent.
+_BITS = 16
+#: Exponents and total degrees must stay below the guard bit, 2^15.
+DEGREE_LIMIT = 1 << (_BITS - 1)
 
 
 class StepLimitExceeded(RuntimeError):
@@ -67,8 +91,75 @@ class StepCounter:
             raise StepLimitExceeded(f"computation exceeded step limit {self.limit}")
 
 
-def _form(lm, terms) -> tuple[tuple, Fraction]:
-    """Primitive integer form of a term map with leading monomial `lm`.
+class Packing:
+    """Packed exponent vectors of an `nvars`-variable ring under a graded order.
+
+    `key(a) + key(b) == key(a * b)`, and key(a) < key(b) iff a > b in the
+    order; `bits(k)` is the exponent fields P of a packed monomial, with
+    the guard bits `guard` clear, and `mono(k)` the exponent tuple.  The
+    fields are the 16-bit words of P, so one struct call packs or unpacks
+    them: little-endian puts x_n in the most significant field, big-endian
+    x_1.
+    """
+
+    __slots__ = ("sign", "top", "mask", "guard", "_struct", "_endian")
+
+    def __init__(self, nvars: int, order: MonomialOrder):
+        grevlex = order is MonomialOrder.GREVLEX
+        self.sign = 1 if grevlex else -1
+        self._endian = "little" if grevlex else "big"
+        self._struct = Struct(f"{'<' if grevlex else '>'}{nvars}H")
+        self.top = _BITS * nvars
+        self.mask = (1 << self.top) - 1
+        self.guard = sum(DEGREE_LIMIT << (_BITS * i) for i in range(nvars))
+
+    @staticmethod
+    def check(degree: int):
+        if degree >= DEGREE_LIMIT:
+            raise ValueError(
+                f"total degree {degree} reaches the packed-exponent limit {DEGREE_LIMIT}"
+            )
+
+    def key(self, mono: Exponents) -> int:
+        deg = sum(mono)
+        self.check(deg)
+        p = int.from_bytes(self._struct.pack(*mono), self._endian)
+        return self.sign * p - (deg << self.top)
+
+    def pack(self, terms: Mapping) -> dict:
+        key = self.key
+        return {key(m): c for m, c in terms.items()}
+
+    def bits(self, k: int) -> int:
+        return (self.sign * k) & self.mask
+
+    def mono(self, k: int) -> Exponents:
+        return self._struct.unpack(self.bits(k).to_bytes(self._struct.size, self._endian))
+
+
+def packed_addmul(acc: dict, coeff: int, shift: int, tail: Mapping, heap: list | None = None):
+    """In place on packed monomials: acc += coeff * x^shift * tail.
+
+    Cancelled terms are dropped; a monomial new to `acc` is pushed onto
+    `heap` when one is given.
+    """
+    for m, c in tail.items():
+        m += shift
+        old = acc.get(m)
+        if old is None:
+            acc[m] = coeff * c
+            if heap is not None:
+                heappush(heap, m)
+        else:
+            old += coeff * c
+            if old:
+                acc[m] = old
+            else:
+                del acc[m]
+
+
+def _form(lm: int, terms: dict) -> tuple[tuple, Fraction]:
+    """Primitive integer form of a packed term map with leading monomial `lm`.
 
     Returns the divisor (lm, lc, tail), with lc > 0 and an integer tail,
     and the rational s with terms = s * (lc * x^lm + tail).
@@ -82,35 +173,38 @@ def _form(lm, terms) -> tuple[tuple, Fraction]:
     return (lm, lc, tail), Fraction(g, den)
 
 
-def _divide(work: dict, divisors: Sequence[tuple], key, counter, quotients=None):
-    """Fraction-free division of the integer map `work`, which it consumes.
+def _divide(work: dict, divisors: Sequence[tuple], packing: Packing, counter, quotients=None):
+    """Fraction-free division of the packed integer map `work`, which it consumes.
 
     Returns (remainder, D) with D * (the map passed in) = sum(q_i G_i) +
     remainder for the divisors' forms G_i = lc * x^lm + tail and rational
-    quotients q_i.  The remainder
-    is in descending monomial order.  When `quotients` is given, the step
-    at divisor i records the pair (a, D) under x^(m - lm) in quotients[i]:
-    the quotient term is a / (D * lc) times x^(m - lm), D being the
-    denominator before that step's rescale.
+    quotients q_i.  The remainder is in descending monomial order.  When
+    `quotients` is given, the step at divisor i records the pair (a, D)
+    under x^(m - lm) in quotients[i]: the quotient term is a / (D * lc)
+    times x^(m - lm), D being the denominator before that step's rescale.
     """
     remainder: dict = {}
     den = 1
-    # Min-heap of (heap key, monomial) over the monomials of `work`, so the
-    # largest pops first.  A monomial cancelled out of `work` leaves a stale
-    # entry, skipped without a tick; if it is recreated it is pushed again,
-    # and whichever of its entries pops second is skipped as stale.
-    heap = [(key(m), m) for m in work]
+    bits, guard = packing.bits, packing.guard
+    leads = [bits(lm) for lm, _, _ in divisors]
+    # The smallest int is the largest monomial, so it pops first.  A
+    # monomial cancelled out of `work` leaves a stale entry, skipped
+    # without a tick; if it is recreated it is pushed again, and whichever
+    # of its entries pops second is skipped as stale.
+    heap = list(work)
     heapify(heap)
     while heap:
-        mono = heappop(heap)[1]
+        mono = heappop(heap)
         a = work.pop(mono, None)
         if a is None:
             continue
         if counter is not None:
             counter.tick()
-        for i, (lm, lc, tail) in enumerate(divisors):
-            quot = mono_div(mono, lm)
-            if quot is not None:
+        p = bits(mono) | guard
+        for i, lead in enumerate(leads):
+            if (p - lead) & guard == guard:
+                lm, lc, tail = divisors[i]
+                quot = mono - lm
                 # Popped monomials strictly decrease, so no quotient term
                 # is ever set twice, and a popped monomial never returns.
                 if quotients is not None:
@@ -124,8 +218,7 @@ def _divide(work: dict, divisors: Sequence[tuple], key, counter, quotients=None)
                         remainder[m] *= mult
                     den *= mult
                 # mult*a*x^mono cancels against (a/g)*lc*x^mono.
-                for m in poly_addmul(work, -(a // g), quot, tail):
-                    heappush(heap, (key(m), m))
+                packed_addmul(work, -(a // g), quot, tail, heap)
                 break
         else:
             remainder[mono] = a
@@ -148,47 +241,56 @@ def reduce(
             raise ValueError("variable count mismatch in division")
         if g.is_zero():
             raise ValueError("cannot divide by the zero polynomial")
+    packing = Packing(f.nvars, order)
     ints, content, den = primitive_scaling(f.terms.values())
     scale = Fraction(content, den)
     divisors, ratios = [], []
     for g in basis:
-        divisor, s = _form(g.leading_monomial(order), g.terms)
+        terms = packing.pack(g.terms)
+        divisor, s = _form(min(terms), terms)
         divisors.append(divisor)
         ratios.append(scale / s)
     steps: list[dict] = [{} for _ in basis]
-    remainder, den = _divide(dict(zip(f.terms, ints)), divisors, order.heap_key, counter, steps)
+    work = dict(zip(map(packing.key, f.terms), ints))
+    remainder, den = _divide(work, divisors, packing, counter, steps)
     # f = scale * work, and g_i = s_i * G_i, so a step (a, D) at divisor i
     # contributes scale * a / (D * lc_i * s_i) to q_i.
+    mono = packing.mono
     quotients = []
     for (_, lc, _), ratio, q in zip(divisors, ratios, steps):
         n, d = ratio.numerator, ratio.denominator
-        quotients.append(
-            Polynomial._of(f.nvars, {m: Fraction(a * n, dm * lc * d) for m, (a, dm) in q.items()})
-        )
+        quotients.append(Polynomial._of(
+            f.nvars, {mono(m): Fraction(a * n, dm * lc * d) for m, (a, dm) in q.items()}
+        ))
     n, d = scale.numerator, scale.denominator * den
-    return quotients, Polynomial._of(f.nvars, {m: Fraction(c * n, d) for m, c in remainder.items()})
+    r = {mono(m): Fraction(c * n, d) for m, c in remainder.items()}
+    return quotients, Polynomial._of(f.nvars, r)
 
 
-def _s_pair(a: tuple, b: tuple) -> dict:
+def _s_pair(a: tuple, b: tuple, lcm: int) -> dict:
     """Integer S-pair (lc_b/g) x^u A - (lc_a/g) x^v B of two divisor forms,
-    g = gcd(lc_a, lc_b); the leading terms cancel, so only tails enter."""
+    g = gcd(lc_a, lc_b), x^lcm their packed leading-monomial lcm; the
+    leading terms cancel, so only tails enter."""
     (la, ca, ta), (lb, cb, tb) = a, b
-    lcm = mono_lcm(la, lb)
     g = gcd(ca, cb)
     out: dict = {}
-    poly_addmul(out, cb // g, mono_div(lcm, la), ta)
-    poly_addmul(out, -(ca // g), mono_div(lcm, lb), tb)
+    packed_addmul(out, cb // g, lcm - la, ta)
+    packed_addmul(out, -(ca // g), lcm - lb, tb)
     return out
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """x^u f / lc(f) - x^v g / lc(g), with x^u lm(f) = x^v lm(g) their lcm."""
-    a = _form(f.leading_monomial(order), f.terms)[0]
-    b = _form(g.leading_monomial(order), g.terms)[0]
+    packing = Packing(f.nvars, order)
+    fp, gp = packing.pack(f.terms), packing.pack(g.terms)
+    a, b = _form(min(fp), fp)[0], _form(min(gp), gp)[0]
+    lcm = packing.key(mono_lcm(packing.mono(a[0]), packing.mono(b[0])))
     # x^u f / lc(f) = x^u A / lc_a, so the integer S-pair is lcm(lc_a, lc_b)
     # times this one.
     den = a[1] * b[1] // gcd(a[1], b[1])
-    return Polynomial._of(f.nvars, {m: Fraction(c, den) for m, c in _s_pair(a, b).items()})
+    mono = packing.mono
+    s = _s_pair(a, b, lcm)
+    return Polynomial._of(f.nvars, {mono(m): Fraction(c, den) for m, c in s.items()})
 
 
 @dataclass(frozen=True)
@@ -219,30 +321,34 @@ def buchberger_reduced(
     for g in gens:
         if g.nvars != nvars:
             raise ValueError("variable count mismatch among generators")
+    packing = Packing(nvars, order)
     # Primitive forms with lc > 0: equal forms are generators equal up to
     # scaling, and the first of each is kept.
     forms: dict = {}
     for g in gens:
-        form = _form(g.leading_monomial(order), g.terms)[0]
+        terms = packing.pack(g.terms)
+        form = _form(min(terms), terms)[0]
         forms.setdefault((form[0], form[1], frozenset(form[2].items())), form)
     basis = list(forms.values())
-    key = order.heap_key
 
-    lead = [b[0] for b in basis]
-    # Pending pair (i, j), i < j, mapped to the lcm of its leading monomials.
+    lead = [packing.mono(b[0]) for b in basis]
+    # Pending pair (i, j), i < j, mapped to the lcm of its leading monomials,
+    # and a min-heap of (lcm degree, i, j) over the same pairs.
     pairs: dict[tuple[int, int], tuple[int, ...]] = {}
+    queue: list[tuple[int, int, int]] = []
 
     def add_pairs(j: int):
         for i in range(j):
-            pairs[i, j] = mono_lcm(lead[i], lead[j])
+            lcm = pairs[i, j] = mono_lcm(lead[i], lead[j])
+            heappush(queue, (sum(lcm), i, j))
 
     for j in range(len(basis)):
         add_pairs(j)
 
-    while pairs:
+    while queue:
         if counter is not None:
             counter.tick()
-        i, j = min(pairs, key=lambda p: (sum(pairs[p]), p))
+        _, i, j = heappop(queue)
         lcm = pairs.pop((i, j))
         # Coprime criterion: lcm equal to the product means S reduces to 0.
         if lcm == mono_mul(lead[i], lead[j]):
@@ -261,16 +367,16 @@ def buchberger_reduced(
                     break
         if skip:
             continue
-        s = _s_pair(basis[i], basis[j])
+        s = _s_pair(basis[i], basis[j], packing.key(lcm))
         if not s:
             continue
-        r, _ = _divide(s, basis, key, counter)
+        r, _ = _divide(s, basis, packing, counter)
         if r:
             # The remainder comes out in descending order: its first
             # monomial is the leading one.
             lm = next(iter(r))
             basis.append(_form(lm, r)[0])
-            lead.append(lm)
+            lead.append(packing.mono(lm))
             add_pairs(len(basis) - 1)
 
     # Minimalize: drop elements whose leading monomial another one divides
@@ -293,14 +399,16 @@ def buchberger_reduced(
     reduced = [{lm: lc, **tail} for lm, lc, tail in keep]
     if len(keep) > 1:
         reduced = [
-            _divide(r, keep[:i] + keep[i + 1 :], key, counter)[0] for i, r in enumerate(reduced)
+            _divide(r, keep[:i] + keep[i + 1 :], packing, counter)[0] for i, r in enumerate(reduced)
         ]
     # Each map starts with its leading term; dividing by it makes it monic.
+    # The leading monomials are distinct, and the largest packs smallest.
+    reduced.sort(key=lambda r: -next(iter(r)))
+    mono = packing.mono
     elements = []
     for r in reduced:
         lc = next(iter(r.values()))
-        elements.append(Polynomial._of(nvars, {m: Fraction(c, lc) for m, c in r.items()}))
-    elements.sort(key=lambda g: order.key(g.leading_monomial(order)))
+        elements.append(Polynomial._of(nvars, {mono(m): Fraction(c, lc) for m, c in r.items()}))
     return GroebnerBasis(order=order, elements=tuple(elements))
 
 

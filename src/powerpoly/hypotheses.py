@@ -605,15 +605,21 @@ def _vertex_mixtures(vertices: Sequence[Sequence[Fraction]], count: int, base: i
     """`count` points sum_v w_v v, the weights w > 0 a normalized Halton point.
 
     The vertices are integers over their common denominator and the
-    weights over theirs, so each coordinate is one Fraction.
+    weights over theirs, so each distinct column of vertex coordinates
+    (a symmetric table repeats its off-diagonal ones) is one Fraction.
     """
     den = lcm(*(c.denominator for v in vertices for c in v))
-    columns = list(zip(*([c.numerator * (den // c.denominator) for c in v] for v in vertices)))
+    slots: dict = {}
+    index = [
+        slots.setdefault(col, len(slots))
+        for col in zip(*([c.numerator * (den // c.denominator) for c in v] for v in vertices))
+    ]
     out = []
     for t in range(count):
         w = _halton_ints(base + t, len(vertices))[0]
         scale = sum(w) * den
-        out.append(tuple(Fraction(sum(map(mul, w, col)), scale) for col in columns))
+        values = [Fraction(sum(map(mul, w, col)), scale) for col in slots]
+        out.append(tuple(map(values.__getitem__, index)))
     return out
 
 

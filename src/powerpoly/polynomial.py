@@ -4,17 +4,17 @@ Variables are positional (index 0..nvars-1); display names are a
 presentation concern handled by the parser/formatter.  `Polynomial`
 coefficients are `fractions.Fraction` throughout, terms with zero
 coefficient are never stored, and all operations return new objects, so
-polynomials can be shared freely across threads.  The term maps inside
-the Groebner core and the SOS witness (`groebner`, `threshold`) hold
-`int` coefficients of primitive integer forms instead; `poly_addmul`
-serves both.
+polynomials can be shared freely across threads.  The Groebner core and
+the SOS witness (`groebner`, `threshold`) do not use these term maps:
+they hold `int` coefficients of primitive integer forms on packed
+monomials (`groebner.Packing`, `groebner.packed_addmul`).
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from operator import neg
 from typing import Mapping, Sequence
 
@@ -49,25 +49,19 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
-def poly_addmul(acc: dict, coeff: Fraction | int, mono: Exponents, tb: Mapping) -> list[Exponents]:
-    """In place: acc += coeff * x^mono * tb, dropping cancelled terms.
-
-    Returns the monomials that were not in `acc` before the call.
-    """
-    fresh = []
+def poly_addmul(acc: dict, coeff: Fraction | int, mono: Exponents, tb: Mapping):
+    """In place: acc += coeff * x^mono * tb, dropping cancelled terms."""
     for mb, cb in tb.items():
         m = tuple(x + y for x, y in zip(mono, mb))
         c = acc.get(m)
         if c is None:
             acc[m] = coeff * cb
-            fresh.append(m)
         else:
             c = c + coeff * cb
             if c:
                 acc[m] = c
             else:
                 del acc[m]
-    return fresh
 
 
 def multinomial(n: int, counts: Sequence[int]) -> int:
@@ -319,17 +313,29 @@ class Polynomial:
     # -- evaluation and reparameterization ---------------------------------
 
     def evaluate(self, point: Sequence) -> Fraction:
+        """Exact value at `point`, summed on integers into one Fraction.
+
+        With the coordinates N/d over one denominator d and the
+        coefficients over their lcm L, a term c * x^m of degree j is
+        (c L) * N^m * d^(D - j) over L * d^D, D the total degree.
+        """
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
+        if not self.terms:
+            return Fraction(0)
+        pt = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
+        d = lcm(*(x.denominator for x in pt))
+        nums = [x.numerator * (d // x.denominator) for x in pt]
+        cden = lcm(*(c.denominator for c in self.terms.values()))
+        top = self.total_degree()
+        total = 0
         for mono, coeff in self.terms.items():
-            value = coeff
-            for x, e in zip(pt, mono):
+            value = coeff.numerator * (cden // coeff.denominator)
+            for x, e in zip(nums, mono):
                 if e:
                     value *= x**e
-            total += value
-        return total
+            total += value * d ** (top - sum(mono))
+        return Fraction(total, cden * d**top)
 
     def evaluate_float(self, point: Sequence[float]) -> float:
         if len(point) != self.nvars:

@@ -15,10 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from powerpoly.groebner import GroebnerBasis, StepCounter, radical_membership
+from powerpoly.groebner import (
+    GroebnerBasis,
+    Packing,
+    StepCounter,
+    packed_addmul,
+    radical_membership,
+)
 from powerpoly.hypotheses import NullHypothesis, rank_lt
 from powerpoly.linalg import primitive_scaling
-from powerpoly.polynomial import Polynomial, poly_addmul
+from powerpoly.polynomial import DEFAULT_ORDER, Polynomial
 from powerpoly.power import PowerPolynomial, multinomial
 
 EXACT = "exact_under_theorem"
@@ -30,20 +36,24 @@ def _weighted_squares(nvars: int, terms: Sequence[tuple[Fraction, Polynomial]]) 
 
     Each g is s * G with G primitive, so w * g^2 = (w * s^2) * G^2.  The
     weights w * s^2 are scaled to primitive integers k over one rational
-    scale c, sum k * G^2 is accumulated as one integer term map, and each
-    output coefficient becomes a Fraction once.
+    scale c, sum k * G^2 is accumulated as one integer term map on packed
+    monomials (`groebner.Packing`), and each output coefficient becomes a
+    Fraction once.
     """
+    packing = Packing(nvars, DEFAULT_ORDER)
     weights, forms = [], []
     for w, g in terms:
+        packing.check(2 * g.total_degree())
         ints, content, den = primitive_scaling(g.terms.values())
         weights.append(w * Fraction(content * content, den * den))
-        forms.append(dict(zip(g.terms, ints)))
+        forms.append(dict(zip(map(packing.key, g.terms), ints)))
     ks, num, den = primitive_scaling(weights)
     out: dict = {}
     for k, form in zip(ks, forms):
-        for mono, coeff in form.items():
-            poly_addmul(out, k * coeff, mono, form)
-    return Polynomial._of(nvars, {m: Fraction(c * num, den) for m, c in out.items()})
+        for m, coeff in form.items():
+            packed_addmul(out, k * coeff, m, form)
+    mono = packing.mono
+    return Polynomial._of(nvars, {mono(m): Fraction(c * num, den) for m, c in out.items()})
 
 
 @dataclass(frozen=True)

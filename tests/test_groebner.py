@@ -21,6 +21,7 @@ from powerpoly import (
 )
 from powerpoly import groebner
 from powerpoly.groebner import s_polynomial
+from powerpoly.polynomial import mono_div, mono_mul
 
 VARS = ["p1", "p2", "p3"]
 
@@ -378,16 +379,15 @@ class TestHeapDivisionOracle:
         # Spy on the term updates to see that some monomial is cancelled and
         # later recreated within one division, which leaves a stale heap entry.
         cancelled, recreated = set(), []
-        real_addmul = groebner.poly_addmul
+        real_addmul = groebner.packed_addmul
 
-        def spy(acc, coeff, mono, tb):
+        def spy(acc, coeff, shift, tail, heap=None):
             before = set(acc)
-            fresh = real_addmul(acc, coeff, mono, tb)
-            recreated.extend(m for m in fresh if m in cancelled)
+            real_addmul(acc, coeff, shift, tail, heap)
+            recreated.extend(m for m in set(acc) - before if m in cancelled)
             cancelled.update(before - set(acc))
-            return fresh
 
-        monkeypatch.setattr(groebner, "poly_addmul", spy)
+        monkeypatch.setattr(groebner, "packed_addmul", spy)
         for f, basis in _division_cases():
             cancelled.clear()
             heap_steps, scan_steps = StepCounter(), StepCounter()
@@ -397,3 +397,64 @@ class TestHeapDivisionOracle:
             q, r = got
             assert sum((qi * g for qi, g in zip(q, basis)), r) == f
         assert len(recreated) > 1
+
+
+def _monomial_pairs(n):
+    # Exponents small enough to divide each other often, or large enough to
+    # reach the top field bits while the degree stays below 2^15.
+    exponents = st.one_of(st.integers(0, 3), st.integers(0, (2**15 - 1) // max(n, 1)))
+    return st.tuples(st.tuples(*[exponents] * n), st.tuples(*[exponents] * n))
+
+
+MONOMIAL_PAIRS = st.integers(0, 4).flatmap(_monomial_pairs)
+
+
+class TestPacking:
+    """Packed exponent vectors: one int per monomial, additive under
+    multiplication, smaller for a larger monomial, divisibility by one
+    guarded subtract."""
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    @seed(20261019)
+    @settings(max_examples=300, deadline=None)
+    @given(MONOMIAL_PAIRS)
+    def test_pack_laws(self, order, pair):
+        a, b = pair
+        p = groebner.Packing(len(a), order)
+        ka, kb = p.key(a), p.key(b)
+        assert p.mono(ka) == a and p.mono(kb) == b
+        assert (ka < kb) == (order.key(a) > order.key(b))
+        if sum(a) + sum(b) < groebner.DEGREE_LIMIT:
+            assert p.key(mono_mul(a, b)) == ka + kb
+        # The test `_divide` runs on a popped monomial a and a leading one b.
+        divides = ((p.bits(ka) | p.guard) - p.bits(kb)) & p.guard == p.guard
+        quot = mono_div(a, b)
+        assert divides == (quot is not None)
+        if divides:
+            assert ka - kb == p.key(quot)
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    def test_degree_at_the_field_limit_is_refused(self, order):
+        limit = groebner.DEGREE_LIMIT
+        assert limit == 2**15
+        p = groebner.Packing(2, order)
+        assert p.mono(p.key((limit - 1, 0))) == (limit - 1, 0)
+        with pytest.raises(ValueError, match="limit 32768"):
+            p.key((limit - 7, 7))
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        with pytest.raises(ValueError, match="limit 32768"):
+            buchberger_reduced([x**limit - y], order)
+        with pytest.raises(ValueError, match="limit 32768"):
+            reduce(x - y, [y**limit + 1], order)
+        with pytest.raises(ValueError, match="limit 32768"):
+            reduce(x ** (limit - 1) * y, [x - 1], order)
+        # Inputs below the limit whose S-pair lcm reaches it.
+        half = limit // 2
+        with pytest.raises(ValueError, match="limit 32768"):
+            buchberger_reduced([x**half * y - 1, x * y**half - 1], order)
+        with pytest.raises(ValueError, match="limit 32768"):
+            s_polynomial(x**half * y - 1, x * y**half - 1, order)
+        # The SOS witness squares: degree 2^14 squares to the limit.
+        gb = groebner.GroebnerBasis(order, (x**half - y,))
+        with pytest.raises(ValueError, match="limit 32768"):
+            sos_bounds(gb)

@@ -180,6 +180,36 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             P("p1").evaluate([Fraction(1)])
 
+    def test_seeded_points_match_the_fraction_loop(self):
+        def fraction_loop(p, point):
+            pt = [Fraction(x) for x in point]
+            total = Fraction(0)
+            for mono, coeff in p.terms.items():
+                value = coeff
+                for x, e in zip(pt, mono):
+                    if e:
+                        value *= x**e
+                total += value
+            return total
+
+        rng = random.Random(20261019)
+        polys = _random_polynomials(7) + [Polynomial(0, {(): Fraction(5, 3)}), Polynomial.zero(0)]
+        kinds = ("int", "fraction", "mixed")
+        for p in polys:
+            for kind in kinds:
+                for _ in range(10):
+                    point = [
+                        Fraction(rng.randint(-7, 7), rng.randint(1, 12))
+                        if kind == "fraction" or (kind == "mixed" and rng.random() < 0.5)
+                        else rng.randint(-5, 5)
+                        for _ in range(p.nvars)
+                    ]
+                    got = p.evaluate(point)
+                    assert type(got) is Fraction
+                    assert got == fraction_loop(p, point)
+        # Non-rational inputs go through Fraction() as before.
+        assert P("p1*p2 - p3").evaluate(["1/2", 0.25, True]) == Fraction(-7, 8)
+
 
 class TestHomogenize:
     def test_single_variable(self):
