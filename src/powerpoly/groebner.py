@@ -23,23 +23,20 @@ monic once, at the end; `reduce` rebuilds the exact rational quotients
 and remainder from the same core.
 
 Inside that core every monomial is one int, a packed exponent vector
-(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors", CASC 2007).  Each exponent has a 16-bit field
-whose top bit is a guard bit, and the total degree sits above the
-fields.  The fields are placed and signed so that a product of monomials
-is the sum of their ints and a smaller int is a larger monomial: graded
-reverse lex packs P - (deg << 16n) with x_n in the most significant
-field, graded lex -(P' + (deg << 16n)) with x_1 most significant.  The
-working terms sit in a min-heap of plain ints, and lm divides x^m
-exactly when ((P_m | G) - P_lm) & G == G for the mask G of the guard
-bits, since a field with a smaller exponent borrows its own guard bit
-and no other; the quotient is then the difference of the two ints.  A
-field wraps only when an exponent reaches 2^15, and under a graded order
-no exponent met in a division exceeds the dividend's degree, so each
-input's degree and each S-pair's lcm degree is checked against 2^15 and
-a ValueError names the limit.  Term maps are packed once on entry and
-unpacked to exponent tuples once on exit; leading monomials, pair lcms
-and the pair criteria stay on tuples.
+in 16-bit words (`polynomial.Packing`; Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007), and every add-multiply is the one kernel of all polynomial
+products, `polynomial.packed_addmul`.  The working terms sit in a
+min-heap of plain ints, and lm divides x^m exactly when
+((P_m | G) - P_lm) & G == G for the mask G of the guard bits, since a
+field with a smaller exponent borrows its own guard bit and no other; the
+quotient is then the difference of the two ints.  A field wraps only when
+an exponent reaches 2^15, and under a graded order no exponent met in a
+division exceeds the dividend's degree, so each input's degree and each
+S-pair's lcm degree is checked against 2^15 (`DEGREE_LIMIT`) and a
+ValueError names the limit.  Term maps are packed once on entry
+(`Packing.pack`) and unpacked once on exit (`Packing.unpack`); leading
+monomials, pair lcms and the pair criteria stay on exponent tuples.
 
 Radical membership uses the Rabinowitsch trick: f vanishes on the complex
 variety of `gens` iff 1 lies in <gens, 1 - y*f> in a ring with one extra
@@ -52,24 +49,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from struct import Struct
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from powerpoly.linalg import primitive_scaling
+# DEGREE_LIMIT, the limit of the core's 16-bit words, is imported for
+# callers of this module.
 from powerpoly.polynomial import (
     DEFAULT_ORDER,
-    Exponents,
+    DEGREE_LIMIT,
     MonomialOrder,
+    Packing,
     Polynomial,
     mono_divides,
     mono_lcm,
     mono_mul,
+    packed_addmul,
 )
-
-# One struct "H" word per exponent.
-_BITS = 16
-#: Exponents and total degrees must stay below the guard bit, 2^15.
-DEGREE_LIMIT = 1 << (_BITS - 1)
 
 
 class StepLimitExceeded(RuntimeError):
@@ -91,86 +85,18 @@ class StepCounter:
             raise StepLimitExceeded(f"computation exceeded step limit {self.limit}")
 
 
-class Packing:
-    """Packed exponent vectors of an `nvars`-variable ring under a graded order.
+def _form(lm: int, ints: dict) -> tuple[tuple, int]:
+    """Divisor form of an integer map on packed monomials with leading
+    monomial `lm`.
 
-    `key(a) + key(b) == key(a * b)`, and key(a) < key(b) iff a > b in the
-    order; `bits(k)` is the exponent fields P of a packed monomial, with
-    the guard bits `guard` clear, and `mono(k)` the exponent tuple.  The
-    fields are the 16-bit words of P, so one struct call packs or unpacks
-    them: little-endian puts x_n in the most significant field, big-endian
-    x_1.
+    Returns (lm, lc, tail), the map divided by the integer g that leaves
+    it primitive with lc > 0, and g.
     """
-
-    __slots__ = ("sign", "top", "mask", "guard", "_struct", "_endian")
-
-    def __init__(self, nvars: int, order: MonomialOrder):
-        grevlex = order is MonomialOrder.GREVLEX
-        self.sign = 1 if grevlex else -1
-        self._endian = "little" if grevlex else "big"
-        self._struct = Struct(f"{'<' if grevlex else '>'}{nvars}H")
-        self.top = _BITS * nvars
-        self.mask = (1 << self.top) - 1
-        self.guard = sum(DEGREE_LIMIT << (_BITS * i) for i in range(nvars))
-
-    @staticmethod
-    def check(degree: int):
-        if degree >= DEGREE_LIMIT:
-            raise ValueError(
-                f"total degree {degree} reaches the packed-exponent limit {DEGREE_LIMIT}"
-            )
-
-    def key(self, mono: Exponents) -> int:
-        deg = sum(mono)
-        self.check(deg)
-        p = int.from_bytes(self._struct.pack(*mono), self._endian)
-        return self.sign * p - (deg << self.top)
-
-    def pack(self, terms: Mapping) -> dict:
-        key = self.key
-        return {key(m): c for m, c in terms.items()}
-
-    def bits(self, k: int) -> int:
-        return (self.sign * k) & self.mask
-
-    def mono(self, k: int) -> Exponents:
-        return self._struct.unpack(self.bits(k).to_bytes(self._struct.size, self._endian))
-
-
-def packed_addmul(acc: dict, coeff: int, shift: int, tail: Mapping, heap: list | None = None):
-    """In place on packed monomials: acc += coeff * x^shift * tail.
-
-    Cancelled terms are dropped; a monomial new to `acc` is pushed onto
-    `heap` when one is given.
-    """
-    for m, c in tail.items():
-        m += shift
-        old = acc.get(m)
-        if old is None:
-            acc[m] = coeff * c
-            if heap is not None:
-                heappush(heap, m)
-        else:
-            old += coeff * c
-            if old:
-                acc[m] = old
-            else:
-                del acc[m]
-
-
-def _form(lm: int, terms: dict) -> tuple[tuple, Fraction]:
-    """Primitive integer form of a packed term map with leading monomial `lm`.
-
-    Returns the divisor (lm, lc, tail), with lc > 0 and an integer tail,
-    and the rational s with terms = s * (lc * x^lm + tail).
-    """
-    ints, g, den = primitive_scaling(terms.values())
-    tail = dict(zip(terms, ints))
-    lc = tail.pop(lm)
-    if lc < 0:
-        lc, g = -lc, -g
-        tail = {m: -c for m, c in tail.items()}
-    return (lm, lc, tail), Fraction(g, den)
+    g = gcd(*ints.values())
+    if ints[lm] < 0:
+        g = -g
+    tail = {m: c // g for m, c in ints.items()}
+    return (lm, tail.pop(lm), tail), g
 
 
 def _divide(work: dict, divisors: Sequence[tuple], packing: Packing, counter, quotients=None):
@@ -242,29 +168,23 @@ def reduce(
         if g.is_zero():
             raise ValueError("cannot divide by the zero polynomial")
     packing = Packing(f.nvars, order)
-    ints, content, den = primitive_scaling(f.terms.values())
-    scale = Fraction(content, den)
+    work, scale = packing.pack(f.terms)
     divisors, ratios = [], []
     for g in basis:
-        terms = packing.pack(g.terms)
-        divisor, s = _form(min(terms), terms)
+        ints, s = packing.pack(g.terms)
+        divisor, sign = _form(min(ints), ints)
         divisors.append(divisor)
-        ratios.append(scale / s)
+        ratios.append(scale / (s * sign))
     steps: list[dict] = [{} for _ in basis]
-    work = dict(zip(map(packing.key, f.terms), ints))
     remainder, den = _divide(work, divisors, packing, counter, steps)
     # f = scale * work, and g_i = s_i * G_i, so a step (a, D) at divisor i
-    # contributes scale * a / (D * lc_i * s_i) to q_i.
-    mono = packing.mono
-    quotients = []
-    for (_, lc, _), ratio, q in zip(divisors, ratios, steps):
-        n, d = ratio.numerator, ratio.denominator
-        quotients.append(Polynomial._of(
-            f.nvars, {mono(m): Fraction(a * n, dm * lc * d) for m, (a, dm) in q.items()}
-        ))
-    n, d = scale.numerator, scale.denominator * den
-    r = {mono(m): Fraction(c * n, d) for m, c in remainder.items()}
-    return quotients, Polynomial._of(f.nvars, r)
+    # contributes scale * a / (D * lc_i * s_i) to q_i; every such D divides
+    # the final denominator den.
+    quotients = [
+        packing.unpack({m: a * (den // dm) for m, (a, dm) in q.items()}, ratio / (den * lc))
+        for (_, lc, _), ratio, q in zip(divisors, ratios, steps)
+    ]
+    return quotients, packing.unpack(remainder, scale / den)
 
 
 def _s_pair(a: tuple, b: tuple, lcm: int) -> dict:
@@ -282,15 +202,13 @@ def _s_pair(a: tuple, b: tuple, lcm: int) -> dict:
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """x^u f / lc(f) - x^v g / lc(g), with x^u lm(f) = x^v lm(g) their lcm."""
     packing = Packing(f.nvars, order)
-    fp, gp = packing.pack(f.terms), packing.pack(g.terms)
+    fp, gp = packing.pack(f.terms)[0], packing.pack(g.terms)[0]
     a, b = _form(min(fp), fp)[0], _form(min(gp), gp)[0]
     lcm = packing.key(mono_lcm(packing.mono(a[0]), packing.mono(b[0])))
     # x^u f / lc(f) = x^u A / lc_a, so the integer S-pair is lcm(lc_a, lc_b)
     # times this one.
     den = a[1] * b[1] // gcd(a[1], b[1])
-    mono = packing.mono
-    s = _s_pair(a, b, lcm)
-    return Polynomial._of(f.nvars, {mono(m): Fraction(c, den) for m, c in s.items()})
+    return packing.unpack(_s_pair(a, b, lcm), Fraction(1, den))
 
 
 @dataclass(frozen=True)
@@ -326,8 +244,8 @@ def buchberger_reduced(
     # scaling, and the first of each is kept.
     forms: dict = {}
     for g in gens:
-        terms = packing.pack(g.terms)
-        form = _form(min(terms), terms)[0]
+        ints = packing.pack(g.terms)[0]
+        form = _form(min(ints), ints)[0]
         forms.setdefault((form[0], form[1], frozenset(form[2].items())), form)
     basis = list(forms.values())
 
@@ -404,12 +322,8 @@ def buchberger_reduced(
     # Each map starts with its leading term; dividing by it makes it monic.
     # The leading monomials are distinct, and the largest packs smallest.
     reduced.sort(key=lambda r: -next(iter(r)))
-    mono = packing.mono
-    elements = []
-    for r in reduced:
-        lc = next(iter(r.values()))
-        elements.append(Polynomial._of(nvars, {mono(m): Fraction(c, lc) for m, c in r.items()}))
-    return GroebnerBasis(order=order, elements=tuple(elements))
+    elements = tuple(packing.unpack(r, Fraction(1, next(iter(r.values())))) for r in reduced)
+    return GroebnerBasis(order=order, elements=elements)
 
 
 def ideal_membership(f: Polynomial, gb: GroebnerBasis) -> bool:

@@ -4,19 +4,41 @@ Variables are positional (index 0..nvars-1); display names are a
 presentation concern handled by the parser/formatter.  `Polynomial`
 coefficients are `fractions.Fraction` throughout, terms with zero
 coefficient are never stored, and all operations return new objects, so
-polynomials can be shared freely across threads.  The Groebner core and
-the SOS witness (`groebner`, `threshold`) do not use these term maps:
-they hold `int` coefficients of primitive integer forms on packed
-monomials (`groebner.Packing`, `groebner.packed_addmul`).
+polynomials can be shared freely across threads.
+
+One packed kernel serves every product: `Polynomial.__mul__` (and so
+`**`), `homogenize`, `substitute_last`, the Groebner core and the SOS
+witness (`groebner`, `threshold`).  `Packing.pack` writes a term map as
+a primitive integer map on packed monomials over one rational scale,
+`packed_addmul` accumulates products of such maps with one int addition
+per monomial product and exact int coefficients, and `Packing.unpack`
+builds one Fraction per output term.  Packed exponent vectors follow
+Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors" (CASC 2007).  Each exponent has one word whose
+top bit is a guard bit, and the total degree sits above the words; the
+words are placed and signed so that a product of monomials is the sum of
+their ints and a smaller int is a larger monomial under the order:
+graded reverse lex packs P - (deg << B n) with x_n in the most
+significant word, graded lex -(P' + (deg << B n)) with x_1 most
+significant.  A word is B = 16 bits wide when the caller's top degree is
+below 2^15 and 64 bits wide otherwise, so a field never wraps; the
+Groebner core always packs 16-bit words and checks its degrees against
+`DEGREE_LIMIT`.  Scaling every coefficient by one nonzero rational
+cancels exactly the terms the rational products cancel, so the output
+terms come in the same order as a Fraction loop over the same terms.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from heapq import heappush
 from math import factorial, lcm
 from operator import neg
+from struct import Struct
 from typing import Mapping, Sequence
+
+from powerpoly.linalg import primitive_scaling
 
 Exponents = tuple[int, ...]
 
@@ -49,19 +71,12 @@ def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
-def poly_addmul(acc: dict, coeff: Fraction | int, mono: Exponents, tb: Mapping):
-    """In place: acc += coeff * x^mono * tb, dropping cancelled terms."""
-    for mb, cb in tb.items():
-        m = tuple(x + y for x, y in zip(mono, mb))
-        c = acc.get(m)
-        if c is None:
-            acc[m] = coeff * cb
-        else:
-            c = c + coeff * cb
-            if c:
-                acc[m] = c
-            else:
-                del acc[m]
+def _exponent(e, mono) -> int:
+    """An exponent that is not an int, as an int; bools, floats and
+    non-integral values are refused."""
+    if isinstance(e, (bool, float)) or e != int(e):
+        raise ValueError(f"exponent {e!r} in {mono} is not an integer")
+    return int(e)
 
 
 def multinomial(n: int, counts: Sequence[int]) -> int:
@@ -111,6 +126,89 @@ class MonomialOrder(enum.Enum):
 #: graded reverse lexicographic order of the worked contingency examples).
 DEFAULT_ORDER = MonomialOrder.GREVLEX
 
+#: Exponents and total degrees packed in 16-bit words stay below their
+#: guard bit, 2^15.
+DEGREE_LIMIT = 1 << 15
+
+
+class Packing:
+    """Packed exponent vectors of an `nvars`-variable ring under a graded order.
+
+    `key(a) + key(b) == key(a * b)`, and key(a) < key(b) iff a > b in the
+    order; `bits(k)` is the exponent fields P of a packed monomial, with
+    the guard bits `guard` clear, and `mono(k)` the exponent tuple.  The
+    fields are the words of P, so one struct call packs or unpacks them:
+    little-endian puts x_n in the most significant field, big-endian x_1.
+    `degree` is the top total degree the caller packs or reaches by
+    products: below 2^15 the words are 16 bits wide, otherwise 64.
+    """
+
+    __slots__ = ("nvars", "sign", "top", "mask", "guard", "limit", "_struct", "_endian")
+
+    def __init__(self, nvars: int, order: MonomialOrder = DEFAULT_ORDER, degree: int = 0):
+        bits = 16 if degree < DEGREE_LIMIT else 64
+        self.limit = 1 << (bits - 1)
+        self.check(degree)
+        grevlex = order is MonomialOrder.GREVLEX
+        self.nvars = nvars
+        self.sign = 1 if grevlex else -1
+        self._endian = "little" if grevlex else "big"
+        self._struct = Struct(f"{'<' if grevlex else '>'}{nvars}{'H' if bits == 16 else 'Q'}")
+        self.top = bits * nvars
+        self.mask = (1 << self.top) - 1
+        self.guard = sum(self.limit << (bits * i) for i in range(nvars))
+
+    def check(self, degree: int):
+        if degree >= self.limit:
+            raise ValueError(
+                f"total degree {degree} reaches the packed-exponent limit {self.limit}"
+            )
+
+    def key(self, mono: Exponents) -> int:
+        deg = sum(mono)
+        self.check(deg)
+        p = int.from_bytes(self._struct.pack(*mono), self._endian)
+        return self.sign * p - (deg << self.top)
+
+    def bits(self, k: int) -> int:
+        return (self.sign * k) & self.mask
+
+    def mono(self, k: int) -> Exponents:
+        return self._struct.unpack(self.bits(k).to_bytes(self._struct.size, self._endian))
+
+    def pack(self, terms: Mapping) -> tuple[dict, Fraction]:
+        """(ints, scale) with terms = scale * ints: `ints` a primitive
+        integer map on packed monomials in the order of `terms`, scale > 0
+        (0 for no terms)."""
+        ints, g, den = primitive_scaling(terms.values())
+        return dict(zip(map(self.key, terms), ints)), Fraction(g, den)
+
+    def unpack(self, ints: Mapping, scale: Fraction) -> "Polynomial":
+        """The polynomial scale * ints, one Fraction per term."""
+        n, d, mono = scale.numerator, scale.denominator, self.mono
+        return Polynomial._of(self.nvars, {mono(k): Fraction(c * n, d) for k, c in ints.items()})
+
+
+def packed_addmul(acc: dict, coeff: int, shift: int, tail: Mapping, heap: list | None = None):
+    """In place on packed monomials: acc += coeff * x^shift * tail.
+
+    Cancelled terms are dropped; a monomial new to `acc` is pushed onto
+    `heap` when one is given.
+    """
+    for m, c in tail.items():
+        m += shift
+        old = acc.get(m)
+        if old is None:
+            acc[m] = coeff * c
+            if heap is not None:
+                heappush(heap, m)
+        else:
+            old += coeff * c
+            if old:
+                acc[m] = old
+            else:
+                del acc[m]
+
 
 class Polynomial:
     """Immutable sparse polynomial: dict from exponent tuple to Fraction."""
@@ -123,7 +221,7 @@ class Polynomial:
         clean: dict[Exponents, Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                mono = tuple(int(e) for e in mono)
+                mono = tuple(e if type(e) is int else _exponent(e, mono) for e in mono)
                 if len(mono) != nvars:
                     raise ValueError(
                         f"exponent vector {mono} has length {len(mono)}, expected {nvars}"
@@ -184,14 +282,21 @@ class Polynomial:
 
     # -- ring operations ---------------------------------------------------
 
-    def _check_same_ring(self, other: "Polynomial"):
+    def _operand(self, other) -> "Polynomial | None":
+        """`other` as a polynomial of this ring: rationals become constants,
+        and anything but a polynomial or a rational is None."""
+        if isinstance(other, (int, Fraction)):
+            return Polynomial.constant(self.nvars, other)
+        if not isinstance(other, Polynomial):
+            return None
         if self.nvars != other.nvars:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nvars, other)
-        self._check_same_ring(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             c = out.get(mono)
@@ -211,11 +316,14 @@ class Polynomial:
         return Polynomial._of(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.nvars, other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -224,11 +332,15 @@ class Polynomial:
             if not c:
                 return Polynomial._of(self.nvars, {})
             return Polynomial._of(self.nvars, {m: c * v for m, v in self.terms.items()})
-        self._check_same_ring(other)
-        out: dict[Exponents, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            poly_addmul(out, coeff, mono, other.terms)
-        return Polynomial._of(self.nvars, out)
+        if self._operand(other) is None:
+            return NotImplemented
+        packing = Packing(self.nvars, degree=self.total_degree() + other.total_degree())
+        a, sa = packing.pack(self.terms)
+        b, sb = packing.pack(other.terms)
+        out: dict = {}
+        for k, c in a.items():
+            packed_addmul(out, c, k, b)
+        return packing.unpack(out, sa * sb)
 
     __rmul__ = __mul__
 
@@ -358,14 +470,17 @@ class Polynomial:
         deg = self.total_degree()
         if deg > n:
             raise ValueError(f"cannot homogenize degree-{deg} polynomial to degree {n}")
+        packing = Packing(self.nvars, degree=n)
+        key = packing.key
+        ints, scale = packing.pack(self.terms)
         spow: dict[int, dict] = {}
-        out: dict[Exponents, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            k = n - sum(mono)
-            if k not in spow:
-                spow[k] = Polynomial.simplex_power(self.nvars, k).terms
-            poly_addmul(out, coeff, mono, spow[k])
-        return Polynomial._of(self.nvars, out)
+        out: dict = {}
+        for mono, (k, c) in zip(self.terms, ints.items()):
+            d = n - sum(mono)
+            if d not in spow:
+                spow[d] = {key(a): multinomial(d, a) for a in monomials_of_degree(self.nvars, d)}
+            packed_addmul(out, c, k, spow[d])
+        return packing.unpack(out, scale)
 
     def substitute_last(self) -> "Polynomial":
         """Eliminate the last variable via x_k -> 1 - (x_1 + ... + x_{k-1}).
@@ -376,17 +491,20 @@ class Polynomial:
         if self.nvars < 1:
             raise ValueError("no variable to substitute")
         m = self.nvars - 1
+        packing = Packing(m, degree=self.total_degree())
+        key = packing.key
         powers: dict[int, dict] = {}
-        out: dict[Exponents, Fraction] = {}
-        for mono, coeff in self.terms.items():
+        out: dict = {}
+        ints, g, den = primitive_scaling(self.terms.values())
+        for mono, c in zip(self.terms, ints):
             e = mono[-1]
             if e not in powers:
                 powers[e] = {
-                    a[1:]: -c if (e - a[0]) & 1 else c
-                    for a, c in Polynomial.simplex_power(m + 1, e).terms.items()
+                    key(a[1:]): -multinomial(e, a) if (e - a[0]) & 1 else multinomial(e, a)
+                    for a in monomials_of_degree(m + 1, e)
                 }
-            poly_addmul(out, coeff, mono[:-1], powers[e])
-        return Polynomial._of(m, out)
+            packed_addmul(out, c, key(mono[:-1]), powers[e])
+        return packing.unpack(out, Fraction(g, den))
 
     def derivative(self, index: int) -> "Polynomial":
         """Partial derivative with respect to variable `index`.

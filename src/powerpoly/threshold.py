@@ -15,45 +15,45 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from powerpoly.groebner import (
-    GroebnerBasis,
-    Packing,
-    StepCounter,
-    packed_addmul,
-    radical_membership,
-)
+from powerpoly.groebner import GroebnerBasis, StepCounter, radical_membership
 from powerpoly.hypotheses import NullHypothesis, rank_lt
 from powerpoly.linalg import primitive_scaling
-from powerpoly.polynomial import DEFAULT_ORDER, Polynomial
+from powerpoly.polynomial import Packing, Polynomial, packed_addmul
 from powerpoly.power import PowerPolynomial, multinomial
 
 EXACT = "exact_under_theorem"
 SOS_ONLY = "sos_upper_bound_only"
 
 
-def _weighted_squares(nvars: int, terms: Sequence[tuple[Fraction, Polynomial]]) -> Polynomial:
-    """sum of w * g^2 over the (w, g) pairs, accumulated on integers.
+def _weighted_squares(
+    nvars: int, terms: Sequence[tuple[Fraction, Polynomial]], square_of: int = 0
+) -> tuple[Polynomial, Polynomial]:
+    """(sum of w * g^2 over the (w, g) pairs, g^2 of the pair at `square_of`).
 
-    Each g is s * G with G primitive, so w * g^2 = (w * s^2) * G^2.  The
-    weights w * s^2 are scaled to primitive integers k over one rational
-    scale c, sum k * G^2 is accumulated as one integer term map on packed
-    monomials (`groebner.Packing`), and each output coefficient becomes a
-    Fraction once.
+    Each g is s * G with G primitive (`Packing.pack`), so w * g^2 =
+    (w * s^2) * G^2.  The weights w * s^2 are scaled to primitive integers
+    k over one rational scale c, each G^2 is formed once on packed
+    monomials (16-bit words, as in the Groebner core), sum k * G^2 is
+    accumulated as one integer term map, and each output coefficient
+    becomes a Fraction once.
     """
-    packing = Packing(nvars, DEFAULT_ORDER)
-    weights, forms = [], []
+    packing = Packing(nvars)
+    forms, scales = [], []
     for w, g in terms:
         packing.check(2 * g.total_degree())
-        ints, content, den = primitive_scaling(g.terms.values())
-        weights.append(w * Fraction(content * content, den * den))
-        forms.append(dict(zip(map(packing.key, g.terms), ints)))
-    ks, num, den = primitive_scaling(weights)
+        form, s = packing.pack(g.terms)
+        forms.append(form)
+        scales.append(s * s)
+    ks, num, den = primitive_scaling([w * s for (w, _), s in zip(terms, scales)])
     out: dict = {}
-    for k, form in zip(ks, forms):
+    for i, (k, form) in enumerate(zip(ks, forms)):
+        square: dict = {}
         for m, coeff in form.items():
-            packed_addmul(out, k * coeff, m, form)
-    mono = packing.mono
-    return Polynomial._of(nvars, {mono(m): Fraction(c * num, den) for m, c in out.items()})
+            packed_addmul(square, coeff, m, form)
+        packed_addmul(out, k, 0, square)
+        if i == square_of:
+            single = packing.unpack(square, scales[i])
+    return packing.unpack(out, Fraction(num, den)), single
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,11 @@ def sos_bounds(
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
 
-    sub_witness = _weighted_squares(
-        elements[0].nvars,
-        [(w, g) for w, g in zip(weights, elements) if g.total_degree() <= cut_out],
+    # g_min has the least degree, so it is among the squares of the SUB
+    # witness, and its square there is the NTUB witness.
+    squared = [(w, g) for w, g in zip(weights, elements) if g.total_degree() <= cut_out]
+    sub_witness, ntub_witness = _weighted_squares(
+        g_min.nvars, squared, next(i for i, (_, g) in enumerate(squared) if g is g_min)
     )
 
     exactness, theorem = SOS_ONLY, None
@@ -129,7 +131,7 @@ def sos_bounds(
         ntub_bound=2 * min_deg,
         sub_bound=2 * cut_out,
         cut_out_degree=cut_out,
-        ntub_witness=_weighted_squares(g_min.nvars, [(1, g_min)]),
+        ntub_witness=ntub_witness,
         sub_witness=sub_witness,
         exactness=exactness,
         theorem=theorem,
@@ -207,13 +209,14 @@ def union_separating(witnesses: Sequence[Polynomial]) -> Polynomial:
 def rank_threshold(p: int, q: int, r: int) -> ThresholdReport:
     """Thresholds for the bounded-rank table hypothesis: both equal 2r."""
     hyp = rank_lt(p, q, r)
-    first = hyp.generators[0]
+    # The NTUB witness is the square of the first minor.
+    sub_witness, ntub_witness = _weighted_squares(hyp.k, [(1, g) for g in hyp.generators])
     return ThresholdReport(
         ntub_bound=2 * r,
         sub_bound=2 * r,
         cut_out_degree=r,
-        ntub_witness=_weighted_squares(hyp.k, [(1, first)]),
-        sub_witness=_weighted_squares(hyp.k, [(1, g) for g in hyp.generators]),
+        ntub_witness=ntub_witness,
+        sub_witness=sub_witness,
         exactness=EXACT,
         theorem="bounded-rank threshold",
         notes=(f"{len(hyp.generators)} squared {r}x{r} minors in the SUB witness",),

@@ -15,7 +15,7 @@ from powerpoly import (
     parse_polynomial,
     reduce,
 )
-from powerpoly.polynomial import monomials_of_degree, multinomial, poly_addmul, table_names
+from powerpoly.polynomial import monomials_of_degree, multinomial, table_names
 
 VARS = ["p1", "p2", "p3"]
 
@@ -282,27 +282,63 @@ def _linear_sum(nvars):
     return sum((Polynomial.variable(nvars, i) for i in range(nvars)), Polynomial.zero(nvars))
 
 
+def _fraction_addmul(acc, coeff, mono, terms):
+    """In place: acc += coeff * x^mono * terms, on exponent tuples and
+    Fractions, dropping cancelled terms.  The oracle of the packed kernel:
+    it shares no code with it."""
+    for mb, cb in terms.items():
+        m = tuple(x + y for x, y in zip(mono, mb))
+        c = acc.get(m)
+        if c is None:
+            acc[m] = coeff * cb
+        else:
+            c = c + coeff * cb
+            if c:
+                acc[m] = c
+            else:
+                del acc[m]
+
+
+def _fraction_product(a, b):
+    """Term map of a * b by the Fraction loop."""
+    out = {}
+    for mono, coeff in a.items():
+        _fraction_addmul(out, coeff, mono, b)
+    return out
+
+
+def _fraction_power(terms, nvars, e):
+    """Term map of terms^e by repeated squaring with the Fraction loop."""
+    result, base = {(0,) * nvars: Fraction(1)}, terms
+    while e:
+        if e & 1:
+            result = _fraction_product(result, base)
+        base = _fraction_product(base, base)
+        e >>= 1
+    return result
+
+
 def _homogenize_by_squaring(p, n):
     """Each degree-d part times (sum x)^(n-d), the power by repeated squaring."""
     parts = {}
     for mono, coeff in p.terms.items():
         parts.setdefault(sum(mono), {})[mono] = coeff
-    s = _linear_sum(p.nvars)
+    s = _linear_sum(p.nvars).terms
     out = {}
     for d, part in parts.items():
-        spow = s ** (n - d)
+        spow = _fraction_power(s, p.nvars, n - d)
         for mono, coeff in part.items():
-            poly_addmul(out, coeff, mono, spow.terms)
+            _fraction_addmul(out, coeff, mono, spow)
     return Polynomial(p.nvars, out)
 
 
 def _substitute_last_by_squaring(p):
     """x_k -> 1 - (x_1 + ... + x_{k-1}), each power by repeated squaring."""
     m = p.nvars - 1
-    one_minus = Polynomial.constant(m, 1) - _linear_sum(m)
+    one_minus = (Polynomial.constant(m, 1) - _linear_sum(m)).terms
     out = {}
     for mono, coeff in p.terms.items():
-        poly_addmul(out, coeff, mono[:-1], (one_minus ** mono[-1]).terms)
+        _fraction_addmul(out, coeff, mono[:-1], _fraction_power(one_minus, m, mono[-1]))
     return Polynomial(m, out)
 
 
@@ -345,6 +381,125 @@ class TestSimplexPower:
     def test_substitute_last_matches_squaring_oracle(self, seed):
         for p in _random_polynomials(seed):
             assert p.substitute_last().terms == _substitute_last_by_squaring(p).terms
+
+
+def _sympy_terms(sympy, expr, xs):
+    """Term map of a sympy expression in the symbols xs."""
+    if not xs:
+        value = sympy.Rational(expr)
+        return {(): value} if value else {}
+    return sympy.Poly(expr, *xs).as_dict()
+
+
+def _as_sympy(sympy, p, xs):
+    return sympy.Add(*[
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[x**e for x, e in zip(xs, m)])
+        for m, c in p.terms.items()
+    ])
+
+
+def _kernel_cases(rng, nvars):
+    """Random polynomials with rationals of both signs, plus zero and a constant."""
+    monos = _all_monomials_upto(nvars, 3)
+    out = [Polynomial.zero(nvars), Polynomial.constant(nvars, Fraction(-3, 7))]
+    for _ in range(3):
+        terms = {
+            rng.choice(monos): Fraction(rng.choice([-1, 1]) * rng.randint(1, 20), rng.randint(1, 9))
+            for _ in range(rng.randint(1, 5))
+        }
+        out.append(Polynomial(nvars, terms))
+    return out
+
+
+class TestOneKernel:
+    """Every product runs through the packed kernel; sympy and the Fraction
+    loop are its oracles."""
+
+    @pytest.mark.parametrize("nvars", range(6))
+    def test_products_match_sympy(self, nvars):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20261019 + nvars)
+        xs = sympy.symbols(f"x0:{nvars}")
+        cases = _kernel_cases(rng, nvars)
+
+        def check(ours, expr):
+            want = _sympy_terms(sympy, sympy.expand(expr), xs)
+            got = {m: sympy.Rational(c.numerator, c.denominator) for m, c in ours.terms.items()}
+            assert got == want
+            _assert_normalised(ours)
+
+        for a in cases:
+            sa = _as_sympy(sympy, a, xs)
+            for b in cases:
+                check(a * b, sa * _as_sympy(sympy, b, xs))
+            for e in range(4):
+                check(a**e, sa**e)
+            top = max(a.total_degree(), 0)
+            for n in (top, top + 2):
+                check(a.homogenize(n), sympy.Add(*[
+                    _as_sympy(sympy, Polynomial(nvars, {m: c}), xs) * sympy.Add(*xs) ** (n - sum(m))
+                    for m, c in a.terms.items()
+                ]))
+            if nvars:
+                rest = 1 - sympy.Add(*xs[:-1])
+                got = a.substitute_last()
+                assert got.nvars == nvars - 1
+                check(Polynomial(nvars, {m + (0,): c for m, c in got.terms.items()}),
+                      sa.subs(xs[-1], rest))
+
+    def test_degrees_past_the_16_bit_words(self):
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        big = 2**15
+        assert (x**big * y).terms == {(big, 1): 1}
+        assert ((x + y) ** 2 * x ** (big - 1)).terms == {
+            (big + 1, 0): 1, (big, 1): 2, (big - 1, 2): 1
+        }
+        assert Polynomial.variable(1, 0).homogenize(big).terms == {(big,): 1}
+        assert (x**big * y).substitute_last().terms == {(big,): 1, (big + 1,): -1}
+        top = 2**63
+        assert (x ** (top // 2) * x ** (top // 2 - 1)).terms == {(top - 1, 0): 1}
+        with pytest.raises(ValueError, match=f"limit {top}$"):
+            x ** (top // 2) * x ** (top // 2)
+
+    def test_terms_come_out_in_the_fraction_loops_order(self):
+        # The order of a term map is the order evaluate_float sums in, so
+        # the packed kernel keeps the Fraction loop's order to the bit.
+        for p in _random_polynomials(3):
+            for q in _random_polynomials(4)[::3]:
+                if p.nvars == q.nvars:
+                    want = _fraction_product(p.terms, q.terms)
+                    assert list((p * q).terms.items()) == list(want.items())
+            for e in (2, 3):
+                assert list((p**e).terms.items()) == list(_power_by_products(p, e).items())
+            for n in range(max(p.total_degree(), 0), 5):
+                out = {}
+                for mono, coeff in p.terms.items():
+                    spow = Polynomial.simplex_power(p.nvars, n - sum(mono)).terms
+                    _fraction_addmul(out, coeff, mono, spow)
+                assert list(p.homogenize(n).terms.items()) == list(out.items())
+            out = {}
+            for mono, coeff in p.terms.items():
+                e = mono[-1]
+                one_minus = {
+                    a[1:]: -c if (e - a[0]) & 1 else c
+                    for a, c in Polynomial.simplex_power(p.nvars, e).terms.items()
+                }
+                _fraction_addmul(out, coeff, mono[:-1], one_minus)
+            assert list(p.substitute_last().terms.items()) == list(out.items())
+
+
+def _power_by_products(p, e):
+    """Term map of p^e with the products `**` makes, by the Fraction loop."""
+    base = p.terms
+    while not e & 1:
+        base = _fraction_product(base, base)
+        e >>= 1
+    result = base
+    while e := e >> 1:
+        base = _fraction_product(base, base)
+        if e & 1:
+            result = _fraction_product(result, base)
+    return result
 
 
 class TestMonomialOrders:
@@ -469,6 +624,40 @@ class TestConstructorChecks:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             Polynomial(2, {(1,): 1})
+
+    @pytest.mark.parametrize("bad", [1.7, 2.0, True, False, Fraction(3, 2)])
+    def test_non_integer_exponent_rejected(self, bad):
+        # Truncating would read 1.7 as 1 and True as 1.
+        with pytest.raises(ValueError, match=rf"^exponent {re.escape(repr(bad))} in .* integer$"):
+            Polynomial(2, {(bad, 0): 1})
+        with pytest.raises(ValueError, match="is not an integer"):
+            Polynomial.monomial(2, [0, bad])
+
+    def test_integral_exponents_of_other_types_become_ints(self):
+        import numpy as np
+
+        p = Polynomial(2, {(Fraction(2), np.int64(1)): 3})
+        assert p.terms == {(2, 1): 3}
+        assert all(type(e) is int for e in next(iter(p.terms)))
+
+
+class TestUnsupportedOperands:
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            (lambda x: x * 1.5, r"for \*: 'Polynomial' and 'float'"),
+            (lambda x: 1.5 * x, r"for \*: 'float' and 'Polynomial'"),
+            (lambda x: x + 0.5, r"for \+: 'Polynomial' and 'float'"),
+            (lambda x: 0.5 + x, r"for \+: 'float' and 'Polynomial'"),
+            (lambda x: x - 0.5, r"for -: 'Polynomial' and 'float'"),
+            (lambda x: 0.5 - x, r"for -: 'float' and 'Polynomial'"),
+            (lambda x: x * "2", "can't multiply sequence"),
+        ],
+        ids=["mul", "rmul", "add", "radd", "sub", "rsub", "mul-str"],
+    )
+    def test_type_error(self, op, message):
+        with pytest.raises(TypeError, match=message):
+            op(Polynomial.variable(2, 0))
 
 
 def _assert_normalised(p):

@@ -15,6 +15,7 @@ from powerpoly import (
     sos_bounds,
     union_separating,
 )
+from powerpoly.groebner import GroebnerBasis
 from powerpoly.power import box_check
 from powerpoly.threshold import EXACT
 
@@ -97,6 +98,39 @@ class TestSosBounds:
             P("0", hyp.substituted_names()),
         )
         assert report.sub_witness == direct
+
+    def test_ntub_square_comes_from_the_sub_sum(self, monkeypatch):
+        # One squaring pass per report: the NTUB witness g_min^2 is the
+        # square the SUB sum already formed, whatever the weights.
+        from powerpoly import threshold
+
+        calls = []
+        real = threshold._weighted_squares
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(threshold, "_weighted_squares", spy)
+        hyp = build_hypothesis({"kind": "independence", "params": {"p": 2, "q": 3}})
+        # Reversed, so that g_min is not the first element.
+        gb = GroebnerBasis(MonomialOrder.GREVLEX, gb_of(hyp).elements[::-1])
+        order = gb.order
+        g_min = min(
+            gb.elements, key=lambda g: (g.total_degree(), order.key(g.leading_monomial(order)))
+        )
+        assert g_min is not gb.elements[0]
+        weights = [F(i + 2, 3) for i in range(len(gb.elements))]
+        report = sos_bounds(gb, hypothesis=hyp, weights=weights)
+        assert report.ntub_witness == g_min * g_min
+        assert report.sub_witness == sum(
+            (w * g * g for w, g in zip(weights, gb.elements)), P("0", hyp.substituted_names())
+        )
+        rep = rank_threshold(3, 3, 2)
+        rank = build_hypothesis({"kind": "rank_lt", "params": {"p": 3, "q": 3, "r": 2}})
+        first = rank.generators[0]
+        assert rep.ntub_witness == first * first
+        assert len(calls) == 2
 
     def test_similarity_on_sampled_nulls(self):
         for spec in [
