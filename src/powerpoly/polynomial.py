@@ -6,6 +6,12 @@ coefficients are `fractions.Fraction` throughout, terms with zero
 coefficient are never stored, and all operations return new objects, so
 polynomials can be shared freely across threads.
 
+One cached table of (x_1 + ... + x_k)^n coefficients,
+`simplex_coefficients(k, n)`, supplies every multinomial coefficient and
+every list of exponent vectors of one total degree: `simplex_power`,
+`homogenize` and `substitute_last` here, and the count vectors and box
+bounds of `power`, `threshold` and `umpu`.
+
 One packed kernel serves every product: `Polynomial.__mul__` (and so
 `**`), `homogenize`, `substitute_last`, the Groebner core and the SOS
 witness (`groebner`, `threshold`).  `Packing.pack` writes a term map as
@@ -32,10 +38,12 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heappush
-from math import factorial, lcm
+from math import comb, lcm
 from operator import neg
 from struct import Struct
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from powerpoly.linalg import primitive_scaling
@@ -79,13 +87,27 @@ def _exponent(e, mono) -> int:
     return int(e)
 
 
-def multinomial(n: int, counts: Sequence[int]) -> int:
-    if sum(counts) != n or any(c < 0 for c in counts):
-        raise ValueError(f"{counts} is not a composition of {n}")
-    out = factorial(n)
-    for c in counts:
-        out //= factorial(c)
-    return out
+@lru_cache(maxsize=1024)
+def simplex_coefficients(k: int, n: int) -> Mapping[Exponents, int]:
+    """The coefficients of (x_1 + ... + x_k)^n: a read-only map from each
+    exponent vector of total degree n, in descending lex order, to its
+    multinomial coefficient.
+
+    Built by C_{k,n}(e, rest) = comb(n, e) * C_{k-1,n-e}(rest), e from n
+    down to 0; one map per (k, n) is cached and shared.
+    """
+    if k < 0 or n < 0:
+        raise ValueError(f"no simplex coefficients for k = {k}, n = {n}")
+    if k == 0:
+        return MappingProxyType({} if n else {(): 1})
+    if k == 1:
+        return MappingProxyType({(n,): 1})
+    out = {}
+    for e in range(n, -1, -1):
+        c = comb(n, e)
+        for rest, r in simplex_coefficients(k - 1, n - e).items():
+            out[(e, *rest)] = c * r
+    return MappingProxyType(out)
 
 
 def _grlex_key(a: Exponents):
@@ -273,11 +295,9 @@ class Polynomial:
 
     @staticmethod
     def simplex_power(nvars: int, m: int) -> "Polynomial":
-        """(x_1 + ... + x_nvars)^m: coefficient multinomial(m, a) on x^a."""
-        if m < 0:
-            raise ValueError("negative power")
+        """(x_1 + ... + x_nvars)^m, read off `simplex_coefficients`."""
         return Polynomial._of(
-            nvars, {a: Fraction(multinomial(m, a)) for a in monomials_of_degree(nvars, m)}
+            nvars, {a: Fraction(c) for a, c in simplex_coefficients(nvars, m).items()}
         )
 
     # -- ring operations ---------------------------------------------------
@@ -478,7 +498,7 @@ class Polynomial:
         for mono, (k, c) in zip(self.terms, ints.items()):
             d = n - sum(mono)
             if d not in spow:
-                spow[d] = {key(a): multinomial(d, a) for a in monomials_of_degree(self.nvars, d)}
+                spow[d] = {key(a): b for a, b in simplex_coefficients(self.nvars, d).items()}
             packed_addmul(out, c, k, spow[d])
         return packing.unpack(out, scale)
 
@@ -500,8 +520,8 @@ class Polynomial:
             e = mono[-1]
             if e not in powers:
                 powers[e] = {
-                    key(a[1:]): -multinomial(e, a) if (e - a[0]) & 1 else multinomial(e, a)
-                    for a in monomials_of_degree(m + 1, e)
+                    key(a[1:]): -b if (e - a[0]) & 1 else b
+                    for a, b in simplex_coefficients(m + 1, e).items()
                 }
             packed_addmul(out, c, key(mono[:-1]), powers[e])
         return packing.unpack(out, Fraction(g, den))
@@ -531,23 +551,6 @@ class Polynomial:
                 new[perm[i]] = e
             out[tuple(new)] = coeff
         return Polynomial(self.nvars, out)
-
-
-def monomials_of_degree(nvars: int, degree: int) -> list[Exponents]:
-    """All exponent vectors of the given total degree, descending lex order."""
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    out: list[Exponents] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], degree, nvars)
-    return out
 
 
 def default_names(nvars: int) -> list[str]:

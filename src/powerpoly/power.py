@@ -2,9 +2,12 @@
 
 A randomized test on multinomial counts is a map from count vectors to
 rejection probabilities; its power function is the homogeneous degree-n
-polynomial whose pi^x coefficient is phi(x) * multinomial(n, x).  The
-box constraints 0 <= c_x <= multinomial(n, x) characterize exactly the
-polynomials arising this way, which makes the translation invertible.
+polynomial whose pi^x coefficient is phi(x) * B_x, with B_x the
+multinomial coefficient of x.  The box constraints 0 <= c_x <= B_x
+characterize exactly the polynomials arising this way, which makes the
+translation invertible.  One cached table of (pi_1 + ... + pi_k)^n
+coefficients, `polynomial.simplex_coefficients(k, n)`, supplies both the
+count vectors (its keys, in descending lex order) and the B_x (its values).
 
 Everything here is exact except `monte_carlo_power`, the one
 deliberately float-based validation path.
@@ -16,12 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from powerpoly.polynomial import Polynomial, monomials_of_degree, multinomial
+from powerpoly.polynomial import Polynomial, _exponent, simplex_coefficients
 
 
 def count_vectors(n: int, k: int) -> list[tuple[int, ...]]:
     """All count vectors of size n over k categories, descending lex."""
-    return monomials_of_degree(k, n)
+    return list(simplex_coefficients(k, n))
 
 
 class TestFunction:
@@ -34,9 +37,9 @@ class TestFunction:
     def __init__(self, n: int, k: int, values: Mapping[tuple[int, ...], Fraction]):
         if n < 1 or k < 2:
             raise ValueError("need n >= 1 and k >= 2")
-        table: dict[tuple[int, ...], Fraction] = {x: Fraction(0) for x in count_vectors(n, k)}
+        table = dict.fromkeys(simplex_coefficients(k, n), Fraction(0))
         for x, phi in values.items():
-            x = tuple(int(v) for v in x)
+            x = tuple(v if type(v) is int else _exponent(v, x) for v in x)
             if x not in table:
                 raise ValueError(f"{x} is not a count vector for n={n}, k={k}")
             phi = Fraction(phi)
@@ -64,7 +67,7 @@ class TestFunction:
     @staticmethod
     def constant(n: int, k: int, level) -> "TestFunction":
         phi = Fraction(level)
-        return TestFunction(n, k, {x: phi for x in count_vectors(n, k)})
+        return TestFunction(n, k, dict.fromkeys(simplex_coefficients(k, n), phi))
 
 
 @dataclass(frozen=True)
@@ -87,12 +90,11 @@ def box_check(p: Polynomial, n: int, k: int) -> BoxCheckResult:
         return BoxCheckResult(True)
     if not p.is_homogeneous(n):
         return BoxCheckResult(False, f"not homogeneous of degree {n}")
-    # Absent coefficients are 0, inside the box; descending lex is
-    # count_vectors' order, so the first violation is the same either way.
-    for x in sorted(p.terms, reverse=True):
-        c = p.terms[x]
-        bound = multinomial(n, x)
-        if not 0 <= c <= bound:
+    # Absent coefficients are 0, inside the box; the first violation is
+    # the first in descending lex order.
+    for x, bound in simplex_coefficients(k, n).items():
+        c = p.terms.get(x)
+        if c is not None and not 0 <= c <= bound:
             return BoxCheckResult(
                 False,
                 f"coefficient of index {x} is {c}, outside [0, {bound}]",
@@ -117,18 +119,20 @@ class PowerPolynomial:
             raise ValueError(f"not a power polynomial: {check.reason}")
 
 
+def _power_function(phi: TestFunction) -> Polynomial:
+    """sum phi(x) B_x pi^x, the power function of phi."""
+    bounds = simplex_coefficients(phi.k, phi.n)
+    return Polynomial._of(phi.k, {x: v * bounds[x] for x, v in phi.values.items() if v})
+
+
 def test_to_power(phi: TestFunction) -> PowerPolynomial:
-    terms = {}
-    for x, value in phi.values.items():
-        if value:
-            terms[x] = value * multinomial(phi.n, x)
-    return PowerPolynomial(phi.n, phi.k, Polynomial(phi.k, terms))
+    return PowerPolynomial(phi.n, phi.k, _power_function(phi))
 
 
 def recover_test(beta: PowerPolynomial) -> TestFunction:
     """Invert test_to_power by coefficientwise division."""
-    values = {x: c / multinomial(beta.n, x) for x, c in beta.poly.terms.items()}
-    return TestFunction(beta.n, beta.k, values)
+    bounds = simplex_coefficients(beta.k, beta.n)
+    return TestFunction(beta.n, beta.k, {x: c / bounds[x] for x, c in beta.poly.terms.items()})
 
 
 def normalize_to_power(beta_tilde: Polynomial, n: int, k: int):
@@ -145,38 +149,29 @@ def normalize_to_power(beta_tilde: Polynomial, n: int, k: int):
         raise ValueError("degree exceeds the sample size")
     hom = beta_tilde.homogenize(n)
     level = Polynomial.simplex_power(k, n)
-    xs = count_vectors(n, k)
-    bounds = level.terms
+    bounds = simplex_coefficients(k, n)
+    coeff = hom.coefficient
+    x0 = next(iter(bounds))
     if not hom.terms or all(
-        hom.coefficient(x) * bounds[xs[0]] == hom.coefficient(xs[0]) * bounds[x]
-        for x in xs
+        coeff(x) * bounds[x0] == coeff(x0) * bound for x, bound in bounds.items()
     ):
         raise ValueError("polynomial is constant on the simplex")
-    b = max(Fraction(0), max(-hom.coefficient(x) / bounds[x] for x in xs))
+    b = max(Fraction(0), max(-coeff(x) / bound for x, bound in bounds.items()))
     # Every shifted coefficient is >= 0, and not all are 0, for then hom
     # would be -b times the level polynomial.
-    a = min(bounds[x] / s for x in xs if (s := hom.coefficient(x) + b * bounds[x]) > 0)
+    a = min(bound / s for x, bound in bounds.items() if (s := coeff(x) + b * bound) > 0)
     scaled = a * (hom + b * level)
     return PowerPolynomial(n, k, scaled), a, b
 
 
 def exact_power(phi: TestFunction, point: Sequence) -> Fraction:
-    """E_pi(phi) = sum phi(x) multinomial(n, x) pi^x, exactly."""
+    """E_pi(phi) = sum phi(x) B_x pi^x, exactly."""
     pt = [Fraction(v) for v in point]
     if len(pt) != phi.k:
         raise ValueError(f"point has {len(pt)} coordinates, expected {phi.k}")
     if any(v < 0 for v in pt) or sum(pt) != 1:
         raise ValueError("point is not on the probability simplex")
-    total = Fraction(0)
-    for x, value in phi.values.items():
-        if not value:
-            continue
-        term = value * multinomial(phi.n, x)
-        for v, e in zip(pt, x):
-            if e:
-                term *= v**e
-        total += term
-    return total
+    return _power_function(phi).evaluate(pt)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from typing import Sequence
 from powerpoly.groebner import GroebnerBasis, StepCounter, radical_membership
 from powerpoly.hypotheses import NullHypothesis, rank_lt
 from powerpoly.linalg import primitive_scaling
-from powerpoly.polynomial import Packing, Polynomial, packed_addmul
-from powerpoly.power import PowerPolynomial, multinomial
+from powerpoly.polynomial import Packing, Polynomial, packed_addmul, simplex_coefficients
+from powerpoly.power import PowerPolynomial
 
 EXACT = "exact_under_theorem"
 SOS_ONLY = "sos_upper_bound_only"
@@ -149,8 +149,9 @@ class UMPUPower:
 
 def _level(shape: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
     """c_alpha * shape + alpha * (sum pi)^n with the largest c_alpha inside the box."""
+    bounds = simplex_coefficients(shape.nvars, n)
     caps = [
-        (1 - alpha) * multinomial(n, x) / c if c > 0 else alpha * multinomial(n, x) / -c
+        (1 - alpha) * bounds[x] / c if c > 0 else alpha * bounds[x] / -c
         for x, c in shape.terms.items()
     ]
     if not caps:

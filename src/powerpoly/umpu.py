@@ -26,9 +26,9 @@ from operator import add
 from typing import Sequence
 
 from powerpoly.groebner import StepCounter
-from powerpoly.polynomial import MonomialOrder, Polynomial, monomials_of_degree
+from powerpoly.polynomial import MonomialOrder, Polynomial, simplex_coefficients
 from powerpoly.polytope import enumerate_vertices_dd, hull_vertices, irredundant_rows
-from powerpoly.power import PowerPolynomial, multinomial
+from powerpoly.power import PowerPolynomial
 
 GREVLEX = MonomialOrder.GREVLEX
 
@@ -119,26 +119,20 @@ def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientP
     k = f.nvars
     nprime = n - 2 * deg
     fsq = (f.homogenize(deg)) ** 2
-    h_index = tuple(_grevlex_desc(monomials_of_degree(k, nprime)))
+    h_index = tuple(_grevlex_desc(simplex_coefficients(k, nprime)))
+    bounds = simplex_coefficients(k, n)
     # Entry (L, J) is the coefficient of x^(L - J) in f~^2: scatter each
     # term m of f~^2 from column J into row L = J + m.
-    coeffs = {L: [Fraction(0)] * len(h_index) for L in monomials_of_degree(k, n)}
+    coeffs = {L: [Fraction(0)] * len(h_index) for L in bounds}
     for col, J in enumerate(h_index):
         for m, c in fsq.terms.items():
             coeffs[tuple(map(add, J, m))][col] = c
-    rows = []
-    for L in _grevlex_desc(coeffs):
-        bound = multinomial(n, L)
-        rows.append(
-            HRow(
-                index=L,
-                coeffs=tuple(coeffs[L]),
-                lower=-alpha * bound,
-                upper=(1 - alpha) * bound,
-            )
-        )
+    rows = tuple(
+        HRow(L, tuple(coeffs[L]), -alpha * bounds[L], (1 - alpha) * bounds[L])
+        for L in _grevlex_desc(bounds)
+    )
     return CoefficientPolytope(
-        n=n, k=k, alpha=alpha, nprime=nprime, h_index=h_index, rows=tuple(rows)
+        n=n, k=k, alpha=alpha, nprime=nprime, h_index=h_index, rows=rows
     )
 
 
@@ -187,7 +181,7 @@ def convex_peeling(
     """
     if k < 2 or nprime < 0:
         raise ValueError("need k >= 2 and nprime >= 0")
-    remaining = _grevlex_desc(monomials_of_degree(k, nprime))
+    remaining = _grevlex_desc(simplex_coefficients(k, nprime))
     layers = []
     while remaining:
         if layers:

@@ -1,7 +1,8 @@
 """Shared test data (worked examples frozen from the reference tables) and oracles."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import factorial
 
 import pytest
 
@@ -72,6 +73,23 @@ def simplex_points_3():
         (Fraction(7, 10), Fraction(1, 10), Fraction(1, 5)),
         (Fraction(0), Fraction(1, 2), Fraction(1, 2)),
     ]
+
+
+def multinomial(n, counts):
+    """n! / (c_1! ... c_k!) by factorials: the oracle of
+    `simplex_coefficients`, sharing no code with it."""
+    if sum(counts) != n or any(c < 0 for c in counts):
+        raise ValueError(f"{counts} is not a composition of {n}")
+    out = factorial(n)
+    for c in counts:
+        out //= factorial(c)
+    return out
+
+
+def monomials_of_degree(nvars, degree):
+    """Every exponent vector of the given total degree, in descending lex
+    order, filtered from all of {degree, ..., 0}^nvars."""
+    return [e for e in product(range(degree, -1, -1), repeat=nvars) if sum(e) == degree]
 
 
 def enumerate_vertices_brute_force(a, b):

@@ -57,6 +57,7 @@ from conftest import (
     PRINTED_VERTICES_SUM,
     PRINTED_VERTICES_WEIGHTED,
     enumerate_vertices_brute_force,
+    monomials_of_degree,
     printed_to_exact,
 )
 
@@ -313,8 +314,6 @@ def test_criterion_7_correspondence_properties():
         assert to_power(recover_test(beta)).poly == beta.poly
 
     # Box preservation under normalize_to_power, >= 500 cases.
-    from powerpoly.polynomial import monomials_of_degree
-
     done = 0
     while done < 500:
         k = rng.randrange(2, 4)

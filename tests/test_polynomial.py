@@ -15,7 +15,9 @@ from powerpoly import (
     parse_polynomial,
     reduce,
 )
-from powerpoly.polynomial import monomials_of_degree, multinomial, table_names
+from powerpoly.polynomial import simplex_coefficients, table_names
+
+from conftest import monomials_of_degree, multinomial
 
 VARS = ["p1", "p2", "p3"]
 
@@ -356,6 +358,29 @@ def _random_polynomials(seed):
     for nvars in (1, 3):
         out += [Polynomial.zero(nvars), Polynomial.constant(nvars, Fraction(-2, 3))]
     return out
+
+
+class TestSimplexCoefficients:
+    def test_matches_factorial_oracle(self):
+        for k in range(7):
+            for n in range(11):
+                table = simplex_coefficients(k, n)
+                assert list(table) == monomials_of_degree(k, n)  # descending lex
+                assert all(c == multinomial(n, a) for a, c in table.items())
+
+    def test_read_only_and_shared(self):
+        table = simplex_coefficients(3, 4)
+        assert simplex_coefficients(3, 4) is table
+        with pytest.raises(TypeError):
+            table[(4, 0, 0)] = 2
+        with pytest.raises(TypeError):
+            del table[(4, 0, 0)]
+        assert table[(4, 0, 0)] == 1
+
+    def test_negative_arguments_refused(self):
+        for k, n in [(2, -1), (0, -1), (-1, 0)]:
+            with pytest.raises(ValueError):
+                simplex_coefficients(k, n)
 
 
 class TestSimplexPower:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -23,8 +24,9 @@ from powerpoly.power import (
     PowerPolynomial,
     count_vectors,
     max_statistic_test,
-    multinomial,
 )
+
+from conftest import multinomial
 
 F = Fraction
 VARS2 = ["p1", "p2"]
@@ -48,6 +50,26 @@ class TestTestFunction:
         assert count_vectors(2, 2) == [(2, 0), (1, 1), (0, 2)]
         assert count_vectors(2, 3)[0] == (2, 0, 0)
         assert count_vectors(2, 3)[-1] == (0, 0, 2)
+
+    def test_negative_sample_size_refused(self):
+        for n, k in [(-1, 1), (-1, 3), (-4, 2)]:
+            with pytest.raises(ValueError):
+                count_vectors(n, k)
+        with pytest.raises(ValueError):
+            Polynomial.simplex_power(2, -1)
+
+    @pytest.mark.parametrize(
+        "x", [(1.7, 1.3), (True, 1.0), (True, 1), (1.0, 1.0), (F(3, 2), F(1, 2))]
+    )
+    def test_rejects_non_integer_counts(self, x):
+        with pytest.raises(ValueError, match=re.escape(repr(x[0]))):
+            TestFunction(2, 2, {x: F(1, 2)})
+
+    def test_integral_counts_become_ints(self):
+        for x in [(np.int64(1), np.int64(1)), (F(1), 1), (F(2, 2), np.uint8(1))]:
+            phi = TestFunction(2, 2, {x: F(1, 2)})
+            assert phi((1, 1)) == F(1, 2)
+            assert all(type(v) is int for key in phi.values for v in key)
 
 
 class TestCorrespondence:
@@ -141,6 +163,17 @@ class TestNormalizeToPower:
             assert (lhs > 0) == (rhs > 0) and (lhs < 0) == (rhs < 0)
 
 
+def _fraction_loop_power(phi, pt):
+    """sum phi(x) multinomial(n, x) pi^x term by term in Fractions."""
+    total = F(0)
+    for x, value in phi.values.items():
+        term = value * multinomial(phi.n, x)
+        for v, e in zip(pt, x):
+            term *= v**e
+        total += term
+    return total
+
+
 class TestExactPower:
     def test_constant(self):
         phi = TestFunction.constant(3, 3, F(2, 7))
@@ -156,6 +189,18 @@ class TestExactPower:
         beta = to_power(phi)
         for pt in [(F(1, 2), F(1, 4), F(1, 4)), (F(1, 5), F(2, 5), F(2, 5))]:
             assert exact_power(phi, pt) == beta.poly.evaluate(pt)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_fraction_loop(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            n, k = rng.randrange(1, 7), rng.randrange(2, 5)
+            phi = TestFunction(
+                n, k, {x: F(rng.randrange(9), 8) for x in count_vectors(n, k)}
+            )
+            weights = [rng.randrange(0, 6) for _ in range(k - 1)] + [1]
+            pt = [F(w, sum(weights)) for w in weights]
+            assert exact_power(phi, pt) == _fraction_loop_power(phi, pt)
 
     def test_off_simplex_rejected(self):
         phi = TestFunction.constant(2, 2, F(1, 2))

@@ -19,13 +19,15 @@ from powerpoly import (
     umpu_search,
 )
 from powerpoly.linprog import EQ, LE, solve_lp
-from powerpoly.polynomial import MonomialOrder, monomials_of_degree, multinomial
+from powerpoly.polynomial import MonomialOrder
 from powerpoly.umpu import CANDIDATE, EXISTS, NOT_EXISTS, HRow, _incomparable_pair
 
 from conftest import (
     PRINTED_VERTICES_SUM,
     PRINTED_VERTICES_WEIGHTED,
     enumerate_vertices_brute_force,
+    monomials_of_degree,
+    multinomial,
     printed_to_exact,
 )
 
