@@ -26,6 +26,7 @@ from powerpoly.groebner import (
 )
 from powerpoly.hypotheses import (
     NullHypothesis,
+    _exact,
     _integer,
     build_hypothesis,
     polytope_existence,
@@ -101,10 +102,21 @@ def _load_hypothesis(path: str) -> NullHypothesis:
 
 
 def _parse_test_json(payload: dict) -> TestFunction:
+    texts: dict[str, Fraction] = {}
+
+    def phi(value) -> Fraction:
+        # Only strings are cached: True == 1 == 1.0 share a hash, and
+        # `_exact` accepts the int but refuses the bool and the float.
+        if type(value) is not str:
+            return _exact(value)
+        if value not in texts:
+            texts[value] = _exact(value)
+        return texts[value]
+
     try:
         n, k = _integer(payload["n"]), _integer(payload["k"])
         values = {
-            tuple(_integer(v) for v in entry["x"]): parse_rational(str(entry["phi"]))
+            tuple(_integer(v) for v in entry["x"]): phi(entry["phi"])
             for entry in payload["values"]
         }
     except (KeyError, TypeError, ValueError) as exc:
@@ -304,40 +316,46 @@ def cmd_power_grid(args) -> int:
     if not 0 < top <= 1:
         raise CliError("--max must lie in (0, 1]")
     k = phi.k
+    step = top / (res - 1)
+    # Cell i lies in the simplex iff sum(i) <= 1/step; no larger sum occurs.
+    limit = min(int(1 / step), (res - 1) * (k - 1))
+    cells = [i for i in itertools.product(range(res), repeat=k - 1) if sum(i) <= limit]
+    axis = [float(i * step) for i in range(res)]
+    rest = [float(1 - s * step) for s in range(limit + 1)]
+    coords = [repr(x) for x in axis]
     header = ",".join(f"pi_{i + 1}" for i in range(k - 1)) + ",power"
     lines = [header]
-    grid = [Fraction(i, res - 1) * top for i in range(res)]
-    points = [combo for combo in itertools.product(grid, repeat=k - 1) if sum(combo) <= 1]
-    values = _grid_values(beta, points)
-    for combo, value in zip(points, values):
-        coords = ",".join(repr(float(c)) for c in combo)
-        lines.append(f"{coords},{value!r}")
+    for cell, value in zip(cells, _grid_values(beta, cells, axis, rest)):
+        lines.append(",".join([coords[i] for i in cell] + [repr(value)]))
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def _grid_values(beta: Polynomial, points) -> list[float]:
-    """`beta.evaluate_float` at every grid point, bit for bit, in one pass.
+def _grid_values(beta: Polynomial, cells, axis, rest) -> list[float]:
+    """`beta.evaluate_float` at every grid cell, bit for bit, in one pass.
 
-    The floating-point operations are those of `evaluate_float`, in the
-    same order: per term, float(coeff) times each nonzero power left to
-    right, summed in term order.  Only the powers are shared: x**e is
-    computed once per distinct coordinate value with Python's float `**`
-    (numpy's `power` rounds differently) and gathered per cell.
+    A cell is a tuple of k - 1 grid indices; its point is
+    (axis[i_1], ..., axis[i_{k-1}], rest[i_1 + ... + i_{k-1}]).  The
+    floating-point operations are those of `evaluate_float`, in the same
+    order: per term, float(coeff) times each nonzero power left to right,
+    summed in term order.  Only the powers are shared: when a term first
+    needs x**e at a coordinate, it is computed with Python's float `**`
+    (numpy's `power` rounds differently) once per entry of that
+    coordinate's table, `axis` or `rest`, and gathered per cell by index.
     """
     import numpy as np
 
-    jobs = [[float(c) for c in combo] + [float(1 - sum(combo))] for combo in points]
-    columns = [np.unique(col, return_inverse=True) for col in zip(*jobs)]
+    index = np.array(cells, dtype=np.intp)
+    columns = [*index.T, index.sum(axis=1)]
+    tables = [axis] * (len(columns) - 1) + [rest]
     powers: dict[tuple[int, int], object] = {}
 
     def power(i: int, e: int):
         if (i, e) not in powers:
-            values, where = columns[i]
-            powers[i, e] = np.array([x**e for x in values.tolist()])[where]
+            powers[i, e] = np.array([x**e for x in tables[i]])[columns[i]]
         return powers[i, e]
 
-    total = np.zeros(len(jobs))
+    total = np.zeros(len(cells))
     for mono, coeff in beta.terms.items():
         value = float(coeff)
         for i, e in enumerate(mono):

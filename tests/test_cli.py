@@ -11,6 +11,7 @@ import pytest
 
 import powerpoly
 from powerpoly.cli import _grid_values, build_parser, main
+from powerpoly.cli import test_to_json as to_json
 from powerpoly.power import TestFunction, count_vectors
 from powerpoly.power import test_to_power as to_power
 
@@ -160,6 +161,26 @@ def test_test_function_integers_refuse_floats_and_bools(n, x, shown, tmp_path, c
     assert capsys.readouterr().err == (
         f"error: malformed test-function JSON: expected an integer, got {shown}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "phi, shown",
+    [
+        (True, "expected an exact rational (p/q string), got True"),
+        (1.0, "expected an exact rational (p/q string), got 1.0"),
+        ("0.5", "not an exact rational (use p/q form): '0.5'"),
+    ],
+    ids=["bool", "float", "decimal-string"],
+)
+def test_test_function_phi_refuses_inexact_values(phi, shown, tmp_path, capsys):
+    # After an int 1: True and 1.0 equal 1 and share its hash, so a cache keyed
+    # by value would read them as the 1 already seen.
+    path = tmp_path / "phi.json"
+    values = [{"x": [2, 0], "phi": 1}, {"x": [1, 1], "phi": phi}, {"x": [0, 2], "phi": 1}]
+    path.write_text(json.dumps({"n": 2, "k": 2, "values": values}))
+    code, out = run_cli(["power-grid", "--test", str(path), "--res", "3"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: malformed test-function JSON: {shown}\n"
 
 
 @pytest.mark.parametrize("bad", ["", "p 1", "2p"])
@@ -441,6 +462,18 @@ class TestPolytopeExists:
         assert run_cli(args + ["--step-limit", "8"]) == run_cli(args)
 
 
+# (res, --max) of the power-grid checks.  The first four keep their
+# earlier test ids.  Steps 1/9 and 1/28 do not divide 1; at step 1/9 the
+# cells with index sum 9 lie on the facet pi_k = 0.
+GRIDS = [
+    *(pytest.param(res, top, id=f"{res}-top{t}")
+      for res in (8, 9) for t, top in enumerate([F(1, 2), F(1)])),
+    pytest.param(7, F(2, 3), id="7-max2/3"),
+    pytest.param(5, F(1, 7), id="5-max1/7"),
+    pytest.param(5, F(1), id="5-max1"),
+]
+
+
 class TestRoundTripCommands:
     def test_recover_then_validate_and_grid(self, tmp_path):
         test_json = str(tmp_path / "phi.json")
@@ -511,20 +544,54 @@ class TestRoundTripCommands:
         )
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    @pytest.mark.parametrize("top", [F(1, 2), F(1)])
-    @pytest.mark.parametrize("res", [8, 9])
-    def test_grid_values_match_evaluate_float(self, k, top, res):
+    @pytest.mark.parametrize("res, top", GRIDS)
+    def test_grid_values_match_evaluate_float(self, k, res, top, tmp_path):
+        step = top / (res - 1)
+        grid = [i * step for i in range(res)]
+        # The reference cells: exact Fraction points filtered by an exact sum.
+        combos = [
+            combo for combo in itertools.product(range(res), repeat=k - 1)
+            if sum(grid[i] for i in combo) <= 1
+        ]
+        points = [
+            [float(grid[i]) for i in combo] + [float(1 - sum(grid[i] for i in combo))]
+            for combo in combos
+        ]
+        if top == F(2, 3) and k > 2:
+            assert 9 in map(sum, combos)  # the facet pi_k = 0 at step 1/9 is kept
+        axis = [float(x) for x in grid]
+        rest = [float(1 - s * step) for s in range(max(map(sum, combos)) + 1)]
+        test_json = tmp_path / "phi.json"
         rng = random.Random(100 * k + 10 * res + top.denominator)
         for _ in range(3):
             n = rng.randint(2, 12 if k < 4 else 7)
-            values = {x: F(rng.randint(0, 16), 16) for x in count_vectors(n, k)}
-            beta = to_power(TestFunction(n, k, values)).poly
-            grid = [F(i, res - 1) * top for i in range(res)]
-            points = [c for c in itertools.product(grid, repeat=k - 1) if sum(c) <= 1]
-            jobs = [[float(c) for c in combo] + [float(1 - sum(combo))] for combo in points]
-            got = _grid_values(beta, points)
-            want = [beta.evaluate_float(job) for job in jobs]
-            assert [v.hex() for v in got] == [v.hex() for v in want]
+            phi = TestFunction(n, k, {x: F(rng.randint(0, 16), 16) for x in count_vectors(n, k)})
+            beta = to_power(phi).poly
+            want = [beta.evaluate_float(point).hex() for point in points]
+            assert [v.hex() for v in _grid_values(beta, combos, axis, rest)] == want
+
+            test_json.write_text(json.dumps(to_json(phi)))
+            code, out = run_cli(
+                ["power-grid", "--test", str(test_json), "--res", str(res), "--max", str(top)]
+            )
+            assert code == 0
+            rows = [line.rsplit(",", 1) for line in out.splitlines()[1:]]
+            assert [coords for coords, _ in rows] == [
+                ",".join(repr(x) for x in point[:-1]) for point in points
+            ]
+            assert [float(value).hex() for _, value in rows] == want
+
+    def test_grid_last_coordinate_table_is_bounded(self, tmp_path):
+        # 1/step is 2 * 10^9, yet no cell of a res-3 grid has an index sum above 6.
+        test_json = tmp_path / "phi4.json"
+        test_json.write_text(json.dumps(to_json(TestFunction.constant(2, 4, F(1, 3)))))
+        code, out = run_cli(
+            ["power-grid", "--test", str(test_json), "--res", "3", "--max", "1/1000000000"]
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "pi_1,pi_2,pi_3,power"
+        assert len(lines) == 1 + 27
 
     def test_mc_validate_rejects_point_off_simplex(self, tmp_path, capsys):
         test_json = str(tmp_path / "phi3.json")
