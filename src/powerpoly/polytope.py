@@ -3,7 +3,12 @@
 The polytope {x : A x <= b} is homogenized to the pointed cone
 {(x, t) : A x <= t b, t >= 0}; extreme rays are built by incremental
 halfspace insertion, and rays with t > 0 are rescaled to vertices.
-Everything is exact; insertion order is fixed so output is deterministic.
+Everything is exact.  Rows are inserted in the caller's order, which
+decides how many intermediate rays are built but not the output.  The
+vertices are sorted on integer keys, every coordinate over one common
+denominator, and each distinct coordinate value becomes one Fraction:
+vertices share few values (4 among the 2,048 coordinates of a k = 8
+coefficient polytope).
 
 `vertex_faces` also gives each input row's face: the bitmask of the
 vertices on the row, read off the rays' tight masks.  Every facet of a
@@ -25,9 +30,13 @@ keeps `on[j]`, an int bitmask over ray ids with bit r set when ray r is
 tight on row j.  Two rays whose common tight rows pass the rank filter
 are adjacent exactly when no third ray is tight on all of those rows,
 that is when the AND of `on[j]` over them is the pair itself; the AND
-chain stops as soon as only the pair is left.  A ray removed by an
-insertion clears its bits and frees its id for the next new ray, so the
-masks stay as wide as the peak live ray count.
+chain stops as soon as only the pair is left.  The rank filter runs as
+one comprehension per positive ray over the negative rays' tight masks,
+and only the few pairs that pass it reach the AND chain.  The rays
+removed by an insertion clear their bits from `on` in one masked pass
+and free their ids for the next new rays, so the masks stay as wide as
+the peak live ray count.  Rows are sparse, so each row's products with
+the rays are summed over its nonzero entries only.
 
 Two certificates skip work whose outcome is already known, so the steps
 counted and the vertices returned are those of the plain method:
@@ -53,7 +62,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
 from typing import Sequence
 
 from powerpoly.groebner import StepCounter
@@ -61,7 +69,7 @@ from powerpoly.linalg import echelon, primitive_ints
 from powerpoly.linprog import LE, solve_lp
 
 
-@dataclass
+@dataclass(slots=True)
 class _Ray:
     vec: tuple[int, ...]
     tight: int  # bitmask over processed constraint indices
@@ -125,8 +133,12 @@ def _sorted_vertices(
     # `scale`, which orders the points as their exact values do.  Distinct
     # extreme rays are distinct primitive vectors, so no vertex repeats.
     scale = lcm(*(r.vec[-1] for r in points))
-    points.sort(key=lambda r: tuple(v * (scale // r.vec[-1]) for v in r.vec[:-1]))
-    return [tuple(Fraction(v, r.vec[-1]) for v in r.vec[:-1]) for r in points], points
+    keys = [tuple([v * (scale // r.vec[-1]) for v in r.vec[:-1]]) for r in points]
+    order = sorted(range(len(points)), key=keys.__getitem__)
+    # Vertices share few coordinate values: one Fraction per distinct value.
+    frac = {x: Fraction(x, scale) for x in set().union(*keys)}
+    vertices = [tuple(map(frac.__getitem__, keys[i])) for i in order]
+    return vertices, [points[i] for i in order]
 
 
 def _extreme_rays(
@@ -191,19 +203,31 @@ def _extreme_rays(
                     top += c * (h if c > 0 else l)
             if top < 0:
                 continue  # every ray strictly inside: nothing cut, none tight
-        vals = [sum(map(mul, row, r.vec)) for r in rays]
+        # Rows are sparse: the dot products are summed column by column,
+        # over the row's nonzero entries only.
+        vecs = [r.vec for r in rays]
+        (i, c), *terms = [(i, c) for i, c in enumerate(row) if c] or [(0, 0)]
+        vals = [c * v[i] for v in vecs]
+        for i, c in terms:
+            vals = [s + c * v[i] for s, v in zip(vals, vecs)]
         pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
-        neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
+        # A row that cuts no ray pairs none: its negative rays are not needed.
+        neg = [(r, v) for r, v in zip(rays, vals) if v < 0] if pos else []
         newcomers: list[_Ray] = []
+        row_bit = 1 << idx
         min_common = d1 - 2  # rank needed for a common 2-face
         if counter is not None:
             counter.tick(len(pos) * len(neg))  # one step per pair tested
+        neg_tight = [rn.tight for rn, _ in neg]
         for rp, vp in pos:
+            tp = rp.tight
             third_bit = third_tight = 0  # a ray that blocked an earlier pair of rp
-            for rn, vn in neg:
-                common = rp.tight & rn.tight
-                if common.bit_count() < min_common:
-                    continue
+            for n, common in [
+                (n, common)
+                for n, t in enumerate(neg_tight)
+                if (common := tp & t).bit_count() >= min_common
+            ]:
+                rn, vn = neg[n]
                 # The remembered ray, tight on every row of common and
                 # neither rp nor rn, shows the pair non-adjacent at once.
                 if third_bit and third_bit != rn.bit and not common & ~third_tight:
@@ -222,29 +246,37 @@ def _extreme_rays(
                 # Positive combination lying on the new hyperplane.
                 combo = [vp * x - vn * y for x, y in zip(rn.vec, rp.vec)]
                 g = gcd(*combo)
-                newcomers.append(_Ray(tuple(x // g for x in combo), common | (1 << idx)))
+                newcomers.append(_Ray(tuple([x // g for x in combo]), common | row_bit))
         # The cut-off rays leave `on` and free their ids; the new rays,
         # which were no rays of the cone the pair loop read, enter it now.
+        gone = touched = 0
         for r, _ in pos:
-            live ^= r.bit
+            gone |= r.bit
+            touched |= r.tight
             free.append(r.bit)
-            for j in _bits(r.tight):
-                on[j] ^= r.bit
-        for r, v in zip(rays, vals):
-            if v == 0:
-                r.tight |= 1 << idx
-                on[idx] |= r.bit
+        live ^= gone
+        keep = ~gone
+        while touched:
+            low = touched & -touched
+            on[low.bit_length() - 1] &= keep
+            touched ^= low
+        for r in [r for r, v in zip(rays, vals) if not v]:
+            r.tight |= row_bit
+            on[idx] |= r.bit
         for r in newcomers:
             # With no freed id waiting, the ids in use are 0 .. m-1.
-            r.bit = free.pop() if free else live + 1
-            live |= r.bit
-            i = r.bit.bit_length() - 1
+            r.bit = bit = free.pop() if free else live + 1
+            live |= bit
+            i = bit.bit_length() - 1
             if i == len(by_id):
                 by_id.append(r)
             else:
                 by_id[i] = r
-            for j in _bits(r.tight):
-                on[j] |= r.bit
+            tight = r.tight
+            while tight:
+                low = tight & -tight
+                on[low.bit_length() - 1] |= bit
+                tight ^= low
         if pos:
             rays = [r for r, v in zip(rays, vals) if v <= 0] + newcomers
             box = None

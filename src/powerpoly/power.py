@@ -38,14 +38,18 @@ class TestFunction:
         if n < 1 or k < 2:
             raise ValueError("need n >= 1 and k >= 2")
         table = dict.fromkeys(simplex_coefficients(k, n), Fraction(0))
+        exact: dict = {}  # each distinct phi once, converted and range-checked
         for x, phi in values.items():
             x = tuple(v if type(v) is int else _exponent(v, x) for v in x)
             if x not in table:
                 raise ValueError(f"{x} is not a count vector for n={n}, k={k}")
-            phi = Fraction(phi)
-            if not 0 <= phi <= 1:
-                raise ValueError(f"phi({x}) = {phi} outside [0, 1]")
-            table[x] = phi
+            try:
+                table[x] = exact[phi]
+            except (KeyError, TypeError):  # a new value, or an unhashable one
+                p = Fraction(phi)
+                if not 0 <= p <= 1:
+                    raise ValueError(f"phi({x}) = {p} outside [0, 1]") from None
+                table[x] = exact[phi] = p
         self.n = n
         self.k = k
         self.values = table

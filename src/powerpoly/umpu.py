@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Sequence
 
@@ -68,23 +69,43 @@ class CoefficientPolytope:
         return [r for r in self.rows if not r.is_trivial()]
 
     def one_sided(self):
-        """(A, b) with the polytope as {h : A h <= b}, near side first.
+        """(A, b) with the polytope as {h : A h <= b}, nearest rows first.
 
         Row L bounds phi_L(h) = c_L.h + alpha B_L, the L-term of the power
-        polynomial, to [0, B_L]: the lower row c_L.h >= -alpha B_L sits
-        at alpha B_L from h = 0 and the upper row c_L.h <= (1 - alpha) B_L
-        at (1 - alpha) B_L.  Every row of the near side (the lower rows
-        when alpha <= 1/2, the upper rows otherwise; h -> -h swaps alpha
-        and 1 - alpha) comes first, then every row of the far side, each
-        side in row order.  The near rows bind and the far ones are mostly
-        redundant, so double description meets the cutting rows first and
-        builds far fewer intermediate rays (Fukuda & Prodon, 1996).
+        polynomial, to [0, B_L]: the lower row -c_L.h <= alpha B_L and the
+        upper row c_L.h <= (1 - alpha) B_L.  The level-alpha test h = 0
+        lies strictly inside, and b_i / max_j |a_ij| is the l1 distance
+        from h = 0 to the hyperplane of row i.  The rows come sorted by it,
+        nearest first: those are the rows most likely to cut, so double
+        description meets them early and, on most polytopes, builds far
+        fewer intermediate rays (Fukuda & Prodon, "Double description
+        method revisited", 1996).  The sort is
+        stable on exact integer keys, and ties keep the near side (the
+        lower rows when alpha <= 1/2, the upper rows otherwise) before the
+        far side, each side in row order.
         """
         rows = self.nonzero_rows()
-        lower = ([[-c for c in r.coeffs] for r in rows], [-r.lower for r in rows])
-        upper = ([list(r.coeffs) for r in rows], [r.upper for r in rows])
+        reach = []  # max_j |c_Lj| of each row L, as top / den
+        for r in rows:
+            nz = [c for c in r.coeffs if c]
+            den = lcm(*[c.denominator for c in nz])
+            reach.append((max([abs(c.numerator) * (den // c.denominator) for c in nz]), den))
+        # Negating a Fraction builds a new one, so the zeros (most of each
+        # row) stay as they are.
+        lower = [([-c if c else c for c in r.coeffs], -r.lower) for r in rows]
+        upper = [(list(r.coeffs), r.upper) for r in rows]
         near, far = (lower, upper) if self.alpha <= Fraction(1, 2) else (upper, lower)
-        return near[0] + far[0], near[1] + far[1]
+        sides = near + far
+        # b / (top / den) = (b.num den) / (b.den top), and the keys are
+        # those ratios over one common denominator.
+        ratios = [
+            (b.numerator * den, b.denominator * top)
+            for (_, b), (top, den) in zip(sides, reach + reach)
+        ]
+        common = lcm(*{d for _, d in ratios})
+        keys = [n * (common // d) for n, d in ratios]
+        order = sorted(range(len(sides)), key=keys.__getitem__)
+        return [sides[i][0] for i in order], [sides[i][1] for i in order]
 
     def halfspace_count(self) -> int:
         return 2 * len(self.nonzero_rows())
@@ -160,14 +181,33 @@ def componentwise_max(vertices: Sequence[Sequence[Fraction]]) -> ComponentwiseMa
     vs = [tuple(v) for v in vertices]
     if not vs:
         raise ValueError("empty vertex list")
-    peak = tuple(map(max, zip(*vs)))
-    if peak in vs:
-        return ComponentwiseMax(vertex=peak)
+    top = _peak_index(vs)
+    if top is not None:
+        return ComponentwiseMax(vertex=vs[top])
     # No maximum: exhibit two maximal incomparable vertices.
     pair = _incomparable_pair(vs)
     if pair is None:
         raise AssertionError("internal: no maximum vertex yet no incomparable pair")
     return ComponentwiseMax(vertex=None, certificate=pair)
+
+
+def _peak_index(vertices: Sequence[Sequence[Fraction]]) -> int | None:
+    """Index of the first vertex attaining every coordinate's maximum, or None.
+
+    The coordinates (ints or Fractions) are compared as integers over one
+    common denominator.  Vertices share their coordinate objects (double
+    description makes one Fraction per distinct value), so each distinct
+    object is converted once, looked up by id; the objects stay alive in
+    `vertices`, so no id is reused meanwhile.
+    """
+    objs = {id(x): x for v in vertices for x in v}
+    den = lcm(*{x.denominator for x in objs.values()})
+    key = {i: x.numerator * (den // x.denominator) for i, x in objs.items()}
+    keys = [tuple(map(key.__getitem__, map(id, v))) for v in vertices]
+    try:
+        return keys.index(tuple(map(max, zip(*keys))))
+    except ValueError:
+        return None
 
 
 def convex_peeling(
@@ -232,8 +272,9 @@ def umpu_search(
     assert poly.vertices is not None
     # The per-coordinate maxima form a vertex exactly when one vertex
     # dominates all others.
-    peak = tuple(map(max, zip(*poly.vertices)))
-    if peak in poly.vertices:
+    top = _peak_index(poly.vertices)
+    if top is not None:
+        peak = poly.vertices[top]
         return UMPUVerdict(
             status=EXISTS,
             h_star=poly.h_polynomial(peak),

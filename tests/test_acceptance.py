@@ -156,7 +156,7 @@ def test_criterion_3_sphere_suite_n5_n6():
 # figures are those of the n = 7 polytope.
 STATED_SPHERE_HALFSPACES = 72
 STATED_SPHERE_VERTICES = 17267
-# Double-description steps measured for the n = 7 enumeration: 328,058,186.
+# Double-description steps measured for the n = 7 enumeration: 102,995,200.
 STRETCH_STEP_LIMIT = 500_000_000
 
 
@@ -190,7 +190,7 @@ def test_criterion_3_sphere_n8_halfspace_rows():
 @pytest.mark.skipif(
     not os.environ.get("POWERPOLY_STRETCH"),
     reason="stretch goal: set POWERPOLY_STRETCH=1 to enumerate the n=7 "
-    "sphere polytope (minutes)",
+    "sphere polytope (about 25 s)",
 )
 def test_criterion_3_sphere_n7_vertex_stretch():
     """Stated: 17,267 vertices (labelled n = 8; it is the n = 7 polytope)."""

@@ -176,10 +176,10 @@ class TestDoubleDescription:
         a, b = poly.one_sided()
         counter = StepCounter()
         assert len(enumerate_vertices_dd(a, b, counter)) == 44
-        assert counter.steps == 266
-        assert len(enumerate_vertices_dd(a, b, StepCounter(266))) == 44
+        assert counter.steps == 427
+        assert len(enumerate_vertices_dd(a, b, StepCounter(427))) == 44
         with pytest.raises(StepLimitExceeded):
-            enumerate_vertices_dd(a, b, StepCounter(265))
+            enumerate_vertices_dd(a, b, StepCounter(426))
 
     def test_weakly_redundant_row_after_the_box(self, monkeypatch):
         # The cube [0, 2]^3, then x + y + z <= 9, which cuts nothing: the ray

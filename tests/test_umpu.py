@@ -20,7 +20,15 @@ from powerpoly import (
 )
 from powerpoly.linprog import EQ, LE, solve_lp
 from powerpoly.polynomial import MonomialOrder
-from powerpoly.umpu import CANDIDATE, EXISTS, NOT_EXISTS, HRow, _incomparable_pair
+from powerpoly.polytope import enumerate_vertices_dd
+from powerpoly.umpu import (
+    CANDIDATE,
+    EXISTS,
+    NOT_EXISTS,
+    HRow,
+    _incomparable_pair,
+    _peak_index,
+)
 
 from conftest import (
     PRINTED_VERTICES_SUM,
@@ -167,20 +175,78 @@ class TestCoefficientPolytope:
         with pytest.raises(ValueError):
             coefficient_polytope(sphere3(), 4, F(5, 4))
 
-    @pytest.mark.parametrize("alpha, near", [(F(1, 20), "lower"), (F(19, 20), "upper")])
-    def test_one_sided_puts_the_near_side_first(self, alpha, near):
+    @pytest.mark.parametrize("alpha, facets", [(F(1, 20), 15), (F(1, 2), 30), (F(19, 20), 15)])
+    def test_one_sided_puts_the_nearest_rows_first(self, alpha, facets):
         poly = coefficient_polytope(P("p1 + p2 - p3"), 4, alpha)
-        rows = poly.nonzero_rows()
-        lower = [[-c for c in r.coeffs] for r in rows], [-r.lower for r in rows]
-        upper = [list(r.coeffs) for r in rows], [r.upper for r in rows]
-        first, second = (lower, upper) if near == "lower" else (upper, lower)
         a, b = poly.one_sided()
-        assert a == first[0] + second[0]
-        assert b == first[1] + second[1]
-        # The near side lies at min(alpha, 1 - alpha) B_L from h = 0.
-        near_gap = min(alpha, 1 - alpha)
-        assert all(bound == near_gap * (r.upper - r.lower) for bound, r in zip(b, rows))
-        assert poly.facet_count() == 15
+        # Sorted by b_i / max_j |a_ij|, the l1 distance from h = 0 to row i.
+        keys = [bound / max(map(abs, row)) for row, bound in zip(a, b)]
+        assert keys == sorted(keys)
+        # The rows of both sides, with ties in the near-side order.
+        lower, upper = _sides(poly)
+        near_first = lower + upper if alpha <= F(1, 2) else upper + lower
+        assert list(zip(a, b)) == sorted(near_first, key=lambda row: row[1] / max(map(abs, row[0])))
+        assert poly.facet_count() == facets
+
+
+def _sides(poly):
+    """The lower rows -c_L.h <= alpha B_L and the upper rows c_L.h <= (1 - alpha) B_L."""
+    rows = poly.nonzero_rows()
+    lower = [([-c for c in r.coeffs], -r.lower) for r in rows]
+    upper = [(list(r.coeffs), r.upper) for r in rows]
+    return lower, upper
+
+
+def _near_side_first(poly):
+    """The rows in the order before nearest-first: near side, then far side."""
+    lower, upper = _sides(poly)
+    rows = lower + upper if poly.alpha <= F(1, 2) else upper + lower
+    return [row for row, _ in rows], [bound for _, bound in rows]
+
+
+@pytest.mark.parametrize(
+    "weights, n, alpha",
+    [
+        ((1, 1, -1), 3, F(1, 20)),
+        ((2, 1, -1), 3, F(1, 10)),
+        ((2, -1, -1), 3, F(1, 20)),
+        ((1, 1, -2), 4, F(1, 20)),
+        ((1, 2, -3), 3, F(1, 20)),
+        ((1, 2, -3), 4, F(1, 10)),
+        ((1, 1, -1, -1), 3, F(1, 10)),
+        ((1, 1, 1, -1), 3, F(1, 20)),
+        ((1, 1, -1), 4, F(1, 20)),
+        ((1, 1, -1), 4, F(1, 2)),
+        ((1, 1, -1), 4, F(19, 20)),
+        ((3, -1, 1), 4, F(7, 10)),
+        ((1, 1, -1), 5, F(1, 20)),
+        ((1, 1, 1, -1), 4, F(1, 20)),
+        ((1, -1, 0, 0), 4, F(1, 2)),
+        ((1, 1, 1, 1, -1), 3, F(1, 20)),
+        ((2, 1, 1, 1, -1), 3, F(1, 20)),
+        ((1, 1, 1, 1, 1, -1), 3, F(1, 20)),
+        ((1, 1, 1, 1, 1, 1, -1), 3, F(1, 20)),
+        ((2, 1, 1, 1, 1, -1), 3, F(1, 20)),
+        ((1, -1, 0, 0, 0, 0, 0, 0, 0), 3, F(1, 20)),
+        ((1, 1, 1, 1, -1, -1, -1, -1), 3, F(1, 20)),
+        ("sphere", 4, F(1, 10)),
+        ("sphere", 5, F(1, 20)),
+        ("sphere", 6, F(1, 20)),
+        ("sphere", 6, F(1, 2)),
+    ],
+)
+def test_nearest_first_keeps_the_near_side_vertices(weights, n, alpha):
+    # Oracle: the same double description fed the near-side-first order.
+    # An order changes only how many rays are built on the way.
+    if weights == "sphere":
+        f = sphere3()
+    else:
+        k = len(weights)
+        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+        f = Polynomial(k, {u: c for u, c in zip(units, weights) if c})
+    poly = coefficient_polytope(f, n, alpha)
+    expected = enumerate_vertices_dd(*_near_side_first(poly))
+    assert list(enumerate_vertices(poly).vertices) == expected
 
 
 @pytest.mark.parametrize(
@@ -294,13 +360,14 @@ class TestVertexGoldens:
         self.check_tight_rows(poly)
 
     def test_alpha_one_half_vertex_and_step_counts(self):
-        # At alpha = 1/2 neither side of the rows is nearer, and double
-        # description builds many intermediate rays: 1.77 M pairs tested.
+        # At alpha = 1/2 neither side of the rows is nearer.  Nearest rows
+        # first, double description tests 1,585 steps' worth of rows and
+        # pairs; the near-side-first order tested 1.77 M pairs.
         names = ["p1", "p2", "p3", "p4"]
         counter = StepCounter()
         poly = enumerate_vertices(coefficient_polytope(P("p1 - p2", names), 4, F(1, 2)), counter)
         assert len(poly.vertices) == 1_536
-        assert counter.steps == 1_773_348
+        assert counter.steps == 1_585
         self.check_tight_rows(poly)
 
 
@@ -319,6 +386,46 @@ class TestComponentwiseMax:
         a, b = got.certificate
         assert any(x > y for x, y in zip(a, b))
         assert any(y > x for x, y in zip(a, b))
+
+
+def _peak_in_fractions(points):
+    """The Fraction test `_peak_index` replaced: is the coordinate max a point?"""
+    peak = tuple(map(max, zip(*points)))
+    return points.index(peak) if peak in points else None
+
+
+class TestPeakIndex:
+    def test_mixed_denominators(self):
+        pts = [(F(1, 3), F(1, 2)), (F(2, 5), F(3, 7)), (F(2, 5), F(1, 2)), (F(-1, 6), 1)]
+        assert _peak_index(pts) == _peak_in_fractions(pts) == None
+        pts[3] = (F(-1, 6), F(1, 2))
+        assert _peak_index(pts) == _peak_in_fractions(pts) == 2
+
+    def test_ties_and_duplicates_give_the_first(self):
+        pts = [(F(1, 2), 0), (F(1, 2), F(1, 4)), (F(2, 4), F(1, 4)), (0, F(1, 4))]
+        assert _peak_index(pts) == _peak_in_fractions(pts) == 1
+
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.tuples(*[st.fractions(-2, 2, max_denominator=6)] * d), min_size=1, max_size=10
+            )
+        ),
+        st.data(),
+    )
+    def test_matches_the_fraction_test(self, points, data):
+        # A dominating point is appended half the time, then repeats of
+        # points already drawn are inserted anywhere.
+        if data.draw(st.booleans()):
+            points.append(tuple(map(max, zip(*points))))
+        for _ in range(data.draw(st.integers(0, 3))):
+            points.insert(
+                data.draw(st.integers(0, len(points))),
+                data.draw(st.sampled_from(points)),
+            )
+        assert _peak_index(points) == _peak_in_fractions(points)
 
 
 def _incomparable_pair_quadratic(points):
