@@ -17,6 +17,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from powerpoly import __version__
 from powerpoly.groebner import (
@@ -473,10 +474,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in this process.
+
+    Building it costs more than most commands' parsing; `parse_args` fills
+    a new namespace on each call, so nothing carries over between calls.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 after --help and --version, and 2 after printing a
         # usage error; 2 is the "does not exist" verdict here.

@@ -103,13 +103,17 @@ def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
 def primitive_scaling(vec) -> tuple[list[int], int, int]:
     """(ints, g, den) with vec[i] = ints[i] * g / den and ints primitive.
 
-    Each entry becomes its numerator over the lcm `den` of the denominators
-    (an int is its own numerator over 1), and the gcd `g` of those
-    numerators is divided out, so no Fraction is built.  The scale g / den
-    is positive unless every entry is zero (then g = 0).
+    When every entry is an int, den = 1 and the scaling is one gcd.
+    Otherwise each entry becomes its numerator over the lcm `den` of the
+    denominators (an int is its own numerator over 1).  The gcd `g` of
+    those numerators is divided out, so no Fraction is built.  The scale
+    g / den is positive unless every entry is zero (then g = 0).
     """
-    den = lcm(*(v.denominator for v in vec))
-    ints = [v.numerator * (den // v.denominator) for v in vec]
+    if all(type(v) is int for v in vec):
+        ints, den = list(vec), 1
+    else:
+        den = lcm(*(v.denominator for v in vec))
+        ints = [v.numerator * (den // v.denominator) for v in vec]
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]

@@ -17,10 +17,12 @@ proper face (Ziegler, "Lectures on Polytopes", 1995), so facets can be
 read off these masks with no arithmetic.
 
 The set-up runs on integers, with the one exact elimination of
-`linalg.echelon`.  Each cone row is built straight from the int or
-Fraction entries as a primitive integer vector; `echelon` of the cone
-rows picks the first d + 1 independent ones, M, and `echelon` of [M | I]
-gives the initial simplicial cone's rays, the columns of -M^-1.
+`linalg.echelon`.  Each cone row (a_i, -b_i) is scaled to a primitive
+integer vector; rows that arrive as primitive integer rows, as the
+coefficient polytope's do, pass through with one gcd each.  `echelon`
+of the cone rows picks the first d + 1 independent ones, M, and
+`echelon` of [M | I] gives the initial simplicial cone's rays, the
+columns of -M^-1.
 
 Adjacency is the combinatorial test on bit patterns (Fukuda & Prodon,
 "Double description method revisited", 1996; Terzer & Stelling, "Large-

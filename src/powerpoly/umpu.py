@@ -22,11 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from operator import add
 from typing import Sequence
 
 from powerpoly.groebner import StepCounter
+from powerpoly.linalg import primitive_scaling
 from powerpoly.polynomial import MonomialOrder, Polynomial, simplex_coefficients
 from powerpoly.polytope import enumerate_vertices_dd, hull_vertices, irredundant_rows
 from powerpoly.power import PowerPolynomial
@@ -53,82 +55,108 @@ class HRow:
 
 @dataclass(frozen=True)
 class CoefficientPolytope:
+    """The feasible h-coefficients as {h : a h <= b}, on primitive integer rows.
+
+    `a` and `b` are the one-sided rows (see `one_sided`), each scaled to a
+    primitive integer vector, nearest first.  `multiindices` holds, per
+    degree-n multiindex L in grevlex-descending order, (L, B_L, upper):
+    the multinomial B_L and L's upper row (a_u, b_u) of `one_sided`, or
+    None when c_L = 0 and L gives no row.  `rows`, the two-sided Fraction
+    view, is built from them on first access.
+    """
+
     n: int
     k: int
     alpha: Fraction
     nprime: int
     h_index: tuple[tuple[int, ...], ...]  # grevlex-descending degree-n' multiindices
-    rows: tuple[HRow, ...]  # one per degree-n multiindex L
+    a: tuple[tuple[int, ...], ...]
+    b: tuple[int, ...]
+    multiindices: tuple[tuple[tuple[int, ...], int, tuple[tuple[int, ...], int] | None], ...]
     vertices: tuple[tuple[Fraction, ...], ...] | None = None
 
     @property
     def dim(self) -> int:
         return len(self.h_index)
 
+    @cached_property
+    def rows(self) -> tuple[HRow, ...]:
+        """One two-sided row per degree-n multiindex L, grevlex-descending.
+
+        Row L is -alpha B_L <= c_L.h <= (1 - alpha) B_L, and its upper
+        one-sided row (a_u, b_u) is c_L scaled by b_u / ((1 - alpha) B_L).
+        """
+        zero = (Fraction(0),) * self.dim
+        rows = []
+        for L, bound, row in self.multiindices:
+            upper = (1 - self.alpha) * bound
+            if row is None:
+                coeffs = zero
+            else:
+                a, b = row
+                scale = upper / b
+                coeffs = tuple([scale * c for c in a])
+            rows.append(HRow(L, coeffs, -self.alpha * bound, upper))
+        return tuple(rows)
+
     def nonzero_rows(self) -> list[HRow]:
         return [r for r in self.rows if not r.is_trivial()]
 
-    def one_sided(self):
+    def one_sided(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(A, b) with the polytope as {h : A h <= b}, nearest rows first.
 
         Row L bounds phi_L(h) = c_L.h + alpha B_L, the L-term of the power
         polynomial, to [0, B_L]: the lower row -c_L.h <= alpha B_L and the
-        upper row c_L.h <= (1 - alpha) B_L.  The level-alpha test h = 0
-        lies strictly inside, and b_i / max_j |a_ij| is the l1 distance
-        from h = 0 to the hyperplane of row i.  The rows come sorted by it,
-        nearest first: those are the rows most likely to cut, so double
-        description meets them early and, on most polytopes, builds far
-        fewer intermediate rays (Fukuda & Prodon, "Double description
-        method revisited", 1996).  The sort is
-        stable on exact integer keys, and ties keep the near side (the
-        lower rows when alpha <= 1/2, the upper rows otherwise) before the
-        far side, each side in row order.
+        upper row c_L.h <= (1 - alpha) B_L, each scaled to a primitive
+        integer vector.  The level-alpha test h = 0 lies strictly inside,
+        and b_i / max_j |a_ij| is the l1 distance from h = 0 to the
+        hyperplane of row i, unchanged by the scaling.  The rows come
+        sorted by it, nearest first: those are the rows most likely to
+        cut, so double description meets them early and, on most
+        polytopes, builds far fewer intermediate rays (Fukuda & Prodon,
+        "Double description method revisited", 1996).  The sort is stable
+        on exact integer keys, and ties keep the near side (the lower rows
+        when alpha <= 1/2, the upper rows otherwise) before the far side,
+        each side in row order.
         """
-        rows = self.nonzero_rows()
-        reach = []  # max_j |c_Lj| of each row L, as top / den
-        for r in rows:
-            nz = [c for c in r.coeffs if c]
-            den = lcm(*[c.denominator for c in nz])
-            reach.append((max([abs(c.numerator) * (den // c.denominator) for c in nz]), den))
-        # Negating a Fraction builds a new one, so the zeros (most of each
-        # row) stay as they are.
-        lower = [([-c if c else c for c in r.coeffs], -r.lower) for r in rows]
-        upper = [(list(r.coeffs), r.upper) for r in rows]
-        near, far = (lower, upper) if self.alpha <= Fraction(1, 2) else (upper, lower)
-        sides = near + far
-        # b / (top / den) = (b.num den) / (b.den top), and the keys are
-        # those ratios over one common denominator.
-        ratios = [
-            (b.numerator * den, b.denominator * top)
-            for (_, b), (top, den) in zip(sides, reach + reach)
-        ]
-        common = lcm(*{d for _, d in ratios})
-        keys = [n * (common // d) for n, d in ratios]
-        order = sorted(range(len(sides)), key=keys.__getitem__)
-        return [sides[i][0] for i in order], [sides[i][1] for i in order]
+        return self.a, self.b
 
     def halfspace_count(self) -> int:
-        return 2 * len(self.nonzero_rows())
+        return len(self.b)
 
     def facet_count(self) -> int:
         """Number of irredundant halfspaces (0 is strictly interior)."""
-        a, b = self.one_sided()
-        return len(irredundant_rows(a, b))
+        return len(irredundant_rows(self.a, self.b))
 
     def h_polynomial(self, coeffs: Sequence[Fraction]) -> Polynomial:
         return Polynomial(self.k, dict(zip(self.h_index, map(Fraction, coeffs))))
 
     def power_polynomial(self, coeffs: Sequence[Fraction]) -> PowerPolynomial:
-        """beta = f~^2 h + alpha (sum pi)^n: its L-term is phi_L(h) = c_L.h - lower."""
+        """beta = f~^2 h + alpha (sum pi)^n: its L-term is phi_L(h) = c_L.h + alpha B_L.
+
+        c_L.h is read off L's upper row as (a_u.h) (1 - alpha) B_L / b_u.
+        """
         terms = {}
-        for row in self.rows:
-            if c := sum(a * x for a, x in zip(row.coeffs, coeffs) if a) - row.lower:
-                terms[row.index] = c
+        for L, bound, row in self.multiindices:
+            c = self.alpha * bound
+            if row is not None:
+                a, b = row
+                c += sum(x * h for x, h in zip(a, coeffs) if x) * (1 - self.alpha) * bound / b
+            if c:
+                terms[L] = c
         return PowerPolynomial(self.n, self.k, Polynomial._of(self.k, terms))
 
 
 def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientPolytope:
-    """H-representation of the feasible h-coefficients for f~^2 h + alpha."""
+    """H-representation of the feasible h-coefficients for f~^2 h + alpha.
+
+    f~^2 is packed once as (g / den) P with P a primitive integer
+    polynomial, so c_L = (g / den) P_L, where entry (L, J) of P_L is the
+    coefficient of x^(L - J) in P.  With alpha = p / q, the upper row
+    c_L.h <= (1 - alpha) B_L times q den is the integer row
+    q g P_L.h <= (q - p) den B_L, and the lower row likewise; one gcd
+    per row makes it primitive.
+    """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
@@ -140,20 +168,43 @@ def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientP
     k = f.nvars
     nprime = n - 2 * deg
     fsq = (f.homogenize(deg)) ** 2
+    packed, g, den = primitive_scaling(fsq.terms.values())
     h_index = tuple(_grevlex_desc(simplex_coefficients(k, nprime)))
     bounds = simplex_coefficients(k, n)
-    # Entry (L, J) is the coefficient of x^(L - J) in f~^2: scatter each
-    # term m of f~^2 from column J into row L = J + m.
-    coeffs = {L: [Fraction(0)] * len(h_index) for L in bounds}
+    # Scatter each term m of P from column J into row L = J + m.
+    entries = {L: [0] * len(h_index) for L in bounds}
     for col, J in enumerate(h_index):
-        for m, c in fsq.terms.items():
-            coeffs[tuple(map(add, J, m))][col] = c
-    rows = tuple(
-        HRow(L, tuple(coeffs[L]), -alpha * bounds[L], (1 - alpha) * bounds[L])
-        for L in _grevlex_desc(bounds)
-    )
+        for m, c in zip(fsq.terms, packed):
+            entries[tuple(map(add, J, m))][col] = c
+    p, q = alpha.numerator, alpha.denominator
+    scale = q * g
+    lower, upper = [], []  # (row, rhs, max |row|) of each side, in row order
+    multiindices = []
+    for L in _grevlex_desc(bounds):
+        row = entries[L]
+        gL = gcd(*row)
+        if gL:
+            top = max(map(abs, row)) // gL
+            for side, sign, share in ((lower, -1, p), (upper, 1, q - p)):
+                rhs = share * den * bounds[L]
+                t = gcd(scale * gL, rhs)
+                mult = sign * (scale * gL // t)
+                side.append((tuple([c // gL * mult for c in row]), rhs // t, top * abs(mult)))
+        multiindices.append((L, bounds[L], upper[-1][:2] if gL else None))
+    sides = lower + upper if alpha <= Fraction(1, 2) else upper + lower
+    # b / max |a| for every row, as integers over one common denominator.
+    common = lcm(*{top for _, _, top in sides})
+    keys = [rhs * (common // top) for _, rhs, top in sides]
+    order = sorted(range(len(sides)), key=keys.__getitem__)
     return CoefficientPolytope(
-        n=n, k=k, alpha=alpha, nprime=nprime, h_index=h_index, rows=rows
+        n=n,
+        k=k,
+        alpha=alpha,
+        nprime=nprime,
+        h_index=h_index,
+        a=tuple([sides[i][0] for i in order]),
+        b=tuple([sides[i][1] for i in order]),
+        multiindices=tuple(multiindices),
     )
 
 
@@ -176,36 +227,42 @@ def componentwise_max(vertices: Sequence[Sequence[Fraction]]) -> ComponentwiseMa
     """The vertex dominating all others coordinatewise, if it exists.
 
     Otherwise a certificate pair of vertices each beating the other in
-    some coordinate.
+    some coordinate.  Both are found on the vertices' integer keys.
     """
     vs = [tuple(v) for v in vertices]
     if not vs:
         raise ValueError("empty vertex list")
-    top = _peak_index(vs)
+    keys = _vertex_keys(vs)
+    top = _peak_index(keys)
     if top is not None:
         return ComponentwiseMax(vertex=vs[top])
     # No maximum: exhibit two maximal incomparable vertices.
-    pair = _incomparable_pair(vs)
+    pair = _incomparable_pair(keys)
     if pair is None:
         raise AssertionError("internal: no maximum vertex yet no incomparable pair")
-    return ComponentwiseMax(vertex=None, certificate=pair)
+    return ComponentwiseMax(vertex=None, certificate=tuple(vs[keys.index(p)] for p in pair))
 
 
-def _peak_index(vertices: Sequence[Sequence[Fraction]]) -> int | None:
-    """Index of the first vertex attaining every coordinate's maximum, or None.
+def _vertex_keys(vertices: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
+    """The vertices as integer tuples, every coordinate over one common denominator.
 
-    The coordinates (ints or Fractions) are compared as integers over one
-    common denominator.  Vertices share their coordinate objects (double
-    description makes one Fraction per distinct value), so each distinct
-    object is converted once, looked up by id; the objects stay alive in
-    `vertices`, so no id is reused meanwhile.
+    The keys compare, coordinate by coordinate, as the ints or Fractions
+    they stand for, and equal keys are equal vertices.  Vertices share
+    their coordinate objects (double description makes one Fraction per
+    distinct value), so each distinct object is converted once, looked up
+    by id; the objects stay alive in `vertices`, so no id is reused
+    meanwhile.
     """
     objs = {id(x): x for v in vertices for x in v}
     den = lcm(*{x.denominator for x in objs.values()})
     key = {i: x.numerator * (den // x.denominator) for i, x in objs.items()}
-    keys = [tuple(map(key.__getitem__, map(id, v))) for v in vertices]
+    return [tuple(map(key.__getitem__, map(id, v))) for v in vertices]
+
+
+def _peak_index(points: list[tuple]) -> int | None:
+    """Index of the first point attaining every coordinate's maximum, or None."""
     try:
-        return keys.index(tuple(map(max, zip(*keys))))
+        return points.index(tuple(map(max, zip(*points))))
     except ValueError:
         return None
 
@@ -270,9 +327,11 @@ def umpu_search(
     """
     poly = enumerate_vertices(coefficient_polytope(f, n, alpha), counter)
     assert poly.vertices is not None
-    # The per-coordinate maxima form a vertex exactly when one vertex
+    # Every maximum and tie is read off the vertices' integer keys, built
+    # once; the per-coordinate maxima form a vertex exactly when one vertex
     # dominates all others.
-    top = _peak_index(poly.vertices)
+    keys = _vertex_keys(poly.vertices)
+    top = _peak_index(keys)
     if top is not None:
         peak = poly.vertices[top]
         return UMPUVerdict(
@@ -285,7 +344,7 @@ def umpu_search(
 
     layers = convex_peeling(poly.k, poly.nprime, counter)
     position = {J: i for i, J in enumerate(poly.h_index)}
-    face = list(poly.vertices)
+    face = keys
     for layer_no, layer in enumerate(layers):
         if counter is not None:
             counter.tick()
@@ -295,12 +354,19 @@ def umpu_search(
             # Project each coordinate's lex-smallest maximizer onto the layer.
             layer_pos = sorted(maxima)
             argmax = [next(v for v in face if v[pos] == maxima[pos]) for pos in layer_pos]
-            cert = _incomparable_pair([tuple(v[q] for q in layer_pos) for v in argmax])
+            pair = _incomparable_pair([tuple([v[q] for q in layer_pos]) for v in argmax])
+            # The keys order as the vertices do: project the pair's vertices.
+            projection = {
+                tuple([v[q] for q in layer_pos]): tuple(
+                    [poly.vertices[keys.index(v)][q] for q in layer_pos]
+                )
+                for v in argmax
+            }
             return UMPUVerdict(
                 status=NOT_EXISTS,
                 c_vertices=poly.vertices,
                 failing_layer=layer_no,
-                certificate=cert,
+                certificate=None if pair is None else tuple(map(projection.__getitem__, pair)),
                 reason=(
                     f"projected layer {layer_no} has no componentwise maximum: "
                     "per-coordinate maxima are jointly infeasible"
@@ -309,10 +375,11 @@ def umpu_search(
         face = attained
 
     # The layers cover every coordinate, so the face is the single vertex h*.
+    h_star = poly.vertices[keys.index(face[0])]
     return UMPUVerdict(
         status=CANDIDATE,
-        h_star=poly.h_polynomial(face[0]),
-        beta=poly.power_polynomial(face[0]),
+        h_star=poly.h_polynomial(h_star),
+        beta=poly.power_polynomial(h_star),
         c_vertices=poly.vertices,
         reason="necessary layer conditions hold; sufficiency undecided",
     )

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import powerpoly
+from powerpoly import cli
 from powerpoly.cli import _grid_values, build_parser, main
 from powerpoly.cli import test_to_json as to_json
 from powerpoly.power import TestFunction, count_vectors
@@ -298,6 +299,38 @@ def test_option_table_covers_every_subcommand():
     assert sorted(sub.choices) == sorted(argv[0] for argv, _, _ in OPTION_TABLE)
 
 
+def test_one_parser_per_process_matches_fresh_parsers(monkeypatch, capsys):
+    # Consecutive calls share one parser; each must answer as a parser built
+    # for it alone would, options of earlier calls leaving no trace.
+    calls = [
+        ["umpu", "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3", "--alpha", "1/20",
+         "--emit-vertices"],
+        ["gb", "--gens", "p1-p3", "--vars", "p1,p2,p3", "--order", "lex"],
+        ["umpu", "--f", "2*p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3", "--alpha", "1/20"],
+        ["--version"],
+        ["gb", "--gens", "p1*p2-p3^2", "--gens", "p1-p3", "--vars", "p1,p2,p3"],
+        ["coeff-polytope", "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3",
+         "--alpha", "1/20", "--step-limit", "0"],
+        ["polytope-exists"],
+        ["recover-test", "--beta", "p1^2 + p2^2", "--vars", "p1,p2", "--n", "2"],
+        ["coeff-polytope", "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3",
+         "--alpha", "1/20"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in calls:
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    shared = run_all()
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert shared == run_all()
+    assert [code for code, _, _ in shared] == [0, 1, 2, 0, 0, 1, 1, 0, 0]
+    assert shared[3][1] == f"powerpoly {powerpoly.__version__}\n"
+
+
 class TestThreshold:
     def test_independence(self, indep22):
         code, out = run_cli(["threshold", "--hypothesis", indep22])
@@ -408,6 +441,25 @@ class TestThreshold:
         assert payload["dim"] == 3
         assert len(payload["rows"]) == 10
         assert payload["vertex_count"] == 8
+
+    @pytest.mark.parametrize(
+        "f, n, alpha, digest",
+        [
+            ("p1^2 + p2^2 + p3^2 - 2/3*p1 - 2/3*p2 - 2/3*p3 + 1/6", "5", "1/20",
+             "173cb8405168de93456448d1b065302035ea3ac8bc7bf0cd77f912c945572965"),
+            ("p1+p2-p3", "4", "1/2",
+             "327fb9739667f873b32b35152309d6092ccbee2aedd8ac22a2cc9399f11bb211"),
+        ],
+        ids=["sphere-k3-n5", "p1+p2-p3-n4-half"],
+    )
+    def test_coeff_polytope_emission_bytes_pinned(self, f, n, alpha, digest):
+        # The H-rep rows, the halfspace count and the vertices, byte for byte.
+        code, out = run_cli(
+            ["coeff-polytope", "--f", f, "--vars", "p1,p2,p3", "--n", n, "--alpha", alpha,
+             "--enumerate"]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestUmpu:

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from powerpoly.linalg import echelon, nullspace, rank, rref, solve_linear
+from powerpoly.linalg import (
+    echelon,
+    nullspace,
+    primitive_ints,
+    primitive_scaling,
+    rank,
+    rref,
+    solve_linear,
+)
 
 SEEDS = range(60)
 
@@ -141,3 +149,22 @@ def test_empty_inputs():
     assert nullspace([[0, 0]]) == [[1, 0], [0, 1]]
     assert solve_linear([[0, 0]], [1]) is None
     assert solve_linear([[0, 0]], [0]) == [0, 0]
+
+
+@pytest.mark.parametrize(
+    "vec, expected",
+    [
+        ((0, 6, -4), ([0, 3, -2], 2, 1)),
+        ([3, -1], ([3, -1], 1, 1)),
+        ((0, 0), ([0, 0], 0, 1)),
+        ((Fraction(1, 2), 3), ([1, 6], 1, 2)),
+        ((Fraction(4, 3), Fraction(-2, 9), 0), ([6, -1, 0], 2, 9)),
+        ((True, 2), ([1, 2], 1, 1)),
+    ],
+)
+def test_primitive_scaling(vec, expected):
+    # All ints take one gcd; any other entry goes through the denominators.
+    ints, g, den = primitive_scaling(vec)
+    assert (ints, g, den) == expected
+    assert [Fraction(x * g, den) for x in ints] == list(vec)
+    assert primitive_ints(vec) == tuple(ints)

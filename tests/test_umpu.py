@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from powerpoly import (
@@ -18,6 +18,7 @@ from powerpoly import (
     principal_umpu,
     umpu_search,
 )
+from powerpoly.linalg import primitive_ints
 from powerpoly.linprog import EQ, LE, solve_lp
 from powerpoly.polynomial import MonomialOrder
 from powerpoly.polytope import enumerate_vertices_dd
@@ -28,6 +29,7 @@ from powerpoly.umpu import (
     HRow,
     _incomparable_pair,
     _peak_index,
+    _vertex_keys,
 )
 
 from conftest import (
@@ -185,7 +187,10 @@ class TestCoefficientPolytope:
         # The rows of both sides, with ties in the near-side order.
         lower, upper = _sides(poly)
         near_first = lower + upper if alpha <= F(1, 2) else upper + lower
-        assert list(zip(a, b)) == sorted(near_first, key=lambda row: row[1] / max(map(abs, row[0])))
+        expected = sorted(near_first, key=lambda row: row[1] / max(map(abs, row[0])))
+        assert [(*row, bound) for row, bound in zip(a, b)] == [
+            primitive_ints((*row, bound)) for row, bound in expected
+        ]
         assert poly.facet_count() == facets
 
 
@@ -204,49 +209,73 @@ def _near_side_first(poly):
     return [row for row, _ in rows], [bound for _, bound in rows]
 
 
-@pytest.mark.parametrize(
-    "weights, n, alpha",
-    [
-        ((1, 1, -1), 3, F(1, 20)),
-        ((2, 1, -1), 3, F(1, 10)),
-        ((2, -1, -1), 3, F(1, 20)),
-        ((1, 1, -2), 4, F(1, 20)),
-        ((1, 2, -3), 3, F(1, 20)),
-        ((1, 2, -3), 4, F(1, 10)),
-        ((1, 1, -1, -1), 3, F(1, 10)),
-        ((1, 1, 1, -1), 3, F(1, 20)),
-        ((1, 1, -1), 4, F(1, 20)),
-        ((1, 1, -1), 4, F(1, 2)),
-        ((1, 1, -1), 4, F(19, 20)),
-        ((3, -1, 1), 4, F(7, 10)),
-        ((1, 1, -1), 5, F(1, 20)),
-        ((1, 1, 1, -1), 4, F(1, 20)),
-        ((1, -1, 0, 0), 4, F(1, 2)),
-        ((1, 1, 1, 1, -1), 3, F(1, 20)),
-        ((2, 1, 1, 1, -1), 3, F(1, 20)),
-        ((1, 1, 1, 1, 1, -1), 3, F(1, 20)),
-        ((1, 1, 1, 1, 1, 1, -1), 3, F(1, 20)),
-        ((2, 1, 1, 1, 1, -1), 3, F(1, 20)),
-        ((1, -1, 0, 0, 0, 0, 0, 0, 0), 3, F(1, 20)),
-        ((1, 1, 1, 1, -1, -1, -1, -1), 3, F(1, 20)),
-        ("sphere", 4, F(1, 10)),
-        ("sphere", 5, F(1, 20)),
-        ("sphere", 6, F(1, 20)),
-        ("sphere", 6, F(1, 2)),
-    ],
-)
+# The polytopes of the nearest-first tests: (weights of a linear f, or the
+# k = 3 sphere, with its rational f), n, alpha.
+NEAREST_FIRST_CASES = [
+    ((1, 1, -1), 3, F(1, 20)),
+    ((2, 1, -1), 3, F(1, 10)),
+    ((2, -1, -1), 3, F(1, 20)),
+    ((1, 1, -2), 4, F(1, 20)),
+    ((1, 2, -3), 3, F(1, 20)),
+    ((1, 2, -3), 4, F(1, 10)),
+    ((1, 1, -1, -1), 3, F(1, 10)),
+    ((1, 1, 1, -1), 3, F(1, 20)),
+    ((1, 1, -1), 4, F(1, 20)),
+    ((1, 1, -1), 4, F(1, 2)),
+    ((1, 1, -1), 4, F(19, 20)),
+    ((3, -1, 1), 4, F(7, 10)),
+    ((1, 1, -1), 5, F(1, 20)),
+    ((1, 1, 1, -1), 4, F(1, 20)),
+    ((1, -1, 0, 0), 4, F(1, 2)),
+    ((1, 1, 1, 1, -1), 3, F(1, 20)),
+    ((2, 1, 1, 1, -1), 3, F(1, 20)),
+    ((1, 1, 1, 1, 1, -1), 3, F(1, 20)),
+    ((1, 1, 1, 1, 1, 1, -1), 3, F(1, 20)),
+    ((2, 1, 1, 1, 1, -1), 3, F(1, 20)),
+    ((1, -1, 0, 0, 0, 0, 0, 0, 0), 3, F(1, 20)),
+    ((1, 1, 1, 1, -1, -1, -1, -1), 3, F(1, 20)),
+    ("sphere", 4, F(1, 10)),
+    ("sphere", 5, F(1, 20)),
+    ("sphere", 6, F(1, 20)),
+    ("sphere", 6, F(1, 2)),
+]
+
+
+def _case_generator(weights):
+    if weights == "sphere":
+        return sphere3()
+    k = len(weights)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    return Polynomial(k, {u: c for u, c in zip(units, weights) if c})
+
+
+@pytest.mark.parametrize("weights, n, alpha", NEAREST_FIRST_CASES)
 def test_nearest_first_keeps_the_near_side_vertices(weights, n, alpha):
     # Oracle: the same double description fed the near-side-first order.
     # An order changes only how many rays are built on the way.
-    if weights == "sphere":
-        f = sphere3()
-    else:
-        k = len(weights)
-        units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-        f = Polynomial(k, {u: c for u, c in zip(units, weights) if c})
+    f = _case_generator(weights)
     poly = coefficient_polytope(f, n, alpha)
     expected = enumerate_vertices_dd(*_near_side_first(poly))
     assert list(enumerate_vertices(poly).vertices) == expected
+
+
+@pytest.mark.parametrize("weights, n", [(weights, n) for weights, n, _ in NEAREST_FIRST_CASES])
+@seed(20261019)
+@settings(max_examples=8, deadline=None)
+@given(alpha=st.fractions(F(1, 20), F(19, 20), max_denominator=40))
+@example(alpha=F(1, 20))
+@example(alpha=F(1, 2))
+@example(alpha=F(19, 20))
+def test_one_sided_rows_are_the_primitive_sorted_sides(weights, n, alpha):
+    # Row i of one_sided() is the i-th row of the Fraction sides, stably
+    # sorted nearest first, scaled to a primitive integer vector.
+    poly = coefficient_polytope(_case_generator(weights), n, alpha)
+    near_first = zip(*_near_side_first(poly))
+    expected = sorted(near_first, key=lambda row: row[1] / max(map(abs, row[0])))
+    a, b = poly.one_sided()
+    assert len(a) == len(b) == len(expected)
+    for i, (row, bound) in enumerate(expected):
+        assert (*a[i], b[i]) == primitive_ints((*row, bound))
 
 
 @pytest.mark.parametrize(
@@ -389,7 +418,7 @@ class TestComponentwiseMax:
 
 
 def _peak_in_fractions(points):
-    """The Fraction test `_peak_index` replaced: is the coordinate max a point?"""
+    """The Fraction test the integer keys replaced: is the coordinate max a point?"""
     peak = tuple(map(max, zip(*points)))
     return points.index(peak) if peak in points else None
 
@@ -397,13 +426,13 @@ def _peak_in_fractions(points):
 class TestPeakIndex:
     def test_mixed_denominators(self):
         pts = [(F(1, 3), F(1, 2)), (F(2, 5), F(3, 7)), (F(2, 5), F(1, 2)), (F(-1, 6), 1)]
-        assert _peak_index(pts) == _peak_in_fractions(pts) == None
+        assert _peak_index(_vertex_keys(pts)) == _peak_in_fractions(pts) == None
         pts[3] = (F(-1, 6), F(1, 2))
-        assert _peak_index(pts) == _peak_in_fractions(pts) == 2
+        assert _peak_index(_vertex_keys(pts)) == _peak_in_fractions(pts) == 2
 
     def test_ties_and_duplicates_give_the_first(self):
         pts = [(F(1, 2), 0), (F(1, 2), F(1, 4)), (F(2, 4), F(1, 4)), (0, F(1, 4))]
-        assert _peak_index(pts) == _peak_in_fractions(pts) == 1
+        assert _peak_index(_vertex_keys(pts)) == _peak_in_fractions(pts) == 1
 
     @seed(20261019)
     @settings(max_examples=100, deadline=None)
@@ -425,7 +454,7 @@ class TestPeakIndex:
                 data.draw(st.integers(0, len(points))),
                 data.draw(st.sampled_from(points)),
             )
-        assert _peak_index(points) == _peak_in_fractions(points)
+        assert _peak_index(_vertex_keys(points)) == _peak_in_fractions(points)
 
 
 def _incomparable_pair_quadratic(points):
@@ -442,6 +471,60 @@ def _incomparable_pair_quadratic(points):
             ):
                 return (maximal[i], maximal[j])
     return None
+
+
+def _incomparable_pair_in_fractions(points):
+    """The Fraction pair scan `componentwise_max` ran before the integer keys."""
+
+    def dominates(x, y):
+        return all(a >= b for a, b in zip(x, y))
+
+    maxima: list = []
+    for p in sorted(set(points), reverse=True):
+        if not any(dominates(q, p) for q in maxima):
+            maxima.append(p)
+    kept = set(maxima)
+    maximal = [p for p in points if p in kept]
+    for i in range(len(maximal)):
+        for j in range(i + 1, len(maximal)):
+            if not dominates(maximal[i], maximal[j]) and not dominates(
+                maximal[j], maximal[i]
+            ):
+                return (maximal[i], maximal[j])
+    return None
+
+
+class TestComponentwiseMaxCertificate:
+    def test_mixed_denominators_with_duplicates(self):
+        pts = [(F(1, 3), F(1, 2)), (F(2, 5), F(3, 7)), (F(1, 3), F(1, 2)), (F(-1, 6), 1)]
+        got = componentwise_max(pts)
+        assert got.vertex is None
+        assert got.certificate == _incomparable_pair_in_fractions(pts)
+        assert got.certificate == ((F(1, 3), F(1, 2)), (F(2, 5), F(3, 7)))
+
+    @seed(20261019)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.tuples(*[st.fractions(-2, 2, max_denominator=7)] * d), min_size=1, max_size=12
+            )
+        ),
+        st.data(),
+    )
+    def test_matches_the_fraction_pair_scan(self, points, data):
+        # Mixed denominators, with repeats of points already drawn.
+        for _ in range(data.draw(st.integers(0, 3))):
+            points.insert(
+                data.draw(st.integers(0, len(points))),
+                data.draw(st.sampled_from(points)),
+            )
+        got = componentwise_max(points)
+        if got.vertex is None:
+            assert got.certificate == _incomparable_pair_in_fractions(points)
+            assert all(type(x) is type(y) for x, y in zip(got.certificate[0], points[0]))
+        else:
+            assert _incomparable_pair_in_fractions(points) is None
 
 
 class TestIncomparablePair:
