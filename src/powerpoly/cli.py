@@ -13,11 +13,11 @@ deterministic; exit codes separate mathematical verdicts from failures:
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 from powerpoly import __version__
 from powerpoly.groebner import (
@@ -116,10 +116,14 @@ def _parse_test_json(payload: dict) -> TestFunction:
 
     try:
         n, k = _integer(payload["n"]), _integer(payload["k"])
-        values = {
-            tuple(_integer(v) for v in entry["x"]): phi(entry["phi"])
-            for entry in payload["values"]
-        }
+        ints = (int,) * k
+        values = {}
+        for entry in payload["values"]:
+            x = entry["x"]
+            x = tuple(x) if tuple(map(type, x)) == ints else tuple(_integer(v) for v in x)
+            if x in values:
+                raise CliError(f"malformed test-function JSON: count vector {list(x)} listed twice")
+            values[x] = phi(entry["phi"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed test-function JSON: {exc}") from exc
     return TestFunction(n, k, values)
@@ -320,7 +324,11 @@ def cmd_power_grid(args) -> int:
     step = top / (res - 1)
     # Cell i lies in the simplex iff sum(i) <= 1/step; no larger sum occurs.
     limit = min(int(1 / step), (res - 1) * (k - 1))
-    cells = [i for i in itertools.product(range(res), repeat=k - 1) if sum(i) <= limit]
+    if args.counter is not None:
+        args.counter.tick(_cell_count(res, k - 1, limit))
+    cells = [()]
+    for _ in range(k - 1):
+        cells = [c + (i,) for c in cells for i in range(min(res, limit - sum(c) + 1))]
     axis = [float(i * step) for i in range(res)]
     rest = [float(1 - s * step) for s in range(limit + 1)]
     coords = [repr(x) for x in axis]
@@ -330,6 +338,19 @@ def cmd_power_grid(args) -> int:
         lines.append(",".join([coords[i] for i in cell] + [repr(value)]))
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
+
+
+def _cell_count(res: int, dims: int, limit: int) -> int:
+    """How many index tuples in range(res)^dims sum to at most `limit`.
+
+    Inclusion-exclusion over the j coordinates forced to res or more:
+    sum_j (-1)^j C(dims, j) C(limit - j res + dims, dims).
+    """
+    return sum(
+        (-1) ** j * comb(dims, j) * comb(limit - j * res + dims, dims)
+        for j in range(dims + 1)
+        if j * res <= limit
+    )
 
 
 def _grid_values(beta: Polynomial, cells, axis, rest) -> list[float]:
@@ -454,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="UB existence for a polytope hypothesis")
     p.set_defaults(func=cmd_polytope_exists)
 
-    p = sub.add_parser("power-grid", parents=[test, out], help="CSV grid of exact power values")
+    p = sub.add_parser("power-grid", parents=[test, step_limit, out],
+                       help="CSV grid of exact power values")
     p.add_argument("--res", type=int, required=True, help="points per axis (>= 2)")
     p.add_argument("--max", default="1", help="grid upper bound per axis (rational)")
     p.set_defaults(func=cmd_power_grid)
@@ -495,7 +517,9 @@ def main(argv=None) -> int:
         # One budget for the whole command; commands without the flag get None.
         limit = getattr(args, "step_limit", None)
         args.counter = None if limit is None else StepCounter(limit)
-        return args.func(args)
+        # The parser is built once, so its `func` is the command as first
+        # bound; calling the module's binding now honours a later rebinding.
+        return globals()[args.func.__name__](args)
     except StepLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STEP_LIMIT

@@ -9,6 +9,16 @@ translation invertible.  One cached table of (pi_1 + ... + pi_k)^n
 coefficients, `polynomial.simplex_coefficients(k, n)`, supplies both the
 count vectors (its keys, in descending lex order) and the B_x (its values).
 
+Tests and power polynomials are built on integers, as fraction-free
+arithmetic does (Geddes, Czapor & Labahn, Algorithms for Computer
+Algebra, 1992): a `TestFunction` holds one integer numerator per count
+vector over one common denominator, every construction forms each c_x as an
+integer numerator over one denominator, and one integer box check,
+0 <= num_x <= den * B_x, guards every power polynomial, whether built
+here (`PowerPolynomial.from_numerators`) or given from outside
+(`PowerPolynomial(n, k, poly)`, `box_check`).  A Fraction is built only
+per nonzero term of a returned polynomial, or per value read.
+
 Everything here is exact except `monte_carlo_power`, the one
 deliberately float-based validation path.
 """
@@ -17,8 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import gcd, lcm
+from typing import Iterator, Mapping, Sequence
 
+from powerpoly.linalg import primitive_scaling
 from powerpoly.polynomial import Polynomial, _exponent, simplex_coefficients
 
 
@@ -27,44 +39,96 @@ def count_vectors(n: int, k: int) -> list[tuple[int, ...]]:
     return list(simplex_coefficients(k, n))
 
 
+class _Values(Mapping):
+    """Read-only view of a test as count vector -> Fraction, read off its numerators."""
+
+    __slots__ = ("_nums", "_den")
+
+    def __init__(self, nums: dict, den: int):
+        self._nums = nums
+        self._den = den
+
+    def __getitem__(self, x) -> Fraction:
+        return Fraction(self._nums[x], self._den)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+
 class TestFunction:
-    """Randomized test: count vector -> rejection probability in [0, 1]."""
+    """Randomized test: count vector -> rejection probability in [0, 1].
+
+    Stored as `nums`, one integer numerator per count vector in descending
+    lex order, over the common denominator `den`: the least one, so
+    gcd(den, *nums) = 1 and two tests are equal exactly when their `den`
+    and `nums` are.  `values` views them as Fractions.
+    """
 
     __test__ = False  # the name is statistics jargon, not a pytest class
 
-    __slots__ = ("n", "k", "values")
+    __slots__ = ("n", "k", "nums", "den")
 
     def __init__(self, n: int, k: int, values: Mapping[tuple[int, ...], Fraction]):
         if n < 1 or k < 2:
             raise ValueError("need n >= 1 and k >= 2")
-        table = dict.fromkeys(simplex_coefficients(k, n), Fraction(0))
-        exact: dict = {}  # each distinct phi once, converted and range-checked
+        slots = dict.fromkeys(simplex_coefficients(k, n), 0)
+        ints = (int,) * k
+        # Each distinct phi object is converted and range-checked once,
+        # looked up by id; `kept` holds the objects, so no id is reused.
+        exact: list = [0]
+        slot_of: dict[int, int] = {}
+        kept = []
         for x, phi in values.items():
-            x = tuple(v if type(v) is int else _exponent(v, x) for v in x)
-            if x not in table:
+            if tuple(map(type, x)) != ints:
+                x = tuple(v if type(v) is int else _exponent(v, x) for v in x)
+            if x not in slots:
                 raise ValueError(f"{x} is not a count vector for n={n}, k={k}")
-            try:
-                table[x] = exact[phi]
-            except (KeyError, TypeError):  # a new value, or an unhashable one
-                p = Fraction(phi)
+            slot = slot_of.get(id(phi))
+            if slot is None:
+                p = phi if type(phi) is Fraction else Fraction(phi)
                 if not 0 <= p <= 1:
-                    raise ValueError(f"phi({x}) = {p} outside [0, 1]") from None
-                table[x] = exact[phi] = p
+                    raise ValueError(f"phi({x}) = {p} outside [0, 1]")
+                slot = slot_of[id(phi)] = len(exact)
+                exact.append(p)
+                kept.append(phi)
+            slots[x] = slot
+        den = lcm(*(p.denominator for p in exact))
+        scaled = [p.numerator * (den // p.denominator) for p in exact]
         self.n = n
         self.k = k
-        self.values = table
+        self.nums = {x: scaled[slot] for x, slot in slots.items()}
+        self.den = den
+
+    @classmethod
+    def _of(cls, n: int, k: int, nums: dict, den: int) -> "TestFunction":
+        """Trusted constructor: adopts `nums` and `den` as they are.
+
+        The caller guarantees the invariants of the class: a numerator in
+        [0, den] for every count vector, in descending lex order, and
+        gcd(den, *nums) = 1.
+        """
+        phi = object.__new__(cls)
+        phi.n, phi.k, phi.nums, phi.den = n, k, nums, den
+        return phi
+
+    @property
+    def values(self) -> Mapping[tuple[int, ...], Fraction]:
+        return _Values(self.nums, self.den)
 
     def __call__(self, x: Sequence[int]) -> Fraction:
-        return self.values[tuple(x)]
+        return Fraction(self.nums[tuple(x)], self.den)
 
     def __eq__(self, other):
         return (
             isinstance(other, TestFunction)
-            and (self.n, self.k) == (other.n, other.k)
-            and self.values == other.values
+            and (self.n, self.k, self.den) == (other.n, other.k, other.den)
+            and self.nums == other.nums
         )
 
-    def items(self):
+    def items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """(count vector, phi) pairs in the canonical descending-lex order."""
         return list(self.values.items())
 
@@ -86,27 +150,41 @@ class BoxCheckResult:
         return self.ok
 
 
+_INSIDE = BoxCheckResult(True)
+
+
+def _integer_box_check(nums: Mapping, den: int, n: int, k: int) -> BoxCheckResult:
+    """The box check on integers: 0 <= nums[x] <= den * B_x for every count vector x.
+
+    `nums` maps count vectors to integer numerators over the positive
+    denominator `den`; an absent vector is 0, inside the box.  The first
+    violation in descending lex order is reported.
+    """
+    for x, bound in simplex_coefficients(k, n).items():
+        c = nums.get(x, 0)
+        if not 0 <= c <= den * bound:
+            coefficient = Fraction(c, den)
+            return BoxCheckResult(
+                False,
+                f"coefficient of index {x} is {coefficient}, outside [0, {bound}]",
+                index=x,
+                coefficient=coefficient,
+                bound=bound,
+            )
+    return _INSIDE
+
+
 def box_check(p: Polynomial, n: int, k: int) -> BoxCheckResult:
     """Is p a valid power polynomial (homogeneous degree n, boxed coefficients)?"""
     if p.nvars != k:
         return BoxCheckResult(False, f"polynomial has {p.nvars} variables, expected {k}")
     if p.is_zero():
-        return BoxCheckResult(True)
+        return _INSIDE
     if not p.is_homogeneous(n):
         return BoxCheckResult(False, f"not homogeneous of degree {n}")
-    # Absent coefficients are 0, inside the box; the first violation is
-    # the first in descending lex order.
-    for x, bound in simplex_coefficients(k, n).items():
-        c = p.terms.get(x)
-        if c is not None and not 0 <= c <= bound:
-            return BoxCheckResult(
-                False,
-                f"coefficient of index {x} is {c}, outside [0, {bound}]",
-                index=x,
-                coefficient=c,
-                bound=bound,
-            )
-    return BoxCheckResult(True)
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    nums = {x: c.numerator * (den // c.denominator) for x, c in p.terms.items()}
+    return _integer_box_check(nums, den, n, k)
 
 
 @dataclass(frozen=True)
@@ -118,25 +196,54 @@ class PowerPolynomial:
     poly: Polynomial
 
     def __post_init__(self):
-        check = box_check(self.poly, self.n, self.k)
-        if not check:
-            raise ValueError(f"not a power polynomial: {check.reason}")
+        _require_box(box_check(self.poly, self.n, self.k))
+
+    @staticmethod
+    def from_numerators(n: int, k: int, nums: Mapping, den: int) -> "PowerPolynomial":
+        """sum nums[x] / den * pi^x, box-checked on the integers.
+
+        `nums` maps count vectors to integer numerators over the positive
+        denominator `den`, in the term order wanted; one Fraction is built
+        per nonzero term.
+        """
+        _require_box(_integer_box_check(nums, den, n, k))
+        poly = Polynomial._of(k, {x: Fraction(c, den) for x, c in nums.items() if c})
+        beta = object.__new__(PowerPolynomial)
+        for name, value in (("n", n), ("k", k), ("poly", poly)):
+            object.__setattr__(beta, name, value)
+        return beta
 
 
-def _power_function(phi: TestFunction) -> Polynomial:
-    """sum phi(x) B_x pi^x, the power function of phi."""
-    bounds = simplex_coefficients(phi.k, phi.n)
-    return Polynomial._of(phi.k, {x: v * bounds[x] for x, v in phi.values.items() if v})
+def _require_box(check: BoxCheckResult):
+    if not check:
+        raise ValueError(f"not a power polynomial: {check.reason}")
 
 
 def test_to_power(phi: TestFunction) -> PowerPolynomial:
-    return PowerPolynomial(phi.n, phi.k, _power_function(phi))
+    """beta = sum phi(x) B_x pi^x: numerators phi.nums[x] * B_x over phi.den."""
+    bounds = simplex_coefficients(phi.k, phi.n).values()
+    nums = {x: c * bound for (x, c), bound in zip(phi.nums.items(), bounds)}
+    return PowerPolynomial.from_numerators(phi.n, phi.k, nums, phi.den)
 
 
 def recover_test(beta: PowerPolynomial) -> TestFunction:
-    """Invert test_to_power by coefficientwise division."""
+    """Invert test_to_power by coefficientwise division.
+
+    c_x = N / D in lowest terms gives phi(x) = N / (D B_x), which in
+    lowest terms is (N / g) / (D B_x / g) with g = gcd(N, B_x); the
+    numerators are then scaled to the lcm of those denominators.
+    """
     bounds = simplex_coefficients(beta.k, beta.n)
-    return TestFunction(beta.n, beta.k, {x: c / bounds[x] for x, c in beta.poly.terms.items()})
+    reduced = {}
+    for x, c in beta.poly.terms.items():
+        num, bound = c.numerator, bounds[x]
+        g = gcd(num, bound)
+        reduced[x] = (num // g, c.denominator * (bound // g))
+    den = lcm(*(d for _, d in reduced.values()))
+    nums = dict.fromkeys(bounds, 0)
+    for x, (num, d) in reduced.items():
+        nums[x] = num * (den // d)
+    return TestFunction._of(beta.n, beta.k, nums, den)
 
 
 def normalize_to_power(beta_tilde: Polynomial, n: int, k: int):
@@ -146,36 +253,63 @@ def normalize_to_power(beta_tilde: Polynomial, n: int, k: int):
     making every coefficient nonnegative, then scale by the largest a > 0
     respecting the upper box bounds.  Returns (power, a, b); on a null set
     where beta_tilde <= 0 with supremum 0 the induced test has size a*b.
+
+    On integers: the homogenized coefficients are (g / den) P_x with P
+    primitive, b = (g / den) b_n / b_d with b_n / b_d = max(0, max -P_x / B_x),
+    the shifted coefficients are (g / den) T_x / b_d with
+    T_x = b_d P_x + b_n B_x >= 0, and with a_n / a_d = min B_x / T_x over
+    T_x > 0 the power polynomial's numerators are a_n T_x over a_d.
     """
     if beta_tilde.nvars != k:
         raise ValueError(f"expected {k} variables, got {beta_tilde.nvars}")
     if beta_tilde.total_degree() > n:
         raise ValueError("degree exceeds the sample size")
     hom = beta_tilde.homogenize(n)
-    level = Polynomial.simplex_power(k, n)
     bounds = simplex_coefficients(k, n)
-    coeff = hom.coefficient
-    x0 = next(iter(bounds))
-    if not hom.terms or all(
-        coeff(x) * bounds[x0] == coeff(x0) * bound for x, bound in bounds.items()
-    ):
+    ints, g, den = primitive_scaling(hom.terms.values())
+    coeff = dict.fromkeys(bounds, 0)
+    coeff.update(zip(hom.terms, ints))
+    top = coeff[next(iter(bounds))]  # B = 1 at the first count vector
+    if not hom.terms or all(c == top * bound for c, bound in zip(coeff.values(), bounds.values())):
         raise ValueError("polynomial is constant on the simplex")
-    b = max(Fraction(0), max(-coeff(x) / bound for x, bound in bounds.items()))
+    b_n, b_d = 0, 1
+    for c, bound in zip(coeff.values(), bounds.values()):
+        if -c * b_d > b_n * bound:
+            b_n, b_d = -c, bound
+    shifted = [b_d * c + b_n * bound for c, bound in zip(coeff.values(), bounds.values())]
     # Every shifted coefficient is >= 0, and not all are 0, for then hom
     # would be -b times the level polynomial.
-    a = min(bound / s for x, bound in bounds.items() if (s := coeff(x) + b * bound) > 0)
-    scaled = a * (hom + b * level)
-    return PowerPolynomial(n, k, scaled), a, b
+    a_n, a_d = 0, 0
+    for t, bound in zip(shifted, bounds.values()):
+        if t > 0 and (not a_d or bound * a_d < a_n * t):
+            a_n, a_d = bound, t
+    nums = {x: a_n * t for x, t in zip(bounds, shifted)}
+    power = PowerPolynomial.from_numerators(n, k, nums, a_d)
+    return power, Fraction(b_d * a_n * den, g * a_d), Fraction(g * b_n, den * b_d)
 
 
 def exact_power(phi: TestFunction, point: Sequence) -> Fraction:
-    """E_pi(phi) = sum phi(x) B_x pi^x, exactly."""
+    """E_pi(phi) = sum phi(x) B_x pi^x, exactly.
+
+    With the coordinates N_i / d over one denominator, the sum is
+    sum nums[x] B_x N^x over den d^n, one Fraction at the end.
+    """
     pt = [Fraction(v) for v in point]
     if len(pt) != phi.k:
         raise ValueError(f"point has {len(pt)} coordinates, expected {phi.k}")
     if any(v < 0 for v in pt) or sum(pt) != 1:
         raise ValueError("point is not on the probability simplex")
-    return _power_function(phi).evaluate(pt)
+    d = lcm(*(v.denominator for v in pt))
+    bases = [v.numerator * (d // v.denominator) for v in pt]
+    total = 0
+    bounds = simplex_coefficients(phi.k, phi.n).values()
+    for (x, c), bound in zip(phi.nums.items(), bounds):
+        if c:
+            term = c * bound
+            for base, e in zip(bases, x):
+                term *= base**e
+            total += term
+    return Fraction(total, phi.den * d**phi.n)
 
 
 @dataclass(frozen=True)
@@ -214,7 +348,8 @@ def monte_carlo_power(
     draws = draws[np.lexsort(draws.T[::-1])]
     starts = np.flatnonzero(np.r_[True, (draws[1:] != draws[:-1]).any(axis=1)])
     counts = np.diff(np.r_[starts, reps])
-    pr = np.array([float(phi.values[tuple(row)]) for row in draws[starts].tolist()])
+    nums, den = phi.nums, phi.den  # num / den is float(Fraction(num, den)), bit for bit
+    pr = np.array([nums[tuple(row)] / den for row in draws[starts].tolist()])
     coin = (pr > 0.0) & (pr < 1.0)
     rejected = int(counts[pr >= 1.0].sum()) + int(rng.binomial(counts[coin], pr[coin]).sum())
     est = rejected / reps

@@ -148,17 +148,30 @@ class UMPUPower:
 
 
 def _level(shape: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
-    """c_alpha * shape + alpha * (sum pi)^n with the largest c_alpha inside the box."""
+    """c_alpha * shape + alpha * (sum pi)^n with the largest c_alpha inside the box.
+
+    On integers: shape = (g / den) P with P primitive (`primitive_scaling`)
+    and alpha = p / q.  Term x caps c_alpha at (1 - alpha) B_x / s_x when
+    s_x > 0 and at alpha B_x / -s_x when s_x < 0, that is at
+    den / (q g) times r_x, with r_x = (q - p) B_x / P_x or p B_x / -P_x.
+    With c_n / c_d the least r_x, the x-coefficient of beta is
+    (c_n P_x + p c_d B_x) / (q c_d).
+    """
     bounds = simplex_coefficients(shape.nvars, n)
-    caps = [
-        (1 - alpha) * bounds[x] / c if c > 0 else alpha * bounds[x] / -c
-        for x, c in shape.terms.items()
-    ]
-    if not caps:
+    ints, g, den = primitive_scaling(shape.terms.values())
+    p, q = alpha.numerator, alpha.denominator
+    c_n, c_d = 0, 0
+    for x, c in zip(shape.terms, ints):
+        r_n, r_d = ((q - p) * bounds[x], c) if c > 0 else (p * bounds[x], -c)
+        if not c_d or r_n * c_d < c_n * r_d:
+            c_n, c_d = r_n, r_d
+    if not c_d:
         raise ValueError("zero separating polynomial")
-    c_alpha = min(caps)
-    beta = c_alpha * shape + alpha * Polynomial.simplex_power(shape.nvars, n)
-    return UMPUPower(c_alpha, PowerPolynomial(n, shape.nvars, beta))
+    nums = {x: p * c_d * bound for x, bound in bounds.items()}
+    for x, c in zip(shape.terms, ints):
+        nums[x] += c_n * c
+    beta = PowerPolynomial.from_numerators(n, shape.nvars, nums, q * c_d)
+    return UMPUPower(Fraction(den * c_n, q * g * c_d), beta)
 
 
 def principal_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:

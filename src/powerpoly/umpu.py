@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from powerpoly.groebner import StepCounter
@@ -135,16 +135,22 @@ class CoefficientPolytope:
         """beta = f~^2 h + alpha (sum pi)^n: its L-term is phi_L(h) = c_L.h + alpha B_L.
 
         c_L.h is read off L's upper row as (a_u.h) (1 - alpha) B_L / b_u.
+        On integers, with h = (g / d) H, alpha = p / q and m the lcm of
+        the b_u, the L-term is B_L (p d m + g (q - p) (a_u.H) m / b_u)
+        over q d m.
         """
-        terms = {}
+        ints, g, d = primitive_scaling(coeffs)
+        p, q = self.alpha.numerator, self.alpha.denominator
+        m = lcm(*(row[1] for _, _, row in self.multiindices if row is not None))
+        level, share = p * d * m, g * (q - p)
+        nums = {}
         for L, bound, row in self.multiindices:
-            c = self.alpha * bound
+            c = level
             if row is not None:
                 a, b = row
-                c += sum(x * h for x, h in zip(a, coeffs) if x) * (1 - self.alpha) * bound / b
-            if c:
-                terms[L] = c
-        return PowerPolynomial(self.n, self.k, Polynomial._of(self.k, terms))
+                c += share * (m // b) * sum(map(mul, a, ints))
+            nums[L] = bound * c
+        return PowerPolynomial.from_numerators(self.n, self.k, nums, q * d * m)
 
 
 def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientPolytope:

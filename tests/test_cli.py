@@ -184,6 +184,42 @@ def test_test_function_phi_refuses_inexact_values(phi, shown, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: malformed test-function JSON: {shown}\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["power-grid", "--res", "3"], ["mc-validate", "--pi", "1/2,1/2", "--reps", "10"]],
+    ids=["power-grid", "mc-validate"],
+)
+def test_test_function_refuses_a_repeated_count_vector(command, tmp_path, capsys):
+    # Keeping the last phi listed would read this file as the all-zero test.
+    path = tmp_path / "phi.json"
+    values = [{"x": [2, 0], "phi": "1"}, {"x": [1, 1], "phi": "0"}, {"x": [2, 0], "phi": "0"}]
+    path.write_text(json.dumps({"n": 2, "k": 2, "values": values}))
+    code, out = run_cli([command[0], "--test", str(path), *command[1:]])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: malformed test-function JSON: count vector [2, 0] listed twice\n"
+    )
+
+
+def test_commands_dispatch_through_the_module_binding(monkeypatch, tmp_path):
+    # The parser is built once per process; a wrapper installed on the
+    # module after the first call, as a tracer installs one, must be the
+    # command the next call runs.
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(to_json(TestFunction.constant(2, 2, F(1, 2)))))
+    argv = ["power-grid", "--test", str(path), "--res", "3"]
+    first = run_cli(argv)
+    original, seen = cli.cmd_power_grid, []
+
+    def wrapper(args):
+        seen.append(args.res)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_power_grid", wrapper)
+    assert run_cli(argv) == first
+    assert seen == [3]
+
+
 @pytest.mark.parametrize("bad", ["", "p 1", "2p"])
 def test_names_the_grammar_cannot_match_are_refused(bad, tmp_path, capsys):
     # No token is ever read as such a name, yet "p1,,p2" used to be accepted.
@@ -270,7 +306,7 @@ OPTION_TABLE = [
     (
         ["power-grid", "--test", "t.json", "--res", "3"],
         "cmd_power_grid",
-        {"test": "t.json", "res": 3, "max": "1", "out": None},
+        {"test": "t.json", "res": 3, "max": "1", "step_limit": None, "out": None},
     ),
     (
         ["recover-test", "--beta", "p1^2", "--vars", "p1,p2", "--n", "2"],
@@ -644,6 +680,34 @@ class TestRoundTripCommands:
         lines = out.splitlines()
         assert lines[0] == "pi_1,pi_2,pi_3,power"
         assert len(lines) == 1 + 27
+
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    @pytest.mark.parametrize("res", [2, 3, 5, 8])
+    def test_cell_count_matches_enumeration(self, res, dims):
+        for limit in range((res - 1) * dims + 1):
+            cells = itertools.product(range(res), repeat=dims)
+            want = sum(1 for i in cells if sum(i) <= limit)
+            assert cli._cell_count(res, dims, limit) == want
+
+    def test_grid_step_limit_is_one_step_per_cell(self, tmp_path):
+        test_json = tmp_path / "phi4.json"
+        test_json.write_text(json.dumps(to_json(TestFunction.constant(2, 4, F(1, 3)))))
+        argv = ["power-grid", "--test", str(test_json), "--res", "5", "--max", "2/3"]
+        code, out = run_cli(argv)
+        cells = len(out.splitlines()) - 1
+        assert (code, cells) == (0, 72)
+        assert run_cli(argv + ["--step-limit", str(cells)]) == (0, out)
+        assert run_cli(argv + ["--step-limit", str(cells - 1)]) == (3, "")
+
+    def test_oversized_grid_exits_at_its_step_limit(self, tmp_path, capsys):
+        # 21 count vectors at k = 6: a res-101 grid has 96,560,646 cells in
+        # the simplex, refused before any is built.
+        test_json = tmp_path / "phi6.json"
+        test_json.write_text(json.dumps(to_json(TestFunction.constant(2, 6, F(1, 2)))))
+        argv = ["power-grid", "--test", str(test_json), "--res", "101", "--step-limit", "1000000"]
+        assert run_cli(argv) == (3, "")
+        assert capsys.readouterr().err == "error: computation exceeded step limit 1000000\n"
+        assert cli._cell_count(101, 5, 100) == 96_560_646
 
     def test_mc_validate_rejects_point_off_simplex(self, tmp_path, capsys):
         test_json = str(tmp_path / "phi3.json")

@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from powerpoly.power import (
     max_statistic_test,
 )
 
-from conftest import multinomial
+from conftest import monomials_of_degree, multinomial
 
 F = Fraction
 VARS2 = ["p1", "p2"]
@@ -34,6 +35,25 @@ VARS3 = ["p1", "p2", "p3"]
 
 
 class TestTestFunction:
+    def test_values_are_a_read_only_view_of_the_numerators(self):
+        phi = TestFunction(2, 2, {(2, 0): F(1, 3), (1, 1): F(1, 2)})
+        assert (phi.den, phi.nums) == (6, {(2, 0): 2, (1, 1): 3, (0, 2): 0})
+        assert dict(phi.values) == {(2, 0): F(1, 3), (1, 1): F(1, 2), (0, 2): 0}
+        with pytest.raises(TypeError):
+            phi.values[(0, 2)] = F(1)
+        assert phi((0, 2)) == 0
+
+    def test_distinct_values_are_not_hashed(self):
+        # One conversion per distinct object, found by identity: a value
+        # repeated over every count vector is never hashed.
+        class Unhashed(Fraction):
+            def __hash__(self):
+                raise AssertionError("phi value hashed")
+
+        third = Unhashed(1, 3)
+        phi = TestFunction(3, 3, dict.fromkeys(count_vectors(3, 3), third))
+        assert phi == TestFunction.constant(3, 3, F(1, 3))
+
     def test_domain_is_all_count_vectors(self):
         phi = TestFunction(3, 3, {})
         assert len(phi.values) == 10  # C(3+2, 2)
@@ -364,3 +384,175 @@ class TestRoundTripProperties:
         value = exact_power(phi, pt)
         assert 0 <= value <= 1
         assert value == to_power(phi).poly.evaluate(pt)
+
+
+# -- Fraction oracles: the bodies the integer constructions replaced ------------
+
+
+def _bounds(k, n):
+    return {x: multinomial(n, x) for x in monomials_of_degree(k, n)}
+
+
+def _box_check_oracle(p, n, k):
+    """(ok, reason, index, coefficient, bound) by Fraction comparisons."""
+    if p.nvars != k:
+        return (False, f"polynomial has {p.nvars} variables, expected {k}", None, None, None)
+    if p.is_zero():
+        return (True, "", None, None, None)
+    if not p.is_homogeneous(n):
+        return (False, f"not homogeneous of degree {n}", None, None, None)
+    for x, bound in _bounds(k, n).items():
+        c = p.terms.get(x)
+        if c is not None and not 0 <= c <= bound:
+            return (False, f"coefficient of index {x} is {c}, outside [0, {bound}]", x, c, bound)
+    return (True, "", None, None, None)
+
+
+def _fields(check):
+    return (check.ok, check.reason, check.index, check.coefficient, check.bound)
+
+
+def _test_to_power_oracle(n, k, values):
+    bounds = _bounds(k, n)
+    return Polynomial(k, {x: v * bounds[x] for x, v in values.items() if v})
+
+
+def _recover_test_oracle(beta):
+    bounds = _bounds(beta.k, beta.n)
+    out = dict.fromkeys(bounds, F(0))
+    out.update({x: c / bounds[x] for x, c in beta.poly.terms.items()})
+    return out
+
+
+def _normalize_oracle(beta_tilde, n, k):
+    hom = beta_tilde.homogenize(n)
+    level = Polynomial.simplex_power(k, n)
+    bounds = _bounds(k, n)
+    coeff = hom.coefficient
+    x0 = next(iter(bounds))
+    if not hom.terms or all(
+        coeff(x) * bounds[x0] == coeff(x0) * bound for x, bound in bounds.items()
+    ):
+        raise ValueError("polynomial is constant on the simplex")
+    b = max(F(0), max(-coeff(x) / bound for x, bound in bounds.items()))
+    a = min(bound / s for x, bound in bounds.items() if (s := coeff(x) + b * bound) > 0)
+    return a * (hom + b * level), a, b
+
+
+PHI_DENOMINATORS = (1, 3, 6, 16)
+
+
+@st.composite
+def mixed_fractions(draw, low=0, high=1):
+    """Fractions in [low, high] over 1, 3, 6 or 16, with the box ends drawn often."""
+    kind = draw(st.sampled_from(("low", "high", "inner", "inner")))
+    if kind != "inner":
+        return F(low if kind == "low" else high)
+    d = draw(st.sampled_from(PHI_DENOMINATORS))
+    return F(draw(st.integers(int(low * d), int(high * d))), d)
+
+
+@st.composite
+def mixed_values(draw, max_n=5, max_k=4):
+    """(n, k, phi values) with phi over mixed denominators, 0 and 1 included."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(2, max_k))
+    return n, k, {x: draw(mixed_fractions()) for x in count_vectors(n, k)}
+
+
+@st.composite
+def simplex_points(draw, k):
+    weights = draw(st.lists(st.integers(0, 7), min_size=k, max_size=k).filter(any))
+    return [F(w, sum(weights)) for w in weights]
+
+
+class TestIntegerConstructionsMatchFractionOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_values())
+    def test_test_function_and_round_trip(self, case):
+        n, k, values = case
+        phi = TestFunction(n, k, values)
+        assert dict(phi.values) == values
+        assert gcd(phi.den, *phi.nums.values()) == 1
+        beta = to_power(phi)
+        assert beta.poly == _test_to_power_oracle(n, k, values)
+        assert list(beta.poly.terms) == [x for x in count_vectors(n, k) if values[x]]
+        back = recover_test(beta)
+        assert dict(back.values) == _recover_test_oracle(beta) == values
+        assert back == phi and (back.den, back.nums) == (phi.den, phi.nums)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_values(max_n=4, max_k=3), st.data())
+    def test_exact_power(self, case, data):
+        n, k, values = case
+        pt = data.draw(simplex_points(k))
+        want = _test_to_power_oracle(n, k, values).evaluate(pt)
+        assert exact_power(TestFunction(n, k, values), pt) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_values(max_n=4, max_k=3), st.data())
+    def test_monte_carlo_reads_the_fraction_floats(self, case, data):
+        # num / den per distinct vector is float(phi(x)), bit for bit.
+        n, k, values = case
+        phi = TestFunction(n, k, values)
+        point = [float(v) for v in data.draw(simplex_points(k))]
+        seed = data.draw(st.integers(0, 2**32))
+        assert all(c / phi.den == float(values[x]) for x, c in phi.nums.items())
+        assert monte_carlo_power(phi, point, 500, seed) == _monte_carlo_oracle(
+            phi, point, 500, seed
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 3), st.data())
+    def test_box_check_inside_outside_and_on_the_boundary(self, n, k, data):
+        bounds = _bounds(k, n)
+        share = mixed_fractions(F(-1, 2), F(3, 2)) if data.draw(st.booleans()) else mixed_fractions()
+        coeffs = {x: data.draw(share) * bound for x, bound in bounds.items()}
+        p = Polynomial(k, coeffs)
+        want = _box_check_oracle(p, n, k)
+        assert _fields(box_check(p, n, k)) == want
+        nums = {x: c * 48 for x, c in coeffs.items()}  # 48 clears 3, 6 and 16
+        assert all(c.denominator == 1 for c in nums.values())
+        nums = {x: int(c) for x, c in nums.items()}
+        if want[0]:
+            assert PowerPolynomial(n, k, p).poly == p
+            assert PowerPolynomial.from_numerators(n, k, nums, 48).poly == p
+        else:
+            message = re.escape(f"not a power polynomial: {want[1]}")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                PowerPolynomial(n, k, p)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                PowerPolynomial.from_numerators(n, k, nums, 48)
+
+    def test_box_check_messages_unchanged(self):
+        cases = [
+            (parse_polynomial("p1^2 + 2*p1*p2 - 1/3*p2^2", VARS2), 2, 2),
+            (parse_polynomial("p1^2 + 5/2*p1*p2", VARS2), 2, 2),
+            (parse_polynomial("p1^2 + p2", VARS2), 2, 2),
+            (parse_polynomial("p1^2", VARS2), 2, 3),
+        ]
+        for p, n, k in cases:
+            want = _box_check_oracle(p, n, k)
+            assert not want[0]
+            assert _fields(box_check(p, n, k)) == want
+            with pytest.raises(ValueError, match=re.escape(f"not a power polynomial: {want[1]}")):
+                PowerPolynomial(n, k, p)
+        assert box_check(parse_polynomial("p1^2 + 5/2*p1*p2", VARS2), 2, 2).reason == (
+            "coefficient of index (1, 1) is 5/2, outside [0, 2]"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(2, 3), st.data())
+    def test_normalize_to_power(self, n, k, data):
+        monos = [m for d in range(n + 1) for m in monomials_of_degree(k, d)]
+        share = mixed_fractions(F(-2), F(2))
+        beta_tilde = Polynomial(k, {m: data.draw(share) for m in monos})
+        try:
+            want = _normalize_oracle(beta_tilde, n, k)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                normalize_to_power(beta_tilde, n, k)
+            return
+        beta, a, b = normalize_to_power(beta_tilde, n, k)
+        assert (beta.poly, a, b) == want
+        assert type(a) is F and type(b) is F

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerpoly import (
+    Polynomial,
     MonomialOrder,
     buchberger_reduced,
     build_hypothesis,
@@ -16,8 +19,11 @@ from powerpoly import (
     union_separating,
 )
 from powerpoly.groebner import GroebnerBasis
+from powerpoly.polynomial import simplex_coefficients
 from powerpoly.power import box_check
-from powerpoly.threshold import EXACT
+from powerpoly.threshold import EXACT, _level
+
+from conftest import monomials_of_degree
 
 F = Fraction
 VARS3 = ["p1", "p2", "p3"]
@@ -223,6 +229,55 @@ class TestPrincipalUMPU:
             res = principal_umpu(f, n, a * b)
             assert res.beta.poly == beta_norm.poly
             assert res.c_alpha == a
+
+
+def _level_oracle(shape, n, alpha):
+    """The Fraction body `_level` replaced: (c_alpha, beta polynomial)."""
+    bounds = simplex_coefficients(shape.nvars, n)
+    caps = [
+        (1 - alpha) * bounds[x] / c if c > 0 else alpha * bounds[x] / -c
+        for x, c in shape.terms.items()
+    ]
+    c_alpha = min(caps)
+    return c_alpha, c_alpha * shape + alpha * Polynomial.simplex_power(shape.nvars, n)
+
+
+#: Levels near 0, 1/2 and 1.
+ALPHAS = [F(1, 10**6), F(1, 20), F(499, 1000), F(1, 2), F(501, 1000), F(19, 20), F(10**6 - 1, 10**6)]
+
+
+class TestLevelOnIntegers:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5), st.integers(2, 4), st.sampled_from(ALPHAS), st.data())
+    def test_matches_fraction_oracle(self, n, k, alpha, data):
+        # Homogeneous shapes with coefficients over 1, 3, 6 and 16.
+        coeff = st.builds(
+            F, st.integers(-20, 20), st.sampled_from([1, 3, 6, 16])
+        )
+        monos = monomials_of_degree(k, n)
+        chosen = data.draw(st.lists(st.sampled_from(monos), min_size=1, unique=True))
+        shape = Polynomial(k, {m: data.draw(coeff) for m in chosen})
+        if shape.is_zero():
+            with pytest.raises(ValueError, match="zero separating polynomial"):
+                _level(shape, n, alpha)
+            return
+        c_alpha, beta = _level_oracle(shape, n, alpha)
+        res = _level(shape, n, alpha)
+        assert res.c_alpha == c_alpha and type(res.c_alpha) is F
+        assert res.beta.poly == beta
+        assert box_check(res.beta.poly, n, k)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_principal_and_semialgebraic(self, alpha):
+        hyp = build_hypothesis({"kind": "sphere", "params": {"k": 3, "delta_sq": "1/6"}})
+        f = hyp.generators[0]
+        for n in (4, 6):
+            c_alpha, beta = _level_oracle((f * f).homogenize(n), n, alpha)
+            res = principal_umpu(f, n, alpha)
+            assert (res.c_alpha, res.beta.poly) == (c_alpha, beta)
+            c_alpha, beta = _level_oracle(f.homogenize(n), n, alpha)
+            res = semialgebraic_umpu(f, n, alpha)
+            assert (res.c_alpha, res.beta.poly) == (c_alpha, beta)
 
 
 class TestSemialgebraicUMPU:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from powerpoly.linalg import primitive_ints
 from powerpoly.linprog import EQ, LE, solve_lp
 from powerpoly.polynomial import MonomialOrder
 from powerpoly.polytope import enumerate_vertices_dd
+from powerpoly.power import box_check
 from powerpoly.umpu import (
     CANDIDATE,
     EXISTS,
@@ -301,6 +303,42 @@ def test_power_polynomial_from_rows_matches_the_product(text, k, n, alpha):
         beta = poly.power_polynomial(v)
         assert beta.poly == ftilde * ftilde * poly.h_polynomial(v) + level
         assert (beta.n, beta.k) == (n, k)
+
+
+def _power_polynomial_oracle(poly, coeffs):
+    """The Fraction body `CoefficientPolytope.power_polynomial` replaced."""
+    terms = {}
+    for L, bound, row in poly.multiindices:
+        c = poly.alpha * bound
+        if row is not None:
+            a, b = row
+            c += sum(x * h for x, h in zip(a, coeffs) if x) * (1 - poly.alpha) * bound / b
+        if c:
+            terms[L] = c
+    return Polynomial(poly.k, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([("p1 + p2 - p3", 3), ("2*p1 + p2 - p3", 3), ("p1 - p2", 4)]),
+    st.sampled_from([F(1, 1000), F(1, 20), F(1, 2), F(501, 1000), F(999, 1000)]),
+    st.data(),
+)
+def test_power_polynomial_on_integers_matches_fraction_oracle(case, alpha, data):
+    # Inside: a vertex or a mixture of two; outside: a vertex pushed past
+    # its box, which must fail with the message of the Fraction check.
+    text, n = case
+    poly = enumerate_vertices(coefficient_polytope(P(text), n, alpha))
+    first, second = (data.draw(st.sampled_from(poly.vertices)) for _ in range(2))
+    t = data.draw(st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(5)]))
+    h = tuple((1 - t) * u + t * v for u, v in zip(first, second))
+    want = _power_polynomial_oracle(poly, h)
+    if box_check(want, n, poly.k):
+        assert poly.power_polynomial(h).poly == want
+    else:
+        message = f"not a power polynomial: {box_check(want, n, poly.k).reason}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            poly.power_polynomial(h)
 
 
 class TestVertexGoldens:
