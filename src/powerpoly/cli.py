@@ -126,7 +126,12 @@ def _parse_test_json(payload: dict) -> TestFunction:
             values[x] = phi(entry["phi"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed test-function JSON: {exc}") from exc
-    return TestFunction(n, k, values)
+    phi = TestFunction(n, k, values)
+    # Every listed vector is a count vector now: name the first one left out.
+    missing = next((x for x in phi.nums if x not in values), None)
+    if missing is not None:
+        raise CliError(f"malformed test-function JSON: count vector {list(missing)} missing")
+    return phi
 
 
 def test_to_json(phi: TestFunction) -> dict:

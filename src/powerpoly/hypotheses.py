@@ -10,7 +10,9 @@ face), log-odds hypotheses reduce to binomials, and exact null points
 come from four constructions: positive rank r - 1 products (independence,
 rank_lt), positive mixtures of the vertices of one double description
 (affine, symmetry, polytope), a line search on the sphere, and positive
-points rescaled onto the log-odds binomial.
+points rescaled onto the log-odds binomial.  Every linear null set is one
+row list, `_polytope_rows` over the first k - 1 coordinates, for both the
+existence check and the vertex mixtures.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from powerpoly.polynomial import (
     table_index,
     table_names,
 )
-from powerpoly.polytope import enumerate_vertices_dd, vertex_faces
+from powerpoly.polytope import enumerate_vertices_dd, vertex_faces, vertex_keys
 
 
 class UnsupportedSampling(ValueError):
@@ -577,23 +579,22 @@ def _sample_linear(h: NullHypothesis, count: int, base: int):
     """Mixtures of the vertices of P0, the simplex cut by linear equations
     (the generators of affine and symmetry) or halfspaces (polytope).
 
-    One double description on ambient `<=` rows: -x <= 0, sum(x) <= 1 and
-    -sum(x) <= -1, each generator c.x + c0 = 0 as c.x <= -c0 and
-    -c.x <= c0, and each polytope row a.x' >= b as -a.x' <= -b.
+    One double description on `_polytope_rows` over x' = (x_1 .. x_k-1),
+    the rows `polytope_existence` reads: each polytope row a.x' >= b, and
+    each generator c.x + c0 = 0, with x_k = 1 - sum(x'), as the two rows
+    +-(c' - c_k).x' >= +-(c_k + c0).  Each vertex gets x_k back; x_k is a
+    function of x', so the vertices keep their lex order.
     """
     k = h.k
-    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
-    rows = [[-v for v in e] for e in unit] + [[1] * k, [-1] * k]
-    rhs = [0] * k + [1, -1]
+    a_rows, b = list(h.polytope_a), list(h.polytope_b)
     for g in h.generators:
-        c = [g.terms.get(e, 0) for e in unit]
+        c = [g.terms.get(tuple(int(i == j) for j in range(k)), 0) for i in range(k)]
         c0 = g.terms.get((0,) * k, 0)
-        rows += [c, [-v for v in c]]
-        rhs += [-c0, c0]
-    for a, b in zip(h.polytope_a, h.polytope_b):
-        rows.append([-v for v in a] + [0])
-        rhs.append(-b)
-    vertices = enumerate_vertices_dd(rows, rhs)
+        row = [v - c[-1] for v in c[:-1]]
+        a_rows += [row, [-v for v in row]]
+        b += [-c[-1] - c0, c[-1] + c0]
+    rows, rhs = _polytope_rows(a_rows, b, k - 1)
+    vertices = [(*v, 1 - sum(v)) for v in enumerate_vertices_dd(rows, rhs)]
     # A mixture with positive weights is positive in coordinate i exactly
     # when some vertex is.
     if not all(any(v[i] for v in vertices) for i in range(k)):
@@ -604,16 +605,14 @@ def _sample_linear(h: NullHypothesis, count: int, base: int):
 def _vertex_mixtures(vertices: Sequence[Sequence[Fraction]], count: int, base: int):
     """`count` points sum_v w_v v, the weights w > 0 a normalized Halton point.
 
-    The vertices are integers over their common denominator and the
-    weights over theirs, so each distinct column of vertex coordinates
-    (a symmetric table repeats its off-diagonal ones) is one Fraction.
+    The vertices are integers over their common denominator (`vertex_keys`)
+    and the weights over theirs, so each distinct column of vertex
+    coordinates (a symmetric table repeats its off-diagonal ones) is one
+    Fraction.
     """
-    den = lcm(*(c.denominator for v in vertices for c in v))
+    keys, den = vertex_keys(vertices)
     slots: dict = {}
-    index = [
-        slots.setdefault(col, len(slots))
-        for col in zip(*([c.numerator * (den // c.denominator) for c in v] for v in vertices))
-    ]
+    index = [slots.setdefault(col, len(slots)) for col in zip(*keys)]
     out = []
     for t in range(count):
         w = _halton_ints(base + t, len(vertices))[0]

@@ -8,7 +8,10 @@ decides how many intermediate rays are built but not the output.  The
 vertices are sorted on integer keys, every coordinate over one common
 denominator, and each distinct coordinate value becomes one Fraction:
 vertices share few values (4 among the 2,048 coordinates of a k = 8
-coefficient polytope).
+coefficient polytope).  `vertex_keys` is the one way back to integers,
+keys over one common denominator with each shared Fraction converted
+once: the UMPU search, the componentwise maximum and the null-point
+mixtures read the vertices through it, and the ray box below its extremes.
 
 `vertex_faces` also gives each input row's face: the bitmask of the
 vertices on the row, read off the rays' tight masks.  Every facet of a
@@ -141,6 +144,22 @@ def _sorted_vertices(
     frac = {x: Fraction(x, scale) for x in set().union(*keys)}
     vertices = [tuple(map(frac.__getitem__, keys[i])) for i in order]
     return vertices, [points[i] for i in order]
+
+
+def vertex_keys(vertices: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], int]:
+    """The vertices as integer tuples over one common denominator: (keys, den).
+
+    Coordinate v of a vertex is key / den.  The keys compare, coordinate
+    by coordinate, as the ints or Fractions they stand for, and equal
+    keys are equal vertices.  Vertices from double description share
+    their coordinate objects (one Fraction per distinct value), so each
+    distinct object is converted once, looked up by id; the objects stay
+    alive in `vertices`, so no id is reused meanwhile.
+    """
+    objs = {id(x): x for v in vertices for x in v}
+    den = lcm(*{x.denominator for x in objs.values()})
+    key = {i: x.numerator * (den // x.denominator) for i, x in objs.items()}
+    return [tuple(map(key.__getitem__, map(id, v))) for v in vertices], den
 
 
 def _extreme_rays(
@@ -287,12 +306,13 @@ def _extreme_rays(
     return cone, rays
 
 
-def _ray_box(rays: list[_Ray]) -> tuple[list[int], list[int], int]:
+def _ray_box(rays: list[_Ray]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """The box spanned by the points x/t of rays that all have t > 0.
 
     Returns (lo, hi, den): lo[i] / den and hi[i] / den are the least and
     the greatest x_i / t over the rays.  Each extreme is found by integer
-    cross-multiplication (t > 0), and only the extremes become Fractions.
+    cross-multiplication (t > 0), and only the extremes become Fractions,
+    read back over one denominator by `vertex_keys`.
     """
     lo, hi = [], []
     for i in range(len(rays[0].vec) - 1):
@@ -306,12 +326,8 @@ def _ray_box(rays: list[_Ray]) -> tuple[list[int], list[int], int]:
                 y, s = v, w
         lo.append(Fraction(x, t))
         hi.append(Fraction(y, s))
-    den = lcm(*(f.denominator for f in lo + hi))
-    return (
-        [f.numerator * (den // f.denominator) for f in lo],
-        [f.numerator * (den // f.denominator) for f in hi],
-        den,
-    )
+    (lo, hi), den = vertex_keys((lo, hi))
+    return lo, hi, den
 
 
 def irredundant_rows(a: Sequence[Sequence], b: Sequence) -> list[int]:

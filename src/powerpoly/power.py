@@ -17,7 +17,8 @@ integer numerator over one denominator, and one integer box check,
 0 <= num_x <= den * B_x, guards every power polynomial, whether built
 here (`PowerPolynomial.from_numerators`) or given from outside
 (`PowerPolynomial(n, k, poly)`, `box_check`).  A Fraction is built only
-per nonzero term of a returned polynomial, or per value read.
+per nonzero term of a returned polynomial, or per count vector when a
+test's `values` are read.
 
 Everything here is exact except `monte_carlo_power`, the one
 deliberately float-based validation path.
@@ -28,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from powerpoly.linalg import primitive_scaling
 from powerpoly.polynomial import Polynomial, _exponent, simplex_coefficients
@@ -39,32 +41,14 @@ def count_vectors(n: int, k: int) -> list[tuple[int, ...]]:
     return list(simplex_coefficients(k, n))
 
 
-class _Values(Mapping):
-    """Read-only view of a test as count vector -> Fraction, read off its numerators."""
-
-    __slots__ = ("_nums", "_den")
-
-    def __init__(self, nums: dict, den: int):
-        self._nums = nums
-        self._den = den
-
-    def __getitem__(self, x) -> Fraction:
-        return Fraction(self._nums[x], self._den)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        return iter(self._nums)
-
-    def __len__(self) -> int:
-        return len(self._nums)
-
-
 class TestFunction:
     """Randomized test: count vector -> rejection probability in [0, 1].
 
     Stored as `nums`, one integer numerator per count vector in descending
     lex order, over the common denominator `den`: the least one, so
     gcd(den, *nums) = 1 and two tests are equal exactly when their `den`
-    and `nums` are.  `values` views them as Fractions.
+    and `nums` are.  `values` gives them as a read-only mapping of
+    Fractions, built on each access.
     """
 
     __test__ = False  # the name is statistics jargon, not a pytest class
@@ -116,7 +100,7 @@ class TestFunction:
 
     @property
     def values(self) -> Mapping[tuple[int, ...], Fraction]:
-        return _Values(self.nums, self.den)
+        return MappingProxyType({x: Fraction(c, self.den) for x, c in self.nums.items()})
 
     def __call__(self, x: Sequence[int]) -> Fraction:
         return Fraction(self.nums[tuple(x)], self.den)

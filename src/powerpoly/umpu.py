@@ -15,7 +15,9 @@ is a face of the polytope, and a face's vertices are the polytope's
 vertices lying on it (Ziegler, Lectures on Polytopes, 1995).  Each
 maximum is therefore a max over the surviving vertices, and a layer's
 maxima are jointly feasible exactly when some surviving vertex attains
-all of them.
+all of them.  The maxima and ties are compared on the vertices' integer
+keys (`polytope.vertex_keys`), the face is carried as vertex indices,
+and h* and the certificate are read back from the vertex list by index.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 from powerpoly.groebner import StepCounter
 from powerpoly.linalg import primitive_scaling
 from powerpoly.polynomial import MonomialOrder, Polynomial, simplex_coefficients
-from powerpoly.polytope import enumerate_vertices_dd, hull_vertices, irredundant_rows
+from powerpoly.polytope import enumerate_vertices_dd, hull_vertices, irredundant_rows, vertex_keys
 from powerpoly.power import PowerPolynomial
 
 GREVLEX = MonomialOrder.GREVLEX
@@ -238,7 +240,7 @@ def componentwise_max(vertices: Sequence[Sequence[Fraction]]) -> ComponentwiseMa
     vs = [tuple(v) for v in vertices]
     if not vs:
         raise ValueError("empty vertex list")
-    keys = _vertex_keys(vs)
+    keys = vertex_keys(vs)[0]
     top = _peak_index(keys)
     if top is not None:
         return ComponentwiseMax(vertex=vs[top])
@@ -246,23 +248,7 @@ def componentwise_max(vertices: Sequence[Sequence[Fraction]]) -> ComponentwiseMa
     pair = _incomparable_pair(keys)
     if pair is None:
         raise AssertionError("internal: no maximum vertex yet no incomparable pair")
-    return ComponentwiseMax(vertex=None, certificate=tuple(vs[keys.index(p)] for p in pair))
-
-
-def _vertex_keys(vertices: Sequence[Sequence[Fraction]]) -> list[tuple[int, ...]]:
-    """The vertices as integer tuples, every coordinate over one common denominator.
-
-    The keys compare, coordinate by coordinate, as the ints or Fractions
-    they stand for, and equal keys are equal vertices.  Vertices share
-    their coordinate objects (double description makes one Fraction per
-    distinct value), so each distinct object is converted once, looked up
-    by id; the objects stay alive in `vertices`, so no id is reused
-    meanwhile.
-    """
-    objs = {id(x): x for v in vertices for x in v}
-    den = lcm(*{x.denominator for x in objs.values()})
-    key = {i: x.numerator * (den // x.denominator) for i, x in objs.items()}
-    return [tuple(map(key.__getitem__, map(id, v))) for v in vertices]
+    return ComponentwiseMax(vertex=None, certificate=(vs[pair[0]], vs[pair[1]]))
 
 
 def _peak_index(points: list[tuple]) -> int | None:
@@ -335,8 +321,8 @@ def umpu_search(
     assert poly.vertices is not None
     # Every maximum and tie is read off the vertices' integer keys, built
     # once; the per-coordinate maxima form a vertex exactly when one vertex
-    # dominates all others.
-    keys = _vertex_keys(poly.vertices)
+    # dominates all others.  The face is carried as vertex indices.
+    keys = vertex_keys(poly.vertices)[0]
     top = _peak_index(keys)
     if top is not None:
         peak = poly.vertices[top]
@@ -350,29 +336,27 @@ def umpu_search(
 
     layers = convex_peeling(poly.k, poly.nprime, counter)
     position = {J: i for i, J in enumerate(poly.h_index)}
-    face = keys
+    face = range(len(keys))
     for layer_no, layer in enumerate(layers):
         if counter is not None:
             counter.tick()
-        maxima = {position[J]: max(v[position[J]] for v in face) for J in layer}
-        attained = [v for v in face if all(v[pos] == m for pos, m in maxima.items())]
+        face_keys = [keys[i] for i in face]
+        maxima = {position[J]: max(v[position[J]] for v in face_keys) for J in layer}
+        attained = [i for i, v in zip(face, face_keys) if all(v[p] == m for p, m in maxima.items())]
         if not attained:
             # Project each coordinate's lex-smallest maximizer onto the layer.
+            # None of them attains every maximum (it would be in `attained`),
+            # so the projections have no maximum and hold an incomparable pair.
             layer_pos = sorted(maxima)
-            argmax = [next(v for v in face if v[pos] == maxima[pos]) for pos in layer_pos]
-            pair = _incomparable_pair([tuple([v[q] for q in layer_pos]) for v in argmax])
-            # The keys order as the vertices do: project the pair's vertices.
-            projection = {
-                tuple([v[q] for q in layer_pos]): tuple(
-                    [poly.vertices[keys.index(v)][q] for q in layer_pos]
-                )
-                for v in argmax
-            }
+            argmax = [next(i for i in face if keys[i][p] == maxima[p]) for p in layer_pos]
+            pair = _incomparable_pair([tuple([keys[i][q] for q in layer_pos]) for i in argmax])
             return UMPUVerdict(
                 status=NOT_EXISTS,
                 c_vertices=poly.vertices,
                 failing_layer=layer_no,
-                certificate=None if pair is None else tuple(map(projection.__getitem__, pair)),
+                certificate=tuple(
+                    tuple([poly.vertices[argmax[j]][q] for q in layer_pos]) for j in pair
+                ),
                 reason=(
                     f"projected layer {layer_no} has no componentwise maximum: "
                     "per-coordinate maxima are jointly infeasible"
@@ -381,7 +365,7 @@ def umpu_search(
         face = attained
 
     # The layers cover every coordinate, so the face is the single vertex h*.
-    h_star = poly.vertices[keys.index(face[0])]
+    h_star = poly.vertices[face[0]]
     return UMPUVerdict(
         status=CANDIDATE,
         h_star=poly.h_polynomial(h_star),
@@ -391,8 +375,8 @@ def umpu_search(
     )
 
 
-def _incomparable_pair(points):
-    """The first incomparable pair among the maximal points, in input order."""
+def _incomparable_pair(points) -> tuple[int, int] | None:
+    """Indices of the first incomparable pair among the maximal points, in input order."""
 
     def dominates(x, y):
         return all(a >= b for a, b in zip(x, y))
@@ -405,11 +389,9 @@ def _incomparable_pair(points):
         if not any(dominates(q, p) for q in maxima):
             maxima.append(p)
     kept = set(maxima)
-    maximal = [p for p in points if p in kept]
-    for i in range(len(maximal)):
-        for j in range(i + 1, len(maximal)):
-            if not dominates(maximal[i], maximal[j]) and not dominates(
-                maximal[j], maximal[i]
-            ):
-                return (maximal[i], maximal[j])
+    maximal = [i for i, p in enumerate(points) if p in kept]
+    for i, a in enumerate(maximal):
+        for b in maximal[i + 1 :]:
+            if not dominates(points[a], points[b]) and not dominates(points[b], points[a]):
+                return (a, b)
     return None

@@ -201,6 +201,33 @@ def test_test_function_refuses_a_repeated_count_vector(command, tmp_path, capsys
     )
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["power-grid", "--res", "3"], ["mc-validate", "--pi", "1/3,1/3,1/3", "--reps", "10"]],
+    ids=["power-grid", "mc-validate"],
+)
+def test_test_function_refuses_a_missing_count_vector(command, tmp_path, capsys):
+    # Reading the vectors left out as phi = 0 would answer for a test
+    # nobody wrote; the first one missing, in descending lex order, is named.
+    path = tmp_path / "phi.json"
+    values = [{"x": [3, 0, 0], "phi": "1"}, {"x": [0, 0, 3], "phi": "0"}]
+    path.write_text(json.dumps({"n": 3, "k": 3, "values": values}))
+    code, out = run_cli([command[0], "--test", str(path), *command[1:]])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: malformed test-function JSON: count vector [2, 1, 0] missing\n"
+    )
+
+
+def test_test_function_missing_vector_is_named_after_validation(tmp_path, capsys):
+    # Entries are validated first, so a bad vector keeps its own message.
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({"n": 2, "k": 2, "values": [{"x": [3, 0], "phi": "1"}]}))
+    code, out = run_cli(["power-grid", "--test", str(path), "--res", "3"])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: (3, 0) is not a count vector for n=2, k=2\n"
+
+
 def test_commands_dispatch_through_the_module_binding(monkeypatch, tmp_path):
     # The parser is built once per process; a wrapper installed on the
     # module after the first call, as a tracer installs one, must be the

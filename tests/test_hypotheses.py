@@ -681,6 +681,75 @@ def test_vertex_mixtures_match_the_fraction_loop():
         assert hypotheses._vertex_mixtures(vertices, count, base) == expected
 
 
+def _sample_linear_on_ambient_rows(h, count, seed):
+    """The linear sampler before it read `_polytope_rows`: one double
+    description on ambient rows over all k coordinates, the simplex as
+    -x <= 0 with sum(x) = 1 as two rows."""
+    k = h.k
+    unit = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    rows = [[-v for v in e] for e in unit] + [[1] * k, [-1] * k]
+    rhs = [0] * k + [1, -1]
+    for g in h.generators:
+        c = [g.terms.get(e, 0) for e in unit]
+        c0 = g.terms.get((0,) * k, 0)
+        rows += [c, [-v for v in c]]
+        rhs += [-c0, c0]
+    for a, b in zip(h.polytope_a, h.polytope_b):
+        rows.append([-v for v in a] + [0])
+        rhs.append(-b)
+    vertices = enumerate_vertices_dd(rows, rhs)
+    if not all(any(v[i] for v in vertices) for i in range(k)):
+        raise ValueError(f"{h.family} hypothesis has no relative-interior simplex point")
+    return hypotheses._vertex_mixtures(vertices, count, seed * 7919 + 1)
+
+
+def _points_or_refusal(sample, *args):
+    try:
+        return sample(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+_LINEAR_SPECS = [
+    {"kind": "symmetry", "params": {"p": 2}},
+    {"kind": "symmetry", "params": {"p": 3}},
+    {"kind": "symmetry", "params": {"p": 4}},
+    {"kind": "affine", "params": {"C": [[1, -1, 0]], "d": [0], "k": 3}},
+    {"kind": "affine", "params": {"C": [[1, -1, 0, 0], [0, 0, 1, -2]], "d": [0, 0], "k": 4}},
+    {"kind": "affine", "params": {"C": [[2, 1, 0, -1, 0]], "d": ["1/3"], "k": 5}},
+    {"kind": "affine", "params": {"C": [[1, -1]], "d": [0], "k": 2}},
+    # sum(p) = 1 itself: the substituted rows are 0 >= 0.
+    {"kind": "affine", "params": {"C": [[1, 1, 1]], "d": [1], "k": 3}},
+    {"kind": "polytope", "params": {"A": [[-1, 1], [-1, -2]], "b": [0, -1], "k": 3}},
+    {"kind": "polytope", "params": {"A": [[-1, 0], [0, -1]], "b": ["-3/4", "-3/4"], "k": 3}},
+    {"kind": "polytope", "params": {"A": [[1, 0, 0], [0, 1, -1]], "b": ["1/5", 0], "k": 4}},
+    # Refused: boundary slices, a contradiction of sum(p) = 1, an empty
+    # set, P0 in a simplex facet, and an empty polytope.
+    {"kind": "affine", "params": {"C": [[1, 0, 0]], "d": [0], "k": 3}},
+    {"kind": "affine", "params": {"C": [[1, 1, 1]], "d": [2], "k": 3}},
+    {"kind": "affine", "params": {"C": [[1, 0, 0], [1, 0, 0]], "d": ["1/4", "1/2"], "k": 3}},
+    {"kind": "affine", "params": {"C": [[1, 1, 0, 0]], "d": [1], "k": 4}},
+    {"kind": "polytope", "params": {"A": [[-1, 0]], "b": [0], "k": 3}},
+    {"kind": "polytope", "params": {"A": [[1, 1]], "b": [2], "k": 3}},
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 11])
+@pytest.mark.parametrize("spec", _LINEAR_SPECS, ids=lambda spec: json.dumps(spec["params"]))
+def test_linear_sampling_matches_the_ambient_rows(spec, seed):
+    h = build_hypothesis(spec)
+    expected = _points_or_refusal(_sample_linear_on_ambient_rows, h, 10, seed)
+    assert _points_or_refusal(sample_null_points, h, 10, seed) == expected
+
+
+def test_linear_oracle_specs_cover_the_refusals():
+    outcomes = [
+        _points_or_refusal(sample_null_points, build_hypothesis(spec), 3, 0)
+        for spec in _LINEAR_SPECS
+    ]
+    assert sum(isinstance(o, str) for o in outcomes) == 6
+
+
 def test_polytope_in_a_simplex_facet_is_refused():
     # -p1 >= 0 holds P0 in the facet p1 = 0, where no point is interior.
     h = build_hypothesis({"kind": "polytope", "params": {"A": [[-1, 0]], "b": [0], "k": 3}})

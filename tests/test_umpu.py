@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from powerpoly import (
 from powerpoly.linalg import primitive_ints
 from powerpoly.linprog import EQ, LE, solve_lp
 from powerpoly.polynomial import MonomialOrder
-from powerpoly.polytope import enumerate_vertices_dd
+from powerpoly.polytope import enumerate_vertices_dd, vertex_keys
 from powerpoly.power import box_check
 from powerpoly.umpu import (
     CANDIDATE,
@@ -31,7 +32,6 @@ from powerpoly.umpu import (
     HRow,
     _incomparable_pair,
     _peak_index,
-    _vertex_keys,
 )
 
 from conftest import (
@@ -464,13 +464,13 @@ def _peak_in_fractions(points):
 class TestPeakIndex:
     def test_mixed_denominators(self):
         pts = [(F(1, 3), F(1, 2)), (F(2, 5), F(3, 7)), (F(2, 5), F(1, 2)), (F(-1, 6), 1)]
-        assert _peak_index(_vertex_keys(pts)) == _peak_in_fractions(pts) == None
+        assert _peak_index(vertex_keys(pts)[0]) == _peak_in_fractions(pts) == None
         pts[3] = (F(-1, 6), F(1, 2))
-        assert _peak_index(_vertex_keys(pts)) == _peak_in_fractions(pts) == 2
+        assert _peak_index(vertex_keys(pts)[0]) == _peak_in_fractions(pts) == 2
 
     def test_ties_and_duplicates_give_the_first(self):
         pts = [(F(1, 2), 0), (F(1, 2), F(1, 4)), (F(2, 4), F(1, 4)), (0, F(1, 4))]
-        assert _peak_index(_vertex_keys(pts)) == _peak_in_fractions(pts) == 1
+        assert _peak_index(vertex_keys(pts)[0]) == _peak_in_fractions(pts) == 1
 
     @seed(20261019)
     @settings(max_examples=100, deadline=None)
@@ -492,7 +492,7 @@ class TestPeakIndex:
                 data.draw(st.integers(0, len(points))),
                 data.draw(st.sampled_from(points)),
             )
-        assert _peak_index(_vertex_keys(points)) == _peak_in_fractions(points)
+        assert _peak_index(vertex_keys(points)[0]) == _peak_in_fractions(points)
 
 
 def _incomparable_pair_quadratic(points):
@@ -565,13 +565,20 @@ class TestComponentwiseMaxCertificate:
             assert _incomparable_pair_in_fractions(points) is None
 
 
+def _incomparable_points(points):
+    """The points at the indices `_incomparable_pair` returns, or None."""
+    pair = _incomparable_pair(points)
+    return None if pair is None else (points[pair[0]], points[pair[1]])
+
+
 class TestIncomparablePair:
     def test_repeated_maximum_is_no_pair(self):
         assert _incomparable_pair([(1, 1), (0, 1), (1, 1)]) is None
 
     def test_pair_in_input_order(self):
         pts = [(0, 0), (0, 2), (1, 1), (2, 0)]
-        assert _incomparable_pair(pts) == ((0, 2), (1, 1))
+        assert _incomparable_pair(pts) == (1, 2)
+        assert _incomparable_points(pts) == ((0, 2), (1, 1))
 
     @seed(20250613)
     @settings(max_examples=300, deadline=None)
@@ -590,7 +597,10 @@ class TestIncomparablePair:
                 data.draw(st.integers(0, len(points))),
                 data.draw(st.sampled_from(points)),
             )
-        assert _incomparable_pair(points) == _incomparable_pair_quadratic(points)
+        assert _incomparable_points(points) == _incomparable_pair_quadratic(points)
+        # The indices are each point's first occurrence, as `list.index` gave.
+        pair = _incomparable_pair(points)
+        assert pair is None or all(points.index(points[i]) == i for i in pair)
 
 
 class TestConvexPeeling:
@@ -738,3 +748,84 @@ def test_vertex_search_matches_lp_replay(text, k, n, alpha, status):
     if status == NOT_EXISTS:
         a, b = verdict.certificate
         assert any(x > y for x, y in zip(a, b)) and any(y > x for x, y in zip(a, b))
+
+
+def _umpu_search_by_keys(f, n, alpha):
+    """The search `umpu_search` ran before it carried vertex indices.
+
+    The face is a list of key tuples, the pair is found among the layer
+    projections as points, and h* and the certificate are mapped back by
+    `keys.index` and a projection dict.  Returns (status, h*, failing
+    layer, certificate), h* as a vertex.
+    """
+    poly = enumerate_vertices(coefficient_polytope(f, n, alpha))
+    keys = vertex_keys(poly.vertices)[0]
+    top = _peak_index(keys)
+    if top is not None:
+        return EXISTS, poly.vertices[top], None, None
+    position = {J: i for i, J in enumerate(poly.h_index)}
+    face = keys
+    for layer_no, layer in enumerate(convex_peeling(poly.k, poly.nprime)):
+        maxima = {position[J]: max(v[position[J]] for v in face) for J in layer}
+        attained = [v for v in face if all(v[pos] == m for pos, m in maxima.items())]
+        if not attained:
+            layer_pos = sorted(maxima)
+            argmax = [next(v for v in face if v[pos] == maxima[pos]) for pos in layer_pos]
+            pair = _incomparable_pair_in_fractions(
+                [tuple([v[q] for q in layer_pos]) for v in argmax]
+            )
+            projection = {
+                tuple([v[q] for q in layer_pos]): tuple(
+                    [poly.vertices[keys.index(v)][q] for q in layer_pos]
+                )
+                for v in argmax
+            }
+            certificate = None if pair is None else tuple(map(projection.__getitem__, pair))
+            return NOT_EXISTS, None, layer_no, certificate
+        face = attained
+    return CANDIDATE, poly.vertices[keys.index(face[0])], None, None
+
+
+def _random_principal_specs():
+    """Linear f with random small coefficients: k = 3 at n <= 4 and k = 4 at
+    n <= 3, two per (k, n, alpha), drawn from one seeded generator."""
+    rng = random.Random(20261019)
+    specs = []
+    for k, sizes in ((3, (2, 3, 4)), (4, (2, 3))):
+        for n in sizes:
+            for alpha in (F(1, 20), F(1, 10), F(1, 2)):
+                for _ in range(2):
+                    coeffs = [0] * k
+                    while not any(coeffs):
+                        coeffs = [rng.randint(-3, 3) for _ in range(k)]
+                    specs.append((coeffs, n, alpha))
+    return specs
+
+
+@pytest.mark.parametrize(
+    "coeffs, n, alpha",
+    [
+        *_random_principal_specs(),
+        # The paper's no-UMPU example, at every level.
+        *[([2, 1, -1], n, alpha) for n in (3, 4) for alpha in (F(1, 20), F(1, 10), F(1, 2))],
+        # Larger polytopes, under a second each: 2,304 to 4,711 vertices at
+        # k = 3, n = 5, and 1,088 and 2,535 at k = 4, n = 4.
+        ([1, 1, 0], 5, F(1, 20)),
+        ([2, -3, 3], 5, F(1, 20)),
+        ([2, -2, 2], 5, F(1, 10)),
+        ([-3, 3, 0, 1], 4, F(1, 10)),
+        ([1, -1, 1, -1], 4, F(1, 20)),
+    ],
+)
+def test_search_by_index_matches_the_key_search(coeffs, n, alpha):
+    k = len(coeffs)
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    f = Polynomial(k, {e: F(c) for e, c in zip(units, coeffs) if c})
+    verdict = umpu_search(f, n, alpha)
+    status, h, failing_layer, certificate = _umpu_search_by_keys(f, n, alpha)
+    poly = coefficient_polytope(f, n, alpha)
+    assert verdict.status == status
+    assert verdict.h_star == (None if h is None else poly.h_polynomial(h))
+    assert verdict.beta == (None if h is None else poly.power_polynomial(h))
+    assert verdict.failing_layer == failing_layer
+    assert verdict.certificate == certificate
