@@ -166,6 +166,11 @@ def cmd_gb(args) -> int:
 def _threshold_payload(hyp: NullHypothesis, args) -> dict:
     names = hyp.substituted_names()
     if hyp.family == "rank_lt":
+        if args.weights is not None or args.assert_gradient:
+            raise CliError(
+                "rank_lt hypotheses take neither --weights nor --assert-gradient: "
+                "their bounds and witnesses come from the bounded-rank theorem"
+            )
         report = rank_threshold(hyp.params["p"], hyp.params["q"], hyp.params["r"])
         witness_names = list(hyp.names)
     else:

@@ -35,8 +35,11 @@ an exponent reaches 2^15, and under a graded order no exponent met in a
 division exceeds the dividend's degree, so each input's degree and each
 S-pair's lcm degree is checked against 2^15 (`DEGREE_LIMIT`) and a
 ValueError names the limit.  Term maps are packed once on entry
-(`Packing.pack`) and unpacked once on exit (`Packing.unpack`); leading
-monomials, pair lcms and the pair criteria stay on exponent tuples.
+(`Packing.pack`) and unpacked once on exit (`Packing.unpack`).  The
+pair loop stays packed too: each pending pair holds the packed lcm of
+its leading monomials (`Packing.lcm`), the coprime criterion compares it
+with their sum, and the chain criterion and the minimalization test
+divisibility by the same guarded subtract (`Packing.divides`).
 
 Radical membership uses the Rabinowitsch trick: f vanishes on the complex
 variety of `gens` iff 1 lies in <gens, 1 - y*f> in a ring with one extra
@@ -59,9 +62,6 @@ from powerpoly.polynomial import (
     MonomialOrder,
     Packing,
     Polynomial,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
     packed_addmul,
 )
 
@@ -201,10 +201,15 @@ def _s_pair(a: tuple, b: tuple, lcm: int) -> dict:
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     """x^u f / lc(f) - x^v g / lc(g), with x^u lm(f) = x^v lm(g) their lcm."""
+    if f.nvars != g.nvars:
+        raise ValueError(f"variable count mismatch in S-polynomial: {f.nvars} vs {g.nvars}")
+    if f.is_zero() or g.is_zero():
+        raise ValueError("the zero polynomial has no S-polynomial")
     packing = Packing(f.nvars, order)
     fp, gp = packing.pack(f.terms)[0], packing.pack(g.terms)[0]
     a, b = _form(min(fp), fp)[0], _form(min(gp), gp)[0]
-    lcm = packing.key(mono_lcm(packing.mono(a[0]), packing.mono(b[0])))
+    lcm, deg = packing.lcm(a[0], b[0])
+    packing.check(deg)
     # x^u f / lc(f) = x^u A / lc_a, so the integer S-pair is lcm(lc_a, lc_b)
     # times this one.
     den = a[1] * b[1] // gcd(a[1], b[1])
@@ -249,16 +254,17 @@ def buchberger_reduced(
         forms.setdefault((form[0], form[1], frozenset(form[2].items())), form)
     basis = list(forms.values())
 
-    lead = [packing.mono(b[0]) for b in basis]
-    # Pending pair (i, j), i < j, mapped to the lcm of its leading monomials,
-    # and a min-heap of (lcm degree, i, j) over the same pairs.
-    pairs: dict[tuple[int, int], tuple[int, ...]] = {}
+    divides = packing.divides
+    lead = [b[0] for b in basis]
+    # Pending pair (i, j), i < j, mapped to the packed lcm of its leading
+    # monomials, and a min-heap of (lcm degree, i, j) over the same pairs.
+    pairs: dict[tuple[int, int], int] = {}
     queue: list[tuple[int, int, int]] = []
 
     def add_pairs(j: int):
         for i in range(j):
-            lcm = pairs[i, j] = mono_lcm(lead[i], lead[j])
-            heappush(queue, (sum(lcm), i, j))
+            pairs[i, j], deg = packing.lcm(lead[i], lead[j])
+            heappush(queue, (deg, i, j))
 
     for j in range(len(basis)):
         add_pairs(j)
@@ -266,26 +272,24 @@ def buchberger_reduced(
     while queue:
         if counter is not None:
             counter.tick()
-        _, i, j = heappop(queue)
+        deg, i, j = heappop(queue)
         lcm = pairs.pop((i, j))
         # Coprime criterion: lcm equal to the product means S reduces to 0.
-        if lcm == mono_mul(lead[i], lead[j]):
+        if lcm == lead[i] + lead[j]:
             continue
         # Chain criterion: a third element dividing the lcm whose pairs with
         # i and j are both settled makes this pair redundant.
-        skip = False
-        for m in range(len(basis)):
-            if m in (i, j):
-                continue
-            if mono_divides(lead[m], lcm):
-                pim = (min(i, m), max(i, m))
-                pjm = (min(j, m), max(j, m))
-                if pim not in pairs and pjm not in pairs:
-                    skip = True
-                    break
-        if skip:
+        if any(
+            m != i
+            and m != j
+            and divides(lm, lcm)
+            and (min(i, m), max(i, m)) not in pairs
+            and (min(j, m), max(j, m)) not in pairs
+            for m, lm in enumerate(lead)
+        ):
             continue
-        s = _s_pair(basis[i], basis[j], packing.key(lcm))
+        packing.check(deg)
+        s = _s_pair(basis[i], basis[j], lcm)
         if not s:
             continue
         r, _ = _divide(s, basis, packing, counter)
@@ -294,23 +298,16 @@ def buchberger_reduced(
             # monomial is the leading one.
             lm = next(iter(r))
             basis.append(_form(lm, r)[0])
-            lead.append(packing.mono(lm))
+            lead.append(lm)
             add_pairs(len(basis) - 1)
 
     # Minimalize: drop elements whose leading monomial another one divides
-    # (ties broken by keeping the earliest).
-    keep: list[tuple] = []
-    for i, g in enumerate(basis):
-        lm = lead[i]
-        redundant = False
-        for j in range(len(basis)):
-            if j == i or not mono_divides(lead[j], lm):
-                continue
-            if lead[j] != lm or j < i:
-                redundant = True
-                break
-        if not redundant:
-            keep.append(g)
+    # (of equal leading monomials the earliest is kept).
+    keep = [
+        g
+        for i, (g, lm) in enumerate(zip(basis, lead))
+        if not any(divides(m, lm) and (m != lm or j < i) for j, m in enumerate(lead))
+    ]
     # Interreduce in one pass. No leading monomial of a minimal basis divides
     # another, so each remainder keeps its element's leading monomial, and
     # reducing by the unreduced others already gives the reduced basis.

@@ -32,6 +32,13 @@ Groebner core always packs 16-bit words and checks its degrees against
 `DEGREE_LIMIT`.  Scaling every coefficient by one nonzero rational
 cancels exactly the terms the rational products cancel, so the output
 terms come in the same order as a Fraction loop over the same terms.
+
+The packed ints are also the one definition of the monomial orders and
+of monomial arithmetic: `leading_monomial` and `sorted_terms` (and so
+every printed polynomial) sort on `Packing.key`, and the Groebner pair
+loop takes its lcms and divisibility tests from `Packing.lcm` and
+`Packing.divides`, so monomials stay packed from the pair loop through
+to printing.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heappush
 from math import comb, lcm
-from operator import neg
 from struct import Struct
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -51,32 +57,11 @@ from powerpoly.linalg import primitive_scaling
 Exponents = tuple[int, ...]
 
 
-# -- monomial and term-map arithmetic ----------------------------------------
-# Monomials are tuples of non-negative ints; term maps are dicts from
-# monomial to a nonzero Fraction (or a nonzero int in integer term maps).
-
-
-def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_div(a: Exponents, b: Exponents) -> Exponents | None:
-    """a / b, or None when b does not divide a."""
-    out = []
-    for x, y in zip(a, b):
-        d = x - y
-        if d < 0:
-            return None
-        out.append(d)
-    return tuple(out)
-
-
-def mono_divides(b: Exponents, a: Exponents) -> bool:
-    return all(y <= x for x, y in zip(a, b))
-
-
-def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x if x >= y else y for x, y in zip(a, b))
+# -- monomials and term maps -------------------------------------------------
+# A `Polynomial` keys its terms by exponent tuples of non-negative ints;
+# every order, product, division and lcm of monomials runs on their packed
+# ints (`Packing`).  Term maps are dicts from monomial to a nonzero
+# Fraction (or a nonzero int in integer term maps).
 
 
 def _exponent(e, mono) -> int:
@@ -110,38 +95,12 @@ def simplex_coefficients(k: int, n: int) -> Mapping[Exponents, int]:
     return MappingProxyType(out)
 
 
-def _grlex_key(a: Exponents):
-    return (sum(a), a)
-
-
-def _grevlex_key(a: Exponents):
-    return (sum(a), tuple(map(neg, reversed(a))))
-
-
-# Heap keys reverse the order, so a min-heap pops the largest monomial first.
-def _grlex_heap_key(a: Exponents):
-    return (-sum(a), tuple(map(neg, a)))
-
-
-def _grevlex_heap_key(a: Exponents):
-    return (-sum(a), a[::-1])
-
-
 class MonomialOrder(enum.Enum):
-    """Graded monomial orders (total degree first, stated tie-break)."""
+    """Graded monomial orders (total degree first, stated tie-break); the
+    keys of `Packing` define them."""
 
     GRLEX = "grlex"
     GREVLEX = "grevlex"
-
-    @property
-    def key(self):
-        """Sort key function: key(a) > key(b) iff monomial a > monomial b."""
-        return _grlex_key if self is MonomialOrder.GRLEX else _grevlex_key
-
-    @property
-    def heap_key(self):
-        """Min-heap key function: heap_key(a) < heap_key(b) iff a > b."""
-        return _grlex_heap_key if self is MonomialOrder.GRLEX else _grevlex_heap_key
 
 
 #: Order used everywhere a caller does not say otherwise (matches the
@@ -161,14 +120,16 @@ class Packing:
     the guard bits `guard` clear, and `mono(k)` the exponent tuple.  The
     fields are the words of P, so one struct call packs or unpacks them:
     little-endian puts x_n in the most significant field, big-endian x_1.
+    `divides(a, b)` and `lcm(a, b)` read the fields of two packed
+    monomials with one guarded subtract, so no tuple is built.
     `degree` is the top total degree the caller packs or reaches by
     products: below 2^15 the words are 16 bits wide, otherwise 64.
     """
 
-    __slots__ = ("nvars", "sign", "top", "mask", "guard", "limit", "_struct", "_endian")
+    __slots__ = ("nvars", "sign", "width", "top", "mask", "guard", "limit", "_struct", "_endian")
 
     def __init__(self, nvars: int, order: MonomialOrder = DEFAULT_ORDER, degree: int = 0):
-        bits = 16 if degree < DEGREE_LIMIT else 64
+        self.width = bits = 16 if degree < DEGREE_LIMIT else 64
         self.limit = 1 << (bits - 1)
         self.check(degree)
         grevlex = order is MonomialOrder.GREVLEX
@@ -194,6 +155,27 @@ class Packing:
 
     def bits(self, k: int) -> int:
         return (self.sign * k) & self.mask
+
+    def divides(self, a: int, b: int) -> bool:
+        """True iff the packed monomial a divides b: subtracting a field
+        larger than b's borrows that field's guard bit and no other."""
+        guard = self.guard
+        return ((self.bits(b) | guard) - self.bits(a)) & guard == guard
+
+    def lcm(self, a: int, b: int) -> tuple[int, int]:
+        """(key, total degree) of the lcm of the packed monomials a and b.
+
+        The guarded subtract keeps the guard bit of each field where a's
+        exponent is at least b's; those fields come from a, the rest from
+        b.  The degree is the sum of the fields, P mod 2^B - 1 for B-bit
+        words, which is exact: each operand's degree is below 2^(B-1).
+        """
+        pa, pb, guard = self.bits(a), self.bits(b), self.guard
+        ge = ((pa | guard) - pb) & guard
+        keep = ge - (ge >> (self.width - 1))
+        p = pa & keep | pb & ~keep
+        deg = p % ((1 << self.width) - 1)
+        return self.sign * p - (deg << self.top), deg
 
     def mono(self, k: int) -> Exponents:
         return self._struct.unpack(self.bits(k).to_bytes(self._struct.size, self._endian))
@@ -425,14 +407,15 @@ class Polynomial:
     def leading_monomial(self, order: MonomialOrder = DEFAULT_ORDER) -> Exponents:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=order.key)
+        return min(self.terms, key=Packing(self.nvars, order, self.total_degree()).key)
 
     def leading_coefficient(self, order: MonomialOrder = DEFAULT_ORDER) -> Fraction:
         return self.terms[self.leading_monomial(order)]
 
     def sorted_terms(self, order: MonomialOrder = DEFAULT_ORDER):
         """Terms in descending monomial order (canonical storage order)."""
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=order.heap_key)]
+        key = Packing(self.nvars, order, self.total_degree()).key
+        return [(m, self.terms[m]) for m in sorted(self.terms, key=key)]
 
     def monic(self, order: MonomialOrder = DEFAULT_ORDER) -> "Polynomial":
         if not self.terms:

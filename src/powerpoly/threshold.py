@@ -85,7 +85,9 @@ def sos_bounds(
         raise ValueError("empty Groebner basis")
     degrees = sorted({g.total_degree() for g in elements})
     min_deg = degrees[0]
-    g_min = min(elements, key=lambda g: (g.total_degree(), gb.order.key(g.leading_monomial(gb.order))))
+    # Of the lowest degree, the smallest leading monomial: the largest key.
+    key = Packing(gb.nvars, gb.order, degrees[-1]).key
+    g_min = max(elements, key=lambda g: key(g.leading_monomial(gb.order)))
     notes: list[str] = []
 
     cut_out = degrees[-1]

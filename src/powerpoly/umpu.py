@@ -31,15 +31,14 @@ from typing import Sequence
 
 from powerpoly.groebner import StepCounter
 from powerpoly.linalg import primitive_scaling
-from powerpoly.polynomial import MonomialOrder, Polynomial, simplex_coefficients
+from powerpoly.polynomial import MonomialOrder, Packing, Polynomial, simplex_coefficients
 from powerpoly.polytope import enumerate_vertices_dd, hull_vertices, irredundant_rows, vertex_keys
 from powerpoly.power import PowerPolynomial
 
-GREVLEX = MonomialOrder.GREVLEX
 
-
-def _grevlex_desc(monos):
-    return sorted(monos, key=GREVLEX.key, reverse=True)
+def _grevlex_desc(k: int, n: int) -> list:
+    """The exponent vectors of degree n in k variables, in descending grevlex order."""
+    return sorted(simplex_coefficients(k, n), key=Packing(k, MonomialOrder.GREVLEX, n).key)
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientP
     nprime = n - 2 * deg
     fsq = (f.homogenize(deg)) ** 2
     packed, g, den = primitive_scaling(fsq.terms.values())
-    h_index = tuple(_grevlex_desc(simplex_coefficients(k, nprime)))
+    h_index = tuple(_grevlex_desc(k, nprime))
     bounds = simplex_coefficients(k, n)
     # Scatter each term m of P from column J into row L = J + m.
     entries = {L: [0] * len(h_index) for L in bounds}
@@ -188,7 +187,7 @@ def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientP
     scale = q * g
     lower, upper = [], []  # (row, rhs, max |row|) of each side, in row order
     multiindices = []
-    for L in _grevlex_desc(bounds):
+    for L in _grevlex_desc(k, n):
         row = entries[L]
         gL = gcd(*row)
         if gL:
@@ -270,7 +269,7 @@ def convex_peeling(
     """
     if k < 2 or nprime < 0:
         raise ValueError("need k >= 2 and nprime >= 0")
-    remaining = _grevlex_desc(simplex_coefficients(k, nprime))
+    remaining = _grevlex_desc(k, nprime)
     layers = []
     while remaining:
         if layers:

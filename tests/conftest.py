@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from powerpoly import parse_polynomial
+from powerpoly import MonomialOrder, parse_polynomial
 from powerpoly.linalg import rank, solve_linear
 
 VARS3 = ["p1", "p2", "p3"]
@@ -90,6 +90,17 @@ def monomials_of_degree(nvars, degree):
     """Every exponent vector of the given total degree, in descending lex
     order, filtered from all of {degree, ..., 0}^nvars."""
     return [e for e in product(range(degree, -1, -1), repeat=nvars) if sum(e) == degree]
+
+
+def order_key(order):
+    """Tuple sort key of a graded monomial order, the oracle of
+    `Packing.key`: key(a) > key(b) iff monomial a > monomial b.
+
+    Total degree first; graded lex then compares the exponents from x_1
+    on, graded reverse lex the negated exponents from x_n back."""
+    if order is MonomialOrder.GRLEX:
+        return lambda a: (sum(a), a)
+    return lambda a: (sum(a), tuple(-e for e in reversed(a)))
 
 
 def enumerate_vertices_brute_force(a, b):

@@ -465,6 +465,27 @@ class TestThreshold:
             assert run_cli(args + ["98"])[0] == 3
             assert run_cli(args + ["103"])[0] == 0
 
+    @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("threshold", "19d76d51f7ab85acc0a34832a79990998f297b2288b2ba310439900c259b2836"),
+            ("separating", "5617404eb64461161e9fdc66d78601a01679a8156befa3ae4051fbc1cd77541c"),
+        ],
+        ids=["threshold", "separating"],
+    )
+    def test_rank_lt_refuses_weights_and_gradient(self, command, digest, tmp_path, capsys):
+        # The bounded-rank theorem gives the witnesses; a weight list or a
+        # gradient assertion would be silently ignored.
+        path = tmp_path / "rank.json"
+        path.write_text(json.dumps({"kind": "rank_lt", "params": {"p": 2, "q": 3, "r": 2}}))
+        args = [command, "--hypothesis", str(path)]
+        for flags in (["--weights", "-1"], ["--weights", "1,1,1"], ["--assert-gradient"]):
+            assert run_cli(args + flags) == (1, "")
+            assert "rank_lt hypotheses take neither --weights" in capsys.readouterr().err
+        code, out = run_cli(args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_separating_for_polytope(self, square):
         code, out = run_cli(["separating", "--hypothesis", square("3/4")])
         assert code == 0

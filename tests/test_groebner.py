@@ -1,9 +1,10 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from powerpoly import (
@@ -21,7 +22,8 @@ from powerpoly import (
 )
 from powerpoly import groebner
 from powerpoly.groebner import s_polynomial
-from powerpoly.polynomial import mono_div, mono_mul
+
+from conftest import order_key
 
 VARS = ["p1", "p2", "p3"]
 
@@ -82,6 +84,21 @@ class TestDivision:
         assert r == P("1/2*p2^3 + 2*p2^2 + 1/12")
 
 
+class TestSPolynomialInput:
+    # Refused by name, as `reduce` refuses a mismatched or zero divisor.
+    def test_variable_count_mismatch(self):
+        f, g = P("p1^2 - p2", ["p1", "p2"]), P("p1*p3 - 1")
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(ValueError, match="variable count mismatch in S-polynomial"):
+                s_polynomial(a, b, MonomialOrder.GREVLEX)
+
+    def test_zero_polynomial(self):
+        zero, g = Polynomial.zero(3), P("p1*p3 - 1")
+        for a, b in ((zero, g), (g, zero), (zero, zero)):
+            with pytest.raises(ValueError, match="zero polynomial has no S-polynomial"):
+                s_polynomial(a, b, MonomialOrder.GRLEX)
+
+
 class TestBuchberger:
     def test_hand_worked_example(self):
         gb = buchberger_reduced(
@@ -101,7 +118,7 @@ class TestBuchberger:
         gb = buchberger_reduced(example5_polys, MonomialOrder.GREVLEX)
         expected = sorted(
             (g.monic() for g in example5_polys),
-            key=lambda g: MonomialOrder.GREVLEX.key(g.leading_monomial()),
+            key=lambda g: order_key(MonomialOrder.GREVLEX)(g.leading_monomial()),
         )
         assert list(gb.elements) == expected
 
@@ -330,7 +347,7 @@ def _max_scan_reduce(f, basis, order, counter):
     work = f
     while work:
         counter.tick()
-        mono = max(work.terms, key=order.key)
+        mono = max(work.terms, key=order_key(order))
         for i, (lm, lc, g) in enumerate(lead):
             if all(a >= b for a, b in zip(mono, lm)):
                 quot = Polynomial.monomial(
@@ -399,6 +416,12 @@ class TestHeapDivisionOracle:
         assert len(recreated) > 1
 
 
+def _mono_div(a, b):
+    """a / b on exponent tuples, or None when b does not divide a."""
+    quot = tuple(x - y for x, y in zip(a, b))
+    return None if any(e < 0 for e in quot) else quot
+
+
 def _monomial_pairs(n):
     # Exponents small enough to divide each other often, or large enough to
     # reach the top field bits while the degree stays below 2^15.
@@ -418,20 +441,35 @@ class TestPacking:
     @seed(20261019)
     @settings(max_examples=300, deadline=None)
     @given(MONOMIAL_PAIRS)
+    # Top exponents in disjoint fields: the lcm's degree passes 2^15.
+    @example(pair=((2**15 - 1, 0), (0, 2**15 - 1)))
     def test_pack_laws(self, order, pair):
         a, b = pair
         p = groebner.Packing(len(a), order)
+        key = order_key(order)
         ka, kb = p.key(a), p.key(b)
         assert p.mono(ka) == a and p.mono(kb) == b
-        assert (ka < kb) == (order.key(a) > order.key(b))
+        assert (ka < kb) == (key(a) > key(b))
         if sum(a) + sum(b) < groebner.DEGREE_LIMIT:
-            assert p.key(mono_mul(a, b)) == ka + kb
+            assert p.key(tuple(map(add, a, b))) == ka + kb
         # The test `_divide` runs on a popped monomial a and a leading one b.
         divides = ((p.bits(ka) | p.guard) - p.bits(kb)) & p.guard == p.guard
-        quot = mono_div(a, b)
+        quot = _mono_div(a, b)
         assert divides == (quot is not None)
         if divides:
             assert ka - kb == p.key(quot)
+        assert p.divides(kb, ka) == divides
+        assert p.divides(ka, kb) == (_mono_div(b, a) is not None)
+        # lcm * gcd = a * b, and the lcm is the product exactly when the
+        # supports are disjoint.
+        lcm, gcd = tuple(map(max, a, b)), tuple(map(min, a, b))
+        kl, degree = p.lcm(ka, kb)
+        assert p.mono(kl) == lcm and degree == sum(lcm)
+        assert kl + p.key(gcd) == ka + kb
+        if degree < groebner.DEGREE_LIMIT:
+            assert kl == p.key(lcm)
+        assert (kl == ka + kb) == (not any(gcd))
+        assert p.lcm(kb, ka) == (kl, degree)
 
     @pytest.mark.parametrize("order", list(MonomialOrder))
     def test_degree_at_the_field_limit_is_refused(self, order):

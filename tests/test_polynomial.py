@@ -16,8 +16,9 @@ from powerpoly import (
     reduce,
 )
 from powerpoly.polynomial import simplex_coefficients, table_names
+from powerpoly.umpu import _grevlex_desc
 
-from conftest import monomials_of_degree, multinomial
+from conftest import monomials_of_degree, multinomial, order_key
 
 VARS = ["p1", "p2", "p3"]
 
@@ -531,34 +532,37 @@ class TestMonomialOrders:
     @pytest.mark.parametrize("order", [MonomialOrder.GRLEX, MonomialOrder.GREVLEX])
     def test_total_antisymmetric_transitive(self, order):
         monos = _all_monomials_upto(3, 4)
-        keys = {m: order.key(m) for m in monos}
+        key = order_key(order)
+        keys = {m: key(m) for m in monos}
         for a, b in itertools.combinations(monos, 2):
             assert (keys[a] > keys[b]) != (keys[b] > keys[a])  # total + antisymmetric
         for a, b, c in itertools.combinations(monos, 3):
-            trio = sorted([a, b, c], key=order.key)
+            trio = sorted([a, b, c], key=key)
             assert keys[trio[0]] <= keys[trio[1]] <= keys[trio[2]]
 
     @pytest.mark.parametrize("order", [MonomialOrder.GRLEX, MonomialOrder.GREVLEX])
     def test_multiplicative(self, order):
         monos = _all_monomials_upto(3, 3)
         shifts = monomials_of_degree(3, 2)
+        key = order_key(order)
         for a, b in itertools.combinations(monos, 2):
-            cmp = order.key(a) > order.key(b)
+            cmp = key(a) > key(b)
             for g in shifts:
                 sa = tuple(x + y for x, y in zip(a, g))
                 sb = tuple(x + y for x, y in zip(b, g))
-                assert (order.key(sa) > order.key(sb)) == cmp
+                assert (key(sa) > key(sb)) == cmp
 
     @pytest.mark.parametrize("order", [MonomialOrder.GRLEX, MonomialOrder.GREVLEX])
     def test_degree_graded(self, order):
         monos = _all_monomials_upto(3, 4)
+        key = order_key(order)
         for a, b in itertools.permutations(monos, 2):
             if sum(a) > sum(b):
-                assert order.key(a) > order.key(b)
+                assert key(a) > key(b)
 
     def test_grevlex_tie_break(self):
         # p1*p2 > p2*p3 under grevlex and p1^2 > p1*p2.
-        k = MonomialOrder.GREVLEX.key
+        k = order_key(MonomialOrder.GREVLEX)
         assert k((1, 1, 0)) > k((0, 1, 1))
         assert k((2, 0, 0)) > k((1, 1, 0))
 
@@ -583,6 +587,35 @@ def rational_points(draw, nvars=3):
         draw(st.fractions(min_value=Fraction(-3), max_value=Fraction(3), max_denominator=5))
         for _ in range(nvars)
     ]
+
+
+class TestPackedOrder:
+    """Sorting on `Packing.key` gives the tuple oracle's order."""
+
+    @staticmethod
+    def _check(poly, order):
+        want = sorted(poly.terms, key=order_key(order), reverse=True)
+        assert [m for m, _ in poly.sorted_terms(order)] == want
+        if want:
+            assert poly.leading_monomial(order) == want[0]
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    @settings(max_examples=100, deadline=None)
+    @given(polynomials(nvars=4, max_degree=5, max_terms=10))
+    def test_random_polynomials(self, order, poly):
+        self._check(poly, order)
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    def test_degree_beyond_the_16_bit_words(self, order):
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        poly = x**40000 + y
+        self._check(poly, order)
+        assert poly.leading_monomial(order) == (40000, 0)
+
+    @pytest.mark.parametrize("k, n", [(1, 3), (2, 0), (2, 5), (3, 4), (4, 3), (5, 2)])
+    def test_grevlex_desc(self, k, n):
+        want = sorted(monomials_of_degree(k, n), key=order_key(MonomialOrder.GREVLEX))
+        assert _grevlex_desc(k, n) == want[::-1]
 
 
 class TestRingAxioms:

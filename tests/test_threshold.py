@@ -23,7 +23,7 @@ from powerpoly.polynomial import simplex_coefficients
 from powerpoly.power import box_check
 from powerpoly.threshold import EXACT, _level
 
-from conftest import monomials_of_degree
+from conftest import monomials_of_degree, order_key
 
 F = Fraction
 VARS3 = ["p1", "p2", "p3"]
@@ -121,10 +121,8 @@ class TestSosBounds:
         hyp = build_hypothesis({"kind": "independence", "params": {"p": 2, "q": 3}})
         # Reversed, so that g_min is not the first element.
         gb = GroebnerBasis(MonomialOrder.GREVLEX, gb_of(hyp).elements[::-1])
-        order = gb.order
-        g_min = min(
-            gb.elements, key=lambda g: (g.total_degree(), order.key(g.leading_monomial(order)))
-        )
+        order, key = gb.order, order_key(gb.order)
+        g_min = min(gb.elements, key=lambda g: (g.total_degree(), key(g.leading_monomial(order))))
         assert g_min is not gb.elements[0]
         weights = [F(i + 2, 3) for i in range(len(gb.elements))]
         report = sos_bounds(gb, hypothesis=hyp, weights=weights)

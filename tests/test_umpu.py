@@ -40,6 +40,7 @@ from conftest import (
     enumerate_vertices_brute_force,
     monomials_of_degree,
     multinomial,
+    order_key,
     printed_to_exact,
 )
 
@@ -160,7 +161,7 @@ class TestCoefficientPolytope:
         alpha = F(1, 20)
         poly = coefficient_polytope(f, n, alpha)
         fsq = f.homogenize(f.total_degree()) ** 2
-        grevlex = MonomialOrder.GREVLEX.key
+        grevlex = order_key(MonomialOrder.GREVLEX)
         h_index = sorted(monomials_of_degree(f.nvars, poly.nprime), key=grevlex, reverse=True)
         expected = []
         for L in sorted(monomials_of_degree(f.nvars, n), key=grevlex, reverse=True):
