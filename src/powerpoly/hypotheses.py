@@ -4,11 +4,11 @@ Builders produce the canonical generator sets (2x2 minors for
 independence, r x r minors for bounded rank, the centered sphere
 quadric, transposition differences for symmetry, ...), existence checks
 for polytope hypotheses read P0's faces as bitmasks off the tight masks
-of one double description (a row defines a facet when its face is
-proper, is no other row's face and lies strictly inside no other proper
-face), log-odds hypotheses reduce to binomials, and exact null points
-come from four constructions: positive rank r - 1 products (independence,
-rank_lt), positive mixtures of the vertices of one double description
+of one double description (each hypothesis row must define a facet, by
+`polytope.facet_rows`, that no other row defines), log-odds hypotheses
+reduce to binomials, and exact null points come from four
+constructions: positive rank r - 1 products (independence, rank_lt),
+positive mixtures of the vertices of one double description
 (affine, symmetry, polytope), a line search on the sphere, and positive
 points rescaled onto the log-odds binomial.  Every linear null set is one
 row list, `_polytope_rows` over the first k - 1 coordinates, for both the
@@ -34,7 +34,7 @@ from powerpoly.polynomial import (
     table_index,
     table_names,
 )
-from powerpoly.polytope import enumerate_vertices_dd, vertex_faces, vertex_keys
+from powerpoly.polytope import enumerate_vertices_dd, facet_rows, vertex_faces, vertex_keys
 
 
 class UnsupportedSampling(ValueError):
@@ -301,6 +301,20 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _boolean(value) -> bool:
+    """Boolean from JSON payloads: only true or false, not a string such as "false"."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected a JSON boolean, got {value!r}")
+    return value
+
+
+def _strings(value, name: str) -> list[str]:
+    """List of strings from JSON payloads; a lone string is refused, not split."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"expected {name} as a list of strings, got {value!r}")
+    return value
+
+
 def build_hypothesis(spec: dict) -> NullHypothesis:
     """Construct from the JSON form {"kind": ..., "params": {...}}."""
     kind = spec.get("kind")
@@ -340,11 +354,14 @@ def build_hypothesis(spec: dict) -> NullHypothesis:
         return log_odds(coeffs, _exact(params["c"]), _integer(params["k"]))
     if kind == "custom":
         k = _integer(params["k"])
-        substituted = bool(params.get("substituted", False))
+        substituted = _boolean(params.get("substituted", False))
         names = params.get("vars")
         if names is None:
             names = default_names(k - 1 if substituted else k)
-        gens = [parse_polynomial(text, names) for text in params["generators"]]
+        else:
+            names = _strings(names, "vars")
+        texts = _strings(params["generators"], "generators")
+        gens = [parse_polynomial(text, names) for text in texts]
         return custom(gens, k, names=names, substituted=substituted)
     raise ValueError(f"unknown hypothesis kind {kind!r}")
 
@@ -464,14 +481,12 @@ def polytope_existence(
     if any(face == whole and any(row) for face, row in zip(faces, rows)):
         raise ValueError("polytope hypothesis is not full-dimensional in the simplex")
 
-    # Every facet of the full-dimensional P0 is some row's face, and a facet
-    # is a maximal proper face.  So row i is irredundant exactly when its
-    # face is proper and is the only proper row face that holds it: no
-    # other row has it or a larger proper face.  A zero row tight
-    # everywhere has the face P0, which holds every face but is not proper.
-    proper = [face for face in faces if face != whole]
+    # Row i is irredundant exactly when its face is a facet that no other
+    # row defines too.  A zero row tight everywhere has the face P0, which
+    # is not proper.
+    facets = set(facet_rows(faces, len(vertices)))
     for i in range(m):
-        if faces[i] == whole or sum(not faces[i] & ~other for other in proper) > 1:
+        if i not in facets or faces.count(faces[i]) > 1:
             raise ValueError(f"halfspace row {i} is redundant: it does not cut P0")
 
     # Pairwise condition: the face on H_i and H_j fails when it is nonempty

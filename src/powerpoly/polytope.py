@@ -15,9 +15,16 @@ mixtures read the vertices through it, and the ray box below its extremes.
 
 `vertex_faces` also gives each input row's face: the bitmask of the
 vertices on the row, read off the rays' tight masks.  Every facet of a
-full-dimensional polytope is some row's face, and a facet is a maximal
-proper face (Ziegler, "Lectures on Polytopes", 1995), so facets can be
-read off these masks with no arithmetic.
+polytope is some row's face, and a facet is a maximal proper face
+(Ziegler, "Lectures on Polytopes", 1995), so `facet_rows`, the one facet
+reader, finds the facets on these masks with no arithmetic: a row
+defines a facet when its face is proper and no other row's proper face
+strictly contains it.  The polytope-hypothesis check reads its facets
+this way, and so does the convex peeling, through the polar of its
+points.  Only `irredundant_rows` answers the same question with LPs, one
+per row: on the coefficient polytope its LPs beat double description
+(k = 3 sphere, delta^2 = 1/6, alpha = 1/20, n = 7: 2.4 s against 11.9 s
+for 17,267 vertices on a 2-vCPU VM), and the gap widens with n.
 
 The set-up runs on integers, with the one exact elimination of
 `linalg.echelon`.  Each cone row (a_i, -b_i) is scaled to a primitive
@@ -330,39 +337,41 @@ def _ray_box(rays: list[_Ray]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     return lo, hi, den
 
 
+def facet_rows(faces: Sequence[int], count: int) -> list[int]:
+    """Indices of the rows whose face is a facet, read off `vertex_faces` masks.
+
+    `count` is the number of vertices, so the whole polytope is the mask
+    with its low `count` bits set.  A row defines a facet when its face is
+    proper and no other row's proper face strictly contains it.  Rows with
+    one facet between them are all listed.
+    """
+    whole = (1 << count) - 1
+    proper = {face for face in faces if face != whole}
+    facets = {f for f in proper if not any(f != g and not f & ~g for g in proper)}
+    return [i for i, face in enumerate(faces) if face in facets]
+
+
 def irredundant_rows(a: Sequence[Sequence], b: Sequence) -> list[int]:
     """Indices of facet-defining rows of {x : a x <= b}.
 
     Requires 0 strictly inside (all b > 0); then row i is redundant exactly
-    when its polar point a_i / b_i is a convex combination of the others.
+    when its polar point p = a_i / b_i is a convex combination of the
+    others.  One exact LP in d + 1 variables per distinct polar point
+    decides it: p lies outside the hull of the others exactly when
+    max t subject to w.(q - p) + t <= 0 for every other point q, and
+    t <= 1, is positive.
     """
-    rows = [[Fraction(v) for v in row] for row in a]
     rhs = [Fraction(v) for v in b]
     if any(r <= 0 for r in rhs):
         raise ValueError("irredundant_rows requires the origin strictly inside")
     # Exact duplicates define one facet; keep the first copy only.
     first_of: dict[tuple, int] = {}
-    for i, (row, r) in enumerate(zip(rows, rhs)):
+    for i, (row, r) in enumerate(zip(a, rhs)):
         first_of.setdefault(tuple(v / r for v in row), i)
-    unique = list(first_of.values())
-    return [unique[j] for j in hull_vertices(list(first_of))]
-
-
-def hull_vertices(points: Sequence[Sequence], counter: StepCounter | None = None) -> list[int]:
-    """Indices of the points outside the convex hull of the others.
-
-    Point p is outside exactly when a hyperplane separates it strictly:
-    max t subject to w.(q - p) + t <= 0 for every other point q, and
-    t <= 1, is positive.  One exact LP in d + 1 variables per point, each
-    ticking `counter` once.
-    """
-    pts = [tuple(Fraction(v) for v in p) for p in points]
     keep = []
-    for i, p in enumerate(pts):
-        if counter is not None:
-            counter.tick()
-        rows = [([a - b for a, b in zip(q, p)] + [1], LE, 0) for j, q in enumerate(pts) if j != i]
-        rows.append(([0] * len(p) + [1], LE, 1))
-        if solve_lp(len(p) + 1, [0] * len(p) + [1], rows).value > 0:
+    for p, i in first_of.items():
+        t = [0] * len(p) + [1]  # the objective, and the row of t <= 1
+        cons = [([x - y for x, y in zip(q, p)] + [1], LE, 0) for q in first_of if q is not p]
+        if solve_lp(len(t), t, [*cons, (t, LE, 1)]).value > 0:
             keep.append(i)
     return keep

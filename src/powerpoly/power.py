@@ -41,6 +41,12 @@ def count_vectors(n: int, k: int) -> list[tuple[int, ...]]:
     return list(simplex_coefficients(k, n))
 
 
+def require_test_size(n: int, k: int):
+    """Refuse a sample size n < 1 or fewer than k = 2 categories: no test has them."""
+    if n < 1 or k < 2:
+        raise ValueError("need n >= 1 and k >= 2")
+
+
 class TestFunction:
     """Randomized test: count vector -> rejection probability in [0, 1].
 
@@ -56,8 +62,7 @@ class TestFunction:
     __slots__ = ("n", "k", "nums", "den")
 
     def __init__(self, n: int, k: int, values: Mapping[tuple[int, ...], Fraction]):
-        if n < 1 or k < 2:
-            raise ValueError("need n >= 1 and k >= 2")
+        require_test_size(n, k)
         slots = dict.fromkeys(simplex_coefficients(k, n), 0)
         ints = (int,) * k
         # Each distinct phi object is converted and range-checked once,
@@ -92,8 +97,9 @@ class TestFunction:
 
         The caller guarantees the invariants of the class: a numerator in
         [0, den] for every count vector, in descending lex order, and
-        gcd(den, *nums) = 1.
+        gcd(den, *nums) = 1.  Only the size is checked.
         """
+        require_test_size(n, k)
         phi = object.__new__(cls)
         phi.n, phi.k, phi.nums, phi.den = n, k, nums, den
         return phi

@@ -18,6 +18,19 @@ maxima are jointly feasible exactly when some surviving vertex attains
 all of them.  The maxima and ties are compared on the vertices' integer
 keys (`polytope.vertex_keys`), the face is carried as vertex indices,
 and h* and the certificate are read back from the vertex list by index.
+
+The peeling needs no LP either.  A point of a finite set is a hull vertex
+exactly when its polar row about an interior point defines a facet of
+the polar polytope (Ziegler), so `convex_peeling` reads each layer off
+one double description with `polytope.facet_rows`.  The centroid of the
+remaining points is interior whenever two or more remain.  The symmetric
+group S_k, permuting coordinates, fixes the set of degree-n' lattice
+points, so it fixes each layer, the hull vertices of a fixed set, and
+each remaining set.  It fixes their centroid too, which is therefore
+(n'/k) 1.  The differences of the remaining points from it span an
+S_k-invariant subspace of the sum-zero hyperplane, an irreducible
+S_k-module, so they span the whole hyperplane, or nothing when the
+centroid alone remains.
 """
 
 from __future__ import annotations
@@ -32,8 +45,9 @@ from typing import Sequence
 from powerpoly.groebner import StepCounter
 from powerpoly.linalg import primitive_scaling
 from powerpoly.polynomial import MonomialOrder, Packing, Polynomial, simplex_coefficients
-from powerpoly.polytope import enumerate_vertices_dd, hull_vertices, irredundant_rows, vertex_keys
-from powerpoly.power import PowerPolynomial
+from powerpoly.polytope import enumerate_vertices_dd, facet_rows, irredundant_rows
+from powerpoly.polytope import vertex_faces, vertex_keys
+from powerpoly.power import PowerPolynomial, require_test_size
 
 
 def _grevlex_desc(k: int, n: int) -> list:
@@ -172,6 +186,7 @@ def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientP
         raise ValueError("generator must be nonconstant")
     if n < 2 * deg:
         raise ValueError(f"sample size {n} below 2 deg(f) = {2 * deg}")
+    require_test_size(n, f.nvars)  # a one-point simplex has no alternative
     k = f.nvars
     nprime = n - 2 * deg
     fsq = (f.homogenize(deg)) ** 2
@@ -263,23 +278,27 @@ def convex_peeling(
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Layers of convex-hull vertices, stripped off the degree-n' lattice points.
 
-    The first layer is the corners n' e_i, since the hull of the lattice
-    points of n'Δ is n'Δ itself; each later hull test (one exact LP) ticks
-    `counter` once.
+    Each layer is read off one double description, whose steps tick
+    `counter`: the hull vertices of the remaining points are those whose
+    rows in the polar about the centroid (n'/k) 1 define facets
+    (`polytope.facet_rows`).  Over the first k - 1 coordinates m' of a
+    point its polar row is (k m' - n' 1).y <= k.  The polar is bounded
+    because the remaining set spans the sum-zero hyperplane (see the
+    module docstring).  A lone remaining point is the centroid, its own
+    last layer.
     """
     if k < 2 or nprime < 0:
         raise ValueError("need k >= 2 and nprime >= 0")
     remaining = _grevlex_desc(k, nprime)
     layers = []
-    while remaining:
-        if layers:
-            hull = set(hull_vertices(remaining, counter))
-        else:
-            hull = {i for i, m in enumerate(remaining) if max(m) == nprime}
-        if not hull:
-            raise AssertionError("internal: finite point set with no hull vertices")
+    while len(remaining) > 1:
+        rows = [tuple([k * c - nprime for c in m[:-1]]) for m in remaining]
+        vertices, faces = vertex_faces(rows, [k] * len(rows), counter)
+        hull = set(facet_rows(faces, len(vertices)))
         layers.append(tuple(m for i, m in enumerate(remaining) if i in hull))
         remaining = [m for i, m in enumerate(remaining) if i not in hull]
+    if remaining:
+        layers.append(tuple(remaining))
     return tuple(layers)
 
 

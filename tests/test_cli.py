@@ -148,6 +148,26 @@ def test_integer_parameters_refuse_floats_and_bools(payload, shown, tmp_path, ca
 
 
 @pytest.mark.parametrize(
+    "params, shown",
+    [
+        ({"substituted": "false"}, "expected a JSON boolean, got 'false'"),
+        ({"substituted": 0}, "expected a JSON boolean, got 0"),
+        ({"generators": "p1-p2"}, "expected generators as a list of strings, got 'p1-p2'"),
+        ({"vars": "p1p2p3"}, "expected vars as a list of strings, got 'p1p2p3'"),
+    ],
+    ids=["string-substituted", "int-substituted", "string-generators", "string-vars"],
+)
+def test_custom_parameters_refuse_strings_and_ints(params, shown, tmp_path, capsys):
+    # bool("false") is True, and a string iterates one character at a time:
+    # either would answer for a hypothesis nobody asked about.
+    path = tmp_path / "hypothesis.json"
+    spec = {"k": 3, "generators": ["p1+p2-p3"], **params}
+    path.write_text(json.dumps({"kind": "custom", "params": spec}))
+    assert main(["threshold", "--hypothesis", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {shown}\n"
+
+
+@pytest.mark.parametrize(
     "n, x, shown",
     [(2.9, [2, 0], "2.9"), (True, [1, 0], "True"), (2, [1.7, 0.3], "1.7")],
     ids=["float-n", "bool-n", "float-count"],
@@ -779,6 +799,24 @@ class TestRoundTripCommands:
             "error: not a power polynomial: coefficient of index (2, 0) is 2, "
             "outside [0, 1]\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recover-test", "--beta", "1/2", "--vars", "p1,p2", "--n", "0"],
+            ["recover-test", "--beta", "p1^2", "--vars", "p1", "--n", "2"],
+            ["umpu", "--f", "p1", "--vars", "p1", "--n", "2", "--alpha", "1/20"],
+        ],
+        ids=["recover-test-n0", "recover-test-k1", "umpu-k1"],
+    )
+    def test_no_test_function_json_that_the_readers_refuse(self, argv, tmp_path, capsys):
+        # A test of size 0, or on one category, has no alternative to tell
+        # apart; power-grid and mc-validate refuse such a file, so no
+        # command writes one.
+        path = tmp_path / "phi.json"
+        assert main([*argv, "--out", str(path)]) == 1
+        assert not path.exists()
+        assert capsys.readouterr().err == "error: need n >= 1 and k >= 2\n"
 
 
 class TestInstalledEntryPoint:

@@ -112,6 +112,14 @@ class TestBuilders:
         )
         assert h.substituted_generators()[0] == parse_polynomial("p1 - p2", ["p1", "p2"])
 
+    def test_custom_not_substituted(self):
+        # The JSON value false, given or left out, reads p3 as a variable.
+        spec = {"k": 3, "generators": ["p1 + p2 - p3"]}
+        h = build_hypothesis({"kind": "custom", "params": spec})
+        spec["substituted"] = False
+        assert build_hypothesis({"kind": "custom", "params": spec}) == h
+        assert h.substituted_generators()[0] == parse_polynomial("2*p1 + 2*p2 - 1", ["p1", "p2"])
+
 
 class TestLogOdds:
     def test_equal_odds(self):
@@ -268,6 +276,24 @@ class TestPolytopeExistence:
         spec = {"A": [[str(v) for v in row] for row in a], "b": [str(v) for v in b], "k": k}
         path.write_text(json.dumps({"kind": "polytope", "params": spec}))
         assert main(["polytope-exists", "--hypothesis", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "a, b, row",
+        [
+            ([[1, 0], [0, 1], [2, 0]], [F(1, 4), F(1, 4), F(1, 2)], 0),  # duplicate of row 2
+            ([[0, 1], [1, 0], [3, 0]], [F(1, 4), F(1, 4), F(3, 4)], 1),  # duplicate of row 2
+            ([[1, 1], [1, 0], [0, 1]], [F(1, 2), F(1, 4), F(1, 4)], 0),  # tangent at a corner
+            ([[1, 0], [0, 1], [1, 1]], [F(1, 4), F(1, 4), -1], 2),  # far outside
+            ([[1, 0], [0, 0], [0, 1]], [F(1, 4), -1, F(1, 4)], 1),  # zero row, tight nowhere
+            ([[1, 0], [0, 1], [0, 0]], [F(1, 4), F(1, 4), 0], 2),  # zero row, tight everywhere
+        ],
+    )
+    def test_redundant_row_is_named(self, a, b, row):
+        # P0 = {p1 >= 1/4, p2 >= 1/4} with one redundant row; the first
+        # redundant row is named.
+        message = f"^halfspace row {row} is redundant: it does not cut P0$"
+        with pytest.raises(ValueError, match=message):
+            polytope_existence(a, b, 3)
 
     @pytest.mark.parametrize("t, lps", [(F(3, 4), 0), (F(1, 4), 1)])
     def test_one_lp_names_the_witness_only(self, t, lps, monkeypatch):

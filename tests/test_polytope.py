@@ -13,7 +13,7 @@ from powerpoly.linalg import primitive_ints, rank
 from powerpoly.polytope import (
     _extreme_rays,
     enumerate_vertices_dd,
-    hull_vertices,
+    facet_rows,
     irredundant_rows,
     vertex_faces,
 )
@@ -297,51 +297,15 @@ def test_primitive_ints_from_ints_and_fractions():
     assert primitive_ints([Fraction(0), 0]) == (0, 0)
 
 
-class TestHullVertices:
-    def test_square_corners_not_centre(self):
-        points = [(0, 0), (1, 0), (Fraction(1, 2), Fraction(1, 2)), (0, 1), (1, 1)]
-        assert hull_vertices(points) == [0, 1, 3, 4]
-
-    def test_points_on_an_edge_are_inside(self):
-        assert hull_vertices([(0,), (1,), (2,), (3,)]) == [0, 3]
-
-    def test_single_point_is_its_own_hull(self):
-        assert hull_vertices([(1, 2)]) == [0]
-
-    def test_matches_highs_convex_combination(self):
-        # Point i is inside the hull of the others when some lambda >= 0 with
-        # sum 1 combines them into it; HiGHS decides that feasibility LP.
-        optimize = pytest.importorskip("scipy.optimize")
-        rng = random.Random(7)
-        for _ in range(60):
-            dim = rng.randint(2, 4)
-            pts = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(1, 7))]
-            p, q = rng.choice(pts), rng.choice(pts)
-            pts.append(rng.choice(pts))  # a duplicate
-            pts.append(tuple(Fraction(a + b, 2) for a, b in zip(p, q)))  # collinear, between
-            pts.append(tuple(2 * b - a for a, b in zip(p, q)))  # collinear, beyond q
-            rng.shuffle(pts)
-            expected = []
-            for i, point in enumerate(pts):
-                others = pts[:i] + pts[i + 1 :]
-                ref = optimize.linprog(
-                    [0] * len(others),
-                    A_eq=[[float(o[c]) for o in others] for c in range(dim)] + [[1] * len(others)],
-                    b_eq=[float(v) for v in point] + [1],
-                    bounds=[(0, None)] * len(others),
-                    method="highs",
-                )
-                assert ref.status in (0, 2)
-                if ref.status == 2:
-                    expected.append(i)
-            assert hull_vertices(pts) == expected, pts
-
-    def test_one_tick_per_point(self):
-        counter = StepCounter()
-        hull_vertices([(0, 0), (2, 0), (0, 2), (1, 1), (Fraction(1, 2), Fraction(1, 2))], counter)
-        assert counter.steps == 5
-        with pytest.raises(StepLimitExceeded):
-            hull_vertices([(0,), (1,), (2,)], StepCounter(2))
+class TestFacetRows:
+    def test_square_with_redundant_rows(self):
+        a, b = cube(2)
+        a += [[1, 1], [1, 1], [2, 0], [0, 0], [0, 0]]
+        b += [3, 2, 2, 1, 0]  # far outside, tangent at a corner, row 0 doubled, zero rows
+        vertices, faces = vertex_faces(a, b)
+        assert len(vertices) == 4
+        # Both copies of row 0's facet are listed.
+        assert facet_rows(faces, len(vertices)) == [0, 1, 2, 3, 6]
 
 
 class TestIrredundantRows:
@@ -366,6 +330,51 @@ class TestIrredundantRows:
         b.append(2)  # same halfspace as row 0 scaled
         keep = irredundant_rows(a, b)
         assert len(keep) == 4
+
+    def test_matches_highs_convex_combination(self):
+        # Row i defines a facet exactly when its polar point a_i / b_i lies
+        # outside the convex hull of the other distinct polar points: when no
+        # lambda >= 0 with sum 1 combines those into it.  HiGHS decides that
+        # feasibility LP.  A positive multiple of a row has the row's polar
+        # point, and only the first copy is kept.
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(7)
+        for _ in range(60):
+            dim = rng.randint(2, 4)
+            a, b = cube(dim, -2, 2)
+            for _ in range(rng.randint(1, 5)):
+                row = [rng.randint(-2, 2) for _ in range(dim)]
+                if any(row):  # rhs up to 6: some cuts touch the box at a corner
+                    a.append(row)
+                    b.append(rng.randint(1, 6))
+            i = rng.randrange(len(a))
+            scale = rng.randint(1, 3)
+            a.append([scale * v for v in a[i]])  # a duplicate
+            b.append(scale * b[i])
+            order = list(range(len(a)))
+            rng.shuffle(order)
+            a, b = [a[i] for i in order], [b[i] for i in order]
+            first_of = {}
+            for i, (row, r) in enumerate(zip(a, b)):
+                first_of.setdefault(tuple(Fraction(v, r) for v in row), i)
+            expected = []
+            for point, i in first_of.items():
+                others = [q for q in first_of if q != point]
+                ref = optimize.linprog(
+                    [0] * len(others),
+                    A_eq=[[float(q[c]) for q in others] for c in range(dim)] + [[1] * len(others)],
+                    b_eq=[float(v) for v in point] + [1],
+                    bounds=[(0, None)] * len(others),
+                    method="highs",
+                )
+                assert ref.status in (0, 2)
+                if ref.status == 2:
+                    expected.append(i)
+            assert irredundant_rows(a, b) == expected, (a, b)
+            # The face reader lists every copy of a facet's row.
+            vertices, faces = vertex_faces(a, b)
+            firsts = set(first_of.values())
+            assert [i for i in facet_rows(faces, len(vertices)) if i in firsts] == expected
 
     def test_requires_interior_origin(self):
         with pytest.raises(ValueError):

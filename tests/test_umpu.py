@@ -22,8 +22,14 @@ from powerpoly import (
 )
 from powerpoly.linalg import primitive_ints
 from powerpoly.linprog import EQ, LE, solve_lp
-from powerpoly.polynomial import MonomialOrder
-from powerpoly.polytope import enumerate_vertices_dd, vertex_keys
+from powerpoly.polynomial import MonomialOrder, default_names
+from powerpoly.polytope import (
+    enumerate_vertices_dd,
+    facet_rows,
+    irredundant_rows,
+    vertex_faces,
+    vertex_keys,
+)
 from powerpoly.power import box_check
 from powerpoly.umpu import (
     CANDIDATE,
@@ -195,6 +201,27 @@ class TestCoefficientPolytope:
             primitive_ints((*row, bound)) for row, bound in expected
         ]
         assert poly.facet_count() == facets
+
+
+@pytest.mark.parametrize(
+    "f, k, n",
+    [
+        ("p1 + p2 - p3", 3, 4),
+        ("2*p1 + p2 - p3", 3, 4),
+        ("p1 + p2 - 2*p3", 3, 4),
+        ("p1 + p2 + p3 - p4", 4, 3),
+    ],
+)
+@pytest.mark.parametrize("alpha", [F(1, 20), F(1, 10), F(1, 2), F(7, 10)])
+def test_face_reader_finds_the_facets_of_the_polar_lps(f, k, n, alpha):
+    # Two independent facet tests on one polytope: the masks of one double
+    # description, and one exact polar LP per row.  Duplicate rows, if
+    # any, count once, as their first copy.
+    poly = coefficient_polytope(parse_polynomial(f, default_names(k)), n, alpha)
+    a, b = poly.one_sided()
+    vertices, faces = vertex_faces(a, b)
+    facets = [i for i in facet_rows(faces, len(vertices)) if a.index(a[i]) == i]
+    assert facets == irredundant_rows(a, b)
 
 
 def _sides(poly):
@@ -639,10 +666,46 @@ class TestConvexPeeling:
     def test_hull_tests_draw_on_the_budget(self):
         with pytest.raises(StepLimitExceeded):
             convex_peeling(3, 5, StepCounter(limit=1))
-        # n' = 2: the corners need no LP; three hull tests strip the midpoints.
+        # n' = 2: one double description of the six points' polar strips the
+        # corners (6 steps), and one of the three midpoints' polar strips
+        # them (3 steps).
         counter = StepCounter()
-        convex_peeling(3, 2, counter)
-        assert counter.steps == 3
+        assert len(convex_peeling(3, 2, counter)) == 2
+        assert counter.steps == 9
+
+    @pytest.mark.parametrize("k, top", [(2, 11), (3, 8), (4, 5), (5, 3)])
+    def test_matches_a_peeling_on_highs(self, k, top):
+        # A remaining point is a hull vertex when no lambda >= 0 with sum 1
+        # combines the other remaining points into it; HiGHS decides that
+        # feasibility LP.
+        optimize = pytest.importorskip("scipy.optimize")
+
+        def highs_peeling(nprime):
+            remaining = monomials_of_degree(k, nprime)
+            layers = []
+            while remaining:
+                hull = []
+                for i, point in enumerate(remaining):
+                    others = remaining[:i] + remaining[i + 1 :]
+                    if not others:
+                        hull.append(point)
+                        continue
+                    ref = optimize.linprog(
+                        [0] * len(others),
+                        A_eq=[list(col) for col in zip(*others)] + [[1] * len(others)],
+                        b_eq=list(point) + [1],
+                        bounds=[(0, None)] * len(others),
+                        method="highs",
+                    )
+                    assert ref.status in (0, 2)
+                    if ref.status == 2:
+                        hull.append(point)
+                layers.append(set(hull))
+                remaining = [m for m in remaining if m not in layers[-1]]
+            return layers
+
+        for nprime in range(top + 1):
+            assert [set(layer) for layer in convex_peeling(k, nprime)] == highs_peeling(nprime)
 
 
 class TestUmpuSearch:
