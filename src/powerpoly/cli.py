@@ -41,6 +41,7 @@ from powerpoly.power import (
     exact_power,
     monte_carlo_power,
     recover_test,
+    require_test_size,
     test_to_power,
 )
 from powerpoly.threshold import rank_threshold, sos_bounds
@@ -126,12 +127,28 @@ def _parse_test_json(payload: dict) -> TestFunction:
             values[x] = phi(entry["phi"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed test-function JSON: {exc}") from exc
-    phi = TestFunction(n, k, values)
-    # Every listed vector is a count vector now: name the first one left out.
-    missing = next((x for x in phi.nums if x not in values), None)
-    if missing is not None:
+    require_test_size(n, k)
+    if len(values) < comb(n + k - 1, k - 1):
+        # Some vector is left out.  Check the entries as TestFunction would,
+        # without building its table, then name the first one missing.
+        for x, p in values.items():
+            if len(x) != k or min(x) < 0 or sum(x) != n:
+                raise ValueError(f"{x} is not a count vector for n={n}, k={k}")
+            if not 0 <= p <= 1:
+                raise ValueError(f"phi({x}) = {p} outside [0, 1]")
+        missing = next(x for x in _lazy_count_vectors(n, k) if x not in values)
         raise CliError(f"malformed test-function JSON: count vector {list(missing)} missing")
-    return phi
+    return TestFunction(n, k, values)
+
+
+def _lazy_count_vectors(n: int, k: int):
+    """The count vectors of n draws over k categories, lazily, in descending lex order."""
+    if k == 1:
+        yield (n,)
+        return
+    for e in range(n, -1, -1):
+        for rest in _lazy_count_vectors(n - e, k - 1):
+            yield (e, *rest)
 
 
 def test_to_json(phi: TestFunction) -> dict:
@@ -298,18 +315,19 @@ def cmd_umpu(args) -> int:
 def cmd_polytope(args) -> int:
     _, f, alpha = _principal(args)
     poly = coefficient_polytope(f, args.n, alpha)
+    zero = (0,) * poly.dim
     payload = {
         "schema_version": SCHEMA_VERSION,
         "dim": poly.dim,
         "h_index": [list(j) for j in poly.h_index],
         "rows": [
             {
-                "L": list(row.index),
-                "coeffs": _point(row.coeffs),
-                "lower": format_rational(row.lower),
-                "upper": format_rational(row.upper),
+                "L": list(L),
+                "coeffs": _point([poly.scale * c for c in row or zero]),
+                "lower": format_rational(-alpha * bound),
+                "upper": format_rational((1 - alpha) * bound),
             }
-            for row in poly.rows
+            for L, bound, row in poly.multiindices
         ],
         "halfspace_count": poly.halfspace_count(),
     }

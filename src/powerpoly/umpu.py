@@ -3,7 +3,9 @@
 For a principal hypothesis I(P0) = <f> and sample size n, the candidate
 power polynomials are f~^2 h + alpha with h homogeneous of degree
 n' = n - 2 deg(f).  The feasible h-coefficients form a polytope cut out
-by one two-sided box constraint per degree-n multiindex.  A vertex that
+by one two-sided box constraint per degree-n multiindex L,
+-alpha B_L <= c_L.h <= (1 - alpha) B_L.  The row c_L comes from f~^2
+alone and is stored once; alpha enters only the bounds.  A vertex that
 dominates all others componentwise yields the UMPU test; otherwise a
 layer-by-layer recursion over the convex peeling of the h-exponent
 lattice checks the necessary conditions and either refutes existence or
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import add, mul
 from typing import Sequence
@@ -56,28 +57,16 @@ def _grevlex_desc(k: int, n: int) -> list:
 
 
 @dataclass(frozen=True)
-class HRow:
-    """Two-sided constraint: lower <= coeffs . h <= upper, for multiindex L."""
-
-    index: tuple[int, ...]
-    coeffs: tuple[Fraction, ...]
-    lower: Fraction
-    upper: Fraction
-
-    def is_trivial(self) -> bool:
-        return not any(self.coeffs)
-
-
-@dataclass(frozen=True)
 class CoefficientPolytope:
-    """The feasible h-coefficients as {h : a h <= b}, on primitive integer rows.
+    """The feasible h-coefficients: -alpha B_L <= c_L.h <= (1 - alpha) B_L per L.
 
-    `a` and `b` are the one-sided rows (see `one_sided`), each scaled to a
-    primitive integer vector, nearest first.  `multiindices` holds, per
-    degree-n multiindex L in grevlex-descending order, (L, B_L, upper):
-    the multinomial B_L and L's upper row (a_u, b_u) of `one_sided`, or
-    None when c_L = 0 and L gives no row.  `rows`, the two-sided Fraction
-    view, is built from them on first access.
+    f~^2 = scale P with P a primitive integer polynomial.  `multiindices`
+    holds, per degree-n multiindex L in grevlex-descending order,
+    (L, B_L, P_L): the multinomial B_L and L's integer row P_L of P, or
+    None when P_L = 0 and L gives no row.  So c_L = scale P_L comes from
+    f~^2 alone, and alpha enters only the bounds.  `a` and `b` are the
+    one-sided rows (see `one_sided`), each scaled to a primitive integer
+    vector, nearest first.
     """
 
     n: int
@@ -85,37 +74,15 @@ class CoefficientPolytope:
     alpha: Fraction
     nprime: int
     h_index: tuple[tuple[int, ...], ...]  # grevlex-descending degree-n' multiindices
+    scale: Fraction
+    multiindices: tuple[tuple[tuple[int, ...], int, tuple[int, ...] | None], ...]
     a: tuple[tuple[int, ...], ...]
     b: tuple[int, ...]
-    multiindices: tuple[tuple[tuple[int, ...], int, tuple[tuple[int, ...], int] | None], ...]
     vertices: tuple[tuple[Fraction, ...], ...] | None = None
 
     @property
     def dim(self) -> int:
         return len(self.h_index)
-
-    @cached_property
-    def rows(self) -> tuple[HRow, ...]:
-        """One two-sided row per degree-n multiindex L, grevlex-descending.
-
-        Row L is -alpha B_L <= c_L.h <= (1 - alpha) B_L, and its upper
-        one-sided row (a_u, b_u) is c_L scaled by b_u / ((1 - alpha) B_L).
-        """
-        zero = (Fraction(0),) * self.dim
-        rows = []
-        for L, bound, row in self.multiindices:
-            upper = (1 - self.alpha) * bound
-            if row is None:
-                coeffs = zero
-            else:
-                a, b = row
-                scale = upper / b
-                coeffs = tuple([scale * c for c in a])
-            rows.append(HRow(L, coeffs, -self.alpha * bound, upper))
-        return tuple(rows)
-
-    def nonzero_rows(self) -> list[HRow]:
-        return [r for r in self.rows if not r.is_trivial()]
 
     def one_sided(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(A, b) with the polytope as {h : A h <= b}, nearest rows first.
@@ -149,23 +116,20 @@ class CoefficientPolytope:
     def power_polynomial(self, coeffs: Sequence[Fraction]) -> PowerPolynomial:
         """beta = f~^2 h + alpha (sum pi)^n: its L-term is phi_L(h) = c_L.h + alpha B_L.
 
-        c_L.h is read off L's upper row as (a_u.h) (1 - alpha) B_L / b_u.
-        On integers, with h = (g / d) H, alpha = p / q and m the lcm of
-        the b_u, the L-term is B_L (p d m + g (q - p) (a_u.H) m / b_u)
-        over q d m.
+        On integers, with h = (g / d) H, scale = s / t and alpha = p / q,
+        the L-term is (p d t B_L + q s g (P_L.H)) over q d t.
         """
         ints, g, d = primitive_scaling(coeffs)
         p, q = self.alpha.numerator, self.alpha.denominator
-        m = lcm(*(row[1] for _, _, row in self.multiindices if row is not None))
-        level, share = p * d * m, g * (q - p)
+        s, t = self.scale.numerator, self.scale.denominator
+        level, share = p * d * t, q * s * g
         nums = {}
         for L, bound, row in self.multiindices:
-            c = level
+            c = level * bound
             if row is not None:
-                a, b = row
-                c += share * (m // b) * sum(map(mul, a, ints))
-            nums[L] = bound * c
-        return PowerPolynomial.from_numerators(self.n, self.k, nums, q * d * m)
+                c += share * sum(map(mul, row, ints))
+            nums[L] = c
+        return PowerPolynomial.from_numerators(self.n, self.k, nums, q * d * t)
 
 
 def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientPolytope:
@@ -199,7 +163,7 @@ def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientP
         for m, c in zip(fsq.terms, packed):
             entries[tuple(map(add, J, m))][col] = c
     p, q = alpha.numerator, alpha.denominator
-    scale = q * g
+    qg = q * g  # the factor of every row: q den c_L = q g P_L
     lower, upper = [], []  # (row, rhs, max |row|) of each side, in row order
     multiindices = []
     for L in _grevlex_desc(k, n):
@@ -209,10 +173,10 @@ def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientP
             top = max(map(abs, row)) // gL
             for side, sign, share in ((lower, -1, p), (upper, 1, q - p)):
                 rhs = share * den * bounds[L]
-                t = gcd(scale * gL, rhs)
-                mult = sign * (scale * gL // t)
+                t = gcd(qg * gL, rhs)
+                mult = sign * (qg * gL // t)
                 side.append((tuple([c // gL * mult for c in row]), rhs // t, top * abs(mult)))
-        multiindices.append((L, bounds[L], upper[-1][:2] if gL else None))
+        multiindices.append((L, bounds[L], tuple(row) if gL else None))
     sides = lower + upper if alpha <= Fraction(1, 2) else upper + lower
     # b / max |a| for every row, as integers over one common denominator.
     common = lcm(*{top for _, _, top in sides})
@@ -224,9 +188,10 @@ def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientP
         alpha=alpha,
         nprime=nprime,
         h_index=h_index,
+        scale=Fraction(g, den),
+        multiindices=tuple(multiindices),
         a=tuple([sides[i][0] for i in order]),
         b=tuple([sides[i][1] for i in order]),
-        multiindices=tuple(multiindices),
     )
 
 
@@ -260,8 +225,6 @@ def componentwise_max(vertices: Sequence[Sequence[Fraction]]) -> ComponentwiseMa
         return ComponentwiseMax(vertex=vs[top])
     # No maximum: exhibit two maximal incomparable vertices.
     pair = _incomparable_pair(keys)
-    if pair is None:
-        raise AssertionError("internal: no maximum vertex yet no incomparable pair")
     return ComponentwiseMax(vertex=None, certificate=(vs[pair[0]], vs[pair[1]]))
 
 
@@ -394,7 +357,12 @@ def umpu_search(
 
 
 def _incomparable_pair(points) -> tuple[int, int] | None:
-    """Indices of the first incomparable pair among the maximal points, in input order."""
+    """Indices of the first incomparable pair among the maximal points, in input order.
+
+    Two distinct maximal points never dominate each other, so the pair is
+    the first maximal point and the first later one with another value.
+    A lone maximal value dominates every point: a peak, and no pair.
+    """
 
     def dominates(x, y):
         return all(a >= b for a, b in zip(x, y))
@@ -406,10 +374,9 @@ def _incomparable_pair(points) -> tuple[int, int] | None:
     for p in sorted(set(points), reverse=True):
         if not any(dominates(q, p) for q in maxima):
             maxima.append(p)
+    if len(maxima) < 2:
+        return None
     kept = set(maxima)
-    maximal = [i for i, p in enumerate(points) if p in kept]
-    for i, a in enumerate(maximal):
-        for b in maximal[i + 1 :]:
-            if not dominates(points[a], points[b]) and not dominates(points[b], points[a]):
-                return (a, b)
-    return None
+    first = next(i for i, p in enumerate(points) if p in kept)
+    later = next(i for i, p in enumerate(points) if p in kept and p != points[first])
+    return (first, later)

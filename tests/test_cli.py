@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -236,6 +237,28 @@ def test_test_function_refuses_a_missing_count_vector(command, tmp_path, capsys)
     assert (code, out) == (1, "")
     assert capsys.readouterr().err == (
         "error: malformed test-function JSON: count vector [2, 1, 0] missing\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["power-grid", "--res", "3"],
+        ["mc-validate", "--pi", "1/5,1/5,1/5,1/5,1/5", "--reps", "10"],
+    ],
+    ids=["power-grid", "mc-validate"],
+)
+def test_short_test_function_is_refused_before_its_table(command, tmp_path, capsys):
+    # 33 bytes that name a test on C(124, 4) = 9,381,251 count vectors: the
+    # short list is refused before a table of that size is built.
+    path = tmp_path / "phi.json"
+    path.write_text('{"n": 120, "k": 5, "values": []}\n')
+    start = time.perf_counter()
+    code, out = run_cli([command[0], "--test", str(path), *command[1:]])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: malformed test-function JSON: count vector [120, 0, 0, 0, 0] missing\n"
     )
 
 
@@ -553,8 +576,11 @@ class TestThreshold:
              "173cb8405168de93456448d1b065302035ea3ac8bc7bf0cd77f912c945572965"),
             ("p1+p2-p3", "4", "1/2",
              "327fb9739667f873b32b35152309d6092ccbee2aedd8ac22a2cc9399f11bb211"),
+            # f~^2 = (p1 - p2)^2 has no p3, so every L with L3 >= 2 is a zero row.
+            ("p1-p2", "3", "1/10",
+             "a7cfb8a57d0e744342a97ecdf493c15c62d61cb54e0a6a61b27242019aeeb1ac"),
         ],
-        ids=["sphere-k3-n5", "p1+p2-p3-n4-half"],
+        ids=["sphere-k3-n5", "p1+p2-p3-n4-half", "p1-p2-n3-zero-rows"],
     )
     def test_coeff_polytope_emission_bytes_pinned(self, f, n, alpha, digest):
         # The H-rep rows, the halfspace count and the vertices, byte for byte.

@@ -35,7 +35,6 @@ from powerpoly.umpu import (
     CANDIDATE,
     EXISTS,
     NOT_EXISTS,
-    HRow,
     _incomparable_pair,
     _peak_index,
 )
@@ -60,6 +59,15 @@ def P(text, names=VARS3):
 
 def sphere3():
     return build_hypothesis({"kind": "sphere", "params": {"k": 3, "delta_sq": "1/6"}}).generators[0]
+
+
+def _nonzero_rows(poly):
+    """(L, B_L, c_L) for every L whose row c_L = scale P_L is nonzero."""
+    return [
+        (L, bound, tuple([poly.scale * c for c in row]))
+        for L, bound, row in poly.multiindices
+        if row is not None
+    ]
 
 
 def _lp_rows(poly):
@@ -117,7 +125,7 @@ class TestCoefficientPolytope:
         poly = coefficient_polytope(P("p1 + p2 - p3"), 3, F(1, 20))
         assert poly.nprime == 1
         assert poly.dim == 3
-        assert len(poly.rows) == 10  # all degree-3 multiindices
+        assert len(poly.multiindices) == 10  # all degree-3 multiindices
         assert poly.halfspace_count() == 20
 
     def test_nprime_zero_is_interval(self):
@@ -129,14 +137,15 @@ class TestCoefficientPolytope:
 
     def test_origin_feasible(self):
         poly = coefficient_polytope(sphere3(), 6, F(1, 20))
-        for row in poly.nonzero_rows():
-            assert row.lower < 0 < row.upper
+        for _, bound, _ in _nonzero_rows(poly):
+            assert -poly.alpha * bound < 0 < (1 - poly.alpha) * bound
+        assert min(poly.one_sided()[1]) > 0
 
     def test_sphere_halfspace_counts(self):
         # Raw H-rep: one two-sided row per degree-n multiindex, all nonzero.
         for n, expect_rows in [(5, 21), (6, 28), (7, 36), (8, 45)]:
             poly = coefficient_polytope(sphere3(), n, F(1, 20))
-            assert len(poly.nonzero_rows()) == expect_rows
+            assert len(_nonzero_rows(poly)) == expect_rows
             assert poly.halfspace_count() == 2 * expect_rows
 
     @pytest.mark.parametrize(
@@ -157,7 +166,8 @@ class TestCoefficientPolytope:
     )
     def test_rows_match_the_probing_formula(self, weights, n):
         # Entry (L, J) probed as the coefficient of x^(L - J) in f~^2, or 0
-        # where L - J has a negative exponent; the rows must be identical.
+        # where L - J has a negative exponent; the rows scale P_L must be
+        # identical, and a zero row is stored as None.
         if weights == "sphere":
             f = sphere3()
         else:
@@ -175,10 +185,14 @@ class TestCoefficientPolytope:
             for J in h_index:
                 diff = tuple(l - j for l, j in zip(L, J))
                 coeffs.append(fsq.coefficient(diff) if min(diff) >= 0 else F(0))
-            bound = multinomial(n, L)
-            expected.append(HRow(L, tuple(coeffs), -alpha * bound, (1 - alpha) * bound))
+            expected.append((L, multinomial(n, L), tuple(coeffs) if any(coeffs) else None))
+        got = [
+            (L, bound, None if row is None else tuple([poly.scale * c for c in row]))
+            for L, bound, row in poly.multiindices
+        ]
         assert poly.h_index == tuple(h_index)
-        assert repr(poly.rows) == repr(tuple(expected))
+        assert repr(got) == repr(expected)
+        assert all(type(c) is int for _, _, row in poly.multiindices if row for c in row)
 
     def test_sample_size_validation(self):
         with pytest.raises(ValueError):
@@ -226,9 +240,9 @@ def test_face_reader_finds_the_facets_of_the_polar_lps(f, k, n, alpha):
 
 def _sides(poly):
     """The lower rows -c_L.h <= alpha B_L and the upper rows c_L.h <= (1 - alpha) B_L."""
-    rows = poly.nonzero_rows()
-    lower = [([-c for c in r.coeffs], -r.lower) for r in rows]
-    upper = [(list(r.coeffs), r.upper) for r in rows]
+    rows = _nonzero_rows(poly)
+    lower = [([-c for c in coeffs], poly.alpha * bound) for _, bound, coeffs in rows]
+    upper = [(list(coeffs), (1 - poly.alpha) * bound) for _, bound, coeffs in rows]
     return lower, upper
 
 
@@ -334,13 +348,12 @@ def test_power_polynomial_from_rows_matches_the_product(text, k, n, alpha):
 
 
 def _power_polynomial_oracle(poly, coeffs):
-    """The Fraction body `CoefficientPolytope.power_polynomial` replaced."""
+    """phi_L(h) = c_L.h + alpha B_L in Fractions, with c_L = scale P_L."""
     terms = {}
     for L, bound, row in poly.multiindices:
         c = poly.alpha * bound
         if row is not None:
-            a, b = row
-            c += sum(x * h for x, h in zip(a, coeffs) if x) * (1 - poly.alpha) * bound / b
+            c += poly.scale * sum(x * h for x, h in zip(row, coeffs) if x)
         if c:
             terms[L] = c
     return Polynomial(poly.k, terms)
@@ -607,6 +620,10 @@ class TestIncomparablePair:
         pts = [(0, 0), (0, 2), (1, 1), (2, 0)]
         assert _incomparable_pair(pts) == (1, 2)
         assert _incomparable_points(pts) == ((0, 2), (1, 1))
+
+    def test_repeated_first_maximum_pairs_with_the_next_value(self):
+        # The repeat of the first maximal point is skipped, not paired.
+        assert _incomparable_pair([(1, 0), (1, 0), (0, 1)]) == (0, 2)
 
     @seed(20250613)
     @settings(max_examples=300, deadline=None)
