@@ -28,12 +28,7 @@ from powerpoly.groebner import StepCounter
 from powerpoly.linalg import primitive_scaling
 from powerpoly.linprog import EQ, LE, solve_lp
 from powerpoly.parser import parse_polynomial, parse_rational
-from powerpoly.polynomial import (
-    Polynomial,
-    default_names,
-    table_index,
-    table_names,
-)
+from powerpoly.polynomial import Polynomial, default_names, table_names
 from powerpoly.polytope import enumerate_vertices_dd, facet_rows, vertex_faces, vertex_keys
 
 
@@ -41,23 +36,11 @@ class UnsupportedSampling(ValueError):
     """The hypothesis has no built-in rational parameterization."""
 
 
-@dataclass(frozen=True)
-class ContingencyShape:
-    """Rows x columns with the row-major flattening convention."""
-
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.p < 2 or self.q < 2:
-            raise ValueError("contingency tables need at least 2 rows and 2 columns")
-
-    @property
-    def k(self) -> int:
-        return self.p * self.q
-
-    def flat(self, i: int, j: int) -> int:
-        return table_index(i, j, self.q)
+def _table_cells(p: int, q: int) -> int:
+    """The k = p q cells of a p x q table, flattened row-major: cell (i, j) is i q + j."""
+    if p < 2 or q < 2:
+        raise ValueError("contingency tables need at least 2 rows and 2 columns")
+    return p * q
 
 
 @dataclass(frozen=True)
@@ -85,8 +68,8 @@ class NullHypothesis:
         return list(self.names[:-1])
 
 
-def _minor(nvars: int, shape: ContingencyShape, rows, cols) -> Polynomial:
-    """Determinant of the square submatrix on the given row/col indices.
+def _minor(nvars: int, q: int, rows, cols) -> Polynomial:
+    """Determinant of the square submatrix on the given row/col indices of a q-column table.
 
     Leibniz formula: one squarefree monomial per permutation, with
     coefficient +1 or -1 by the permutation's parity.
@@ -97,7 +80,7 @@ def _minor(nvars: int, shape: ContingencyShape, rows, cols) -> Polynomial:
         inversions = sum(perm[i] > perm[j] for i in range(r) for j in range(i + 1, r))
         mono = [0] * nvars
         for i in range(r):
-            mono[shape.flat(rows[i], cols[perm[i]])] = 1
+            mono[rows[i] * q + cols[perm[i]]] = 1
         terms[tuple(mono)] = Fraction(-1 if inversions & 1 else 1)
     return Polynomial._of(nvars, terms)
 
@@ -116,8 +99,7 @@ def rank_lt(p: int, q: int, r: int) -> NullHypothesis:
 
 
 def _minors_hypothesis(p: int, q: int, r: int) -> NullHypothesis:
-    shape = ContingencyShape(p, q)
-    k = shape.k
+    k = _table_cells(p, q)
     squares = itertools.product(
         itertools.combinations(range(p), r), itertools.combinations(range(q), r)
     )
@@ -125,7 +107,7 @@ def _minors_hypothesis(p: int, q: int, r: int) -> NullHypothesis:
         k=k,
         family="rank_lt",
         names=tuple(table_names(p, q)),
-        generators=tuple(_minor(k, shape, rows, cols) for rows, cols in squares),
+        generators=tuple(_minor(k, q, rows, cols) for rows, cols in squares),
         params={"p": p, "q": q, "r": r},
     )
 
@@ -169,13 +151,13 @@ def sphere(k: int, delta=None, delta_sq=None) -> NullHypothesis:
 
 def symmetry(p: int) -> NullHypothesis:
     """Square-table symmetry: the affine null set pi_ij - pi_ji = 0 for all i < j."""
-    shape = ContingencyShape(p, p)
+    k = _table_cells(p, p)
     rows = []
     for i, j in itertools.combinations(range(p), 2):
-        row = [0] * shape.k
-        row[shape.flat(i, j)], row[shape.flat(j, i)] = 1, -1
+        row = [0] * k
+        row[i * p + j], row[j * p + i] = 1, -1
         rows.append(row)
-    hyp = affine(rows, [0] * len(rows), shape.k)
+    hyp = affine(rows, [0] * len(rows), k)
     return replace(hyp, family="symmetry", names=tuple(table_names(p, p)), params={"p": p})
 
 

@@ -544,7 +544,3 @@ def table_names(p: int, q: int) -> list[str]:
     """Row-major names p11, p12, ..., ppq for a p-by-q contingency table."""
     return [f"p{i + 1}{j + 1}" for i in range(p) for j in range(q)]
 
-
-def table_index(i: int, j: int, q: int) -> int:
-    """Row-major flat index of table cell (i, j), zero-based."""
-    return i * q + j

@@ -12,13 +12,13 @@ count vectors (its keys, in descending lex order) and the B_x (its values).
 Tests and power polynomials are built on integers, as fraction-free
 arithmetic does (Geddes, Czapor & Labahn, Algorithms for Computer
 Algebra, 1992): a `TestFunction` holds one integer numerator per count
-vector over one common denominator, every construction forms each c_x as an
-integer numerator over one denominator, and one integer box check,
-0 <= num_x <= den * B_x, guards every power polynomial, whether built
-here (`PowerPolynomial.from_numerators`) or given from outside
-(`PowerPolynomial(n, k, poly)`, `box_check`).  A Fraction is built only
-per nonzero term of a returned polynomial, or per count vector when a
-test's `values` are read.
+vector of its support over one common denominator, every construction
+forms each c_x as an integer numerator over one denominator, and one
+integer box check, 0 <= num_x <= den * B_x, guards every power
+polynomial, whether built here (`PowerPolynomial.from_numerators`) or
+given from outside (`PowerPolynomial(n, k, poly)`, `box_check`).  A
+Fraction is built only per nonzero term of a returned polynomial, or
+per count vector when a test's `values` are read.
 
 Everything here is exact except `monte_carlo_power`, the one
 deliberately float-based validation path.
@@ -50,11 +50,14 @@ def require_test_size(n: int, k: int):
 class TestFunction:
     """Randomized test: count vector -> rejection probability in [0, 1].
 
-    Stored as `nums`, one integer numerator per count vector in descending
-    lex order, over the common denominator `den`: the least one, so
+    Stored on its support, as its power polynomial is: `nums` maps each
+    count vector x with phi(x) > 0, in descending lex order, to an integer
+    numerator over the common denominator `den`, and a count vector it
+    leaves out has phi = 0.  `den` is the least one, so
     gcd(den, *nums) = 1 and two tests are equal exactly when their `den`
-    and `nums` are.  `values` gives them as a read-only mapping of
-    Fractions, built on each access.
+    and `nums` are.  `values`, `items()` and a call read every count
+    vector off the table of `simplex_coefficients(k, n)` on access;
+    building a test never builds that table.
     """
 
     __test__ = False  # the name is statistics jargon, not a pytest class
@@ -63,17 +66,17 @@ class TestFunction:
 
     def __init__(self, n: int, k: int, values: Mapping[tuple[int, ...], Fraction]):
         require_test_size(n, k)
-        slots = dict.fromkeys(simplex_coefficients(k, n), 0)
         ints = (int,) * k
         # Each distinct phi object is converted and range-checked once,
         # looked up by id; `kept` holds the objects, so no id is reused.
-        exact: list = [0]
+        exact: list = []
         slot_of: dict[int, int] = {}
         kept = []
+        slots = {}
         for x, phi in values.items():
             if tuple(map(type, x)) != ints:
                 x = tuple(v if type(v) is int else _exponent(v, x) for v in x)
-            if x not in slots:
+            if len(x) != k or min(x) < 0 or sum(x) != n:
                 raise ValueError(f"{x} is not a count vector for n={n}, k={k}")
             slot = slot_of.get(id(phi))
             if slot is None:
@@ -88,16 +91,18 @@ class TestFunction:
         scaled = [p.numerator * (den // p.denominator) for p in exact]
         self.n = n
         self.k = k
-        self.nums = {x: scaled[slot] for x, slot in slots.items()}
+        # Sorting keys in descending lex order is linear when they come so.
+        self.nums = {x: scaled[s] for x, s in sorted(slots.items(), reverse=True) if scaled[s]}
         self.den = den
 
     @classmethod
     def _of(cls, n: int, k: int, nums: dict, den: int) -> "TestFunction":
         """Trusted constructor: adopts `nums` and `den` as they are.
 
-        The caller guarantees the invariants of the class: a numerator in
-        [0, den] for every count vector, in descending lex order, and
-        gcd(den, *nums) = 1.  Only the size is checked.
+        The caller guarantees the invariants of the class: `nums` holds
+        only count vectors, each with a numerator in (0, den], in
+        descending lex order, and gcd(den, *nums) = 1.  Only the size is
+        checked.
         """
         require_test_size(n, k)
         phi = object.__new__(cls)
@@ -106,10 +111,14 @@ class TestFunction:
 
     @property
     def values(self) -> Mapping[tuple[int, ...], Fraction]:
-        return MappingProxyType({x: Fraction(c, self.den) for x, c in self.nums.items()})
+        table, nums, den = simplex_coefficients(self.k, self.n), self.nums, self.den
+        return MappingProxyType({x: Fraction(nums.get(x, 0), den) for x in table})
 
     def __call__(self, x: Sequence[int]) -> Fraction:
-        return Fraction(self.nums[tuple(x)], self.den)
+        x = tuple(x)
+        if x not in simplex_coefficients(self.k, self.n):
+            raise KeyError(x)
+        return Fraction(self.nums.get(x, 0), self.den)
 
     def __eq__(self, other):
         return (
@@ -147,21 +156,22 @@ def _integer_box_check(nums: Mapping, den: int, n: int, k: int) -> BoxCheckResul
     """The box check on integers: 0 <= nums[x] <= den * B_x for every count vector x.
 
     `nums` maps count vectors to integer numerators over the positive
-    denominator `den`; an absent vector is 0, inside the box.  The first
-    violation in descending lex order is reported.
+    denominator `den`; an absent vector is 0, inside the box, so only
+    the given ones are checked.  The lex-greatest violation is reported.
     """
-    for x, bound in simplex_coefficients(k, n).items():
-        c = nums.get(x, 0)
-        if not 0 <= c <= den * bound:
-            coefficient = Fraction(c, den)
-            return BoxCheckResult(
-                False,
-                f"coefficient of index {x} is {coefficient}, outside [0, {bound}]",
-                index=x,
-                coefficient=coefficient,
-                bound=bound,
-            )
-    return _INSIDE
+    bounds = simplex_coefficients(k, n)
+    bad = [x for x, c in nums.items() if not 0 <= c <= den * bounds[x]]
+    if not bad:
+        return _INSIDE
+    x = max(bad)
+    coefficient, bound = Fraction(nums[x], den), bounds[x]
+    return BoxCheckResult(
+        False,
+        f"coefficient of index {x} is {coefficient}, outside [0, {bound}]",
+        index=x,
+        coefficient=coefficient,
+        bound=bound,
+    )
 
 
 def box_check(p: Polynomial, n: int, k: int) -> BoxCheckResult:
@@ -210,9 +220,12 @@ def _require_box(check: BoxCheckResult):
 
 
 def test_to_power(phi: TestFunction) -> PowerPolynomial:
-    """beta = sum phi(x) B_x pi^x: numerators phi.nums[x] * B_x over phi.den."""
-    bounds = simplex_coefficients(phi.k, phi.n).values()
-    nums = {x: c * bound for (x, c), bound in zip(phi.nums.items(), bounds)}
+    """beta = sum phi(x) B_x pi^x: numerators phi.nums[x] * B_x over phi.den.
+
+    The terms follow `nums`, in descending lex order on phi's support.
+    """
+    bounds = simplex_coefficients(phi.k, phi.n)
+    nums = {x: c * bounds[x] for x, c in phi.nums.items()}
     return PowerPolynomial.from_numerators(phi.n, phi.k, nums, phi.den)
 
 
@@ -221,7 +234,8 @@ def recover_test(beta: PowerPolynomial) -> TestFunction:
 
     c_x = N / D in lowest terms gives phi(x) = N / (D B_x), which in
     lowest terms is (N / g) / (D B_x / g) with g = gcd(N, B_x); the
-    numerators are then scaled to the lcm of those denominators.
+    numerators are then scaled to the lcm of those denominators, on
+    beta's support in descending lex order.
     """
     bounds = simplex_coefficients(beta.k, beta.n)
     reduced = {}
@@ -230,9 +244,7 @@ def recover_test(beta: PowerPolynomial) -> TestFunction:
         g = gcd(num, bound)
         reduced[x] = (num // g, c.denominator * (bound // g))
     den = lcm(*(d for _, d in reduced.values()))
-    nums = dict.fromkeys(bounds, 0)
-    for x, (num, d) in reduced.items():
-        nums[x] = num * (den // d)
+    nums = {x: num * (den // d) for x, (num, d) in sorted(reduced.items(), reverse=True)}
     return TestFunction._of(beta.n, beta.k, nums, den)
 
 
@@ -292,13 +304,12 @@ def exact_power(phi: TestFunction, point: Sequence) -> Fraction:
     d = lcm(*(v.denominator for v in pt))
     bases = [v.numerator * (d // v.denominator) for v in pt]
     total = 0
-    bounds = simplex_coefficients(phi.k, phi.n).values()
-    for (x, c), bound in zip(phi.nums.items(), bounds):
-        if c:
-            term = c * bound
-            for base, e in zip(bases, x):
-                term *= base**e
-            total += term
+    bounds = simplex_coefficients(phi.k, phi.n)
+    for x, c in phi.nums.items():
+        term = c * bounds[x]
+        for base, e in zip(bases, x):
+            term *= base**e
+        total += term
     return Fraction(total, phi.den * d**phi.n)
 
 
@@ -339,7 +350,7 @@ def monte_carlo_power(
     starts = np.flatnonzero(np.r_[True, (draws[1:] != draws[:-1]).any(axis=1)])
     counts = np.diff(np.r_[starts, reps])
     nums, den = phi.nums, phi.den  # num / den is float(Fraction(num, den)), bit for bit
-    pr = np.array([nums[tuple(row)] / den for row in draws[starts].tolist()])
+    pr = np.array([nums.get(tuple(row), 0) / den for row in draws[starts].tolist()])
     coin = (pr > 0.0) & (pr < 1.0)
     rejected = int(counts[pr >= 1.0].sum()) + int(rng.binomial(counts[coin], pr[coin]).sum())
     est = rejected / reps

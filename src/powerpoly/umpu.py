@@ -39,21 +39,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Sequence
 
 from powerpoly.groebner import StepCounter
 from powerpoly.linalg import primitive_scaling
-from powerpoly.polynomial import MonomialOrder, Packing, Polynomial, simplex_coefficients
+from powerpoly.polynomial import Polynomial, simplex_coefficients
 from powerpoly.polytope import enumerate_vertices_dd, facet_rows, irredundant_rows
 from powerpoly.polytope import vertex_faces, vertex_keys
 from powerpoly.power import PowerPolynomial, require_test_size
 
 
 def _grevlex_desc(k: int, n: int) -> list:
-    """The exponent vectors of degree n in k variables, in descending grevlex order."""
-    return sorted(simplex_coefficients(k, n), key=Packing(k, MonomialOrder.GREVLEX, n).key)
+    """The exponent vectors of degree n in k variables, in descending grevlex order.
+
+    Within one degree that is ascending lex order of the reversed vectors,
+    so the descending-lex table is read backwards, each vector reversed:
+    no sort is needed.
+    """
+    return [r[::-1] for r in reversed(simplex_coefficients(k, n))]
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,9 @@ class CoefficientPolytope:
         return PowerPolynomial.from_numerators(self.n, self.k, nums, q * d * t)
 
 
-def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientPolytope:
+def coefficient_polytope(
+    f: Polynomial, n: int, alpha: Fraction, counter: StepCounter | None = None
+) -> CoefficientPolytope:
     """H-representation of the feasible h-coefficients for f~^2 h + alpha.
 
     f~^2 is packed once as (g / den) P with P a primitive integer
@@ -141,6 +148,9 @@ def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientP
     c_L.h <= (1 - alpha) B_L times q den is the integer row
     q g P_L.h <= (q - p) den B_L, and the lower row likewise; one gcd
     per row makes it primitive.
+
+    `counter` is ticked once per degree-n multiindex, one row each,
+    before any row is built.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
@@ -152,6 +162,8 @@ def coefficient_polytope(f: Polynomial, n: int, alpha: Fraction) -> CoefficientP
         raise ValueError(f"sample size {n} below 2 deg(f) = {2 * deg}")
     require_test_size(n, f.nvars)  # a one-point simplex has no alternative
     k = f.nvars
+    if counter is not None:
+        counter.tick(comb(n + k - 1, k - 1))
     nprime = n - 2 * deg
     fsq = (f.homogenize(deg)) ** 2
     packed, g, den = primitive_scaling(fsq.terms.values())
@@ -298,7 +310,7 @@ def umpu_search(
     passing all layers leaves the unique candidate h* (sufficiency beyond
     the vertex criterion is not decided).
     """
-    poly = enumerate_vertices(coefficient_polytope(f, n, alpha), counter)
+    poly = enumerate_vertices(coefficient_polytope(f, n, alpha, counter), counter)
     assert poly.vertices is not None
     # Every maximum and tie is read off the vertices' integer keys, built
     # once; the per-coordinate maxima form a vertex exactly when one vertex

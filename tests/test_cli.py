@@ -87,7 +87,8 @@ class TestGb:
     "argv",
     [
         ["gb", "--gens", "p1-p3", "--vars", "p1,p2,p3"],
-        # Neither command below draws on the budget, yet the limit is checked.
+        # A limit below 1 is refused whether or not the command draws on it:
+        # coeff-polytope ticks its rows, threshold on rank_lt draws nothing.
         ["coeff-polytope", "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3",
          "--alpha", "1/20"],
         ["threshold", "--hypothesis", "RANK"],
@@ -101,6 +102,17 @@ def test_step_limit_below_one_is_an_error(argv, limit, tmp_path, capsys):
     code, _ = run_cli(argv + ["--step-limit", limit])
     assert code == 1
     assert "step limit must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["umpu", "coeff-polytope"])
+def test_coefficient_rows_are_counted_before_they_are_built(command, capsys):
+    # C(302, 2) = 45,451 rows at n = 300: a budget of 10 refuses them at once.
+    argv = [command, "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "300", "--alpha", "1/20"]
+    start = time.perf_counter()
+    code, out = run_cli(argv + ["--step-limit", "10"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "error: computation exceeded step limit 10\n"
 
 
 def test_usage_error_exits_one_not_the_verdict_code(capsys):
@@ -724,6 +736,20 @@ class TestRoundTripCommands:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "cd46245345425dfa4cbdc8cab4c596985164afcf22dcbd47cbf76746aeeed88e"
         )
+
+    def test_grid_csv_bytes_do_not_depend_on_entry_order(self, tmp_path):
+        # Each power is a float sum in term order, and the terms come in
+        # descending lex order whatever order the file lists them in.
+        rng = random.Random(34)
+        phi = TestFunction(6, 3, {x: F(rng.randint(0, 16), 16) for x in count_vectors(6, 3)})
+        payload = to_json(phi)
+        canonical, shuffled = tmp_path / "canonical.json", tmp_path / "shuffled.json"
+        canonical.write_text(json.dumps(payload))
+        rng.shuffle(payload["values"])
+        shuffled.write_text(json.dumps(payload))
+        want = run_cli(["power-grid", "--test", str(canonical), "--res", "11"])
+        assert want[0] == 0
+        assert run_cli(["power-grid", "--test", str(shuffled), "--res", "11"]) == want
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("res, top", GRIDS)

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -37,11 +38,30 @@ VARS3 = ["p1", "p2", "p3"]
 class TestTestFunction:
     def test_values_are_a_read_only_view_of_the_numerators(self):
         phi = TestFunction(2, 2, {(2, 0): F(1, 3), (1, 1): F(1, 2)})
-        assert (phi.den, phi.nums) == (6, {(2, 0): 2, (1, 1): 3, (0, 2): 0})
+        assert (phi.den, phi.nums) == (6, {(2, 0): 2, (1, 1): 3})
         assert dict(phi.values) == {(2, 0): F(1, 3), (1, 1): F(1, 2), (0, 2): 0}
         with pytest.raises(TypeError):
             phi.values[(0, 2)] = F(1)
         assert phi((0, 2)) == 0
+        with pytest.raises(KeyError):
+            phi((3, 0))
+
+    def test_stored_on_its_support_in_descending_lex_order(self):
+        phi = TestFunction(3, 2, {(0, 3): F(1), (1, 2): 0, (3, 0): F(1, 2)})
+        assert (phi.den, list(phi.nums.items())) == (2, [((3, 0), 1), ((0, 3), 2)])
+        assert phi == TestFunction(3, 2, {(3, 0): F(1, 2), (0, 3): 1})
+        assert list(TestFunction(3, 2, {(2, 1): 0}).nums) == []
+
+    def test_building_a_test_builds_no_count_vector_table(self):
+        # C(124, 4) = 9,381,251 count vectors, one of them in the support.
+        tracemalloc.start()
+        try:
+            phi = TestFunction(120, 5, {(120, 0, 0, 0, 0): 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert (phi.den, phi.nums) == (1, {(120, 0, 0, 0, 0): 1})
 
     def test_distinct_values_are_not_hashed(self):
         # One conversion per distinct object, found by identity: a value

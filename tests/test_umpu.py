@@ -121,6 +121,14 @@ def _lp_replay(poly):
 
 
 class TestCoefficientPolytope:
+    def test_rows_are_counted_before_they_are_built(self):
+        counter = StepCounter()
+        coefficient_polytope(P("p1 + p2 - p3"), 4, F(1, 20), counter)
+        assert counter.steps == math.comb(4 + 2, 2)
+        # C(302, 2) = 45,451 rows: refused before the first is built.
+        with pytest.raises(StepLimitExceeded):
+            coefficient_polytope(P("p1 + p2 - p3"), 300, F(1, 20), StepCounter(10))
+
     def test_linear_f_dimensions(self):
         poly = coefficient_polytope(P("p1 + p2 - p3"), 3, F(1, 20))
         assert poly.nprime == 1
