@@ -26,7 +26,7 @@ from typing import Sequence
 
 from powerpoly.groebner import StepCounter
 from powerpoly.linalg import primitive_scaling
-from powerpoly.linprog import EQ, LE, solve_lp
+from powerpoly.linprog import solve_lp
 from powerpoly.parser import parse_polynomial, parse_rational
 from powerpoly.polynomial import Polynomial, default_names, table_names
 from powerpoly.polytope import enumerate_vertices_dd, facet_rows, vertex_faces, vertex_keys
@@ -477,8 +477,10 @@ def polytope_existence(
     for i, j in itertools.combinations(range(m), 2):
         common = faces[i] & faces[j]
         if common and all(common & ~face for face in faces[m:]):
-            cons = [(rows[i] + [0], EQ, rhs[i]), (rows[j] + [0], EQ, rhs[j])]
-            cons += [(row + [int(n >= m)], LE, r) for n, (row, r) in enumerate(zip(rows, rhs))]
+            # Rows i and j also appear below as <= rows, so the two >= rows
+            # put the point on H_i and H_j.
+            cons = [([-v for v in rows[h]] + [0], -rhs[h]) for h in (i, j)]
+            cons += [(row + [int(n >= m)], r) for n, (row, r) in enumerate(zip(rows, rhs))]
             res = solve_lp(d + 1, [0] * d + [1], cons)
             point = tuple(res.point[:d])
             return ExistenceVerdict(exists=False, failing_pair=(i, j), witness_point=point)
@@ -639,14 +641,15 @@ def _sphere_base_point(k: int, dsq: Fraction) -> list[Fraction] | None:
     """A rational point u with sum(u) = 0 and |u|^2 = dsq, if one is found.
 
     Searches scaled integer zero-sum vectors v with dsq/|v|^2 a rational
-    square, lazily and in a fixed order, so the first hit is returned.
-    Some radii admit no rational points at all (local obstructions), in
-    which case sampling is refused.
+    square, lazily and in a fixed order, so the first hit is returned: the
+    patterns first, then a small box on the first min(k, 6) coordinates,
+    padded with zeros (a point of a smaller sphere's search lies on this
+    one too).  Some radii admit no rational points at all (local
+    obstructions), in which case sampling is refused.
     """
-    candidates = _zero_sum_patterns(k)
-    if k <= 6:
-        box = (list(v) + [-sum(v)] for v in itertools.product(range(-3, 4), repeat=k - 1))
-        candidates = itertools.chain(candidates, (v for v in box if any(v)))
+    m = min(k, 6)
+    box = ([*v, -sum(v)] + [0] * (k - m) for v in itertools.product(range(-3, 4), repeat=m - 1))
+    candidates = itertools.chain(_zero_sum_patterns(k), (v for v in box if any(v)))
     # Only the norm decides a candidate, so each norm is tested once.
     tried = set()
     for v in candidates:

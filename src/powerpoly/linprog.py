@@ -1,13 +1,16 @@
 """Exact rational linear programming: a primal simplex on {x : A x <= b}.
 
-`solve_lp` maximizes over free variables.  GE rows are negated into LE
-rows, and EQ rows are solved away once (x = x0 + z N).  Only the pivot
-columns of rref(A) are kept, so A has full column rank d and every vertex
-has d linearly independent tight rows.  The walk keeps d tight rows and
-the inverse of their matrix, rank-1 updated per pivot, and follows Bland's
-rule (Bland, Math. Oper. Res. 1977), so it terminates without cycling.
-Phase 1 is the same walk on {A z - s <= b, -s <= 0}.  All arithmetic is on
-Fractions, so optima and optimizers are exact.
+`solve_lp` maximizes over free variables.  Its rows are pairs (a, b)
+meaning a.x <= b, the one row form of every polytope in the package (the
+form `polytope.enumerate_vertices_dd` takes); an equality is its two rows
+a.x <= b and -a.x <= -b.  Only the pivot columns of rref(A) are kept, so
+A has full column rank d and every vertex has d linearly independent
+tight rows.  The walk keeps d tight rows and the inverse of their matrix,
+rank-1 updated per pivot, and follows Bland's rule (Bland, Math. Oper.
+Res. 1977), so it terminates without cycling.  Phase 1 is the same walk
+on {A z - s <= b, -s <= 0}.  No equality is solved away, so phase 2
+walks on the caller's rows one for one.  All arithmetic is on Fractions,
+so optima and optimizers are exact.
 """
 
 from __future__ import annotations
@@ -17,9 +20,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from powerpoly.linalg import nullspace, primitive_ints, rref, solve_linear
-
-LE, GE, EQ = "<=", ">=", "=="
+from powerpoly.linalg import nullspace, primitive_ints, rref
 
 
 @dataclass
@@ -107,44 +108,28 @@ def _walk(a, b, c, x):
 def solve_lp(
     nvars: int,
     objective: Sequence,
-    constraints: Sequence[tuple[Sequence, str, object]],
+    constraints: Sequence[tuple[Sequence, object]],
 ) -> LPResult:
-    """Maximize objective.x over free x subject to rows (coeffs, rel, rhs)."""
+    """Maximize objective.x over free x subject to rows (coeffs, rhs), each coeffs.x <= rhs.
+
+    This is the row form `polytope.enumerate_vertices_dd` takes; an
+    equality is passed as its two rows.
+    """
     c = [Fraction(v) for v in objective]
     if len(c) != nvars:
         raise ValueError("objective length mismatch")
-    ineq, eq = [], []
-    for coeffs, rel, rhs in constraints:
-        if len(coeffs) != nvars:
-            raise ValueError("constraint length mismatch")
-        if rel not in (LE, GE, EQ):
-            raise ValueError(f"bad relation {rel!r}")
-        row, r = [Fraction(v) for v in coeffs], Fraction(rhs)
-        if rel == GE:
-            row, r = [-v for v in row], -r
-        (eq if rel == EQ else ineq).append((row, r))
-    a, b = [row for row, _ in ineq], [r for _, r in ineq]
-
-    # Solve the equalities away: x = x0 + z N, N's rows spanning their kernel.
-    x0 = [Fraction(0)] * nvars
-    dirs = [[int(i == j) for i in range(nvars)] for j in range(nvars)]
-    cz = c
-    if eq:
-        x0 = solve_linear([row for row, _ in eq], [r for _, r in eq])
-        if x0 is None:
-            return LPResult("infeasible")
-        dirs = nullspace([row for row, _ in eq])
-        b = [r - _dot(row, x0) for row, r in zip(a, b)]
-        a = [[_dot(row, v) for v in dirs] for row in a]
-        cz = [_dot(c, v) for v in dirs]
+    rows = [([Fraction(v) for v in coeffs], Fraction(rhs)) for coeffs, rhs in constraints]
+    if any(len(row) != nvars for row, _ in rows):
+        raise ValueError("constraint length mismatch")
+    a, b = [row for row, _ in rows], [r for _, r in rows]
 
     # Keep the pivot columns of rref(a).  A free column is a combination of
     # them; when the objective disagrees with that combination, it moves
     # along a direction no row sees.
     red, piv = rref(a)
     unseen = any(
-        cz[f] != sum(cz[p] * row[f] for p, row in zip(piv, red))
-        for f in range(len(cz))
+        c[f] != sum(c[p] * row[f] for p, row in zip(piv, red))
+        for f in range(nvars)
         if f not in piv
     )
     a = [[row[p] for p in piv] for row in a]
@@ -162,10 +147,10 @@ def solve_lp(
         z = phase1[:d]
     if unseen:
         return LPResult("unbounded")
-    z = _walk(a, b, [cz[p] for p in piv], z)
+    z = _walk(a, b, [c[p] for p in piv], z)
     if z is None:
         return LPResult("unbounded")
-    point = list(x0)
+    point = [Fraction(0)] * nvars
     for zk, p in zip(z, piv):
-        point = [v + zk * w for v, w in zip(point, dirs[p])]
+        point[p] = zk
     return LPResult("optimal", _dot(c, point), point)

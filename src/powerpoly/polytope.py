@@ -78,7 +78,7 @@ from typing import Sequence
 
 from powerpoly.groebner import StepCounter
 from powerpoly.linalg import echelon, primitive_ints
-from powerpoly.linprog import LE, solve_lp
+from powerpoly.linprog import solve_lp
 
 
 @dataclass(slots=True)
@@ -371,7 +371,7 @@ def irredundant_rows(a: Sequence[Sequence], b: Sequence) -> list[int]:
     keep = []
     for p, i in first_of.items():
         t = [0] * len(p) + [1]  # the objective, and the row of t <= 1
-        cons = [([x - y for x, y in zip(q, p)] + [1], LE, 0) for q in first_of if q is not p]
-        if solve_lp(len(t), t, [*cons, (t, LE, 1)]).value > 0:
+        cons = [([x - y for x, y in zip(q, p)] + [1], 0) for q in first_of if q is not p]
+        if solve_lp(len(t), t, [*cons, (t, 1)]).value > 0:
             keep.append(i)
     return keep

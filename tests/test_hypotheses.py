@@ -348,18 +348,19 @@ class TestPolytopeExistence:
                     )
                     assert ref.status in (0, 2)
                     if expected is None and ref.status == 0 and -ref.fun > 1e-9:
-                        expected = (i, j)
+                        expected, depth = (i, j), -ref.fun
             assert verdict.exists is (expected is None), (a, b)
             assert verdict.failing_pair == expected, (a, b)
             if expected is not None:
                 # The witness lies on H_i and H_j, in P0, and strictly inside
-                # the simplex.
+                # the simplex, as deep inside it as the face allows.
                 x = verdict.witness_point
                 i, j = expected
                 slack = [sum(r * xi for r, xi in zip(row, x)) - bi for row, bi in zip(a, b)]
                 assert slack[i] == slack[j] == 0, (a, b)
                 assert min(slack) >= 0, (a, b)
                 assert min(x) > 0 and sum(x) < 1, (a, b)
+                assert abs(float(min(min(x), 1 - sum(x))) - depth) <= 1e-9, (a, b)
             checked += 1
         assert checked >= 40
 
@@ -569,6 +570,35 @@ class TestSampling:
         h = build_hypothesis({"kind": "sphere", "params": {"k": 3, "delta": "1/6"}})
         with pytest.raises(UnsupportedSampling):
             sample_null_points(h, 3, seed=0)
+
+    @pytest.mark.parametrize(
+        "k, dsq",
+        [(7, F(1, 3))] + [(k, dsq) for k in (7, 8, 9) for dsq in (F(1, 10), F(1, 12), F(1, 20))],
+        ids=str,
+    )
+    def test_spheres_beyond_k6_find_their_rational_points(self, k, dsq):
+        # A zero-sum point of a k <= 6 sphere, padded with zeros, lies on
+        # the same sphere for every larger k.
+        h = sphere(k, delta_sq=dsq)
+        points = sample_null_points(h, 10, 7)
+        assert len(set(points)) == 10
+        for pt in points:
+            assert h.generators[0].evaluate(pt) == 0
+            assert min(pt) >= 0 and sum(pt) == 1
+
+    @pytest.mark.parametrize("k", [7, 8, 9])
+    def test_base_point_search_covers_the_six_coordinate_box(self, k):
+        for dsq in (F(num, den) for den in range(1, 40) for num in range(1, 6)):
+            if hypotheses._sphere_base_point(6, dsq) is not None:
+                u = hypotheses._sphere_base_point(k, dsq)
+                assert u is not None and sum(u) == 0 and sum(x * x for x in u) == dsq
+
+    @pytest.mark.parametrize("k", [7, 8, 9])
+    def test_quarter_radius_beyond_k6_is_a_budget_refusal(self, k):
+        # The base point exists, but the line search meets too few simplex
+        # points on this wide sphere.
+        with pytest.raises(UnsupportedSampling, match="exhausted the search budget"):
+            sample_null_points(sphere(k, delta_sq=F(1, 4)), 10, 7)
 
 
 def _sphere_line_search_oracle(k, dsq, count, seed):

@@ -3,7 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from powerpoly.linprog import EQ, GE, LE, solve_lp
+from powerpoly.linprog import solve_lp
+
+# The cases below are written with relations; `as_le` turns them into the
+# a.x <= b rows that `solve_lp` takes.
+LE, GE, EQ = "<=", ">=", "=="
+
+
+def as_le(rows):
+    """(coeffs, rel, rhs) rows as (coeffs, rhs) rows: a GE row is negated
+    and an EQ row becomes both of its rows."""
+    out = []
+    for coeffs, rel, rhs in rows:
+        if rel != GE:
+            out.append((coeffs, rhs))
+        if rel != LE:
+            out.append(([-v for v in coeffs], -rhs))
+    return out
 
 
 def nonneg(n):
@@ -17,18 +33,18 @@ class TestSolveLP:
         res = solve_lp(
             2,
             [1, 1],
-            [([1, 0], LE, 2), ([0, 1], LE, 3), ([1, 1], LE, 4)] + nonneg(2),
+            as_le([([1, 0], LE, 2), ([0, 1], LE, 3), ([1, 1], LE, 4)] + nonneg(2)),
         )
         assert res.is_optimal
         assert res.value == 4
 
     def test_exact_fractions(self):
-        res = solve_lp(1, [1], [([Fraction(3)], LE, Fraction(1, 7))] + nonneg(1))
+        res = solve_lp(1, [1], as_le([([Fraction(3)], LE, Fraction(1, 7))] + nonneg(1)))
         assert res.value == Fraction(1, 21)
 
     def test_free_variables(self):
         # max -x st x >= -5 (free variable can go negative)
-        res = solve_lp(1, [-1], [([1], GE, -5)])
+        res = solve_lp(1, [-1], as_le([([1], GE, -5)]))
         assert res.is_optimal
         assert res.value == 5
         assert res.point == [Fraction(-5)]
@@ -37,23 +53,23 @@ class TestSolveLP:
         res = solve_lp(
             3,
             [0, 0, 1],
-            [([1, 1, 1], EQ, 1), ([1, -1, 0], EQ, 0)] + nonneg(3),
+            as_le([([1, 1, 1], EQ, 1), ([1, -1, 0], EQ, 0)] + nonneg(3)),
         )
         assert res.is_optimal
         assert res.value == 1
         assert res.point == [Fraction(0), Fraction(0), Fraction(1)]
 
     def test_infeasible(self):
-        res = solve_lp(1, [1], [([1], LE, 0), ([1], GE, 1)] + nonneg(1))
+        res = solve_lp(1, [1], as_le([([1], LE, 0), ([1], GE, 1)] + nonneg(1)))
         assert res.status == "infeasible"
 
     def test_unbounded(self):
-        res = solve_lp(1, [1], [([1], GE, 0)])
+        res = solve_lp(1, [1], as_le([([1], GE, 0)]))
         assert res.status == "unbounded"
 
     def test_min_sense(self):
         # min x + 2y st x + y >= 1, x,y >= 0
-        res = solve_lp(2, [-1, -2], [([1, 1], GE, 1)] + nonneg(2))
+        res = solve_lp(2, [-1, -2], as_le([([1, 1], GE, 1)] + nonneg(2)))
         assert res.is_optimal
         assert -res.value == 1
         assert res.point == [Fraction(1), Fraction(0)]
@@ -63,12 +79,14 @@ class TestSolveLP:
         res = solve_lp(
             4,
             [Fraction(3, 4), -150, Fraction(1, 50), -6],
-            [
-                ([Fraction(1, 4), -60, Fraction(-1, 25), 9], LE, 0),
-                ([Fraction(1, 2), -90, Fraction(-1, 50), 3], LE, 0),
-                ([0, 0, 1, 0], LE, 1),
-            ]
-            + nonneg(4),
+            as_le(
+                [
+                    ([Fraction(1, 4), -60, Fraction(-1, 25), 9], LE, 0),
+                    ([Fraction(1, 2), -90, Fraction(-1, 50), 3], LE, 0),
+                    ([0, 0, 1, 0], LE, 1),
+                ]
+                + nonneg(4)
+            ),
         )
         assert res.is_optimal
         assert res.value == Fraction(1, 20)
@@ -77,7 +95,7 @@ class TestSolveLP:
         res = solve_lp(
             2,
             [1, 0],
-            [([1, 1], EQ, 1), ([2, 2], EQ, 2), ([1, 0], LE, Fraction(1, 3))] + nonneg(2),
+            as_le([([1, 1], EQ, 1), ([2, 2], EQ, 2), ([1, 0], LE, Fraction(1, 3))] + nonneg(2)),
         )
         assert res.is_optimal
         assert res.value == Fraction(1, 3)
@@ -92,12 +110,22 @@ class TestSolveLP:
 
     def test_direction_no_row_sees(self):
         # Rows constrain x + y only; the objective moves along x - y.
-        assert solve_lp(2, [1, 0], [([1, 1], LE, 1), ([1, 1], GE, 0)]).status == "unbounded"
-        res = solve_lp(2, [2, 2], [([1, 1], LE, 1), ([1, 1], GE, 0)])
+        rows = as_le([([1, 1], LE, 1), ([1, 1], GE, 0)])
+        assert solve_lp(2, [1, 0], rows).status == "unbounded"
+        res = solve_lp(2, [2, 2], rows)
         assert res.value == 2 and sum(res.point) == 1
 
     def test_infeasible_beats_unseen_direction(self):
-        assert solve_lp(2, [1, 0], [([0, 1], LE, 0), ([0, 1], GE, 1)]).status == "infeasible"
+        rows = as_le([([0, 1], LE, 0), ([0, 1], GE, 1)])
+        assert solve_lp(2, [1, 0], rows).status == "infeasible"
+
+    def test_rows_are_coefficient_and_bound_pairs(self):
+        # Each row is (a, b) for a.x <= b; a row with a relation is refused.
+        assert solve_lp(1, [1], [([1], 2)]).value == 2
+        with pytest.raises(ValueError):
+            solve_lp(1, [1], [([1], "<=", 2)])
+        with pytest.raises(ValueError, match="constraint length mismatch"):
+            solve_lp(2, [1, 0], [([1], 2)])
 
 
 def random_lp(rng):
@@ -140,7 +168,7 @@ class TestHighsOracle:
                 bounds=[(None, None)] * n,
                 method="highs",
             )
-            res = solve_lp(n, objective, rows)
+            res = solve_lp(n, objective, as_le(rows))
             assert res.status == self.STATUS[ref.status], (n, objective, rows)
             seen.add(res.status)
             if res.is_optimal:

@@ -21,7 +21,7 @@ from powerpoly import (
     umpu_search,
 )
 from powerpoly.linalg import primitive_ints
-from powerpoly.linprog import EQ, LE, solve_lp
+from powerpoly.linprog import solve_lp
 from powerpoly.polynomial import MonomialOrder, default_names
 from powerpoly.polytope import (
     enumerate_vertices_dd,
@@ -72,11 +72,16 @@ def _nonzero_rows(poly):
 
 def _lp_rows(poly):
     a, b = poly.one_sided()
-    return [(row, LE, bound) for row, bound in zip(a, b)]
+    return list(zip(a, b))
 
 
 def _fix(dim, values):
-    return [([F(int(i == pos)) for i in range(dim)], EQ, v) for pos, v in values.items()]
+    """x_pos = v for each fixed coordinate, as its two <= rows."""
+    rows = []
+    for pos, v in values.items():
+        unit = [F(int(i == pos)) for i in range(dim)]
+        rows += [(unit, v), ([-u for u in unit], -v)]
+    return rows
 
 
 def _lp_replay(poly):
@@ -99,7 +104,7 @@ def _lp_replay(poly):
     def feasible(values):
         if len(values) == dim:  # a single point: no LP needed
             return all(sum(r * values[i] for i, r in enumerate(row)) <= bound
-                       for row, _, bound in base)
+                       for row, bound in base)
         return solve_lp(dim, [F(0)] * dim, base + _fix(dim, values)).is_optimal
 
     peak = {pos: maximize(base, pos) for pos in range(dim)}
