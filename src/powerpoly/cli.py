@@ -34,14 +34,13 @@ from powerpoly.hypotheses import (
     sample_null_points,
 )
 from powerpoly.parser import format_polynomial, format_rational, parse_polynomial, parse_rational
-from powerpoly.polynomial import MonomialOrder, Polynomial
+from powerpoly.polynomial import MonomialOrder, Polynomial, simplex_coefficients
 from powerpoly.power import (
     PowerPolynomial,
     TestFunction,
     exact_power,
     monte_carlo_power,
     recover_test,
-    test_to_power,
 )
 from powerpoly.threshold import rank_threshold, sos_bounds
 from powerpoly.umpu import NOT_EXISTS, coefficient_polytope, enumerate_vertices, umpu_search
@@ -334,7 +333,6 @@ def cmd_polytope(args) -> int:
 
 def cmd_power_grid(args) -> int:
     phi = _parse_test_json(_load_json(args.test))
-    beta = test_to_power(phi).poly
     res = args.res
     if res < 2:
         raise CliError("resolution must be >= 2")
@@ -355,7 +353,7 @@ def cmd_power_grid(args) -> int:
     coords = [repr(x) for x in axis]
     header = ",".join(f"pi_{i + 1}" for i in range(k - 1)) + ",power"
     lines = [header]
-    for cell, value in zip(cells, _grid_values(beta, cells, axis, rest)):
+    for cell, value in zip(cells, _grid_values(phi, cells, axis, rest)):
         lines.append(",".join([coords[i] for i in cell] + [repr(value)]))
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -374,36 +372,40 @@ def _cell_count(res: int, dims: int, limit: int) -> int:
     )
 
 
-def _grid_values(beta: Polynomial, cells, axis, rest) -> list[float]:
-    """`beta.evaluate_float` at every grid cell, bit for bit, in one pass.
+def _grid_values(phi: TestFunction, cells, axis, rest) -> list[float]:
+    """The power of `phi` at every grid cell, in one pass.
 
     A cell is a tuple of k - 1 grid indices; its point is
-    (axis[i_1], ..., axis[i_{k-1}], rest[i_1 + ... + i_{k-1}]).  The
-    floating-point operations are those of `evaluate_float`, in the same
-    order: per term, float(coeff) times each nonzero power left to right,
-    summed in term order.  Only the powers are shared: when a term first
-    needs x**e at a coordinate, it is computed with Python's float `**`
-    (numpy's `power` rounds differently) once per entry of that
-    coordinate's table, `axis` or `rest`, and gathered per cell by index.
+    (axis[i_1], ..., axis[i_{k-1}], rest[i_1 + ... + i_{k-1}]).  The value
+    is `evaluate_float` of phi's power polynomial, bit for bit, read off
+    phi's numerators: the coefficient of pi^x is num_x * B_x / den, the
+    correctly rounded integer division `float(Fraction)` performs, so no
+    Fraction is built.  The floating-point operations are those of
+    `evaluate_float`, in the same order: per term, the coefficient times
+    each nonzero power left to right, summed in term order (descending
+    lex, as `nums` holds them).  Only the powers are shared: each power
+    x**e that phi's support uses at a coordinate is computed once per
+    entry of that coordinate's table, `axis` or `rest`, with Python's
+    float `**` (numpy's `power` rounds differently), and gathered per
+    cell by index.
     """
     import numpy as np
 
     index = np.array(cells, dtype=np.intp)
     columns = [*index.T, index.sum(axis=1)]
     tables = [axis] * (len(columns) - 1) + [rest]
-    powers: dict[tuple[int, int], object] = {}
-
-    def power(i: int, e: int):
-        if (i, e) not in powers:
-            powers[i, e] = np.array([x**e for x in tables[i]])[columns[i]]
-        return powers[i, e]
-
+    powers = [[None] * (phi.n + 1) for _ in columns]
+    for x in phi.nums:
+        for i, e in enumerate(x):
+            if e and powers[i][e] is None:
+                powers[i][e] = np.array([t**e for t in tables[i]])[columns[i]]
+    bounds, den = simplex_coefficients(phi.k, phi.n), phi.den
     total = np.zeros(len(cells))
-    for mono, coeff in beta.terms.items():
-        value = float(coeff)
-        for i, e in enumerate(mono):
+    for x, num in phi.nums.items():
+        value = num * bounds[x] / den
+        for row, e in zip(powers, x):
             if e:
-                value *= power(i, e)
+                value *= row[e]
         total += value
     return total.tolist()
 

@@ -35,8 +35,9 @@ terms come in the same order as a Fraction loop over the same terms.
 
 The packed ints are also the one definition of the monomial orders and
 of monomial arithmetic: `leading_monomial` and `sorted_terms` (and so
-every printed polynomial) sort on `Packing.key`, and the Groebner pair
-loop takes its lcms and divisibility tests from `Packing.lcm` and
+every printed polynomial) sort on `Packing.sort_key`, which is
+`Packing.key` without its per-monomial degree check, and the Groebner
+pair loop takes its lcms and divisibility tests from `Packing.lcm` and
 `Packing.divides`, so monomials stay packed from the pair loop through
 to printing.
 """
@@ -152,6 +153,13 @@ class Packing:
         self.check(deg)
         p = int.from_bytes(self._struct.pack(*mono), self._endian)
         return self.sign * p - (deg << self.top)
+
+    def sort_key(self):
+        """`key` as a plain function without its degree check, for sorting
+        monomials of degree at most the `degree` the constructor checked;
+        the packing's fields are bound once, not looked up per monomial."""
+        pack, endian, sign, top = self._struct.pack, self._endian, self.sign, self.top
+        return lambda mono: sign * int.from_bytes(pack(*mono), endian) - (sum(mono) << top)
 
     def bits(self, k: int) -> int:
         return (self.sign * k) & self.mask
@@ -407,14 +415,14 @@ class Polynomial:
     def leading_monomial(self, order: MonomialOrder = DEFAULT_ORDER) -> Exponents:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return min(self.terms, key=Packing(self.nvars, order, self.total_degree()).key)
+        return min(self.terms, key=Packing(self.nvars, order, self.total_degree()).sort_key())
 
     def leading_coefficient(self, order: MonomialOrder = DEFAULT_ORDER) -> Fraction:
         return self.terms[self.leading_monomial(order)]
 
     def sorted_terms(self, order: MonomialOrder = DEFAULT_ORDER):
         """Terms in descending monomial order (canonical storage order)."""
-        key = Packing(self.nvars, order, self.total_degree()).key
+        key = Packing(self.nvars, order, self.total_degree()).sort_key()
         return [(m, self.terms[m]) for m in sorted(self.terms, key=key)]
 
     def monic(self, order: MonomialOrder = DEFAULT_ORDER) -> "Polynomial":

@@ -771,12 +771,14 @@ class TestRoundTripCommands:
         rest = [float(1 - s * step) for s in range(max(map(sum, combos)) + 1)]
         test_json = tmp_path / "phi.json"
         rng = random.Random(100 * k + 10 * res + top.denominator)
-        for _ in range(3):
+        # Over 16, num * B / den is exact; over 3, 7 and 11 it must round
+        # as float(Fraction) does.
+        for den in (16, 16, 16, 3, 7, 11):
             n = rng.randint(2, 12 if k < 4 else 7)
-            phi = TestFunction(n, k, {x: F(rng.randint(0, 16), 16) for x in count_vectors(n, k)})
+            phi = TestFunction(n, k, {x: F(rng.randint(0, den), den) for x in count_vectors(n, k)})
             beta = to_power(phi).poly
             want = [beta.evaluate_float(point).hex() for point in points]
-            assert [v.hex() for v in _grid_values(beta, combos, axis, rest)] == want
+            assert [v.hex() for v in _grid_values(phi, combos, axis, rest)] == want
 
             test_json.write_text(json.dumps(to_json(phi)))
             code, out = run_cli(

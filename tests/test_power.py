@@ -272,9 +272,10 @@ def _monte_carlo_oracle(phi, point, reps, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.multinomial(phi.n, p / p.sum(), size=reps)
     uniq, counts = np.unique(draws, axis=0, return_counts=True)
+    values = phi.values
     rejected = 0
     for row, m in zip(uniq, counts):
-        pr = float(phi.values[tuple(int(v) for v in row)])
+        pr = float(values[tuple(int(v) for v in row)])
         if pr <= 0.0:
             continue
         if pr >= 1.0:
@@ -324,6 +325,32 @@ class TestMonteCarlo:
             for reps, seed in ((1, 0), (20000, rng.randint(0, 10**6))):
                 got = monte_carlo_power(phi, point, reps, seed)
                 assert got == _monte_carlo_oracle(phi, point, reps, seed)
+
+    @pytest.mark.parametrize("reps", [1, 3000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_stream_past_one_word(self, seed, reps):
+        # n = 4, k = 33: the first 32 counts are 32 digits base 5, and
+        # 5^32 > 2^63, so they take two int64 words (27 digits, then 5).
+        # The point favours categories on both sides of the word boundary,
+        # and the sparse support is every count vector over them, with
+        # non-dyadic levels.
+        n, k = 4, 33
+        assert 5 ** (k - 1) > 2**63
+        heavy = (0, 1, 26, 27, 31, 32)
+        rng = random.Random(seed)
+        values = {
+            x: F(rng.randint(0, 11), 11)
+            for x in count_vectors(n, k)
+            if all(x[i] == 0 for i in range(k) if i not in heavy)
+        }
+        phi = TestFunction(n, k, values)
+        point = [0.15 / (k - len(heavy))] * k
+        for i in heavy:
+            point[i] = 0.85 / len(heavy)
+        got = monte_carlo_power(phi, point, reps, seed)
+        assert got == _monte_carlo_oracle(phi, point, reps, seed)
+        if reps > 1:
+            assert 0 < got.estimate < 1
 
     @pytest.mark.parametrize(
         "point",
