@@ -125,9 +125,13 @@ class Packing:
     monomials with one guarded subtract, so no tuple is built.
     `degree` is the top total degree the caller packs or reaches by
     products: below 2^15 the words are 16 bits wide, otherwise 64.
+    `sort_key` is `key` without its per-monomial degree check, for
+    monomials within that degree; it is the one packing formula, and
+    `key` checks the degree and then calls it.
     """
 
-    __slots__ = ("nvars", "sign", "width", "top", "mask", "guard", "limit", "_struct", "_endian")
+    __slots__ = ("nvars", "sign", "width", "top", "mask", "guard", "limit", "sort_key", "_struct",
+                 "_endian")
 
     def __init__(self, nvars: int, order: MonomialOrder = DEFAULT_ORDER, degree: int = 0):
         self.width = bits = 16 if degree < DEGREE_LIMIT else 64
@@ -141,6 +145,8 @@ class Packing:
         self.top = bits * nvars
         self.mask = (1 << self.top) - 1
         self.guard = sum(self.limit << (bits * i) for i in range(nvars))
+        pack, endian, sign, top = self._struct.pack, self._endian, self.sign, self.top
+        self.sort_key = lambda mono: sign * int.from_bytes(pack(*mono), endian) - (sum(mono) << top)
 
     def check(self, degree: int):
         if degree >= self.limit:
@@ -149,17 +155,8 @@ class Packing:
             )
 
     def key(self, mono: Exponents) -> int:
-        deg = sum(mono)
-        self.check(deg)
-        p = int.from_bytes(self._struct.pack(*mono), self._endian)
-        return self.sign * p - (deg << self.top)
-
-    def sort_key(self):
-        """`key` as a plain function without its degree check, for sorting
-        monomials of degree at most the `degree` the constructor checked;
-        the packing's fields are bound once, not looked up per monomial."""
-        pack, endian, sign, top = self._struct.pack, self._endian, self.sign, self.top
-        return lambda mono: sign * int.from_bytes(pack(*mono), endian) - (sum(mono) << top)
+        self.check(sum(mono))
+        return self.sort_key(mono)
 
     def bits(self, k: int) -> int:
         return (self.sign * k) & self.mask
@@ -415,14 +412,14 @@ class Polynomial:
     def leading_monomial(self, order: MonomialOrder = DEFAULT_ORDER) -> Exponents:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return min(self.terms, key=Packing(self.nvars, order, self.total_degree()).sort_key())
+        return min(self.terms, key=Packing(self.nvars, order, self.total_degree()).sort_key)
 
     def leading_coefficient(self, order: MonomialOrder = DEFAULT_ORDER) -> Fraction:
         return self.terms[self.leading_monomial(order)]
 
     def sorted_terms(self, order: MonomialOrder = DEFAULT_ORDER):
         """Terms in descending monomial order (canonical storage order)."""
-        key = Packing(self.nvars, order, self.total_degree()).sort_key()
+        key = Packing(self.nvars, order, self.total_degree()).sort_key
         return [(m, self.terms[m]) for m in sorted(self.terms, key=key)]
 
     def monic(self, order: MonomialOrder = DEFAULT_ORDER) -> "Polynomial":
