@@ -5,12 +5,17 @@ meaning a.x <= b, the one row form of every polytope in the package (the
 form `polytope.enumerate_vertices_dd` takes); an equality is its two rows
 a.x <= b and -a.x <= -b.  Only the pivot columns of rref(A) are kept, so
 A has full column rank d and every vertex has d linearly independent
-tight rows.  The walk keeps d tight rows and the inverse of their matrix,
-rank-1 updated per pivot, and follows Bland's rule (Bland, Math. Oper.
-Res. 1977), so it terminates without cycling.  Phase 1 is the same walk
-on {A z - s <= b, -s <= 0}.  No equality is solved away, so phase 2
-walks on the caller's rows one for one.  All arithmetic is on Fractions,
-so optima and optimizers are exact.
+tight rows.  The walk is one pivot loop over d basis slots.  A slot holds
+a tight row, or the unit row of a coordinate that is still free; the
+walk starts with every slot free, at the given point.  The basis inverse
+is an integer matrix over D = |det|, updated by one fraction-free pivot
+per move (Edmonds, J. Res. NBS 1967).  The lowest free slot leaves
+first, so the walk reaches a vertex; then Bland's rule (Bland, Math.
+Oper. Res. 1977) picks the leaving row, so it terminates without
+cycling.  Phase 1 is the same walk on {A z - s <= b, -s <= 0}.  No
+equality is solved away, so phase 2 walks on the caller's rows one for
+one.  Points and slacks are Fractions, so optima and optimizers are
+exact.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from powerpoly.linalg import nullspace, primitive_ints, rref
+from powerpoly.linalg import primitive_ints, rref
 
 
 @dataclass
@@ -58,50 +63,56 @@ def _walk(a, b, c, x):
     """Maximize c.x over {x : a x <= b} from the feasible point x.
 
     `a` has full column rank.  Returns the optimal vertex, or None when
-    the objective is unbounded.
+    the objective is unbounded.  One loop pivots on d basis slots: slot j
+    holds a tight row, or the unit row e_j while coordinate j is still
+    free.  The basis inverse is kept fraction-free (Edmonds, J. Res. NBS
+    1967) as integer columns inv[j] over D = |det A_B|, starting from the
+    identity over 1.  While a slot is free, the lowest one leaves: x moves
+    along +-inv[j], uphill when the objective sees it, until a row blocks.
+    Once every slot holds a row, Bland's rule picks the leaving row.
     """
     d = len(c)
+    c = primitive_ints(c)
     x = list(x)
-    # Scaling a row with its bound, or a direction, by a positive number
-    # moves no point and changes no ratio order or multiplier sign, so the
-    # walk runs on primitive integer rows and directions.
+    # Scaling a row with its bound, a direction or the objective by a
+    # positive number moves no point and changes no ratio order or
+    # multiplier sign, so the walk runs on primitive integer vectors.
     rows = [primitive_ints(row + [r]) for row, r in zip(a, b)]
     a = [list(row[:-1]) for row in rows]
     slack = [Fraction(row[-1]) - _dot(a_i, x) for row, a_i in zip(rows, a)]
-    # To a vertex: each move keeps the chosen rows tight and makes one more
-    # row tight, which is independent of them because it blocked the move.
-    basis: list[int] = []
-    while len(basis) < d:
-        u = nullspace([a[i] for i in basis] or [[0] * d])[0]
-        if _dot(c, u) < 0:
-            u = [-v for v in u]
+    # Moving along -inv[j] leaves slot j's row and keeps the others tight.
+    basis: list[int | None] = [None] * d
+    inv = [[int(p == q) for q in range(d)] for p in range(d)]
+    det = 1
+    while True:
+        if None in basis:
+            j = basis.index(None)
+        else:
+            # c = y . A_B / D with y_j = c . inv[j]; a negative y_j means
+            # leaving row basis[j] raises the objective.  Bland: the lowest
+            # such row leaves.
+            leaving = [(i, j) for j, i in enumerate(basis) if _dot(c, inv[j]) < 0]
+            if not leaving:
+                return x
+            j = min(leaving)[1]
+        # Uphill along +-inv[j]; a free slot whose column the objective
+        # does not see goes either way, first along +inv[j].
+        u = inv[j] if _dot(c, inv[j]) >= 0 else [-v for v in inv[j]]
         i = _move(a, slack, x, u)
         if i is None:
             if _dot(c, u) > 0:
                 return None
             i = _move(a, slack, x, [-v for v in u])
-        basis.append(i)
-    # Columns of the basis inverse: moving along -inv[j] leaves row basis[j]
-    # and keeps the other basic rows tight.
-    red, _ = rref([a[i] + [int(p == q) for q in range(d)] for p, i in enumerate(basis)])
-    inv = [[row[d + j] for row in red] for j in range(d)]
-    while True:
-        # c = y . A_B; a negative multiplier y_j means leaving row basis[j]
-        # raises the objective.  Bland: the lowest such row leaves.
-        y = [_dot(c, col) for col in inv]
-        leaving = [(i, j) for j, i in enumerate(basis) if y[j] < 0]
-        if not leaving:
-            return x
-        j = min(leaving)[1]
-        i = _move(a, slack, x, [-v for v in inv[j]])
-        if i is None:
-            return None
+        # Row i blocked a move along +-inv[j], so w[j] != 0 and row i takes
+        # slot j; every update below divides exactly by the old |det|.
         w = [_dot(a[i], col) for col in inv]
-        pivot = [v / w[j] for v in inv[j]]
+        s = 1 if w[j] > 0 else -1
         inv = [
-            pivot if k == j else [v - wk * p for v, p in zip(col, pivot)] if wk else col
+            [s * v for v in col] if k == j
+            else [s * (v * w[j] - wk * p) // det for v, p in zip(col, inv[j])]
             for k, (col, wk) in enumerate(zip(inv, w))
         ]
+        det = abs(w[j])
         basis[j] = i
 
 

@@ -23,7 +23,7 @@ strictly contains it.  The polytope-hypothesis check reads its facets
 this way, and so does the convex peeling, through the polar of its
 points.  Only `irredundant_rows` answers the same question with LPs, one
 per row: on the coefficient polytope its LPs beat double description
-(k = 3 sphere, delta^2 = 1/6, alpha = 1/20, n = 7: 2.4 s against 11.9 s
+(k = 3 sphere, delta^2 = 1/6, alpha = 1/20, n = 7: 1.5 s against 9.8 s
 for 17,267 vertices on a 2-vCPU VM), and the gap widens with n.
 
 The set-up runs on integers, with the one exact elimination of

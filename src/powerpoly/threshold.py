@@ -78,11 +78,16 @@ def sos_bounds(
     """Threshold bounds from a reduced graded Groebner basis of I(P0).
 
     `weights` are positive multipliers for the squared terms of the SUB
-    witness (power tuning); they do not affect the bounds.
+    witness (power tuning); they do not affect the bounds.  A basis
+    holding a constant means P0 is empty, and it is refused.
     """
     elements = list(gb.elements)
     if not elements:
         raise ValueError("empty Groebner basis")
+    if gb.contains_constant():
+        raise ValueError(
+            "empty null set: the generators have no common zero on sum(p) = 1, so P0 has no point"
+        )
     degrees = sorted({g.total_degree() for g in elements})
     min_deg = degrees[0]
     # Of the lowest degree, the smallest leading monomial: the largest key.

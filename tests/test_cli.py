@@ -140,6 +140,23 @@ def test_malformed_hypothesis_json_is_an_error(command, payload, message, tmp_pa
     assert capsys.readouterr().err == f"error: malformed hypothesis JSON: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["threshold", "separating"])
+@pytest.mark.parametrize(
+    "k, generators",
+    [(3, ["p1 + p2 + p3"]), (1, ["p1"]), (3, ["p1 - p2", "p1 - p2 - 1"])],
+    ids=["sum-of-all", "k1", "inconsistent"],
+)
+def test_empty_null_set_is_an_error(command, k, generators, tmp_path, capsys):
+    # A reduced basis {1} has no zero on the simplex: no bound, witness or
+    # degree-0 separating polynomial is printed for it.
+    path = tmp_path / "hypothesis.json"
+    path.write_text(json.dumps({"kind": "custom", "params": {"k": k, "generators": generators}}))
+    assert main([command, "--hypothesis", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: empty null set: ")
+
+
 @pytest.mark.parametrize(
     "payload, shown",
     [

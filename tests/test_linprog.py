@@ -1,8 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from powerpoly.linalg import rank
 from powerpoly.linprog import solve_lp
 
 # The cases below are written with relations; `as_le` turns them into the
@@ -178,3 +180,71 @@ class TestHighsOracle:
                     assert {LE: lhs <= r, GE: lhs >= r, EQ: lhs == r}[rel]
                 assert res.value == sum(Fraction(v) * x for v, x in zip(objective, res.point))
         assert seen == {"optimal", "infeasible", "unbounded"}
+
+
+def degenerate_lp(rng):
+    """A small random LP whose optimum is full of ties: most rows pass
+    through one point, some rows repeat at a positive scale, and half of
+    the objectives are parallel to a row."""
+    n = rng.randint(1, 4)
+    center = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+    rows = []
+    for _ in range(rng.randint(n, n + 5)):
+        coeffs = [rng.randint(-2, 2) for _ in range(n)]
+        rhs = sum(v * x for v, x in zip(coeffs, center)) + rng.choice([0, 0, 0, 1])
+        rows.append((coeffs, rhs))
+    for _ in range(rng.randint(0, 3)):
+        coeffs, rhs = rng.choice(rows)
+        scale = rng.choice([1, 2, 3])
+        rows.append(([scale * v for v in coeffs], scale * rhs))
+    if rng.random() < 0.5:
+        for i in range(n):
+            unit = [int(i == j) for j in range(n)]
+            rows += [(unit, 3), ([-v for v in unit], 3)]
+    rng.shuffle(rows)
+    if rng.random() < 0.5:
+        objective = list(rng.choice(rows)[0])
+    else:
+        objective = [rng.randint(-2, 2) for _ in range(n)]
+    return n, objective, rows
+
+
+def seeded_lps(count):
+    """`count` draws each of `random_lp` and `degenerate_lp`, as (n, objective, rows)."""
+    rng = random.Random(20261020)
+    for _ in range(count):
+        n, objective, rows = random_lp(rng)
+        yield n, objective, as_le(rows)
+        yield degenerate_lp(rng)
+
+
+class TestPivotPath:
+    # sha256 of every (status, value, point) below, recorded with the
+    # simplex that walked to its first vertex by a nullspace per move and
+    # then pivoted on a Fraction inverse.  Bland's rule fixes each pivot,
+    # so the optimizer picked among tied optima must not move.
+    DIGEST = "05056c1afbac064583c318a374a989fab0159092aa3a80ff925077616aad5e2c"
+
+    def test_answers_on_ties_are_pinned(self):
+        lines = []
+        for n, objective, rows in seeded_lps(600):
+            res = solve_lp(n, objective, rows)
+            point = None if res.point is None else [str(v) for v in res.point]
+            lines.append(repr((res.status, str(res.value), point)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST
+
+    def test_an_optimum_of_full_column_rank_is_a_vertex(self):
+        # With rank A = n every optimum the walk returns has n linearly
+        # independent tight rows.
+        vertices = 0
+        for n, objective, rows in seeded_lps(300):
+            if not rows or rank([a for a, _ in rows]) < n:
+                continue
+            res = solve_lp(n, objective, rows)
+            if not res.is_optimal:
+                continue
+            tight = [a for a, b in rows if sum(Fraction(v) * x for v, x in zip(a, res.point)) == b]
+            assert rank(tight) == n, (n, objective, rows)
+            vertices += 1
+        assert vertices > 150

@@ -84,6 +84,19 @@ class TestSosBounds:
         assert report.ntub_bound == report.sub_bound == 2
         assert report.ntub_witness == P("p1^2", ["p1", "p2"])
 
+    @pytest.mark.parametrize(
+        "k, generators",
+        [(3, ["p1 + p2 + p3"]), (1, ["p1"]), (3, ["p1 - p2", "p1 - p2 - 1"])],
+    )
+    def test_empty_null_set_is_refused(self, k, generators):
+        # On sum(p) = 1 these generators have no common zero, so the reduced
+        # basis is {1} and P0 is empty.
+        hyp = build_hypothesis({"kind": "custom", "params": {"k": k, "generators": generators}})
+        gb = gb_of(hyp)
+        assert gb.contains_constant()
+        with pytest.raises(ValueError, match="^empty null set: .* P0 has no point$"):
+            sos_bounds(gb, hypothesis=hyp)
+
     def test_weights_scale_sub_witness(self):
         hyp = build_hypothesis({"kind": "symmetry", "params": {"p": 2}})
         gb = gb_of(hyp)
