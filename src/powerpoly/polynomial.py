@@ -435,15 +435,18 @@ class Polynomial:
     def evaluate(self, point: Sequence) -> Fraction:
         """Exact value at `point`, summed on integers into one Fraction.
 
-        With the coordinates N/d over one denominator d and the
-        coefficients over their lcm L, a term c * x^m of degree j is
-        (c L) * N^m * d^(D - j) over L * d^D, D the total degree.
+        Only the coordinates of variables that occur are read.  With those
+        N/d over one denominator d and the coefficients over their lcm L,
+        a term c * x^m of degree j is (c L) * N^m * d^(D - j) over
+        L * d^D, D the total degree.
         """
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         if not self.terms:
             return Fraction(0)
-        pt = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in point]
+        used = [i for i, occurs in enumerate(map(any, zip(*self.terms))) if occurs]
+        pt = [point[i] for i in used]
+        pt = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in pt]
         d = lcm(*(x.denominator for x in pt))
         nums = [x.numerator * (d // x.denominator) for x in pt]
         cden = lcm(*(c.denominator for c in self.terms.values()))
@@ -451,8 +454,8 @@ class Polynomial:
         total = 0
         for mono, coeff in self.terms.items():
             value = coeff.numerator * (cden // coeff.denominator)
-            for x, e in zip(nums, mono):
-                if e:
+            for i, x in zip(used, nums):
+                if e := mono[i]:
                     value *= x**e
             total += value * d ** (top - sum(mono))
         return Fraction(total, cden * d**top)

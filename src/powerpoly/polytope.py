@@ -14,16 +14,17 @@ once: the UMPU search, the componentwise maximum and the null-point
 mixtures read the vertices through it, and the ray box below its extremes.
 
 `vertex_faces` also gives each input row's face: the bitmask of the
-vertices on the row, read off the rays' tight masks.  Every facet of a
+vertices on the row, read off the final vertices, one integer dot product
+of the row's primitive cone row with each vertex ray.  Every facet of a
 polytope is some row's face, and a facet is a maximal proper face
 (Ziegler, "Lectures on Polytopes", 1995), so `facet_rows`, the one facet
-reader, finds the facets on these masks with no arithmetic: a row
-defines a facet when its face is proper and no other row's proper face
-strictly contains it.  The polytope-hypothesis check reads its facets
-this way, and so does the convex peeling, through the polar of its
-points.  Only `irredundant_rows` answers the same question with LPs, one
-per row: on the coefficient polytope its LPs beat double description
-(k = 3 sphere, delta^2 = 1/6, alpha = 1/20, n = 7: 1.5 s against 9.8 s
+reader, finds the facets on these masks with no further arithmetic: a
+row defines a facet when its face is proper and no other row's proper
+face strictly contains it.  The polytope-hypothesis check reads its
+facets this way, and so does the convex peeling, through the polar of
+its points.  Only `irredundant_rows` answers the same question with LPs,
+one per row: on the coefficient polytope its LPs beat double description
+(k = 3 sphere, delta^2 = 1/6, alpha = 1/20, n = 7: 1.1 s against 10.6 s
 for 17,267 vertices on a 2-vCPU VM), and the gap widens with n.
 
 The set-up runs on integers, with the one exact elimination of
@@ -50,18 +51,28 @@ and free their ids for the next new rays, so the masks stay as wide as
 the peak live ray count.  Rows are sparse, so each row's products with
 the rays are summed over its nonzero entries only.
 
+The rank filter and the adjacency test are correct for any set of rows
+that describes the current cone (Fukuda & Prodon), and a row that cuts
+no ray leaves the cone as it was.  So such a row is dropped after one
+`max` over its values: it sets no tight bit and keeps no `on` mask.  A
+ray's mask is the set of rows it lies on among the initial rows and the
+rows that cut when inserted.  On degenerate polytopes many rows cut
+nothing: 876 of the 1,358 rows evaluated over the 38 polytopes of the
+benchmark's `vertices` pool.  Were the rows that merely pass through rays
+recorded, the rank filter would pass 24,904 pairs there instead of
+15,168, for the same 9,420 adjacent ones.  As the masks do not hold
+every row a vertex lies on, faces are read off the final vertices.
+
 Two certificates skip work whose outcome is already known, so the steps
 counted and the vertices returned are those of the plain method:
 
 - A ray box.  After a row that cuts no ray, while every ray has t > 0,
   the box of the points x/t (per-coordinate least and greatest value)
   is kept until the ray set changes.  A later row c.x <= beta whose
-  maximum over the box is strictly below beta holds strictly at every
-  ray: it cuts nothing and no ray lies on it, so it is skipped with its
-  one step.  The test must be strict.  At a maximum of exactly beta the
-  row may pass through a ray, which must then record the row in its
-  tight mask; the masks are exact, every ray's mask being the set of
-  rows it lies on.
+  maximum over the box is at most beta cuts no ray, so it is dropped
+  with its one step and no product with the rays.  The test need not be
+  strict: a row through a ray is dropped as any other row that cuts
+  nothing is.
 - A blocking ray.  While the pairs of one positive ray are tested, the
   third ray found by the last failed AND chain is remembered with its
   tight mask.  A later pair whose common rows all lie in that mask is
@@ -84,16 +95,8 @@ from powerpoly.linprog import solve_lp
 @dataclass(slots=True)
 class _Ray:
     vec: tuple[int, ...]
-    tight: int  # bitmask over processed constraint indices
+    tight: int  # the initial and cutting rows the ray lies on, by cone index
     bit: int = 0  # 1 << id, the ray's bit in the `on` masks
-
-
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def enumerate_vertices_dd(
@@ -108,7 +111,7 @@ def enumerate_vertices_dd(
     the polyhedron is nonempty and some x != 0 has a x <= 0, so that it is
     unbounded.
     """
-    return _sorted_vertices(a, b, counter)[0]
+    return _sorted_vertices(_extreme_rays(a, b, counter)[1])[0]
 
 
 def vertex_faces(
@@ -118,39 +121,50 @@ def vertex_faces(
 ) -> tuple[list[tuple[Fraction, ...]], list[int]]:
     """The vertices of enumerate_vertices_dd and the face of each row.
 
-    faces[i] has bit n set exactly when vertex n lies on row i, a_i.x = b_i;
-    it is the rays' exact tight masks read row by row.
+    faces[i] has bit n set exactly when vertex n lies on row i, a_i.x = b_i:
+    the integer dot product of row i's primitive cone row with the ray of
+    vertex n is zero.
     """
-    vertices, rays = _sorted_vertices(a, b, counter)
-    faces = [0] * len(a)  # the cone's last row, -t <= 0, holds no vertex
-    for n, r in enumerate(rays):
-        for j in _bits(r.tight):
-            faces[j] |= 1 << n
+    cone, rays = _extreme_rays(a, b, counter)
+    vertices, vecs = _sorted_vertices(rays)
+    # The cone's last row, -t <= 0, is no input row and holds no vertex.
+    faces = [
+        sum(1 << n for n, v in enumerate(_row_values(row, vecs)) if not v) for row in cone[:-1]
+    ]
     return vertices, faces
 
 
 def _sorted_vertices(
-    a: Sequence[Sequence],
-    b: Sequence,
-    counter: StepCounter | None,
-) -> tuple[list[tuple[Fraction, ...]], list[_Ray]]:
-    """The vertices sorted lex, and the extreme rays they come from."""
-    rays = _extreme_rays(a, b, counter)[1]
+    rays: list[_Ray],
+) -> tuple[list[tuple[Fraction, ...]], list[tuple[int, ...]]]:
+    """The vertices sorted lex, and the extreme ray vectors they come from."""
     # Every ray has t >= 0.  Rays with t > 0 are the vertices; a ray with
     # t = 0 is a recession direction, which matters only when a vertex exists.
-    points = [r for r in rays if r.vec[-1] > 0]
+    points = [r.vec for r in rays if r.vec[-1] > 0]
     if points and len(points) < len(rays):
         raise ValueError("polyhedron is unbounded (recession ray found)")
     # Sort on integers: every coordinate over the common denominator
     # `scale`, which orders the points as their exact values do.  Distinct
     # extreme rays are distinct primitive vectors, so no vertex repeats.
-    scale = lcm(*(r.vec[-1] for r in points))
-    keys = [tuple([v * (scale // r.vec[-1]) for v in r.vec[:-1]]) for r in points]
+    scale = lcm(*(v[-1] for v in points))
+    keys = [tuple([x * (scale // v[-1]) for x in v[:-1]]) for v in points]
     order = sorted(range(len(points)), key=keys.__getitem__)
     # Vertices share few coordinate values: one Fraction per distinct value.
     frac = {x: Fraction(x, scale) for x in set().union(*keys)}
     vertices = [tuple(map(frac.__getitem__, keys[i])) for i in order]
     return vertices, [points[i] for i in order]
+
+
+def _row_values(row: tuple[int, ...], vecs: list[tuple[int, ...]]) -> list[int]:
+    """The dot products of a sparse row with each vector.
+
+    They are summed column by column, over the row's nonzero entries only.
+    """
+    (i, c), *terms = [(i, c) for i, c in enumerate(row) if c] or [(0, 0)]
+    vals = [c * v[i] for v in vecs]
+    for i, c in terms:
+        vals = [s + c * v[i] for s, v in zip(vals, vecs)]
+    return vals
 
 
 def vertex_keys(vertices: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], int]:
@@ -176,7 +190,8 @@ def _extreme_rays(
 ) -> tuple[list[tuple[int, ...]], list[_Ray]]:
     """The cone rows of {x : a x <= b} and the extreme rays of their cone.
 
-    Each ray's `tight` mask holds exactly the cone rows the ray lies on.
+    Each ray's `tight` mask holds the cone rows the ray lies on among the
+    initial rows and the rows that cut some ray when inserted.
     All ray arithmetic runs on primitive integer vectors (positive
     rescaling leaves the cone unchanged), which keeps the inner loops on
     machine integers.
@@ -229,18 +244,17 @@ def _extreme_rays(
             for c, l, h in zip(row, lo, hi):
                 if c:
                     top += c * (h if c > 0 else l)
-            if top < 0:
-                continue  # every ray strictly inside: nothing cut, none tight
-        # Rows are sparse: the dot products are summed column by column,
-        # over the row's nonzero entries only.
-        vecs = [r.vec for r in rays]
-        (i, c), *terms = [(i, c) for i, c in enumerate(row) if c] or [(0, 0)]
-        vals = [c * v[i] for v in vecs]
-        for i, c in terms:
-            vals = [s + c * v[i] for s, v in zip(vals, vecs)]
+            if top <= 0:
+                continue  # no ray beyond the row: it cuts nothing
+        vals = _row_values(row, [r.vec for r in rays])
+        if max(vals, default=0) <= 0:
+            # The row cuts nothing, so the cone without it is the same
+            # cone: it is dropped, and no ray records it.
+            if box is None and rays and all(r.vec[-1] > 0 for r in rays):
+                box = _ray_box(rays)
+            continue
         pos = [(r, v) for r, v in zip(rays, vals) if v > 0]
-        # A row that cuts no ray pairs none: its negative rays are not needed.
-        neg = [(r, v) for r, v in zip(rays, vals) if v < 0] if pos else []
+        neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
         newcomers: list[_Ray] = []
         row_bit = 1 << idx
         min_common = d1 - 2  # rank needed for a common 2-face
@@ -305,11 +319,8 @@ def _extreme_rays(
                 low = tight & -tight
                 on[low.bit_length() - 1] |= bit
                 tight ^= low
-        if pos:
-            rays = [r for r, v in zip(rays, vals) if v <= 0] + newcomers
-            box = None
-        elif box is None and rays and all(r.vec[-1] > 0 for r in rays):
-            box = _ray_box(rays)
+        rays = [r for r, v in zip(rays, vals) if v <= 0] + newcomers
+        box = None
     return cone, rays
 
 

@@ -149,8 +149,9 @@ def coefficient_polytope(
     q g P_L.h <= (q - p) den B_L, and the lower row likewise; one gcd
     per row makes it primitive.
 
-    `counter` is ticked once per degree-n multiindex, one row each,
-    before any row is built.
+    Raises ValueError when f is constant on sum(p) = 1, so that its null
+    set is empty or the whole simplex.  `counter` is ticked once per
+    degree-n multiindex, one row each, before any row is built.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
@@ -162,10 +163,21 @@ def coefficient_polytope(
         raise ValueError(f"sample size {n} below 2 deg(f) = {2 * deg}")
     require_test_size(n, f.nvars)  # a one-point simplex has no alternative
     k = f.nvars
+    # On sum(p) = 1, f is its homogenization f~, which is constant there
+    # exactly when f~ = c (sum p)^deg: a form that vanishes on that
+    # hyperplane vanishes.  Then f has no zero on the simplex, or vanishes
+    # on all of it, and neither splits the simplex.
+    ftilde = f.homogenize(deg)
+    if len({ftilde.terms.get(m, 0) / c for m, c in simplex_coefficients(k, deg).items()}) == 1:
+        if ftilde.is_zero():
+            raise ValueError(
+                "null set is the whole simplex, no alternative: f vanishes wherever sum(p) = 1"
+            )
+        raise ValueError("empty null set: f has no zero on sum(p) = 1, so P0 has no point")
     if counter is not None:
         counter.tick(comb(n + k - 1, k - 1))
     nprime = n - 2 * deg
-    fsq = (f.homogenize(deg)) ** 2
+    fsq = ftilde**2
     packed, g, den = primitive_scaling(fsq.terms.values())
     h_index = tuple(_grevlex_desc(k, nprime))
     bounds = simplex_coefficients(k, n)

@@ -157,6 +157,23 @@ def test_empty_null_set_is_an_error(command, k, generators, tmp_path, capsys):
     assert captured.err.startswith("error: empty null set: ")
 
 
+@pytest.mark.parametrize("command", ["umpu", "coeff-polytope"])
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        ("p1+p2+p3", "empty null set"),
+        ("2*p1^2+2*p2^2+2*p3^2+4*p1*p2+4*p1*p3+4*p2*p3", "empty null set"),
+        ("p1+p2+p3-1", "null set is the whole simplex, no alternative"),
+    ],
+    ids=["sum-of-all", "twice-its-square", "vanishes-on-the-simplex"],
+)
+def test_f_constant_on_the_simplex_is_an_error(command, f, message, capsys):
+    # f is 1, 2 or 0 wherever sum(p) = 1: no verdict, test or polytope.
+    argv = [command, "--f", f, "--vars", "p1,p2,p3", "--n", "4", "--alpha", "1/20"]
+    assert run_cli(argv) == (1, "")
+    assert capsys.readouterr().err.startswith(f"error: {message}: ")
+
+
 @pytest.mark.parametrize(
     "payload, shown",
     [

@@ -184,17 +184,6 @@ class TestEvaluate:
             P("p1").evaluate([Fraction(1)])
 
     def test_seeded_points_match_the_fraction_loop(self):
-        def fraction_loop(p, point):
-            pt = [Fraction(x) for x in point]
-            total = Fraction(0)
-            for mono, coeff in p.terms.items():
-                value = coeff
-                for x, e in zip(pt, mono):
-                    if e:
-                        value *= x**e
-                total += value
-            return total
-
         rng = random.Random(20261019)
         polys = _random_polynomials(7) + [Polynomial(0, {(): Fraction(5, 3)}), Polynomial.zero(0)]
         kinds = ("int", "fraction", "mixed")
@@ -209,9 +198,29 @@ class TestEvaluate:
                     ]
                     got = p.evaluate(point)
                     assert type(got) is Fraction
-                    assert got == fraction_loop(p, point)
+                    assert got == _fraction_loop(p, point)
         # Non-rational inputs go through Fraction() as before.
         assert P("p1*p2 - p3").evaluate(["1/2", 0.25, True]) == Fraction(-7, 8)
+
+    def test_points_with_unused_coordinates_match_the_fraction_loop(self):
+        # The derivatives of a 2 x 2 minor, and random polynomials spread
+        # over 6 variables, leave variables out; every coordinate has a
+        # denominator of up to 33 digits, as the rank sampler's points do.
+        rng = random.Random(20261020)
+        minor = parse_polynomial("p11*p22 - p12*p21", table_names(2, 2))
+        polys = [minor.derivative(i) for i in range(4)]
+        for p in _random_polynomials(20261020)[:24]:
+            at = sorted(rng.sample(range(6), p.nvars))
+            spread = {tuple(m[at.index(i)] if i in at else 0 for i in range(6)): c
+                      for m, c in p.terms.items()}
+            polys.append(Polynomial(6, spread))
+        for p in polys:
+            for _ in range(5):
+                point = [Fraction(rng.randrange(10**33), rng.randrange(1, 10**33))
+                         for _ in range(p.nvars)]
+                got = p.evaluate(point)
+                assert type(got) is Fraction
+                assert got == _fraction_loop(p, point)
 
 
 class TestHomogenize:
@@ -343,6 +352,19 @@ def _substitute_last_by_squaring(p):
     for mono, coeff in p.terms.items():
         _fraction_addmul(out, coeff, mono[:-1], _fraction_power(one_minus, m, mono[-1]))
     return Polynomial(m, out)
+
+
+def _fraction_loop(p, point):
+    """p at point, term by term in Fraction arithmetic."""
+    pt = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for mono, coeff in p.terms.items():
+        value = coeff
+        for x, e in zip(pt, mono):
+            if e:
+                value *= x**e
+        total += value
+    return total
 
 
 def _random_polynomials(seed):

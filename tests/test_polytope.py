@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import operator
 import random
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from powerpoly import StepCounter, StepLimitExceeded, coefficient_polytope, parse_polynomial
 from powerpoly import polytope
+from powerpoly.hypotheses import build_hypothesis
 from powerpoly.linalg import primitive_ints, rank
+from powerpoly.linprog import solve_lp
 from powerpoly.polytope import (
     _extreme_rays,
     enumerate_vertices_dd,
@@ -61,12 +64,46 @@ def draw_box_with_cuts(data):
     return a, b
 
 
-def assert_tight_masks_exact(a, b):
-    """Each extreme ray's tight mask is exactly the set of cone rows it lies on."""
+def assert_tight_masks_on_cutting_rows(a, b):
+    """Each extreme ray's tight mask is the set of rows it lies on among the
+    initial rows and the rows that cut when inserted.
+
+    The initial rows are the first d + 1 independent cone rows.  The others
+    are inserted in order, and a row cuts when some x of the cone of the
+    rows before it has row.x > 0: an exact LP over that cone within the
+    cube |x_i| <= 1 has a positive optimum.
+    """
     cone, rays = _extreme_rays(a, b)
+    d1 = len(cone[0])
+    initial = []
+    for j, row in enumerate(cone):
+        if len(initial) < d1 and rank([cone[i] for i in initial] + [row]) > len(initial):
+            initial.append(j)
+    unit = [[int(i == j) for j in range(d1)] for i in range(d1)]
+    cube_rows = [(u, 1) for u in unit] + [([-v for v in u], 1) for u in unit]
+    described = set(initial)
+    before = [(cone[i], 0) for i in initial]
+    for j, row in enumerate(cone):
+        if j in initial:
+            continue
+        if solve_lp(d1, row, before + cube_rows).value > 0:
+            described.add(j)
+        before.append((row, 0))
     for ray in rays:
-        on = sum(1 << j for j, row in enumerate(cone) if sum(map(operator.mul, row, ray.vec)) == 0)
+        on = sum(1 << j for j in described if sum(map(operator.mul, cone[j], ray.vec)) == 0)
         assert ray.tight == on, (ray.vec, bin(ray.tight), bin(on))
+
+
+def assert_faces_exact(a, b):
+    """vertex_faces gives the brute-force vertices, and bit n of row i's face
+    is set exactly when a_i . v_n = b_i."""
+    vertices, faces = vertex_faces(a, b)
+    assert vertices == enumerate_vertices_brute_force(a, b)
+    assert enumerate_vertices_dd(a, b) == vertices
+    assert faces == [
+        sum(1 << n for n, v in enumerate(vertices) if sum(map(operator.mul, row, v)) == r)
+        for row, r in zip(a, b)
+    ]
 
 
 def draw_box_with_corners_cut(data):
@@ -202,7 +239,8 @@ class TestDoubleDescription:
         assert vertices == enumerate_vertices_brute_force(a, b)
         assert len(vertices) == 10
         assert (built, counter.steps) == ([9, 20], 21)
-        assert_tight_masks_exact(a, b)
+        assert_tight_masks_on_cutting_rows(a, b)
+        assert_faces_exact(a, b)
 
     @seed(20261018)
     @settings(max_examples=40, deadline=None)
@@ -218,8 +256,8 @@ class TestDoubleDescription:
             b.append(b[i] + shift * sum(map(abs, a[i])))
         perm = data.draw(st.permutations(range(len(a))))
         a, b = [a[i] for i in perm], [b[i] for i in perm]
-        assert enumerate_vertices_dd(a, b) == enumerate_vertices_brute_force(a, b)
-        assert_tight_masks_exact(a, b)
+        assert_tight_masks_on_cutting_rows(a, b)
+        assert_faces_exact(a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -269,15 +307,7 @@ class TestDoubleDescription:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_faces_match_exact_dot_products(self, data):
-        # Bit n of row i's face is set exactly when a_i . v_n = b_i.
-        a, b = draw_box_with_cuts(data)
-        vertices, faces = vertex_faces(a, b)
-        assert vertices == enumerate_vertices_brute_force(a, b)
-        assert enumerate_vertices_dd(a, b) == vertices
-        assert faces == [
-            sum(1 << n for n, v in enumerate(vertices) if sum(map(operator.mul, row, v)) == r)
-            for row, r in zip(a, b)
-        ]
+        assert_faces_exact(*draw_box_with_cuts(data))
 
     @seed(20250614)
     @settings(max_examples=60, deadline=None)
@@ -289,6 +319,58 @@ class TestDoubleDescription:
         assert enumerate_vertices_dd([a[i] for i in perm], [b[i] for i in perm]) == (
             enumerate_vertices_dd(a, b)
         )
+
+
+def _vertex_digest(vertices):
+    text = ";".join(",".join(map(str, v)) for v in vertices)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# The distinct coefficient polytopes of the `vertices` benchmark pool and
+# the k = 3, delta^2 = 1/6 sphere at n = 5 and 6 (alpha = 1/20): the
+# double-description steps, the vertex count and the sha256 of the sorted
+# vertex list, as the plain method gives them.  f and -f give one polytope.
+DD_CHARACTERIZATION = [
+    ((1, 1, 1, 1, -1), 3, "1/20", 242, 32, "7a9b0c4d8f229f206d407a912d382a23e5ffc7a365ae0c0f3053b7581773ec47"),
+    ((1, 1, 1, 1, -1), 3, "1/10", 242, 32, "b9e4b5de3537b66cc8d25a228d5d2be0be91238464c3c037e1f5e2fb853a8b2a"),
+    ((2, 1, 1, 1, -1), 3, "1/20", 1315, 73, "ee7ca05bd7c539ac7def079617c5410cbc3ca7fe2f1851e6ffcea7badf9c088b"),
+    ((2, 1, 1, 1, -1), 3, "1/10", 1315, 73, "dcbdff21f17b9452ff1ecd2700ea22adea4c77c5a57e60a95a1c7686c5f02ee3"),
+    ((1, 1, 1, 1, 1, -1), 3, "1/20", 803, 64, "c432d73d42c2d49c9ded9836248fd9d42f64144e37eaa3aca21e7fcc2ee49b30"),
+    ((1, 1, 1, 1, 1, -1), 3, "1/10", 803, 64, "0924d46b8239fea491084785dca49e5a3e658923253f8d1e0acb173dc6baa988"),
+    ((1, 1, -1), 4, "1/20", 427, 44, "296b4edecd9a56fcf68dbd76b09df9b3a4981c4d9b72a72f873aa24d6b47ea31"),
+    ((1, 1, -1), 4, "1/10", 427, 44, "1f06e6816c5e6618e6a545038c38de2d58191f37f7007bc4fe6b51958904775c"),
+    ((1, 2, -3), 4, "1/20", 2551, 99, "bfa0be64ea367ddf9f2cc2f99845303461481c515dc7dd7e4276dd5f4c467e1b"),
+    ((1, 1, 1, 1, 1, 1, -1), 3, "1/20", 2922, 128, "23f0f0e8b8dec24836710ec76f871ecd4c8e541e9a876084fa8c9884aa409db4"),
+    ((1, 1, 1, 1, 1, 1, -1), 3, "1/10", 2922, 128, "88192c13e2c3f5ee81ad7d235c3a95773d7f93ee4f3b06dbd9ca1835f045cb5c"),
+    ((2, 1, 1, 1, 1, -1), 3, "1/20", 6321, 153, "ce9ac11ae9c73c3c031330affa6bdd4c7d5a1b799520b8c5016ef017f80ea02d"),
+    ((2, 1, 1, 1, 1, -1), 3, "1/10", 6321, 153, "fa50786a8cbf7b2b42eea4f117ad3d1906e673c2b1211b56bf8ae2dfce6e8376"),
+    ((1, -1, 0, 0), 4, "1/20", 763, 640, "18e2bd6b2a5fe4d9a6c2c530253e64e57e0610990e622064781f8ae000e670a5"),
+    ((1, -1, 0, 0), 4, "1/10", 763, 640, "4a8b9ce95e08955996fd680814bae527855732f2cb8401fa5c84f7acdfdc6b6e"),
+    ((1, -1, 0, 0, 0, 0, 0, 0, 0), 3, "1/20", 551, 512, "32ff9126594f5a5e0e321951aa76733e89c289cd31e5f2ba7dac056f6bae4dcf"),
+    ((1, -1, 0, 0, 0, 0, 0, 0, 0), 3, "1/10", 551, 512, "97efae00576336eaae8088f4391268103b7c981f1e46b08f681ef73394646099"),
+    ((1, 1, 1, 1, -1, -1, -1, -1), 3, "1/20", 17800, 256, "ac801596409b3918aff662658b29e1ce67ac51177eb86d30bdc1c61879af4cdc"),
+    ((1, 1, 1, 1, -1, -1, -1, -1), 3, "1/10", 17800, 256, "008959e2f1448dadbb82ce0c9a60fba4ce19beb06d1d9e5723c3f31db6841e2a"),
+    ("sphere", 5, "1/20", 56, 8, "c292e5f0a9eef9df3e8579c4022992692cfc4cf2514b3350aee00cb1f1072d72"),
+    ("sphere", 6, "1/20", 5220, 188, "dc4628e774c3e0ea9420afdaada6daa1195e36eb67eaabd7c42444d5e515e40b"),
+]
+
+
+@pytest.mark.parametrize("weights, n, alpha, steps, count, digest", DD_CHARACTERIZATION)
+def test_steps_and_vertices_pinned(weights, n, alpha, steps, count, digest):
+    if weights == "sphere":
+        hyp = build_hypothesis({"kind": "sphere", "params": {"k": 3, "delta_sq": "1/6"}})
+        generators = [hyp.generators[0]]
+    else:
+        names = [f"p{i + 1}" for i in range(len(weights))]
+        generators = [
+            parse_polynomial(" ".join(f"{s * w:+d}*{x}" for w, x in zip(weights, names) if w), names)
+            for s in (1, -1)
+        ]
+    for f in generators:
+        a, b = coefficient_polytope(f, n, Fraction(alpha)).one_sided()
+        counter = StepCounter()
+        vertices = enumerate_vertices_dd(a, b, counter)
+        assert (counter.steps, len(vertices), _vertex_digest(vertices)) == (steps, count, digest)
 
 
 def test_primitive_ints_from_ints_and_fractions():

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from powerpoly import (
@@ -212,6 +212,48 @@ class TestCoefficientPolytope:
             coefficient_polytope(sphere3(), 3, F(1, 20))
         with pytest.raises(ValueError):
             coefficient_polytope(sphere3(), 4, F(5, 4))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p1 + p2 + p3", "empty null set"),
+            ("p1 + p2 + p3 + 1", "empty null set"),
+            ("2*p1^2 + 2*p2^2 + 2*p3^2 + 4*p1*p2 + 4*p1*p3 + 4*p2*p3", "empty null set"),
+            ("p1 + p2 + p3 - 1", "null set is the whole simplex, no alternative"),
+            ("p1^2 + p1*p2 + p1*p3 - p1", "null set is the whole simplex, no alternative"),
+        ],
+    )
+    def test_f_constant_on_the_simplex_is_refused(self, text, message):
+        # f is 1, 2 or 2 on sum(p) = 1, so P0 is empty; or f is 0 there, so
+        # P0 is all of the simplex.  No test tells P0 from an alternative.
+        f = P(text)
+        with pytest.raises(ValueError, match=f"^{message}: "):
+            coefficient_polytope(f, 4, F(1, 20))
+        with pytest.raises(ValueError, match=f"^{message}: "):
+            umpu_search(f, 4, F(1, 20))
+
+    @seed(20261020)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(-2, 2),
+        g=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+        extra=st.lists(st.sampled_from([0, 0, 0, 1, -1]), min_size=3, max_size=3),
+    )
+    def test_refused_exactly_when_constant_after_substitution(self, c, g, extra):
+        # f = c (sum p)^2 + (g0 + g.p)(sum p - 1) + extra.p: constant on the
+        # simplex unless extra is, and then refused by its value there.
+        x = [Polynomial.variable(3, i) for i in range(3)]
+        total = x[0] + x[1] + x[2]
+        f = c * total**2 + (g[0] + sum(gi * xi for gi, xi in zip(g[1:], x))) * (total - 1)
+        f = f + sum(e * xi for e, xi in zip(extra, x))
+        assume(f.total_degree() >= 1)
+        rest = f.substitute_last()
+        if rest.total_degree() >= 1:
+            assert coefficient_polytope(f, 4, F(1, 20)).k == 3
+        else:
+            message = "null set is the whole simplex" if rest.is_zero() else "empty null set"
+            with pytest.raises(ValueError, match=f"^{message}"):
+                coefficient_polytope(f, 4, F(1, 20))
 
     @pytest.mark.parametrize("alpha, facets", [(F(1, 20), 15), (F(1, 2), 30), (F(19, 20), 15)])
     def test_one_sided_puts_the_nearest_rows_first(self, alpha, facets):
