@@ -38,6 +38,7 @@ from powerpoly.polynomial import MonomialOrder, Polynomial, simplex_coefficients
 from powerpoly.power import (
     PowerPolynomial,
     TestFunction,
+    _support,
     exact_power,
     monte_carlo_power,
     recover_test,
@@ -102,33 +103,53 @@ def _load_hypothesis(path: str) -> NullHypothesis:
 
 
 def _parse_test_json(payload: dict) -> TestFunction:
-    texts: dict[str, Fraction] = {}
+    """The test a test-function JSON names, read in one pass.
 
-    def phi(value) -> Fraction:
-        # Only strings are cached: True == 1 == 1.0 share a hash, and
-        # `_exact` accepts the int but refuses the bool and the float.
-        if type(value) is not str:
-            return _exact(value)
-        if value not in texts:
-            texts[value] = _exact(value)
-        return texts[value]
-
+    Each entry's count vector is converted once and each distinct phi
+    text once, into one slot of exact values; then checks over the whole
+    lists (lengths, sums and least entries of the count vectors, the
+    least and largest phi) run in C, and the test is built on its
+    numerators.  When a check fails, the parsed entries go through
+    `TestFunction`, which words the refusal for the first bad entry.
+    """
+    slot_of: dict[str, int] = {}
+    exact: list[Fraction] = []
+    slots: dict[tuple[int, ...], int] = {}
     try:
         n, k = _integer(payload["n"]), _integer(payload["k"])
         ints = (int,) * k
-        values = {}
         for entry in payload["values"]:
             x = entry["x"]
             x = tuple(x) if tuple(map(type, x)) == ints else tuple(_integer(v) for v in x)
-            if x in values:
+            if x in slots:
                 raise CliError(f"malformed test-function JSON: count vector {list(x)} listed twice")
-            values[x] = phi(entry["phi"])
+            # Only strings are cached: True == 1 == 1.0 share a hash, and
+            # `_exact` accepts the int but refuses the bool and the float.
+            value = entry["phi"]
+            slot = slot_of.get(value) if type(value) is str else None
+            if slot is None:
+                slot = len(exact)
+                exact.append(_exact(value))
+                if type(value) is str:
+                    slot_of[value] = slot
+            slots[x] = slot
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed test-function JSON: {exc}") from exc
-    test = TestFunction(n, k, values)
+    if (
+        n >= 1
+        and k >= 2
+        and set(map(len, slots)) <= {k}
+        and set(map(sum, slots)) <= {n}
+        and min(map(min, slots), default=0) >= 0
+        and 0 <= min(exact, default=0)
+        and max(exact, default=0) <= 1
+    ):
+        test = TestFunction._of(n, k, *_support(slots, exact))
+    else:
+        test = TestFunction(n, k, {x: exact[s] for x, s in slots.items()})
     # Its entries are distinct count vectors now, so a short list leaves one out.
-    if len(values) < comb(n + k - 1, k - 1):
-        missing = next(x for x in _lazy_count_vectors(n, k) if x not in values)
+    if len(slots) < comb(n + k - 1, k - 1):
+        missing = next(x for x in _lazy_count_vectors(n, k) if x not in slots)
         raise CliError(f"malformed test-function JSON: count vector {list(missing)} missing")
     return test
 

@@ -9,7 +9,8 @@ of one double description (each hypothesis row must define a facet, by
 reduce to binomials, and exact null points come from four
 constructions: positive rank r - 1 products (independence, rank_lt),
 positive mixtures of the vertices of one double description
-(affine, symmetry, polytope), a line search on the sphere, and positive
+(affine, symmetry, polytope), lines through one rational sphere point
+aimed at float targets on the sphere inside the simplex, and positive
 points rescaled onto the log-odds binomial.  Every linear null set is one
 row list, `_polytope_rows` over the first k - 1 coordinates, for both the
 existence check and the vertex mixtures.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod, sqrt
 from operator import mul
 from typing import Sequence
 
@@ -663,6 +664,10 @@ def _sphere_base_point(k: int, dsq: Fraction) -> list[Fraction] | None:
     return None
 
 
+#: Scale of the aimed sphere directions: e = round(_AIM_SCALE (t - u0)).
+_AIM_SCALE = 64
+
+
 def _sample_sphere(h: NullHypothesis, count: int, base: int):
     k = h.k
     dsq = h.params["delta_sq"]
@@ -682,24 +687,39 @@ def _sample_sphere(h: NullHypothesis, count: int, base: int):
                 f"points, fewer than the {count} asked for"
             )
         return [tuple(Fraction(1, 2) + s * x for x in u0) for s in (-1, 1)][:count]
-    # Exact integer form of the line search.  With u0 = w / W and the
-    # direction d = e / D (d_i = u_i - 1/2 from a Halton point u, the last
-    # entry closing the sum to zero, D = 2 lcm of u's denominators), the
-    # second intersection of the line u0 + s d with the sphere is
-    # u0 - 2 (w.e) / (W e.e) e, so its simplex point 1/k + that has
-    # coordinates ((W + k w_i) e.e - 2 k (w.e) e_i) / (k W e.e).
+    # Each attempt aims a line through u0 at a float target t on the
+    # sphere inside the simplex: the sorted spacings of a Halton point are
+    # a uniform simplex point, pushed radially from the centroid onto the
+    # sphere.  t is computed with correctly rounded IEEE operations only
+    # (int division, subtraction, products, sums in a fixed order,
+    # `math.sqrt` and `round`), so the points are the same on every
+    # platform.  The integer zero-sum direction
+    # e = round(_AIM_SCALE (t - u0)), the last entry closing the sum,
+    # fixes the candidate; floats never decide whether it is accepted.
+    # With u0 = w / W, the second intersection of the line u0 + s e with
+    # the sphere is u0 - 2 (w.e) / (W e.e) e, so its simplex point
+    # 1/k + that has coordinates ((W + k w_i) e.e - 2 k (w.e) e_i) /
+    # (k W e.e).  Each Halton index is one attempt of the budget.
     big_w = lcm(*(x.denominator for x in u0))
     w = [int(x * big_w) for x in u0]
+    c, radius = 1 / k, sqrt(float(dsq))
+    start = [float(x) for x in u0[:-1]]
+    bases = _halton_bases(k - 1)
     out = []
     seen = set()
-    t = 0
-    attempts = 0
-    max_attempts = 200 * count + 200
-    while len(out) < count and attempts < max_attempts:
-        attempts += 1
-        u, half_d = _halton_ints(base + t, k - 1)
-        t += 1
-        e = [2 * v - half_d for v in u]
+    for index in range(base, base + 200 * count + 200):
+        cuts = sorted(n / d for n, d in (_vdc(index, b) for b in bases))
+        v = [cuts[0] - c, *(b - a - c for a, b in zip(cuts, cuts[1:])), 1 - cuts[-1] - c]
+        norm = 0.0
+        for x in v:
+            norm += x * x
+        if not norm:
+            continue
+        scale = radius / sqrt(norm)
+        target = [x * scale for x in v]
+        if min(target) < -c:
+            continue
+        e = [round(_AIM_SCALE * (t - s)) for t, s in zip(target, start)]
         e.append(-sum(e))
         ee = sum(x * x for x in e)
         if ee == 0:
@@ -712,12 +732,12 @@ def _sample_sphere(h: NullHypothesis, count: int, base: int):
             if tup not in seen:
                 seen.add(tup)
                 out.append(tup)
-    if len(out) < count:
-        raise UnsupportedSampling(
-            f"exhausted the search budget with {len(out)} of {count} simplex "
-            f"points on the radius^2 = {dsq} sphere"
-        )
-    return out
+                if len(out) == count:
+                    return out
+    raise UnsupportedSampling(
+        f"exhausted the search budget with {len(out)} of {count} simplex "
+        f"points on the radius^2 = {dsq} sphere"
+    )
 
 
 def _sample_logodds(h: NullHypothesis, count: int, base: int):

@@ -52,6 +52,18 @@ def require_test_size(n: int, k: int):
         raise ValueError("need n >= 1 and k >= 2")
 
 
+def _support(slots: Mapping[tuple[int, ...], int], exact: Sequence[Fraction]) -> tuple[dict, int]:
+    """(nums, den) of the test with phi(x) = exact[slots[x]].
+
+    Each distinct value is scaled to the least common denominator once;
+    `nums` keeps the count vectors with phi > 0, in descending lex order.
+    """
+    den = lcm(*(p.denominator for p in exact))
+    scaled = [p.numerator * (den // p.denominator) for p in exact]
+    # Sorting keys in descending lex order is linear when they come so.
+    return {x: scaled[s] for x, s in sorted(slots.items(), reverse=True) if scaled[s]}, den
+
+
 class TestFunction:
     """Randomized test: count vector -> rejection probability in [0, 1].
 
@@ -92,13 +104,9 @@ class TestFunction:
                 exact.append(p)
                 kept.append(phi)
             slots[x] = slot
-        den = lcm(*(p.denominator for p in exact))
-        scaled = [p.numerator * (den // p.denominator) for p in exact]
         self.n = n
         self.k = k
-        # Sorting keys in descending lex order is linear when they come so.
-        self.nums = {x: scaled[s] for x, s in sorted(slots.items(), reverse=True) if scaled[s]}
-        self.den = den
+        self.nums, self.den = _support(slots, exact)
 
     @classmethod
     def _of(cls, n: int, k: int, nums: dict, den: int) -> "TestFunction":

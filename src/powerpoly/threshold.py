@@ -4,9 +4,14 @@ The sum-of-squares route: a reduced Groebner basis of the vanishing ideal
 under a graded order gives the minimum degree of a nonzero ideal element
 (hence the NTUB bound 2*min deg) and the cut-out degree d, the smallest
 degree at which the low-degree basis elements already carve out the null
-set (SUB bound 2d).  Membership of the discarded elements in the radical
-of the low-degree ideal certifies d; the criterion works over the complex
-variety, so it is conservative and flagged as such in the report.
+set (SUB bound 2d).  From the largest generator degree D on, the
+low-degree elements generate the whole ideal, so those degrees pass with
+no computation; below D, membership of the discarded elements in the
+radical of the low-degree ideal certifies d.  The criterion works over
+the complex variety, so it is conservative and flagged as such in the
+report.  A null set with no point on the simplex is refused: a basis
+holding a constant, or a generator that homogenizes to a form with
+coefficients of one sign and every pure power present.
 """
 
 from __future__ import annotations
@@ -56,6 +61,32 @@ def _weighted_squares(
     return packing.unpack(out, Fraction(num, den)), single
 
 
+def _definite_form(g: Polynomial, k: int) -> bool:
+    """True when g, homogenized by p_1 + ... + p_k to its degree d, has
+    all its coefficients of one sign, with a nonzero one at every pure
+    power p_i^d.
+
+    Such a form vanishes at p only where each of its monomials does, and
+    the pure powers then force every p_i to 0, which is no simplex point.
+    A generator in k - 1 variables (p_k substituted) gains p_k with
+    exponent 0.  The coefficient of p_i^d is the value of g at the vertex
+    e_i, so vertices where g is 0 or changes sign settle the question
+    before anything is homogenized.
+    """
+    vertex = [0] * k
+    for m, c in g.terms.items():
+        support = [i for i, e in enumerate(m) if e]
+        if len(support) < 2:
+            for i in support or range(k):
+                vertex[i] += c
+    if not (min(vertex) > 0 or max(vertex) < 0):
+        return False
+    if g.nvars < k:
+        g = Polynomial._of(k, {m + (0,): c for m, c in g.terms.items()})
+    positive = vertex[0] > 0
+    return all((c > 0) == positive for c in g.homogenize(g.total_degree()).terms.values())
+
+
 @dataclass(frozen=True)
 class ThresholdReport:
     ntub_bound: int
@@ -77,9 +108,19 @@ def sos_bounds(
 ) -> ThresholdReport:
     """Threshold bounds from a reduced graded Groebner basis of I(P0).
 
+    The cut-out degree is the least basis degree d whose elements of
+    degree <= d carve out the variety.  A degree d at or above the
+    basis's `generator_degree` D passes without a check: there the
+    elements of degree <= d generate the ideal, so every element of
+    higher degree is a member of it, hence of its radical.  Each lower
+    degree is checked by `radical_membership` (on linear elements alone,
+    by reduction; otherwise by a Rabinowitsch basis).  A basis built by
+    hand records no D, and every degree is then checked.
+
     `weights` are positive multipliers for the squared terms of the SUB
-    witness (power tuning); they do not affect the bounds.  A basis
-    holding a constant means P0 is empty, and it is refused.
+    witness (power tuning); they do not affect the bounds.  P0 is empty,
+    and refused, when the basis holds a constant or when a generator of
+    `hypothesis` has one strict sign on the simplex (`_definite_form`).
     """
     elements = list(gb.elements)
     if not elements:
@@ -87,6 +128,10 @@ def sos_bounds(
     if gb.contains_constant():
         raise ValueError(
             "empty null set: the generators have no common zero on sum(p) = 1, so P0 has no point"
+        )
+    if hypothesis is not None and any(_definite_form(g, hypothesis.k) for g in hypothesis.generators):
+        raise ValueError(
+            "empty null set: a generator has one strict sign on the simplex, so P0 has no point"
         )
     degrees = sorted({g.total_degree() for g in elements})
     min_deg = degrees[0]
@@ -96,10 +141,13 @@ def sos_bounds(
     notes: list[str] = []
 
     cut_out = degrees[-1]
+    top = gb.generator_degree
     for d in degrees:
         lower = [g for g in elements if g.total_degree() <= d]
         rest = [g for g in elements if g.total_degree() > d]
-        if all(radical_membership(g, lower, counter) for g in rest):
+        if (top is not None and d >= top) or all(
+            radical_membership(g, lower, counter) for g in rest
+        ):
             cut_out = d
             if rest:
                 notes.append(

@@ -104,6 +104,16 @@ def test_step_limit_below_one_is_an_error(argv, limit, tmp_path, capsys):
     assert "step limit must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["threshold", "separating"])
+def test_coordinate_planes_are_not_an_empty_null_set(command, tmp_path):
+    # p1 p2 is >= 0 on the simplex but vanishes on two of its faces.
+    path = tmp_path / "hypothesis.json"
+    path.write_text(json.dumps({"kind": "custom", "params": {"k": 3, "generators": ["p1*p2"]}}))
+    code, out = run_cli([command, "--hypothesis", str(path)])
+    assert code == 0
+    assert json.loads(out)["family"] == "custom"
+
+
 @pytest.mark.parametrize("command", ["umpu", "coeff-polytope"])
 def test_coefficient_rows_are_counted_before_they_are_built(command, capsys):
     # C(302, 2) = 45,451 rows at n = 300: a budget of 10 refuses them at once.
@@ -143,12 +153,14 @@ def test_malformed_hypothesis_json_is_an_error(command, payload, message, tmp_pa
 @pytest.mark.parametrize("command", ["threshold", "separating"])
 @pytest.mark.parametrize(
     "k, generators",
-    [(3, ["p1 + p2 + p3"]), (1, ["p1"]), (3, ["p1 - p2", "p1 - p2 - 1"])],
-    ids=["sum-of-all", "k1", "inconsistent"],
+    [(3, ["p1 + p2 + p3"]), (1, ["p1"]), (3, ["p1 - p2", "p1 - p2 - 1"]),
+     (3, ["p1^2 + p2^2 + p3^2"])],
+    ids=["sum-of-all", "k1", "inconsistent", "positive-form"],
 )
 def test_empty_null_set_is_an_error(command, k, generators, tmp_path, capsys):
-    # A reduced basis {1} has no zero on the simplex: no bound, witness or
-    # degree-0 separating polynomial is printed for it.
+    # A reduced basis {1} has no zero on the simplex, nor has a sum of
+    # squares of the coordinates: no bound, witness or separating
+    # polynomial is printed for them.
     path = tmp_path / "hypothesis.json"
     path.write_text(json.dumps({"kind": "custom", "params": {"k": k, "generators": generators}}))
     assert main([command, "--hypothesis", str(path)]) == 1
@@ -542,17 +554,20 @@ class TestThreshold:
             run_cli(["threshold", "--hypothesis", str(path)])
 
     def test_step_limit_covers_basis_and_bounds_together(self, tmp_path):
-        # The 2x3 minors plus p11 - p22: 93 Buchberger steps, then 10 in sos_bounds.
+        # The 2x3 minors plus a cubic: 330 Buchberger steps, then 437 in
+        # sos_bounds, whose degree-2 cut-out check builds a Rabinowitsch
+        # basis (degree 3 is the generators' top degree and passes unchecked).
         path = tmp_path / "minors23.json"
         names = ["p11", "p12", "p13", "p21", "p22", "p23"]
-        gens = ["p11*p22 - p12*p21", "p11*p23 - p13*p21", "p12*p23 - p13*p22", "p11 - p22"]
+        gens = ["p11*p22 - p12*p21", "p11*p23 - p13*p21", "p12*p23 - p13*p22",
+                "p11*p12*p13 - p21*p22*p23"]
         path.write_text(
             json.dumps({"kind": "custom", "params": {"k": 6, "vars": names, "generators": gens}})
         )
         for command in ("threshold", "separating"):
             args = [command, "--hypothesis", str(path), "--step-limit"]
-            assert run_cli(args + ["98"])[0] == 3
-            assert run_cli(args + ["103"])[0] == 0
+            assert run_cli(args + ["331"])[0] == 3
+            assert run_cli(args + ["767"])[0] == 0
 
     @pytest.mark.parametrize(
         "command, digest",

@@ -183,8 +183,10 @@ class TestStepCounts:
             ({"kind": "independence", "params": {"p": 3, "q": 3}}, 211, 211),
             ({"kind": "symmetry", "params": {"p": 3}}, 9, 9),
             # The first constrained specs of the benchmark's threshold pool.
-            (_constrained(3, 3, "-2*p11 - p12 + p13 + 2*p21 - 2*p33"), 676, 688),
-            (_constrained(2, 3, "-2*p11 + p12 + 2*p21 + p22 - 2*p23"), 132, 144),
+            # Their cut-out checks cost the reduction modulo the linear
+            # element alone: degree 2 is the generators' top degree.
+            (_constrained(3, 3, "-2*p11 - p12 + p13 + 2*p21 - 2*p33"), 676, 678),
+            (_constrained(2, 3, "-2*p11 + p12 + 2*p21 + p22 - 2*p23"), 132, 137),
         ],
         ids=["independence-2x4", "independence-3x3", "symmetry-3", "constrained-3x3",
              "constrained-2x3"],
@@ -257,6 +259,67 @@ class TestRadicalMembership:
         gb = buchberger_reduced(gens)
         if ideal_membership(member, gb):
             assert radical_membership(member, gens)
+
+
+def _random_linear(rng, nvars):
+    """A degree-1 polynomial with small integer coefficients, often sparse."""
+    units = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    terms = {u: rng.choice([0, 0, -2, -1, 1, 3]) for u in units}
+    terms[rng.choice(units)] = rng.choice([-1, 1, 2])
+    terms[(0,) * nvars] = rng.randint(-2, 2)
+    return Polynomial(nvars, terms)
+
+
+def _linear_system(seed):
+    """(gens, members, others) for seed: 1-4 linear generators in 1-6
+    variables (every fifth seed adds a constant, the whole ring), ideal
+    members of degree 1 and 2, and random polynomials of degree 1 and 2."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 6)
+    gens = [_random_linear(rng, n) for _ in range(rng.randint(1, 4))]
+    if seed % 5 == 0:
+        gens.append(Polynomial.constant(n, rng.choice([-2, 1, 3])))
+    members = [
+        sum((rng.randint(-2, 2) * g for g in gens), Polynomial.zero(n)) + gens[0],
+        sum((_random_linear(rng, n) * g for g in gens), Polynomial.zero(n)),
+    ]
+    others = [_random_linear(rng, n), _random_linear(rng, n) * _random_linear(rng, n)
+              + _random_linear(rng, n)]
+    return gens, members, others
+
+
+class TestLinearRadicalMembership:
+    """Generators of degree <= 1 are decided by reduction modulo their
+    echelon form, with no Rabinowitsch basis; the basis is the oracle."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_the_rabinowitsch_basis(self, seed, monkeypatch):
+        gens, members, others = _linear_system(seed)
+        expected = [groebner._rabinowitsch_membership(f, gens, None) for f in members + others]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the linear path built a Groebner basis")
+
+        monkeypatch.setattr(groebner, "buchberger_reduced", refuse)
+        assert [radical_membership(f, gens) for f in members + others] == expected
+        assert expected[:2] == [True, True]
+
+    def test_cases_cover_both_answers_and_the_whole_ring(self):
+        # (whole ring, degree of f, member) over every f of every seed.
+        outcomes = set()
+        for seed in range(60):
+            gens, members, others = _linear_system(seed)
+            whole = any(g.total_degree() == 0 for g in gens)
+            for f in members + others:
+                member = groebner._rabinowitsch_membership(f, gens, None)
+                outcomes.add((whole, f.total_degree(), member))
+        assert {(False, d, m) for d in (1, 2) for m in (False, True)} <= outcomes
+        assert {(True, 1, True), (True, 2, True)} <= outcomes
+
+    def test_linear_path_ticks_the_caller_budget(self):
+        gens = [P("p1 - p2"), P("p2 - 2*p3")]
+        with pytest.raises(StepLimitExceeded):
+            radical_membership(P("p1^2*p3 - 4*p3^3 + p1*p2*p3"), gens, StepCounter(1))
 
 
 def ideals(nvars, min_gens, max_gens, coefficients=st.integers(-3, 3).filter(bool)):

@@ -1,3 +1,8 @@
+import dataclasses
+import itertools
+import os
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,15 +23,22 @@ from powerpoly import (
     sos_bounds,
     union_separating,
 )
-from powerpoly.groebner import GroebnerBasis
+from powerpoly import groebner
+from powerpoly.groebner import GroebnerBasis, StepCounter
+from powerpoly.hypotheses import custom
 from powerpoly.polynomial import simplex_coefficients
 from powerpoly.power import box_check
-from powerpoly.threshold import EXACT, _level
+from powerpoly.threshold import EXACT, _definite_form, _level
 
 from conftest import monomials_of_degree, order_key
 
 F = Fraction
 VARS3 = ["p1", "p2", "p3"]
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.insert(0, PERFBENCH)
+
+from workloads import THRESHOLD, pool  # noqa: E402
 
 
 def P(text, names=VARS3):
@@ -97,6 +109,46 @@ class TestSosBounds:
         with pytest.raises(ValueError, match="^empty null set: .* P0 has no point$"):
             sos_bounds(gb, hypothesis=hyp)
 
+    @pytest.mark.parametrize(
+        "k, generators",
+        [(3, ["p1^2 + p2^2 + p3^2"]), (3, ["-p1^2 - p2^2 - p3^2", "p1*p2"]), (3, ["1 - p1*p2"]),
+         (4, ["p1 - p2", "p1^3 + p2^3 + p3^3 + p4^3 + p1*p2*p3"])],
+        ids=["sum-of-squares", "negative-definite", "negative-top-degree", "positive-cubic"],
+    )
+    def test_definite_generator_is_refused(self, k, generators):
+        # Homogenized by p1 + ... + pk, each listed generator has all its
+        # coefficients of one sign and every pure power present, so it has
+        # no zero on the simplex; the reduced basis holds no constant.
+        # (1 - p1 p2 homogenizes to p1^2 + p1 p2 + p2^2 + 2 p1 p3 + ...,
+        # although its top-degree part is negative.)
+        hyp = build_hypothesis({"kind": "custom", "params": {"k": k, "generators": generators}})
+        gb = gb_of(hyp)
+        assert not gb.contains_constant()
+        with pytest.raises(ValueError, match="^empty null set: .* P0 has no point$"):
+            sos_bounds(gb, hypothesis=hyp)
+
+    @pytest.mark.parametrize(
+        "generators",
+        [["p1*p2"], ["p1^2 + p2^2 - p3^2"], ["p1^2 + p2^2"], ["p1^2 - p1*p2 + p2^2 + p3^2 - 1/2"]],
+        ids=["coordinate-planes", "indefinite", "no-pure-p3", "mixed-signs"],
+    )
+    def test_generators_with_simplex_zeros_are_accepted(self, generators):
+        hyp = build_hypothesis({"kind": "custom", "params": {"k": 3, "generators": generators}})
+        sos_bounds(gb_of(hyp), hypothesis=hyp)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=6, max_size=6), st.integers(0, 2))
+    def test_refused_quadrics_are_positive_on_a_simplex_grid(self, coeffs, constant):
+        # The refusal is sound: a quadric it refuses is nonzero at every
+        # point of a rational grid on the simplex.
+        monos = [m for m in itertools.product(range(3), repeat=3) if sum(m) == 2]
+        g = Polynomial(3, dict(zip(monos, coeffs))) + Polynomial.constant(3, F(constant, 2))
+        if g.total_degree() < 1 or not _definite_form(g, 3):
+            return
+        grid = [(F(a, 6), F(b, 6), F(6 - a - b, 6)) for a in range(7) for b in range(7 - a)]
+        values = [g.evaluate(p) for p in grid]
+        assert all(v > 0 for v in values) or all(v < 0 for v in values)
+
     def test_weights_scale_sub_witness(self):
         hyp = build_hypothesis({"kind": "symmetry", "params": {"p": 2}})
         gb = gb_of(hyp)
@@ -160,6 +212,79 @@ class TestSosBounds:
                 reduced = pt[:-1]
                 assert report.ntub_witness.evaluate(reduced) == 0
                 assert report.sub_witness.evaluate(reduced) == 0
+
+
+def _mixed_degree_hypothesis(seed):
+    """A custom hypothesis in k - 1 = 2..4 substituted variables: 2 or 3
+    generators of degrees 1 to 3 that share a rational simplex point."""
+    rng = random.Random(seed)
+    k = rng.randint(3, 5)
+    n = k - 1
+    weights = [rng.randint(1, 5) for _ in range(k)]
+    point = [F(w, sum(weights)) for w in weights[:n]]
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        d = rng.randint(1, 3)
+        monos = [m for m in itertools.product(range(d + 1), repeat=n) if 0 < sum(m) <= d]
+        chosen = rng.sample(monos, min(len(monos), rng.randint(2, 4)))
+        terms = {m: F(rng.randint(-3, 3)) for m in chosen}
+        terms[max(monos, key=sum)] = F(1)
+        g = Polynomial(n, terms)
+        gens.append(g - Polynomial.constant(n, g.evaluate(point)))
+    return custom(gens, k, substituted=True)
+
+
+def _pool_hypotheses():
+    specs = [spec["hypothesis"] for spec in pool(THRESHOLD) if "hypothesis" in spec]
+    hyps = [build_hypothesis(spec) for spec in specs]
+    return [h for h in hyps if h.family not in ("rank_lt", "polytope")]
+
+
+class TestCutOutByDegree:
+    """`sos_bounds` skips the cut-out checks at degrees from the largest
+    generator degree D on; with D = None every degree is checked, and the
+    reports are equal."""
+
+    @staticmethod
+    def _both(hyp):
+        gb = gb_of(hyp)
+        fast, slow = StepCounter(), StepCounter()
+        report = sos_bounds(gb, hypothesis=hyp, counter=fast)
+        forced = sos_bounds(dataclasses.replace(gb, generator_degree=None), hypothesis=hyp,
+                            counter=slow)
+        assert report == forced
+        assert fast.steps <= slow.steps
+        return fast.steps < slow.steps
+
+    def test_threshold_pool(self):
+        assert any([self._both(h) for h in _pool_hypotheses()])
+
+    def test_seeded_mixed_degree_hypotheses(self):
+        assert any([self._both(_mixed_degree_hypothesis(seed)) for seed in range(40)])
+
+    def test_generator_degree_recorded(self):
+        gb = buchberger_reduced([P("p1^3 - p2"), P("p1*p2 - p3"), P("0")])
+        assert gb.generator_degree == 3
+        assert GroebnerBasis(MonomialOrder.GREVLEX, gb.elements).generator_degree is None
+
+    def test_constrained_cubics_need_no_rabinowitsch_basis(self, monkeypatch):
+        # The 3x3 minors with one linear constraint: the basis has cubics,
+        # certified against the quadric generators by degree alone.
+        names = [f"p{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)]
+        minors = [f"p{a}{c}*p{b}{d} - p{a}{d}*p{b}{c}" for a, b in itertools.combinations("123", 2)
+                  for c, d in itertools.combinations("123", 2)]
+        params = {"k": 9, "vars": names, "generators": minors + ["-p11 + 2*p13 + 2*p23 + 2*p32 + p33"]}
+        hyp = build_hypothesis({"kind": "custom", "params": params})
+        gb = gb_of(hyp)
+        assert sorted({g.total_degree() for g in gb.elements}) == [1, 2, 3]
+
+        def refuse(*args):
+            raise AssertionError("a cut-out check built a Rabinowitsch basis")
+
+        monkeypatch.setattr(groebner, "_rabinowitsch_membership", refuse)
+        report = sos_bounds(gb, hypothesis=hyp)
+        assert report.cut_out_degree == 2
+        assert report.notes[0].startswith("elements of degree > 2 certified redundant")
 
 
 class TestPrincipalUMPU:
