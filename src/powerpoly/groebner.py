@@ -43,10 +43,7 @@ divisibility by the same guarded subtract (`Packing.divides`).
 
 Radical membership uses the Rabinowitsch trick: f vanishes on the complex
 variety of `gens` iff 1 lies in <gens, 1 - y*f> in a ring with one extra
-variable y (appended last, graded reverse lex).  Generators of degree at
-most 1 need no such basis: a linear ideal is prime or the whole ring, so
-radical membership is ideal membership there, decided by reducing f
-modulo the ideal's echelon form.
+variable y (appended last, graded reverse lex).
 """
 
 from __future__ import annotations
@@ -59,7 +56,6 @@ from typing import Sequence
 
 # DEGREE_LIMIT, the limit of the core's 16-bit words, is imported for
 # callers of this module.
-from powerpoly.linalg import echelon, primitive_ints
 from powerpoly.polynomial import (
     DEFAULT_ORDER,
     DEGREE_LIMIT,
@@ -349,51 +345,12 @@ def radical_membership(
     gens: Sequence[Polynomial],
     counter: StepCounter | None = None,
 ) -> bool:
-    """True iff f vanishes on the complex variety of <gens>.
-
-    When every generator has degree at most 1 the ideal is linear, hence
-    prime or the whole ring, and f is reduced modulo its echelon form;
-    otherwise the Rabinowitsch basis decides.
-    """
+    """True iff f vanishes on the complex variety of <gens>: iff 1 lies in
+    <gens, 1 - y f>, decided by one reduced basis in the extra variable y."""
     if not gens:
         raise ValueError("need at least one generator")
     if f.is_zero():
         return True
-    if all(g.total_degree() <= 1 for g in gens):
-        return _linear_membership(f, gens, counter)
-    return _rabinowitsch_membership(f, gens, counter)
-
-
-def _linear_membership(f: Polynomial, gens: Sequence[Polynomial], counter) -> bool:
-    """Ideal membership of f in an ideal of polynomials of degree <= 1.
-
-    Each generator is an integer row over (x_1, ..., x_n, 1).  `echelon`
-    leaves primitive rows whose pivots are distinct variables with a
-    positive coefficient, each absent from the other rows; under a graded
-    order x_1 > ... > x_n, so each pivot is its row's leading monomial,
-    the leading monomials are pairwise coprime, and the rows are a
-    Groebner basis.  f is a member iff it divides to remainder 0.  A
-    pivot in the constant column means 1 lies in the ideal.
-    """
-    n = f.nvars
-    monos = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(0,) * n]
-    rows = [primitive_ints([g.terms.get(m, 0) for m in monos]) for g in gens]
-    reduced = echelon([row for row in rows if any(row)])[0]
-    if any(c == n for c, _ in reduced):
-        return True
-    packing = Packing(n)
-    keys = list(map(packing.key, monos))
-    forms = []
-    for c, row in reduced:
-        tail = {m: v for m, v in zip(keys, row) if v}
-        del tail[keys[c]]
-        forms.append((keys[c], row[c], tail))
-    remainder, _ = _divide(packing.pack(f.terms)[0], forms, packing, counter)
-    return not remainder
-
-
-def _rabinowitsch_membership(f: Polynomial, gens: Sequence[Polynomial], counter) -> bool:
-    """f vanishes on the variety of <gens> iff 1 lies in <gens, 1 - y f>."""
     nvars = f.nvars
     ext = nvars + 1
 

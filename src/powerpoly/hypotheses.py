@@ -575,29 +575,38 @@ def _sample_rank(h: NullHypothesis, count: int, base: int):
     return out
 
 
+def _linear_rows(generators: Sequence[Polynomial], k: int, a_rows=(), b=()):
+    """`_polytope_rows` over x' = (x_1 .. x_k-1) for the rows a.x' >= b and
+    the generators of degree <= 1, in k variables or in the k - 1 of x'.
+
+    Each generator c.x + c0 = 0, with x_k = 1 - sum(x'), gives the two rows
+    +-(c' - c_k).x' >= +-(c_k + c0); one in k - 1 variables has c_k = 0.
+    """
+    a_rows, b = list(a_rows), list(b)
+    for g in generators:
+        n = g.nvars
+        c = [g.terms.get(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
+        c += [0] * (k - n)
+        c0 = g.terms.get((0,) * n, 0)
+        row = [v - c[-1] for v in c[:-1]]
+        a_rows += [row, [-v for v in row]]
+        b += [-c[-1] - c0, c[-1] + c0]
+    return _polytope_rows(a_rows, b, k - 1)
+
+
 def _sample_linear(h: NullHypothesis, count: int, base: int):
     """Mixtures of the vertices of P0, the simplex cut by linear equations
     (the generators of affine and symmetry) or halfspaces (polytope).
 
-    One double description on `_polytope_rows` over x' = (x_1 .. x_k-1),
-    the rows `polytope_existence` reads: each polytope row a.x' >= b, and
-    each generator c.x + c0 = 0, with x_k = 1 - sum(x'), as the two rows
-    +-(c' - c_k).x' >= +-(c_k + c0).  Each vertex gets x_k back; x_k is a
-    function of x', so the vertices keep their lex order.
+    One double description on `_linear_rows`, the rows `polytope_existence`
+    reads for a polytope.  Each vertex gets x_k back; x_k is a function of
+    x', so the vertices keep their lex order.
     """
-    k = h.k
-    a_rows, b = list(h.polytope_a), list(h.polytope_b)
-    for g in h.generators:
-        c = [g.terms.get(tuple(int(i == j) for j in range(k)), 0) for i in range(k)]
-        c0 = g.terms.get((0,) * k, 0)
-        row = [v - c[-1] for v in c[:-1]]
-        a_rows += [row, [-v for v in row]]
-        b += [-c[-1] - c0, c[-1] + c0]
-    rows, rhs = _polytope_rows(a_rows, b, k - 1)
+    rows, rhs = _linear_rows(h.generators, h.k, h.polytope_a, h.polytope_b)
     vertices = [(*v, 1 - sum(v)) for v in enumerate_vertices_dd(rows, rhs)]
     # A mixture with positive weights is positive in coordinate i exactly
     # when some vertex is.
-    if not all(any(v[i] for v in vertices) for i in range(k)):
+    if not all(any(v[i] for v in vertices) for i in range(h.k)):
         raise ValueError(f"{h.family} hypothesis has no relative-interior simplex point")
     return _vertex_mixtures(vertices, count, base)
 

@@ -11,7 +11,7 @@ vertices share few values (4 among the 2,048 coordinates of a k = 8
 coefficient polytope).  `vertex_keys` is the one way back to integers,
 keys over one common denominator with each shared Fraction converted
 once: the UMPU search, the componentwise maximum and the null-point
-mixtures read the vertices through it, and the ray box below its extremes.
+mixtures read the vertices through it.
 
 `vertex_faces` also gives each input row's face: the bitmask of the
 vertices on the row, read off the final vertices, one integer dot product
@@ -67,12 +67,12 @@ Two certificates skip work whose outcome is already known, so the steps
 counted and the vertices returned are those of the plain method:
 
 - A ray box.  After a row that cuts no ray, while every ray has t > 0,
-  the box of the points x/t (per-coordinate least and greatest value)
-  is kept until the ray set changes.  A later row c.x <= beta whose
-  maximum over the box is at most beta cuts no ray, so it is dropped
-  with its one step and no product with the rays.  The test need not be
-  strict: a row through a ray is dropped as any other row that cuts
-  nothing is.
+  the box of the points x/t (per-coordinate least and greatest value,
+  as integers over the lcm of the t) is kept until the ray set changes.
+  A later row c.x <= beta whose maximum over the box is at most beta
+  cuts no ray, so it is dropped with its one step and no product with
+  the rays.  The test need not be strict: a row through a ray is
+  dropped as any other row that cuts nothing is.
 - A blocking ray.  While the pairs of one positive ray are tested, the
   third ray found by the last failed AND chain is remembered with its
   tight mask.  A later pair whose common rows all lie in that mask is
@@ -327,25 +327,13 @@ def _extreme_rays(
 def _ray_box(rays: list[_Ray]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """The box spanned by the points x/t of rays that all have t > 0.
 
-    Returns (lo, hi, den): lo[i] / den and hi[i] / den are the least and
-    the greatest x_i / t over the rays.  Each extreme is found by integer
-    cross-multiplication (t > 0), and only the extremes become Fractions,
-    read back over one denominator by `vertex_keys`.
+    Returns (lo, hi, den) with den = lcm(t): lo[i] / den and hi[i] / den
+    are the least and the greatest x_i / t over the rays, read straight
+    off the rays as integers over den.
     """
-    lo, hi = [], []
-    for i in range(len(rays[0].vec) - 1):
-        x, t = rays[0].vec[i], rays[0].vec[-1]
-        y, s = x, t
-        for r in rays:
-            v, w = r.vec[i], r.vec[-1]
-            if v * t < x * w:
-                x, t = v, w
-            if v * s > y * w:
-                y, s = v, w
-        lo.append(Fraction(x, t))
-        hi.append(Fraction(y, s))
-    (lo, hi), den = vertex_keys((lo, hi))
-    return lo, hi, den
+    den = lcm(*(r.vec[-1] for r in rays))
+    points = [[x * (den // r.vec[-1]) for x in r.vec[:-1]] for r in rays]
+    return tuple(map(min, zip(*points))), tuple(map(max, zip(*points))), den
 
 
 def facet_rows(faces: Sequence[int], count: int) -> list[int]:

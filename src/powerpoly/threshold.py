@@ -6,12 +6,14 @@ under a graded order gives the minimum degree of a nonzero ideal element
 degree at which the low-degree basis elements already carve out the null
 set (SUB bound 2d).  From the largest generator degree D on, the
 low-degree elements generate the whole ideal, so those degrees pass with
-no computation; below D, membership of the discarded elements in the
-radical of the low-degree ideal certifies d.  The criterion works over
-the complex variety, so it is conservative and flagged as such in the
-report.  A null set with no point on the simplex is refused: a basis
-holding a constant, or a generator that homogenizes to a form with
-coefficients of one sign and every pure power present.
+no computation; the linear elements alone never carve out the set when
+higher ones remain; at any other degree below D, membership of the
+discarded elements in the radical of the low-degree ideal certifies d.
+The criterion works over the complex variety, so it is conservative and
+flagged as such in the report.  A null set with no point on the simplex
+is refused: a basis holding a constant, a linear basis whose equations
+cut the simplex in no point, or a generator that homogenizes to a form
+with coefficients of one sign and every pure power present.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from powerpoly.groebner import GroebnerBasis, StepCounter, radical_membership
-from powerpoly.hypotheses import NullHypothesis, rank_lt
+from powerpoly.hypotheses import NullHypothesis, _linear_rows, rank_lt
 from powerpoly.linalg import primitive_scaling
 from powerpoly.polynomial import Packing, Polynomial, packed_addmul, simplex_coefficients
-from powerpoly.power import PowerPolynomial
+from powerpoly.polytope import enumerate_vertices_dd
+from powerpoly.power import PowerPolynomial, require_test_size
 
 EXACT = "exact_under_theorem"
 SOS_ONLY = "sos_upper_bound_only"
@@ -112,15 +115,25 @@ def sos_bounds(
     degree <= d carve out the variety.  A degree d at or above the
     basis's `generator_degree` D passes without a check: there the
     elements of degree <= d generate the ideal, so every element of
-    higher degree is a member of it, hence of its radical.  Each lower
-    degree is checked by `radical_membership` (on linear elements alone,
-    by reduction; otherwise by a Rabinowitsch basis).  A basis built by
-    hand records no D, and every degree is then checked.
+    higher degree is a member of it, hence of its radical.  Degree 1
+    fails without a check while elements of higher degree remain, for
+    the basis is reduced (Cox, Little & O'Shea, ch. 2 §7): its linear
+    elements have distinct leading variables, so they are a Groebner
+    basis of the ideal they generate; that ideal is prime, an affine
+    subspace (the unit ideal is refused earlier); and every higher
+    element is its own nonzero remainder modulo them, so it is not in
+    their radical.  Every other degree is checked by `radical_membership`.
+    A basis built by hand records no D, and every degree from 2 on is
+    then checked.
 
     `weights` are positive multipliers for the squared terms of the SUB
     witness (power tuning); they do not affect the bounds.  P0 is empty,
-    and refused, when the basis holds a constant or when a generator of
+    and refused, when the basis holds a constant, when the basis is
+    linear and one double description of its equations on the simplex
+    (`hypotheses._linear_rows`) finds no vertex, or when a generator of
     `hypothesis` has one strict sign on the simplex (`_definite_form`).
+    The basis lives in the k - 1 coordinates left once p_k = 1 - sum(p)
+    is substituted.
     """
     elements = list(gb.elements)
     if not elements:
@@ -129,11 +142,15 @@ def sos_bounds(
         raise ValueError(
             "empty null set: the generators have no common zero on sum(p) = 1, so P0 has no point"
         )
+    degrees = sorted({g.total_degree() for g in elements})
+    if degrees == [1] and not enumerate_vertices_dd(*_linear_rows(elements, gb.nvars + 1)):
+        raise ValueError(
+            "empty null set: the linear generators meet the simplex nowhere, so P0 has no point"
+        )
     if hypothesis is not None and any(_definite_form(g, hypothesis.k) for g in hypothesis.generators):
         raise ValueError(
             "empty null set: a generator has one strict sign on the simplex, so P0 has no point"
         )
-    degrees = sorted({g.total_degree() for g in elements})
     min_deg = degrees[0]
     # Of the lowest degree, the smallest leading monomial: the largest key.
     key = Packing(gb.nvars, gb.order, degrees[-1]).key
@@ -145,6 +162,8 @@ def sos_bounds(
     for d in degrees:
         lower = [g for g in elements if g.total_degree() <= d]
         rest = [g for g in elements if g.total_degree() > d]
+        if d == 1 and rest:
+            continue  # the radical of a linear `lower` holds no element of `rest`
         if (top is not None and d >= top) or all(
             radical_membership(g, lower, counter) for g in rest
         ):
@@ -229,12 +248,17 @@ def _level(shape: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
     return UMPUPower(Fraction(den * c_n, q * g * c_d), beta)
 
 
-def principal_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
-    """beta = c_alpha * f~^2 + alpha for a principal vanishing ideal <f>.
+def require_principal(f: Polynomial, n: int, alpha, fold: int) -> tuple[Fraction, Polynomial]:
+    """Check (f, n, alpha) for a UMPU level built on f~^fold: (alpha, f~).
 
-    At n = 2*deg(f) (and under the nonvanishing-gradient hypothesis) this
-    is the unique UMPU power polynomial; c_alpha is the largest constant
-    keeping beta inside the coefficient box.
+    Refuses, in this order, alpha outside (0, 1), a constant f, n below
+    fold * deg f, a size n or category count k that no test has
+    (`require_test_size`), and an f constant on sum(p) = 1.  On that
+    hyperplane f is its homogenization f~, constant there exactly when
+    f~ = c (sum p)^deg: a form that vanishes on the hyperplane vanishes.
+    Then f has no zero on the simplex (c != 0) or vanishes on all of it
+    (c = 0), and neither splits the simplex.  For {f <= 0} (fold 1) a
+    c < 0 makes the null set the whole simplex too.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
@@ -242,21 +266,37 @@ def principal_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
     deg = f.total_degree()
     if deg < 1:
         raise ValueError("generator must be nonconstant")
-    if n < 2 * deg:
-        raise ValueError(f"sample size {n} below threshold {2 * deg}")
+    if n < fold * deg:
+        raise ValueError(f"sample size {n} below threshold {fold * deg}")
+    require_test_size(n, f.nvars)
+    ftilde = f.homogenize(deg)
+    bounds = simplex_coefficients(f.nvars, deg)
+    values = {Fraction(ftilde.terms.get(m, 0), b) for m, b in bounds.items()}
+    if len(values) == 1:
+        c = values.pop()
+        if c == 0 or fold == 1 and c < 0:
+            sign = "vanishes" if c == 0 else "is negative"
+            raise ValueError(
+                f"null set is the whole simplex, no alternative: f {sign} wherever sum(p) = 1"
+            )
+        raise ValueError("empty null set: f has no zero on sum(p) = 1, so P0 has no point")
+    return alpha, ftilde
+
+
+def principal_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
+    """beta = c_alpha * f~^2 + alpha for a principal vanishing ideal <f>.
+
+    At n = 2*deg(f) (and under the nonvanishing-gradient hypothesis) this
+    is the unique UMPU power polynomial; c_alpha is the largest constant
+    keeping beta inside the coefficient box.
+    """
+    alpha = require_principal(f, n, alpha, 2)[0]
     return _level((f * f).homogenize(n), n, alpha)
 
 
 def semialgebraic_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
     """beta = c_alpha * f~ + alpha for the one-sided hypothesis {f <= 0}."""
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    deg = f.total_degree()
-    if deg < 1:
-        raise ValueError("boundary polynomial must be nonconstant")
-    if n < deg:
-        raise ValueError(f"sample size {n} below threshold {deg}")
+    alpha = require_principal(f, n, alpha, 1)[0]
     return _level(f.homogenize(n), n, alpha)
 
 

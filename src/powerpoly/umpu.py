@@ -48,7 +48,8 @@ from powerpoly.linalg import primitive_scaling
 from powerpoly.polynomial import Polynomial, simplex_coefficients
 from powerpoly.polytope import enumerate_vertices_dd, facet_rows, irredundant_rows
 from powerpoly.polytope import vertex_faces, vertex_keys
-from powerpoly.power import PowerPolynomial, require_test_size
+from powerpoly.power import PowerPolynomial
+from powerpoly.threshold import require_principal
 
 
 def _grevlex_desc(k: int, n: int) -> list:
@@ -149,34 +150,17 @@ def coefficient_polytope(
     q g P_L.h <= (q - p) den B_L, and the lower row likewise; one gcd
     per row makes it primitive.
 
-    Raises ValueError when f is constant on sum(p) = 1, so that its null
-    set is empty or the whole simplex.  `counter` is ticked once per
-    degree-n multiindex, one row each, before any row is built.
+    (f, n, alpha) are checked as `threshold.principal_umpu` checks them
+    (`threshold.require_principal`), which refuses an f constant on
+    sum(p) = 1, whose null set is empty or the whole simplex.  `counter`
+    is ticked once per degree-n multiindex, one row each, before any row
+    is built.
     """
-    alpha = Fraction(alpha)
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    deg = f.total_degree()
-    if deg < 1:
-        raise ValueError("generator must be nonconstant")
-    if n < 2 * deg:
-        raise ValueError(f"sample size {n} below 2 deg(f) = {2 * deg}")
-    require_test_size(n, f.nvars)  # a one-point simplex has no alternative
+    alpha, ftilde = require_principal(f, n, alpha, 2)
     k = f.nvars
-    # On sum(p) = 1, f is its homogenization f~, which is constant there
-    # exactly when f~ = c (sum p)^deg: a form that vanishes on that
-    # hyperplane vanishes.  Then f has no zero on the simplex, or vanishes
-    # on all of it, and neither splits the simplex.
-    ftilde = f.homogenize(deg)
-    if len({ftilde.terms.get(m, 0) / c for m, c in simplex_coefficients(k, deg).items()}) == 1:
-        if ftilde.is_zero():
-            raise ValueError(
-                "null set is the whole simplex, no alternative: f vanishes wherever sum(p) = 1"
-            )
-        raise ValueError("empty null set: f has no zero on sum(p) = 1, so P0 has no point")
     if counter is not None:
         counter.tick(comb(n + k - 1, k - 1))
-    nprime = n - 2 * deg
+    nprime = n - 2 * f.total_degree()
     fsq = ftilde**2
     packed, g, den = primitive_scaling(fsq.terms.values())
     h_index = tuple(_grevlex_desc(k, nprime))

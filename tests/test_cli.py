@@ -154,19 +154,41 @@ def test_malformed_hypothesis_json_is_an_error(command, payload, message, tmp_pa
 @pytest.mark.parametrize(
     "k, generators",
     [(3, ["p1 + p2 + p3"]), (1, ["p1"]), (3, ["p1 - p2", "p1 - p2 - 1"]),
-     (3, ["p1^2 + p2^2 + p3^2"])],
-    ids=["sum-of-all", "k1", "inconsistent", "positive-form"],
+     (3, ["p1^2 + p2^2 + p3^2"]), (3, ["p1 - 1/2", "p2 - 2/3"])],
+    ids=["sum-of-all", "k1", "inconsistent", "positive-form", "linear-off-the-simplex"],
 )
 def test_empty_null_set_is_an_error(command, k, generators, tmp_path, capsys):
     # A reduced basis {1} has no zero on the simplex, nor has a sum of
-    # squares of the coordinates: no bound, witness or separating
-    # polynomial is printed for them.
+    # squares of the coordinates, nor have p1 = 1/2 and p2 = 2/3, which
+    # leave p3 = -1/6: no bound, witness or separating polynomial is
+    # printed for them.
     path = tmp_path / "hypothesis.json"
     path.write_text(json.dumps({"kind": "custom", "params": {"k": k, "generators": generators}}))
     assert main([command, "--hypothesis", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: empty null set: ")
+
+
+@pytest.mark.parametrize("command", ["threshold", "separating"])
+@pytest.mark.parametrize(
+    "payload, code",
+    [({"kind": "affine", "params": {"C": [[1, 0, 0], [0, 1, 0]], "d": ["1/2", "2/3"], "k": 3}}, 1),
+     ({"kind": "symmetry", "params": {"p": 3}}, 0)],
+    ids=["affine-off-the-simplex", "symmetry-3"],
+)
+def test_linear_null_set_is_checked_against_the_simplex(command, payload, code, tmp_path, capsys):
+    # p1 = 1/2 and p2 = 2/3 leave p3 = -1/6: no simplex point, and no
+    # bound is printed.  The symmetric 3x3 tables meet the simplex.
+    path = tmp_path / "hypothesis.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, "--hypothesis", str(path)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err.startswith("error: empty null set: the linear generators ")
+    else:
+        assert json.loads(captured.out)["family"] == "symmetry"
 
 
 @pytest.mark.parametrize("command", ["umpu", "coeff-polytope"])

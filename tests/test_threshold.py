@@ -14,8 +14,10 @@ from powerpoly import (
     MonomialOrder,
     buchberger_reduced,
     build_hypothesis,
+    coefficient_polytope,
     parse_polynomial,
     principal_umpu,
+    radical_membership,
     rank_threshold,
     recover_test,
     sample_null_points,
@@ -23,9 +25,10 @@ from powerpoly import (
     sos_bounds,
     union_separating,
 )
-from powerpoly import groebner
+from powerpoly import threshold
 from powerpoly.groebner import GroebnerBasis, StepCounter
 from powerpoly.hypotheses import custom
+from powerpoly.linprog import solve_lp
 from powerpoly.polynomial import simplex_coefficients
 from powerpoly.power import box_check
 from powerpoly.threshold import EXACT, _definite_form, _level
@@ -128,9 +131,62 @@ class TestSosBounds:
             sos_bounds(gb, hypothesis=hyp)
 
     @pytest.mark.parametrize(
+        "spec",
+        [{"kind": "custom", "params": {"k": 3, "generators": ["p1 - 1/2", "p2 - 2/3"]}},
+         {"kind": "affine", "params": {"C": [[1, 0, 0], [0, 1, 0]], "d": ["1/2", "2/3"], "k": 3}}],
+        ids=["custom", "affine"],
+    )
+    def test_linear_null_set_off_the_simplex_is_refused(self, spec):
+        # p1 = 1/2 and p2 = 2/3 leave p3 = -1/6: the linear basis holds no
+        # constant, and no generator has one strict sign on the simplex.
+        hyp = build_hypothesis(spec)
+        gb = gb_of(hyp)
+        assert not gb.contains_constant()
+        with pytest.raises(ValueError, match="^empty null set: the linear generators .* P0 has no point$"):
+            sos_bounds(gb, hypothesis=hyp)
+
+    def test_linear_refusal_matches_an_exact_lp(self):
+        # 1-3 random linear generators in k = 3 or 4 ambient coordinates,
+        # through one rational point with coordinate sum 1, inside the
+        # simplex or not: P0 is refused exactly when the LP over x >= 0,
+        # sum(x) = 1 and the generators' equations is infeasible.
+        outcomes = []
+        for seed in range(60):
+            rng = random.Random(seed)
+            k = rng.randint(3, 4)
+            weights = [rng.randint(-2, 4) for _ in range(k)]
+            weights[-1] += sum(weights) == 0
+            point = [F(w, sum(weights)) for w in weights]
+            units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+            rows = [([-int(i == j) for j in range(k)], 0) for i in range(k)]
+            rows += [([1] * k, 1), ([-1] * k, -1)]
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                c = [rng.randint(-2, 2) for _ in range(k)]
+                c[rng.randrange(k)] = rng.choice([-1, 1])
+                c0 = -sum(a * x for a, x in zip(c, point))
+                gens.append(Polynomial(k, {**dict(zip(units, c)), (0,) * k: c0}))
+                rows += [(c, -c0), ([-v for v in c], c0)]
+            empty = solve_lp(k, [0] * k, rows).status == "infeasible"
+            hyp = custom(gens, k)
+            if all(g.is_zero() for g in hyp.substituted_generators()):
+                continue  # every generator is a multiple of sum(p) - 1
+            try:
+                sos_bounds(gb_of(hyp), hypothesis=hyp)
+                refused = False
+            except ValueError as exc:
+                assert str(exc).startswith("empty null set: ")
+                refused = True
+            assert refused == empty, seed
+            outcomes.append(refused)
+        assert 10 <= sum(outcomes) <= len(outcomes) - 10
+
+    @pytest.mark.parametrize(
         "generators",
-        [["p1*p2"], ["p1^2 + p2^2 - p3^2"], ["p1^2 + p2^2"], ["p1^2 - p1*p2 + p2^2 + p3^2 - 1/2"]],
-        ids=["coordinate-planes", "indefinite", "no-pure-p3", "mixed-signs"],
+        [["p1*p2"], ["p1^2 + p2^2 - p3^2"], ["p1^2 + p2^2"], ["p1^2 - p1*p2 + p2^2 + p3^2 - 1/2"],
+         ["p1 - 1"], ["p1 - 1/2"], ["p1 - p2", "p3 - 1/3"], ["p1 + p2 - 2*p3"]],
+        ids=["coordinate-planes", "indefinite", "no-pure-p3", "mixed-signs", "linear-vertex",
+             "linear-edge", "linear-point", "linear-segment"],
     )
     def test_generators_with_simplex_zeros_are_accepted(self, generators):
         hyp = build_hypothesis({"kind": "custom", "params": {"k": 3, "generators": generators}})
@@ -281,10 +337,110 @@ class TestCutOutByDegree:
         def refuse(*args):
             raise AssertionError("a cut-out check built a Rabinowitsch basis")
 
-        monkeypatch.setattr(groebner, "_rabinowitsch_membership", refuse)
+        monkeypatch.setattr(threshold, "radical_membership", refuse)
         report = sos_bounds(gb, hypothesis=hyp)
         assert report.cut_out_degree == 2
         assert report.notes[0].startswith("elements of degree > 2 certified redundant")
+
+
+def _cut_out_by_membership(gb):
+    """The cut-out degree as `radical_membership` finds it at every degree
+    below the generator degree D, the linear degree included."""
+    for d in sorted({g.total_degree() for g in gb.elements}):
+        lower = [g for g in gb.elements if g.total_degree() <= d]
+        rest = [g for g in gb.elements if g.total_degree() > d]
+        if d >= gb.generator_degree or all(radical_membership(g, lower) for g in rest):
+            return d
+
+
+class TestLinearDegreeSkip:
+    """`sos_bounds` calls no `radical_membership` on linear elements alone:
+    a reduced basis's linear elements generate a prime ideal whose radical
+    holds none of its other elements.  The cut-out degree is the one the
+    membership calls find."""
+
+    @pytest.fixture
+    def guarded(self, monkeypatch):
+        real = threshold.radical_membership
+
+        def guard(f, gens, counter=None):
+            if all(g.total_degree() <= 1 for g in gens):
+                raise AssertionError("radical_membership called at a linear degree")
+            return real(f, gens, counter)
+
+        monkeypatch.setattr(threshold, "radical_membership", guard)
+
+    @staticmethod
+    def _skips(hyp, order=MonomialOrder.GREVLEX):
+        """Check one basis; True when it has linear and higher elements."""
+        gb = gb_of(hyp, order)
+        expected = _cut_out_by_membership(gb)
+        report = sos_bounds(gb, hypothesis=hyp)
+        assert (report.cut_out_degree, report.sub_bound) == (expected, 2 * expected)
+        degrees = {g.total_degree() for g in gb.elements}
+        return 1 in degrees and len(degrees) > 1
+
+    def test_threshold_pool(self, guarded):
+        assert sum([self._skips(h) for h in _pool_hypotheses()]) >= 18
+
+    @pytest.mark.parametrize("order", [MonomialOrder.GREVLEX, MonomialOrder.GRLEX])
+    def test_seeded_mixed_degree_hypotheses(self, guarded, order):
+        assert any([self._skips(_mixed_degree_hypothesis(seed), order) for seed in range(400)])
+
+
+BAD_PRINCIPAL = [
+    ("p1", VARS3, 2, F(3, 2), "alpha must lie in (0, 1)"),
+    ("7", VARS3, 0, F(0), "alpha must lie in (0, 1)"),
+    ("7", VARS3, 0, F(1, 20), "generator must be nonconstant"),
+    ("p1*p2 - p3^2", VARS3, 3, F(1, 20), "sample size 3 below threshold 4"),
+    ("p1", ["p1"], 2, F(1, 20), "need n >= 1 and k >= 2"),
+    ("p1 + p2 + p3", VARS3, 2, F(1, 20), "empty null set: f has no zero on sum(p) = 1"),
+    ("-p1 - p2 - p3", VARS3, 2, F(1, 20), "empty null set: f has no zero on sum(p) = 1"),
+    ("p1 + p2 + p3 - 1", VARS3, 2, F(1, 20), "null set is the whole simplex, no alternative: "),
+]
+
+
+class TestPrincipalChecks:
+    """`principal_umpu`, `semialgebraic_umpu` and `coefficient_polytope`
+    check (f, n, alpha) in one function, in one order."""
+
+    @pytest.mark.parametrize("f, names, n, alpha, message", BAD_PRINCIPAL)
+    def test_principal_umpu_refuses_what_the_coefficient_polytope_refuses(
+        self, f, names, n, alpha, message
+    ):
+        f = parse_polynomial(f, names)
+        with pytest.raises(ValueError) as principal:
+            principal_umpu(f, n, alpha)
+        with pytest.raises(ValueError) as polytope:
+            coefficient_polytope(f, n, alpha)
+        assert str(principal.value) == str(polytope.value)
+        assert str(principal.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "f, names, n, alpha, message",
+        BAD_PRINCIPAL[:3]
+        + [
+            ("p1*p2 - p3^2", VARS3, 1, F(1, 20), "sample size 1 below threshold 2"),
+            ("p1", ["p1"], 1, F(1, 20), "need n >= 1 and k >= 2"),
+            ("p1 + p2 + p3", VARS3, 1, F(1, 20), "empty null set: f has no zero on sum(p) = 1"),
+            ("-p1 - p2 - p3", VARS3, 1, F(1, 20),
+             "null set is the whole simplex, no alternative: f is negative"),
+            ("p1 + p2 + p3 - 1", VARS3, 1, F(1, 20),
+             "null set is the whole simplex, no alternative: f vanishes"),
+        ],
+    )
+    def test_semialgebraic_refusals(self, f, names, n, alpha, message):
+        # {f <= 0} is empty for f = 1 on the simplex and all of it for f <= 0.
+        with pytest.raises(ValueError) as exc:
+            semialgebraic_umpu(parse_polynomial(f, names), n, alpha)
+        assert str(exc.value).startswith(message)
+
+    def test_sum_of_all_is_refused_at_every_size(self):
+        # beta = (p1 + p2 + p3)^2 would be a test that always rejects.
+        f = P("p1 + p2 + p3")
+        for n in (2, 3):
+            with pytest.raises(ValueError, match="^empty null set: "):
+                principal_umpu(f, n, F(1, 20))
 
 
 class TestPrincipalUMPU:
