@@ -196,11 +196,6 @@ def cmd_gb(args) -> int:
 def _threshold_payload(hyp: NullHypothesis, args) -> dict:
     names = hyp.substituted_names()
     if hyp.family == "rank_lt":
-        if args.weights is not None or args.assert_gradient:
-            raise CliError(
-                "rank_lt hypotheses take neither --weights nor --assert-gradient: "
-                "their bounds and witnesses come from the bounded-rank theorem"
-            )
         report = rank_threshold(hyp.params["p"], hyp.params["q"], hyp.params["r"])
         witness_names = list(hyp.names)
     else:
@@ -209,17 +204,8 @@ def _threshold_payload(hyp: NullHypothesis, args) -> dict:
                 "threshold bounds need an algebraic hypothesis; "
                 "use polytope-exists for polytope hypotheses"
             )
-        weights = None
-        if args.weights:
-            weights = [parse_rational(w) for w in args.weights.split(",")]
         gb = buchberger_reduced(hyp.substituted_generators(), MonomialOrder.GREVLEX, args.counter)
-        report = sos_bounds(
-            gb,
-            hypothesis=hyp,
-            weights=weights,
-            assert_nonvanishing_gradient=args.assert_gradient,
-            counter=args.counter,
-        )
+        report = sos_bounds(gb, hypothesis=hyp, counter=args.counter)
         witness_names = names
     return {
         "schema_version": SCHEMA_VERSION,
@@ -479,10 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     step_limit.add_argument("--step-limit", type=int, default=None)
     hypothesis = argparse.ArgumentParser(add_help=False)
     hypothesis.add_argument("--hypothesis", required=True, help="hypothesis JSON path")
-    weights = argparse.ArgumentParser(add_help=False)
-    weights.add_argument("--weights", default=None, help="comma-separated positive rationals")
-    weights.add_argument("--assert-gradient", action="store_true",
-                         help="assert the generator gradient is nonvanishing on P0")
     principal = argparse.ArgumentParser(add_help=False)
     principal.add_argument("--f", required=True, help="ideal generator polynomial")
     principal.add_argument("--vars", required=True)
@@ -497,11 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", default="grevlex", choices=["grevlex", "grlex"])
     p.set_defaults(func=cmd_gb)
 
-    p = sub.add_parser("threshold", parents=[hypothesis, weights, step_limit, out],
+    p = sub.add_parser("threshold", parents=[hypothesis, step_limit, out],
                        help="NTUB/SUB threshold report for a hypothesis")
     p.set_defaults(func=cmd_threshold)
 
-    p = sub.add_parser("separating", parents=[hypothesis, weights, step_limit, out],
+    p = sub.add_parser("separating", parents=[hypothesis, step_limit, out],
                        help="separating polynomials for a hypothesis")
     p.set_defaults(func=cmd_separating)
 

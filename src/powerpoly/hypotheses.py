@@ -524,12 +524,9 @@ def _halton_bases(dim: int) -> list[int]:
     return primes
 
 
-def _halton(index: int, dim: int) -> list[Fraction]:
-    return [Fraction(*_vdc(index, b)) for b in _halton_bases(dim)]
-
-
 def _halton_ints(index: int, dim: int) -> tuple[list[int], int]:
-    """The Halton point of `_halton` over one denominator: (numerators, den)."""
+    """The Halton point `index` in the bases `_halton_bases(dim)`, over one
+    denominator: (numerators, den)."""
     u = [_vdc(index, b) for b in _halton_bases(dim)]
     den = lcm(*(d for _, d in u))
     return [n * (den // d) for n, d in u], den

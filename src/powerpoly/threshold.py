@@ -33,26 +33,25 @@ EXACT = "exact_under_theorem"
 SOS_ONLY = "sos_upper_bound_only"
 
 
-def _weighted_squares(
-    nvars: int, terms: Sequence[tuple[Fraction, Polynomial]], square_of: int = 0
+def _sum_of_squares(
+    nvars: int, polys: Sequence[Polynomial], square_of: int = 0
 ) -> tuple[Polynomial, Polynomial]:
-    """(sum of w * g^2 over the (w, g) pairs, g^2 of the pair at `square_of`).
+    """(sum of g^2 over `polys`, the g^2 of the one at `square_of`).
 
-    Each g is s * G with G primitive (`Packing.pack`), so w * g^2 =
-    (w * s^2) * G^2.  The weights w * s^2 are scaled to primitive integers
-    k over one rational scale c, each G^2 is formed once on packed
-    monomials (16-bit words, as in the Groebner core), sum k * G^2 is
-    accumulated as one integer term map, and each output coefficient
-    becomes a Fraction once.
+    Each g is s * G with G primitive (`Packing.pack`), so g^2 = s^2 G^2.
+    The scales s^2 are written as primitive integers k over one rational
+    scale c, each G^2 is formed once on packed monomials (16-bit words, as
+    in the Groebner core), sum k * G^2 is accumulated as one integer term
+    map, and each output coefficient becomes a Fraction once.
     """
     packing = Packing(nvars)
     forms, scales = [], []
-    for w, g in terms:
+    for g in polys:
         packing.check(2 * g.total_degree())
         form, s = packing.pack(g.terms)
         forms.append(form)
         scales.append(s * s)
-    ks, num, den = primitive_scaling([w * s for (w, _), s in zip(terms, scales)])
+    ks, num, den = primitive_scaling(scales)
     out: dict = {}
     for i, (k, form) in enumerate(zip(ks, forms)):
         square: dict = {}
@@ -105,8 +104,6 @@ class ThresholdReport:
 def sos_bounds(
     gb: GroebnerBasis,
     hypothesis: NullHypothesis | None = None,
-    weights: Sequence[Fraction] | None = None,
-    assert_nonvanishing_gradient: bool = False,
     counter: StepCounter | None = None,
 ) -> ThresholdReport:
     """Threshold bounds from a reduced graded Groebner basis of I(P0).
@@ -126,12 +123,15 @@ def sos_bounds(
     A basis built by hand records no D, and every degree from 2 on is
     then checked.
 
-    `weights` are positive multipliers for the squared terms of the SUB
-    witness (power tuning); they do not affect the bounds.  P0 is empty,
-    and refused, when the basis holds a constant, when the basis is
-    linear and one double description of its equations on the simplex
-    (`hypotheses._linear_rows`) finds no vertex, or when a generator of
-    `hypothesis` has one strict sign on the simplex (`_definite_form`).
+    The SUB witness is the sum of the squares of the basis elements of
+    degree <= d: nonnegative, of degree 2d, zero exactly where those
+    elements all vanish.  The NTUB witness is the square, of degree
+    2 min deg, of the least-degree element with the smallest leading
+    monomial.  P0 is empty, and refused, when the basis holds a constant,
+    when the basis is linear and one double description of its equations
+    on the simplex (`hypotheses._linear_rows`, its steps drawn from
+    `counter`) finds no vertex, or when a generator of `hypothesis` has
+    one strict sign on the simplex (`_definite_form`).
     The basis lives in the k - 1 coordinates left once p_k = 1 - sum(p)
     is substituted.
     """
@@ -143,7 +143,7 @@ def sos_bounds(
             "empty null set: the generators have no common zero on sum(p) = 1, so P0 has no point"
         )
     degrees = sorted({g.total_degree() for g in elements})
-    if degrees == [1] and not enumerate_vertices_dd(*_linear_rows(elements, gb.nvars + 1)):
+    if degrees == [1] and not enumerate_vertices_dd(*_linear_rows(elements, gb.nvars + 1), counter):
         raise ValueError(
             "empty null set: the linear generators meet the simplex nowhere, so P0 has no point"
         )
@@ -175,28 +175,17 @@ def sos_bounds(
                 )
             break
 
-    if weights is None:
-        weights = [Fraction(1)] * len(elements)
-    else:
-        weights = [Fraction(w) for w in weights]
-        if len(weights) != len(elements):
-            raise ValueError("one weight per basis element required")
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
-
     # g_min has the least degree, so it is among the squares of the SUB
     # witness, and its square there is the NTUB witness.
-    squared = [(w, g) for w, g in zip(weights, elements) if g.total_degree() <= cut_out]
-    sub_witness, ntub_witness = _weighted_squares(
-        g_min.nvars, squared, next(i for i, (_, g) in enumerate(squared) if g is g_min)
+    squared = [g for g in elements if g.total_degree() <= cut_out]
+    sub_witness, ntub_witness = _sum_of_squares(
+        g_min.nvars, squared, next(i for i, g in enumerate(squared) if g is g_min)
     )
 
     exactness, theorem = SOS_ONLY, None
     if hypothesis is not None and hypothesis.family in ("independence", "rank_lt"):
         exactness, theorem = EXACT, "bounded-rank threshold"
-    elif len(elements) == 1 and assert_nonvanishing_gradient:
-        exactness, theorem = EXACT, "principal ideal threshold"
-    elif len({g.total_degree() for g in elements}) == 1:
+    elif len(degrees) == 1:
         exactness, theorem = EXACT, "equal-degree graded representation"
     if exactness == SOS_ONLY:
         notes.append("bounds are SOS upper bounds; no lower-bound theorem applied")
@@ -319,7 +308,7 @@ def rank_threshold(p: int, q: int, r: int) -> ThresholdReport:
     """Thresholds for the bounded-rank table hypothesis: both equal 2r."""
     hyp = rank_lt(p, q, r)
     # The NTUB witness is the square of the first minor.
-    sub_witness, ntub_witness = _weighted_squares(hyp.k, [(1, g) for g in hyp.generators])
+    sub_witness, ntub_witness = _sum_of_squares(hyp.k, hyp.generators)
     return ThresholdReport(
         ntub_bound=2 * r,
         sub_bound=2 * r,

@@ -427,14 +427,12 @@ OPTION_TABLE = [
     (
         ["threshold", "--hypothesis", "h.json"],
         "cmd_threshold",
-        {"hypothesis": "h.json", "weights": None, "assert_gradient": False,
-         "step_limit": None, "out": None},
+        {"hypothesis": "h.json", "step_limit": None, "out": None},
     ),
     (
         ["separating", "--hypothesis", "h.json"],
         "cmd_separating",
-        {"hypothesis": "h.json", "weights": None, "assert_gradient": False,
-         "step_limit": None, "out": None},
+        {"hypothesis": "h.json", "step_limit": None, "out": None},
     ),
     (
         ["umpu", "--f", "p1", "--vars", "p1,p2", "--n", "2", "--alpha", "1/2"],
@@ -591,6 +589,42 @@ class TestThreshold:
             assert run_cli(args + ["331"])[0] == 3
             assert run_cli(args + ["767"])[0] == 0
 
+    # sha256 of the default stdout of threshold and separating, pinned so a
+    # change to the witness code shows in these bytes.
+    DEFAULT_OUTPUT = [
+        ({"kind": "independence", "params": {"p": 2, "q": 3}},
+         "96f6b369e9d46f98b865363b0cebe5e2889e148e8a7771202f443f0cba49ec85",
+         "e1d7b131bdb6214200eb9e4732ccd1879422dd255102297ef72a6728911a4be4"),
+        ({"kind": "symmetry", "params": {"p": 3}},
+         "875a8a933813439d9fba17e413ee0b82792af9ec3b178278246c28611fc6692f",
+         "577739d7a9a6afd93397664a8fb8cedd1b46fad6890877af120811af80699b6d"),
+        ({"kind": "sphere", "params": {"k": 3, "delta_sq": "1/6"}},
+         "7fcc891f210429dc65ee71ba2f523e5ee8f22836ef533bd1dac1cc8052605893",
+         "8ab9ef2580b1a300e6b6f22e9deb054d1cb734c38bbb4db0fa4252604a62b2a0"),
+        ({"kind": "logodds", "params": {"a": ["1", "-1"], "c": "2", "k": 3}},
+         "24961d8665137a9c82f68e09257f0500be14b00e47af684ee886547608af4340",
+         "f89f5a0cfc088d2f9f6d57ae4accf3b52d6c70e540699cb1e06bd5350cec84ac"),
+        ({"kind": "motzkin", "params": {}},
+         "6060d7976b9f781285d565ccb8ab597e28b512414178787561ee0c40ce758722",
+         "6ea66daee3102baa88fafcf81de68ba91cc7ece0d8fb643b9d1a655ee7021e46"),
+        ({"kind": "custom", "params": {"k": 3, "generators": ["p1*p2"]}},
+         "11b92439b26a6bf75effbb1b5075b15fae8dc60bdb3108689d6750ae772e9d90",
+         "619ef13607e906445624614be26716f840c4b9d03c77c2c4197945a6b3e84859"),
+    ]
+
+    @pytest.mark.parametrize(
+        "spec, threshold_digest, separating_digest",
+        DEFAULT_OUTPUT,
+        ids=["independence", "symmetry", "sphere", "logodds", "motzkin", "custom"],
+    )
+    def test_default_output_bytes(self, spec, threshold_digest, separating_digest, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(spec))
+        for command, digest in (("threshold", threshold_digest), ("separating", separating_digest)):
+            code, out = run_cli([command, "--hypothesis", str(path)])
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "command, digest",
         [
@@ -599,18 +633,33 @@ class TestThreshold:
         ],
         ids=["threshold", "separating"],
     )
-    def test_rank_lt_refuses_weights_and_gradient(self, command, digest, tmp_path, capsys):
-        # The bounded-rank theorem gives the witnesses; a weight list or a
-        # gradient assertion would be silently ignored.
+    def test_rank_lt_output_bytes(self, command, digest, tmp_path):
+        # The bounded-rank theorem gives the bounds and the witnesses.
         path = tmp_path / "rank.json"
         path.write_text(json.dumps({"kind": "rank_lt", "params": {"p": 2, "q": 3, "r": 2}}))
-        args = [command, "--hypothesis", str(path)]
-        for flags in (["--weights", "-1"], ["--weights", "1,1,1"], ["--assert-gradient"]):
-            assert run_cli(args + flags) == (1, "")
-            assert "rank_lt hypotheses take neither --weights" in capsys.readouterr().err
-        code, out = run_cli(args)
+        code, out = run_cli([command, "--hypothesis", str(path)])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("threshold", ["--weights", "1"]), ("separating", ["--assert-gradient"])],
+    )
+    def test_tuning_flags_are_usage_errors(self, command, flags, indep22, capsys):
+        # Any positive weights give a witness of the same degree, and the
+        # gradient is sampled under `gradient_evidence`: neither flag exists.
+        assert run_cli([command, "--hypothesis", indep22, *flags]) == (1, "")
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["threshold", "separating"])
+    def test_step_limit_covers_the_linear_emptiness_check(self, command, tmp_path):
+        # Symmetry p = 3: 9 Buchberger steps, then 7 in the double
+        # description that checks its linear basis against the simplex.
+        path = tmp_path / "symmetry.json"
+        path.write_text(json.dumps({"kind": "symmetry", "params": {"p": 3}}))
+        args = [command, "--hypothesis", str(path), "--step-limit"]
+        assert run_cli(args + ["15"])[0] == 3
+        assert run_cli(args + ["16"])[0] == 0
 
     def test_separating_for_polytope(self, square):
         code, out = run_cli(["separating", "--hypothesis", square("3/4")])

@@ -182,7 +182,8 @@ class TestStepCounts:
         [
             ({"kind": "independence", "params": {"p": 2, "q": 4}}, 95, 95),
             ({"kind": "independence", "params": {"p": 3, "q": 3}}, 211, 211),
-            ({"kind": "symmetry", "params": {"p": 3}}, 9, 9),
+            # A linear basis: 7 double-description steps check it against the simplex.
+            ({"kind": "symmetry", "params": {"p": 3}}, 9, 16),
             # The first constrained specs of the benchmark's threshold pool.
             # Their cut-out checks cost nothing: degree 1 fails by the
             # reduced basis alone, and degree 2 is the generators' top degree.

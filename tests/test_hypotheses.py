@@ -624,7 +624,8 @@ def _sphere_aimed_search_oracle(k, dsq, count, seed):
     c, radius = 1 / k, math.sqrt(float(dsq))
     out, seen = [], set()
     for t in range(200 * count + 200):
-        cuts = sorted(float(x) for x in hypotheses._halton(base + t, k - 1))
+        nums, den = hypotheses._halton_ints(base + t, k - 1)
+        cuts = sorted(float(F(x, den)) for x in nums)
         spacings = [b - a for a, b in zip([0.0, *cuts], [*cuts, 1.0])]
         v = [x - c for x in spacings]
         norm = 0.0
@@ -733,7 +734,8 @@ def _convex_combinations_oracle(vertices, count, base):
     """The Fraction loop the linear samplers mixed vertices with before."""
     out = []
     for t in range(count):
-        raw = hypotheses._halton(base + t, len(vertices))
+        nums, den = hypotheses._halton_ints(base + t, len(vertices))
+        raw = [F(x, den) for x in nums]
         total = sum(raw, F(0))
         point = [F(0)] * len(vertices[0])
         for w, v in zip((x / total for x in raw), vertices):

@@ -205,51 +205,37 @@ class TestSosBounds:
         values = [g.evaluate(p) for p in grid]
         assert all(v > 0 for v in values) or all(v < 0 for v in values)
 
-    def test_weights_scale_sub_witness(self):
-        hyp = build_hypothesis({"kind": "symmetry", "params": {"p": 2}})
-        gb = gb_of(hyp)
-        plain = sos_bounds(gb, hypothesis=hyp)
-        weighted = sos_bounds(gb, hypothesis=hyp, weights=[F(3)])
-        assert weighted.sub_witness == 3 * plain.sub_witness
-        with pytest.raises(ValueError):
-            sos_bounds(gb, weights=[F(-1)])
-
     def test_gram_diagonal_form(self):
-        # SUB witness is f^T H f with H = diag(weights): reconstruct directly.
+        # SUB witness is f^T f, the unit sum of squares: reconstruct directly.
         hyp = build_hypothesis({"kind": "independence", "params": {"p": 2, "q": 3}})
         gb = gb_of(hyp)
-        weights = [F(i + 1) for i in range(len(gb.elements))]
-        report = sos_bounds(gb, hypothesis=hyp, weights=weights)
-        direct = sum(
-            (w * g * g for w, g in zip(weights, gb.elements)),
-            P("0", hyp.substituted_names()),
-        )
+        report = sos_bounds(gb, hypothesis=hyp)
+        direct = sum((g * g for g in gb.elements), P("0", hyp.substituted_names()))
         assert report.sub_witness == direct
 
     def test_ntub_square_comes_from_the_sub_sum(self, monkeypatch):
         # One squaring pass per report: the NTUB witness g_min^2 is the
-        # square the SUB sum already formed, whatever the weights.
+        # square the SUB sum already formed.
         from powerpoly import threshold
 
         calls = []
-        real = threshold._weighted_squares
+        real = threshold._sum_of_squares
 
         def spy(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(threshold, "_weighted_squares", spy)
+        monkeypatch.setattr(threshold, "_sum_of_squares", spy)
         hyp = build_hypothesis({"kind": "independence", "params": {"p": 2, "q": 3}})
         # Reversed, so that g_min is not the first element.
         gb = GroebnerBasis(MonomialOrder.GREVLEX, gb_of(hyp).elements[::-1])
         order, key = gb.order, order_key(gb.order)
         g_min = min(gb.elements, key=lambda g: (g.total_degree(), key(g.leading_monomial(order))))
         assert g_min is not gb.elements[0]
-        weights = [F(i + 2, 3) for i in range(len(gb.elements))]
-        report = sos_bounds(gb, hypothesis=hyp, weights=weights)
+        report = sos_bounds(gb, hypothesis=hyp)
         assert report.ntub_witness == g_min * g_min
         assert report.sub_witness == sum(
-            (w * g * g for w, g in zip(weights, gb.elements)), P("0", hyp.substituted_names())
+            (g * g for g in gb.elements), P("0", hyp.substituted_names())
         )
         rep = rank_threshold(3, 3, 2)
         rank = build_hypothesis({"kind": "rank_lt", "params": {"p": 3, "q": 3, "r": 2}})
