@@ -31,7 +31,6 @@ from powerpoly.hypotheses import (
     _integer,
     build_hypothesis,
     polytope_existence,
-    sample_null_points,
 )
 from powerpoly.parser import format_polynomial, format_rational, parse_polynomial, parse_rational
 from powerpoly.polynomial import MonomialOrder, Polynomial, simplex_coefficients
@@ -196,7 +195,7 @@ def cmd_gb(args) -> int:
 def _threshold_payload(hyp: NullHypothesis, args) -> dict:
     names = hyp.substituted_names()
     if hyp.family == "rank_lt":
-        report = rank_threshold(hyp.params["p"], hyp.params["q"], hyp.params["r"])
+        report = rank_threshold(**hyp.params, counter=args.counter)
         witness_names = list(hyp.names)
     else:
         if hyp.family == "polytope":
@@ -221,22 +220,9 @@ def _threshold_payload(hyp: NullHypothesis, args) -> dict:
     }
 
 
-def _gradient_evidence(hyp: NullHypothesis) -> dict:
-    """Spot-check that generator gradients do not vanish on 10 sampled nulls."""
-    try:
-        samples = sample_null_points(hyp, 10, seed=7)
-    except ValueError:
-        return {"checked_points": 0, "nonvanishing_at_all_points": None}
-    grads = [[g.derivative(i) for i in range(g.nvars)] for g in hyp.generators]
-    ok = all(any(d.evaluate(point) for d in grad) for point in samples for grad in grads)
-    return {"checked_points": len(samples), "nonvanishing_at_all_points": ok}
-
-
 def cmd_threshold(args) -> int:
     hyp = _load_hypothesis(args.hypothesis)
-    payload = _threshold_payload(hyp, args)
-    payload["gradient_evidence"] = _gradient_evidence(hyp)
-    _emit(payload, args.out)
+    _emit(_threshold_payload(hyp, args), args.out)
     return EXIT_OK
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
 from typing import Sequence
 
 from powerpoly.groebner import GroebnerBasis, StepCounter, radical_membership
@@ -304,8 +305,14 @@ def union_separating(witnesses: Sequence[Polynomial]) -> Polynomial:
     return out
 
 
-def rank_threshold(p: int, q: int, r: int) -> ThresholdReport:
-    """Thresholds for the bounded-rank table hypothesis: both equal 2r."""
+def rank_threshold(p: int, q: int, r: int, counter: StepCounter | None = None) -> ThresholdReport:
+    """Thresholds for the bounded-rank table hypothesis: both equal 2r.
+
+    The SUB witness squares C(p, r) C(q, r) minors of r! terms each: one
+    step of `counter` per term product, drawn before any minor is built.
+    """
+    if counter is not None:
+        counter.tick(comb(p, r) * comb(q, r) * factorial(r) ** 2)
     hyp = rank_lt(p, q, r)
     # The NTUB witness is the square of the first minor.
     sub_witness, ntub_witness = _sum_of_squares(hyp.k, hyp.generators)

@@ -87,8 +87,8 @@ class TestGb:
     "argv",
     [
         ["gb", "--gens", "p1-p3", "--vars", "p1,p2,p3"],
-        # A limit below 1 is refused whether or not the command draws on it:
-        # coeff-polytope ticks its rows, threshold on rank_lt draws nothing.
+        # A limit below 1 is refused before the command draws on it:
+        # coeff-polytope ticks its rows, threshold on rank_lt its squares.
         ["coeff-polytope", "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3",
          "--alpha", "1/20"],
         ["threshold", "--hypothesis", "RANK"],
@@ -522,7 +522,9 @@ class TestThreshold:
         payload = json.loads(out)
         assert payload["ntub_bound"] == 4
         assert payload["sub_bound"] == 4
-        assert payload["gradient_evidence"]["nonvanishing_at_all_points"] is True
+        assert payload["cut_out_degree"] == 2
+        # The bounds come from the basis alone; no null point is sampled.
+        assert "gradient_evidence" not in payload
 
     def test_deterministic_artifacts(self, indep22, tmp_path):
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -558,20 +560,26 @@ class TestThreshold:
         payload = json.loads(out)
         assert payload["ntub_bound"] == 4 and payload["sub_bound"] == 4
 
-    def test_separating_samples_no_null_points(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["threshold", "separating"])
+    @pytest.mark.parametrize(
+        "spec, degree",
+        [({"kind": "sphere", "params": {"k": 3, "delta_sq": "1/6"}}, 4),
+         ({"kind": "symmetry", "params": {"p": 3}}, 2)],
+        ids=["sphere", "symmetry"],
+    )
+    def test_commands_sample_no_null_points(self, command, spec, degree, tmp_path, monkeypatch):
+        # The sphere and the linear sampler behind `sample_null_points`.
         def refuse(*args, **kwargs):
-            raise AssertionError("separating sampled null points")
+            raise AssertionError(f"{command} sampled null points")
 
-        monkeypatch.setattr(powerpoly.cli, "sample_null_points", refuse)
-        path = tmp_path / "sphere.json"
-        path.write_text(
-            json.dumps({"kind": "sphere", "params": {"k": 3, "delta_sq": "1/6"}})
-        )
-        code, out = run_cli(["separating", "--hypothesis", str(path)])
+        for name in ("sample_null_points", "_sample_sphere", "_sample_linear"):
+            monkeypatch.setattr(powerpoly.hypotheses, name, refuse)
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(spec))
+        code, out = run_cli([command, "--hypothesis", str(path)])
         assert code == 0
-        assert json.loads(out)["sub_degree"] == 4
-        with pytest.raises(AssertionError, match="sampled"):
-            run_cli(["threshold", "--hypothesis", str(path)])
+        key = {"threshold": "sub_bound", "separating": "sub_degree"}[command]
+        assert json.loads(out)[key] == degree
 
     def test_step_limit_covers_basis_and_bounds_together(self, tmp_path):
         # The 2x3 minors plus a cubic: 330 Buchberger steps, then 437 in
@@ -593,22 +601,22 @@ class TestThreshold:
     # change to the witness code shows in these bytes.
     DEFAULT_OUTPUT = [
         ({"kind": "independence", "params": {"p": 2, "q": 3}},
-         "96f6b369e9d46f98b865363b0cebe5e2889e148e8a7771202f443f0cba49ec85",
+         "d546c89eca9489a0d1fb25a4ff45a90742fafe0eb0eece42815e49ca8debf1a6",
          "e1d7b131bdb6214200eb9e4732ccd1879422dd255102297ef72a6728911a4be4"),
         ({"kind": "symmetry", "params": {"p": 3}},
-         "875a8a933813439d9fba17e413ee0b82792af9ec3b178278246c28611fc6692f",
+         "87eb76719408b264fc824eacb90e6570a24796fc39b320bbaee9958cd28eea8f",
          "577739d7a9a6afd93397664a8fb8cedd1b46fad6890877af120811af80699b6d"),
         ({"kind": "sphere", "params": {"k": 3, "delta_sq": "1/6"}},
-         "7fcc891f210429dc65ee71ba2f523e5ee8f22836ef533bd1dac1cc8052605893",
+         "ec7912f39f3caaf207c2e9ffe24d8754aee44650104d32b7e827dc407aa1beac",
          "8ab9ef2580b1a300e6b6f22e9deb054d1cb734c38bbb4db0fa4252604a62b2a0"),
         ({"kind": "logodds", "params": {"a": ["1", "-1"], "c": "2", "k": 3}},
-         "24961d8665137a9c82f68e09257f0500be14b00e47af684ee886547608af4340",
+         "5edd460b91fb91b73e5bcf80a7b042c2266d393dc0d53458dd9e7c37f9cca822",
          "f89f5a0cfc088d2f9f6d57ae4accf3b52d6c70e540699cb1e06bd5350cec84ac"),
         ({"kind": "motzkin", "params": {}},
-         "6060d7976b9f781285d565ccb8ab597e28b512414178787561ee0c40ce758722",
+         "61b6f3a62c1c5f05f45b3caa8fec714ff6a5d4060f1f48c4853f27a973cae89f",
          "6ea66daee3102baa88fafcf81de68ba91cc7ece0d8fb643b9d1a655ee7021e46"),
         ({"kind": "custom", "params": {"k": 3, "generators": ["p1*p2"]}},
-         "11b92439b26a6bf75effbb1b5075b15fae8dc60bdb3108689d6750ae772e9d90",
+         "0beaaaef5918659b09003b08dec9015b2813eb0e5334bfd406717d37667f157e",
          "619ef13607e906445624614be26716f840c4b9d03c77c2c4197945a6b3e84859"),
     ]
 
@@ -628,7 +636,7 @@ class TestThreshold:
     @pytest.mark.parametrize(
         "command, digest",
         [
-            ("threshold", "19d76d51f7ab85acc0a34832a79990998f297b2288b2ba310439900c259b2836"),
+            ("threshold", "acafb506c02af77240b7b6ffd701893081b25f4584021395c6d0e9d49648c6d0"),
             ("separating", "5617404eb64461161e9fdc66d78601a01679a8156befa3ae4051fbc1cd77541c"),
         ],
         ids=["threshold", "separating"],
@@ -646,8 +654,8 @@ class TestThreshold:
         [("threshold", ["--weights", "1"]), ("separating", ["--assert-gradient"])],
     )
     def test_tuning_flags_are_usage_errors(self, command, flags, indep22, capsys):
-        # Any positive weights give a witness of the same degree, and the
-        # gradient is sampled under `gradient_evidence`: neither flag exists.
+        # Any positive weights give a witness of the same degree, and a
+        # gradient assertion certifies no bound: neither flag exists.
         assert run_cli([command, "--hypothesis", indep22, *flags]) == (1, "")
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -660,6 +668,27 @@ class TestThreshold:
         args = [command, "--hypothesis", str(path), "--step-limit"]
         assert run_cli(args + ["15"])[0] == 3
         assert run_cli(args + ["16"])[0] == 0
+
+    @pytest.mark.parametrize("command", ["threshold", "separating"])
+    def test_step_limit_covers_the_rank_lt_squares(self, command, tmp_path, capsys):
+        # rank_lt 6x6 r = 6 squares one minor of 720 terms: 518,400 term
+        # products, counted before any is formed.
+        path = tmp_path / "rank6.json"
+        path.write_text(json.dumps({"kind": "rank_lt", "params": {"p": 6, "q": 6, "r": 6}}))
+        start = time.perf_counter()
+        code, out = run_cli([command, "--hypothesis", str(path), "--step-limit", "1000"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == "error: computation exceeded step limit 1000\n"
+
+    @pytest.mark.parametrize("command", ["threshold", "separating"])
+    def test_step_limit_of_the_rank_lt_squares_is_pinned(self, command, tmp_path):
+        # rank_lt 2x3 r = 2: 3 minors of 2 terms each, 3 * 2^2 = 12 products.
+        path = tmp_path / "rank.json"
+        path.write_text(json.dumps({"kind": "rank_lt", "params": {"p": 2, "q": 3, "r": 2}}))
+        args = [command, "--hypothesis", str(path)]
+        assert run_cli(args + ["--step-limit", "11"]) == (3, "")
+        assert run_cli(args + ["--step-limit", "12"]) == run_cli(args)
 
     def test_separating_for_polytope(self, square):
         code, out = run_cli(["separating", "--hypothesis", square("3/4")])

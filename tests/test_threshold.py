@@ -26,7 +26,7 @@ from powerpoly import (
     union_separating,
 )
 from powerpoly import threshold
-from powerpoly.groebner import GroebnerBasis, StepCounter
+from powerpoly.groebner import GroebnerBasis, StepCounter, StepLimitExceeded
 from powerpoly.hypotheses import custom
 from powerpoly.linprog import solve_lp
 from powerpoly.polynomial import simplex_coefficients
@@ -612,6 +612,22 @@ class TestUnionAndRank:
         rep = rank_threshold(*pqr)
         assert rep.ntub_bound == rep.sub_bound == expect
         assert rep.exactness == EXACT
+
+    @pytest.mark.parametrize("pqr", [(2, 2, 2), (2, 3, 2), (3, 3, 2), (3, 4, 3), (4, 4, 3)])
+    def test_rank_threshold_ticks_one_step_per_term_product(self, pqr):
+        counter = StepCounter()
+        rep = rank_threshold(*pqr, counter=counter)
+        minors = build_hypothesis({"kind": "rank_lt", "params": dict(zip("pqr", pqr))}).generators
+        assert counter.steps == sum(len(g.terms) ** 2 for g in minors)
+        assert rep == rank_threshold(*pqr)
+
+    def test_rank_threshold_refuses_before_squaring(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("squared past the budget")
+
+        monkeypatch.setattr(threshold, "_sum_of_squares", refuse)
+        with pytest.raises(StepLimitExceeded):
+            rank_threshold(6, 6, 6, counter=StepCounter(518_399))
 
     def test_rank_witness_structure(self):
         rep = rank_threshold(3, 3, 2)
