@@ -195,7 +195,7 @@ def cmd_gb(args) -> int:
 def _threshold_payload(hyp: NullHypothesis, args) -> dict:
     names = hyp.substituted_names()
     if hyp.family == "rank_lt":
-        report = rank_threshold(**hyp.params, counter=args.counter)
+        report = rank_threshold(**hyp.params, counter=args.counter, minors=hyp.generators)
         witness_names = list(hyp.names)
     else:
         if hyp.family == "polytope":

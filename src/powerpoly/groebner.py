@@ -168,10 +168,10 @@ def reduce(
         if g.is_zero():
             raise ValueError("cannot divide by the zero polynomial")
     packing = Packing(f.nvars, order)
-    work, scale = packing.pack(f.terms)
+    work, scale = packing.pack(f)
     divisors, ratios = [], []
     for g in basis:
-        ints, s = packing.pack(g.terms)
+        ints, s = packing.pack(g)
         divisor, sign = _form(min(ints), ints)
         divisors.append(divisor)
         ratios.append(scale / (s * sign))
@@ -206,7 +206,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     if f.is_zero() or g.is_zero():
         raise ValueError("the zero polynomial has no S-polynomial")
     packing = Packing(f.nvars, order)
-    fp, gp = packing.pack(f.terms)[0], packing.pack(g.terms)[0]
+    fp, gp = packing.pack(f)[0], packing.pack(g)[0]
     a, b = _form(min(fp), fp)[0], _form(min(gp), gp)[0]
     lcm, deg = packing.lcm(a[0], b[0])
     packing.check(deg)
@@ -257,7 +257,7 @@ def buchberger_reduced(
     # scaling, and the first of each is kept.
     forms: dict = {}
     for g in gens:
-        ints = packing.pack(g.terms)[0]
+        ints = packing.pack(g)[0]
         form = _form(min(ints), ints)[0]
         forms.setdefault((form[0], form[1], frozenset(form[2].items())), form)
     basis = list(forms.values())
@@ -355,7 +355,7 @@ def radical_membership(
     ext = nvars + 1
 
     def extend(p: Polynomial) -> Polynomial:
-        return Polynomial(ext, {m + (0,): c for m, c in p.terms.items()})
+        return Polynomial._of(ext, {m + (0,): c for m, c in p.ints.items()}, p.scale)
 
     y = Polynomial.variable(ext, nvars)
     system = [extend(g) for g in gens if not g.is_zero()]

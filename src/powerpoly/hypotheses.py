@@ -82,7 +82,7 @@ def _minor(nvars: int, q: int, rows, cols) -> Polynomial:
         mono = [0] * nvars
         for i in range(r):
             mono[rows[i] * q + cols[perm[i]]] = 1
-        terms[tuple(mono)] = Fraction(-1 if inversions & 1 else 1)
+        terms[tuple(mono)] = -1 if inversions & 1 else 1
     return Polynomial._of(nvars, terms)
 
 
@@ -194,7 +194,7 @@ def affine(c_rows: Sequence[Sequence], d: Sequence, k: int) -> NullHypothesis:
                 terms[tuple(int(i == j) for j in range(k))] = coeff
         if not terms:
             raise ValueError("zero affine constraint")
-        gens.append(Polynomial._of(k, terms))
+        gens.append(Polynomial._of_rationals(k, terms))
     return NullHypothesis(
         k=k,
         family="affine",
@@ -378,7 +378,7 @@ def log_odds_to_binomial(a: Sequence[Fraction], c: Fraction, k: int) -> Polynomi
     ext = ints + [-sum(ints)]
     left = tuple(max(v, 0) for v in ext)
     right = tuple(max(-v, 0) for v in ext)
-    return Polynomial(k, {left: Fraction(1)}) - target * Polynomial(k, {right: Fraction(1)})
+    return Polynomial(k, {left: 1}) - target * Polynomial(k, {right: 1})
 
 
 def _nth_root(value: Fraction, n: int) -> Fraction | None:

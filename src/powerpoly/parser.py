@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from powerpoly.polynomial import DEFAULT_ORDER, MonomialOrder, Polynomial, default_names
@@ -117,12 +118,12 @@ def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
             else:
                 exponents[var] += 1
         mono = tuple(exponents)
-        if total := terms.get(mono, 0) + Fraction(sign * num, den):
+        if total := terms.get(mono, 0) + (sign * num if den == 1 else Fraction(sign * num, den)):
             terms[mono] = total
         else:
             terms.pop(mono, None)
         if kind == _END:
-            return Polynomial._of(nvars, terms)
+            return Polynomial._of_rationals(nvars, terms)
         if kind != _OP or value not in "+-":
             raise PolynomialSyntaxError(f"expected '+' or '-', got {value!r}", pos)
         sign = -1 if value == "-" else 1
@@ -138,22 +139,31 @@ def format_polynomial(
     names: Sequence[str] | None = None,
     order: MonomialOrder = DEFAULT_ORDER,
 ) -> str:
-    """Print in descending monomial order under `order`."""
+    """Print in descending monomial order under `order`.
+
+    Each coefficient is printed off the integer c * n over d, with
+    scale = n / d, after one gcd; no Fraction is built.
+    """
     if names is None:
         names = default_names(poly.nvars)
     if len(names) != poly.nvars:
         raise ValueError(f"{len(names)} names for {poly.nvars} variables")
     if poly.is_zero():
         return "0"
+    ints, n, d = poly.ints, poly.scale.numerator, poly.scale.denominator
     parts = []
-    for mono, coeff in poly.sorted_terms(order):
+    for mono in poly.sorted_monomials(order):
         factors = [name if e == 1 else f"{name}^{e}" for e, name in zip(mono, names) if e]
-        # str(abs(coeff)), without building a Fraction.
-        num, den = coeff.numerator, coeff.denominator
-        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        c = ints[mono]
+        num = abs(c) * n
+        if d == 1:
+            mag = str(num)
+        else:
+            g = gcd(num, d)
+            mag = str(num // g) if g == d else f"{num // g}/{d // g}"
         if mag != "1" or not factors:
             factors.insert(0, mag)
-        parts.append(("- " if num < 0 else "+ ") + "*".join(factors))
+        parts.append(("- " if c < 0 else "+ ") + "*".join(factors))
     # "+ a - b + c" -> "a - b + c" and "- a + b" -> "-a + b".
     text = " ".join(parts)
     return text[2:] if text[0] == "+" else "-" + text[2:]

@@ -1,10 +1,15 @@
 """Exact sparse multivariate polynomials over the rationals.
 
 Variables are positional (index 0..nvars-1); display names are a
-presentation concern handled by the parser/formatter.  `Polynomial`
-coefficients are `fractions.Fraction` throughout, terms with zero
-coefficient are never stored, and all operations return new objects, so
-polynomials can be shared freely across threads.
+presentation concern handled by the parser/formatter.  A `Polynomial` is
+one positive rational `scale` times `ints`, a primitive integer term map:
+a dict from exponent tuple to nonzero int whose gcd is 1 and whose signs
+are the coefficients' signs (the content and primitive part of Geddes,
+Czapor & Labahn, "Algorithms for Computer Algebra", 1992).  The zero
+polynomial has no terms and scale 0.  The pair is canonical, so equality
+and hashing read it; `terms` is the read-only Fraction view of the same
+map, built on first read and kept.  All operations return new objects,
+so polynomials can be shared freely across threads.
 
 One cached table of (x_1 + ... + x_k)^n coefficients,
 `simplex_coefficients(k, n)`, supplies every multinomial coefficient and
@@ -14,32 +19,35 @@ bounds of `power`, `threshold` and `umpu`.
 
 One packed kernel serves every product: `Polynomial.__mul__` (and so
 `**`), `homogenize`, `substitute_last`, the Groebner core and the SOS
-witness (`groebner`, `threshold`).  `Packing.pack` writes a term map as
-a primitive integer map on packed monomials over one rational scale,
-`packed_addmul` accumulates products of such maps with one int addition
-per monomial product and exact int coefficients, and `Packing.unpack`
-builds one Fraction per output term.  Packed exponent vectors follow
-Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
-packed exponent vectors" (CASC 2007).  Each exponent has one word whose
-top bit is a guard bit, and the total degree sits above the words; the
-words are placed and signed so that a product of monomials is the sum of
-their ints and a smaller int is a larger monomial under the order:
-graded reverse lex packs P - (deg << B n) with x_n in the most
-significant word, graded lex -(P' + (deg << B n)) with x_1 most
-significant.  A word is B = 16 bits wide when the caller's top degree is
-below 2^15 and 64 bits wide otherwise, so a field never wraps; the
-Groebner core always packs 16-bit words and checks its degrees against
-`DEGREE_LIMIT`.  Scaling every coefficient by one nonzero rational
-cancels exactly the terms the rational products cancel, so the output
-terms come in the same order as a Fraction loop over the same terms.
+witness (`groebner`, `threshold`).  `Packing.pack` puts a polynomial's
+integer map on packed monomials, `packed_addmul` accumulates products of
+such maps with one int addition per monomial product, and
+`Packing.unpack` makes a polynomial of an integer map on packed
+monomials and a rational scale with no Fraction per term.  Packed
+exponent vectors follow Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors" (CASC 2007).  Each
+exponent has one word whose top bit is a guard bit, and the total degree
+sits above the words; the words are placed and signed so that a product
+of monomials is the sum of their ints and a smaller int is a larger
+monomial under the order: graded reverse lex packs P - (deg << B n) with
+x_n in the most significant word, graded lex -(P' + (deg << B n)) with
+x_1 most significant.  A word is B = 16 bits wide when the caller's top
+degree is below 2^15 and 64 bits wide otherwise, so a field never wraps;
+the Groebner core always packs 16-bit words and checks its degrees
+against `DEGREE_LIMIT`.  Scaling every coefficient by one nonzero
+rational cancels exactly the terms the rational products cancel, so the
+output terms come in the same order as a Fraction loop over the same
+terms.
 
 The packed ints are also the one definition of the monomial orders and
-of monomial arithmetic: `leading_monomial` and `sorted_terms` (and so
+of monomial arithmetic: `leading_monomial` and `sorted_monomials` (and so
 every printed polynomial) sort on `Packing.sort_key`, which is
 `Packing.key` without its per-monomial degree check, and the Groebner
 pair loop takes its lcms and divisibility tests from `Packing.lcm` and
 `Packing.divides`, so monomials stay packed from the pair loop through
-to printing.
+to printing.  A polynomial made by `Packing.unpack` keeps the packed ints
+of its terms, so under its packing's order its descending monomials are
+one sort of those ints, with no key computed.
 """
 
 from __future__ import annotations
@@ -48,12 +56,10 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappush
-from math import comb, lcm
+from math import comb, gcd, lcm
 from struct import Struct
 from types import MappingProxyType
 from typing import Mapping, Sequence
-
-from powerpoly.linalg import primitive_scaling
 
 Exponents = tuple[int, ...]
 
@@ -61,8 +67,10 @@ Exponents = tuple[int, ...]
 # -- monomials and term maps -------------------------------------------------
 # A `Polynomial` keys its terms by exponent tuples of non-negative ints;
 # every order, product, division and lcm of monomials runs on their packed
-# ints (`Packing`).  Term maps are dicts from monomial to a nonzero
-# Fraction (or a nonzero int in integer term maps).
+# ints (`Packing`).  Term maps are dicts from monomial to a nonzero int
+# (or a nonzero Fraction in the `terms` view and in rational inputs).
+
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 def _exponent(e, mono) -> int:
@@ -71,6 +79,14 @@ def _exponent(e, mono) -> int:
     if isinstance(e, (bool, float)) or e != int(e):
         raise ValueError(f"exponent {e!r} in {mono} is not an integer")
     return int(e)
+
+
+def _rational(c, mono):
+    """A coefficient that is not an int or a Fraction, as a Fraction;
+    bools and floats are refused."""
+    if isinstance(c, (bool, float)):
+        raise TypeError(f"coefficient {c!r} of {mono} is not an int or a Fraction")
+    return Fraction(c)
 
 
 @lru_cache(maxsize=1024)
@@ -130,8 +146,8 @@ class Packing:
     `key` checks the degree and then calls it.
     """
 
-    __slots__ = ("nvars", "sign", "width", "top", "mask", "guard", "limit", "sort_key", "_struct",
-                 "_endian")
+    __slots__ = ("nvars", "order", "sign", "width", "top", "mask", "guard", "limit", "sort_key",
+                 "_struct", "_endian")
 
     def __init__(self, nvars: int, order: MonomialOrder = DEFAULT_ORDER, degree: int = 0):
         self.width = bits = 16 if degree < DEGREE_LIMIT else 64
@@ -139,6 +155,7 @@ class Packing:
         self.check(degree)
         grevlex = order is MonomialOrder.GREVLEX
         self.nvars = nvars
+        self.order = order
         self.sign = 1 if grevlex else -1
         self._endian = "little" if grevlex else "big"
         self._struct = Struct(f"{'<' if grevlex else '>'}{nvars}{'H' if bits == 16 else 'Q'}")
@@ -185,17 +202,21 @@ class Packing:
     def mono(self, k: int) -> Exponents:
         return self._struct.unpack(self.bits(k).to_bytes(self._struct.size, self._endian))
 
-    def pack(self, terms: Mapping) -> tuple[dict, Fraction]:
-        """(ints, scale) with terms = scale * ints: `ints` a primitive
-        integer map on packed monomials in the order of `terms`, scale > 0
-        (0 for no terms)."""
-        ints, g, den = primitive_scaling(terms.values())
-        return dict(zip(map(self.key, terms), ints)), Fraction(g, den)
+    def pack(self, poly: "Polynomial") -> tuple[dict, Fraction]:
+        """(ints, scale) with poly = scale * ints: `poly.ints` on packed
+        monomials, in its order, and `poly.scale`."""
+        ints = poly.ints
+        return dict(zip(map(self.key, ints), ints.values())), poly.scale
 
-    def unpack(self, ints: Mapping, scale: Fraction) -> "Polynomial":
-        """The polynomial scale * ints, one Fraction per term."""
-        n, d, mono = scale.numerator, scale.denominator, self.mono
-        return Polynomial._of(self.nvars, {mono(k): Fraction(c * n, d) for k, c in ints.items()})
+    def unpack(self, ints: Mapping, scale) -> "Polynomial":
+        """The polynomial scale * ints, for nonzero int coefficients and a
+        rational scale of either sign, in the order of `ints`; it keeps
+        the packed ints for `Polynomial.sorted_monomials` under this
+        packing's order."""
+        monos = map(self.mono, ints)
+        return Polynomial._of(
+            self.nvars, dict(zip(monos, ints.values())), scale, (self.order, list(ints))
+        )
 
 
 def packed_addmul(acc: dict, coeff: int, shift: int, tail: Mapping, heap: list | None = None):
@@ -220,9 +241,10 @@ def packed_addmul(acc: dict, coeff: int, shift: int, tail: Mapping, heap: list |
 
 
 class Polynomial:
-    """Immutable sparse polynomial: dict from exponent tuple to Fraction."""
+    """Immutable sparse polynomial: `scale` times the primitive integer
+    term map `ints`, viewed as Fractions by `terms`."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "ints", "scale", "_terms", "_keys")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction] | None = None):
         if nvars < 0:
@@ -237,27 +259,61 @@ class Polynomial:
                     )
                 if any(e < 0 for e in mono):
                     raise ValueError(f"negative exponent in {mono}")
-                c = Fraction(coeff)
-                if c:
-                    clean[mono] = c
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+                if type(coeff) is not int and type(coeff) is not Fraction:
+                    coeff = _rational(coeff, mono)
+                if coeff:
+                    clean[mono] = coeff
+        p = Polynomial._of_rationals(nvars, clean)
+        _init(self, nvars, p.ints, p.scale, None)
 
     @staticmethod
-    def _of(nvars: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
-        """Trusted constructor: adopts `terms` without copying or checking.
+    def _of(nvars: int, ints: dict, scale: Fraction = ONE, keys=None) -> "Polynomial":
+        """Trusted constructor: the polynomial scale * ints, adopting `ints`
+        when it is primitive with the signs of the coefficients.
 
-        The caller guarantees int-tuple monomials of length `nvars` and
-        nonzero Fraction coefficients, as when the terms are built from
-        polynomials that are already valid.
+        The caller guarantees int-tuple monomials of length `nvars`,
+        nonzero int coefficients and a Fraction scale, nonzero unless
+        `ints` is empty, as when the terms are built from polynomials
+        that are already valid; the gcd of `ints` is divided out, and a
+        negative scale is moved into the signs.  `keys` is (order, the
+        packed ints of the monomials of `ints` in its order), as
+        `Packing.unpack` records them.
         """
-        p = object.__new__(Polynomial)
-        object.__setattr__(p, "nvars", nvars)
-        object.__setattr__(p, "terms", terms)
-        return p
+        g = gcd(*ints.values())
+        num = scale.numerator
+        if num < 0:
+            g = -g  # so that scale * g > 0
+        if not g:
+            scale = ZERO
+        elif g != 1:
+            ints = {m: c // g for m, c in ints.items()}
+            scale = Fraction(num * g, scale.denominator)
+        return _init(object.__new__(Polynomial), nvars, ints, scale, keys)
+
+    @staticmethod
+    def _of_rationals(nvars: int, terms: dict) -> "Polynomial":
+        """Trusted constructor on a dict with nonzero int or Fraction
+        coefficients on valid monomials: their numerators over the lcm of
+        their denominators; a dict of ints is adopted."""
+        if all(type(c) is int for c in terms.values()):
+            return Polynomial._of(nvars, terms)
+        den = lcm(*[c.denominator for c in terms.values()])
+        ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+        return Polynomial._of(nvars, ints, Fraction(1, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """Read-only map from monomial to Fraction coefficient, in the
+        order of `ints`."""
+        terms = self._terms
+        if terms is None:
+            n, d = self.scale.numerator, self.scale.denominator
+            terms = MappingProxyType({m: Fraction(c * n, d) for m, c in self.ints.items()})
+            _set_terms(self, terms)
+        return terms
 
     # -- constructors ------------------------------------------------------
 
@@ -267,25 +323,23 @@ class Polynomial:
 
     @staticmethod
     def constant(nvars: int, value) -> "Polynomial":
-        return Polynomial(nvars, {(0,) * nvars: Fraction(value)})
+        return Polynomial(nvars, {(0,) * nvars: value})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         mono = tuple(1 if i == index else 0 for i in range(nvars))
-        return Polynomial(nvars, {mono: Fraction(1)})
+        return Polynomial._of(nvars, {mono: 1})
 
     @staticmethod
     def monomial(nvars: int, exponents: Sequence[int], coeff=1) -> "Polynomial":
-        return Polynomial(nvars, {tuple(exponents): Fraction(coeff)})
+        return Polynomial(nvars, {tuple(exponents): coeff})
 
     @staticmethod
     def simplex_power(nvars: int, m: int) -> "Polynomial":
         """(x_1 + ... + x_nvars)^m, read off `simplex_coefficients`."""
-        return Polynomial._of(
-            nvars, {a: Fraction(c) for a, c in simplex_coefficients(nvars, m).items()}
-        )
+        return Polynomial._of(nvars, dict(simplex_coefficients(nvars, m)))
 
     # -- ring operations ---------------------------------------------------
 
@@ -304,23 +358,25 @@ class Polynomial:
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            c = out.get(mono)
-            if c is None:
-                out[mono] = coeff
+        # s A + t B = (a A + b B) / den, with den the lcm of the
+        # denominators of s and t.
+        s, t = self.scale, other.scale
+        den = lcm(s.denominator, t.denominator)
+        a, b = s.numerator * (den // s.denominator), t.numerator * (den // t.denominator)
+        out = {m: a * c for m, c in self.ints.items()}
+        for mono, c in other.ints.items():
+            if c := out.get(mono, 0) + b * c:
+                out[mono] = c
             else:
-                c = c + coeff
-                if c:
-                    out[mono] = c
-                else:
-                    del out[mono]
-        return Polynomial._of(self.nvars, out)
+                del out[mono]
+        return Polynomial._of(self.nvars, out, Fraction(1, den) if den > 1 else ONE)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._of(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._of(
+            self.nvars, {m: -c for m, c in self.ints.items()}, self.scale, self._keys
+        )
 
     def __sub__(self, other):
         other = self._operand(other)
@@ -335,15 +391,14 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Polynomial._of(self.nvars, {})
-            return Polynomial._of(self.nvars, {m: c * v for m, v in self.terms.items()})
+            if not other:
+                return Polynomial.zero(self.nvars)
+            return Polynomial._of(self.nvars, self.ints, self.scale * other, self._keys)
         if self._operand(other) is None:
             return NotImplemented
         packing = Packing(self.nvars, degree=self.total_degree() + other.total_degree())
-        a, sa = packing.pack(self.terms)
-        b, sb = packing.pack(other.terms)
+        a, sa = packing.pack(self)
+        b, sb = packing.pack(other)
         out: dict = {}
         for k, c in a.items():
             packed_addmul(out, c, k, b)
@@ -373,14 +428,15 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.scale == other.scale
+            and self.ints == other.ints
         )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.scale, frozenset(self.ints.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.ints)
 
     def __repr__(self):
         from powerpoly.parser import format_polynomial
@@ -390,45 +446,55 @@ class Polynomial:
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.ints:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(map(sum, self.ints))
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        if not self.terms:
+        if not self.ints:
             return True
-        degs = {sum(m) for m in self.terms}
+        degs = set(map(sum, self.ints))
         if len(degs) > 1:
             return False
         return degree is None or degs == {degree}
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+        return self.scale * self.ints.get(tuple(exponents), 0)
 
     def leading_monomial(self, order: MonomialOrder = DEFAULT_ORDER) -> Exponents:
-        if not self.terms:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading term")
-        return min(self.terms, key=Packing(self.nvars, order, self.total_degree()).sort_key)
+        return min(self.ints, key=Packing(self.nvars, order, self.total_degree()).sort_key)
 
     def leading_coefficient(self, order: MonomialOrder = DEFAULT_ORDER) -> Fraction:
-        return self.terms[self.leading_monomial(order)]
+        return self.scale * self.ints[self.leading_monomial(order)]
+
+    def sorted_monomials(self, order: MonomialOrder = DEFAULT_ORDER) -> list[Exponents]:
+        """Monomials in descending order: one sort of the packed ints that
+        `Packing.unpack` kept when it made this polynomial under `order`,
+        else a sort on `Packing.sort_key`."""
+        if self._keys is not None and self._keys[0] is order:
+            keys = self._keys[1]
+            by_key = dict(zip(keys, self.ints))
+            return [by_key[k] for k in sorted(keys)]
+        return sorted(self.ints, key=Packing(self.nvars, order, self.total_degree()).sort_key)
 
     def sorted_terms(self, order: MonomialOrder = DEFAULT_ORDER):
         """Terms in descending monomial order (canonical storage order)."""
-        key = Packing(self.nvars, order, self.total_degree()).sort_key
-        return [(m, self.terms[m]) for m in sorted(self.terms, key=key)]
+        terms = self.terms
+        return [(m, terms[m]) for m in self.sorted_monomials(order)]
 
     def monic(self, order: MonomialOrder = DEFAULT_ORDER) -> "Polynomial":
-        if not self.terms:
+        if not self.ints:
             return self
-        lc = self.leading_coefficient(order)
-        if lc == 1:
+        c = self.ints[self.leading_monomial(order)]
+        if self.scale * c == 1:
             return self
-        return self * (Fraction(1) / lc)
+        return Polynomial._of(self.nvars, self.ints, Fraction(1, c), self._keys)
 
     # -- evaluation and reparameterization ---------------------------------
 
@@ -436,36 +502,38 @@ class Polynomial:
         """Exact value at `point`, summed on integers into one Fraction.
 
         Only the coordinates of variables that occur are read.  With those
-        N/d over one denominator d and the coefficients over their lcm L,
-        a term c * x^m of degree j is (c L) * N^m * d^(D - j) over
-        L * d^D, D the total degree.
+        N/d over one denominator d, a term c * x^m of `ints` of degree j
+        is c * N^m * d^(D - j) over d^D, D the total degree, and the sum
+        is multiplied by `scale`.
         """
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
-        if not self.terms:
+        if not self.ints:
             return Fraction(0)
-        used = [i for i, occurs in enumerate(map(any, zip(*self.terms))) if occurs]
+        used = [i for i, occurs in enumerate(map(any, zip(*self.ints))) if occurs]
         pt = [point[i] for i in used]
         pt = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in pt]
         d = lcm(*(x.denominator for x in pt))
         nums = [x.numerator * (d // x.denominator) for x in pt]
-        cden = lcm(*(c.denominator for c in self.terms.values()))
         top = self.total_degree()
         total = 0
-        for mono, coeff in self.terms.items():
-            value = coeff.numerator * (cden // coeff.denominator)
+        for mono, value in self.ints.items():
             for i, x in zip(used, nums):
                 if e := mono[i]:
                     value *= x**e
             total += value * d ** (top - sum(mono))
-        return Fraction(total, cden * d**top)
+        return Fraction(total * self.scale.numerator, self.scale.denominator * d**top)
 
     def evaluate_float(self, point: Sequence[float]) -> float:
+        """Float value at `point`, summed in term order.  Each coefficient
+        is the correctly rounded int quotient c * n / d, the float of the
+        Fraction coefficient (scale = n / d)."""
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
+        n, d = self.scale.numerator, self.scale.denominator
         total = 0.0
-        for mono, coeff in self.terms.items():
-            value = float(coeff)
+        for mono, c in self.ints.items():
+            value = c * n / d
             for x, e in zip(point, mono):
                 if e:
                     value *= x**e
@@ -483,15 +551,14 @@ class Polynomial:
             raise ValueError(f"cannot homogenize degree-{deg} polynomial to degree {n}")
         packing = Packing(self.nvars, degree=n)
         key = packing.key
-        ints, scale = packing.pack(self.terms)
         spow: dict[int, dict] = {}
         out: dict = {}
-        for mono, (k, c) in zip(self.terms, ints.items()):
+        for mono, c in self.ints.items():
             d = n - sum(mono)
             if d not in spow:
                 spow[d] = {key(a): b for a, b in simplex_coefficients(self.nvars, d).items()}
-            packed_addmul(out, c, k, spow[d])
-        return packing.unpack(out, scale)
+            packed_addmul(out, c, key(mono), spow[d])
+        return packing.unpack(out, self.scale)
 
     def substitute_last(self) -> "Polynomial":
         """Eliminate the last variable via x_k -> 1 - (x_1 + ... + x_{k-1}).
@@ -506,8 +573,7 @@ class Polynomial:
         key = packing.key
         powers: dict[int, dict] = {}
         out: dict = {}
-        ints, g, den = primitive_scaling(self.terms.values())
-        for mono, c in zip(self.terms, ints):
+        for mono, c in self.ints.items():
             e = mono[-1]
             if e not in powers:
                 powers[e] = {
@@ -515,7 +581,7 @@ class Polynomial:
                     for a, b in simplex_coefficients(m + 1, e).items()
                 }
             packed_addmul(out, c, key(mono[:-1]), powers[e])
-        return packing.unpack(out, Fraction(g, den))
+        return packing.unpack(out, self.scale)
 
     def derivative(self, index: int) -> "Polynomial":
         """Partial derivative with respect to variable `index`.
@@ -526,22 +592,37 @@ class Polynomial:
         if not 0 <= index < self.nvars:
             raise ValueError(f"variable index {index} out of range")
         return Polynomial._of(self.nvars, {
-            mono[:index] + (mono[index] - 1,) + mono[index + 1:]: coeff * mono[index]
-            for mono, coeff in self.terms.items()
+            mono[:index] + (mono[index] - 1,) + mono[index + 1:]: c * mono[index]
+            for mono, c in self.ints.items()
             if mono[index]
-        })
+        }, self.scale)
 
     def permute_variables(self, perm: Sequence[int]) -> "Polynomial":
         """Relabel variables: new exponent of position perm[i] is old position i."""
         if sorted(perm) != list(range(self.nvars)):
             raise ValueError(f"not a permutation of 0..{self.nvars - 1}: {perm}")
         out = {}
-        for mono, coeff in self.terms.items():
+        for mono, c in self.ints.items():
             new = [0] * self.nvars
             for i, e in enumerate(mono):
                 new[perm[i]] = e
-            out[tuple(new)] = coeff
-        return Polynomial(self.nvars, out)
+            out[tuple(new)] = c
+        return Polynomial._of(self.nvars, out, self.scale)
+
+
+# Slot setters, which bypass the immutability guard of `Polynomial.__setattr__`.
+_set_nvars, _set_ints, _set_scale, _set_terms, _set_keys = (
+    getattr(Polynomial, name).__set__ for name in Polynomial.__slots__
+)
+
+
+def _init(p: Polynomial, nvars: int, ints: dict, scale: Fraction, keys) -> Polynomial:
+    _set_nvars(p, nvars)
+    _set_ints(p, ints)
+    _set_scale(p, scale)
+    _set_terms(p, None)
+    _set_keys(p, keys)
+    return p
 
 
 def default_names(nvars: int) -> list[str]:

@@ -17,8 +17,9 @@ forms each c_x as an integer numerator over one denominator, and one
 integer box check, 0 <= num_x <= den * B_x, guards every power
 polynomial, whether built here (`PowerPolynomial.from_numerators`) or
 given from outside (`PowerPolynomial(n, k, poly)`, `box_check`).  A
-Fraction is built only per nonzero term of a returned polynomial, or
-per count vector when a test's `values` are read.
+returned polynomial keeps the numerators as its integer term map, so a
+Fraction is built per term only when a caller reads its `terms`, or per
+count vector when a test's `values` are read.
 
 Everything here is exact except `monte_carlo_power`, the one
 deliberately float-based validation path, and it too stays on integers
@@ -37,7 +38,6 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from powerpoly.linalg import primitive_scaling
 from powerpoly.polynomial import Polynomial, _exponent, simplex_coefficients
 
 
@@ -195,9 +195,8 @@ def box_check(p: Polynomial, n: int, k: int) -> BoxCheckResult:
         return _INSIDE
     if not p.is_homogeneous(n):
         return BoxCheckResult(False, f"not homogeneous of degree {n}")
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    nums = {x: c.numerator * (den // c.denominator) for x, c in p.terms.items()}
-    return _integer_box_check(nums, den, n, k)
+    num = p.scale.numerator
+    return _integer_box_check({x: c * num for x, c in p.ints.items()}, p.scale.denominator, n, k)
 
 
 @dataclass(frozen=True)
@@ -216,11 +215,12 @@ class PowerPolynomial:
         """sum nums[x] / den * pi^x, box-checked on the integers.
 
         `nums` maps count vectors to integer numerators over the positive
-        denominator `den`, in the term order wanted; one Fraction is built
-        per nonzero term.
+        denominator `den`, in the term order wanted; they become the
+        polynomial's integer term map over the scale 1 / den, with no
+        Fraction per term.
         """
         _require_box(_integer_box_check(nums, den, n, k))
-        poly = Polynomial._of(k, {x: Fraction(c, den) for x, c in nums.items() if c})
+        poly = Polynomial._of(k, {x: c for x, c in nums.items() if c}, Fraction(1, den))
         beta = object.__new__(PowerPolynomial)
         for name, value in (("n", n), ("k", k), ("poly", poly)):
             object.__setattr__(beta, name, value)
@@ -245,17 +245,18 @@ def test_to_power(phi: TestFunction) -> PowerPolynomial:
 def recover_test(beta: PowerPolynomial) -> TestFunction:
     """Invert test_to_power by coefficientwise division.
 
-    c_x = N / D in lowest terms gives phi(x) = N / (D B_x), which in
-    lowest terms is (N / g) / (D B_x / g) with g = gcd(N, B_x); the
-    numerators are then scaled to the lcm of those denominators, on
-    beta's support in descending lex order.
+    With beta = (s / t) P, P primitive, phi(x) = s P_x / (t B_x), which
+    in lowest terms is N / D = (s P_x / g) / (t B_x / g) with
+    g = gcd(s P_x, t B_x); the numerators are then scaled to the lcm of
+    those denominators, on beta's support in descending lex order.
     """
     bounds = simplex_coefficients(beta.k, beta.n)
+    s, t = beta.poly.scale.numerator, beta.poly.scale.denominator
     reduced = {}
-    for x, c in beta.poly.terms.items():
-        num, bound = c.numerator, bounds[x]
+    for x, c in beta.poly.ints.items():
+        num, bound = s * c, t * bounds[x]
         g = gcd(num, bound)
-        reduced[x] = (num // g, c.denominator * (bound // g))
+        reduced[x] = (num // g, bound // g)
     den = lcm(*(d for _, d in reduced.values()))
     nums = {x: num * (den // d) for x, (num, d) in sorted(reduced.items(), reverse=True)}
     return TestFunction._of(beta.n, beta.k, nums, den)
@@ -269,8 +270,8 @@ def normalize_to_power(beta_tilde: Polynomial, n: int, k: int):
     respecting the upper box bounds.  Returns (power, a, b); on a null set
     where beta_tilde <= 0 with supremum 0 the induced test has size a*b.
 
-    On integers: the homogenized coefficients are (g / den) P_x with P
-    primitive, b = (g / den) b_n / b_d with b_n / b_d = max(0, max -P_x / B_x),
+    On integers: the homogenized coefficients are (g / den) P_x, its
+    `scale` times its primitive `ints`, b = (g / den) b_n / b_d with b_n / b_d = max(0, max -P_x / B_x),
     the shifted coefficients are (g / den) T_x / b_d with
     T_x = b_d P_x + b_n B_x >= 0, and with a_n / a_d = min B_x / T_x over
     T_x > 0 the power polynomial's numerators are a_n T_x over a_d.
@@ -281,11 +282,11 @@ def normalize_to_power(beta_tilde: Polynomial, n: int, k: int):
         raise ValueError("degree exceeds the sample size")
     hom = beta_tilde.homogenize(n)
     bounds = simplex_coefficients(k, n)
-    ints, g, den = primitive_scaling(hom.terms.values())
+    g, den = hom.scale.numerator, hom.scale.denominator
     coeff = dict.fromkeys(bounds, 0)
-    coeff.update(zip(hom.terms, ints))
+    coeff.update(hom.ints)
     top = coeff[next(iter(bounds))]  # B = 1 at the first count vector
-    if not hom.terms or all(c == top * bound for c, bound in zip(coeff.values(), bounds.values())):
+    if not hom.ints or all(c == top * bound for c, bound in zip(coeff.values(), bounds.values())):
         raise ValueError("polynomial is constant on the simplex")
     b_n, b_d = 0, 1
     for c, bound in zip(coeff.values(), bounds.values()):

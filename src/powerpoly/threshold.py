@@ -39,29 +39,48 @@ def _sum_of_squares(
 ) -> tuple[Polynomial, Polynomial]:
     """(sum of g^2 over `polys`, the g^2 of the one at `square_of`).
 
-    Each g is s * G with G primitive (`Packing.pack`), so g^2 = s^2 G^2.
-    The scales s^2 are written as primitive integers k over one rational
-    scale c, each G^2 is formed once on packed monomials (16-bit words, as
-    in the Groebner core), sum k * G^2 is accumulated as one integer term
-    map, and each output coefficient becomes a Fraction once.
+    Each g is s * G with G its primitive integer map (`Packing.pack`), so
+    g^2 = s^2 G^2.  The scales s^2 are written as primitive integers k
+    over one rational scale c, and sum k * G^2 is accumulated on packed
+    monomials (16-bit words, as in the Groebner core) into one integer
+    term map: each G^2 by the symmetric kernel (`_add_square`), except the
+    one at `square_of`, which is formed on its own by the product kernel
+    and then added in.  No Fraction is built per term.
     """
     packing = Packing(nvars)
     forms, scales = [], []
     for g in polys:
         packing.check(2 * g.total_degree())
-        form, s = packing.pack(g.terms)
+        form, s = packing.pack(g)
         forms.append(form)
         scales.append(s * s)
     ks, num, den = primitive_scaling(scales)
     out: dict = {}
     for i, (k, form) in enumerate(zip(ks, forms)):
-        square: dict = {}
-        for m, coeff in form.items():
-            packed_addmul(square, coeff, m, form)
-        packed_addmul(out, k, 0, square)
         if i == square_of:
+            square: dict = {}
+            for m, coeff in form.items():
+                packed_addmul(square, coeff, m, form)
+            packed_addmul(out, k, 0, square)
             single = packing.unpack(square, scales[i])
-    return packing.unpack(out, Fraction(num, den)), single
+        else:
+            _add_square(out, k, form)
+    return packing.unpack({m: c for m, c in out.items() if c}, Fraction(num, den)), single
+
+
+def _add_square(acc: dict, k: int, form: dict):
+    """acc += k * form^2 on packed monomials, by the symmetric kernel: each
+    square term k c^2 once, and each cross term 2 k c c' once.  A cancelled
+    term stays in `acc` as a 0, for the caller to drop."""
+    items = list(form.items())
+    get = acc.get
+    for i, (m, c) in enumerate(items):
+        kc = k * c
+        acc[m + m] = get(m + m, 0) + kc * c
+        kc += kc
+        for m2, c2 in items[i + 1:]:
+            m2 += m
+            acc[m2] = get(m2, 0) + kc * c2
 
 
 def _definite_form(g: Polynomial, k: int) -> bool:
@@ -74,10 +93,11 @@ def _definite_form(g: Polynomial, k: int) -> bool:
     A generator in k - 1 variables (p_k substituted) gains p_k with
     exponent 0.  The coefficient of p_i^d is the value of g at the vertex
     e_i, so vertices where g is 0 or changes sign settle the question
-    before anything is homogenized.
+    before anything is homogenized.  Only signs matter, so the integer
+    map `ints` (g over its positive scale) is read.
     """
     vertex = [0] * k
-    for m, c in g.terms.items():
+    for m, c in g.ints.items():
         support = [i for i, e in enumerate(m) if e]
         if len(support) < 2:
             for i in support or range(k):
@@ -85,9 +105,9 @@ def _definite_form(g: Polynomial, k: int) -> bool:
     if not (min(vertex) > 0 or max(vertex) < 0):
         return False
     if g.nvars < k:
-        g = Polynomial._of(k, {m + (0,): c for m, c in g.terms.items()})
+        g = Polynomial._of(k, {m + (0,): c for m, c in g.ints.items()}, g.scale)
     positive = vertex[0] > 0
-    return all((c > 0) == positive for c in g.homogenize(g.total_degree()).terms.values())
+    return all((c > 0) == positive for c in g.homogenize(g.total_degree()).ints.values())
 
 
 @dataclass(frozen=True)
@@ -214,7 +234,7 @@ class UMPUPower:
 def _level(shape: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
     """c_alpha * shape + alpha * (sum pi)^n with the largest c_alpha inside the box.
 
-    On integers: shape = (g / den) P with P primitive (`primitive_scaling`)
+    On integers: shape = (g / den) P, its `scale` times its primitive `ints`,
     and alpha = p / q.  Term x caps c_alpha at (1 - alpha) B_x / s_x when
     s_x > 0 and at alpha B_x / -s_x when s_x < 0, that is at
     den / (q g) times r_x, with r_x = (q - p) B_x / P_x or p B_x / -P_x.
@@ -222,17 +242,17 @@ def _level(shape: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
     (c_n P_x + p c_d B_x) / (q c_d).
     """
     bounds = simplex_coefficients(shape.nvars, n)
-    ints, g, den = primitive_scaling(shape.terms.values())
+    g, den = shape.scale.numerator, shape.scale.denominator
     p, q = alpha.numerator, alpha.denominator
     c_n, c_d = 0, 0
-    for x, c in zip(shape.terms, ints):
+    for x, c in shape.ints.items():
         r_n, r_d = ((q - p) * bounds[x], c) if c > 0 else (p * bounds[x], -c)
         if not c_d or r_n * c_d < c_n * r_d:
             c_n, c_d = r_n, r_d
     if not c_d:
         raise ValueError("zero separating polynomial")
     nums = {x: p * c_d * bound for x, bound in bounds.items()}
-    for x, c in zip(shape.terms, ints):
+    for x, c in shape.ints.items():
         nums[x] += c_n * c
     beta = PowerPolynomial.from_numerators(n, shape.nvars, nums, q * c_d)
     return UMPUPower(Fraction(den * c_n, q * g * c_d), beta)
@@ -261,7 +281,7 @@ def require_principal(f: Polynomial, n: int, alpha, fold: int) -> tuple[Fraction
     require_test_size(n, f.nvars)
     ftilde = f.homogenize(deg)
     bounds = simplex_coefficients(f.nvars, deg)
-    values = {Fraction(ftilde.terms.get(m, 0), b) for m, b in bounds.items()}
+    values = {Fraction(ftilde.ints.get(m, 0), b) for m, b in bounds.items()}
     if len(values) == 1:
         c = values.pop()
         if c == 0 or fold == 1 and c < 0:
@@ -305,17 +325,27 @@ def union_separating(witnesses: Sequence[Polynomial]) -> Polynomial:
     return out
 
 
-def rank_threshold(p: int, q: int, r: int, counter: StepCounter | None = None) -> ThresholdReport:
+def rank_threshold(
+    p: int,
+    q: int,
+    r: int,
+    counter: StepCounter | None = None,
+    *,
+    minors: Sequence[Polynomial] | None = None,
+) -> ThresholdReport:
     """Thresholds for the bounded-rank table hypothesis: both equal 2r.
 
     The SUB witness squares C(p, r) C(q, r) minors of r! terms each: one
-    step of `counter` per term product, drawn before any minor is built.
+    step of `counter` per term product, drawn before any minor is built
+    or squared.  `minors` are the generators of `rank_lt(p, q, r)` when
+    the caller has them already; otherwise they are built here.
     """
     if counter is not None:
         counter.tick(comb(p, r) * comb(q, r) * factorial(r) ** 2)
-    hyp = rank_lt(p, q, r)
+    if minors is None:
+        minors = rank_lt(p, q, r).generators
     # The NTUB witness is the square of the first minor.
-    sub_witness, ntub_witness = _sum_of_squares(hyp.k, hyp.generators)
+    sub_witness, ntub_witness = _sum_of_squares(minors[0].nvars, minors)
     return ThresholdReport(
         ntub_bound=2 * r,
         sub_bound=2 * r,
@@ -324,5 +354,5 @@ def rank_threshold(p: int, q: int, r: int, counter: StepCounter | None = None) -
         sub_witness=sub_witness,
         exactness=EXACT,
         theorem="bounded-rank threshold",
-        notes=(f"{len(hyp.generators)} squared {r}x{r} minors in the SUB witness",),
+        notes=(f"{len(minors)} squared {r}x{r} minors in the SUB witness",),
     )

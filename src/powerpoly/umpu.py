@@ -143,8 +143,8 @@ def coefficient_polytope(
 ) -> CoefficientPolytope:
     """H-representation of the feasible h-coefficients for f~^2 h + alpha.
 
-    f~^2 is packed once as (g / den) P with P a primitive integer
-    polynomial, so c_L = (g / den) P_L, where entry (L, J) of P_L is the
+    f~^2 is (g / den) P, its `scale` times its primitive integer map
+    `ints`, so c_L = (g / den) P_L, where entry (L, J) of P_L is the
     coefficient of x^(L - J) in P.  With alpha = p / q, the upper row
     c_L.h <= (1 - alpha) B_L times q den is the integer row
     q g P_L.h <= (q - p) den B_L, and the lower row likewise; one gcd
@@ -162,13 +162,13 @@ def coefficient_polytope(
         counter.tick(comb(n + k - 1, k - 1))
     nprime = n - 2 * f.total_degree()
     fsq = ftilde**2
-    packed, g, den = primitive_scaling(fsq.terms.values())
+    g, den = fsq.scale.numerator, fsq.scale.denominator
     h_index = tuple(_grevlex_desc(k, nprime))
     bounds = simplex_coefficients(k, n)
     # Scatter each term m of P from column J into row L = J + m.
     entries = {L: [0] * len(h_index) for L in bounds}
     for col, J in enumerate(h_index):
-        for m, c in zip(fsq.terms, packed):
+        for m, c in fsq.ints.items():
             entries[tuple(map(add, J, m))][col] = c
     p, q = alpha.numerator, alpha.denominator
     qg = q * g  # the factor of every row: q den c_L = q g P_L
@@ -196,7 +196,7 @@ def coefficient_polytope(
         alpha=alpha,
         nprime=nprime,
         h_index=h_index,
-        scale=Fraction(g, den),
+        scale=fsq.scale,
         multiindices=tuple(multiindices),
         a=tuple([sides[i][0] for i in order]),
         b=tuple([sides[i][1] for i in order]),

@@ -81,6 +81,39 @@ class TestGb:
         code, _ = run_cli(["gb", "--gens", "p1 + q9", "--vars", "p1,p2"])
         assert code == 1
 
+    # sha256 of stdout: negative and fractional leading coefficients, so a
+    # change to sign or content normalization shows in these bytes.
+    GB_OUTPUT = [
+        (["-2/3*p1^2 + p2", "-4*p1*p2 + 6/5*p2^2"], "p1,p2", "grlex",
+         "7276a9b4c0dd415e5fb91216616f583ceb871a534d467ac2ce55345c13ba36e7"),
+        (["-2/3*p1^2 + p2", "-4*p1*p2 + 6/5*p2^2"], "p1,p2", "grevlex",
+         "3ff9d39481c781f1570e3b19ae4ab892b726da66e6f5929fc89c6f06e121a31c"),
+        (["p1*p2-p3^2", "p1^2*p3 - 3/4*p2", "p1 - 2*p3 + 1/3"], "p1,p2,p3", "grlex",
+         "5098553fe5b9ac58dd32aac4d4317cdc7ed04032b9820eb8194e8fc5d5196ee1"),
+        (["p1*p2-p3^2", "p1^2*p3 - 3/4*p2", "p1 - 2*p3 + 1/3"], "p1,p2,p3", "grevlex",
+         "502360782857a1b0e259b67ef369654730e5ebac8dab7f6a07d7c81986d13409"),
+    ]
+
+    @pytest.mark.parametrize(
+        "gens, names, order, digest", GB_OUTPUT,
+        ids=["signs-grlex", "signs-grevlex", "mixed-grlex", "mixed-grevlex"],
+    )
+    def test_output_bytes(self, gens, names, order, digest):
+        args = ["gb", "--vars", names, "--order", order]
+        for g in gens:
+            args += ["--gens", g]
+        code, out = run_cli(args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_signs_and_contents_are_normalized(self):
+        code, out = run_cli(
+            ["gb", "--gens", "-2/3*p1^2 + p2", "--gens", "-4*p1*p2 + 6/5*p2^2",
+             "--vars", "p1,p2"]
+        )
+        assert code == 0
+        assert json.loads(out)["basis"] == ["p1*p2 - 3/10*p2^2", "p1^2 - 3/2*p2", "p2^3 - 50/3*p2^2"]
+
 
 @pytest.mark.parametrize("limit", ["0", "-1"])
 @pytest.mark.parametrize(
@@ -634,6 +667,24 @@ class TestThreshold:
             assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            ({"kind": "independence", "params": {"p": 3, "q": 4}},
+             "ccc317d2ef37955d2ed4fb586753d300a43efbf9abce882e554ed246c00d2c24"),
+            ({"kind": "sphere", "params": {"k": 8, "delta_sq": "1/8"}},
+             "e43ca4bf3c3e3e95ec24d22a603fdfa15790e8c6aaefef963cd8acffde16718c"),
+        ],
+        ids=["independence-3x4", "sphere-k8"],
+    )
+    def test_largest_witness_bytes(self, spec, digest, tmp_path):
+        # The two largest SUB witnesses of the benchmark's threshold pool.
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(spec))
+        code, out = run_cli(["threshold", "--hypothesis", str(path)])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "command, digest",
         [
             ("threshold", "acafb506c02af77240b7b6ffd701893081b25f4584021395c6d0e9d49648c6d0"),
@@ -648,6 +699,25 @@ class TestThreshold:
         code, out = run_cli([command, "--hypothesis", str(path)])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", ["threshold", "separating"])
+    def test_rank_lt_builds_its_minors_once(self, command, tmp_path, monkeypatch):
+        # The loaded hypothesis's minors are the ones squared.
+        from powerpoly import hypotheses, threshold
+
+        calls = []
+        real = hypotheses.rank_lt
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(hypotheses, "rank_lt", spy)
+        monkeypatch.setattr(threshold, "rank_lt", spy)
+        path = tmp_path / "rank.json"
+        path.write_text(json.dumps({"kind": "rank_lt", "params": {"p": 4, "q": 4, "r": 3}}))
+        assert run_cli([command, "--hypothesis", str(path)])[0] == 0
+        assert calls == [(4, 4, 3)]
 
     @pytest.mark.parametrize(
         "command, flags",
@@ -780,6 +850,27 @@ class TestUmpu:
              "--alpha", "0.05"]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "f, n, status, code, digest",
+        [
+            ("p1+p2-p3", "3", "exists", 0,
+             "cf580ae89b9b3f74e5530243fb3ac8a79391f4951e1e624311e811d7ee07220c"),
+            ("2*p1+p2-p3", "3", "not_exists", 2,
+             "81d2973738475402ff4d492310fb7bab2d1a8f9e24601ea14036a26835f99c60"),
+            ("p1^2 + p2^2 + p3^2 - 2/3*p1 - 2/3*p2 - 2/3*p3 + 1/6", "6", "candidate", 0,
+             "db8d2200eb8712c548ded2048ff95238a0bc7d2f60d8638eef262e85df635a73"),
+        ],
+        ids=["exists", "not_exists", "candidate"],
+    )
+    def test_output_bytes(self, f, n, status, code, digest):
+        # h_star, beta and the test of each verdict, byte for byte.
+        got, out = run_cli(
+            ["umpu", "--f", f, "--vars", "p1,p2,p3", "--n", n, "--alpha", "1/20"]
+        )
+        assert got == code
+        assert json.loads(out)["status"] == status
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestPolytopeExists:

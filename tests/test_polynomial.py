@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -713,6 +714,23 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match="is not an integer"):
             Polynomial.monomial(2, [0, bad])
 
+    @pytest.mark.parametrize("bad", [0.1, 0.5, 2.0, 0.0, True, False])
+    def test_float_and_bool_coefficients_rejected(self, bad):
+        # Fraction(0.1) is a binary approximation, and True would read as 1.
+        with pytest.raises(TypeError, match=rf"^coefficient {re.escape(repr(bad))} of"):
+            Polynomial(1, {(1,): bad})
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            Polynomial.constant(2, bad)
+        with pytest.raises(TypeError, match="is not an int or a Fraction"):
+            Polynomial.monomial(2, [1, 0], bad)
+
+    def test_rational_coefficients_of_other_types_become_fractions(self):
+        import numpy as np
+
+        p = Polynomial(2, {(1, 0): np.int64(4), (0, 1): Fraction(-2, 3)})
+        assert p.terms == {(1, 0): 4, (0, 1): Fraction(-2, 3)}
+        assert (p.ints, p.scale) == ({(1, 0): 6, (0, 1): -1}, Fraction(2, 3))
+
     def test_integral_exponents_of_other_types_become_ints(self):
         import numpy as np
 
@@ -778,6 +796,72 @@ class TestNormalisedResults:
             r,
         ]:
             _assert_normalised(result)
+
+
+def _assert_canonical(p):
+    """p is scale * ints with ints primitive, scale > 0 (0 for zero), and
+    equals, with the same hash, the polynomial rebuilt from its terms."""
+    assert all(type(c) is int and c for c in p.ints.values())
+    assert type(p.scale) is Fraction
+    if p.ints:
+        assert p.scale > 0 and math.gcd(*p.ints.values()) == 1
+    else:
+        assert p.scale == 0
+    assert p.terms == {m: p.scale * c for m, c in p.ints.items()}
+    assert list(p.terms) == list(p.ints)
+    rebuilt = Polynomial(p.nvars, p.terms)
+    assert p == rebuilt
+    assert hash(p) == hash(rebuilt)
+    assert (rebuilt.ints, rebuilt.scale) == (p.ints, p.scale)
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_result_is_canonical(self, seed):
+        polys = _random_polynomials(seed)
+        for p in polys:
+            results = [p, -p, p * Fraction(-2, 3), p * -6, Fraction(-1, 4) * p, p.monic()]
+            if p.nvars > 0:
+                results += [p.derivative(0), p.substitute_last()]
+            results.append(p.homogenize(max(p.total_degree(), 0) + 1))
+            for q in polys:
+                if q.nvars == p.nvars:
+                    results += [p + q, p - q, p * q]
+                    if q:
+                        quotients, remainder = reduce(p, [q, -q * Fraction(3, 7)])
+                        results += [*quotients, remainder]
+            for r in results:
+                _assert_canonical(r)
+
+    def test_monic_with_a_negative_leading_coefficient(self):
+        p = P("-2/3*p1^2 + 4*p2 - 6/5")
+        m = p.monic()
+        _assert_canonical(m)
+        assert m == P("p1^2 - 6*p2 + 9/5")
+        assert m.leading_coefficient() == 1
+        assert (m.ints, m.scale) == ({(2, 0, 0): 5, (0, 1, 0): -30, (0, 0, 0): 9}, Fraction(1, 5))
+
+    def test_negative_quotient_ratios_are_folded_into_the_signs(self):
+        # The quotient by -4*p3 + 1 is negative; its scale stays positive.
+        f = P("1/2*p2^3 + 2*p2^2 + p1 + 5*p3 - 1")
+        basis = [P("3*p1 - 2*p3 + 1"), P("-4*p3 + 1")]
+        q, r = reduce(f, basis, MonomialOrder.GRLEX)
+        for x in (*q, r):
+            _assert_canonical(x)
+        assert q[1].ints == {(0, 0, 0): -1} and q[1].scale == Fraction(17, 12)
+
+    def test_zero_is_one_value(self):
+        x = Polynomial.variable(2, 0)
+        for zero in (x - x, x * 0, Polynomial.zero(2), Polynomial(2, {(1, 0): 0}), P("0", ["p1", "p2"])):
+            _assert_canonical(zero)
+            assert zero == Polynomial.zero(2) and hash(zero) == hash(Polynomial.zero(2))
+            assert (zero.ints, zero.scale) == ({}, 0)
+
+    def test_terms_is_a_read_only_view(self):
+        p = P("1/2*p1 - p2")
+        with pytest.raises(TypeError):
+            p.terms[(1, 0, 0)] = Fraction(1)
+        assert p.terms is p.terms
 
 
 class TestDerivative:

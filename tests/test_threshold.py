@@ -621,6 +621,19 @@ class TestUnionAndRank:
         assert counter.steps == sum(len(g.terms) ** 2 for g in minors)
         assert rep == rank_threshold(*pqr)
 
+    @pytest.mark.parametrize("pqr", [(2, 3, 2), (3, 4, 3), (4, 4, 3)])
+    def test_rank_threshold_reads_given_minors(self, pqr, monkeypatch):
+        minors = build_hypothesis({"kind": "rank_lt", "params": dict(zip("pqr", pqr))}).generators
+        built, given_ = StepCounter(), StepCounter()
+        want = rank_threshold(*pqr, counter=built)
+
+        def refuse(*args):
+            raise AssertionError("minors built again")
+
+        monkeypatch.setattr(threshold, "rank_lt", refuse)
+        assert rank_threshold(*pqr, counter=given_, minors=minors) == want
+        assert given_.steps == built.steps
+
     def test_rank_threshold_refuses_before_squaring(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("squared past the budget")
