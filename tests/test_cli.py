@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -29,6 +30,15 @@ def run_cli(args, tmp_path=None):
     with contextlib.redirect_stdout(buf):
         code = main(args)
     return code, buf.getvalue()
+
+
+def assert_artifact(argv, code, digest, tmp_path):
+    """stdout has the pinned sha256 and exit code, and `--out` writes the same bytes."""
+    got, out = run_cli(argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+    path = tmp_path / "artifact"
+    assert run_cli(argv + ["--out", str(path)]) == (code, "")
+    assert path.read_bytes() == out.encode()
 
 
 @pytest.fixture
@@ -98,13 +108,11 @@ class TestGb:
         "gens, names, order, digest", GB_OUTPUT,
         ids=["signs-grlex", "signs-grevlex", "mixed-grlex", "mixed-grevlex"],
     )
-    def test_output_bytes(self, gens, names, order, digest):
+    def test_output_bytes(self, gens, names, order, digest, tmp_path):
         args = ["gb", "--vars", names, "--order", order]
         for g in gens:
             args += ["--gens", g]
-        code, out = run_cli(args)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert_artifact(args, 0, digest, tmp_path)
 
     def test_signs_and_contents_are_normalized(self):
         code, out = run_cli(
@@ -384,6 +392,40 @@ def test_test_function_missing_vector_is_named_after_validation(tmp_path, capsys
     assert capsys.readouterr().err == "error: (3, 0) is not a count vector for n=2, k=2\n"
 
 
+# (n, k, entries, message) of tests that no constructor may build; the
+# first bad entry in input order is the one named.
+NOT_A_COUNT_VECTOR = "{} is not a count vector for n=2, k=2"
+BAD_TESTS = [
+    pytest.param(2, 2, [([2, 0], "1"), ([1, 0, 1], "0"), ([0, 2], "0")],
+                 NOT_A_COUNT_VECTOR.format((1, 0, 1)), id="wrong-length"),
+    pytest.param(2, 2, [([2, 0], "1"), ([3, -1], "0"), ([0, 2], "0")],
+                 NOT_A_COUNT_VECTOR.format((3, -1)), id="negative-count"),
+    pytest.param(2, 2, [([2, 0], "1"), ([1, 0], "0"), ([0, 2], "0")],
+                 NOT_A_COUNT_VECTOR.format((1, 0)), id="wrong-sum"),
+    pytest.param(2, 2, [([2, 0], "1"), ([1, 1], "-1/2"), ([0, 2], "0")],
+                 "phi((1, 1)) = -1/2 outside [0, 1]", id="phi-below-0"),
+    pytest.param(2, 2, [([2, 0], "1"), ([1, 1], "3/2"), ([0, 2], "0")],
+                 "phi((1, 1)) = 3/2 outside [0, 1]", id="phi-above-1"),
+    pytest.param(0, 2, [([0, 0], "1")], "need n >= 1 and k >= 2", id="n0"),
+    pytest.param(2, 1, [([2], "1")], "need n >= 1 and k >= 2", id="k1"),
+    pytest.param(2, 2, [([2, 0], "2"), ([1, 0], "0"), ([0, 2], "0")],
+                 "phi((2, 0)) = 2 outside [0, 1]", id="phi-then-count"),
+    pytest.param(2, 2, [([2, 0], "1"), ([1, 0], "2"), ([0, 2], "-1")],
+                 NOT_A_COUNT_VECTOR.format((1, 0)), id="count-then-phi"),
+]
+
+
+@pytest.mark.parametrize("n, k, entries, message", BAD_TESTS)
+def test_constructor_and_reader_refuse_alike(n, k, entries, message, tmp_path, capsys):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TestFunction(n, k, {tuple(x): F(phi) for x, phi in entries})
+    path = tmp_path / "phi.json"
+    values = [{"x": x, "phi": phi} for x, phi in entries]
+    path.write_text(json.dumps({"n": n, "k": k, "values": values}))
+    assert run_cli(["power-grid", "--test", str(path), "--res", "3"]) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_commands_dispatch_through_the_module_binding(monkeypatch, tmp_path):
     # The parser is built once per process; a wrapper installed on the
     # module after the first call, as a tracer installs one, must be the
@@ -448,6 +490,65 @@ def test_unwritable_out_is_an_error(tmp_path, capsys):
     code, stdout = run_cli(["gb", "--gens", "p1", "--vars", "p1", "--out", str(out)])
     assert (code, stdout) == (1, "")
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+# The files the artifact pins read, by the placeholder their argv names.
+ARTIFACT_INPUTS = {
+    "INDEP22": {"kind": "independence", "params": {"p": 2, "q": 2}},
+    "SPHERE": {"kind": "sphere", "params": {"k": 3, "delta_sq": "1/6"}},
+    "WIDE": {"kind": "polytope",
+             "params": {"A": [["-1", "0"], ["0", "-1"]], "b": ["-3/4", "-3/4"], "k": 3}},
+    "NARROW": {"kind": "polytope",
+               "params": {"A": [["-1", "0"], ["0", "-1"]], "b": ["-1/4", "-1/4"], "k": 3}},
+    "PHI": {"n": 2, "k": 3, "values": [
+        {"x": [2, 0, 0], "phi": "1"}, {"x": [1, 1, 0], "phi": "1/2"},
+        {"x": [1, 0, 1], "phi": "0"}, {"x": [0, 2, 0], "phi": "1/3"},
+        {"x": [0, 1, 1], "phi": "0"}, {"x": [0, 0, 2], "phi": "1"}]},
+}
+
+# (argv, exit code, sha256 of the artifact) of every artifact-writing
+# command but gb and umpu, whose pins sit in their own classes.
+ARTIFACTS = [
+    pytest.param(["threshold", "--hypothesis", "INDEP22"], 0,
+                 "2324a8b7369be52ec08555887776973c8f74ea7b1bbcef83c35863f20d0e721a",
+                 id="threshold-independence-2x2"),
+    pytest.param(["separating", "--hypothesis", "SPHERE"], 0,
+                 "8ab9ef2580b1a300e6b6f22e9deb054d1cb734c38bbb4db0fa4252604a62b2a0",
+                 id="separating-sphere"),
+    pytest.param(["separating", "--hypothesis", "WIDE"], 0,
+                 "cd83613b5b7785d906b7901e391cd177e79a965a2ae9c41668e072ed11ec64ec",
+                 id="separating-polytope"),
+    pytest.param(["coeff-polytope", "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3",
+                  "--alpha", "1/20", "--enumerate"], 0,
+                 "d39f05891d1d77f75acee89d2eea1a41cbc2d5c423f1a2c6402ace602c4120b5",
+                 id="coeff-polytope-enumerate"),
+    pytest.param(["polytope-exists", "--hypothesis", "WIDE"], 0,
+                 "ccf847738ab07db8182b3035c34aa8953d557ee9b083dce6f1386758250ec750",
+                 id="polytope-exists-exists"),
+    pytest.param(["polytope-exists", "--hypothesis", "NARROW"], 2,
+                 "e7d577fa368463d5e75990f4c0c14767ae699e60752918339eb7665b84b3aac3",
+                 id="polytope-exists-not-exists"),
+    pytest.param(["recover-test", "--beta", "p1^3 + 3*p1*p2*p3 + p3^3", "--vars", "p1,p2,p3",
+                  "--n", "3"], 0,
+                 "1f73958cff96d26a3efaa513e5c26afde036edc9e053f83df0cda1efa0e54d00",
+                 id="recover-test"),
+    pytest.param(["mc-validate", "--test", "PHI", "--pi", "1/2,1/3,1/6", "--reps", "1000",
+                  "--seed", "7"], 0,
+                 "2046fc93242966c507a3a3e5d5057671efbe0b981c1b1f3668f505bf249f1d95",
+                 id="mc-validate"),
+    pytest.param(["power-grid", "--test", "PHI", "--res", "4"], 0,
+                 "4bda4fc10886b40a20e2de5bc3992f18703c9f17f677a7d3dc4bc05bd541fa79",
+                 id="power-grid"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", ARTIFACTS)
+def test_artifact_bytes(argv, code, digest, tmp_path):
+    paths = {}
+    for name, payload in ARTIFACT_INPUTS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    assert_artifact([str(paths.get(a, a)) for a in argv], code, digest, tmp_path)
 
 
 # Every option of every subcommand, with its default, from a minimal argv.
@@ -852,25 +953,25 @@ class TestUmpu:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "f, n, status, code, digest",
+        "f, n, flags, status, code, digest",
         [
-            ("p1+p2-p3", "3", "exists", 0,
+            ("p1+p2-p3", "3", [], "exists", 0,
              "cf580ae89b9b3f74e5530243fb3ac8a79391f4951e1e624311e811d7ee07220c"),
-            ("2*p1+p2-p3", "3", "not_exists", 2,
+            ("2*p1+p2-p3", "3", [], "not_exists", 2,
              "81d2973738475402ff4d492310fb7bab2d1a8f9e24601ea14036a26835f99c60"),
-            ("p1^2 + p2^2 + p3^2 - 2/3*p1 - 2/3*p2 - 2/3*p3 + 1/6", "6", "candidate", 0,
+            ("p1^2 + p2^2 + p3^2 - 2/3*p1 - 2/3*p2 - 2/3*p3 + 1/6", "6", [], "candidate", 0,
              "db8d2200eb8712c548ded2048ff95238a0bc7d2f60d8638eef262e85df635a73"),
+            ("p1+p2-p3", "3", ["--emit-vertices"], "exists", 0,
+             "aa07aba9e7448931d306f53a653076512ef0b49bef0e8c25d6e31a07b3abc576"),
         ],
-        ids=["exists", "not_exists", "candidate"],
+        ids=["exists", "not_exists", "candidate", "exists-vertices"],
     )
-    def test_output_bytes(self, f, n, status, code, digest):
-        # h_star, beta and the test of each verdict, byte for byte.
-        got, out = run_cli(
-            ["umpu", "--f", f, "--vars", "p1,p2,p3", "--n", n, "--alpha", "1/20"]
-        )
-        assert got == code
-        assert json.loads(out)["status"] == status
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    def test_output_bytes(self, f, n, flags, status, code, digest, tmp_path):
+        # h_star, beta and the test of each verdict, byte for byte, on
+        # stdout and in the --out file.
+        argv = ["umpu", "--f", f, "--vars", "p1,p2,p3", "--n", n, "--alpha", "1/20", *flags]
+        assert json.loads(run_cli(argv)[1])["status"] == status
+        assert_artifact(argv, code, digest, tmp_path)
 
 
 class TestPolytopeExists:
