@@ -1,8 +1,12 @@
 """Batch command-line front end.
 
-Subcommands: gb, threshold, separating, umpu, polytope-exists,
-power-grid, recover-test, mc-validate.  JSON artifacts are versioned and
-deterministic; exit codes separate mathematical verdicts from failures:
+Subcommands: gb, threshold, separating, umpu, coeff-polytope,
+polytope-exists, power-grid, recover-test, mc-validate.  Each command
+returns its artifact and its exit code, and `main` alone writes the
+artifact, to stdout or `--out`: a dict as JSON stamped with
+`schema_version`, or `power-grid`'s CSV text as it is.  JSON artifacts
+are deterministic; exit codes separate mathematical verdicts from
+failures:
 
     0  success
     1  error (bad input, violated precondition, usage error)
@@ -27,12 +31,18 @@ from powerpoly.groebner import (
 )
 from powerpoly.hypotheses import (
     NullHypothesis,
-    _exact,
     _integer,
+    _list,
     build_hypothesis,
     polytope_existence,
 )
-from powerpoly.parser import format_polynomial, format_rational, parse_polynomial, parse_rational
+from powerpoly.parser import (
+    exact_rational,
+    format_polynomial,
+    format_rational,
+    parse_polynomial,
+    parse_rational,
+)
 from powerpoly.polynomial import MonomialOrder, Polynomial, simplex_coefficients
 from powerpoly.power import (
     PowerPolynomial,
@@ -55,10 +65,6 @@ EXIT_STEP_LIMIT = 3
 
 class CliError(Exception):
     pass
-
-
-def _emit(payload: dict, out_path: str | None):
-    _write(json.dumps(payload, indent=2) + "\n", out_path)
 
 
 def _write(text: str, out_path: str | None):
@@ -105,11 +111,9 @@ def _parse_test_json(payload: dict) -> TestFunction:
     """The test a test-function JSON names, read in one pass.
 
     Each entry's count vector is converted once and each distinct phi
-    text once, into one slot of exact values; then checks over the whole
-    lists (lengths, sums and least entries of the count vectors, the
-    least and largest phi) run in C, and the test is built on its
-    numerators.  When a check fails, the parsed entries go through
-    `TestFunction`, which words the refusal for the first bad entry.
+    text once, into one slot of exact values; `power._support`, the check
+    `TestFunction` runs too, then checks the entries and scales them to
+    one denominator, and the test is built on its numerators.
     """
     slot_of: dict[str, int] = {}
     exact: list[Fraction] = []
@@ -117,35 +121,24 @@ def _parse_test_json(payload: dict) -> TestFunction:
     try:
         n, k = _integer(payload["n"]), _integer(payload["k"])
         ints = (int,) * k
-        for entry in payload["values"]:
-            x = entry["x"]
+        for entry in _list(payload["values"], "values"):
+            x = _list(entry["x"], "x")
             x = tuple(x) if tuple(map(type, x)) == ints else tuple(_integer(v) for v in x)
             if x in slots:
                 raise CliError(f"malformed test-function JSON: count vector {list(x)} listed twice")
             # Only strings are cached: True == 1 == 1.0 share a hash, and
-            # `_exact` accepts the int but refuses the bool and the float.
+            # `exact_rational` accepts the int but refuses the bool and the float.
             value = entry["phi"]
             slot = slot_of.get(value) if type(value) is str else None
             if slot is None:
                 slot = len(exact)
-                exact.append(_exact(value))
+                exact.append(exact_rational(value))
                 if type(value) is str:
                     slot_of[value] = slot
             slots[x] = slot
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(f"malformed test-function JSON: {exc}") from exc
-    if (
-        n >= 1
-        and k >= 2
-        and set(map(len, slots)) <= {k}
-        and set(map(sum, slots)) <= {n}
-        and min(map(min, slots), default=0) >= 0
-        and 0 <= min(exact, default=0)
-        and max(exact, default=0) <= 1
-    ):
-        test = TestFunction._of(n, k, *_support(slots, exact))
-    else:
-        test = TestFunction(n, k, {x: exact[s] for x, s in slots.items()})
+    test = TestFunction._of(n, k, *_support(n, k, slots, exact))
     # Its entries are distinct count vectors now, so a short list leaves one out.
     if len(slots) < comb(n + k - 1, k - 1):
         missing = next(x for x in _lazy_count_vectors(n, k) if x not in slots)
@@ -175,21 +168,16 @@ def test_to_json(phi: TestFunction) -> dict:
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_gb(args) -> int:
+def cmd_gb(args) -> tuple[dict, int]:
     names = _names(args.vars)
     gens = [parse_polynomial(text, names) for text in args.gens]
     gb = buchberger_reduced(gens, MonomialOrder(args.order), args.counter)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "order": gb.order.value,
-            "vars": names,
-            "basis": [format_polynomial(g, names, gb.order) for g in gb.elements],
-            "degrees": [g.total_degree() for g in gb.elements],
-        },
-        args.out,
-    )
-    return EXIT_OK
+    return {
+        "order": gb.order.value,
+        "vars": names,
+        "basis": [format_polynomial(g, names, gb.order) for g in gb.elements],
+        "degrees": [g.total_degree() for g in gb.elements],
+    }, EXIT_OK
 
 
 def _threshold_payload(hyp: NullHypothesis, args) -> dict:
@@ -207,7 +195,6 @@ def _threshold_payload(hyp: NullHypothesis, args) -> dict:
         report = sos_bounds(gb, hypothesis=hyp, counter=args.counter)
         witness_names = names
     return {
-        "schema_version": SCHEMA_VERSION,
         "family": hyp.family,
         "ntub_bound": report.ntub_bound,
         "sub_bound": report.sub_bound,
@@ -220,42 +207,35 @@ def _threshold_payload(hyp: NullHypothesis, args) -> dict:
     }
 
 
-def cmd_threshold(args) -> int:
-    hyp = _load_hypothesis(args.hypothesis)
-    _emit(_threshold_payload(hyp, args), args.out)
-    return EXIT_OK
+def cmd_threshold(args) -> tuple[dict, int]:
+    return _threshold_payload(_load_hypothesis(args.hypothesis), args), EXIT_OK
 
 
-def cmd_separating(args) -> int:
+def cmd_separating(args) -> tuple[dict, int]:
     hyp = _load_hypothesis(args.hypothesis)
     if hyp.family == "polytope":
         return _polytope_verdict(hyp, args, kind="SUB")
     payload = _threshold_payload(hyp, args)
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "family": payload["family"],
-            "ntub_separating": payload["ntub_witness"],
-            "sub_separating": payload["sub_witness"],
-            "ntub_degree": payload["ntub_bound"],
-            "sub_degree": payload["sub_bound"],
-        },
-        args.out,
-    )
-    return EXIT_OK
+    return {
+        "family": payload["family"],
+        "ntub_separating": payload["ntub_witness"],
+        "sub_separating": payload["sub_witness"],
+        "ntub_degree": payload["ntub_bound"],
+        "sub_degree": payload["sub_bound"],
+    }, EXIT_OK
 
 
-def cmd_polytope_exists(args) -> int:
+def cmd_polytope_exists(args) -> tuple[dict, int]:
     hyp = _load_hypothesis(args.hypothesis)
     if hyp.family != "polytope":
         raise CliError("polytope-exists requires a polytope hypothesis")
     return _polytope_verdict(hyp, args)
 
 
-def _polytope_verdict(hyp: NullHypothesis, args, kind: str | None = None) -> int:
-    """Emit a polytope hypothesis's existence verdict; `kind` labels a separating polynomial."""
+def _polytope_verdict(hyp: NullHypothesis, args, kind: str | None = None) -> tuple[dict, int]:
+    """A polytope hypothesis's existence verdict; `kind` labels a separating polynomial."""
     verdict = polytope_existence(hyp.polytope_a, hyp.polytope_b, hyp.k, args.counter)
-    payload = {"schema_version": SCHEMA_VERSION, "exists": verdict.exists}
+    payload = {"exists": verdict.exists}
     if verdict.exists:
         payload["separating"] = format_polynomial(verdict.witness, list(hyp.names[: hyp.k - 1]))
         if kind:
@@ -263,8 +243,7 @@ def _polytope_verdict(hyp: NullHypothesis, args, kind: str | None = None) -> int
     else:
         payload["failing_pair"] = list(verdict.failing_pair)
         payload["witness_point"] = _point(verdict.witness_point)
-    _emit(payload, args.out)
-    return EXIT_OK if verdict.exists else EXIT_NOT_EXISTS
+    return payload, EXIT_OK if verdict.exists else EXIT_NOT_EXISTS
 
 
 def _principal(args) -> tuple[list[str], Polynomial, Fraction]:
@@ -273,11 +252,10 @@ def _principal(args) -> tuple[list[str], Polynomial, Fraction]:
     return names, parse_polynomial(args.f, names), parse_rational(args.alpha)
 
 
-def cmd_umpu(args) -> int:
+def cmd_umpu(args) -> tuple[dict, int]:
     names, f, alpha = _principal(args)
     verdict = umpu_search(f, args.n, alpha, args.counter)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "status": verdict.status,
         "alpha": format_rational(alpha),
         "n": args.n,
@@ -293,16 +271,14 @@ def cmd_umpu(args) -> int:
         payload["certificate"] = [_point(p) for p in verdict.certificate]
     if args.emit_vertices:
         payload["vertices"] = [_point(v) for v in verdict.c_vertices]
-    _emit(payload, args.out)
-    return EXIT_OK if verdict.status != NOT_EXISTS else EXIT_NOT_EXISTS
+    return payload, EXIT_OK if verdict.status != NOT_EXISTS else EXIT_NOT_EXISTS
 
 
-def cmd_polytope(args) -> int:
+def cmd_polytope(args) -> tuple[dict, int]:
     _, f, alpha = _principal(args)
     poly = coefficient_polytope(f, args.n, alpha, args.counter)
     zero = (0,) * poly.dim
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "dim": poly.dim,
         "h_index": [list(j) for j in poly.h_index],
         "rows": [
@@ -320,11 +296,10 @@ def cmd_polytope(args) -> int:
         poly = enumerate_vertices(poly, args.counter)
         payload["vertices"] = [_point(v) for v in poly.vertices]
         payload["vertex_count"] = len(poly.vertices)
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def cmd_power_grid(args) -> int:
+def cmd_power_grid(args) -> tuple[str, int]:
     phi = _parse_test_json(_load_json(args.test))
     res = args.res
     if res < 2:
@@ -348,8 +323,7 @@ def cmd_power_grid(args) -> int:
     lines = [header]
     for cell, value in zip(cells, _grid_values(phi, cells, axis, rest)):
         lines.append(",".join([coords[i] for i in cell] + [repr(value)]))
-    _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def _cell_count(res: int, dims: int, limit: int) -> int:
@@ -403,22 +377,19 @@ def _grid_values(phi: TestFunction, cells, axis, rest) -> list[float]:
     return total.tolist()
 
 
-def cmd_recover_test(args) -> int:
+def cmd_recover_test(args) -> tuple[dict, int]:
     names = _names(args.vars)
     beta = parse_polynomial(args.beta, names)
-    phi = recover_test(PowerPolynomial(args.n, len(names), beta))
-    _emit(test_to_json(phi), args.out)
-    return EXIT_OK
+    return test_to_json(recover_test(PowerPolynomial(args.n, len(names), beta))), EXIT_OK
 
 
-def cmd_mc_validate(args) -> int:
+def cmd_mc_validate(args) -> tuple[dict, int]:
     phi = _parse_test_json(_load_json(args.test))
     point = [parse_rational(v) for v in args.pi.split(",")]
     est = monte_carlo_power(phi, [float(v) for v in point], args.reps, args.seed)
     exact = exact_power(phi, point)
     diff = abs(est.estimate - float(exact))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
+    return {
         "estimate": est.estimate,
         "std_error": est.std_error,
         "reps": est.reps,
@@ -427,9 +398,7 @@ def cmd_mc_validate(args) -> int:
         "exact_float": float(exact),
         "abs_diff": diff,
         "within_4_se": bool(diff <= 4 * est.std_error + 1e-12),
-    }
-    _emit(payload, args.out)
-    return EXIT_OK
+    }, EXIT_OK
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -531,7 +500,11 @@ def main(argv=None) -> int:
         args.counter = None if limit is None else StepCounter(limit)
         # The parser is built once, so its `func` is the command as first
         # bound; calling the module's binding now honours a later rebinding.
-        return globals()[args.func.__name__](args)
+        artifact, code = globals()[args.func.__name__](args)
+        if isinstance(artifact, dict):
+            artifact = json.dumps({"schema_version": SCHEMA_VERSION, **artifact}, indent=2) + "\n"
+        _write(artifact, args.out)
+        return code
     except StepLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STEP_LIMIT

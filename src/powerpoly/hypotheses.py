@@ -28,7 +28,7 @@ from typing import Sequence
 from powerpoly.groebner import StepCounter
 from powerpoly.linalg import primitive_scaling
 from powerpoly.linprog import solve_lp
-from powerpoly.parser import parse_polynomial, parse_rational
+from powerpoly.parser import exact_rational, parse_polynomial
 from powerpoly.polynomial import Polynomial, default_names, table_names
 from powerpoly.polytope import enumerate_vertices_dd, facet_rows, vertex_faces, vertex_keys
 
@@ -125,12 +125,12 @@ def sphere(k: int, delta=None, delta_sq=None) -> NullHypothesis:
     if (delta is None) == (delta_sq is None):
         raise ValueError("give exactly one of delta, delta_sq")
     if delta is not None:
-        d = Fraction(delta)
+        d = exact_rational(delta)
         if d <= 0:
             raise ValueError("delta must be positive")
         dsq = d * d
     else:
-        dsq = Fraction(delta_sq)
+        dsq = exact_rational(delta_sq)
         if dsq <= 0:
             raise ValueError("delta_sq must be positive")
     limit = (1 - Fraction(1, k)) ** 2
@@ -180,8 +180,8 @@ def motzkin() -> NullHypothesis:
 
 def affine(c_rows: Sequence[Sequence], d: Sequence, k: int) -> NullHypothesis:
     """Affine constraints c_i . pi = d_i on the simplex (ambient coordinates)."""
-    rows = [[Fraction(v) for v in row] for row in c_rows]
-    rhs = [Fraction(v) for v in d]
+    rows = [[exact_rational(v) for v in row] for row in c_rows]
+    rhs = [exact_rational(v) for v in d]
     if len(rows) != len(rhs) or any(len(r) != k for r in rows):
         raise ValueError("affine constraint dimensions do not match k")
     if not rows:
@@ -206,8 +206,8 @@ def affine(c_rows: Sequence[Sequence], d: Sequence, k: int) -> NullHypothesis:
 
 def polytope_hypothesis(a_rows: Sequence[Sequence], b: Sequence, k: int) -> NullHypothesis:
     """P0 = {pi in projected simplex : A pi >= b}; rows in k-1 coordinates."""
-    rows = tuple(tuple(Fraction(v) for v in row) for row in a_rows)
-    rhs = tuple(Fraction(v) for v in b)
+    rows = tuple(tuple(exact_rational(v) for v in row) for row in a_rows)
+    rhs = tuple(exact_rational(v) for v in b)
     if len(rows) != len(rhs) or any(len(r) != k - 1 for r in rows):
         raise ValueError("polytope rows must have k-1 columns")
     return NullHypothesis(
@@ -227,15 +227,13 @@ def log_odds(a: Sequence, c, k: int) -> NullHypothesis:
     coefficient no non-trivial unbiased test exists, so there is nothing
     to compute.
     """
-    coeffs = []
-    for v in a:
-        if isinstance(v, float):
-            raise ValueError(
-                "log-odds coefficients must be exact rationals; irrational "
-                "coefficient vectors admit no non-trivial unbiased test"
-            )
-        coeffs.append(Fraction(v))
-    target = Fraction(c)
+    try:
+        coeffs = [exact_rational(v) for v in a]
+    except ValueError as exc:
+        raise ValueError(
+            f"{exc}; irrational log-odds coefficients admit no non-trivial unbiased test"
+        ) from exc
+    target = exact_rational(c)
     binom = log_odds_to_binomial(coeffs, target, k)
     return NullHypothesis(
         k=k,
@@ -268,20 +266,14 @@ def custom(generators: Sequence[Polynomial], k: int, names=None, substituted=Fal
     )
 
 
-def _exact(value) -> Fraction:
-    """Exact rational from JSON payloads; floats are refused."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"expected an exact rational (p/q string), got {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return parse_rational(str(value))
-
-
 def _integer(value) -> int:
-    """Integer from JSON payloads; floats and booleans are refused, not truncated."""
-    if isinstance(value, (bool, float)):
+    """Integer from JSON payloads: only a JSON integer.
+
+    A float or a bool is refused, not truncated, and a string, not parsed.
+    """
+    if type(value) is not int:
         raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 def _boolean(value) -> bool:
@@ -298,6 +290,18 @@ def _strings(value, name: str) -> list[str]:
     return value
 
 
+def _list(value, name: str) -> list:
+    """List from JSON payloads; a string is refused, not read one character at a time."""
+    if type(value) is not list:
+        raise ValueError(f"expected {name} as a list, got {value!r}")
+    return value
+
+
+def _rows(value, name: str) -> list[list]:
+    """List of lists from JSON payloads: a matrix given by its rows."""
+    return [_list(row, f"each row of {name}") for row in _list(value, name)]
+
+
 def build_hypothesis(spec: dict) -> NullHypothesis:
     """Construct from the JSON form {"kind": ..., "params": {...}}."""
     kind = spec.get("kind")
@@ -307,34 +311,22 @@ def build_hypothesis(spec: dict) -> NullHypothesis:
     if kind == "rank_lt":
         return rank_lt(_integer(params["p"]), _integer(params["q"]), _integer(params["r"]))
     if kind == "sphere":
-        delta = params.get("delta")
-        delta_sq = params.get("delta_sq")
         return sphere(
-            _integer(params["k"]),
-            delta=None if delta is None else _exact(delta),
-            delta_sq=None if delta_sq is None else _exact(delta_sq),
+            _integer(params["k"]), delta=params.get("delta"), delta_sq=params.get("delta_sq")
         )
     if kind == "symmetry":
         return symmetry(_integer(params["p"]))
     if kind == "motzkin":
         return motzkin()
+    # The builders read every rational through `parser.exact_rational`.
     if kind == "affine":
-        rows = [[_exact(v) for v in row] for row in params["C"]]
-        rhs = [_exact(v) for v in params["d"]]
-        return affine(rows, rhs, _integer(params["k"]))
+        return affine(_rows(params["C"], "C"), _list(params["d"], "d"), _integer(params["k"]))
     if kind == "polytope":
-        rows = [[_exact(v) for v in row] for row in params["A"]]
-        rhs = [_exact(v) for v in params["b"]]
-        return polytope_hypothesis(rows, rhs, _integer(params["k"]))
+        return polytope_hypothesis(
+            _rows(params["A"], "A"), _list(params["b"], "b"), _integer(params["k"])
+        )
     if kind == "logodds":
-        try:
-            coeffs = [_exact(v) for v in params["a"]]
-        except ValueError as exc:
-            raise ValueError(
-                f"{exc}; irrational log-odds coefficients admit no "
-                "non-trivial unbiased test"
-            ) from exc
-        return log_odds(coeffs, _exact(params["c"]), _integer(params["k"]))
+        return log_odds(_list(params["a"], "a"), params["c"], _integer(params["k"]))
     if kind == "custom":
         k = _integer(params["k"])
         substituted = _boolean(params.get("substituted", False))

@@ -65,6 +65,19 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not an exact rational: {text!r}") from exc
 
 
+def exact_rational(value) -> Fraction:
+    """The package's one exact reader: an int, a Fraction or a p/q string.
+
+    Bools and floats are refused (a float such as 0.1 is not the rational
+    it reads as), and a string goes through `parse_rational`.
+    """
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"expected an exact rational (p/q string), got {value!r}")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    return parse_rational(str(value))
+
+
 def parse_polynomial(text: str, names: Sequence[str]) -> Polynomial:
     """Parse `text` over the given ordered variable names."""
     index = {name: i for i, name in enumerate(names)}

@@ -484,7 +484,7 @@ class Polynomial:
         return sorted(self.ints, key=Packing(self.nvars, order, self.total_degree()).sort_key)
 
     def sorted_terms(self, order: MonomialOrder = DEFAULT_ORDER):
-        """Terms in descending monomial order (canonical storage order)."""
+        """Terms in descending monomial order under `order`, whatever order they are stored in."""
         terms = self.terms
         return [(m, terms[m]) for m in self.sorted_monomials(order)]
 

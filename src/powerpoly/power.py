@@ -38,6 +38,7 @@ from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from powerpoly.parser import exact_rational
 from powerpoly.polynomial import Polynomial, _exponent, simplex_coefficients
 
 
@@ -52,12 +53,34 @@ def require_test_size(n: int, k: int):
         raise ValueError("need n >= 1 and k >= 2")
 
 
-def _support(slots: Mapping[tuple[int, ...], int], exact: Sequence[Fraction]) -> tuple[dict, int]:
-    """(nums, den) of the test with phi(x) = exact[slots[x]].
+def _support(
+    n: int, k: int, slots: Mapping[tuple[int, ...], int], exact: Sequence[Fraction]
+) -> tuple[dict, int]:
+    """(nums, den) of the test of size n over k categories with phi(x) = exact[slots[x]].
 
-    Each distinct value is scaled to the least common denominator once;
-    `nums` keeps the count vectors with phi > 0, in descending lex order.
+    The one check of a test's entries, which `TestFunction` and the CLI's
+    JSON reader share: the size, then every x a count vector (k entries,
+    none negative, summing to n) and every phi in [0, 1], each over the
+    whole list at once.  Only when a check fails are the entries walked,
+    in order, to name the first bad one.  Each distinct value is then
+    scaled to the least common denominator once; `nums` keeps the count
+    vectors with phi > 0, in descending lex order.
     """
+    require_test_size(n, k)
+    # Each check reads its whole list in C; `len` comes first, so `min`
+    # meets no empty vector.
+    if not (
+        set(map(len, slots)) <= {k}
+        and set(map(sum, slots)) <= {n}
+        and min(map(min, slots), default=0) >= 0
+        and 0 <= min(exact, default=0)
+        and max(exact, default=0) <= 1
+    ):
+        for x, s in slots.items():
+            if len(x) != k or min(x) < 0 or sum(x) != n:
+                raise ValueError(f"{x} is not a count vector for n={n}, k={k}")
+            if not 0 <= exact[s] <= 1:
+                raise ValueError(f"phi({x}) = {exact[s]} outside [0, 1]")
     den = lcm(*(p.denominator for p in exact))
     scaled = [p.numerator * (den // p.denominator) for p in exact]
     # Sorting keys in descending lex order is linear when they come so.
@@ -82,10 +105,10 @@ class TestFunction:
     __slots__ = ("n", "k", "nums", "den")
 
     def __init__(self, n: int, k: int, values: Mapping[tuple[int, ...], Fraction]):
-        require_test_size(n, k)
         ints = (int,) * k
-        # Each distinct phi object is converted and range-checked once,
-        # looked up by id; `kept` holds the objects, so no id is reused.
+        # Each distinct phi object is converted once, looked up by id;
+        # `kept` holds the objects, so no id is reused.  `_support` checks
+        # the entries.
         exact: list = []
         slot_of: dict[int, int] = {}
         kept = []
@@ -93,20 +116,15 @@ class TestFunction:
         for x, phi in values.items():
             if tuple(map(type, x)) != ints:
                 x = tuple(v if type(v) is int else _exponent(v, x) for v in x)
-            if len(x) != k or min(x) < 0 or sum(x) != n:
-                raise ValueError(f"{x} is not a count vector for n={n}, k={k}")
             slot = slot_of.get(id(phi))
             if slot is None:
-                p = phi if type(phi) is Fraction else Fraction(phi)
-                if not 0 <= p <= 1:
-                    raise ValueError(f"phi({x}) = {p} outside [0, 1]")
                 slot = slot_of[id(phi)] = len(exact)
-                exact.append(p)
+                exact.append(phi if type(phi) is Fraction else Fraction(phi))
                 kept.append(phi)
             slots[x] = slot
         self.n = n
         self.k = k
-        self.nums, self.den = _support(slots, exact)
+        self.nums, self.den = _support(n, k, slots, exact)
 
     @classmethod
     def _of(cls, n: int, k: int, nums: dict, den: int) -> "TestFunction":
@@ -308,9 +326,10 @@ def exact_power(phi: TestFunction, point: Sequence) -> Fraction:
     """E_pi(phi) = sum phi(x) B_x pi^x, exactly.
 
     With the coordinates N_i / d over one denominator, the sum is
-    sum nums[x] B_x N^x over den d^n, one Fraction at the end.
+    sum nums[x] B_x N^x over den d^n, one Fraction at the end.  The
+    coordinates are read by `parser.exact_rational`, so a float is refused.
     """
-    pt = [Fraction(v) for v in point]
+    pt = [exact_rational(v) for v in point]
     if len(pt) != phi.k:
         raise ValueError(f"point has {len(pt)} coordinates, expected {phi.k}")
     if any(v < 0 for v in pt) or sum(pt) != 1:
@@ -421,8 +440,9 @@ def max_statistic_test(n: int, c: Fraction) -> TestFunction:
 
     k = 3; the irrational sqrt(n) comparison is decided exactly on integer
     counts: m > n/4 + sqrt(n) c  iff  m - n/4 > 0 and (m - n/4)^2 > n c^2.
+    c is read by `parser.exact_rational`, so a float is refused.
     """
-    c = Fraction(c)
+    c = exact_rational(c)
     if c < 0:
         raise ValueError("calibration constant must be nonnegative")
     values = {}

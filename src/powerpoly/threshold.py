@@ -26,6 +26,7 @@ from typing import Sequence
 from powerpoly.groebner import GroebnerBasis, StepCounter, radical_membership
 from powerpoly.hypotheses import NullHypothesis, _linear_rows, rank_lt
 from powerpoly.linalg import primitive_scaling
+from powerpoly.parser import exact_rational
 from powerpoly.polynomial import Packing, Polynomial, packed_addmul, simplex_coefficients
 from powerpoly.polytope import enumerate_vertices_dd
 from powerpoly.power import PowerPolynomial, require_test_size
@@ -261,7 +262,8 @@ def _level(shape: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
 def require_principal(f: Polynomial, n: int, alpha, fold: int) -> tuple[Fraction, Polynomial]:
     """Check (f, n, alpha) for a UMPU level built on f~^fold: (alpha, f~).
 
-    Refuses, in this order, alpha outside (0, 1), a constant f, n below
+    Refuses, in this order, an alpha that `parser.exact_rational` refuses
+    (such as a float) or that lies outside (0, 1), a constant f, n below
     fold * deg f, a size n or category count k that no test has
     (`require_test_size`), and an f constant on sum(p) = 1.  On that
     hyperplane f is its homogenization f~, constant there exactly when
@@ -270,7 +272,7 @@ def require_principal(f: Polynomial, n: int, alpha, fold: int) -> tuple[Fraction
     (c = 0), and neither splits the simplex.  For {f <= 0} (fold 1) a
     c < 0 makes the null set the whole simplex too.
     """
-    alpha = Fraction(alpha)
+    alpha = exact_rational(alpha)
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
     deg = f.total_degree()

@@ -257,12 +257,14 @@ def test_f_constant_on_the_simplex_is_an_error(command, f, message, capsys):
         ({"kind": "symmetry", "params": {"p": True}}, "True"),
         ({"kind": "logodds", "params": {"a": ["1", "-1"], "c": "2", "k": 3.7}}, "3.7"),
         ({"kind": "affine", "params": {"C": [[1, -1, 0]], "d": [0], "k": False}}, "False"),
+        ({"kind": "independence", "params": {"p": "2", "q": 2}}, "'2'"),
+        ({"kind": "rank_lt", "params": {"p": 3, "q": 3, "r": "1_0"}}, "'1_0'"),
     ],
-    ids=["independence", "rank_lt", "symmetry", "logodds", "affine"],
+    ids=["independence", "rank_lt", "symmetry", "logodds", "affine", "string", "underscored"],
 )
 def test_integer_parameters_refuse_floats_and_bools(payload, shown, tmp_path, capsys):
-    # int() would truncate 2.9 to 2 and read True as 1, and the command would
-    # answer for a hypothesis nobody asked about.
+    # int() would truncate 2.9 to 2, read True as 1 and parse "1_0" as 10,
+    # and the command would answer for a hypothesis nobody asked about.
     path = tmp_path / "hypothesis.json"
     path.write_text(json.dumps(payload))
     assert main(["threshold", "--hypothesis", str(path)]) == 1
@@ -291,8 +293,9 @@ def test_custom_parameters_refuse_strings_and_ints(params, shown, tmp_path, caps
 
 @pytest.mark.parametrize(
     "n, x, shown",
-    [(2.9, [2, 0], "2.9"), (True, [1, 0], "True"), (2, [1.7, 0.3], "1.7")],
-    ids=["float-n", "bool-n", "float-count"],
+    [(2.9, [2, 0], "2.9"), (True, [1, 0], "True"), (2, [1.7, 0.3], "1.7"),
+     ("2", [2, 0], "'2'"), (2, ["2", "0"], "'2'")],
+    ids=["float-n", "bool-n", "float-count", "string-n", "string-count"],
 )
 def test_test_function_integers_refuse_floats_and_bools(n, x, shown, tmp_path, capsys):
     # int() would truncate 2.9 to 2, read True as 1 and turn (1.7, 0.3)
@@ -304,6 +307,55 @@ def test_test_function_integers_refuse_floats_and_bools(n, x, shown, tmp_path, c
     assert capsys.readouterr().err == (
         f"error: malformed test-function JSON: expected an integer, got {shown}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "command, payload, shown",
+    [
+        ("threshold", {"kind": "affine", "params": {"C": "110", "d": [0], "k": 3}},
+         "expected C as a list, got '110'"),
+        ("threshold", {"kind": "affine", "params": {"C": ["1-10"], "d": [0], "k": 3}},
+         "expected each row of C as a list, got '1-10'"),
+        ("threshold", {"kind": "affine", "params": {"C": [[1, -1, 0]], "d": "0", "k": 3}},
+         "expected d as a list, got '0'"),
+        ("polytope-exists", {"kind": "polytope", "params": {"A": "10", "b": ["1/4"], "k": 3}},
+         "expected A as a list, got '10'"),
+        ("polytope-exists",
+         {"kind": "polytope", "params": {"A": [[1, 0], "01"], "b": ["1/4", "1/4"], "k": 3}},
+         "expected each row of A as a list, got '01'"),
+        ("polytope-exists",
+         {"kind": "polytope", "params": {"A": [[1, 0], [0, 1]], "b": "11", "k": 3}},
+         "expected b as a list, got '11'"),
+        ("threshold", {"kind": "logodds", "params": {"a": "11", "c": "1", "k": 3}},
+         "expected a as a list, got '11'"),
+    ],
+    ids=["C", "C-row", "d", "A", "A-row", "b", "a"],
+)
+def test_hypothesis_lists_refuse_strings(command, payload, shown, tmp_path, capsys):
+    # A string iterates one character at a time: "11" read as the log-odds
+    # coefficients [1, 1] answered bounds 4/4 for a hypothesis nobody wrote.
+    path = tmp_path / "hypothesis.json"
+    path.write_text(json.dumps(payload))
+    assert run_cli([command, "--hypothesis", str(path)]) == (1, "")
+    assert capsys.readouterr().err == f"error: {shown}\n"
+
+
+@pytest.mark.parametrize(
+    "payload, shown",
+    [
+        ({"n": 2, "k": 2, "values": "[]"}, "expected values as a list, got '[]'"),
+        ({"n": 2, "k": 2, "values": [{"x": "20", "phi": "1"}, {"x": [1, 1], "phi": "0"},
+                                     {"x": [0, 2], "phi": "0"}]},
+         "expected x as a list, got '20'"),
+    ],
+    ids=["values", "x"],
+)
+def test_test_function_lists_refuse_strings(payload, shown, tmp_path, capsys):
+    # "x": "20" was read as the count vector (2, 0).
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(payload))
+    assert run_cli(["power-grid", "--test", str(path), "--res", "3"]) == (1, "")
+    assert capsys.readouterr().err == f"error: malformed test-function JSON: {shown}\n"
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from powerpoly import (
     polytope_existence,
     sample_null_points,
 )
-from powerpoly import hypotheses
+from powerpoly import hypotheses, power, threshold, umpu
 from powerpoly.cli import main
 from powerpoly.hypotheses import (
     UnsupportedSampling,
@@ -207,6 +207,44 @@ class TestLogOdds:
             build_hypothesis(
                 {"kind": "logodds", "params": {"a": [1.4142, 1], "c": "1", "k": 3}}
             )
+
+
+# One float per entry point of the library that reads a rational.  Each
+# used to answer: 0.1 stored as 3602879701896397/36028797018963968.
+PLANE = parse_polynomial("p1 + p2 - p3", ["p1", "p2", "p3"])
+HALF = power.TestFunction.constant(2, 2, F(1, 2))
+FLOAT_ENTRY_POINTS = [
+    pytest.param(lambda: sphere(3, delta_sq=0.1), 0.1, id="sphere-delta_sq"),
+    pytest.param(lambda: sphere(3, delta=0.1), 0.1, id="sphere-delta"),
+    pytest.param(lambda: hypotheses.affine([[1, -1, 0]], [0.25], 3), 0.25, id="affine"),
+    pytest.param(lambda: hypotheses.polytope_hypothesis([[1.0, 0]], ["3/10"], 3), 1.0,
+                 id="polytope"),
+    pytest.param(lambda: log_odds([1, -1], 2.0, 3), 2.0, id="log_odds-c"),
+    pytest.param(lambda: threshold.principal_umpu(PLANE, 2, 0.05), 0.05, id="principal_umpu"),
+    pytest.param(lambda: threshold.semialgebraic_umpu(PLANE, 2, 0.05), 0.05,
+                 id="semialgebraic_umpu"),
+    pytest.param(lambda: umpu.umpu_search(PLANE, 3, 0.05), 0.05, id="umpu_search"),
+    pytest.param(lambda: umpu.coefficient_polytope(PLANE, 3, 0.05), 0.05,
+                 id="coefficient_polytope"),
+    pytest.param(lambda: power.exact_power(HALF, [0.25, "3/4"]), 0.25, id="exact_power"),
+    pytest.param(lambda: power.max_statistic_test(4, 0.1), 0.1, id="max_statistic_test"),
+]
+
+
+@pytest.mark.parametrize("call, value", FLOAT_ENTRY_POINTS)
+def test_floats_are_refused_at_every_entry_point(call, value):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == f"expected an exact rational (p/q string), got {value!r}"
+
+
+def test_float_log_odds_coefficient_names_the_irrational_case():
+    with pytest.raises(ValueError) as err:
+        log_odds([0.5, 1], 1, 3)
+    assert str(err.value) == (
+        "expected an exact rational (p/q string), got 0.5; "
+        "irrational log-odds coefficients admit no non-trivial unbiased test"
+    )
 
 
 class TestPolytopeExistence:
