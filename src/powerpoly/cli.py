@@ -182,8 +182,10 @@ def cmd_gb(args) -> tuple[dict, int]:
 
 def _threshold_payload(hyp: NullHypothesis, args) -> dict:
     names = hyp.substituted_names()
-    if hyp.family == "rank_lt":
-        report = rank_threshold(**hyp.params, counter=args.counter, minors=hyp.generators)
+    if hyp.family in ("independence", "rank_lt"):
+        # Independence is rank < 2: both take the bounded-rank theorem.
+        p, q, r = hyp.params["p"], hyp.params["q"], hyp.params.get("r", 2)
+        report = rank_threshold(p, q, r, args.counter, minors=hyp.generators)
         witness_names = list(hyp.names)
     else:
         if hyp.family == "polytope":

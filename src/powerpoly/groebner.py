@@ -35,7 +35,10 @@ an exponent reaches 2^15, and under a graded order no exponent met in a
 division exceeds the dividend's degree, so each input's degree and each
 S-pair's lcm degree is checked against 2^15 (`DEGREE_LIMIT`) and a
 ValueError names the limit.  Term maps are packed once on entry
-(`Packing.pack`) and unpacked once on exit (`Packing.unpack`).  The
+(`Packing.pack`) and unpacked once on exit (`Packing.unpack`), under the
+ring's one shared packing (`Packing.of`): a polynomial unpacked by that
+packing, such as a substituted generator or a basis element, enters with
+the keys it carries.  The
 pair loop stays packed too: each pending pair holds the packed lcm of
 its leading monomials (`Packing.lcm`), the coprime criterion compares it
 with their sum, and the chain criterion and the minimalization test
@@ -111,8 +114,8 @@ def _divide(work: dict, divisors: Sequence[tuple], packing: Packing, counter, qu
     """
     remainder: dict = {}
     den = 1
-    bits, guard = packing.bits, packing.guard
-    leads = [bits(lm) for lm, _, _ in divisors]
+    sign, mask, guard = packing.sign, packing.mask, packing.guard
+    leads = [packing.bits(lm) for lm, _, _ in divisors]
     # The smallest int is the largest monomial, so it pops first.  A
     # monomial cancelled out of `work` leaves a stale entry, skipped
     # without a tick; if it is recreated it is pushed again, and whichever
@@ -126,7 +129,7 @@ def _divide(work: dict, divisors: Sequence[tuple], packing: Packing, counter, qu
             continue
         if counter is not None:
             counter.tick()
-        p = bits(mono) | guard
+        p = (sign * mono) & mask | guard  # `Packing.bits`, inline
         for i, lead in enumerate(leads):
             if (p - lead) & guard == guard:
                 lm, lc, tail = divisors[i]
@@ -167,7 +170,7 @@ def reduce(
             raise ValueError("variable count mismatch in division")
         if g.is_zero():
             raise ValueError("cannot divide by the zero polynomial")
-    packing = Packing(f.nvars, order)
+    packing = Packing.of(f.nvars, order)
     work, scale = packing.pack(f)
     divisors, ratios = [], []
     for g in basis:
@@ -205,7 +208,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
         raise ValueError(f"variable count mismatch in S-polynomial: {f.nvars} vs {g.nvars}")
     if f.is_zero() or g.is_zero():
         raise ValueError("the zero polynomial has no S-polynomial")
-    packing = Packing(f.nvars, order)
+    packing = Packing.of(f.nvars, order)
     fp, gp = packing.pack(f)[0], packing.pack(g)[0]
     a, b = _form(min(fp), fp)[0], _form(min(gp), gp)[0]
     lcm, deg = packing.lcm(a[0], b[0])
@@ -252,7 +255,7 @@ def buchberger_reduced(
     for g in gens:
         if g.nvars != nvars:
             raise ValueError("variable count mismatch among generators")
-    packing = Packing(nvars, order)
+    packing = Packing.of(nvars, order)
     # Primitive forms with lc > 0: equal forms are generators equal up to
     # scaling, and the first of each is kept.
     forms: dict = {}
@@ -270,6 +273,9 @@ def buchberger_reduced(
     queue: list[tuple[int, int, int]] = []
 
     def add_pairs(j: int):
+        # One step per pair, drawn before any of them is formed.
+        if counter is not None:
+            counter.tick(j)
         for i in range(j):
             pairs[i, j], deg = packing.lcm(lead[i], lead[j])
             heappush(queue, (deg, i, j))

@@ -350,12 +350,12 @@ def log_odds_to_binomial(a: Sequence[Fraction], c: Fraction, k: int) -> Polynomi
     I and J have disjoint supports and equal total degree, so the binomial
     is homogeneous; its square is an NTUB separating polynomial.
     """
-    coeffs = [Fraction(v) for v in a]
+    coeffs = [exact_rational(v) for v in a]
     if len(coeffs) != k - 1:
         raise ValueError(f"need k-1 = {k - 1} coefficients, got {len(coeffs)}")
     if all(v == 0 for v in coeffs):
         raise ValueError("log-odds coefficient vector must be nonzero")
-    c = Fraction(c)
+    c = exact_rational(c)
     if c <= 0:
         raise ValueError("odds target must be positive")
     # With a = ints * g / den, the equation is prod (pi_i/pi_k)^(g * ints_i)
@@ -414,8 +414,8 @@ def _polytope_rows(a_rows, b, d: int) -> tuple[list[list[Fraction]], list[Fracti
     The rows are -a_i.x <= -b_i for the hypothesis, then -x_i <= 0, then
     sum(x) <= 1 for the simplex.
     """
-    rows = [[-Fraction(v) for v in row] for row in a_rows]
-    rhs = [-Fraction(v) for v in b]
+    rows = [[-exact_rational(v) for v in row] for row in a_rows]
+    rhs = [-exact_rational(v) for v in b]
     for i in range(d):
         rows.append([Fraction(-int(i == j)) for j in range(d)])
         rhs.append(Fraction(0))

@@ -45,9 +45,22 @@ every printed polynomial) sort on `Packing.sort_key`, which is
 `Packing.key` without its per-monomial degree check, and the Groebner
 pair loop takes its lcms and divisibility tests from `Packing.lcm` and
 `Packing.divides`, so monomials stay packed from the pair loop through
-to printing.  A polynomial made by `Packing.unpack` keeps the packed ints
-of its terms, so under its packing's order its descending monomials are
-one sort of those ints, with no key computed.
+to printing.
+
+Packing is a fact of the ring: `Packing.of` hands out one shared
+`Packing` per (nvars, order, word width), cached like
+`simplex_coefficients`, and checks the caller's degree on every call.  A
+polynomial made by `Packing.unpack` carries that shared packing and the
+packed ints of its terms, and so does every result that keeps its
+monomials in order (`-p`, a scalar product, `monic`).  `Packing.pack`
+reuses those keys exactly when it is the packing that made them, as for
+Groebner basis elements squared into the SOS witness, substituted
+generators entering Buchberger's algorithm and both operands of `*`;
+any other packing, such as the 16-bit one of the Groebner core meeting a
+polynomial made in 64-bit words, keys every monomial again and checks
+its degree.  Under the same order the carried keys also give
+`leading_monomial` and `sorted_monomials` with no key computed, for the
+keys of either word width sort alike.
 """
 
 from __future__ import annotations
@@ -143,7 +156,8 @@ class Packing:
     products: below 2^15 the words are 16 bits wide, otherwise 64.
     `sort_key` is `key` without its per-monomial degree check, for
     monomials within that degree; it is the one packing formula, and
-    `key` checks the degree and then calls it.
+    `key` checks the degree and then calls it.  Callers take the shared
+    instance of their ring from `Packing.of`.
     """
 
     __slots__ = ("nvars", "order", "sign", "width", "top", "mask", "guard", "limit", "sort_key",
@@ -164,6 +178,14 @@ class Packing:
         self.guard = sum(self.limit << (bits * i) for i in range(nvars))
         pack, endian, sign, top = self._struct.pack, self._endian, self.sign, self.top
         self.sort_key = lambda mono: sign * int.from_bytes(pack(*mono), endian) - (sum(mono) << top)
+
+    @staticmethod
+    def of(nvars: int, order: MonomialOrder = DEFAULT_ORDER, degree: int = 0) -> "Packing":
+        """The one shared packing of the ring whose words hold `degree`,
+        which is checked against the word's limit."""
+        packing = _shared_packing(nvars, order, degree >= DEGREE_LIMIT)
+        packing.check(degree)
+        return packing
 
     def check(self, degree: int):
         if degree >= self.limit:
@@ -202,21 +224,39 @@ class Packing:
     def mono(self, k: int) -> Exponents:
         return self._struct.unpack(self.bits(k).to_bytes(self._struct.size, self._endian))
 
+    def keys_of(self, poly: "Polynomial") -> list[int]:
+        """The packed ints of `poly`'s monomials, in its order: the ones
+        `unpack` recorded when this packing made `poly`, else each
+        monomial keyed afresh, its degree checked."""
+        keys = poly._keys
+        if keys is not None and keys[0] is self:
+            return keys[1]
+        return list(map(self.key, poly.ints))
+
     def pack(self, poly: "Polynomial") -> tuple[dict, Fraction]:
         """(ints, scale) with poly = scale * ints: `poly.ints` on packed
-        monomials, in its order, and `poly.scale`."""
-        ints = poly.ints
-        return dict(zip(map(self.key, ints), ints.values())), poly.scale
+        monomials (`keys_of`), in its order, and `poly.scale`."""
+        return dict(zip(self.keys_of(poly), poly.ints.values())), poly.scale
 
     def unpack(self, ints: Mapping, scale) -> "Polynomial":
         """The polynomial scale * ints, for nonzero int coefficients and a
-        rational scale of either sign, in the order of `ints`; it keeps
-        the packed ints for `Polynomial.sorted_monomials` under this
-        packing's order."""
-        monos = map(self.mono, ints)
-        return Polynomial._of(
-            self.nvars, dict(zip(monos, ints.values())), scale, (self.order, list(ints))
-        )
+        rational scale of either sign, in the order of `ints`; it carries
+        this packing and the packed ints.  All monomials are decoded by
+        one `Struct.iter_unpack` over one buffer of their fields."""
+        keys = list(ints)
+        if self.nvars:
+            sign, mask, size, endian = self.sign, self.mask, self._struct.size, self._endian
+            buf = b"".join([((sign * k) & mask).to_bytes(size, endian) for k in keys])
+            monos = self._struct.iter_unpack(buf)
+        else:
+            # A struct of no fields cannot be iterated: every monomial is ().
+            monos = [()] * len(keys)
+        return Polynomial._of(self.nvars, dict(zip(monos, ints.values())), scale, (self, keys))
+
+
+@lru_cache(maxsize=1024)
+def _shared_packing(nvars: int, order: MonomialOrder, wide: bool) -> Packing:
+    return Packing(nvars, order, DEGREE_LIMIT if wide else 0)
 
 
 def packed_addmul(acc: dict, coeff: int, shift: int, tail: Mapping, heap: list | None = None):
@@ -275,9 +315,9 @@ class Polynomial:
         nonzero int coefficients and a Fraction scale, nonzero unless
         `ints` is empty, as when the terms are built from polynomials
         that are already valid; the gcd of `ints` is divided out, and a
-        negative scale is moved into the signs.  `keys` is (order, the
-        packed ints of the monomials of `ints` in its order), as
-        `Packing.unpack` records them.
+        negative scale is moved into the signs.  `keys` is (the shared
+        `Packing`, the packed ints of the monomials of `ints` in its
+        order), as `Packing.unpack` records them.
         """
         g = gcd(*ints.values())
         num = scale.numerator
@@ -396,7 +436,7 @@ class Polynomial:
             return Polynomial._of(self.nvars, self.ints, self.scale * other, self._keys)
         if self._operand(other) is None:
             return NotImplemented
-        packing = Packing(self.nvars, degree=self.total_degree() + other.total_degree())
+        packing = Packing.of(self.nvars, degree=self.total_degree() + other.total_degree())
         a, sa = packing.pack(self)
         b, sb = packing.pack(other)
         out: dict = {}
@@ -466,22 +506,26 @@ class Polynomial:
         return self.scale * self.ints.get(tuple(exponents), 0)
 
     def leading_monomial(self, order: MonomialOrder = DEFAULT_ORDER) -> Exponents:
+        """The largest monomial under `order`: the one of the least
+        carried key when the polynomial carries keys of that order."""
         if not self.ints:
             raise ValueError("zero polynomial has no leading term")
-        return min(self.ints, key=Packing(self.nvars, order, self.total_degree()).sort_key)
+        if self._keys is not None and self._keys[0].order is order:
+            return min(zip(self._keys[1], self.ints))[1]
+        return min(self.ints, key=Packing.of(self.nvars, order, self.total_degree()).sort_key)
 
     def leading_coefficient(self, order: MonomialOrder = DEFAULT_ORDER) -> Fraction:
         return self.scale * self.ints[self.leading_monomial(order)]
 
     def sorted_monomials(self, order: MonomialOrder = DEFAULT_ORDER) -> list[Exponents]:
-        """Monomials in descending order: one sort of the packed ints that
-        `Packing.unpack` kept when it made this polynomial under `order`,
-        else a sort on `Packing.sort_key`."""
-        if self._keys is not None and self._keys[0] is order:
+        """Monomials in descending order: one sort of the packed ints
+        this polynomial carries when they are keys of `order`, else a sort
+        on `Packing.sort_key`."""
+        if self._keys is not None and self._keys[0].order is order:
             keys = self._keys[1]
             by_key = dict(zip(keys, self.ints))
             return [by_key[k] for k in sorted(keys)]
-        return sorted(self.ints, key=Packing(self.nvars, order, self.total_degree()).sort_key)
+        return sorted(self.ints, key=Packing.of(self.nvars, order, self.total_degree()).sort_key)
 
     def sorted_terms(self, order: MonomialOrder = DEFAULT_ORDER):
         """Terms in descending monomial order under `order`, whatever order they are stored in."""
@@ -549,15 +593,15 @@ class Polynomial:
         deg = self.total_degree()
         if deg > n:
             raise ValueError(f"cannot homogenize degree-{deg} polynomial to degree {n}")
-        packing = Packing(self.nvars, degree=n)
+        packing = Packing.of(self.nvars, degree=n)
         key = packing.key
         spow: dict[int, dict] = {}
         out: dict = {}
-        for mono, c in self.ints.items():
+        for (mono, c), k in zip(self.ints.items(), packing.keys_of(self)):
             d = n - sum(mono)
             if d not in spow:
                 spow[d] = {key(a): b for a, b in simplex_coefficients(self.nvars, d).items()}
-            packed_addmul(out, c, key(mono), spow[d])
+            packed_addmul(out, c, k, spow[d])
         return packing.unpack(out, self.scale)
 
     def substitute_last(self) -> "Polynomial":
@@ -569,7 +613,7 @@ class Polynomial:
         if self.nvars < 1:
             raise ValueError("no variable to substitute")
         m = self.nvars - 1
-        packing = Packing(m, degree=self.total_degree())
+        packing = Packing.of(m, degree=self.total_degree())
         key = packing.key
         powers: dict[int, dict] = {}
         out: dict = {}

@@ -48,7 +48,7 @@ def _sum_of_squares(
     one at `square_of`, which is formed on its own by the product kernel
     and then added in.  No Fraction is built per term.
     """
-    packing = Packing(nvars)
+    packing = Packing.of(nvars)
     forms, scales = [], []
     for g in polys:
         packing.check(2 * g.total_degree())
@@ -175,8 +175,8 @@ def sos_bounds(
         )
     min_deg = degrees[0]
     # Of the lowest degree, the smallest leading monomial: the largest key.
-    key = Packing(gb.nvars, gb.order, degrees[-1]).key
-    g_min = max(elements, key=lambda g: key(g.leading_monomial(gb.order)))
+    keys_of = Packing.of(gb.nvars, gb.order, degrees[-1]).keys_of
+    g_min = max(elements, key=lambda g: min(keys_of(g)))
     notes: list[str] = []
 
     cut_out = degrees[-1]
@@ -205,6 +205,8 @@ def sos_bounds(
     )
 
     exactness, theorem = SOS_ONLY, None
+    # The commands send these two families to `rank_threshold`; the label
+    # stays for library callers that square their basis instead.
     if hypothesis is not None and hypothesis.family in ("independence", "rank_lt"):
         exactness, theorem = EXACT, "bounded-rank threshold"
     elif len(degrees) == 1:
@@ -300,10 +302,12 @@ def principal_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
 
     At n = 2*deg(f) (and under the nonvanishing-gradient hypothesis) this
     is the unique UMPU power polynomial; c_alpha is the largest constant
-    keeping beta inside the coefficient box.
+    keeping beta inside the coefficient box.  f~ is the degree-d form
+    `require_principal` returns, so f~^2 is a form of degree 2d that only
+    the (sum pi)^(n - 2d) factor lifts to degree n.
     """
-    alpha = require_principal(f, n, alpha, 2)[0]
-    return _level((f * f).homogenize(n), n, alpha)
+    alpha, ftilde = require_principal(f, n, alpha, 2)
+    return _level((ftilde * ftilde).homogenize(n), n, alpha)
 
 
 def semialgebraic_umpu(f: Polynomial, n: int, alpha: Fraction) -> UMPUPower:

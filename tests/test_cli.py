@@ -15,6 +15,7 @@ import powerpoly
 from powerpoly import cli
 from powerpoly.cli import _grid_values, build_parser, main
 from powerpoly.cli import test_to_json as to_json
+from powerpoly.parser import parse_polynomial
 from powerpoly.power import TestFunction, count_vectors
 from powerpoly.power import test_to_power as to_power
 
@@ -562,7 +563,7 @@ ARTIFACT_INPUTS = {
 # command but gb and umpu, whose pins sit in their own classes.
 ARTIFACTS = [
     pytest.param(["threshold", "--hypothesis", "INDEP22"], 0,
-                 "2324a8b7369be52ec08555887776973c8f74ea7b1bbcef83c35863f20d0e721a",
+                 "3e242940d5d61a97ab87cf4fc33cfe4b666eb7165763e4a6405bbe594d6e2708",
                  id="threshold-independence-2x2"),
     pytest.param(["separating", "--hypothesis", "SPHERE"], 0,
                  "8ab9ef2580b1a300e6b6f22e9deb054d1cb734c38bbb4db0fa4252604a62b2a0",
@@ -712,6 +713,55 @@ class TestThreshold:
         # The bounds come from the basis alone; no null point is sampled.
         assert "gradient_evidence" not in payload
 
+    @pytest.mark.parametrize("p, q", [(2, 2), (2, 3), (3, 4)])
+    def test_independence_witness_is_the_sum_of_squared_minors(self, p, q, tmp_path):
+        # Independence is rank < 2, so it takes the bounded-rank theorem:
+        # the SUB witness, printed in all p q cells, is the sum of the
+        # squared 2x2 minors, built here from their determinant formula.
+        # It vanishes on rank-1 tables (outer products of seeded positive
+        # rows and columns) and is positive at seeded tables off them.
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"kind": "independence", "params": {"p": p, "q": q}}))
+        names = [f"p{i + 1}{j + 1}" for i in range(p) for j in range(q)]
+        cells = [[names[i * q + j] for j in range(q)] for i in range(p)]
+        minors = [
+            f"{cells[i][j]}*{cells[u][v]} - {cells[i][v]}*{cells[u][j]}"
+            for i, u in itertools.combinations(range(p), 2)
+            for j, v in itertools.combinations(range(q), 2)
+        ]
+        squares = [parse_polynomial(m, names) ** 2 for m in minors]
+        for command, sub, ntub in (("threshold", "sub_witness", "ntub_witness"),
+                                   ("separating", "sub_separating", "ntub_separating")):
+            code, out = run_cli([command, "--hypothesis", str(path)])
+            payload = json.loads(out)
+            assert code == 0 and payload["family"] == "independence"
+            witness = parse_polynomial(payload[sub], names)
+            assert witness == sum(squares[1:], squares[0])
+            assert parse_polynomial(payload[ntub], names) == squares[0]
+        assert (payload["ntub_degree"], payload["sub_degree"]) == (4, 4)
+        rng = random.Random(20261020)
+
+        def table(rank_one: bool) -> list:
+            if rank_one:
+                rows = [rng.randint(1, 9) for _ in range(p)]
+                cols = [rng.randint(1, 9) for _ in range(q)]
+                counts = [a * b for a in rows for b in cols]
+            else:
+                counts = [rng.randint(1, 9) for _ in range(p * q)]
+            return [F(c, sum(counts)) for c in counts]
+
+        for _ in range(10):
+            assert witness.evaluate(table(True)) == 0
+            point = table(False)
+            value = sum(
+                (point[i * q + j] * point[u * q + v] - point[i * q + v] * point[u * q + j]) ** 2
+                for i, u in itertools.combinations(range(p), 2)
+                for j, v in itertools.combinations(range(q), 2)
+            )
+            assert witness.evaluate(point) == value
+            if value:
+                assert witness.evaluate(point) > 0
+
     def test_deterministic_artifacts(self, indep22, tmp_path):
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert run_cli(["threshold", "--hypothesis", indep22, "--out", out1])[0] == 0
@@ -768,7 +818,7 @@ class TestThreshold:
         assert json.loads(out)[key] == degree
 
     def test_step_limit_covers_basis_and_bounds_together(self, tmp_path):
-        # The 2x3 minors plus a cubic: 330 Buchberger steps, then 437 in
+        # The 2x3 minors plus a cubic: 358 Buchberger steps, then 458 in
         # sos_bounds, whose degree-2 cut-out check builds a Rabinowitsch
         # basis (degree 3 is the generators' top degree and passes unchecked).
         path = tmp_path / "minors23.json"
@@ -780,15 +830,15 @@ class TestThreshold:
         )
         for command in ("threshold", "separating"):
             args = [command, "--hypothesis", str(path), "--step-limit"]
-            assert run_cli(args + ["331"])[0] == 3
-            assert run_cli(args + ["767"])[0] == 0
+            assert run_cli(args + ["359"])[0] == 3
+            assert run_cli(args + ["816"])[0] == 0
 
     # sha256 of the default stdout of threshold and separating, pinned so a
     # change to the witness code shows in these bytes.
     DEFAULT_OUTPUT = [
         ({"kind": "independence", "params": {"p": 2, "q": 3}},
-         "d546c89eca9489a0d1fb25a4ff45a90742fafe0eb0eece42815e49ca8debf1a6",
-         "e1d7b131bdb6214200eb9e4732ccd1879422dd255102297ef72a6728911a4be4"),
+         "fe443a85750ac9fd0bda149a3534603ce836d99de5f94619145e65646c76af28",
+         "434e679aade39b8ad7dee3299df76ac6155969ac6e980f15efe9739d393358cf"),
         ({"kind": "symmetry", "params": {"p": 3}},
          "87eb76719408b264fc824eacb90e6570a24796fc39b320bbaee9958cd28eea8f",
          "577739d7a9a6afd93397664a8fb8cedd1b46fad6890877af120811af80699b6d"),
@@ -823,14 +873,15 @@ class TestThreshold:
         "spec, digest",
         [
             ({"kind": "independence", "params": {"p": 3, "q": 4}},
-             "ccc317d2ef37955d2ed4fb586753d300a43efbf9abce882e554ed246c00d2c24"),
+             "605de35ed1a4f727a6691912ee5fbec5a45b6dd249a3c8baf3fa5573a89dea99"),
             ({"kind": "sphere", "params": {"k": 8, "delta_sq": "1/8"}},
              "e43ca4bf3c3e3e95ec24d22a603fdfa15790e8c6aaefef963cd8acffde16718c"),
         ],
         ids=["independence-3x4", "sphere-k8"],
     )
     def test_largest_witness_bytes(self, spec, digest, tmp_path):
-        # The two largest SUB witnesses of the benchmark's threshold pool.
+        # The two largest SUB witnesses of the benchmark's threshold pool;
+        # the command prints independence's bounded-rank witness.
         path = tmp_path / "h.json"
         path.write_text(json.dumps(spec))
         code, out = run_cli(["threshold", "--hypothesis", str(path)])
@@ -884,13 +935,13 @@ class TestThreshold:
 
     @pytest.mark.parametrize("command", ["threshold", "separating"])
     def test_step_limit_covers_the_linear_emptiness_check(self, command, tmp_path):
-        # Symmetry p = 3: 9 Buchberger steps, then 7 in the double
+        # Symmetry p = 3: 12 Buchberger steps, then 7 in the double
         # description that checks its linear basis against the simplex.
         path = tmp_path / "symmetry.json"
         path.write_text(json.dumps({"kind": "symmetry", "params": {"p": 3}}))
         args = [command, "--hypothesis", str(path), "--step-limit"]
-        assert run_cli(args + ["15"])[0] == 3
-        assert run_cli(args + ["16"])[0] == 0
+        assert run_cli(args + ["18"])[0] == 3
+        assert run_cli(args + ["19"])[0] == 0
 
     @pytest.mark.parametrize("command", ["threshold", "separating"])
     def test_step_limit_covers_the_rank_lt_squares(self, command, tmp_path, capsys):
@@ -900,6 +951,30 @@ class TestThreshold:
         path.write_text(json.dumps({"kind": "rank_lt", "params": {"p": 6, "q": 6, "r": 6}}))
         start = time.perf_counter()
         code, out = run_cli([command, "--hypothesis", str(path), "--step-limit", "1000"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert capsys.readouterr().err == "error: computation exceeded step limit 1000\n"
+
+    @pytest.mark.parametrize("kind", ["independence", "custom"])
+    def test_step_limit_covers_many_minors(self, kind, tmp_path, capsys):
+        # independence 12x12 counts the 4 * 66^2 term products of its
+        # squared minors before it squares any; the 2,025 minors of a 10x10
+        # table as custom generators count Buchberger's C(2025, 2) pairs
+        # before they are formed.
+        if kind == "independence":
+            spec = {"kind": "independence", "params": {"p": 12, "q": 12}}
+        else:
+            names = [f"p{i}_{j}" for i in range(10) for j in range(10)]
+            gens = [
+                f"p{i}_{j}*p{u}_{v} - p{i}_{v}*p{u}_{j}"
+                for i, u in itertools.combinations(range(10), 2)
+                for j, v in itertools.combinations(range(10), 2)
+            ]
+            spec = {"kind": "custom", "params": {"k": 100, "vars": names, "generators": gens}}
+        path = tmp_path / "minors.json"
+        path.write_text(json.dumps(spec))
+        start = time.perf_counter()
+        code, out = run_cli(["threshold", "--hypothesis", str(path), "--step-limit", "1000"])
         assert time.perf_counter() - start < 1
         assert (code, out) == (3, "")
         assert capsys.readouterr().err == "error: computation exceeded step limit 1000\n"

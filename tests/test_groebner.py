@@ -174,21 +174,22 @@ def _constrained(p, q, constraint):
 
 
 class TestStepCounts:
-    """Buchberger and the division core tick once per pair and once per
-    popped term; a different divisor choice would move these counts."""
+    """Buchberger ticks once per pair as it forms the pair and once as
+    it pops it, and the division core once per popped term; a different
+    divisor choice would move these counts."""
 
     @pytest.mark.parametrize(
         "spec, basis_steps, total_steps",
         [
-            ({"kind": "independence", "params": {"p": 2, "q": 4}}, 95, 95),
-            ({"kind": "independence", "params": {"p": 3, "q": 3}}, 211, 211),
+            ({"kind": "independence", "params": {"p": 2, "q": 4}}, 110, 110),
+            ({"kind": "independence", "params": {"p": 3, "q": 3}}, 247, 247),
             # A linear basis: 7 double-description steps check it against the simplex.
-            ({"kind": "symmetry", "params": {"p": 3}}, 9, 16),
+            ({"kind": "symmetry", "params": {"p": 3}}, 12, 19),
             # The first constrained specs of the benchmark's threshold pool.
             # Their cut-out checks cost nothing: degree 1 fails by the
             # reduced basis alone, and degree 2 is the generators' top degree.
-            (_constrained(3, 3, "-2*p11 - p12 + p13 + 2*p21 - 2*p33"), 676, 676),
-            (_constrained(2, 3, "-2*p11 + p12 + 2*p21 + p22 - 2*p23"), 132, 132),
+            (_constrained(3, 3, "-2*p11 - p12 + p13 + 2*p21 - 2*p33"), 754, 754),
+            (_constrained(2, 3, "-2*p11 + p12 + 2*p21 + p22 - 2*p23"), 147, 147),
         ],
         ids=["independence-2x4", "independence-3x3", "symmetry-3", "constrained-3x3",
              "constrained-2x3"],

@@ -228,6 +228,11 @@ FLOAT_ENTRY_POINTS = [
                  id="coefficient_polytope"),
     pytest.param(lambda: power.exact_power(HALF, [0.25, "3/4"]), 0.25, id="exact_power"),
     pytest.param(lambda: power.max_statistic_test(4, 0.1), 0.1, id="max_statistic_test"),
+    pytest.param(lambda: hypotheses.polytope_existence([[-1, 0], [0, -1]], [-0.3, -0.3], 3),
+                 -0.3, id="polytope_existence"),
+    pytest.param(lambda: log_odds_to_binomial([0.5, 1], 1, 3), 0.5, id="log_odds_to_binomial-a"),
+    pytest.param(lambda: log_odds_to_binomial([1, -1], 2.0, 3), 2.0,
+                 id="log_odds_to_binomial-c"),
 ]
 
 

@@ -16,7 +16,7 @@ from powerpoly import (
     parse_polynomial,
     reduce,
 )
-from powerpoly.polynomial import simplex_coefficients, table_names
+from powerpoly.polynomial import DEGREE_LIMIT, Packing, simplex_coefficients, table_names
 from powerpoly.umpu import _grevlex_desc
 
 from conftest import monomials_of_degree, multinomial, order_key
@@ -639,6 +639,73 @@ class TestPackedOrder:
     def test_grevlex_desc(self, k, n):
         want = sorted(monomials_of_degree(k, n), key=order_key(MonomialOrder.GREVLEX))
         assert _grevlex_desc(k, n) == want[::-1]
+
+
+class TestCarriedKeys:
+    """A polynomial made by a shared packing carries that packing and its
+    keys, and so does every result that keeps its monomials in order;
+    `Packing.pack` reads them back only under the packing that made them."""
+
+    @staticmethod
+    def _fresh(packing, p):
+        """p's integer map keyed afresh, in its order, as (key, coeff) pairs."""
+        return [(packing.key(m), c) for m, c in p.ints.items()]
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    @settings(max_examples=100, deadline=None)
+    @given(polynomials(max_terms=6), polynomials(max_terms=6), st.integers(-6, 6).filter(bool))
+    def test_kept_keys_are_the_fresh_keys(self, order, a, b, c):
+        packing = Packing.of(3, order)
+        made = packing.unpack(*packing.pack(a * b))
+        # An integer map with a common factor: `_of` divides it out.
+        scaled = packing.unpack({k: 6 * v for k, v in packing.pack(made)[0].items()}, made.scale)
+        results = [made, -made, made * c, made * Fraction(c, 7), Fraction(-3, 5) * made,
+                   made.monic(order), scaled]
+        for r in results:
+            assert r._keys[0] is packing
+            ints, scale = packing.pack(r)
+            assert list(ints.items()) == self._fresh(packing, r)
+            assert scale == r.scale
+            assert r.sorted_monomials(order) == sorted(r.ints, key=order_key(order), reverse=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polynomials(max_terms=6), polynomials(max_terms=6))
+    def test_products_pack_to_the_fresh_keys(self, a, b):
+        # Both operands of the outer product carry the keys of its packing.
+        for p in (a * b, (a * b) * (b * a), (a * b).homogenize(7)):
+            packing = Packing.of(3, degree=max(p.total_degree(), 0))
+            assert p._keys[0] is packing
+            assert list(packing.pack(p)[0].items()) == self._fresh(packing, p)
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    def test_one_packing_per_ring_and_width(self, order):
+        narrow, wide = Packing.of(2, order), Packing.of(2, order, DEGREE_LIMIT)
+        assert Packing.of(2, order, DEGREE_LIMIT - 1) is narrow
+        assert Packing.of(2, order, 2**40) is wide
+        assert (narrow.width, wide.width) == (16, 64)
+        # The degree is checked on every call.
+        with pytest.raises(ValueError, match=f"limit {2**63}$"):
+            Packing.of(2, order, 2**63)
+
+    @pytest.mark.parametrize("order", list(MonomialOrder))
+    def test_keys_of_another_width_are_keyed_again(self, order):
+        narrow, wide = Packing.of(2, order), Packing.of(2, order, DEGREE_LIMIT)
+        low = wide.unpack({wide.key((3, 1)): 2, wide.key((0, 1)): -1}, Fraction(1, 3))
+        assert list(narrow.pack(low)[0].items()) == self._fresh(narrow, low)
+        assert narrow.pack(low)[0] != wide.pack(low)[0]
+        # Made in 64-bit words, it meets the 16-bit degree check.
+        high = wide.unpack({wide.key((DEGREE_LIMIT - 1, 1)): 1, wide.key((0, 0)): 1}, Fraction(1))
+        assert list(wide.pack(high)[0]) == high._keys[1]
+        with pytest.raises(ValueError, match="limit 32768$"):
+            narrow.pack(high)
+
+    def test_the_empty_ring_unpacks(self):
+        packing = Packing.of(0)
+        assert packing.unpack({packing.key(()): 3}, Fraction(1, 2)) == Polynomial.constant(0, Fraction(3, 2))
+        assert packing.unpack({}, Fraction(0)) == Polynomial.zero(0)
+        two = Polynomial.constant(0, 2)
+        assert two * two == Polynomial.constant(0, 4)
+        assert (two * two).sorted_monomials() == [()]
 
 
 class TestRingAxioms:
