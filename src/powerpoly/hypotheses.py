@@ -5,8 +5,9 @@ independence, r x r minors for bounded rank, the centered sphere
 quadric, transposition differences for symmetry, ...), existence checks
 for polytope hypotheses read P0's faces as bitmasks off the tight masks
 of one double description (each hypothesis row must define a facet, by
-`polytope.facet_rows`, that no other row defines), log-odds hypotheses
-reduce to binomials, and exact null points come from four
+`polytope.facet_rows`, that no other row defines) and take a failing
+pair's witness point off its face's vertices with no LP, log-odds
+hypotheses reduce to binomials, and exact null points come from four
 constructions: positive rank r - 1 products (independence, rank_lt),
 positive mixtures of the vertices of one double description
 (affine, symmetry, polytope), lines through one rational sphere point
@@ -27,7 +28,6 @@ from typing import Sequence
 
 from powerpoly.groebner import StepCounter
 from powerpoly.linalg import primitive_scaling
-from powerpoly.linprog import solve_lp
 from powerpoly.parser import exact_rational, parse_polynomial
 from powerpoly.polynomial import Polynomial, default_names, table_names
 from powerpoly.polytope import enumerate_vertices_dd, facet_rows, vertex_faces, vertex_keys
@@ -436,7 +436,9 @@ def polytope_existence(
     reads off P0's faces, with no arithmetic: one double description of
     its `<=` rows (hypothesis rows, then simplex rows) gives the vertices
     and each row's face, the bitmask of the vertices tight on it, taken
-    from the rays' tight masks.
+    from the rays' tight masks.  The witness point comes off the failing
+    face too, with no LP: the deepest inside the simplex of its vertices
+    and their centroid.
     """
     d = k - 1
     if any(len(r) != d for r in a_rows):
@@ -465,17 +467,16 @@ def polytope_existence(
             raise ValueError(f"halfspace row {i} is redundant: it does not cut P0")
 
     # Pairwise condition: the face on H_i and H_j fails when it is nonempty
-    # and lies on no simplex row, for then its relative interior lies in the
-    # open simplex.  The one LP names its point deepest inside the simplex.
+    # and lies on no simplex row, for then its relative interior, which
+    # holds the centroid of its vertices, lies in the open simplex.  The
+    # witness is the deepest of the face's vertices and that centroid, by
+    # the least simplex margin; ties go to the first, the centroid last.
     for i, j in itertools.combinations(range(m), 2):
         common = faces[i] & faces[j]
         if common and all(common & ~face for face in faces[m:]):
-            # Rows i and j also appear below as <= rows, so the two >= rows
-            # put the point on H_i and H_j.
-            cons = [([-v for v in rows[h]] + [0], -rhs[h]) for h in (i, j)]
-            cons += [(row + [int(n >= m)], r) for n, (row, r) in enumerate(zip(rows, rhs))]
-            res = solve_lp(d + 1, [0] * d + [1], cons)
-            point = tuple(res.point[:d])
+            face = [v for n, v in enumerate(vertices) if common >> n & 1]
+            face.append(tuple(sum(c) / len(face) for c in zip(*face)))
+            point = max(face, key=lambda x: min(*x, 1 - sum(x)))
             return ExistenceVerdict(exists=False, failing_pair=(i, j), witness_point=point)
 
     witness = Polynomial.constant(d, -1)

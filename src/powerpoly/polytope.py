@@ -25,7 +25,9 @@ facets this way, and so does the convex peeling, through the polar of
 its points.  Only `irredundant_rows` answers the same question with LPs,
 one per row: on the coefficient polytope its LPs beat double description
 (k = 3 sphere, delta^2 = 1/6, alpha = 1/20, n = 7: 1.1 s against 10.6 s
-for 17,267 vertices on a 2-vCPU VM), and the gap widens with n.
+for 17,267 vertices on a 2-vCPU VM), and the gap widens with n.  It is
+the one caller of `linprog.solve_lp`, behind the library-only
+`umpu.CoefficientPolytope.facet_count`, so no command solves an LP.
 
 The set-up runs on integers, with the one exact elimination of
 `linalg.echelon`.  Each cone row (a_i, -b_i) is scaled to a primitive

@@ -97,7 +97,9 @@ class TestFunction:
     gcd(den, *nums) = 1 and two tests are equal exactly when their `den`
     and `nums` are.  `values`, `items()` and a call read every count
     vector off the table of `simplex_coefficients(k, n)` on access;
-    building a test never builds that table.
+    building a test never builds that table.  Each phi value, and the
+    level of `constant`, is read by `parser.exact_rational`, so a float
+    is refused.
     """
 
     __test__ = False  # the name is statistics jargon, not a pytest class
@@ -119,7 +121,7 @@ class TestFunction:
             slot = slot_of.get(id(phi))
             if slot is None:
                 slot = slot_of[id(phi)] = len(exact)
-                exact.append(phi if type(phi) is Fraction else Fraction(phi))
+                exact.append(phi if type(phi) is Fraction else exact_rational(phi))
                 kept.append(phi)
             slots[x] = slot
         self.n = n
@@ -164,7 +166,7 @@ class TestFunction:
 
     @staticmethod
     def constant(n: int, k: int, level) -> "TestFunction":
-        phi = Fraction(level)
+        phi = exact_rational(level)
         return TestFunction(n, k, dict.fromkeys(simplex_coefficients(k, n), phi))
 
 

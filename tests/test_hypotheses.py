@@ -25,7 +25,6 @@ from powerpoly.hypotheses import (
     sphere,
 )
 from powerpoly.linalg import rank
-from powerpoly.linprog import solve_lp
 from powerpoly.polynomial import table_names
 from powerpoly.polytope import enumerate_vertices_dd
 
@@ -228,6 +227,10 @@ FLOAT_ENTRY_POINTS = [
                  id="coefficient_polytope"),
     pytest.param(lambda: power.exact_power(HALF, [0.25, "3/4"]), 0.25, id="exact_power"),
     pytest.param(lambda: power.max_statistic_test(4, 0.1), 0.1, id="max_statistic_test"),
+    pytest.param(lambda: power.TestFunction(2, 2, {(2, 0): 0.1, (1, 1): "1/2"}), 0.1,
+                 id="TestFunction"),
+    pytest.param(lambda: power.TestFunction.constant(2, 2, 0.1), 0.1,
+                 id="TestFunction.constant"),
     pytest.param(lambda: hypotheses.polytope_existence([[-1, 0], [0, -1]], [-0.3, -0.3], 3),
                  -0.3, id="polytope_existence"),
     pytest.param(lambda: log_odds_to_binomial([0.5, 1], 1, 3), 0.5, id="log_odds_to_binomial-a"),
@@ -339,20 +342,24 @@ class TestPolytopeExistence:
         with pytest.raises(ValueError, match=message):
             polytope_existence(a, b, 3)
 
-    @pytest.mark.parametrize("t, lps", [(F(3, 4), 0), (F(1, 4), 1)])
-    def test_one_lp_names_the_witness_only(self, t, lps, monkeypatch):
-        # The verdict reads off P0's vertex list; only a failing pair's
-        # witness point needs an LP.
-        calls = []
+    def test_no_lp_answers_either_verdict(self, monkeypatch):
+        # The verdict and the witness point both read off P0's vertex list.
+        def refused(*args):
+            raise AssertionError("no LP may run")
 
-        def counted(*args):
-            calls.append(args)
-            return solve_lp(*args)
+        monkeypatch.setattr("powerpoly.linprog.solve_lp", refused)
+        monkeypatch.setattr("powerpoly.polytope.solve_lp", refused)
+        for t, exists in [(F(3, 4), True), (F(1, 4), False)]:
+            a, b = self.square(t)
+            assert polytope_existence(a, b, 3).exists is exists
 
-        monkeypatch.setattr(hypotheses, "solve_lp", counted)
-        a, b = self.square(t)
-        assert polytope_existence(a, b, 3).exists is (lps == 0)
-        assert len(calls) == lps
+    def test_centroid_witness_on_an_edge_face(self):
+        # H_0 and H_1 meet P0 in the edge from (0, 1/2, 1/4) to
+        # (1/2, 0, 1/4); both ends lie on a simplex facet, so the centroid
+        # of the face is the deepest candidate.
+        verdict = polytope_existence([[1, 1, 0], [0, 0, 1]], ["1/2", "1/4"], 4)
+        assert verdict.failing_pair == (0, 1)
+        assert verdict.witness_point == (F(1, 4), F(1, 4), F(1, 4))
 
     def test_verdicts_match_highs(self):
         # The pair criterion in floats: max t with a_i.x = b_i, a_j.x = b_j,
@@ -392,25 +399,31 @@ class TestPolytopeExistence:
                     )
                     assert ref.status in (0, 2)
                     if expected is None and ref.status == 0 and -ref.fun > 1e-9:
-                        expected, depth = (i, j), -ref.fun
+                        expected, best = (i, j), -ref.fun
             assert verdict.exists is (expected is None), (a, b)
             assert verdict.failing_pair == expected, (a, b)
             if expected is not None:
                 # The witness lies on H_i and H_j, in P0, and strictly inside
-                # the simplex, as deep inside it as the face allows.
+                # the simplex, no deeper than the face allows and at least as
+                # deep as every vertex of the face.
                 x = verdict.witness_point
                 i, j = expected
                 slack = [sum(r * xi for r, xi in zip(row, x)) - bi for row, bi in zip(a, b)]
                 assert slack[i] == slack[j] == 0, (a, b)
                 assert min(slack) >= 0, (a, b)
                 assert min(x) > 0 and sum(x) < 1, (a, b)
-                assert abs(float(min(min(x), 1 - sum(x))) - depth) <= 1e-9, (a, b)
+                depth = min(*x, 1 - sum(x))
+                assert float(depth) <= best + 1e-9, (a, b)
+                rows, rhs = hypotheses._polytope_rows(a, b, d)
+                for v in enumerate_vertices_dd(rows, rhs):
+                    if all(sum(r * vi for r, vi in zip(a[h], v)) == b[h] for h in (i, j)):
+                        assert depth >= min(*v, 1 - sum(v)), (a, b)
             checked += 1
         assert checked >= 40
 
 
 def affine_rank_verdict(a, b, k):
-    """polytope_existence's outcome by the affine-rank rule, without the witness LP.
+    """polytope_existence's outcome by the affine-rank rule, without the witness point.
 
     Faces are vertex sets found by exact dot products, and a row defines
     a facet when its face spans a (d-1)-flat and no other row has that

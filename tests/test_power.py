@@ -87,15 +87,18 @@ class TestTestFunction:
             TestFunction(2, 2, {(2, 0): F(3, 2)})
 
     def test_each_phi_value_is_read_once_and_checked(self):
-        # Equal values of any type give one Fraction; a bad value is
-        # refused at its first count vector, repeated or not.
+        # Equal exact values of any type give one Fraction; a bad value is
+        # refused at its first count vector, repeated or not.  Values go
+        # through `exact_rational`, so a float and a list are refused.
         half = F(1, 2)
-        phi = TestFunction(2, 2, {(2, 0): half, (1, 1): 0.5, (0, 2): "1/2"})
+        phi = TestFunction(2, 2, {(2, 0): half, (1, 1): F(2, 4), (0, 2): "1/2"})
         assert list(phi.values.values()) == [half] * 3
         bad = F(3, 2)
         with pytest.raises(ValueError, match=re.escape("phi((1, 1)) = 3/2 outside [0, 1]")):
             TestFunction(2, 2, {(2, 0): half, (1, 1): bad, (0, 2): bad})
-        with pytest.raises(TypeError, match="argument should be a string or a Rational"):
+        with pytest.raises(ValueError, match=re.escape("got 0.5")):
+            TestFunction(2, 2, {(2, 0): half, (1, 1): 0.5, (0, 2): "1/2"})
+        with pytest.raises(ValueError, match="not an exact rational"):
             TestFunction(2, 2, {(2, 0): half, (1, 1): [half]})
 
     def test_enumeration_order_descending_lex(self):

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import sys
 from pathlib import Path
 
 from powerpoly.cli import main
@@ -20,7 +21,8 @@ def _command_block() -> list[str]:
     return [line for line in block.splitlines() if line and not line.startswith("#")]
 
 
-def test_command_line_block_runs(tmp_path, monkeypatch):
+def _run_block(tmp_path, monkeypatch):
+    """Runs the README's command-line block; the exit code and stdout of each command."""
     lines = _command_block()
     assert any(line.startswith("echo ") for line in lines)
     monkeypatch.chdir(tmp_path)
@@ -36,8 +38,29 @@ def test_command_line_block_runs(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(buf):
             codes[line] = main(words[1:])
         outputs[words[1]] = buf.getvalue()
+    return codes, outputs
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch):
+    codes, outputs = _run_block(tmp_path, monkeypatch)
     # polytope-exists answers "does not exist" for the 1/4 square.
     assert codes == {line: 2 if "polytope-exists" in line else 0 for line in codes}
     verdict = json.loads(outputs["polytope-exists"])
     assert (verdict["failing_pair"], verdict["witness_point"]) == ([0, 1], ["1/4", "1/4"])
     assert os.path.exists("grid.csv")
+
+
+def test_no_command_solves_an_lp(tmp_path, monkeypatch):
+    # One example of each of the nine subcommands answers with every
+    # binding of `solve_lp` in the package made to raise.
+    def refused(*args):
+        raise AssertionError("no command may solve an LP")
+
+    bindings = [m for name, m in sys.modules.items() if name.startswith("powerpoly")]
+    bindings = [m for m in bindings if hasattr(m, "solve_lp")]
+    assert {m.__name__ for m in bindings} >= {"powerpoly.linprog", "powerpoly.polytope"}
+    for module in bindings:
+        monkeypatch.setattr(module, "solve_lp", refused)
+    codes, _ = _run_block(tmp_path, monkeypatch)
+    assert len({line.split()[1] for line in codes}) == 9
+    assert codes == {line: 2 if "polytope-exists" in line else 0 for line in codes}
