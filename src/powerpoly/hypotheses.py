@@ -136,11 +136,14 @@ def sphere(k: int, delta=None, delta_sq=None) -> NullHypothesis:
     limit = (1 - Fraction(1, k)) ** 2
     if dsq >= limit:
         raise ValueError(f"delta^2 must be below (1 - 1/k)^2 = {limit}")
-    g = Polynomial.zero(k)
+    # sum (p_i - 1/k)^2 - delta^2 = sum p_i^2 - (2/k) sum p_i + (1/k - delta^2)
+    terms, linear = {}, Fraction(-2, k)
     for i in range(k):
-        v = Polynomial.variable(k, i) - Polynomial.constant(k, Fraction(1, k))
-        g = g + v * v
-    g = g - Polynomial.constant(k, dsq)
+        terms[tuple(2 * (j == i) for j in range(k))] = 1
+        terms[tuple(int(j == i) for j in range(k))] = linear
+    if dsq != Fraction(1, k):  # _of_rationals takes nonzero coefficients only
+        terms[(0,) * k] = Fraction(1, k) - dsq
+    g = Polynomial._of_rationals(k, terms)
     return NullHypothesis(
         k=k,
         family="sphere",

@@ -1,4 +1,4 @@
-import hashlib
+import difflib
 import itertools
 import json
 import os
@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,10 +34,29 @@ def run_cli(args, tmp_path=None):
     return code, buf.getvalue()
 
 
-def assert_artifact(argv, code, digest, tmp_path):
-    """stdout has the pinned sha256 and exit code, and `--out` writes the same bytes."""
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DIFF_LINES = 300  # of a mismatch's unified diff, shown before the rest is cut
+
+
+def assert_artifact(argv, code, golden, tmp_path):
+    """stdout has the golden file's bytes and the exit code `code`, and
+    `--out` writes the same bytes.
+
+    A missing golden is written from this run and the test fails naming
+    it: to re-record one, delete its file, rerun and review the diff in git.
+    """
     got, out = run_cli(argv)
-    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+    if not golden.exists():
+        golden.write_bytes(out.encode())
+        pytest.fail(f"wrote the missing golden {golden}; review it and rerun")
+    want = golden.read_bytes().decode()
+    if out != want:
+        diff = list(difflib.unified_diff(
+            want.splitlines(), out.splitlines(), str(golden), "stdout", lineterm=""))
+        if len(diff) > DIFF_LINES:
+            diff[DIFF_LINES:] = [f"... {len(diff) - DIFF_LINES} more lines of diff"]
+        pytest.fail("stdout differs from its golden:\n" + "\n".join(diff))
+    assert got == code
     path = tmp_path / "artifact"
     assert run_cli(argv + ["--out", str(path)]) == (code, "")
     assert path.read_bytes() == out.encode()
@@ -91,29 +111,6 @@ class TestGb:
     def test_bad_input_exit_code(self):
         code, _ = run_cli(["gb", "--gens", "p1 + q9", "--vars", "p1,p2"])
         assert code == 1
-
-    # sha256 of stdout: negative and fractional leading coefficients, so a
-    # change to sign or content normalization shows in these bytes.
-    GB_OUTPUT = [
-        (["-2/3*p1^2 + p2", "-4*p1*p2 + 6/5*p2^2"], "p1,p2", "grlex",
-         "7276a9b4c0dd415e5fb91216616f583ceb871a534d467ac2ce55345c13ba36e7"),
-        (["-2/3*p1^2 + p2", "-4*p1*p2 + 6/5*p2^2"], "p1,p2", "grevlex",
-         "3ff9d39481c781f1570e3b19ae4ab892b726da66e6f5929fc89c6f06e121a31c"),
-        (["p1*p2-p3^2", "p1^2*p3 - 3/4*p2", "p1 - 2*p3 + 1/3"], "p1,p2,p3", "grlex",
-         "5098553fe5b9ac58dd32aac4d4317cdc7ed04032b9820eb8194e8fc5d5196ee1"),
-        (["p1*p2-p3^2", "p1^2*p3 - 3/4*p2", "p1 - 2*p3 + 1/3"], "p1,p2,p3", "grevlex",
-         "502360782857a1b0e259b67ef369654730e5ebac8dab7f6a07d7c81986d13409"),
-    ]
-
-    @pytest.mark.parametrize(
-        "gens, names, order, digest", GB_OUTPUT,
-        ids=["signs-grlex", "signs-grevlex", "mixed-grlex", "mixed-grevlex"],
-    )
-    def test_output_bytes(self, gens, names, order, digest, tmp_path):
-        args = ["gb", "--vars", names, "--order", order]
-        for g in gens:
-            args += ["--gens", g]
-        assert_artifact(args, 0, digest, tmp_path)
 
     def test_signs_and_contents_are_normalized(self):
         code, out = run_cli(
@@ -545,63 +542,106 @@ def test_unwritable_out_is_an_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
-# The files the artifact pins read, by the placeholder their argv names.
-ARTIFACT_INPUTS = {
-    "INDEP22": {"kind": "independence", "params": {"p": 2, "q": 2}},
-    "SPHERE": {"kind": "sphere", "params": {"k": 3, "delta_sq": "1/6"}},
-    "WIDE": {"kind": "polytope",
-             "params": {"A": [["-1", "0"], ["0", "-1"]], "b": ["-3/4", "-3/4"], "k": 3}},
-    "NARROW": {"kind": "polytope",
-               "params": {"A": [["-1", "0"], ["0", "-1"]], "b": ["-1/4", "-1/4"], "k": 3}},
-    "PHI": {"n": 2, "k": 3, "values": [
-        {"x": [2, 0, 0], "phi": "1"}, {"x": [1, 1, 0], "phi": "1/2"},
-        {"x": [1, 0, 1], "phi": "0"}, {"x": [0, 2, 0], "phi": "1/3"},
-        {"x": [0, 1, 1], "phi": "0"}, {"x": [0, 0, 2], "phi": "1"}]},
-}
+def indep(p, q):
+    return {"kind": "independence", "params": {"p": p, "q": q}}
 
-# (argv, exit code, sha256 of the artifact) of every artifact-writing
-# command but gb and umpu, whose pins sit in their own classes.
-ARTIFACTS = [
-    pytest.param(["threshold", "--hypothesis", "INDEP22"], 0,
-                 "3e242940d5d61a97ab87cf4fc33cfe4b666eb7165763e4a6405bbe594d6e2708",
-                 id="threshold-independence-2x2"),
-    pytest.param(["separating", "--hypothesis", "SPHERE"], 0,
-                 "8ab9ef2580b1a300e6b6f22e9deb054d1cb734c38bbb4db0fa4252604a62b2a0",
-                 id="separating-sphere"),
-    pytest.param(["separating", "--hypothesis", "WIDE"], 0,
-                 "cd83613b5b7785d906b7901e391cd177e79a965a2ae9c41668e072ed11ec64ec",
-                 id="separating-polytope"),
-    pytest.param(["coeff-polytope", "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3",
-                  "--alpha", "1/20", "--enumerate"], 0,
-                 "d39f05891d1d77f75acee89d2eea1a41cbc2d5c423f1a2c6402ace602c4120b5",
-                 id="coeff-polytope-enumerate"),
-    pytest.param(["polytope-exists", "--hypothesis", "WIDE"], 0,
-                 "ccf847738ab07db8182b3035c34aa8953d557ee9b083dce6f1386758250ec750",
-                 id="polytope-exists-exists"),
-    pytest.param(["polytope-exists", "--hypothesis", "NARROW"], 2,
-                 "e7d577fa368463d5e75990f4c0c14767ae699e60752918339eb7665b84b3aac3",
-                 id="polytope-exists-not-exists"),
-    pytest.param(["recover-test", "--beta", "p1^3 + 3*p1*p2*p3 + p3^3", "--vars", "p1,p2,p3",
-                  "--n", "3"], 0,
-                 "1f73958cff96d26a3efaa513e5c26afde036edc9e053f83df0cda1efa0e54d00",
-                 id="recover-test"),
-    pytest.param(["mc-validate", "--test", "PHI", "--pi", "1/2,1/3,1/6", "--reps", "1000",
-                  "--seed", "7"], 0,
-                 "2046fc93242966c507a3a3e5d5057671efbe0b981c1b1f3668f505bf249f1d95",
-                 id="mc-validate"),
-    pytest.param(["power-grid", "--test", "PHI", "--res", "4"], 0,
-                 "4bda4fc10886b40a20e2de5bc3992f18703c9f17f677a7d3dc4bc05bd541fa79",
-                 id="power-grid"),
+
+def sphere(k, delta_sq):
+    return {"kind": "sphere", "params": {"k": k, "delta_sq": delta_sq}}
+
+
+# The input files of the goldens: each dict in a golden's argv is written
+# as JSON, and its path stands in its place.
+SQUARE = [["-1", "0"], ["0", "-1"]]
+WIDE = {"kind": "polytope", "params": {"A": SQUARE, "b": ["-3/4", "-3/4"], "k": 3}}
+NARROW = {"kind": "polytope", "params": {"A": SQUARE, "b": ["-1/4", "-1/4"], "k": 3}}
+PHI = {"n": 2, "k": 3, "values": [
+    {"x": [2, 0, 0], "phi": "1"}, {"x": [1, 1, 0], "phi": "1/2"},
+    {"x": [1, 0, 1], "phi": "0"}, {"x": [0, 2, 0], "phi": "1/3"},
+    {"x": [0, 1, 1], "phi": "0"}, {"x": [0, 0, 2], "phi": "1"}]}
+# The test that recover-test finds for p1^3 + 3*p1*p2*p3 + p3^3.
+PHI3 = {"n": 3, "k": 3, "values": [
+    {"x": list(x), "phi": {(3, 0, 0): "1", (1, 1, 1): "1/2", (0, 0, 3): "1"}.get(x, "0")}
+    for x in count_vectors(3, 3)]}
+# One hypothesis of each family, for the default threshold and separating output.
+FAMILIES = [
+    ("independence-2x3", indep(2, 3)),
+    ("symmetry-3", {"kind": "symmetry", "params": {"p": 3}}),
+    ("sphere", sphere(3, "1/6")),
+    ("logodds", {"kind": "logodds", "params": {"a": ["1", "-1"], "c": "2", "k": 3}}),
+    ("motzkin", {"kind": "motzkin", "params": {}}),
+    ("custom-p1p2", {"kind": "custom", "params": {"k": 3, "generators": ["p1*p2"]}}),
+    # The bounded-rank theorem gives the bounds and the witnesses.
+    ("rank-lt-2x3", {"kind": "rank_lt", "params": {"p": 2, "q": 3, "r": 2}}),
+]
+# Negative and fractional leading coefficients, so that a change to sign or
+# content normalization shows.
+GB_GENS = [
+    ("signs", ["-2/3*p1^2 + p2", "-4*p1*p2 + 6/5*p2^2"], "p1,p2"),
+    ("mixed", ["p1*p2-p3^2", "p1^2*p3 - 3/4*p2", "p1 - 2*p3 + 1/3"], "p1,p2,p3"),
+]
+SPHERE_F = "p1^2 + p2^2 + p3^2 - 2/3*p1 - 2/3*p2 - 2/3*p3 + 1/6"
+
+
+def f_argv(command, f, n, alpha, *flags):
+    return [command, "--f", f, "--vars", "p1,p2,p3", "--n", n, "--alpha", alpha, *flags]
+
+
+# (id, argv, exit code) of every pinned CLI artifact; tests/golden/<id>.out
+# holds its stdout bytes.
+GOLDENS = [
+    *((f"gb-{name}-{order}",
+       ["gb", *(a for g in gens for a in ("--gens", g)), "--vars", names, "--order", order], 0)
+      for name, gens, names in GB_GENS for order in ("grlex", "grevlex")),
+    *((f"{command}-{name}", [command, "--hypothesis", spec], 0)
+      for name, spec in FAMILIES for command in ("threshold", "separating")),
+    ("threshold-independence-2x2", ["threshold", "--hypothesis", indep(2, 2)], 0),
+    # The two largest SUB witnesses of the benchmark's threshold pool.
+    ("threshold-independence-3x4", ["threshold", "--hypothesis", indep(3, 4)], 0),
+    ("threshold-sphere-k8", ["threshold", "--hypothesis", sphere(8, "1/8")], 0),
+    ("separating-polytope", ["separating", "--hypothesis", WIDE], 0),
+    ("polytope-exists-exists", ["polytope-exists", "--hypothesis", WIDE], 0),
+    ("polytope-exists-not-exists", ["polytope-exists", "--hypothesis", NARROW], 2),
+    # h_star, beta and the test of each verdict.
+    ("umpu-exists", f_argv("umpu", "p1+p2-p3", "3", "1/20"), 0),
+    ("umpu-not-exists", f_argv("umpu", "2*p1+p2-p3", "3", "1/20"), 2),
+    ("umpu-candidate", f_argv("umpu", SPHERE_F, "6", "1/20"), 0),
+    ("umpu-exists-vertices", f_argv("umpu", "p1+p2-p3", "3", "1/20", "--emit-vertices"), 0),
+    # The H-rep rows, the halfspace count and the vertices.
+    ("coeff-polytope-enumerate",
+     f_argv("coeff-polytope", "p1+p2-p3", "3", "1/20", "--enumerate"), 0),
+    ("coeff-polytope-sphere-n5", f_argv("coeff-polytope", SPHERE_F, "5", "1/20", "--enumerate"), 0),
+    ("coeff-polytope-n4-half", f_argv("coeff-polytope", "p1+p2-p3", "4", "1/2", "--enumerate"), 0),
+    # f~^2 = (p1 - p2)^2 has no p3, so every L with L3 >= 2 is a zero row.
+    ("coeff-polytope-zero-rows", f_argv("coeff-polytope", "p1-p2", "3", "1/10", "--enumerate"), 0),
+    ("recover-test",
+     ["recover-test", "--beta", "p1^3 + 3*p1*p2*p3 + p3^3", "--vars", "p1,p2,p3", "--n", "3"], 0),
+    ("mc-validate",
+     ["mc-validate", "--test", PHI, "--pi", "1/2,1/3,1/6", "--reps", "1000", "--seed", "7"], 0),
+    ("power-grid", ["power-grid", "--test", PHI, "--res", "4"], 0),
+    ("power-grid-max-half", ["power-grid", "--test", PHI3, "--res", "11", "--max", "1/2"], 0),
 ]
 
 
-@pytest.mark.parametrize("argv, code, digest", ARTIFACTS)
-def test_artifact_bytes(argv, code, digest, tmp_path):
-    paths = {}
-    for name, payload in ARTIFACT_INPUTS.items():
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(payload))
-    assert_artifact([str(paths.get(a, a)) for a in argv], code, digest, tmp_path)
+@pytest.mark.parametrize("name, argv, code", GOLDENS, ids=[name for name, _, _ in GOLDENS])
+def test_golden(name, argv, code, tmp_path):
+    args = []
+    for i, arg in enumerate(argv):
+        if isinstance(arg, dict):
+            path = tmp_path / f"input{i}.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        args.append(arg)
+    assert_artifact(args, code, GOLDEN / f"{name}.out", tmp_path)
+
+
+def test_goldens_cover_every_subcommand_and_file():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert sorted(sub.choices) == sorted({argv[0] for _, argv, _ in GOLDENS})
+    names = [f"{name}.out" for name, _, _ in GOLDENS]
+    assert len(set(names)) == len(names)
+    files = [str(p.relative_to(GOLDEN)) for p in GOLDEN.rglob("*") if p.is_file()]
+    assert [f for f in sorted(files) if f not in names] == []  # no orphaned golden
 
 
 # Every option of every subcommand, with its default, from a minimal argv.
@@ -833,77 +873,6 @@ class TestThreshold:
             assert run_cli(args + ["359"])[0] == 3
             assert run_cli(args + ["816"])[0] == 0
 
-    # sha256 of the default stdout of threshold and separating, pinned so a
-    # change to the witness code shows in these bytes.
-    DEFAULT_OUTPUT = [
-        ({"kind": "independence", "params": {"p": 2, "q": 3}},
-         "fe443a85750ac9fd0bda149a3534603ce836d99de5f94619145e65646c76af28",
-         "434e679aade39b8ad7dee3299df76ac6155969ac6e980f15efe9739d393358cf"),
-        ({"kind": "symmetry", "params": {"p": 3}},
-         "87eb76719408b264fc824eacb90e6570a24796fc39b320bbaee9958cd28eea8f",
-         "577739d7a9a6afd93397664a8fb8cedd1b46fad6890877af120811af80699b6d"),
-        ({"kind": "sphere", "params": {"k": 3, "delta_sq": "1/6"}},
-         "ec7912f39f3caaf207c2e9ffe24d8754aee44650104d32b7e827dc407aa1beac",
-         "8ab9ef2580b1a300e6b6f22e9deb054d1cb734c38bbb4db0fa4252604a62b2a0"),
-        ({"kind": "logodds", "params": {"a": ["1", "-1"], "c": "2", "k": 3}},
-         "5edd460b91fb91b73e5bcf80a7b042c2266d393dc0d53458dd9e7c37f9cca822",
-         "f89f5a0cfc088d2f9f6d57ae4accf3b52d6c70e540699cb1e06bd5350cec84ac"),
-        ({"kind": "motzkin", "params": {}},
-         "61b6f3a62c1c5f05f45b3caa8fec714ff6a5d4060f1f48c4853f27a973cae89f",
-         "6ea66daee3102baa88fafcf81de68ba91cc7ece0d8fb643b9d1a655ee7021e46"),
-        ({"kind": "custom", "params": {"k": 3, "generators": ["p1*p2"]}},
-         "0beaaaef5918659b09003b08dec9015b2813eb0e5334bfd406717d37667f157e",
-         "619ef13607e906445624614be26716f840c4b9d03c77c2c4197945a6b3e84859"),
-    ]
-
-    @pytest.mark.parametrize(
-        "spec, threshold_digest, separating_digest",
-        DEFAULT_OUTPUT,
-        ids=["independence", "symmetry", "sphere", "logodds", "motzkin", "custom"],
-    )
-    def test_default_output_bytes(self, spec, threshold_digest, separating_digest, tmp_path):
-        path = tmp_path / "h.json"
-        path.write_text(json.dumps(spec))
-        for command, digest in (("threshold", threshold_digest), ("separating", separating_digest)):
-            code, out = run_cli([command, "--hypothesis", str(path)])
-            assert code == 0
-            assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    @pytest.mark.parametrize(
-        "spec, digest",
-        [
-            ({"kind": "independence", "params": {"p": 3, "q": 4}},
-             "605de35ed1a4f727a6691912ee5fbec5a45b6dd249a3c8baf3fa5573a89dea99"),
-            ({"kind": "sphere", "params": {"k": 8, "delta_sq": "1/8"}},
-             "e43ca4bf3c3e3e95ec24d22a603fdfa15790e8c6aaefef963cd8acffde16718c"),
-        ],
-        ids=["independence-3x4", "sphere-k8"],
-    )
-    def test_largest_witness_bytes(self, spec, digest, tmp_path):
-        # The two largest SUB witnesses of the benchmark's threshold pool;
-        # the command prints independence's bounded-rank witness.
-        path = tmp_path / "h.json"
-        path.write_text(json.dumps(spec))
-        code, out = run_cli(["threshold", "--hypothesis", str(path)])
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    @pytest.mark.parametrize(
-        "command, digest",
-        [
-            ("threshold", "acafb506c02af77240b7b6ffd701893081b25f4584021395c6d0e9d49648c6d0"),
-            ("separating", "5617404eb64461161e9fdc66d78601a01679a8156befa3ae4051fbc1cd77541c"),
-        ],
-        ids=["threshold", "separating"],
-    )
-    def test_rank_lt_output_bytes(self, command, digest, tmp_path):
-        # The bounded-rank theorem gives the bounds and the witnesses.
-        path = tmp_path / "rank.json"
-        path.write_text(json.dumps({"kind": "rank_lt", "params": {"p": 2, "q": 3, "r": 2}}))
-        code, out = run_cli([command, "--hypothesis", str(path)])
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
     @pytest.mark.parametrize("command", ["threshold", "separating"])
     def test_rank_lt_builds_its_minors_once(self, command, tmp_path, monkeypatch):
         # The loaded hypothesis's minors are the ones squared.
@@ -1028,29 +997,6 @@ class TestThreshold:
         assert len(payload["rows"]) == 10
         assert payload["vertex_count"] == 8
 
-    @pytest.mark.parametrize(
-        "f, n, alpha, digest",
-        [
-            ("p1^2 + p2^2 + p3^2 - 2/3*p1 - 2/3*p2 - 2/3*p3 + 1/6", "5", "1/20",
-             "173cb8405168de93456448d1b065302035ea3ac8bc7bf0cd77f912c945572965"),
-            ("p1+p2-p3", "4", "1/2",
-             "327fb9739667f873b32b35152309d6092ccbee2aedd8ac22a2cc9399f11bb211"),
-            # f~^2 = (p1 - p2)^2 has no p3, so every L with L3 >= 2 is a zero row.
-            ("p1-p2", "3", "1/10",
-             "a7cfb8a57d0e744342a97ecdf493c15c62d61cb54e0a6a61b27242019aeeb1ac"),
-        ],
-        ids=["sphere-k3-n5", "p1+p2-p3-n4-half", "p1-p2-n3-zero-rows"],
-    )
-    def test_coeff_polytope_emission_bytes_pinned(self, f, n, alpha, digest):
-        # The H-rep rows, the halfspace count and the vertices, byte for byte.
-        code, out = run_cli(
-            ["coeff-polytope", "--f", f, "--vars", "p1,p2,p3", "--n", n, "--alpha", alpha,
-             "--enumerate"]
-        )
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
 class TestUmpu:
     def test_exists_vertices(self):
         code, out = run_cli(
@@ -1078,28 +1024,6 @@ class TestUmpu:
              "--alpha", "0.05"]
         )
         assert code == 1
-
-    @pytest.mark.parametrize(
-        "f, n, flags, status, code, digest",
-        [
-            ("p1+p2-p3", "3", [], "exists", 0,
-             "cf580ae89b9b3f74e5530243fb3ac8a79391f4951e1e624311e811d7ee07220c"),
-            ("2*p1+p2-p3", "3", [], "not_exists", 2,
-             "81d2973738475402ff4d492310fb7bab2d1a8f9e24601ea14036a26835f99c60"),
-            ("p1^2 + p2^2 + p3^2 - 2/3*p1 - 2/3*p2 - 2/3*p3 + 1/6", "6", [], "candidate", 0,
-             "db8d2200eb8712c548ded2048ff95238a0bc7d2f60d8638eef262e85df635a73"),
-            ("p1+p2-p3", "3", ["--emit-vertices"], "exists", 0,
-             "aa07aba9e7448931d306f53a653076512ef0b49bef0e8c25d6e31a07b3abc576"),
-        ],
-        ids=["exists", "not_exists", "candidate", "exists-vertices"],
-    )
-    def test_output_bytes(self, f, n, flags, status, code, digest, tmp_path):
-        # h_star, beta and the test of each verdict, byte for byte, on
-        # stdout and in the --out file.
-        argv = ["umpu", "--f", f, "--vars", "p1,p2,p3", "--n", n, "--alpha", "1/20", *flags]
-        assert json.loads(run_cli(argv)[1])["status"] == status
-        assert_artifact(argv, code, digest, tmp_path)
-
 
 class TestPolytopeExists:
     def test_wide_square(self, square):
@@ -1182,28 +1106,6 @@ class TestRoundTripCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "pi_1,pi_2,power"
         assert len(lines) == 1 + 11 * 11  # full grid inside the simplex
-
-    def test_grid_csv_bytes_pinned(self, tmp_path):
-        test_json = str(tmp_path / "phi3.json")
-        code, _ = run_cli(
-            ["recover-test", "--beta", "p1^3 + 3*p1*p2*p3 + p3^3", "--vars", "p1,p2,p3",
-             "--n", "3", "--out", test_json]
-        )
-        assert code == 0
-        grid_csv = tmp_path / "grid.csv"
-        code, out = run_cli(
-            ["power-grid", "--test", test_json, "--res", "11", "--max", "1/2"]
-        )
-        assert code == 0
-        assert run_cli(
-            ["power-grid", "--test", test_json, "--res", "11", "--max", "1/2",
-             "--out", str(grid_csv)]
-        )[0] == 0
-        assert grid_csv.read_text() == out
-        assert len(out.splitlines()) == 122
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "cd46245345425dfa4cbdc8cab4c596985164afcf22dcbd47cbf76746aeeed88e"
-        )
 
     def test_grid_csv_bytes_do_not_depend_on_entry_order(self, tmp_path):
         # Each power is a float sum in term order, and the terms come in

@@ -25,7 +25,7 @@ from powerpoly.hypotheses import (
     sphere,
 )
 from powerpoly.linalg import rank
-from powerpoly.polynomial import table_names
+from powerpoly.polynomial import Polynomial, table_names
 from powerpoly.polytope import enumerate_vertices_dd
 
 F = Fraction
@@ -81,6 +81,24 @@ class TestBuilders:
             names,
         )
         assert g == expect
+
+    def test_sphere_quadric_equals_its_sum_of_squares(self):
+        # The builder writes the expanded quadric directly; it must equal
+        # sum (p_i - 1/k)^2 - delta^2 built by polynomial arithmetic, also
+        # at delta^2 = 1/k, where the constant term is 0.
+        cases = 0
+        for k in range(2, 10):
+            for dsq in (F(1, 6), F(1, 8), F(1, 4), F(1, k), F(5, 8), F(1, 100), F(2, 9)):
+                if dsq >= (1 - F(1, k)) ** 2:
+                    continue
+                want = Polynomial.constant(k, -dsq)
+                for i in range(k):
+                    v = Polynomial.variable(k, i) - Polynomial.constant(k, F(1, k))
+                    want = want + v * v
+                g = sphere(k, delta_sq=dsq).generators[0]
+                assert (g, hash(g)) == (want, hash(want)), (k, dsq)
+                cases += 1
+        assert cases == 51
 
     def test_sphere_radius_validation(self):
         with pytest.raises(ValueError):
