@@ -184,7 +184,7 @@ def _threshold_payload(hyp: NullHypothesis, args) -> dict:
     names = hyp.substituted_names()
     if hyp.family in ("independence", "rank_lt"):
         # Independence is rank < 2: both take the bounded-rank theorem.
-        p, q, r = hyp.params["p"], hyp.params["q"], hyp.params.get("r", 2)
+        p, q, r = hyp.params["p"], hyp.params["q"], hyp.params["r"]
         report = rank_threshold(p, q, r, args.counter, minors=hyp.generators)
         witness_names = list(hyp.names)
     else:
@@ -193,7 +193,13 @@ def _threshold_payload(hyp: NullHypothesis, args) -> dict:
                 "threshold bounds need an algebraic hypothesis; "
                 "use polytope-exists for polytope hypotheses"
             )
-        gb = buchberger_reduced(hyp.substituted_generators(), MonomialOrder.GREVLEX, args.counter)
+        gens = hyp.substituted_generators()
+        if not any(gens):
+            raise CliError(
+                "null set is the whole simplex, no alternative: "
+                "every generator vanishes wherever sum(p) = 1"
+            )
+        gb = buchberger_reduced(gens, MonomialOrder.GREVLEX, args.counter)
         report = sos_bounds(gb, hypothesis=hyp, counter=args.counter)
         witness_names = names
     return {

@@ -88,8 +88,7 @@ def _minor(nvars: int, q: int, rows, cols) -> Polynomial:
 
 def independence(p: int, q: int) -> NullHypothesis:
     """All 2x2 minors of the p x q probability table vanish: rank < 2."""
-    hyp = _minors_hypothesis(p, q, 2)
-    return replace(hyp, family="independence", params={"p": p, "q": q})
+    return replace(_minors_hypothesis(p, q, 2), family="independence")
 
 
 def rank_lt(p: int, q: int, r: int) -> NullHypothesis:
@@ -373,7 +372,7 @@ def log_odds_to_binomial(a: Sequence[Fraction], c: Fraction, k: int) -> Polynomi
     ext = ints + [-sum(ints)]
     left = tuple(max(v, 0) for v in ext)
     right = tuple(max(-v, 0) for v in ext)
-    return Polynomial(k, {left: 1}) - target * Polynomial(k, {right: 1})
+    return Polynomial._of_rationals(k, {left: 1, right: -target})
 
 
 def _nth_root(value: Fraction, n: int) -> Fraction | None:
@@ -484,11 +483,9 @@ def polytope_existence(
 
     witness = Polynomial.constant(d, -1)
     for row, bound in zip(rows[:m], rhs):
-        g = Polynomial.constant(d, bound)
-        for idx, coeff in enumerate(row):
-            if coeff:
-                g = g - coeff * Polynomial.variable(d, idx)
-        witness = witness * g
+        terms = {(0,) * d: bound} if bound else {}
+        terms.update({tuple(int(i == j) for j in range(d)): -c for i, c in enumerate(row) if c})
+        witness = witness * Polynomial._of_rationals(d, terms)
     return ExistenceVerdict(exists=True, witness=witness)
 
 
@@ -557,7 +554,7 @@ def _sample_rank(h: NullHypothesis, count: int, base: int):
     so the table has rank at most r - 1 and every r x r minor vanishes.
     """
     p, q = h.params["p"], h.params["q"]
-    s = h.params.get("r", 2) - 1
+    s = h.params["r"] - 1
     out = []
     for t in range(count):
         u = _halton_ints(base + t, s * (p + q))[0]
@@ -771,29 +768,23 @@ def _sample_logodds(h: NullHypothesis, count: int, base: int):
 
 
 def _solve_unimodular(e: Sequence[int]) -> list[int]:
-    """Integer x with e . x = gcd(e) = 1 via iterated extended Euclid."""
-    coef: list[int] = []
+    """Integer x with e . x = gcd(e) = 1: one extended-Euclid step per entry.
+
+    Before entry v, x solves e' . x = g for the entries e' already read,
+    with g their gcd (0 before the first).  The step finds s, t with
+    s g + t v = gcd(g, v) >= 0, and x becomes s x followed by t.
+    """
+    x: list[int] = []
     g = 0
     for v in e:
-        if v == 0:
-            coef.append(0)
-            continue
-        if g == 0:
-            coef.append(1 if v > 0 else -1)
-            g = abs(v)
-            continue
-        old_r, r = g, v
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r:
-            qq = old_r // r
-            old_r, r = r, old_r - qq * r
-            old_s, s = s, old_s - qq * s
-            old_t, t = t, old_t - qq * t
-        if old_r < 0:
-            old_r, old_s, old_t = -old_r, -old_s, -old_t
-        coef = [ci * old_s for ci in coef] + [old_t]
-        g = old_r
+        (r0, s0, t0), (r1, s1, t1) = (g, 1, 0), (v, 0, 1)  # each row has r = s g + t v
+        while r1:
+            q = r0 // r1
+            (r0, s0, t0), (r1, s1, t1) = (r1, s1, t1), (r0 - q * r1, s0 - q * s1, t0 - q * t1)
+        if r0 < 0:
+            r0, s0, t0 = -r0, -s0, -t0
+        x = [c * s0 for c in x] + [t0]
+        g = r0
     if g != 1:
         raise ValueError("exponent vector is not primitive")
-    return coef
+    return x

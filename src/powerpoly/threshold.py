@@ -27,7 +27,7 @@ from powerpoly.groebner import GroebnerBasis, StepCounter, radical_membership
 from powerpoly.hypotheses import NullHypothesis, _linear_rows, rank_lt
 from powerpoly.linalg import primitive_scaling
 from powerpoly.parser import exact_rational
-from powerpoly.polynomial import Packing, Polynomial, packed_addmul, simplex_coefficients
+from powerpoly.polynomial import Packing, Polynomial, simplex_coefficients
 from powerpoly.polytope import enumerate_vertices_dd
 from powerpoly.power import PowerPolynomial, require_test_size
 
@@ -44,9 +44,8 @@ def _sum_of_squares(
     g^2 = s^2 G^2.  The scales s^2 are written as primitive integers k
     over one rational scale c, and sum k * G^2 is accumulated on packed
     monomials (16-bit words, as in the Groebner core) into one integer
-    term map: each G^2 by the symmetric kernel (`_add_square`), except the
-    one at `square_of`, which is formed on its own by the product kernel
-    and then added in.  No Fraction is built per term.
+    term map by the symmetric kernel (`_add_square`), which forms the
+    G^2 at `square_of` on its own too.  No Fraction is built per term.
     """
     packing = Packing.of(nvars)
     forms, scales = [], []
@@ -57,16 +56,12 @@ def _sum_of_squares(
         scales.append(s * s)
     ks, num, den = primitive_scaling(scales)
     out: dict = {}
-    for i, (k, form) in enumerate(zip(ks, forms)):
-        if i == square_of:
-            square: dict = {}
-            for m, coeff in form.items():
-                packed_addmul(square, coeff, m, form)
-            packed_addmul(out, k, 0, square)
-            single = packing.unpack(square, scales[i])
-        else:
-            _add_square(out, k, form)
-    return packing.unpack({m: c for m, c in out.items() if c}, Fraction(num, den)), single
+    for k, form in zip(ks, forms):
+        _add_square(out, k, form)
+    square: dict = {}
+    _add_square(square, 1, forms[square_of])
+    sub, single = ({m: c for m, c in acc.items() if c} for acc in (out, square))
+    return packing.unpack(sub, Fraction(num, den)), packing.unpack(single, scales[square_of])
 
 
 def _add_square(acc: dict, k: int, form: dict):
@@ -84,18 +79,20 @@ def _add_square(acc: dict, k: int, form: dict):
             acc[m2] = get(m2, 0) + kc * c2
 
 
-def _definite_form(g: Polynomial, k: int) -> bool:
-    """True when g, homogenized by p_1 + ... + p_k to its degree d, has
-    all its coefficients of one sign, with a nonzero one at every pure
-    power p_i^d.
+def _definite_form(g: Polynomial, k: int) -> int:
+    """The sign, 1 or -1, that g has at every simplex point, proved when g,
+    homogenized by p_1 + ... + p_k to its degree d, has all its
+    coefficients of that sign, with a nonzero one at every pure power
+    p_i^d; else 0.
 
     Such a form vanishes at p only where each of its monomials does, and
     the pure powers then force every p_i to 0, which is no simplex point.
     A generator in k - 1 variables (p_k substituted) gains p_k with
     exponent 0.  The coefficient of p_i^d is the value of g at the vertex
     e_i, so vertices where g is 0 or changes sign settle the question
-    before anything is homogenized.  Only signs matter, so the integer
-    map `ints` (g over its positive scale) is read.
+    before anything is homogenized, and a g that is a form already, as
+    `require_principal`'s f~ is, is read as it is.  Only signs matter, so
+    the integer map `ints` (g over its positive scale) is read.
     """
     vertex = [0] * k
     for m, c in g.ints.items():
@@ -103,12 +100,13 @@ def _definite_form(g: Polynomial, k: int) -> bool:
         if len(support) < 2:
             for i in support or range(k):
                 vertex[i] += c
-    if not (min(vertex) > 0 or max(vertex) < 0):
-        return False
+    sign = (min(vertex) > 0) - (max(vertex) < 0)
+    if not sign:
+        return 0
     if g.nvars < k:
         g = Polynomial._of(k, {m + (0,): c for m, c in g.ints.items()}, g.scale)
-    positive = vertex[0] > 0
-    return all((c > 0) == positive for c in g.homogenize(g.total_degree()).ints.values())
+    form = g if g.is_homogeneous() else g.homogenize(g.total_degree())
+    return sign if all(c * sign > 0 for c in form.ints.values()) else 0
 
 
 @dataclass(frozen=True)
@@ -267,12 +265,13 @@ def require_principal(f: Polynomial, n: int, alpha, fold: int) -> tuple[Fraction
     Refuses, in this order, an alpha that `parser.exact_rational` refuses
     (such as a float) or that lies outside (0, 1), a constant f, n below
     fold * deg f, a size n or category count k that no test has
-    (`require_test_size`), and an f constant on sum(p) = 1.  On that
-    hyperplane f is its homogenization f~, constant there exactly when
-    f~ = c (sum p)^deg: a form that vanishes on the hyperplane vanishes.
-    Then f has no zero on the simplex (c != 0) or vanishes on all of it
-    (c = 0), and neither splits the simplex.  For {f <= 0} (fold 1) a
-    c < 0 makes the null set the whole simplex too.
+    (`require_test_size`), and an f that does not split the simplex.
+    On sum(p) = 1, f is its homogenization f~.  When f~ = 0, f vanishes
+    on all of the simplex.  When f has one strict sign there, by the test
+    `sos_bounds` applies to every generator (`_definite_form`), {f = 0} is
+    empty, and so is {f <= 0} (fold 1) for a positive f, while a negative
+    f makes {f <= 0} the whole simplex.  This covers every f constant on
+    sum(p) = 1, where f~ = c (sum p)^deg.
     """
     alpha = exact_rational(alpha)
     if not 0 < alpha < 1:
@@ -284,16 +283,12 @@ def require_principal(f: Polynomial, n: int, alpha, fold: int) -> tuple[Fraction
         raise ValueError(f"sample size {n} below threshold {fold * deg}")
     require_test_size(n, f.nvars)
     ftilde = f.homogenize(deg)
-    bounds = simplex_coefficients(f.nvars, deg)
-    values = {Fraction(ftilde.ints.get(m, 0), b) for m, b in bounds.items()}
-    if len(values) == 1:
-        c = values.pop()
-        if c == 0 or fold == 1 and c < 0:
-            sign = "vanishes" if c == 0 else "is negative"
-            raise ValueError(
-                f"null set is the whole simplex, no alternative: f {sign} wherever sum(p) = 1"
-            )
-        raise ValueError("empty null set: f has no zero on sum(p) = 1, so P0 has no point")
+    sign = _definite_form(ftilde, f.nvars)
+    if not ftilde or fold == 1 and sign < 0:
+        state = "is negative on the simplex" if ftilde else "vanishes wherever sum(p) = 1"
+        raise ValueError(f"null set is the whole simplex, no alternative: f {state}")
+    if sign:
+        raise ValueError("empty null set: f has one strict sign on the simplex, so P0 has no point")
     return alpha, ftilde
 
 

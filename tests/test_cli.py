@@ -247,6 +247,45 @@ def test_f_constant_on_the_simplex_is_an_error(command, f, message, capsys):
     assert capsys.readouterr().err.startswith(f"error: {message}: ")
 
 
+@pytest.mark.parametrize("command", ["umpu", "coeff-polytope"])
+@pytest.mark.parametrize("f", ["p1^2+p2^2+p3^2", "p1+p2+2*p3"], ids=["squares", "linear"])
+def test_f_of_one_strict_sign_is_an_error(command, f, capsys):
+    # f > 0 on the simplex though not constant there: P0 is empty.
+    argv = [command, "--f", f, "--vars", "p1,p2,p3", "--n", "4", "--alpha", "1/20"]
+    assert run_cli(argv) == (1, "")
+    assert capsys.readouterr().err == (
+        "error: empty null set: f has one strict sign on the simplex, so P0 has no point\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["threshold", "separating"])
+@pytest.mark.parametrize(
+    "payload, code",
+    [({"kind": "custom", "params": {"k": 3, "generators": ["p1 + p2 + p3 - 1"]}}, 1),
+     ({"kind": "affine", "params": {"C": [[1, 1, 1]], "d": [1], "k": 3}}, 1),
+     ({"kind": "custom", "params": {"k": 3, "generators": ["p1 + p2 + p3 - 1", "p1*p2"]}}, 0)],
+    ids=["custom", "affine", "one-of-two"],
+)
+def test_generators_vanishing_on_the_simplex(command, payload, code, tmp_path, capsys):
+    # Every generator is 0 wherever sum(p) = 1: P0 is the whole simplex and
+    # no Groebner basis is asked for.  One vanishing generator of two
+    # leaves P0 = {p1 p2 = 0}, with its answer.
+    path = tmp_path / "hypothesis.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, "--hypothesis", str(path)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == (
+            "error: null set is the whole simplex, no alternative: "
+            "every generator vanishes wherever sum(p) = 1\n"
+        )
+    else:
+        answer = json.loads(captured.out)
+        witnesses = [v for key, v in answer.items() if key.endswith(("_witness", "_separating"))]
+        assert witnesses == ["p1^2*p2^2", "p1^2*p2^2"]
+
+
 @pytest.mark.parametrize(
     "payload, shown",
     [

@@ -55,7 +55,7 @@ class TestBuilders:
     def test_independence_is_rank_below_two(self, p, q):
         h, minors = independence(p, q), rank_lt(p, q, 2)
         assert (h.generators, h.names, h.k) == (minors.generators, minors.names, minors.k)
-        assert (h.family, h.params) == ("independence", {"p": p, "q": q})
+        assert (h.family, h.params) == ("independence", {"p": p, "q": q, "r": 2})
 
     @pytest.mark.parametrize("p, q", [(1, 3), (3, 1), (1, 1)])
     def test_independence_needs_two_rows_and_columns(self, p, q):
@@ -631,6 +631,22 @@ class TestSampling:
         assert len(points) == 3
         assert all(h.generators[0].evaluate(pt) == 0 for pt in points)
 
+    def test_solve_unimodular_solves_exactly_the_primitive_vectors(self):
+        # Lengths 1 to 7, entries in -9..9 with zeros and negatives: e.x = 1
+        # when gcd(e) = 1, and a refusal otherwise (all zeros included).
+        rng = random.Random(20261021)
+        outcomes = Counter()
+        for _ in range(3000):
+            e = [rng.choice([0, rng.randint(-9, 9)]) for _ in range(rng.randint(1, 7))]
+            if math.gcd(*e) == 1:
+                x = hypotheses._solve_unimodular(e)
+                assert len(x) == len(e) and sum(a * b for a, b in zip(e, x)) == 1, e
+            else:
+                with pytest.raises(ValueError, match="^exponent vector is not primitive$"):
+                    hypotheses._solve_unimodular(e)
+            outcomes[math.gcd(*e) == 1, 0 in e, min(e) < 0] += 1
+        assert len(outcomes) == 8
+
     def test_k2_sphere_gives_both_points(self):
         h = build_hypothesis({"kind": "sphere", "params": {"k": 2, "delta_sq": "1/8"}})
         assert sample_null_points(h, 1, seed=0) == [(F(1, 4), F(3, 4))]
@@ -787,7 +803,7 @@ def test_rank_tables_are_positive_with_rank_exactly_r_minus_one(spec):
     # At a rank below r - 1 every r x r minor's gradient vanishes, and the
     # gradient evidence of `powerpoly threshold` would show nothing.
     h = build_hypothesis(spec)
-    p, q, r = h.params["p"], h.params["q"], h.params.get("r", 2)
+    p, q, r = h.params["p"], h.params["q"], h.params["r"]
     for seed in (0, 7):
         for pt in sample_null_points(h, 10, seed):
             assert sum(pt) == 1 and all(c > 0 for c in pt)

@@ -199,11 +199,11 @@ class TestSosBounds:
         # point of a rational grid on the simplex.
         monos = [m for m in itertools.product(range(3), repeat=3) if sum(m) == 2]
         g = Polynomial(3, dict(zip(monos, coeffs))) + Polynomial.constant(3, F(constant, 2))
-        if g.total_degree() < 1 or not _definite_form(g, 3):
+        sign = _definite_form(g, 3) if g.total_degree() >= 1 else 0
+        if not sign:
             return
         grid = [(F(a, 6), F(b, 6), F(6 - a - b, 6)) for a in range(7) for b in range(7 - a)]
-        values = [g.evaluate(p) for p in grid]
-        assert all(v > 0 for v in values) or all(v < 0 for v in values)
+        assert all(sign * g.evaluate(p) > 0 for p in grid)
 
     def test_gram_diagonal_form(self):
         # SUB witness is f^T f, the unit sum of squares: reconstruct directly.
@@ -214,8 +214,8 @@ class TestSosBounds:
         assert report.sub_witness == direct
 
     def test_ntub_square_comes_from_the_sub_sum(self, monkeypatch):
-        # One squaring pass per report: the NTUB witness g_min^2 is the
-        # square the SUB sum already formed.
+        # One squaring call per report: the NTUB witness g_min^2 comes
+        # from the call that forms the SUB sum.
         from powerpoly import threshold
 
         calls = []
@@ -374,14 +374,18 @@ class TestLinearDegreeSkip:
         assert any([self._skips(_mixed_degree_hypothesis(seed), order) for seed in range(400)])
 
 
+ONE_SIGN = "empty null set: f has one strict sign on the simplex, so P0 has no point"
 BAD_PRINCIPAL = [
     ("p1", VARS3, 2, F(3, 2), "alpha must lie in (0, 1)"),
     ("7", VARS3, 0, F(0), "alpha must lie in (0, 1)"),
     ("7", VARS3, 0, F(1, 20), "generator must be nonconstant"),
     ("p1*p2 - p3^2", VARS3, 3, F(1, 20), "sample size 3 below threshold 4"),
     ("p1", ["p1"], 2, F(1, 20), "need n >= 1 and k >= 2"),
-    ("p1 + p2 + p3", VARS3, 2, F(1, 20), "empty null set: f has no zero on sum(p) = 1"),
-    ("-p1 - p2 - p3", VARS3, 2, F(1, 20), "empty null set: f has no zero on sum(p) = 1"),
+    ("p1 + p2 + p3", VARS3, 2, F(1, 20), ONE_SIGN),
+    ("-p1 - p2 - p3", VARS3, 2, F(1, 20), ONE_SIGN),
+    ("p1^2 + p2^2 + p3^2", VARS3, 4, F(1, 20), ONE_SIGN),
+    ("-p1^2 - p2^2 - p3^2", VARS3, 4, F(1, 20), ONE_SIGN),
+    ("p1 + p2 + 2*p3", VARS3, 2, F(1, 20), ONE_SIGN),
     ("p1 + p2 + p3 - 1", VARS3, 2, F(1, 20), "null set is the whole simplex, no alternative: "),
 ]
 
@@ -408,9 +412,12 @@ class TestPrincipalChecks:
         + [
             ("p1*p2 - p3^2", VARS3, 1, F(1, 20), "sample size 1 below threshold 2"),
             ("p1", ["p1"], 1, F(1, 20), "need n >= 1 and k >= 2"),
-            ("p1 + p2 + p3", VARS3, 1, F(1, 20), "empty null set: f has no zero on sum(p) = 1"),
+            ("p1 + p2 + p3", VARS3, 1, F(1, 20), ONE_SIGN),
             ("-p1 - p2 - p3", VARS3, 1, F(1, 20),
              "null set is the whole simplex, no alternative: f is negative"),
+            ("p1^2 + p2^2 + p3^2", VARS3, 2, F(1, 20), ONE_SIGN),
+            ("-p1^2 - p2^2 - p3^2", VARS3, 2, F(1, 20),
+             "null set is the whole simplex, no alternative: f is negative on the simplex"),
             ("p1 + p2 + p3 - 1", VARS3, 1, F(1, 20),
              "null set is the whole simplex, no alternative: f vanishes"),
         ],

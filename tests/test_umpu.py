@@ -239,21 +239,24 @@ class TestCoefficientPolytope:
         g=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
         extra=st.lists(st.sampled_from([0, 0, 0, 1, -1]), min_size=3, max_size=3),
     )
-    def test_refused_exactly_when_constant_after_substitution(self, c, g, extra):
-        # f = c (sum p)^2 + (g0 + g.p)(sum p - 1) + extra.p: constant on the
-        # simplex unless extra is, and then refused by its value there.
+    def test_refused_exactly_when_constant_or_of_one_strict_sign(self, c, g, extra):
+        # f = c (sum p)^2 + (g0 + g.p)(sum p - 1) + extra.p is c + extra.p
+        # on the simplex, a linear function: of one strict sign there
+        # exactly when its values c + extra_i at the vertices are, and
+        # constant when extra is.  Zero is the whole simplex; any other
+        # one-signed f has an empty null set.
         x = [Polynomial.variable(3, i) for i in range(3)]
         total = x[0] + x[1] + x[2]
         f = c * total**2 + (g[0] + sum(gi * xi for gi, xi in zip(g[1:], x))) * (total - 1)
         f = f + sum(e * xi for e, xi in zip(extra, x))
         assume(f.total_degree() >= 1)
-        rest = f.substitute_last()
-        if rest.total_degree() >= 1:
-            assert coefficient_polytope(f, 4, F(1, 20)).k == 3
-        else:
-            message = "null set is the whole simplex" if rest.is_zero() else "empty null set"
+        vertex = [f.evaluate([int(i == j) for j in range(3)]) for i in range(3)]
+        if min(vertex) > 0 or max(vertex) < 0 or not any(vertex):
+            message = "empty null set" if any(vertex) else "null set is the whole simplex"
             with pytest.raises(ValueError, match=f"^{message}"):
                 coefficient_polytope(f, 4, F(1, 20))
+        else:
+            assert coefficient_polytope(f, 4, F(1, 20)).k == 3
 
     @pytest.mark.parametrize("alpha, facets", [(F(1, 20), 15), (F(1, 2), 30), (F(19, 20), 15)])
     def test_one_sided_puts_the_nearest_rows_first(self, alpha, facets):
@@ -957,6 +960,13 @@ def test_search_by_index_matches_the_key_search(coeffs, n, alpha):
     k = len(coeffs)
     units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
     f = Polynomial(k, {e: F(c) for e, c in zip(units, coeffs) if c})
+    if min(coeffs) > 0 or max(coeffs) < 0:
+        # The seeded draws hold [-1, -3, -3] and [1, 3, 2]: f has one strict
+        # sign on the simplex, its null set is empty, and both refuse it.
+        for search in (umpu_search, coefficient_polytope):
+            with pytest.raises(ValueError, match="^empty null set: f has one strict sign "):
+                search(f, n, alpha)
+        return
     verdict = umpu_search(f, n, alpha)
     status, h, failing_layer, certificate = _umpu_search_by_keys(f, n, alpha)
     poly = coefficient_polytope(f, n, alpha)
