@@ -90,9 +90,8 @@ def _definite_form(g: Polynomial, k: int) -> int:
     A generator in k - 1 variables (p_k substituted) gains p_k with
     exponent 0.  The coefficient of p_i^d is the value of g at the vertex
     e_i, so vertices where g is 0 or changes sign settle the question
-    before anything is homogenized, and a g that is a form already, as
-    `require_principal`'s f~ is, is read as it is.  Only signs matter, so
-    the integer map `ints` (g over its positive scale) is read.
+    before anything is homogenized.  Only signs matter, so the integer
+    map `ints` (g over its positive scale) is read.
     """
     vertex = [0] * k
     for m, c in g.ints.items():
@@ -105,7 +104,7 @@ def _definite_form(g: Polynomial, k: int) -> int:
         return 0
     if g.nvars < k:
         g = Polynomial._of(k, {m + (0,): c for m, c in g.ints.items()}, g.scale)
-    form = g if g.is_homogeneous() else g.homogenize(g.total_degree())
+    form = g.homogenize(g.total_degree())
     return sign if all(c * sign > 0 for c in form.ints.values()) else 0
 
 
@@ -265,13 +264,16 @@ def require_principal(f: Polynomial, n: int, alpha, fold: int) -> tuple[Fraction
     Refuses, in this order, an alpha that `parser.exact_rational` refuses
     (such as a float) or that lies outside (0, 1), a constant f, n below
     fold * deg f, a size n or category count k that no test has
-    (`require_test_size`), and an f that does not split the simplex.
-    On sum(p) = 1, f is its homogenization f~.  When f~ = 0, f vanishes
-    on all of the simplex.  When f has one strict sign there, by the test
-    `sos_bounds` applies to every generator (`_definite_form`), {f = 0} is
-    empty, and so is {f <= 0} (fold 1) for a positive f, while a negative
-    f makes {f <= 0} the whole simplex.  This covers every f constant on
-    sum(p) = 1, where f~ = c (sum p)^deg.
+    (`require_test_size`), and an f that vanishes on the simplex or that
+    the coefficient-sign test proves of one strict sign there.  On
+    sum(p) = 1, f is its homogenization f~.  When f~ = 0, f vanishes on
+    all of the simplex.  When `_definite_form`, the test `sos_bounds`
+    applies to every generator, finds all coefficients of f~ of one sign,
+    {f = 0} is empty, and so is {f <= 0} (fold 1) for a positive f, while
+    a negative f makes {f <= 0} the whole simplex.  This covers every f
+    constant on sum(p) = 1, where f~ = c (sum p)^deg.  A one-signed f with
+    coefficients of both signs, such as p1^2 - p1 p2 + p2^2 + p3^2, is
+    not refused.
     """
     alpha = exact_rational(alpha)
     if not 0 < alpha < 1:

@@ -151,8 +151,8 @@ def coefficient_polytope(
     per row makes it primitive.
 
     (f, n, alpha) are checked as `threshold.principal_umpu` checks them
-    (`threshold.require_principal`), which refuses an f that does not
-    split the simplex: one that vanishes on sum(p) = 1 or has one strict
+    (`threshold.require_principal`), which refuses an f that vanishes on
+    sum(p) = 1 or that its coefficient-sign test proves of one strict
     sign on the simplex, whose null set is empty or the whole simplex.
     `counter` is ticked once per degree-n multiindex, one row each,
     before any row is built.
@@ -314,44 +314,43 @@ def umpu_search(
     # dominates all others.  The face is carried as vertex indices.
     keys = vertex_keys(poly.vertices)[0]
     top = _peak_index(keys)
-    status, reason = EXISTS, "componentwise maximum vertex"
     if top is None:
-        layers = convex_peeling(poly.k, poly.nprime, counter)
-        position = {J: i for i, J in enumerate(poly.h_index)}
-        face = range(len(keys))
-        for layer_no, layer in enumerate(layers):
-            if counter is not None:
-                counter.tick()
-            face_keys = [keys[i] for i in face]
-            maxima = {position[J]: max(v[position[J]] for v in face_keys) for J in layer}
-            attained = [
-                i for i, v in zip(face, face_keys) if all(v[p] == m for p, m in maxima.items())
-            ]
-            if not attained:
-                # Project each coordinate's lex-smallest maximizer onto the
-                # layer.  None of them attains every maximum (it would be in
-                # `attained`), so the projections have no maximum and hold
-                # an incomparable pair.
-                layer_pos = sorted(maxima)
-                argmax = [next(i for i in face if keys[i][p] == maxima[p]) for p in layer_pos]
-                pair = _incomparable_pair([tuple([keys[i][q] for q in layer_pos]) for i in argmax])
-                return UMPUVerdict(
-                    status=NOT_EXISTS,
-                    c_vertices=poly.vertices,
-                    failing_layer=layer_no,
-                    certificate=tuple(
-                        tuple([poly.vertices[argmax[j]][q] for q in layer_pos]) for j in pair
-                    ),
-                    reason=(
-                        f"projected layer {layer_no} has no componentwise maximum: "
-                        "per-coordinate maxima are jointly infeasible"
-                    ),
-                )
-            face = attained
-        # The layers cover every coordinate, so the face is the single vertex h*.
-        top, status = face[0], CANDIDATE
-        reason = "necessary layer conditions hold; sufficiency undecided"
-    h_star = poly.vertices[top]
+        face, layers = range(len(keys)), convex_peeling(poly.k, poly.nprime, counter)
+        status, reason = CANDIDATE, "necessary layer conditions hold; sufficiency undecided"
+    else:
+        face, layers = [top], []
+        status, reason = EXISTS, "componentwise maximum vertex"
+    position = {J: i for i, J in enumerate(poly.h_index)}
+    for layer_no, layer in enumerate(layers):
+        if counter is not None:
+            counter.tick()
+        face_keys = [keys[i] for i in face]
+        maxima = {position[J]: max(v[position[J]] for v in face_keys) for J in layer}
+        attained = [i for i, v in zip(face, face_keys) if all(v[p] == m for p, m in maxima.items())]
+        if not attained:
+            # Project each coordinate's lex-smallest maximizer onto the layer.
+            # None of them attains every maximum (it would be in `attained`),
+            # so the projections have no maximum and hold an incomparable pair.
+            layer_pos = sorted(maxima)
+            argmax = [next(i for i in face if keys[i][p] == maxima[p]) for p in layer_pos]
+            pair = _incomparable_pair([tuple([keys[i][q] for q in layer_pos]) for i in argmax])
+            return UMPUVerdict(
+                status=NOT_EXISTS,
+                c_vertices=poly.vertices,
+                failing_layer=layer_no,
+                certificate=tuple(
+                    tuple([poly.vertices[argmax[j]][q] for q in layer_pos]) for j in pair
+                ),
+                reason=(
+                    f"projected layer {layer_no} has no componentwise maximum: "
+                    "per-coordinate maxima are jointly infeasible"
+                ),
+            )
+        face = attained
+
+    # The face is the peak, or, as the layers cover every coordinate, the
+    # single vertex h* they leave.
+    h_star = poly.vertices[face[0]]
     return UMPUVerdict(
         status=status,
         h_star=poly.h_polynomial(h_star),

@@ -230,32 +230,28 @@ def test_linear_null_set_is_checked_against_the_simplex(command, payload, code, 
         assert json.loads(captured.out)["family"] == "symmetry"
 
 
+ONE_SIGN = "empty null set: f has one strict sign on the simplex, so P0 has no point"
+WHOLE = "null set is the whole simplex, no alternative: f vanishes wherever sum(p) = 1"
+
+
 @pytest.mark.parametrize("command", ["umpu", "coeff-polytope"])
 @pytest.mark.parametrize(
     "f, message",
     [
-        ("p1+p2+p3", "empty null set"),
-        ("2*p1^2+2*p2^2+2*p3^2+4*p1*p2+4*p1*p3+4*p2*p3", "empty null set"),
-        ("p1+p2+p3-1", "null set is the whole simplex, no alternative"),
+        ("p1+p2+p3", ONE_SIGN),
+        ("2*p1^2+2*p2^2+2*p3^2+4*p1*p2+4*p1*p3+4*p2*p3", ONE_SIGN),
+        ("p1+p2+p3-1", WHOLE),
+        ("p1^2+p2^2+p3^2", ONE_SIGN),
+        ("p1+p2+2*p3", ONE_SIGN),
     ],
-    ids=["sum-of-all", "twice-its-square", "vanishes-on-the-simplex"],
+    ids=["sum-of-all", "twice-its-square", "vanishes-on-the-simplex", "squares", "linear"],
 )
-def test_f_constant_on_the_simplex_is_an_error(command, f, message, capsys):
-    # f is 1, 2 or 0 wherever sum(p) = 1: no verdict, test or polytope.
+def test_f_that_does_not_split_the_simplex_is_an_error(command, f, message, capsys):
+    # f is 1, 2 or 0 wherever sum(p) = 1, or, in the last two, positive
+    # though not constant there: no verdict, test or polytope.
     argv = [command, "--f", f, "--vars", "p1,p2,p3", "--n", "4", "--alpha", "1/20"]
     assert run_cli(argv) == (1, "")
-    assert capsys.readouterr().err.startswith(f"error: {message}: ")
-
-
-@pytest.mark.parametrize("command", ["umpu", "coeff-polytope"])
-@pytest.mark.parametrize("f", ["p1^2+p2^2+p3^2", "p1+p2+2*p3"], ids=["squares", "linear"])
-def test_f_of_one_strict_sign_is_an_error(command, f, capsys):
-    # f > 0 on the simplex though not constant there: P0 is empty.
-    argv = [command, "--f", f, "--vars", "p1,p2,p3", "--n", "4", "--alpha", "1/20"]
-    assert run_cli(argv) == (1, "")
-    assert capsys.readouterr().err == (
-        "error: empty null set: f has one strict sign on the simplex, so P0 has no point\n"
-    )
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["threshold", "separating"])
