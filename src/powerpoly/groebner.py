@@ -42,7 +42,8 @@ the keys it carries.  The
 pair loop stays packed too: each pending pair holds the packed lcm of
 its leading monomials (`Packing.lcm`), the coprime criterion compares it
 with their sum, and the chain criterion and the minimalization test
-divisibility by the same guarded subtract (`Packing.divides`).
+divisibility by the guarded subtract of `Packing.divides` on each
+leading monomial's exponent fields, held once.
 
 Radical membership uses the Rabinowitsch trick: f vanishes on the complex
 variety of `gens` iff 1 lies in <gens, 1 - y*f> in a ring with one extra
@@ -265,8 +266,12 @@ def buchberger_reduced(
         forms.setdefault((form[0], form[1], frozenset(form[2].items())), form)
     basis = list(forms.values())
 
-    divides = packing.divides
     lead = [b[0] for b in basis]
+    # Each leading monomial's exponent fields, held once as `_divide` holds
+    # its `leads`: x^a divides x^b when ((fields_b | guard) - fields_a)
+    # borrows no guard bit (`Packing.divides`).
+    guard = packing.guard
+    fields = [packing.bits(lm) for lm in lead]
     # Pending pair (i, j), i < j, mapped to the packed lcm of its leading
     # monomials, and a min-heap of (lcm degree, i, j) over the same pairs.
     pairs: dict[tuple[int, int], int] = {}
@@ -293,13 +298,14 @@ def buchberger_reduced(
             continue
         # Chain criterion: a third element dividing the lcm whose pairs with
         # i and j are both settled makes this pair redundant.
+        top = packing.bits(lcm) | guard
         if any(
             m != i
             and m != j
-            and divides(lm, lcm)
+            and (top - fm) & guard == guard
             and (min(i, m), max(i, m)) not in pairs
             and (min(j, m), max(j, m)) not in pairs
-            for m, lm in enumerate(lead)
+            for m, fm in enumerate(fields)
         ):
             continue
         packing.check(deg)
@@ -313,14 +319,18 @@ def buchberger_reduced(
             lm = next(iter(r))
             basis.append(_form(lm, r)[0])
             lead.append(lm)
+            fields.append(packing.bits(lm))
             add_pairs(len(basis) - 1)
 
     # Minimalize: drop elements whose leading monomial another one divides
     # (of equal leading monomials the earliest is kept).
     keep = [
         g
-        for i, (g, lm) in enumerate(zip(basis, lead))
-        if not any(divides(m, lm) and (m != lm or j < i) for j, m in enumerate(lead))
+        for i, (g, fi) in enumerate(zip(basis, fields))
+        if not any(
+            ((fi | guard) - fj) & guard == guard and (fj != fi or j < i)
+            for j, fj in enumerate(fields)
+        )
     ]
     # Interreduce in one pass. No leading monomial of a minimal basis divides
     # another, so each remainder keeps its element's leading monomial, and

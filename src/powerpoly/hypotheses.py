@@ -589,32 +589,34 @@ def _sample_linear(h: NullHypothesis, count: int, base: int):
     (the generators of affine and symmetry) or halfspaces (polytope).
 
     One double description on `_linear_rows`, the rows `polytope_existence`
-    reads for a polytope.  Each vertex gets x_k back; x_k is a function of
-    x', so the vertices keep their lex order.
+    reads for a polytope, whose vertices carry their integer keys over one
+    denominator den.  Each vertex gets x_k = 1 - sum(x') back, the key
+    den - sum(keys): x_k is a function of x', so the vertices keep their
+    lex order.
     """
     rows, rhs = _linear_rows(h.generators, h.k, h.polytope_a, h.polytope_b)
-    vertices = [(*v, 1 - sum(v)) for v in enumerate_vertices_dd(rows, rhs)]
+    keys, den = vertex_keys(enumerate_vertices_dd(rows, rhs).keyed)
+    keys = [(*key, den - sum(key)) for key in keys]
     # A mixture with positive weights is positive in coordinate i exactly
     # when some vertex is.
-    if not all(any(v[i] for v in vertices) for i in range(h.k)):
+    if not all(any(key[i] for key in keys) for i in range(h.k)):
         raise ValueError(f"{h.family} hypothesis has no relative-interior simplex point")
-    return _vertex_mixtures(vertices, count, base)
+    return _vertex_mixtures(keys, den, count, base)
 
 
-def _vertex_mixtures(vertices: Sequence[Sequence[Fraction]], count: int, base: int):
+def _vertex_mixtures(keys: Sequence[Sequence[int]], den: int, count: int, base: int):
     """`count` points sum_v w_v v, the weights w > 0 a normalized Halton point.
 
-    The vertices are integers over their common denominator (`vertex_keys`)
-    and the weights over theirs, so each distinct column of vertex
-    coordinates (a symmetric table repeats its off-diagonal ones) is one
-    Fraction.
+    The vertices come as integer keys over one denominator (`vertex_keys`)
+    and the weights as integers over theirs, so each distinct column of
+    vertex coordinates (a symmetric table repeats its off-diagonal ones)
+    is one Fraction.
     """
-    keys, den = vertex_keys(vertices)
     slots: dict = {}
     index = [slots.setdefault(col, len(slots)) for col in zip(*keys)]
     out = []
     for t in range(count):
-        w = _halton_ints(base + t, len(vertices))[0]
+        w = _halton_ints(base + t, len(keys))[0]
         scale = sum(w) * den
         values = [Fraction(sum(map(mul, w, col)), scale) for col in slots]
         out.append(tuple(map(values.__getitem__, index)))

@@ -43,9 +43,9 @@ The packed ints are also the one definition of the monomial orders and
 of monomial arithmetic: `leading_monomial` and `sorted_monomials` (and so
 every printed polynomial) sort on `Packing.sort_key`, which is
 `Packing.key` without its per-monomial degree check, and the Groebner
-pair loop takes its lcms and divisibility tests from `Packing.lcm` and
-`Packing.divides`, so monomials stay packed from the pair loop through
-to printing.
+pair loop takes its lcms from `Packing.lcm` and tests divisibility by
+the guarded subtract of `Packing.divides`, so monomials stay packed from
+the pair loop through to printing.
 
 Packing is a fact of the ring: `Packing.of` hands out one shared
 `Packing` per (nvars, order, word width), cached like

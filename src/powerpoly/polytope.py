@@ -8,10 +8,13 @@ decides how many intermediate rays are built but not the output.  The
 vertices are sorted on integer keys, every coordinate over one common
 denominator, and each distinct coordinate value becomes one Fraction:
 vertices share few values (4 among the 2,048 coordinates of a k = 8
-coefficient polytope).  `vertex_keys` is the one way back to integers,
-keys over one common denominator with each shared Fraction converted
-once: the UMPU search, the componentwise maximum and the null-point
-mixtures read the vertices through it.
+coefficient polytope).  The keys travel with the vertices: the list
+`enumerate_vertices_dd` returns holds, as `keyed`, the same vertices as
+a `Vertices` tuple that carries its keys and their denominator.
+`vertex_keys` is the one way back to integers: it returns a `Vertices`
+tuple's keys as they are and computes them for any other vertex list.
+The UMPU search, the componentwise maximum and the null-point mixtures
+read the vertices through it.
 
 `vertex_faces` also gives each input row's face: the bitmask of the
 vertices on the row, read off the final vertices, one integer dot product
@@ -31,11 +34,11 @@ the one caller of `linprog.solve_lp`, behind the library-only
 
 The set-up runs on integers, with the one exact elimination of
 `linalg.echelon`.  Each cone row (a_i, -b_i) is scaled to a primitive
-integer vector; rows that arrive as primitive integer rows, as the
-coefficient polytope's do, pass through with one gcd each.  `echelon`
-of the cone rows picks the first d + 1 independent ones, M, and
-`echelon` of [M | I] gives the initial simplicial cone's rays, the
-columns of -M^-1.
+integer vector; integer rows whose entries and right-hand side already
+have gcd 1, as every coefficient-polytope row does, enter the cone as
+they are.  `echelon` of the cone rows picks the first d + 1 independent
+ones, M, and `echelon` of [M | I] gives the initial simplicial cone's
+rays, the columns of -M^-1.
 
 Adjacency is the combinatorial test on bit patterns (Fukuda & Prodon,
 "Double description method revisited", 1996; Terzer & Stelling, "Large-
@@ -101,6 +104,34 @@ class _Ray:
     bit: int = 0  # 1 << id, the ray's bit in the `on` masks
 
 
+class Vertices(tuple):
+    """A vertex tuple that carries its integer keys: vertex n is keys[n] / den.
+
+    `keys` and `den` are what `vertex_keys` computes for the same
+    vertices.  Both tuples are immutable, so the keys never go stale.
+    """
+
+    def __new__(cls, vertices, keys: tuple[tuple[int, ...], ...], den: int):
+        self = super().__new__(cls, vertices)
+        self.keys, self.den = keys, den
+        return self
+
+    def __getnewargs__(self):
+        # Copies and pickles rebuild the tuple with its keys.
+        return tuple(self), self.keys, self.den
+
+
+class _VertexList(list):
+    """A vertex list equal to a plain one that also holds its vertices as
+    the `Vertices` tuple `keyed`."""
+
+    __slots__ = ("keyed",)
+
+    def __init__(self, keyed: Vertices):
+        super().__init__(keyed)
+        self.keyed = keyed
+
+
 def enumerate_vertices_dd(
     a: Sequence[Sequence],
     b: Sequence,
@@ -111,7 +142,8 @@ def enumerate_vertices_dd(
     The entries of a and b are ints or Fractions.  An empty polyhedron
     gives [].  Raises ValueError when the rows are rank deficient, or when
     the polyhedron is nonempty and some x != 0 has a x <= 0, so that it is
-    unbounded.
+    unbounded.  The list's `keyed` attribute holds the same vertices as a
+    `Vertices` tuple, with their integer keys.
     """
     return _sorted_vertices(_extreme_rays(a, b, counter)[1])[0]
 
@@ -136,9 +168,7 @@ def vertex_faces(
     return vertices, faces
 
 
-def _sorted_vertices(
-    rays: list[_Ray],
-) -> tuple[list[tuple[Fraction, ...]], list[tuple[int, ...]]]:
+def _sorted_vertices(rays: list[_Ray]) -> tuple[_VertexList, list[tuple[int, ...]]]:
     """The vertices sorted lex, and the extreme ray vectors they come from."""
     # Every ray has t >= 0.  Rays with t > 0 are the vertices; a ray with
     # t = 0 is a recession direction, which matters only when a vertex exists.
@@ -148,13 +178,16 @@ def _sorted_vertices(
     # Sort on integers: every coordinate over the common denominator
     # `scale`, which orders the points as their exact values do.  Distinct
     # extreme rays are distinct primitive vectors, so no vertex repeats.
+    # Each ray (x, t) is primitive, so t is the least common denominator
+    # of x / t, and `scale` is the one `vertex_keys` finds.
     scale = lcm(*(v[-1] for v in points))
     keys = [tuple([x * (scale // v[-1]) for x in v[:-1]]) for v in points]
     order = sorted(range(len(points)), key=keys.__getitem__)
+    keys = tuple([keys[i] for i in order])
     # Vertices share few coordinate values: one Fraction per distinct value.
     frac = {x: Fraction(x, scale) for x in set().union(*keys)}
-    vertices = [tuple(map(frac.__getitem__, keys[i])) for i in order]
-    return vertices, [points[i] for i in order]
+    vertices = Vertices([tuple(map(frac.__getitem__, key)) for key in keys], keys, scale)
+    return _VertexList(vertices), [points[i] for i in order]
 
 
 def _row_values(row: tuple[int, ...], vecs: list[tuple[int, ...]]) -> list[int]:
@@ -169,20 +202,19 @@ def _row_values(row: tuple[int, ...], vecs: list[tuple[int, ...]]) -> list[int]:
     return vals
 
 
-def vertex_keys(vertices: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], int]:
+def vertex_keys(vertices: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The vertices as integer tuples over one common denominator: (keys, den).
 
-    Coordinate v of a vertex is key / den.  The keys compare, coordinate
-    by coordinate, as the ints or Fractions they stand for, and equal
-    keys are equal vertices.  Vertices from double description share
-    their coordinate objects (one Fraction per distinct value), so each
-    distinct object is converted once, looked up by id; the objects stay
-    alive in `vertices`, so no id is reused meanwhile.
+    Coordinate v of a vertex is key / den, den the least common
+    denominator of all coordinates.  The keys compare, coordinate by
+    coordinate, as the ints or Fractions they stand for, and equal keys
+    are equal vertices.  A `Vertices` tuple's keys are returned as they
+    are; for any other vertex list they are computed.
     """
-    objs = {id(x): x for v in vertices for x in v}
-    den = lcm(*{x.denominator for x in objs.values()})
-    key = {i: x.numerator * (den // x.denominator) for i, x in objs.items()}
-    return [tuple(map(key.__getitem__, map(id, v))) for v in vertices], den
+    if isinstance(vertices, Vertices):
+        return vertices.keys, vertices.den
+    den = lcm(*{x.denominator for v in vertices for x in v})
+    return tuple([tuple([x.numerator * (den // x.denominator) for x in v]) for v in vertices]), den
 
 
 def _extreme_rays(
@@ -202,7 +234,7 @@ def _extreme_rays(
         raise ValueError("no constraints")
     dim = len(a[0])
     # Cone rows over (x, t): a.x - b t <= 0, then -t <= 0, rescaled integral.
-    cone = [primitive_ints((*row, -r)) for row, r in zip(a, b)]
+    cone = [_cone_row(row, r) for row, r in zip(a, b)]
     cone.append(tuple([0] * dim + [-1]))
     d1 = dim + 1
 
@@ -324,6 +356,17 @@ def _extreme_rays(
         rays = [r for r, v in zip(rays, vals) if v <= 0] + newcomers
         box = None
     return cone, rays
+
+
+def _cone_row(row: Sequence, r) -> tuple[int, ...]:
+    """The cone row (row, -r), scaled to a primitive integer vector.
+
+    An integer row whose entries have gcd 1 is primitive already.
+    """
+    vec = (*row, -r)
+    if all(type(x) is int for x in vec) and gcd(*vec) == 1:
+        return vec
+    return primitive_ints(vec)
 
 
 def _ray_box(rays: list[_Ray]) -> tuple[tuple[int, ...], tuple[int, ...], int]:

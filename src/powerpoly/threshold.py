@@ -79,19 +79,31 @@ def _add_square(acc: dict, k: int, form: dict):
             acc[m2] = get(m2, 0) + kc * c2
 
 
-def _definite_form(g: Polynomial, k: int) -> int:
+#: The most degrees `_definite_form` raises a form by before it gives up.
+_POLYA_RAISES = 4
+
+
+def _definite_form(g: Polynomial, k: int, counter: StepCounter | None = None) -> int:
     """The sign, 1 or -1, that g has at every simplex point, proved when g,
-    homogenized by p_1 + ... + p_k to its degree d, has all its
-    coefficients of that sign, with a nonzero one at every pure power
-    p_i^d; else 0.
+    homogenized by p_1 + ... + p_k to its degree d and then raised to
+    degree d + N for some N <= _POLYA_RAISES, has all its coefficients of
+    that sign, with a nonzero one at every pure power; else 0.
 
     Such a form vanishes at p only where each of its monomials does, and
     the pure powers then force every p_i to 0, which is no simplex point.
     A generator in k - 1 variables (p_k substituted) gains p_k with
     exponent 0.  The coefficient of p_i^d is the value of g at the vertex
     e_i, so vertices where g is 0 or changes sign settle the question
-    before anything is homogenized.  Only signs matter, so the integer
-    map `ints` (g over its positive scale) is read.
+    before anything is homogenized; raising the degree keeps these
+    coefficients.  When the degree-d form has coefficients of both signs,
+    its coefficient sum, k^d times its value at the centroid, refutes the
+    sign when it is 0 or of the other sign.  Otherwise the form is raised
+    one degree at a time, `homogenize(d + N)` multiplying it by
+    p_1 + ... + p_k: a form of one strict sign on the simplex has all its
+    coefficients of that sign at some degree (Polya, 1928).  Each raise
+    ticks `counter` once per monomial of the new degree, before it is
+    formed.  Only signs matter, so the integer map `ints` (g over its
+    positive scale) is read.
     """
     vertex = [0] * k
     for m, c in g.ints.items():
@@ -104,8 +116,19 @@ def _definite_form(g: Polynomial, k: int) -> int:
         return 0
     if g.nvars < k:
         g = Polynomial._of(k, {m + (0,): c for m, c in g.ints.items()}, g.scale)
-    form = g.homogenize(g.total_degree())
-    return sign if all(c * sign > 0 for c in form.ints.values()) else 0
+    d = g.total_degree()
+    form = g.homogenize(d)
+    if sum(form.ints.values()) * sign <= 0:
+        return 0  # the centroid refutes the sign
+    n = d
+    while not all(c * sign > 0 for c in form.ints.values()):
+        if n == d + _POLYA_RAISES:
+            return 0
+        n += 1
+        if counter is not None:
+            counter.tick(comb(n + k - 1, k - 1))
+        form = form.homogenize(n)
+    return sign
 
 
 @dataclass(frozen=True)
@@ -150,7 +173,8 @@ def sos_bounds(
     when the basis is linear and one double description of its equations
     on the simplex (`hypotheses._linear_rows`, its steps drawn from
     `counter`) finds no vertex, or when a generator of `hypothesis` has
-    one strict sign on the simplex (`_definite_form`).
+    one strict sign on the simplex (`_definite_form`, whose degree raises
+    tick `counter`).
     The basis lives in the k - 1 coordinates left once p_k = 1 - sum(p)
     is substituted.
     """
@@ -166,7 +190,9 @@ def sos_bounds(
         raise ValueError(
             "empty null set: the linear generators meet the simplex nowhere, so P0 has no point"
         )
-    if hypothesis is not None and any(_definite_form(g, hypothesis.k) for g in hypothesis.generators):
+    if hypothesis is not None and any(
+        _definite_form(g, hypothesis.k, counter) for g in hypothesis.generators
+    ):
         raise ValueError(
             "empty null set: a generator has one strict sign on the simplex, so P0 has no point"
         )
@@ -258,7 +284,9 @@ def _level(shape: Polynomial, n: int, alpha: Fraction) -> UMPUPower:
     return UMPUPower(Fraction(den * c_n, q * g * c_d), beta)
 
 
-def require_principal(f: Polynomial, n: int, alpha, fold: int) -> tuple[Fraction, Polynomial]:
+def require_principal(
+    f: Polynomial, n: int, alpha, fold: int, counter: StepCounter | None = None
+) -> tuple[Fraction, Polynomial]:
     """Check (f, n, alpha) for a UMPU level built on f~^fold: (alpha, f~).
 
     Refuses, in this order, an alpha that `parser.exact_rational` refuses
@@ -269,11 +297,12 @@ def require_principal(f: Polynomial, n: int, alpha, fold: int) -> tuple[Fraction
     sum(p) = 1, f is its homogenization f~.  When f~ = 0, f vanishes on
     all of the simplex.  When `_definite_form`, the test `sos_bounds`
     applies to every generator, finds all coefficients of f~ of one sign,
-    {f = 0} is empty, and so is {f <= 0} (fold 1) for a positive f, while
-    a negative f makes {f <= 0} the whole simplex.  This covers every f
-    constant on sum(p) = 1, where f~ = c (sum p)^deg.  A one-signed f with
-    coefficients of both signs, such as p1^2 - p1 p2 + p2^2 + p3^2, is
-    not refused.
+    at its degree or a few degrees higher, {f = 0} is empty, and so is
+    {f <= 0} (fold 1) for a positive f, while a negative f makes {f <= 0}
+    the whole simplex.  This covers every f constant on sum(p) = 1, where
+    f~ = c (sum p)^deg, and one-signed forms with coefficients of both
+    signs such as p1^2 - p1 p2 + p2^2 + p3^2; a form that needs more than
+    `_POLYA_RAISES` raises is not refused.  The raises tick `counter`.
     """
     alpha = exact_rational(alpha)
     if not 0 < alpha < 1:
@@ -285,7 +314,7 @@ def require_principal(f: Polynomial, n: int, alpha, fold: int) -> tuple[Fraction
         raise ValueError(f"sample size {n} below threshold {fold * deg}")
     require_test_size(n, f.nvars)
     ftilde = f.homogenize(deg)
-    sign = _definite_form(ftilde, f.nvars)
+    sign = _definite_form(ftilde, f.nvars, counter)
     if not ftilde or fold == 1 and sign < 0:
         state = "is negative on the simplex" if ftilde else "vanishes wherever sum(p) = 1"
         raise ValueError(f"null set is the whole simplex, no alternative: f {state}")

@@ -18,8 +18,10 @@ vertices lying on it (Ziegler, Lectures on Polytopes, 1995).  Each
 maximum is therefore a max over the surviving vertices, and a layer's
 maxima are jointly feasible exactly when some surviving vertex attains
 all of them.  The maxima and ties are compared on the vertices' integer
-keys (`polytope.vertex_keys`), the face is carried as vertex indices,
-and h* and the certificate are read back from the vertex list by index.
+keys (`polytope.vertex_keys`), which the vertex tuple of double
+description carries, so they are never rebuilt; the face is carried as
+vertex indices, and h* and the certificate are read back from the
+vertex list by index.
 
 The peeling needs no LP either.  A point of a finite set is a hull vertex
 exactly when its polar row about an interior point defines a facet of
@@ -153,11 +155,12 @@ def coefficient_polytope(
     (f, n, alpha) are checked as `threshold.principal_umpu` checks them
     (`threshold.require_principal`), which refuses an f that vanishes on
     sum(p) = 1 or that its coefficient-sign test proves of one strict
-    sign on the simplex, whose null set is empty or the whole simplex.
-    `counter` is ticked once per degree-n multiindex, one row each,
-    before any row is built.
+    sign on the simplex, whose null set is empty or the whole simplex;
+    the degree raises of that test tick `counter`.  Then `counter` is
+    ticked once per degree-n multiindex, one row each, before any row is
+    built.
     """
-    alpha, ftilde = require_principal(f, n, alpha, 2)
+    alpha, ftilde = require_principal(f, n, alpha, 2, counter)
     k = f.nvars
     if counter is not None:
         counter.tick(comb(n + k - 1, k - 1))
@@ -207,10 +210,13 @@ def coefficient_polytope(
 def enumerate_vertices(
     p: CoefficientPolytope, counter: StepCounter | None = None
 ) -> CoefficientPolytope:
-    """Attach the exact vertex list (deduplicated, lexicographic order)."""
+    """Attach the exact vertex list (deduplicated, lexicographic order).
+
+    It is stored as the `polytope.Vertices` tuple of double description,
+    which carries the vertices' integer keys.
+    """
     a, b = p.one_sided()
-    vertices = enumerate_vertices_dd(a, b, counter)
-    return replace(p, vertices=tuple(vertices))
+    return replace(p, vertices=enumerate_vertices_dd(a, b, counter).keyed)
 
 
 @dataclass(frozen=True)
@@ -223,18 +229,20 @@ def componentwise_max(vertices: Sequence[Sequence[Fraction]]) -> ComponentwiseMa
     """The vertex dominating all others coordinatewise, if it exists.
 
     Otherwise a certificate pair of vertices each beating the other in
-    some coordinate.  Both are found on the vertices' integer keys.
+    some coordinate.  Both are found on the vertices' integer keys
+    (`polytope.vertex_keys`), which a vertex tuple of double description
+    carries.
     """
-    vs = [tuple(v) for v in vertices]
-    if not vs:
+    if not vertices:
         raise ValueError("empty vertex list")
-    keys = vertex_keys(vs)[0]
+    keys = vertex_keys(vertices)[0]
     top = _peak_index(keys)
     if top is not None:
-        return ComponentwiseMax(vertex=vs[top])
+        return ComponentwiseMax(vertex=tuple(vertices[top]))
     # No maximum: exhibit two maximal incomparable vertices.
-    pair = _incomparable_pair(keys)
-    return ComponentwiseMax(vertex=None, certificate=(vs[pair[0]], vs[pair[1]]))
+    first, later = _incomparable_pair(keys)
+    certificate = (tuple(vertices[first]), tuple(vertices[later]))
+    return ComponentwiseMax(vertex=None, certificate=certificate)
 
 
 def _peak_index(points: list[tuple]) -> int | None:
@@ -309,9 +317,10 @@ def umpu_search(
     """
     poly = enumerate_vertices(coefficient_polytope(f, n, alpha, counter), counter)
     assert poly.vertices is not None
-    # Every maximum and tie is read off the vertices' integer keys, built
-    # once; the per-coordinate maxima form a vertex exactly when one vertex
-    # dominates all others.  The face is carried as vertex indices.
+    # Every maximum and tie is read off the vertices' integer keys, which
+    # the vertex tuple carries; the per-coordinate maxima form a vertex
+    # exactly when one vertex dominates all others.  The face is carried
+    # as vertex indices.
     keys = vertex_keys(poly.vertices)[0]
     top = _peak_index(keys)
     if top is None:

@@ -243,11 +243,13 @@ WHOLE = "null set is the whole simplex, no alternative: f vanishes wherever sum(
         ("p1+p2+p3-1", WHOLE),
         ("p1^2+p2^2+p3^2", ONE_SIGN),
         ("p1+p2+2*p3", ONE_SIGN),
+        ("p1^2-p1*p2+p2^2+p3^2", ONE_SIGN),
     ],
-    ids=["sum-of-all", "twice-its-square", "vanishes-on-the-simplex", "squares", "linear"],
+    ids=["sum-of-all", "twice-its-square", "vanishes-on-the-simplex", "squares", "linear",
+         "mixed-coefficients"],
 )
 def test_f_that_does_not_split_the_simplex_is_an_error(command, f, message, capsys):
-    # f is 1, 2 or 0 wherever sum(p) = 1, or, in the last two, positive
+    # f is 1, 2 or 0 wherever sum(p) = 1, or, in the last three, positive
     # though not constant there: no verdict, test or polytope.
     argv = [command, "--f", f, "--vars", "p1,p2,p3", "--n", "4", "--alpha", "1/20"]
     assert run_cli(argv) == (1, "")

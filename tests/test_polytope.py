@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from powerpoly.polytope import (
     facet_rows,
     irredundant_rows,
     vertex_faces,
+    vertex_keys,
 )
 
 from conftest import enumerate_vertices_brute_force
@@ -62,6 +65,48 @@ def draw_box_with_cuts(data):
         a.append([scale * v for v in a[i]])
         b.append(scale * b[i])
     return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_carried_keys_are_the_keys_of_a_plain_copy(data):
+    # Rows times 2 or 3 are integer rows that are not primitive, and rows
+    # times 1/2 or 2/3 are Fraction rows: both are rescaled to primitive
+    # cone rows, and give the vertices of the rows as drawn.
+    a, b = draw_box_with_corners_cut(data)
+    scaled_a, scaled_b = [], []
+    for row, r in zip(a, b):
+        m = data.draw(st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(2, 3)]))
+        scaled_a.append([m * v for v in row])
+        scaled_b.append(m * r)
+    cone = _extreme_rays(scaled_a, scaled_b)[0]
+    assert cone[:-1] == [primitive_ints((*row, -r)) for row, r in zip(scaled_a, scaled_b)]
+    vertices = enumerate_vertices_dd(scaled_a, scaled_b)
+    assert vertices == enumerate_vertices_dd(a, b)
+    keyed = vertices.keyed
+    assert isinstance(keyed, polytope.Vertices) and list(keyed) == vertices
+    keys, den = vertex_keys(keyed)
+    assert (keys, den) == vertex_keys([tuple(v) for v in vertices])
+    assert [tuple(Fraction(x, den) for x in key) for key in keys] == vertices
+    # Strictly increasing, as the vertices are: the keys order them as
+    # their values do.
+    assert all(p < q for p, q in zip(keys, keys[1:]))
+    assert all(p < q for p, q in zip(vertices, vertices[1:]))
+
+
+def test_cone_rows_are_primitive_and_primitive_rows_pass_as_they_are():
+    assert polytope._cone_row((3, -2, 0), 5) == (3, -2, 0, -5)
+    assert polytope._cone_row((6, -4, 0), 10) == (3, -2, 0, -5)
+    assert polytope._cone_row((Fraction(3, 2), -1, 0), Fraction(5, 2)) == (3, -2, 0, -5)
+    assert polytope._cone_row((0, 0), 0) == (0, 0, 0)
+
+
+def test_vertex_tuples_copy_with_their_keys():
+    vertices = enumerate_vertices_dd(*cube(2, Fraction(-1, 2), 3)).keyed
+    for copied in (pickle.loads(pickle.dumps(vertices)), copy.deepcopy(vertices)):
+        assert copied == vertices and isinstance(copied, polytope.Vertices)
+        assert vertex_keys(copied) == vertex_keys(vertices)
+    assert vertex_keys(vertices) == (((-1, -1), (-1, 6), (6, -1), (6, 6)), 2)
 
 
 def assert_tight_masks_on_cutting_rows(a, b):

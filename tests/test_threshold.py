@@ -4,6 +4,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -115,15 +116,18 @@ class TestSosBounds:
     @pytest.mark.parametrize(
         "k, generators",
         [(3, ["p1^2 + p2^2 + p3^2"]), (3, ["-p1^2 - p2^2 - p3^2", "p1*p2"]), (3, ["1 - p1*p2"]),
-         (4, ["p1 - p2", "p1^3 + p2^3 + p3^3 + p4^3 + p1*p2*p3"])],
-        ids=["sum-of-squares", "negative-definite", "negative-top-degree", "positive-cubic"],
+         (4, ["p1 - p2", "p1^3 + p2^3 + p3^3 + p4^3 + p1*p2*p3"]),
+         (3, ["p1^2 - p1*p2 + p2^2 + p3^2"])],
+        ids=["sum-of-squares", "negative-definite", "negative-top-degree", "positive-cubic",
+             "mixed-coefficients"],
     )
     def test_definite_generator_is_refused(self, k, generators):
         # Homogenized by p1 + ... + pk, each listed generator has all its
         # coefficients of one sign and every pure power present, so it has
         # no zero on the simplex; the reduced basis holds no constant.
         # (1 - p1 p2 homogenizes to p1^2 + p1 p2 + p2^2 + 2 p1 p3 + ...,
-        # although its top-degree part is negative.)
+        # although its top-degree part is negative; p1^2 - p1 p2 + p2^2 + p3^2
+        # gets there two degrees higher.)
         hyp = build_hypothesis({"kind": "custom", "params": {"k": k, "generators": generators}})
         gb = gb_of(hyp)
         assert not gb.contains_constant()
@@ -204,6 +208,25 @@ class TestSosBounds:
             return
         grid = [(F(a, 6), F(b, 6), F(6 - a - b, 6)) for a in range(7) for b in range(7 - a)]
         assert all(sign * g.evaluate(p) > 0 for p in grid)
+
+    def test_degree_raises_tick_the_counter(self):
+        # p1^2 - p1 p2 + p2^2 + p3^2 is proved positive at degree 4: two
+        # raises, drawing the 10 cubic and then the 15 quartic monomials.
+        # (p1 - p2)^2 + p3^2 vanishes at (1/2, 1/2, 0): every raise up to
+        # the cap is drawn, and no sign is proved.  The centroid refutes
+        # p1^2 - p1 p2 + p2^2 + p3^2 - 1/2 with no raise.
+        positive = P("p1^2 - p1*p2 + p2^2 + p3^2")
+        counter = StepCounter(25)
+        assert _definite_form(positive, 3, counter) == 1
+        assert counter.steps == 25
+        with pytest.raises(StepLimitExceeded):
+            _definite_form(positive, 3, StepCounter(24))
+        counter = StepCounter()
+        assert _definite_form(P("p1^2 - 2*p1*p2 + p2^2 + p3^2"), 3, counter) == 0
+        assert counter.steps == sum(comb(n + 2, 2) for n in range(3, 3 + threshold._POLYA_RAISES))
+        counter = StepCounter()
+        assert _definite_form(P("p1^2 - p1*p2 + p2^2 + p3^2 - 1/2"), 3, counter) == 0
+        assert counter.steps == 0
 
     def test_gram_diagonal_form(self):
         # SUB witness is f^T f, the unit sum of squares: reconstruct directly.
@@ -386,6 +409,7 @@ BAD_PRINCIPAL = [
     ("p1^2 + p2^2 + p3^2", VARS3, 4, F(1, 20), ONE_SIGN),
     ("-p1^2 - p2^2 - p3^2", VARS3, 4, F(1, 20), ONE_SIGN),
     ("p1 + p2 + 2*p3", VARS3, 2, F(1, 20), ONE_SIGN),
+    ("p1^2 - p1*p2 + p2^2 + p3^2", VARS3, 4, F(1, 20), ONE_SIGN),
     ("p1 + p2 + p3 - 1", VARS3, 2, F(1, 20), "null set is the whole simplex, no alternative: "),
 ]
 

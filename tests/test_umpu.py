@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,14 @@ from powerpoly import (
     enumerate_vertices,
     parse_polynomial,
     principal_umpu,
+    umpu,
     umpu_search,
 )
 from powerpoly.linalg import primitive_ints
 from powerpoly.linprog import solve_lp
 from powerpoly.polynomial import MonomialOrder, default_names
 from powerpoly.polytope import (
+    Vertices,
     enumerate_vertices_dd,
     facet_rows,
     irredundant_rows,
@@ -887,6 +890,26 @@ def test_vertex_search_matches_lp_replay(text, k, n, alpha, status):
     if status == NOT_EXISTS:
         a, b = verdict.certificate
         assert any(x > y for x, y in zip(a, b)) and any(y > x for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize(
+    "text, k, n, alpha",
+    [("p1 + p2 - p3", 3, 3, F(1, 20)), ("2*p1 + p2 - p3", 3, 3, F(1, 10)),
+     ("p1 + p2 - 2*p3", 3, 4, F(1, 20)), ("p1 + p2 - p3 - p4", 4, 3, F(1, 10)),
+     ("sphere", 3, 5, F(1, 20))],
+)
+def test_carried_keys_answer_as_a_plain_copy(text, k, n, alpha, monkeypatch):
+    # The stored vertex tuple carries its keys; a plain tuple of the same
+    # vertices has them computed, and both give the same answers.
+    f = sphere3() if text == "sphere" else P(text, [f"p{i + 1}" for i in range(k)])
+    poly = enumerate_vertices(coefficient_polytope(f, n, alpha))
+    plain = tuple(tuple(v) for v in poly.vertices)
+    assert isinstance(poly.vertices, Vertices)
+    assert componentwise_max(poly.vertices) == componentwise_max(plain)
+    assert componentwise_max(poly.vertices) == componentwise_max(list(plain))
+    keyed = umpu_search(f, n, alpha)
+    monkeypatch.setattr(umpu, "enumerate_vertices", lambda *args: replace(poly, vertices=plain))
+    assert umpu_search(f, n, alpha) == keyed
 
 
 def _umpu_search_by_keys(f, n, alpha):
