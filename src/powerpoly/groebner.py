@@ -42,8 +42,8 @@ the keys it carries.  The
 pair loop stays packed too: each pending pair holds the packed lcm of
 its leading monomials (`Packing.lcm`), the coprime criterion compares it
 with their sum, and the chain criterion and the minimalization test
-divisibility by the guarded subtract of `Packing.divides` on each
-leading monomial's exponent fields, held once.
+divisibility with `Packing.divides_bits` on each leading monomial's
+exponent fields, read once.
 
 Radical membership uses the Rabinowitsch trick: f vanishes on the complex
 variety of `gens` iff 1 lies in <gens, 1 - y*f> in a ring with one extra
@@ -130,7 +130,10 @@ def _divide(work: dict, divisors: Sequence[tuple], packing: Packing, counter, qu
             continue
         if counter is not None:
             counter.tick()
-        p = (sign * mono) & mask | guard  # `Packing.bits`, inline
+        # `Packing.bits` and `Packing.divides_bits`, inline: this is the
+        # division's hottest loop, once per popped term and divisor, where
+        # a method call per test shows in Buchberger's time.
+        p = (sign * mono) & mask | guard
         for i, lead in enumerate(leads):
             if (p - lead) & guard == guard:
                 lm, lc, tail = divisors[i]
@@ -267,10 +270,9 @@ def buchberger_reduced(
     basis = list(forms.values())
 
     lead = [b[0] for b in basis]
-    # Each leading monomial's exponent fields, held once as `_divide` holds
-    # its `leads`: x^a divides x^b when ((fields_b | guard) - fields_a)
-    # borrows no guard bit (`Packing.divides`).
-    guard = packing.guard
+    # Each leading monomial's exponent fields, read once as `_divide`
+    # reads its `leads`, for the divisibility tests below.
+    divides = packing.divides_bits
     fields = [packing.bits(lm) for lm in lead]
     # Pending pair (i, j), i < j, mapped to the packed lcm of its leading
     # monomials, and a min-heap of (lcm degree, i, j) over the same pairs.
@@ -298,11 +300,11 @@ def buchberger_reduced(
             continue
         # Chain criterion: a third element dividing the lcm whose pairs with
         # i and j are both settled makes this pair redundant.
-        top = packing.bits(lcm) | guard
+        top = packing.bits(lcm)
         if any(
             m != i
             and m != j
-            and (top - fm) & guard == guard
+            and divides(fm, top)
             and (min(i, m), max(i, m)) not in pairs
             and (min(j, m), max(j, m)) not in pairs
             for m, fm in enumerate(fields)
@@ -327,10 +329,7 @@ def buchberger_reduced(
     keep = [
         g
         for i, (g, fi) in enumerate(zip(basis, fields))
-        if not any(
-            ((fi | guard) - fj) & guard == guard and (fj != fi or j < i)
-            for j, fj in enumerate(fields)
-        )
+        if not any(divides(fj, fi) and (fj != fi or j < i) for j, fj in enumerate(fields))
     ]
     # Interreduce in one pass. No leading monomial of a minimal basis divides
     # another, so each remainder keeps its element's leading monomial, and

@@ -109,7 +109,7 @@ def primitive_scaling(vec) -> tuple[list[int], int, int]:
     those numerators is divided out, so no Fraction is built.  The scale
     g / den is positive unless every entry is zero (then g = 0).
     """
-    if all(type(v) is int for v in vec):
+    if {*map(type, vec)} <= {int}:
         ints, den = list(vec), 1
     else:
         den = lcm(*(v.denominator for v in vec))

@@ -44,7 +44,7 @@ of monomial arithmetic: `leading_monomial` and `sorted_monomials` (and so
 every printed polynomial) sort on `Packing.sort_key`, which is
 `Packing.key` without its per-monomial degree check, and the Groebner
 pair loop takes its lcms from `Packing.lcm` and tests divisibility by
-the guarded subtract of `Packing.divides`, so monomials stay packed from
+the guarded subtract of `Packing.divides_bits`, so monomials stay packed from
 the pair loop through to printing.
 
 Packing is a fact of the ring: `Packing.of` hands out one shared
@@ -151,7 +151,8 @@ class Packing:
     fields are the words of P, so one struct call packs or unpacks them:
     little-endian puts x_n in the most significant field, big-endian x_1.
     `divides(a, b)` and `lcm(a, b)` read the fields of two packed
-    monomials with one guarded subtract, so no tuple is built.
+    monomials with one guarded subtract, so no tuple is built;
+    `divides_bits` is the same test on fields already read.
     `degree` is the top total degree the caller packs or reaches by
     products: below 2^15 the words are 16 bits wide, otherwise 64.
     `sort_key` is `key` without its per-monomial degree check, for
@@ -201,10 +202,15 @@ class Packing:
         return (self.sign * k) & self.mask
 
     def divides(self, a: int, b: int) -> bool:
-        """True iff the packed monomial a divides b: subtracting a field
-        larger than b's borrows that field's guard bit and no other."""
+        """True iff the packed monomial a divides b."""
+        return self.divides_bits(self.bits(a), self.bits(b))
+
+    def divides_bits(self, pa: int, pb: int) -> bool:
+        """True iff the exponent fields pa (`bits`) divide pb: subtracting
+        a field larger than pb's borrows that field's guard bit and no
+        other."""
         guard = self.guard
-        return ((self.bits(b) | guard) - self.bits(a)) & guard == guard
+        return ((pb | guard) - pa) & guard == guard
 
     def lcm(self, a: int, b: int) -> tuple[int, int]:
         """(key, total degree) of the lcm of the packed monomials a and b.

@@ -34,11 +34,11 @@ the one caller of `linprog.solve_lp`, behind the library-only
 
 The set-up runs on integers, with the one exact elimination of
 `linalg.echelon`.  Each cone row (a_i, -b_i) is scaled to a primitive
-integer vector; integer rows whose entries and right-hand side already
-have gcd 1, as every coefficient-polytope row does, enter the cone as
-they are.  `echelon` of the cone rows picks the first d + 1 independent
-ones, M, and `echelon` of [M | I] gives the initial simplicial cone's
-rays, the columns of -M^-1.
+integer vector; rows that arrive as primitive integer rows, as the
+coefficient polytope's do, pass through with one gcd each.  `echelon`
+of the cone rows picks the first d + 1 independent ones, M, and
+`echelon` of [M | I] gives the initial simplicial cone's rays, the
+columns of -M^-1.
 
 Adjacency is the combinatorial test on bit patterns (Fukuda & Prodon,
 "Double description method revisited", 1996; Terzer & Stelling, "Large-
@@ -107,23 +107,30 @@ class _Ray:
 class Vertices(tuple):
     """A vertex tuple that carries its integer keys: vertex n is keys[n] / den.
 
-    `keys` and `den` are what `vertex_keys` computes for the same
-    vertices.  Both tuples are immutable, so the keys never go stale.
+    `keys` and `den` are the vertices over the least common denominator
+    of all their coordinates (`vertex_keys`).  Double description passes
+    the keys it sorted on; otherwise they are computed from the vertices,
+    so a copy, a pickle or `dataclasses.asdict` rebuilds them.  The
+    tuples are immutable, so the keys never go stale.
     """
 
-    def __new__(cls, vertices, keys: tuple[tuple[int, ...], ...], den: int):
+    def __new__(cls, vertices, keys: tuple[tuple[int, ...], ...] | None = None, den: int = 1):
         self = super().__new__(cls, vertices)
+        if keys is None:
+            den = lcm(*{x.denominator for v in self for x in v})
+            keys = tuple([tuple([x.numerator * (den // x.denominator) for x in v]) for v in self])
         self.keys, self.den = keys, den
         return self
 
-    def __getnewargs__(self):
-        # Copies and pickles rebuild the tuple with its keys.
-        return tuple(self), self.keys, self.den
-
 
 class _VertexList(list):
-    """A vertex list equal to a plain one that also holds its vertices as
-    the `Vertices` tuple `keyed`."""
+    """The list `enumerate_vertices_dd` returns, equal to a plain one, that
+    holds its vertices as the `Vertices` tuple `keyed`.
+
+    Callers that read the keys still call `enumerate_vertices_dd`, the
+    one entry point where double-description work is counted (perfbench
+    traces it).
+    """
 
     __slots__ = ("keyed",)
 
@@ -145,7 +152,7 @@ def enumerate_vertices_dd(
     unbounded.  The list's `keyed` attribute holds the same vertices as a
     `Vertices` tuple, with their integer keys.
     """
-    return _sorted_vertices(_extreme_rays(a, b, counter)[1])[0]
+    return _VertexList(_sorted_vertices(_extreme_rays(a, b, counter)[1])[0])
 
 
 def vertex_faces(
@@ -165,10 +172,10 @@ def vertex_faces(
     faces = [
         sum(1 << n for n, v in enumerate(_row_values(row, vecs)) if not v) for row in cone[:-1]
     ]
-    return vertices, faces
+    return list(vertices), faces
 
 
-def _sorted_vertices(rays: list[_Ray]) -> tuple[_VertexList, list[tuple[int, ...]]]:
+def _sorted_vertices(rays: list[_Ray]) -> tuple[Vertices, list[tuple[int, ...]]]:
     """The vertices sorted lex, and the extreme ray vectors they come from."""
     # Every ray has t >= 0.  Rays with t > 0 are the vertices; a ray with
     # t = 0 is a recession direction, which matters only when a vertex exists.
@@ -187,7 +194,7 @@ def _sorted_vertices(rays: list[_Ray]) -> tuple[_VertexList, list[tuple[int, ...
     # Vertices share few coordinate values: one Fraction per distinct value.
     frac = {x: Fraction(x, scale) for x in set().union(*keys)}
     vertices = Vertices([tuple(map(frac.__getitem__, key)) for key in keys], keys, scale)
-    return _VertexList(vertices), [points[i] for i in order]
+    return vertices, [points[i] for i in order]
 
 
 def _row_values(row: tuple[int, ...], vecs: list[tuple[int, ...]]) -> list[int]:
@@ -209,12 +216,11 @@ def vertex_keys(vertices: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ..
     denominator of all coordinates.  The keys compare, coordinate by
     coordinate, as the ints or Fractions they stand for, and equal keys
     are equal vertices.  A `Vertices` tuple's keys are returned as they
-    are; for any other vertex list they are computed.
+    are; any other vertex list is read as one.
     """
-    if isinstance(vertices, Vertices):
-        return vertices.keys, vertices.den
-    den = lcm(*{x.denominator for v in vertices for x in v})
-    return tuple([tuple([x.numerator * (den // x.denominator) for x in v]) for v in vertices]), den
+    if not isinstance(vertices, Vertices):
+        vertices = Vertices(vertices)
+    return vertices.keys, vertices.den
 
 
 def _extreme_rays(
@@ -234,7 +240,7 @@ def _extreme_rays(
         raise ValueError("no constraints")
     dim = len(a[0])
     # Cone rows over (x, t): a.x - b t <= 0, then -t <= 0, rescaled integral.
-    cone = [_cone_row(row, r) for row, r in zip(a, b)]
+    cone = [primitive_ints((*row, -r)) for row, r in zip(a, b)]
     cone.append(tuple([0] * dim + [-1]))
     d1 = dim + 1
 
@@ -356,17 +362,6 @@ def _extreme_rays(
         rays = [r for r, v in zip(rays, vals) if v <= 0] + newcomers
         box = None
     return cone, rays
-
-
-def _cone_row(row: Sequence, r) -> tuple[int, ...]:
-    """The cone row (row, -r), scaled to a primitive integer vector.
-
-    An integer row whose entries have gcd 1 is primitive already.
-    """
-    vec = (*row, -r)
-    if all(type(x) is int for x in vec) and gcd(*vec) == 1:
-        return vec
-    return primitive_ints(vec)
 
 
 def _ray_box(rays: list[_Ray]) -> tuple[tuple[int, ...], tuple[int, ...], int]:

@@ -548,6 +548,8 @@ class TestPacking:
             assert ka - kb == p.key(quot)
         assert p.divides(kb, ka) == divides
         assert p.divides(ka, kb) == (_mono_div(b, a) is not None)
+        assert p.divides_bits(p.bits(kb), p.bits(ka)) == divides
+        assert p.divides_bits(p.bits(ka), p.bits(kb)) == (_mono_div(b, a) is not None)
         # lcm * gcd = a * b, and the lcm is the product exactly when the
         # supports are disjoint.
         lcm, gcd = tuple(map(max, a, b)), tuple(map(min, a, b))

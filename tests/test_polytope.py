@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import itertools
 import operator
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from powerpoly import StepCounter, StepLimitExceeded, coefficient_polytope, parse_polynomial
+from powerpoly import (
+    StepCounter,
+    StepLimitExceeded,
+    coefficient_polytope,
+    enumerate_vertices,
+    parse_polynomial,
+)
 from powerpoly import polytope
 from powerpoly.hypotheses import build_hypothesis
 from powerpoly.linalg import primitive_ints, rank
@@ -94,19 +101,19 @@ def test_carried_keys_are_the_keys_of_a_plain_copy(data):
     assert all(p < q for p, q in zip(vertices, vertices[1:]))
 
 
-def test_cone_rows_are_primitive_and_primitive_rows_pass_as_they_are():
-    assert polytope._cone_row((3, -2, 0), 5) == (3, -2, 0, -5)
-    assert polytope._cone_row((6, -4, 0), 10) == (3, -2, 0, -5)
-    assert polytope._cone_row((Fraction(3, 2), -1, 0), Fraction(5, 2)) == (3, -2, 0, -5)
-    assert polytope._cone_row((0, 0), 0) == (0, 0, 0)
-
-
 def test_vertex_tuples_copy_with_their_keys():
     vertices = enumerate_vertices_dd(*cube(2, Fraction(-1, 2), 3)).keyed
     for copied in (pickle.loads(pickle.dumps(vertices)), copy.deepcopy(vertices)):
         assert copied == vertices and isinstance(copied, polytope.Vertices)
         assert vertex_keys(copied) == vertex_keys(vertices)
     assert vertex_keys(vertices) == (((-1, -1), (-1, 6), (6, -1), (6, 6)), 2)
+    # `dataclasses.asdict` rebuilds the tuple from its vertices alone.
+    h = Fraction(1, 20)
+    poly = enumerate_vertices(coefficient_polytope(parse_polynomial("p1 + p2 - p3", ["p1", "p2", "p3"]), 3, h))
+    rebuilt = dataclasses.asdict(poly)["vertices"]
+    assert isinstance(rebuilt, polytope.Vertices) and rebuilt == poly.vertices
+    assert vertex_keys(rebuilt) == vertex_keys(poly.vertices)
+    assert vertex_keys(rebuilt) == vertex_keys(list(poly.vertices))
 
 
 def assert_tight_masks_on_cutting_rows(a, b):
