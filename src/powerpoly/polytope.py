@@ -14,7 +14,9 @@ a `Vertices` tuple that carries its keys and their denominator.
 `vertex_keys` is the one way back to integers: it returns a `Vertices`
 tuple's keys as they are and computes them for any other vertex list.
 The UMPU search, the componentwise maximum and the null-point mixtures
-read the vertices through it.
+read the vertices through it.  `vertex_product` gives the vertex tuple
+of a product of polytopes from its factors' tuples, as double
+description of the whole product would, with no double description.
 
 `vertex_faces` also gives each input row's face: the bitmask of the
 vertices on the row, read off the final vertices, one integer dot product
@@ -89,7 +91,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import itemgetter
 from typing import Sequence
 
 from powerpoly.groebner import StepCounter
@@ -195,6 +198,42 @@ def _sorted_vertices(rays: list[_Ray]) -> tuple[Vertices, list[tuple[int, ...]]]
     frac = {x: Fraction(x, scale) for x in set().union(*keys)}
     vertices = Vertices([tuple(map(frac.__getitem__, key)) for key in keys], keys, scale)
     return vertices, [points[i] for i in order]
+
+
+def vertex_product(
+    factors: Sequence[Vertices],
+    columns: Sequence[Sequence[int]],
+    counter: StepCounter | None = None,
+) -> Vertices:
+    """The vertices of a product of polytopes, as double description of
+    the whole product returns them.
+
+    There are two or more factors, and factor i holds the coordinates
+    `columns[i]`, which together cover 0 .. d - 1 once each.  The
+    vertices of a product are the tuples of its factors' vertices
+    (Ziegler, "Lectures on Polytopes", 1995), so each is put together
+    from one key of each factor, every key rescaled to den, the lcm of
+    the factors' dens, which is the least common denominator of all the
+    coordinates.  The keys are sorted as double description sorts them,
+    and each distinct value becomes one Fraction.  `counter` is ticked
+    once per product vertex before any is built.
+    """
+    count = prod(map(len, factors))
+    if counter is not None:
+        counter.tick(count)
+    if not count:
+        return Vertices(())
+    den = lcm(*(part.den for part in factors))
+    parts = [[tuple([x * (den // part.den) for x in key]) for key in part.keys] for part in factors]
+    # Coordinate i of a vertex is entry place[i] of its factors' keys laid end to end.
+    flat = [c for cols in columns for c in cols]
+    place = itemgetter(*sorted(range(len(flat)), key=flat.__getitem__))
+    keys = [()]
+    for part in parts:
+        keys = [key + tail for key in keys for tail in part]
+    keys = tuple(sorted(map(place, keys)))
+    frac = {x: Fraction(x, den) for part in parts for key in part for x in key}
+    return Vertices([tuple(map(frac.__getitem__, key)) for key in keys], keys, den)
 
 
 def _row_values(row: tuple[int, ...], vecs: list[tuple[int, ...]]) -> list[int]:

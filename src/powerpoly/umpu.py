@@ -11,6 +11,17 @@ layer-by-layer recursion over the convex peeling of the h-exponent
 lattice checks the necessary conditions and either refutes existence or
 produces the unique remaining candidate.
 
+When f~ leaves some variables out, the polytope is a product.  Every
+term m of f~^2 lives on the variables S of f~, and row L holds column J
+only when L = J + m, so L and J agree off S.  So, over each exponent
+vector mu off S, the columns J and rows L that equal mu off S cut out
+one factor, and the polytope is the product of these factors.  The
+vertices of a product are the tuples of its factors' vertices
+(Ziegler, Lectures on Polytopes, 1995), so `enumerate_vertices` runs one
+double description per factor and puts the tuples together
+(`polytope.vertex_product`).  The factors are read off f~'s terms; an
+f~ on every variable is one factor, one double description.
+
 The recursion needs no LP.  Fixing a coordinate at its maximum over a
 face cuts out a supporting hyperplane, so every set the recursion visits
 is a face of the polytope, and a face's vertices are the polytope's
@@ -49,7 +60,7 @@ from powerpoly.groebner import StepCounter
 from powerpoly.linalg import primitive_scaling
 from powerpoly.polynomial import Polynomial, simplex_coefficients
 from powerpoly.polytope import enumerate_vertices_dd, facet_rows, irredundant_rows
-from powerpoly.polytope import vertex_faces, vertex_keys
+from powerpoly.polytope import Vertices, vertex_faces, vertex_keys, vertex_product
 from powerpoly.power import PowerPolynomial
 from powerpoly.threshold import require_principal
 
@@ -75,6 +86,13 @@ class CoefficientPolytope:
     f~^2 alone, and alpha enters only the bounds.  `a` and `b` are the
     one-sided rows (see `one_sided`), each scaled to a primitive integer
     vector, nearest first.
+
+    `factors` splits the h-columns into the factors of the polytope as a
+    product (see `enumerate_vertices`): each holds the columns J, in
+    h_index order, with one and the same exponents off the variables of
+    f~.  It is one factor, every column, when f~ involves every
+    variable.  `vertices` is the `polytope.Vertices` tuple that
+    `enumerate_vertices` attaches, or None.
     """
 
     n: int
@@ -86,7 +104,8 @@ class CoefficientPolytope:
     multiindices: tuple[tuple[tuple[int, ...], int, tuple[int, ...] | None], ...]
     a: tuple[tuple[int, ...], ...]
     b: tuple[int, ...]
-    vertices: tuple[tuple[Fraction, ...], ...] | None = None
+    factors: tuple[tuple[int, ...], ...]  # the h-columns of each factor
+    vertices: Vertices | None = None
 
     @property
     def dim(self) -> int:
@@ -168,6 +187,11 @@ def coefficient_polytope(
     fsq = ftilde**2
     g, den = fsq.scale.numerator, fsq.scale.denominator
     h_index = tuple(_grevlex_desc(k, nprime))
+    # The columns that agree off the variables of f~ form one factor.
+    off = [i for i, used in enumerate(map(any, zip(*fsq.ints))) if not used]
+    factors: dict[tuple[int, ...], list[int]] = {}
+    for col, J in enumerate(h_index):
+        factors.setdefault(tuple([J[i] for i in off]), []).append(col)
     bounds = simplex_coefficients(k, n)
     # Scatter each term m of P from column J into row L = J + m.
     entries = {L: [0] * len(h_index) for L in bounds}
@@ -204,6 +228,7 @@ def coefficient_polytope(
         multiindices=tuple(multiindices),
         a=tuple([sides[i][0] for i in order]),
         b=tuple([sides[i][1] for i in order]),
+        factors=tuple(map(tuple, factors.values())),
     )
 
 
@@ -212,11 +237,28 @@ def enumerate_vertices(
 ) -> CoefficientPolytope:
     """Attach the exact vertex list (deduplicated, lexicographic order).
 
-    It is stored as the `polytope.Vertices` tuple of double description,
-    which carries the vertices' integer keys.
+    It is stored as a `polytope.Vertices` tuple, which carries the
+    vertices' integer keys.  The polytope is the product of its factors
+    `p.factors` (see the module docstring), and each row holds columns of
+    one factor only.  One factor is one double description of all the
+    rows.  Otherwise each factor runs one over its own rows, restricted
+    to its columns, which keeps them nearest first, and
+    `polytope.vertex_product` puts their vertices together into the
+    tuple one double description of the whole polytope returns.
+    `counter` is ticked by each double description, then once per
+    product vertex before any is built.
     """
     a, b = p.one_sided()
-    return replace(p, vertices=enumerate_vertices_dd(a, b, counter).keyed)
+    if len(p.factors) == 1:
+        return replace(p, vertices=enumerate_vertices_dd(a, b, counter).keyed)
+    factor_of = {col: i for i, cols in enumerate(p.factors) for col in cols}
+    parts: list[tuple[list, list]] = [([], []) for _ in p.factors]
+    for row, rhs in zip(a, b):
+        i = factor_of[next(col for col, c in enumerate(row) if c)]
+        parts[i][0].append(tuple([row[col] for col in p.factors[i]]))
+        parts[i][1].append(rhs)
+    factors = [enumerate_vertices_dd(fa, fb, counter).keyed for fa, fb in parts]
+    return replace(p, vertices=vertex_product(factors, p.factors, counter))
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,56 @@ def test_vertex_tuples_copy_with_their_keys():
     assert vertex_keys(rebuilt) == vertex_keys(list(poly.vertices))
 
 
+def draw_factor(data):
+    """A box of dimension 1 or 2 with fractional bounds around 0, the
+    square with a corner cut half the time."""
+    dim = data.draw(st.integers(1, 2))
+    lo = data.draw(st.fractions(-3, Fraction(-1, 4), max_denominator=4))
+    hi = data.draw(st.fractions(Fraction(1, 4), 3, max_denominator=5))
+    a, b = cube(dim, lo, hi)
+    if dim == 2 and data.draw(st.booleans()):
+        a.append([1, 1])
+        b.append(hi)
+    return a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_vertex_product_is_the_double_description_of_the_product(data):
+    # Two or three factors on interleaved columns: the product's vertices,
+    # keys and den are those of one double description of the block rows,
+    # and the product ticks its vertex count once.
+    factors = [draw_factor(data) for _ in range(data.draw(st.integers(2, 3)))]
+    dim = sum(len(a[0]) for a, _ in factors)
+    order = data.draw(st.permutations(range(dim)))
+    columns, start = [], 0
+    for a, _ in factors:
+        columns.append(tuple(order[start : start + len(a[0])]))
+        start += len(a[0])
+    rows, rhs = [], []
+    for (a, b), cols in zip(factors, columns):
+        for row, r in zip(a, b):
+            full = [0] * dim
+            for c, x in zip(cols, row):
+                full[c] = x
+            rows.append(full)
+            rhs.append(r)
+    parts = [enumerate_vertices_dd(a, b).keyed for a, b in factors]
+    counter = StepCounter()
+    got = polytope.vertex_product(parts, columns, counter)
+    whole = enumerate_vertices_dd(rows, rhs).keyed
+    assert isinstance(got, polytope.Vertices)
+    assert (got, got.keys, got.den) == (whole, whole.keys, whole.den)
+    assert counter.steps == len(whole)
+
+
+def test_vertex_product_of_an_empty_factor_is_empty():
+    empty = enumerate_vertices_dd([[1], [-1]], [-1, -1]).keyed
+    square = enumerate_vertices_dd(*cube(2, Fraction(-1, 2), 3)).keyed
+    got = polytope.vertex_product([square, empty], [(0, 2), (1,)])
+    assert (got, got.keys, got.den) == ((), (), 1) == (empty, empty.keys, empty.den)
+
+
 def assert_tight_masks_on_cutting_rows(a, b):
     """Each extreme ray's tight mask is the set of rows it lies on among the
     initial rows and the rows that cut when inserted.

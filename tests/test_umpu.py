@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -529,14 +530,20 @@ class TestVertexGoldens:
         self.check_tight_rows(poly)
 
     def test_alpha_one_half_vertex_and_step_counts(self):
-        # At alpha = 1/2 neither side of the rows is nearer.  Nearest rows
-        # first, double description tests 1,585 steps' worth of rows and
-        # pairs; the near-side-first order tested 1.77 M pairs.
+        # At alpha = 1/2 neither side of the rows is nearer.  f~ = p1 - p2
+        # leaves p3 and p4 out, so the polytope is the product of six
+        # factors, one per exponent of (p3, p4) in h's columns: (0, 0)
+        # with 3 columns, (1, 0) and (0, 1) with 2, (2, 0), (1, 1) and
+        # (0, 2) with 1.  Each factor's double description and the 1,536
+        # product vertices take 1,601 steps with the rows nearest first;
+        # one double description of all the rows took 1,585, and the
+        # near-side-first order tested 1.77 M pairs.
         names = ["p1", "p2", "p3", "p4"]
         counter = StepCounter()
         poly = enumerate_vertices(coefficient_polytope(P("p1 - p2", names), 4, F(1, 2)), counter)
+        assert [len(cols) for cols in poly.factors] == [3, 2, 1, 2, 1, 1]
         assert len(poly.vertices) == 1_536
-        assert counter.steps == 1_585
+        assert counter.steps == 1_601
         self.check_tight_rows(poly)
 
 
@@ -998,3 +1005,102 @@ def test_search_by_index_matches_the_key_search(coeffs, n, alpha):
     assert verdict.beta == (None if h is None else poly.power_polynomial(h))
     assert verdict.failing_layer == failing_layer
     assert verdict.certificate == certificate
+
+
+def _decomposable_spec(k, n, alpha):
+    """A seeded form f on a proper subset of the k cells whose coefficient
+    polytope is a product of two or more factors with at most 2,000
+    vertices, drawn again until it is.  Returns (f, poly) with the
+    vertices attached."""
+    rng = random.Random(f"decomposable {k} {n} {alpha}")
+    for _ in range(100):
+        cells = rng.sample(range(k), rng.randint(2, k - 1))
+        degree = rng.choice([d for d in (1, 2) if n - 2 * d >= 1])
+        terms = {}
+        for e in monomials_of_degree(len(cells), degree):
+            if rng.random() < 0.7:
+                exps = [0] * k
+                for cell, x in zip(cells, e):
+                    exps[cell] = x
+                terms[tuple(exps)] = F(rng.randint(-3, 3))
+        f = Polynomial(k, {e: c for e, c in terms.items() if c})
+        if f.is_zero():
+            continue
+        try:
+            poly = enumerate_vertices(coefficient_polytope(f, n, alpha), StepCounter(40_000))
+        except (ValueError, StepLimitExceeded):
+            continue  # f is refused, or its polytope is too large for the oracle
+        if len(poly.factors) > 1 and len(poly.vertices) <= 2_000:
+            return f, poly
+    raise AssertionError(f"no decomposable spec drawn at k = {k}, n = {n}, alpha = {alpha}")
+
+
+def _whole_polytope_vertices(p, counter=None):
+    """`umpu.enumerate_vertices` as one double description of all the rows."""
+    return replace(p, vertices=enumerate_vertices_dd(*p.one_sided(), counter).keyed)
+
+
+def _check_against_one_double_description(f, poly, monkeypatch):
+    """The factored vertices and the UMPU verdict equal those of one
+    double description of the whole polytope."""
+    n, alpha = poly.n, poly.alpha
+    whole = enumerate_vertices_dd(*poly.one_sided()).keyed
+    assert poly.vertices == whole
+    assert (poly.vertices.keys, poly.vertices.den) == (whole.keys, whole.den)
+    values = [x for v in poly.vertices for x in v]
+    assert len(set(map(id, values))) == len(set(values))  # one Fraction per value
+    assert sorted(c for cols in poly.factors for c in cols) == list(range(poly.dim))
+    verdict = umpu_search(f, n, alpha)
+    monkeypatch.setattr(umpu, "enumerate_vertices", _whole_polytope_vertices)
+    # Status, h*, beta, the certificate and the failing layer.
+    assert verdict == umpu_search(f, n, alpha)
+
+
+@pytest.mark.parametrize("alpha", [F(1, 20), F(1, 10), F(1, 2), F(3, 4)])
+@pytest.mark.parametrize(
+    "k, n", [(k, n) for k in (3, 4, 5, 6) for n in (3, 4, 5) if n != 4 or k < 5]
+)
+def test_factored_vertices_match_one_double_description(k, n, alpha, monkeypatch):
+    # f leaves at least one cell out, so the polytope is a product; its
+    # vertices, keys and den are those of one double description of the
+    # whole polytope, and so is every UMPU answer read off them.  At n = 4
+    # and k >= 5 no draw fits the oracle: a linear f gives over 2,000
+    # vertices, and a quadratic one leaves n' = 0, one column.
+    _check_against_one_double_description(*_decomposable_spec(k, n, alpha), monkeypatch)
+
+
+@pytest.mark.parametrize("alpha", [F(1, 20), F(1, 10)])
+def test_factored_candidate_matches_one_double_description(alpha, monkeypatch):
+    # p1 + p2 - 2 p3 over four cells at n = 4: three factors, one per
+    # exponent of p4 in h's columns, no componentwise maximum, and every
+    # layer condition holds.
+    f = P("p1 + p2 - 2*p3", ["p1", "p2", "p3", "p4"])
+    poly = enumerate_vertices(coefficient_polytope(f, 4, alpha))
+    assert len(poly.factors) == 3
+    assert umpu_search(f, 4, alpha).status == CANDIDATE
+    _check_against_one_double_description(f, poly, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "f, n",
+    [(sphere3(), 5), (P("p1 + p2 - p3"), 4), (P("p1 - 1/3"), 3), (P("p1 - 1/3"), 5)],
+    ids=["sphere", "p1+p2-p3", "p1-1/3-n3", "p1-1/3-n5"],
+)
+def test_f_on_every_cell_gives_one_factor(f, n):
+    # p1 - 1/3 homogenizes to p1 - (p1 + p2 + p3)/3, which holds every cell.
+    poly = coefficient_polytope(f, n, F(1, 20))
+    assert poly.factors == (tuple(range(poly.dim)),)
+
+
+def test_product_vertices_are_counted_before_they_are_built():
+    # p1 - p2 over 20 cells at n = 3: one 2-column factor with 4 vertices
+    # and 18 intervals, 4 * 2^18 = 1,048,576 product vertices, refused at
+    # once after the factors' small double descriptions.
+    names = [f"p{i}" for i in range(1, 21)]
+    counter = StepCounter(1_000_000)
+    poly = coefficient_polytope(P("p1 - p2", names), 3, F(1, 20), counter)
+    assert [len(cols) for cols in poly.factors] == [2] + [1] * 18
+    start = time.perf_counter()
+    with pytest.raises(StepLimitExceeded):
+        enumerate_vertices(poly, counter)
+    assert time.perf_counter() - start < 1
