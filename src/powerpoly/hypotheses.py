@@ -3,7 +3,7 @@
 Builders produce the canonical generator sets (2x2 minors for
 independence, r x r minors for bounded rank, the centered sphere
 quadric, transposition differences for symmetry, ...), existence checks
-for polytope hypotheses read P0's faces as bitmasks off the tight masks
+for polytope hypotheses read P0's faces as bitmasks off the vertex keys
 of one double description (each hypothesis row must define a facet, by
 `polytope.facet_rows`, that no other row defines) and take a failing
 pair's witness point off its face's vertices with no LP, log-odds
@@ -30,7 +30,7 @@ from powerpoly.groebner import StepCounter
 from powerpoly.linalg import primitive_scaling
 from powerpoly.parser import exact_rational, parse_polynomial
 from powerpoly.polynomial import Polynomial, default_names, table_names
-from powerpoly.polytope import enumerate_vertices_dd, facet_rows, vertex_faces, vertex_keys
+from powerpoly.polytope import enumerate_vertices_dd, facet_rows, vertex_faces
 
 
 class UnsupportedSampling(ValueError):
@@ -437,10 +437,10 @@ def polytope_existence(
     interior witness point for the first violating pair.  Every check
     reads off P0's faces, with no arithmetic: one double description of
     its `<=` rows (hypothesis rows, then simplex rows) gives the vertices
-    and each row's face, the bitmask of the vertices tight on it, taken
-    from the rays' tight masks.  The witness point comes off the failing
-    face too, with no LP: the deepest inside the simplex of its vertices
-    and their centroid.
+    and each row's face, the bitmask of the vertices tight on it, read
+    off the vertices' integer keys.  The witness point comes off the
+    failing face too, with no LP: the deepest inside the simplex of its
+    vertices and their centroid.
     """
     d = k - 1
     if any(len(r) != d for r in a_rows):
@@ -595,8 +595,9 @@ def _sample_linear(h: NullHypothesis, count: int, base: int):
     lex order.
     """
     rows, rhs = _linear_rows(h.generators, h.k, h.polytope_a, h.polytope_b)
-    keys, den = vertex_keys(enumerate_vertices_dd(rows, rhs).keyed)
-    keys = [(*key, den - sum(key)) for key in keys]
+    vertices = enumerate_vertices_dd(rows, rhs)
+    den = vertices.den
+    keys = [(*key, den - sum(key)) for key in vertices.keys]
     # A mixture with positive weights is positive in coordinate i exactly
     # when some vertex is.
     if not all(any(key[i] for key in keys) for i in range(h.k)):
@@ -607,7 +608,7 @@ def _sample_linear(h: NullHypothesis, count: int, base: int):
 def _vertex_mixtures(keys: Sequence[Sequence[int]], den: int, count: int, base: int):
     """`count` points sum_v w_v v, the weights w > 0 a normalized Halton point.
 
-    The vertices come as integer keys over one denominator (`vertex_keys`)
+    The vertices come as integer keys over one denominator (`polytope.Vertices`)
     and the weights as integers over theirs, so each distinct column of
     vertex coordinates (a symmetric table repeats its off-diagonal ones)
     is one Fraction.

@@ -4,23 +4,26 @@ The polytope {x : A x <= b} is homogenized to the pointed cone
 {(x, t) : A x <= t b, t >= 0}; extreme rays are built by incremental
 halfspace insertion, and rays with t > 0 are rescaled to vertices.
 Everything is exact.  Rows are inserted in the caller's order, which
-decides how many intermediate rays are built but not the output.  The
-vertices are sorted on integer keys, every coordinate over one common
-denominator, and each distinct coordinate value becomes one Fraction:
-vertices share few values (4 among the 2,048 coordinates of a k = 8
-coefficient polytope).  The keys travel with the vertices: the list
-`enumerate_vertices_dd` returns holds, as `keyed`, the same vertices as
-a `Vertices` tuple that carries its keys and their denominator.
-`vertex_keys` is the one way back to integers: it returns a `Vertices`
-tuple's keys as they are and computes them for any other vertex list.
-The UMPU search, the componentwise maximum and the null-point mixtures
-read the vertices through it.  `vertex_product` gives the vertex tuple
-of a product of polytopes from its factors' tuples, as double
-description of the whole product would, with no double description.
+decides how many intermediate rays are built but not the output.
+
+Double description produces one value: `enumerate_vertices_dd` returns
+the vertices as a `Vertices` tuple, sorted on integer keys, every
+coordinate over one common denominator, with each distinct coordinate
+value one Fraction: vertices share few values (4 among the 2,048
+coordinates of a k = 8 coefficient polytope).  The tuple carries its
+keys and their denominator, so the UMPU search, the componentwise
+maximum and the null-point mixtures read integers that are never
+rebuilt; `Vertices(vertex_list)` computes them for any other vertex
+list.  `vertex_product` gives the vertex tuple of a product of
+polytopes from its factors' tuples, as double description of the whole
+product would, with no double description.  Every double description
+runs through `enumerate_vertices_dd`, so its steps are all counted at
+that one entry point.
 
 `vertex_faces` also gives each input row's face: the bitmask of the
-vertices on the row, read off the final vertices, one integer dot product
-of the row's primitive cone row with each vertex ray.  Every facet of a
+vertices on the row, read off the vertex tuple: a vertex key / den lies
+on row i exactly when row i's primitive cone row vanishes at (key, den),
+one integer dot product per row and vertex.  Every facet of a
 polytope is some row's face, and a facet is a maximal proper face
 (Ziegler, "Lectures on Polytopes", 1995), so `facet_rows`, the one facet
 reader, finds the facets on these masks with no further arithmetic: a
@@ -111,10 +114,12 @@ class Vertices(tuple):
     """A vertex tuple that carries its integer keys: vertex n is keys[n] / den.
 
     `keys` and `den` are the vertices over the least common denominator
-    of all their coordinates (`vertex_keys`).  Double description passes
-    the keys it sorted on; otherwise they are computed from the vertices,
-    so a copy, a pickle or `dataclasses.asdict` rebuilds them.  The
-    tuples are immutable, so the keys never go stale.
+    of all their coordinates.  The keys compare, coordinate by
+    coordinate, as the ints or Fractions they stand for, and equal keys
+    are equal vertices.  Double description passes the keys it sorted
+    on; otherwise they are computed from the vertices, so
+    `Vertices(vertex_list)`, a copy, a pickle or `dataclasses.asdict`
+    rebuilds them.  The tuples are immutable, so the keys never go stale.
     """
 
     def __new__(cls, vertices, keys: tuple[tuple[int, ...], ...] | None = None, den: int = 1):
@@ -126,60 +131,48 @@ class Vertices(tuple):
         return self
 
 
-class _VertexList(list):
-    """The list `enumerate_vertices_dd` returns, equal to a plain one, that
-    holds its vertices as the `Vertices` tuple `keyed`.
-
-    Callers that read the keys still call `enumerate_vertices_dd`, the
-    one entry point where double-description work is counted (perfbench
-    traces it).
-    """
-
-    __slots__ = ("keyed",)
-
-    def __init__(self, keyed: Vertices):
-        super().__init__(keyed)
-        self.keyed = keyed
-
-
 def enumerate_vertices_dd(
     a: Sequence[Sequence],
     b: Sequence,
     counter: StepCounter | None = None,
-) -> list[tuple[Fraction, ...]]:
+) -> Vertices:
     """All vertices of the bounded polytope {x : a x <= b}, sorted lex.
 
-    The entries of a and b are ints or Fractions.  An empty polyhedron
-    gives [].  Raises ValueError when the rows are rank deficient, or when
-    the polyhedron is nonempty and some x != 0 has a x <= 0, so that it is
-    unbounded.  The list's `keyed` attribute holds the same vertices as a
-    `Vertices` tuple, with their integer keys.
+    The entries of a and b are ints or Fractions.  The vertices come as
+    one `Vertices` tuple with their integer keys; an empty polyhedron
+    gives an empty one.  Raises ValueError when the rows are rank
+    deficient, or when the polyhedron is nonempty and some x != 0 has
+    a x <= 0, so that it is unbounded.
     """
-    return _VertexList(_sorted_vertices(_extreme_rays(a, b, counter)[1])[0])
+    return _sorted_vertices(_extreme_rays(a, b, counter))
 
 
 def vertex_faces(
     a: Sequence[Sequence],
     b: Sequence,
     counter: StepCounter | None = None,
-) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+) -> tuple[Vertices, list[int]]:
     """The vertices of enumerate_vertices_dd and the face of each row.
 
     faces[i] has bit n set exactly when vertex n lies on row i, a_i.x = b_i:
-    the integer dot product of row i's primitive cone row with the ray of
-    vertex n is zero.
+    row i's primitive cone row vanishes at (keys[n], den).
     """
-    cone, rays = _extreme_rays(a, b, counter)
-    vertices, vecs = _sorted_vertices(rays)
-    # The cone's last row, -t <= 0, is no input row and holds no vertex.
-    faces = [
-        sum(1 << n for n, v in enumerate(_row_values(row, vecs)) if not v) for row in cone[:-1]
-    ]
-    return list(vertices), faces
+    vertices = enumerate_vertices_dd(a, b, counter)
+    keys, den = vertices.keys, vertices.den
+    faces = []
+    for row in _cone_rows(a, b):
+        level = -row[-1] * den
+        faces.append(sum(1 << n for n, v in enumerate(_row_values(row[:-1], keys)) if v == level))
+    return vertices, faces
 
 
-def _sorted_vertices(rays: list[_Ray]) -> tuple[Vertices, list[tuple[int, ...]]]:
-    """The vertices sorted lex, and the extreme ray vectors they come from."""
+def _cone_rows(a: Sequence[Sequence], b: Sequence) -> list[tuple[int, ...]]:
+    """The cone row (a_i, -b_i) of each row, a primitive integer vector."""
+    return [primitive_ints((*row, -r)) for row, r in zip(a, b)]
+
+
+def _sorted_vertices(rays: list[_Ray]) -> Vertices:
+    """The vertices of the extreme rays, sorted lex."""
     # Every ray has t >= 0.  Rays with t > 0 are the vertices; a ray with
     # t = 0 is a recession direction, which matters only when a vertex exists.
     points = [r.vec for r in rays if r.vec[-1] > 0]
@@ -189,15 +182,18 @@ def _sorted_vertices(rays: list[_Ray]) -> tuple[Vertices, list[tuple[int, ...]]]
     # `scale`, which orders the points as their exact values do.  Distinct
     # extreme rays are distinct primitive vectors, so no vertex repeats.
     # Each ray (x, t) is primitive, so t is the least common denominator
-    # of x / t, and `scale` is the one `vertex_keys` finds.
+    # of x / t, and `scale` is the one `Vertices` finds.
     scale = lcm(*(v[-1] for v in points))
     keys = [tuple([x * (scale // v[-1]) for x in v[:-1]]) for v in points]
-    order = sorted(range(len(points)), key=keys.__getitem__)
-    keys = tuple([keys[i] for i in order])
-    # Vertices share few coordinate values: one Fraction per distinct value.
-    frac = {x: Fraction(x, scale) for x in set().union(*keys)}
-    vertices = Vertices([tuple(map(frac.__getitem__, key)) for key in keys], keys, scale)
-    return vertices, [points[i] for i in order]
+    return _from_keys(sorted(keys), scale)
+
+
+def _from_keys(keys: Sequence[tuple[int, ...]], den: int) -> Vertices:
+    """The `Vertices` tuple of the sorted keys over den, their least
+    common denominator, with one Fraction per distinct value."""
+    keys = tuple(keys)
+    frac = {x: Fraction(x, den) for x in set().union(*keys)}
+    return Vertices([tuple(map(frac.__getitem__, key)) for key in keys], keys, den)
 
 
 def vertex_product(
@@ -214,9 +210,8 @@ def vertex_product(
     (Ziegler, "Lectures on Polytopes", 1995), so each is put together
     from one key of each factor, every key rescaled to den, the lcm of
     the factors' dens, which is the least common denominator of all the
-    coordinates.  The keys are sorted as double description sorts them,
-    and each distinct value becomes one Fraction.  `counter` is ticked
-    once per product vertex before any is built.
+    coordinates.  The keys are sorted as double description sorts them.
+    `counter` is ticked once per product vertex before any is built.
     """
     count = prod(map(len, factors))
     if counter is not None:
@@ -224,19 +219,17 @@ def vertex_product(
     if not count:
         return Vertices(())
     den = lcm(*(part.den for part in factors))
-    parts = [[tuple([x * (den // part.den) for x in key]) for key in part.keys] for part in factors]
     # Coordinate i of a vertex is entry place[i] of its factors' keys laid end to end.
     flat = [c for cols in columns for c in cols]
     place = itemgetter(*sorted(range(len(flat)), key=flat.__getitem__))
     keys = [()]
-    for part in parts:
-        keys = [key + tail for key in keys for tail in part]
-    keys = tuple(sorted(map(place, keys)))
-    frac = {x: Fraction(x, den) for part in parts for key in part for x in key}
-    return Vertices([tuple(map(frac.__getitem__, key)) for key in keys], keys, den)
+    for part in factors:
+        tails = [tuple([x * (den // part.den) for x in key]) for key in part.keys]
+        keys = [key + tail for key in keys for tail in tails]
+    return _from_keys(sorted(map(place, keys)), den)
 
 
-def _row_values(row: tuple[int, ...], vecs: list[tuple[int, ...]]) -> list[int]:
+def _row_values(row: tuple[int, ...], vecs: Sequence[tuple[int, ...]]) -> list[int]:
     """The dot products of a sparse row with each vector.
 
     They are summed column by column, over the row's nonzero entries only.
@@ -248,26 +241,12 @@ def _row_values(row: tuple[int, ...], vecs: list[tuple[int, ...]]) -> list[int]:
     return vals
 
 
-def vertex_keys(vertices: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The vertices as integer tuples over one common denominator: (keys, den).
-
-    Coordinate v of a vertex is key / den, den the least common
-    denominator of all coordinates.  The keys compare, coordinate by
-    coordinate, as the ints or Fractions they stand for, and equal keys
-    are equal vertices.  A `Vertices` tuple's keys are returned as they
-    are; any other vertex list is read as one.
-    """
-    if not isinstance(vertices, Vertices):
-        vertices = Vertices(vertices)
-    return vertices.keys, vertices.den
-
-
 def _extreme_rays(
     a: Sequence[Sequence],
     b: Sequence,
     counter: StepCounter | None = None,
-) -> tuple[list[tuple[int, ...]], list[_Ray]]:
-    """The cone rows of {x : a x <= b} and the extreme rays of their cone.
+) -> list[_Ray]:
+    """The extreme rays of the cone of {x : a x <= b}.
 
     Each ray's `tight` mask holds the cone rows the ray lies on among the
     initial rows and the rows that cut some ray when inserted.
@@ -279,7 +258,7 @@ def _extreme_rays(
         raise ValueError("no constraints")
     dim = len(a[0])
     # Cone rows over (x, t): a.x - b t <= 0, then -t <= 0, rescaled integral.
-    cone = [primitive_ints((*row, -r)) for row, r in zip(a, b)]
+    cone = _cone_rows(a, b)
     cone.append(tuple([0] * dim + [-1]))
     d1 = dim + 1
 
@@ -400,7 +379,7 @@ def _extreme_rays(
                 tight ^= low
         rays = [r for r, v in zip(rays, vals) if v <= 0] + newcomers
         box = None
-    return cone, rays
+    return rays
 
 
 def _ray_box(rays: list[_Ray]) -> tuple[tuple[int, ...], tuple[int, ...], int]:

@@ -29,15 +29,16 @@ vertices lying on it (Ziegler, Lectures on Polytopes, 1995).  Each
 maximum is therefore a max over the surviving vertices, and a layer's
 maxima are jointly feasible exactly when some surviving vertex attains
 all of them.  The maxima and ties are compared on the vertices' integer
-keys (`polytope.vertex_keys`), which the vertex tuple of double
-description carries, so they are never rebuilt; the face is carried as
-vertex indices, and h* and the certificate are read back from the
-vertex list by index.
+keys, which the `polytope.Vertices` tuple of double description
+carries, so they are never rebuilt; the face is carried as vertex
+indices, and h* and the certificate are read back from the vertex
+tuple by index.
 
 The peeling needs no LP either.  A point of a finite set is a hull vertex
 exactly when its polar row about an interior point defines a facet of
 the polar polytope (Ziegler), so `convex_peeling` reads each layer off
-one double description with `polytope.facet_rows`.  The centroid of the
+the faces of one double description, which `polytope.vertex_faces`
+reads off its vertex keys, with `polytope.facet_rows`.  The centroid of the
 remaining points is interior whenever two or more remain.  The symmetric
 group S_k, permuting coordinates, fixes the set of degree-n' lattice
 points, so it fixes each layer, the hull vertices of a fixed set, and
@@ -60,7 +61,7 @@ from powerpoly.groebner import StepCounter
 from powerpoly.linalg import primitive_scaling
 from powerpoly.polynomial import Polynomial, simplex_coefficients
 from powerpoly.polytope import enumerate_vertices_dd, facet_rows, irredundant_rows
-from powerpoly.polytope import Vertices, vertex_faces, vertex_keys, vertex_product
+from powerpoly.polytope import Vertices, vertex_faces, vertex_product
 from powerpoly.power import PowerPolynomial
 from powerpoly.threshold import require_principal
 
@@ -250,14 +251,14 @@ def enumerate_vertices(
     """
     a, b = p.one_sided()
     if len(p.factors) == 1:
-        return replace(p, vertices=enumerate_vertices_dd(a, b, counter).keyed)
+        return replace(p, vertices=enumerate_vertices_dd(a, b, counter))
     factor_of = {col: i for i, cols in enumerate(p.factors) for col in cols}
     parts: list[tuple[list, list]] = [([], []) for _ in p.factors]
     for row, rhs in zip(a, b):
         i = factor_of[next(col for col, c in enumerate(row) if c)]
         parts[i][0].append(tuple([row[col] for col in p.factors[i]]))
         parts[i][1].append(rhs)
-    factors = [enumerate_vertices_dd(fa, fb, counter).keyed for fa, fb in parts]
+    factors = [enumerate_vertices_dd(fa, fb, counter) for fa, fb in parts]
     return replace(p, vertices=vertex_product(factors, p.factors, counter))
 
 
@@ -271,13 +272,15 @@ def componentwise_max(vertices: Sequence[Sequence[Fraction]]) -> ComponentwiseMa
     """The vertex dominating all others coordinatewise, if it exists.
 
     Otherwise a certificate pair of vertices each beating the other in
-    some coordinate.  Both are found on the vertices' integer keys
-    (`polytope.vertex_keys`), which a vertex tuple of double description
-    carries.
+    some coordinate.  Both are found on the vertices' integer keys, which
+    a vertex tuple of double description carries; any other vertex list
+    is read as a `polytope.Vertices` tuple.
     """
     if not vertices:
         raise ValueError("empty vertex list")
-    keys = vertex_keys(vertices)[0]
+    if not isinstance(vertices, Vertices):
+        vertices = Vertices(vertices)
+    keys = vertices.keys
     top = _peak_index(keys)
     if top is not None:
         return ComponentwiseMax(vertex=tuple(vertices[top]))
@@ -363,7 +366,7 @@ def umpu_search(
     # the vertex tuple carries; the per-coordinate maxima form a vertex
     # exactly when one vertex dominates all others.  The face is carried
     # as vertex indices.
-    keys = vertex_keys(poly.vertices)[0]
+    keys = poly.vertices.keys
     top = _peak_index(keys)
     if top is None:
         face, layers = range(len(keys)), convex_peeling(poly.k, poly.nprime, counter)

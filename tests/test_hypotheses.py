@@ -27,7 +27,7 @@ from powerpoly.hypotheses import (
 )
 from powerpoly.linalg import rank
 from powerpoly.polynomial import Polynomial, table_names
-from powerpoly.polytope import enumerate_vertices_dd, vertex_keys
+from powerpoly.polytope import Vertices, enumerate_vertices_dd
 
 F = Fraction
 
@@ -846,7 +846,8 @@ def test_vertex_mixtures_match_the_fraction_loop():
         ]
         count, base = rng.randint(1, 6), rng.randint(1, 10**5)
         expected = _convex_combinations_oracle(vertices, count, base)
-        assert hypotheses._vertex_mixtures(*vertex_keys(vertices), count, base) == expected
+        keyed = Vertices(vertices)
+        assert hypotheses._vertex_mixtures(keyed.keys, keyed.den, count, base) == expected
 
 
 def _sample_linear_on_ambient_rows(h, count, seed):
@@ -868,7 +869,7 @@ def _sample_linear_on_ambient_rows(h, count, seed):
     vertices = enumerate_vertices_dd(rows, rhs)
     if not all(any(v[i] for v in vertices) for i in range(k)):
         raise ValueError(f"{h.family} hypothesis has no relative-interior simplex point")
-    return hypotheses._vertex_mixtures(*vertex_keys(vertices), count, seed * 7919 + 1)
+    return hypotheses._vertex_mixtures(vertices.keys, vertices.den, count, seed * 7919 + 1)
 
 
 def _points_or_refusal(sample, *args):

@@ -23,12 +23,13 @@ from powerpoly.hypotheses import build_hypothesis
 from powerpoly.linalg import primitive_ints, rank
 from powerpoly.linprog import solve_lp
 from powerpoly.polytope import (
+    Vertices,
+    _cone_rows,
     _extreme_rays,
     enumerate_vertices_dd,
     facet_rows,
     irredundant_rows,
     vertex_faces,
-    vertex_keys,
 )
 
 from conftest import enumerate_vertices_brute_force
@@ -79,22 +80,21 @@ def draw_box_with_cuts(data):
 def test_carried_keys_are_the_keys_of_a_plain_copy(data):
     # Rows times 2 or 3 are integer rows that are not primitive, and rows
     # times 1/2 or 2/3 are Fraction rows: both are rescaled to primitive
-    # cone rows, and give the vertices of the rows as drawn.
+    # cone rows, and give the vertices and faces of the rows as drawn.
     a, b = draw_box_with_corners_cut(data)
     scaled_a, scaled_b = [], []
     for row, r in zip(a, b):
         m = data.draw(st.sampled_from([1, 2, 3, Fraction(1, 2), Fraction(2, 3)]))
         scaled_a.append([m * v for v in row])
         scaled_b.append(m * r)
-    cone = _extreme_rays(scaled_a, scaled_b)[0]
-    assert cone[:-1] == [primitive_ints((*row, -r)) for row, r in zip(scaled_a, scaled_b)]
+    assert _cone_rows(scaled_a, scaled_b) == [primitive_ints((*row, -r)) for row, r in zip(a, b)]
     vertices = enumerate_vertices_dd(scaled_a, scaled_b)
-    assert vertices == enumerate_vertices_dd(a, b)
-    keyed = vertices.keyed
-    assert isinstance(keyed, polytope.Vertices) and list(keyed) == vertices
-    keys, den = vertex_keys(keyed)
-    assert (keys, den) == vertex_keys([tuple(v) for v in vertices])
-    assert [tuple(Fraction(x, den) for x in key) for key in keys] == vertices
+    assert isinstance(vertices, Vertices) and vertices == enumerate_vertices_dd(a, b)
+    assert vertex_faces(scaled_a, scaled_b) == vertex_faces(a, b)
+    keys, den = vertices.keys, vertices.den
+    plain = Vertices([tuple(v) for v in vertices])
+    assert (keys, den) == (plain.keys, plain.den)
+    assert tuple(tuple(Fraction(x, den) for x in key) for key in keys) == vertices
     # Strictly increasing, as the vertices are: the keys order them as
     # their values do.
     assert all(p < q for p, q in zip(keys, keys[1:]))
@@ -102,18 +102,19 @@ def test_carried_keys_are_the_keys_of_a_plain_copy(data):
 
 
 def test_vertex_tuples_copy_with_their_keys():
-    vertices = enumerate_vertices_dd(*cube(2, Fraction(-1, 2), 3)).keyed
+    vertices = enumerate_vertices_dd(*cube(2, Fraction(-1, 2), 3))
     for copied in (pickle.loads(pickle.dumps(vertices)), copy.deepcopy(vertices)):
-        assert copied == vertices and isinstance(copied, polytope.Vertices)
-        assert vertex_keys(copied) == vertex_keys(vertices)
-    assert vertex_keys(vertices) == (((-1, -1), (-1, 6), (6, -1), (6, 6)), 2)
+        assert copied == vertices and isinstance(copied, Vertices)
+        assert (copied.keys, copied.den) == (vertices.keys, vertices.den)
+    assert (vertices.keys, vertices.den) == (((-1, -1), (-1, 6), (6, -1), (6, 6)), 2)
     # `dataclasses.asdict` rebuilds the tuple from its vertices alone.
     h = Fraction(1, 20)
     poly = enumerate_vertices(coefficient_polytope(parse_polynomial("p1 + p2 - p3", ["p1", "p2", "p3"]), 3, h))
     rebuilt = dataclasses.asdict(poly)["vertices"]
-    assert isinstance(rebuilt, polytope.Vertices) and rebuilt == poly.vertices
-    assert vertex_keys(rebuilt) == vertex_keys(poly.vertices)
-    assert vertex_keys(rebuilt) == vertex_keys(list(poly.vertices))
+    assert isinstance(rebuilt, Vertices) and rebuilt == poly.vertices
+    assert (rebuilt.keys, rebuilt.den) == (poly.vertices.keys, poly.vertices.den)
+    plain = Vertices(list(poly.vertices))
+    assert (rebuilt.keys, rebuilt.den) == (plain.keys, plain.den)
 
 
 def draw_factor(data):
@@ -150,18 +151,18 @@ def test_vertex_product_is_the_double_description_of_the_product(data):
                 full[c] = x
             rows.append(full)
             rhs.append(r)
-    parts = [enumerate_vertices_dd(a, b).keyed for a, b in factors]
+    parts = [enumerate_vertices_dd(a, b) for a, b in factors]
     counter = StepCounter()
     got = polytope.vertex_product(parts, columns, counter)
-    whole = enumerate_vertices_dd(rows, rhs).keyed
-    assert isinstance(got, polytope.Vertices)
+    whole = enumerate_vertices_dd(rows, rhs)
+    assert isinstance(got, Vertices)
     assert (got, got.keys, got.den) == (whole, whole.keys, whole.den)
     assert counter.steps == len(whole)
 
 
 def test_vertex_product_of_an_empty_factor_is_empty():
-    empty = enumerate_vertices_dd([[1], [-1]], [-1, -1]).keyed
-    square = enumerate_vertices_dd(*cube(2, Fraction(-1, 2), 3)).keyed
+    empty = enumerate_vertices_dd([[1], [-1]], [-1, -1])
+    square = enumerate_vertices_dd(*cube(2, Fraction(-1, 2), 3))
     got = polytope.vertex_product([square, empty], [(0, 2), (1,)])
     assert (got, got.keys, got.den) == ((), (), 1) == (empty, empty.keys, empty.den)
 
@@ -175,8 +176,9 @@ def assert_tight_masks_on_cutting_rows(a, b):
     rows before it has row.x > 0: an exact LP over that cone within the
     cube |x_i| <= 1 has a positive optimum.
     """
-    cone, rays = _extreme_rays(a, b)
-    d1 = len(cone[0])
+    rays = _extreme_rays(a, b)
+    d1 = len(a[0]) + 1
+    cone = [*_cone_rows(a, b), (0,) * (d1 - 1) + (-1,)]
     initial = []
     for j, row in enumerate(cone):
         if len(initial) < d1 and rank([cone[i] for i in initial] + [row]) > len(initial):
@@ -200,7 +202,7 @@ def assert_faces_exact(a, b):
     """vertex_faces gives the brute-force vertices, and bit n of row i's face
     is set exactly when a_i . v_n = b_i."""
     vertices, faces = vertex_faces(a, b)
-    assert vertices == enumerate_vertices_brute_force(a, b)
+    assert list(vertices) == enumerate_vertices_brute_force(a, b)
     assert enumerate_vertices_dd(a, b) == vertices
     assert faces == [
         sum(1 << n for n, v in enumerate(vertices) if sum(map(operator.mul, row, v)) == r)
@@ -245,7 +247,7 @@ class TestDoubleDescription:
     def test_unit_square(self):
         a, b = cube(2, 0, 1)
         vs = enumerate_vertices_dd(a, b)
-        assert vs == sorted(
+        assert list(vs) == sorted(
             [
                 (Fraction(0), Fraction(0)),
                 (Fraction(0), Fraction(1)),
@@ -270,7 +272,7 @@ class TestDoubleDescription:
 
     def test_interval(self):
         vs = enumerate_vertices_dd([[1], [-1]], [Fraction(3, 4), Fraction(1, 5)])
-        assert vs == [(Fraction(-1, 5),), (Fraction(3, 4),)]
+        assert vs == ((Fraction(-1, 5),), (Fraction(3, 4),))
 
     def test_unbounded_detected(self):
         with pytest.raises(ValueError):
@@ -286,13 +288,13 @@ class TestDoubleDescription:
     def test_empty_with_recession_direction_gives_no_vertices(self):
         # {x >= 0, x <= -1, y >= 0}: empty, though y may grow without bound.
         a, b = [[-1, 0], [1, 0], [0, -1]], [0, -1, 0]
-        assert enumerate_vertices_dd(a, b) == enumerate_vertices_brute_force(a, b) == []
+        assert list(enumerate_vertices_dd(a, b)) == enumerate_vertices_brute_force(a, b) == []
 
     def test_vertices_satisfy_constraints_with_tight_rank(self):
         a = [[2, 1], [-1, 2], [-1, -1], [0, -1], [1, -2]]
         b = [4, 3, 1, 1, 2]
         vs = enumerate_vertices_dd(a, b)
-        assert vs == enumerate_vertices_brute_force(a, b)
+        assert list(vs) == enumerate_vertices_brute_force(a, b)
         for v in vs:
             tight = []
             for row, bound in zip(a, b):
@@ -338,7 +340,7 @@ class TestDoubleDescription:
         a += [[1, 1, 1], [1, 1, 0], [1, 1, 1], [1, 1, 1], [1, 0, 1]]
         b += [9, 4, 8, 5, 7]
         vertices = enumerate_vertices_dd(a, b, counter)
-        assert vertices == enumerate_vertices_brute_force(a, b)
+        assert list(vertices) == enumerate_vertices_brute_force(a, b)
         assert len(vertices) == 10
         assert (built, counter.steps) == ([9, 20], 21)
         assert_tight_masks_on_cutting_rows(a, b)
@@ -378,7 +380,7 @@ class TestDoubleDescription:
             if x or y:
                 a.append([x, y])
                 b.append(Fraction(rhs))
-        assert enumerate_vertices_dd(a, b) == enumerate_vertices_brute_force(a, b)
+        assert list(enumerate_vertices_dd(a, b)) == enumerate_vertices_brute_force(a, b)
 
     @seed(20250612)
     @settings(max_examples=60, deadline=None)
@@ -386,7 +388,7 @@ class TestDoubleDescription:
     def test_matches_brute_force_in_three_and_four_dimensions(self, data):
         a, b = draw_box_with_cuts(data)
         # A cut may empty the box; both then give no vertices.
-        assert enumerate_vertices_dd(a, b) == enumerate_vertices_brute_force(a, b)
+        assert list(enumerate_vertices_dd(a, b)) == enumerate_vertices_brute_force(a, b)
 
     @seed(20251018)
     @settings(max_examples=60, deadline=None)
@@ -394,7 +396,7 @@ class TestDoubleDescription:
     def test_matches_brute_force_on_boxes_with_corners_cut(self, data):
         a, b = draw_box_with_corners_cut(data)
         vertices = enumerate_vertices_dd(a, b)
-        assert vertices and vertices == enumerate_vertices_brute_force(a, b)
+        assert vertices and list(vertices) == enumerate_vertices_brute_force(a, b)
 
     def test_faces_of_a_square_with_tangent_and_duplicate_rows(self):
         # Vertices (-1, -1), (-1, 1), (1, -1), (1, 1); x + y <= 2 touches
@@ -403,7 +405,7 @@ class TestDoubleDescription:
         a += [[1, 1], [2, 0]]
         b += [2, 2]
         assert vertex_faces(a, b)[1] == [0b1100, 0b0011, 0b1010, 0b0101, 0b1000, 0b1100]
-        assert vertex_faces([[1], [-1]], [-1, 0]) == ([], [0, 0])
+        assert vertex_faces([[1], [-1]], [-1, 0]) == ((), [0, 0])
 
     @seed(20261019)
     @settings(max_examples=60, deadline=None)

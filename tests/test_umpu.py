@@ -32,7 +32,6 @@ from powerpoly.polytope import (
     facet_rows,
     irredundant_rows,
     vertex_faces,
-    vertex_keys,
 )
 from powerpoly.power import box_check
 from powerpoly.umpu import (
@@ -362,7 +361,7 @@ def test_nearest_first_keeps_the_near_side_vertices(weights, n, alpha):
     f = _case_generator(weights)
     poly = coefficient_polytope(f, n, alpha)
     expected = enumerate_vertices_dd(*_near_side_first(poly))
-    assert list(enumerate_vertices(poly).vertices) == expected
+    assert enumerate_vertices(poly).vertices == expected
 
 
 @pytest.mark.parametrize("weights, n", [(weights, n) for weights, n, _ in NEAREST_FIRST_CASES])
@@ -573,13 +572,13 @@ def _peak_in_fractions(points):
 class TestPeakIndex:
     def test_mixed_denominators(self):
         pts = [(F(1, 3), F(1, 2)), (F(2, 5), F(3, 7)), (F(2, 5), F(1, 2)), (F(-1, 6), 1)]
-        assert _peak_index(vertex_keys(pts)[0]) == _peak_in_fractions(pts) == None
+        assert _peak_index(Vertices(pts).keys) == _peak_in_fractions(pts) == None
         pts[3] = (F(-1, 6), F(1, 2))
-        assert _peak_index(vertex_keys(pts)[0]) == _peak_in_fractions(pts) == 2
+        assert _peak_index(Vertices(pts).keys) == _peak_in_fractions(pts) == 2
 
     def test_ties_and_duplicates_give_the_first(self):
         pts = [(F(1, 2), 0), (F(1, 2), F(1, 4)), (F(2, 4), F(1, 4)), (0, F(1, 4))]
-        assert _peak_index(vertex_keys(pts)[0]) == _peak_in_fractions(pts) == 1
+        assert _peak_index(Vertices(pts).keys) == _peak_in_fractions(pts) == 1
 
     @seed(20261019)
     @settings(max_examples=100, deadline=None)
@@ -601,7 +600,7 @@ class TestPeakIndex:
                 data.draw(st.integers(0, len(points))),
                 data.draw(st.sampled_from(points)),
             )
-        assert _peak_index(vertex_keys(points)[0]) == _peak_in_fractions(points)
+        assert _peak_index(Vertices(points).keys) == _peak_in_fractions(points)
 
 
 def _incomparable_pair_quadratic(points):
@@ -906,8 +905,9 @@ def test_vertex_search_matches_lp_replay(text, k, n, alpha, status):
      ("sphere", 3, 5, F(1, 20))],
 )
 def test_carried_keys_answer_as_a_plain_copy(text, k, n, alpha, monkeypatch):
-    # The stored vertex tuple carries its keys; a plain tuple of the same
-    # vertices has them computed, and both give the same answers.
+    # The stored vertex tuple carries the keys double description sorted
+    # on; a plain tuple of the same vertices has them computed, and both
+    # give the same answers.
     f = sphere3() if text == "sphere" else P(text, [f"p{i + 1}" for i in range(k)])
     poly = enumerate_vertices(coefficient_polytope(f, n, alpha))
     plain = tuple(tuple(v) for v in poly.vertices)
@@ -915,7 +915,8 @@ def test_carried_keys_answer_as_a_plain_copy(text, k, n, alpha, monkeypatch):
     assert componentwise_max(poly.vertices) == componentwise_max(plain)
     assert componentwise_max(poly.vertices) == componentwise_max(list(plain))
     keyed = umpu_search(f, n, alpha)
-    monkeypatch.setattr(umpu, "enumerate_vertices", lambda *args: replace(poly, vertices=plain))
+    rebuilt = replace(poly, vertices=Vertices(plain))
+    monkeypatch.setattr(umpu, "enumerate_vertices", lambda *args: rebuilt)
     assert umpu_search(f, n, alpha) == keyed
 
 
@@ -928,7 +929,7 @@ def _umpu_search_by_keys(f, n, alpha):
     layer, certificate), h* as a vertex.
     """
     poly = enumerate_vertices(coefficient_polytope(f, n, alpha))
-    keys = vertex_keys(poly.vertices)[0]
+    keys = poly.vertices.keys
     top = _peak_index(keys)
     if top is not None:
         return EXISTS, poly.vertices[top], None, None
@@ -1037,14 +1038,14 @@ def _decomposable_spec(k, n, alpha):
 
 def _whole_polytope_vertices(p, counter=None):
     """`umpu.enumerate_vertices` as one double description of all the rows."""
-    return replace(p, vertices=enumerate_vertices_dd(*p.one_sided(), counter).keyed)
+    return replace(p, vertices=enumerate_vertices_dd(*p.one_sided(), counter))
 
 
 def _check_against_one_double_description(f, poly, monkeypatch):
     """The factored vertices and the UMPU verdict equal those of one
     double description of the whole polytope."""
     n, alpha = poly.n, poly.alpha
-    whole = enumerate_vertices_dd(*poly.one_sided()).keyed
+    whole = enumerate_vertices_dd(*poly.one_sided())
     assert poly.vertices == whole
     assert (poly.vertices.keys, poly.vertices.den) == (whole.keys, whole.den)
     values = [x for v in poly.vertices for x in v]
