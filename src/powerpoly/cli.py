@@ -1,7 +1,10 @@
 """Batch command-line front end.
 
 Subcommands: gb, threshold, separating, umpu, coeff-polytope,
-polytope-exists, power-grid, recover-test, mc-validate.  Each command
+polytope-exists, power-grid, recover-test, mc-validate.  Every command
+about a null hypothesis reads it from a `--hypothesis` JSON file;
+`umpu` and `coeff-polytope` take one of exactly one generator f, given
+in all k coordinates, and refuse any other.  Each command
 returns its artifact and its exit code, and `main` alone writes the
 artifact, to stdout or `--out`: a dict as JSON stamped with
 `schema_version`, or `power-grid`'s CSV text as it is.  JSON artifacts
@@ -255,9 +258,13 @@ def _polytope_verdict(hyp: NullHypothesis, args, kind: str | None = None) -> tup
 
 
 def _principal(args) -> tuple[list[str], Polynomial, Fraction]:
-    """`--vars` split into names, `--f` parsed over them and `--alpha`."""
-    names = _names(args.vars)
-    return names, parse_polynomial(args.f, names), parse_rational(args.alpha)
+    """The hypothesis's names, its one generator f and `--alpha`."""
+    hyp = _load_hypothesis(args.hypothesis)
+    if len(hyp.generators) != 1 or hyp.generators_substituted:
+        raise CliError(f"{args.command} needs exactly one generator, given in all k coordinates; "
+                       f"the {hyp.family} hypothesis has {len(hyp.generators)}"
+                       + " in k - 1 coordinates" * hyp.generators_substituted)
+    return list(hyp.names), hyp.generators[0], parse_rational(args.alpha)
 
 
 def cmd_umpu(args) -> tuple[dict, int]:
@@ -429,9 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     hypothesis = argparse.ArgumentParser(add_help=False)
     hypothesis.add_argument("--hypothesis", required=True, help="hypothesis JSON path")
     principal = argparse.ArgumentParser(add_help=False)
-    principal.add_argument("--f", required=True, help="ideal generator polynomial")
-    principal.add_argument("--vars", required=True)
-    principal.add_argument("--n", type=int, required=True)
+    principal.add_argument("--n", type=int, required=True, help="sample size")
     principal.add_argument("--alpha", required=True, help="exact rational, e.g. 1/20")
     test = argparse.ArgumentParser(add_help=False)
     test.add_argument("--test", required=True, help="test-function JSON path")
@@ -450,13 +455,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="separating polynomials for a hypothesis")
     p.set_defaults(func=cmd_separating)
 
-    p = sub.add_parser("umpu", parents=[principal, step_limit, out],
-                       help="UMPU existence search for a principal hypothesis")
+    p = sub.add_parser("umpu", parents=[hypothesis, principal, step_limit, out],
+                       help="UMPU existence search for a one-generator hypothesis")
     p.add_argument("--emit-vertices", action="store_true")
     p.set_defaults(func=cmd_umpu)
 
-    p = sub.add_parser("coeff-polytope", parents=[principal, step_limit, out],
-                       help="coefficient polytope H-rep (and V-rep)")
+    p = sub.add_parser("coeff-polytope", parents=[hypothesis, principal, step_limit, out],
+                       help="coefficient polytope H-rep (and V-rep) of a one-generator hypothesis")
     p.add_argument("--enumerate", action="store_true", help="also enumerate vertices")
     p.set_defaults(func=cmd_polytope)
 

@@ -185,15 +185,15 @@ def _sorted_vertices(rays: list[_Ray]) -> Vertices:
     # of x / t, and `scale` is the one `Vertices` finds.
     scale = lcm(*(v[-1] for v in points))
     keys = [tuple([x * (scale // v[-1]) for x in v[:-1]]) for v in points]
-    return _from_keys(sorted(keys), scale)
+    return _from_keys(sorted(keys), scale, set().union(*keys))
 
 
-def _from_keys(keys: Sequence[tuple[int, ...]], den: int) -> Vertices:
+def _from_keys(keys: Sequence[tuple[int, ...]], den: int, values: set[int]) -> Vertices:
     """The `Vertices` tuple of the sorted keys over den, their least
-    common denominator, with one Fraction per distinct value."""
-    keys = tuple(keys)
-    frac = {x: Fraction(x, den) for x in set().union(*keys)}
-    return Vertices([tuple(map(frac.__getitem__, key)) for key in keys], keys, den)
+    common denominator, with one Fraction per distinct value; `values`
+    holds every value the keys use."""
+    frac = {x: Fraction(x, den) for x in values}
+    return Vertices([tuple(map(frac.__getitem__, key)) for key in keys], tuple(keys), den)
 
 
 def vertex_product(
@@ -210,8 +210,10 @@ def vertex_product(
     (Ziegler, "Lectures on Polytopes", 1995), so each is put together
     from one key of each factor, every key rescaled to den, the lcm of
     the factors' dens, which is the least common denominator of all the
-    coordinates.  The keys are sorted as double description sorts them.
-    `counter` is ticked once per product vertex before any is built.
+    coordinates.  The keys are sorted as double description sorts them,
+    and the distinct values are the factors' values rescaled to den, so
+    the product vertices are not scanned for them.  `counter` is ticked
+    once per product vertex before any is built.
     """
     count = prod(map(len, factors))
     if counter is not None:
@@ -222,11 +224,12 @@ def vertex_product(
     # Coordinate i of a vertex is entry place[i] of its factors' keys laid end to end.
     flat = [c for cols in columns for c in cols]
     place = itemgetter(*sorted(range(len(flat)), key=flat.__getitem__))
-    keys = [()]
+    keys, values = [()], set()
     for part in factors:
         tails = [tuple([x * (den // part.den) for x in key]) for key in part.keys]
+        values.update(*tails)
         keys = [key + tail for key in keys for tail in tails]
-    return _from_keys(sorted(map(place, keys)), den)
+    return _from_keys(sorted(map(place, keys)), den, values)
 
 
 def _row_values(row: tuple[int, ...], vecs: Sequence[tuple[int, ...]]) -> list[int]:

@@ -18,9 +18,10 @@ vector mu off S, the columns J and rows L that equal mu off S cut out
 one factor, and the polytope is the product of these factors.  The
 vertices of a product are the tuples of its factors' vertices
 (Ziegler, Lectures on Polytopes, 1995), so `enumerate_vertices` runs one
-double description per factor and puts the tuples together
-(`polytope.vertex_product`).  The factors are read off f~'s terms; an
-f~ on every variable is one factor, one double description.
+double description per distinct factor (factors with the same rows and
+bounds on their own columns are one polytope) and puts the tuples
+together (`polytope.vertex_product`).  The factors are read off f~'s
+terms; an f~ on every variable is one factor, one double description.
 
 The recursion needs no LP.  Fixing a coordinate at its maximum over a
 face cuts out a supporting hyperplane, so every set the recursion visits
@@ -243,11 +244,12 @@ def enumerate_vertices(
     `p.factors` (see the module docstring), and each row holds columns of
     one factor only.  One factor is one double description of all the
     rows.  Otherwise each factor runs one over its own rows, restricted
-    to its columns, which keeps them nearest first, and
-    `polytope.vertex_product` puts their vertices together into the
-    tuple one double description of the whole polytope returns.
-    `counter` is ticked by each double description, then once per
-    product vertex before any is built.
+    to its columns, which keeps them nearest first; factors with the
+    same restricted rows and bounds are the same polytope, so each
+    distinct one runs once.  `polytope.vertex_product` puts their
+    vertices together into the tuple one double description of the
+    whole polytope returns.  `counter` is ticked by each double
+    description, then once per product vertex before any is built.
     """
     a, b = p.one_sided()
     if len(p.factors) == 1:
@@ -258,8 +260,9 @@ def enumerate_vertices(
         i = factor_of[next(col for col, c in enumerate(row) if c)]
         parts[i][0].append(tuple([row[col] for col in p.factors[i]]))
         parts[i][1].append(rhs)
-    factors = [enumerate_vertices_dd(fa, fb, counter) for fa, fb in parts]
-    return replace(p, vertices=vertex_product(factors, p.factors, counter))
+    keyed = [(tuple(fa), tuple(fb)) for fa, fb in parts]
+    runs = {part: enumerate_vertices_dd(*part, counter) for part in dict.fromkeys(keyed)}
+    return replace(p, vertices=vertex_product([runs[part] for part in keyed], p.factors, counter))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import difflib
+import hashlib
 import itertools
 import json
 import os
@@ -16,9 +17,11 @@ import powerpoly
 from powerpoly import cli
 from powerpoly.cli import _grid_values, build_parser, main
 from powerpoly.cli import test_to_json as to_json
+from powerpoly.hypotheses import build_hypothesis
 from powerpoly.parser import parse_polynomial
 from powerpoly.power import TestFunction, count_vectors
 from powerpoly.power import test_to_power as to_power
+from powerpoly.threshold import principal_umpu
 
 F = Fraction
 
@@ -36,6 +39,39 @@ def run_cli(args, tmp_path=None):
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DIFF_LINES = 300  # of a mismatch's unified diff, shown before the rest is cut
+
+
+def indep(p, q):
+    return {"kind": "independence", "params": {"p": p, "q": q}}
+
+
+def sphere(k, delta_sq):
+    return {"kind": "sphere", "params": {"k": k, "delta_sq": delta_sq}}
+
+
+def custom(*generators, k=3, **params):
+    return {"kind": "custom", "params": {"k": k, "generators": list(generators), **params}}
+
+
+def h_argv(command, hypothesis, n, alpha, *flags):
+    """The argv of `umpu` or `coeff-polytope` on a hypothesis file."""
+    return [command, "--hypothesis", hypothesis, "--n", n, "--alpha", alpha, *flags]
+
+
+def with_files(argv, tmp_path):
+    """argv with each dict written as a JSON file and its path in its place.
+
+    The file is named by its contents, so argvs that share `tmp_path`
+    never overwrite each other's files."""
+    args = []
+    for arg in argv:
+        if isinstance(arg, dict):
+            text = json.dumps(arg)
+            path = tmp_path / f"{hashlib.sha256(text.encode()).hexdigest()[:16]}.json"
+            path.write_text(text)
+            arg = str(path)
+        args.append(arg)
+    return args
 
 
 def assert_artifact(argv, code, golden, tmp_path):
@@ -128,17 +164,13 @@ class TestGb:
         ["gb", "--gens", "p1-p3", "--vars", "p1,p2,p3"],
         # A limit below 1 is refused before the command draws on it:
         # coeff-polytope ticks its rows, threshold on rank_lt its squares.
-        ["coeff-polytope", "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3",
-         "--alpha", "1/20"],
-        ["threshold", "--hypothesis", "RANK"],
+        h_argv("coeff-polytope", custom("p1+p2-p3"), "3", "1/20"),
+        ["threshold", "--hypothesis", {"kind": "rank_lt", "params": {"p": 3, "q": 3, "r": 3}}],
     ],
     ids=["gb", "coeff-polytope", "threshold-rank"],
 )
 def test_step_limit_below_one_is_an_error(argv, limit, tmp_path, capsys):
-    rank = tmp_path / "rank.json"
-    rank.write_text(json.dumps({"kind": "rank_lt", "params": {"p": 3, "q": 3, "r": 3}}))
-    argv = [str(rank) if a == "RANK" else a for a in argv]
-    code, _ = run_cli(argv + ["--step-limit", limit])
+    code, _ = run_cli(with_files(argv, tmp_path) + ["--step-limit", limit])
     assert code == 1
     assert "step limit must be >= 1" in capsys.readouterr().err
 
@@ -154,9 +186,9 @@ def test_coordinate_planes_are_not_an_empty_null_set(command, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["umpu", "coeff-polytope"])
-def test_coefficient_rows_are_counted_before_they_are_built(command, capsys):
+def test_coefficient_rows_are_counted_before_they_are_built(command, tmp_path, capsys):
     # C(302, 2) = 45,451 rows at n = 300: a budget of 10 refuses them at once.
-    argv = [command, "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "300", "--alpha", "1/20"]
+    argv = with_files(h_argv(command, custom("p1+p2-p3"), "300", "1/20"), tmp_path)
     start = time.perf_counter()
     code, out = run_cli(argv + ["--step-limit", "10"])
     assert time.perf_counter() - start < 1
@@ -248,10 +280,10 @@ WHOLE = "null set is the whole simplex, no alternative: f vanishes wherever sum(
     ids=["sum-of-all", "twice-its-square", "vanishes-on-the-simplex", "squares", "linear",
          "mixed-coefficients"],
 )
-def test_f_that_does_not_split_the_simplex_is_an_error(command, f, message, capsys):
+def test_f_that_does_not_split_the_simplex_is_an_error(command, f, message, tmp_path, capsys):
     # f is 1, 2 or 0 wherever sum(p) = 1, or, in the last three, positive
     # though not constant there: no verdict, test or polytope.
-    argv = [command, "--f", f, "--vars", "p1,p2,p3", "--n", "4", "--alpha", "1/20"]
+    argv = with_files(h_argv(command, custom(f), "4", "1/20"), tmp_path)
     assert run_cli(argv) == (1, "")
     assert capsys.readouterr().err == f"error: {message}\n"
 
@@ -552,11 +584,9 @@ def test_names_the_grammar_cannot_match_are_refused(bad, tmp_path, capsys):
     "argv",
     [
         ["gb", "--gens", "p1*p2 - p3", "--vars", "VARS"],
-        ["umpu", "--f", "p1+p2-p3", "--vars", "VARS", "--n", "3", "--alpha", "1/20"],
-        ["coeff-polytope", "--f", "p1+p2-p3", "--vars", "VARS", "--n", "3", "--alpha", "1/20"],
         ["recover-test", "--beta", "p1^3 + p2^3 + p3^3", "--vars", "VARS", "--n", "3"],
     ],
-    ids=["gb", "umpu", "coeff-polytope", "recover-test"],
+    ids=["gb", "recover-test"],
 )
 def test_vars_names_are_stripped(argv, capsys):
     spaced = run_cli([" p1, p2 ,\tp3" if a == "VARS" else a for a in argv])
@@ -577,14 +607,6 @@ def test_unwritable_out_is_an_error(tmp_path, capsys):
     code, stdout = run_cli(["gb", "--gens", "p1", "--vars", "p1", "--out", str(out)])
     assert (code, stdout) == (1, "")
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
-
-
-def indep(p, q):
-    return {"kind": "independence", "params": {"p": p, "q": q}}
-
-
-def sphere(k, delta_sq):
-    return {"kind": "sphere", "params": {"k": k, "delta_sq": delta_sq}}
 
 
 # The input files of the goldens: each dict in a golden's argv is written
@@ -617,11 +639,8 @@ GB_GENS = [
     ("signs", ["-2/3*p1^2 + p2", "-4*p1*p2 + 6/5*p2^2"], "p1,p2"),
     ("mixed", ["p1*p2-p3^2", "p1^2*p3 - 3/4*p2", "p1 - 2*p3 + 1/3"], "p1,p2,p3"),
 ]
-SPHERE_F = "p1^2 + p2^2 + p3^2 - 2/3*p1 - 2/3*p2 - 2/3*p3 + 1/6"
-
-
-def f_argv(command, f, n, alpha, *flags):
-    return [command, "--f", f, "--vars", "p1,p2,p3", "--n", n, "--alpha", alpha, *flags]
+LINE = custom("p1+p2-p3")
+SPHERE = sphere(3, "1/6")
 
 
 # (id, argv, exit code) of every pinned CLI artifact; tests/golden/<id>.out
@@ -640,17 +659,17 @@ GOLDENS = [
     ("polytope-exists-exists", ["polytope-exists", "--hypothesis", WIDE], 0),
     ("polytope-exists-not-exists", ["polytope-exists", "--hypothesis", NARROW], 2),
     # h_star, beta and the test of each verdict.
-    ("umpu-exists", f_argv("umpu", "p1+p2-p3", "3", "1/20"), 0),
-    ("umpu-not-exists", f_argv("umpu", "2*p1+p2-p3", "3", "1/20"), 2),
-    ("umpu-candidate", f_argv("umpu", SPHERE_F, "6", "1/20"), 0),
-    ("umpu-exists-vertices", f_argv("umpu", "p1+p2-p3", "3", "1/20", "--emit-vertices"), 0),
+    ("umpu-exists", h_argv("umpu", LINE, "3", "1/20"), 0),
+    ("umpu-not-exists", h_argv("umpu", custom("2*p1+p2-p3"), "3", "1/20"), 2),
+    ("umpu-candidate", h_argv("umpu", SPHERE, "6", "1/20"), 0),
+    ("umpu-exists-vertices", h_argv("umpu", LINE, "3", "1/20", "--emit-vertices"), 0),
     # The H-rep rows, the halfspace count and the vertices.
-    ("coeff-polytope-enumerate",
-     f_argv("coeff-polytope", "p1+p2-p3", "3", "1/20", "--enumerate"), 0),
-    ("coeff-polytope-sphere-n5", f_argv("coeff-polytope", SPHERE_F, "5", "1/20", "--enumerate"), 0),
-    ("coeff-polytope-n4-half", f_argv("coeff-polytope", "p1+p2-p3", "4", "1/2", "--enumerate"), 0),
+    ("coeff-polytope-enumerate", h_argv("coeff-polytope", LINE, "3", "1/20", "--enumerate"), 0),
+    ("coeff-polytope-sphere-n5", h_argv("coeff-polytope", SPHERE, "5", "1/20", "--enumerate"), 0),
+    ("coeff-polytope-n4-half", h_argv("coeff-polytope", LINE, "4", "1/2", "--enumerate"), 0),
     # f~^2 = (p1 - p2)^2 has no p3, so every L with L3 >= 2 is a zero row.
-    ("coeff-polytope-zero-rows", f_argv("coeff-polytope", "p1-p2", "3", "1/10", "--enumerate"), 0),
+    ("coeff-polytope-zero-rows",
+     h_argv("coeff-polytope", custom("p1-p2"), "3", "1/10", "--enumerate"), 0),
     ("recover-test",
      ["recover-test", "--beta", "p1^3 + 3*p1*p2*p3 + p3^3", "--vars", "p1,p2,p3", "--n", "3"], 0),
     ("mc-validate",
@@ -662,14 +681,7 @@ GOLDENS = [
 
 @pytest.mark.parametrize("name, argv, code", GOLDENS, ids=[name for name, _, _ in GOLDENS])
 def test_golden(name, argv, code, tmp_path):
-    args = []
-    for i, arg in enumerate(argv):
-        if isinstance(arg, dict):
-            path = tmp_path / f"input{i}.json"
-            path.write_text(json.dumps(arg))
-            arg = str(path)
-        args.append(arg)
-    assert_artifact(args, code, GOLDEN / f"{name}.out", tmp_path)
+    assert_artifact(with_files(argv, tmp_path), code, GOLDEN / f"{name}.out", tmp_path)
 
 
 def test_goldens_cover_every_subcommand_and_file():
@@ -699,15 +711,15 @@ OPTION_TABLE = [
         {"hypothesis": "h.json", "step_limit": None, "out": None},
     ),
     (
-        ["umpu", "--f", "p1", "--vars", "p1,p2", "--n", "2", "--alpha", "1/2"],
+        h_argv("umpu", "h.json", "2", "1/2"),
         "cmd_umpu",
-        {"f": "p1", "vars": "p1,p2", "n": 2, "alpha": "1/2", "emit_vertices": False,
+        {"hypothesis": "h.json", "n": 2, "alpha": "1/2", "emit_vertices": False,
          "step_limit": None, "out": None},
     ),
     (
-        ["coeff-polytope", "--f", "p1", "--vars", "p1,p2", "--n", "2", "--alpha", "1/2"],
+        h_argv("coeff-polytope", "h.json", "2", "1/2"),
         "cmd_polytope",
-        {"f": "p1", "vars": "p1,p2", "n": 2, "alpha": "1/2", "enumerate": False,
+        {"hypothesis": "h.json", "n": 2, "alpha": "1/2", "enumerate": False,
          "step_limit": None, "out": None},
     ),
     (
@@ -747,22 +759,19 @@ def test_option_table_covers_every_subcommand():
     assert sorted(sub.choices) == sorted(argv[0] for argv, _, _ in OPTION_TABLE)
 
 
-def test_one_parser_per_process_matches_fresh_parsers(monkeypatch, capsys):
+def test_one_parser_per_process_matches_fresh_parsers(monkeypatch, tmp_path, capsys):
     # Consecutive calls share one parser; each must answer as a parser built
     # for it alone would, options of earlier calls leaving no trace.
     calls = [
-        ["umpu", "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3", "--alpha", "1/20",
-         "--emit-vertices"],
+        with_files(h_argv("umpu", LINE, "3", "1/20", "--emit-vertices"), tmp_path),
         ["gb", "--gens", "p1-p3", "--vars", "p1,p2,p3", "--order", "lex"],
-        ["umpu", "--f", "2*p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3", "--alpha", "1/20"],
+        with_files(h_argv("umpu", custom("2*p1+p2-p3"), "3", "1/20"), tmp_path),
         ["--version"],
         ["gb", "--gens", "p1*p2-p3^2", "--gens", "p1-p3", "--vars", "p1,p2,p3"],
-        ["coeff-polytope", "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3",
-         "--alpha", "1/20", "--step-limit", "0"],
+        with_files(h_argv("coeff-polytope", LINE, "3", "1/20", "--step-limit", "0"), tmp_path),
         ["polytope-exists"],
         ["recover-test", "--beta", "p1^2 + p2^2", "--vars", "p1,p2", "--n", "2"],
-        ["coeff-polytope", "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3",
-         "--alpha", "1/20"],
+        with_files(h_argv("coeff-polytope", LINE, "3", "1/20"), tmp_path),
     ]
 
     def run_all():
@@ -1023,10 +1032,9 @@ class TestThreshold:
         extra = {"kind": "SUB"} if code == 0 else {}
         assert json.loads(sep[1]) == {**json.loads(exists[1]), **extra}
 
-    def test_coeff_polytope_emission(self):
+    def test_coeff_polytope_emission(self, tmp_path):
         code, out = run_cli(
-            ["coeff-polytope", "--f", "p1+p2-p3", "--vars", "p1,p2,p3",
-             "--n", "3", "--alpha", "1/20", "--enumerate"]
+            with_files(h_argv("coeff-polytope", LINE, "3", "1/20", "--enumerate"), tmp_path)
         )
         assert code == 0
         payload = json.loads(out)
@@ -1035,11 +1043,9 @@ class TestThreshold:
         assert payload["vertex_count"] == 8
 
 class TestUmpu:
-    def test_exists_vertices(self):
-        code, out = run_cli(
-            ["umpu", "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3",
-             "--alpha", "1/20", "--emit-vertices"]
-        )
+    def test_exists_vertices(self, tmp_path):
+        argv = with_files(h_argv("umpu", LINE, "3", "1/20", "--emit-vertices"), tmp_path)
+        code, out = run_cli(argv)
         assert code == 0
         payload = json.loads(out)
         assert payload["status"] == "exists"
@@ -1047,20 +1053,64 @@ class TestUmpu:
         assert len(payload["vertices"]) == 8
         assert ["3/20", "3/20", "3/20"] in payload["vertices"]
 
-    def test_not_exists_exit_code(self):
-        code, out = run_cli(
-            ["umpu", "--f", "2*p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3",
-             "--alpha", "1/20"]
-        )
+    def test_not_exists_exit_code(self, tmp_path):
+        argv = with_files(h_argv("umpu", custom("2*p1+p2-p3"), "3", "1/20"), tmp_path)
+        code, out = run_cli(argv)
         assert code == 2
         assert json.loads(out)["status"] == "not_exists"
 
-    def test_float_alpha_rejected(self):
-        code, _ = run_cli(
-            ["umpu", "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3",
-             "--alpha", "0.05"]
-        )
+    def test_float_alpha_rejected(self, tmp_path):
+        code, _ = run_cli(with_files(h_argv("umpu", LINE, "3", "0.05"), tmp_path))
         assert code == 1
+
+    @pytest.mark.parametrize("alpha", ["1/20", "1/2"])
+    @pytest.mark.parametrize(
+        "spec",
+        [indep(2, 2), SPHERE, {"kind": "logodds", "params": {"a": ["1", "-1"], "c": "2", "k": 3}},
+         {"kind": "symmetry", "params": {"p": 2}}],
+        ids=["independence-2x2", "sphere", "logodds", "symmetry-2"],
+    )
+    def test_threshold_size_answer_is_the_principal_umpu_power(self, spec, alpha, tmp_path):
+        # At n = 2 deg f the UMPU power is c f~^2 + alpha with the largest c
+        # inside the box (`threshold.principal_umpu`); the layer search
+        # must find the same beta, printed in the hypothesis's names.
+        hyp = build_hypothesis(spec)
+        (f,) = hyp.generators
+        n = 2 * f.total_degree()
+        code, out = run_cli(with_files(h_argv("umpu", spec, str(n), alpha), tmp_path))
+        payload = json.loads(out)
+        assert (code, payload["status"], payload["n"]) == (0, "exists", n)
+        want = principal_umpu(f, n, F(alpha)).beta.poly
+        assert parse_polynomial(payload["beta"], list(hyp.names)) == want
+
+    @pytest.mark.parametrize("command", ["umpu", "coeff-polytope"])
+    @pytest.mark.parametrize(
+        "spec, has",
+        [(indep(2, 3), "the independence hypothesis has 3"),
+         ({"kind": "polytope", "params": {"A": SQUARE, "b": ["-1/4", "-1/4"], "k": 3}},
+          "the polytope hypothesis has 0"),
+         (custom("p1-p2", substituted=True), "the custom hypothesis has 1 in k - 1 coordinates")],
+        ids=["independence-2x3", "polytope", "substituted-custom"],
+    )
+    def test_hypothesis_without_one_generator_is_refused(self, command, spec, has, tmp_path,
+                                                         capsys):
+        # Three minors, no generator, or one without p_k: there is no one f
+        # in all k coordinates to build the coefficient polytope on.
+        assert run_cli(with_files(h_argv(command, spec, "4", "1/20"), tmp_path)) == (1, "")
+        assert capsys.readouterr().err == (
+            f"error: {command} needs exactly one generator, given in all k coordinates; {has}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["umpu", "coeff-polytope"])
+    def test_f_and_vars_are_usage_errors(self, command, tmp_path, capsys):
+        # The generator comes from the hypothesis file only.
+        old = [command, "--f", "p1+p2-p3", "--vars", "p1,p2,p3", "--n", "3", "--alpha", "1/20"]
+        assert run_cli(old) == (1, "")
+        assert "required: --hypothesis" in capsys.readouterr().err
+        argv = with_files(h_argv(command, LINE, "3", "1/20"), tmp_path)
+        for extra in (["--f", "p1+p2-p3"], ["--vars", "p1,p2,p3"]):
+            assert run_cli(argv + extra) == (1, "")
+            assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
 
 class TestPolytopeExists:
     def test_wide_square(self, square):
@@ -1266,7 +1316,7 @@ class TestRoundTripCommands:
         [
             ["recover-test", "--beta", "1/2", "--vars", "p1,p2", "--n", "0"],
             ["recover-test", "--beta", "p1^2", "--vars", "p1", "--n", "2"],
-            ["umpu", "--f", "p1", "--vars", "p1", "--n", "2", "--alpha", "1/20"],
+            h_argv("umpu", custom("p1", k=1), "2", "1/20"),
         ],
         ids=["recover-test-n0", "recover-test-k1", "umpu-k1"],
     )
@@ -1275,7 +1325,7 @@ class TestRoundTripCommands:
         # apart; power-grid and mc-validate refuse such a file, so no
         # command writes one.
         path = tmp_path / "phi.json"
-        assert main([*argv, "--out", str(path)]) == 1
+        assert main([*with_files(argv, tmp_path), "--out", str(path)]) == 1
         assert not path.exists()
         assert capsys.readouterr().err == "error: need n >= 1 and k >= 2\n"
 

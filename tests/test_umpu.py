@@ -533,16 +533,18 @@ class TestVertexGoldens:
         # leaves p3 and p4 out, so the polytope is the product of six
         # factors, one per exponent of (p3, p4) in h's columns: (0, 0)
         # with 3 columns, (1, 0) and (0, 1) with 2, (2, 0), (1, 1) and
-        # (0, 2) with 1.  Each factor's double description and the 1,536
-        # product vertices take 1,601 steps with the rows nearest first;
-        # one double description of all the rows took 1,585, and the
-        # near-side-first order tested 1.77 M pairs.
+        # (0, 2) with 1.  The three one-column factors have the same rows
+        # on their column, so four double descriptions and the 1,536
+        # product vertices take 1,588 steps with the rows nearest first
+        # (1,601 with one double description per factor); one double
+        # description of all the rows took 1,585, and the near-side-first
+        # order tested 1.77 M pairs.
         names = ["p1", "p2", "p3", "p4"]
         counter = StepCounter()
         poly = enumerate_vertices(coefficient_polytope(P("p1 - p2", names), 4, F(1, 2)), counter)
         assert [len(cols) for cols in poly.factors] == [3, 2, 1, 2, 1, 1]
         assert len(poly.vertices) == 1_536
-        assert counter.steps == 1_601
+        assert counter.steps == 1_588
         self.check_tight_rows(poly)
 
 
@@ -1105,3 +1107,30 @@ def test_product_vertices_are_counted_before_they_are_built():
     with pytest.raises(StepLimitExceeded):
         enumerate_vertices(poly, counter)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "cells, n, alpha, runs, steps",
+    [(9, 3, F(1, 20), 2, 525), (4, 4, F(1, 2), 4, 1_588)],
+    ids=["9-cells", "4-cells-half"],
+)
+def test_alike_factors_share_one_double_description(cells, n, alpha, runs, steps, monkeypatch):
+    # p1 - p2 over 9 cells at n = 3: the seven one-column factors off p1
+    # and p2 have the same six rows, so 2 of the 8 factors run a double
+    # description (555 steps when all 8 ran); over 4 cells at n = 4 the
+    # three one-column factors are alike, so 4 of 6 run (1,601 steps).
+    # The vertices are those of one double description of all the rows.
+    names = [f"p{i}" for i in range(1, cells + 1)]
+    f = P("p1 - p2", names)
+    seen = []
+
+    def spy(a, b, counter=None):
+        seen.append((tuple(map(tuple, a)), tuple(b)))
+        return enumerate_vertices_dd(a, b, counter)
+
+    monkeypatch.setattr(umpu, "enumerate_vertices_dd", spy)
+    counter = StepCounter()
+    poly = enumerate_vertices(coefficient_polytope(f, n, alpha), counter)
+    assert (len(seen), len(set(seen)), counter.steps) == (runs, runs, steps)
+    monkeypatch.undo()
+    _check_against_one_double_description(f, poly, monkeypatch)
